@@ -34,22 +34,20 @@ from .errors import (
     BadFactorization,
     BadLevel,
     CuntzrError,
-    GramMismatch,
     MismatchedAlgebra,
     NotCommuting,
     NotUnitary,
     OutOfDomain,
+    SpanTooLarge,
     SpecError,
 )
 from .representations import (
     GPRepresentation,
-    SpanBasis,
     act,
     act2,
     gns_lambda,
     lambda2,
     lambda3,
-    span_basis,
 )
 from .rmatrix import (
     RMatrixOperator,
@@ -75,7 +73,7 @@ from .states import (
     twist_state,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "AlgebraElement",
@@ -86,13 +84,12 @@ __all__ = [
     "DirectSumElement",
     "GPRepresentation",
     "GPState",
-    "GramMismatch",
     "MismatchedAlgebra",
     "NotCommuting",
     "NotUnitary",
     "OutOfDomain",
     "RMatrixOperator",
-    "SpanBasis",
+    "SpanTooLarge",
     "SpecError",
     "StarComposite",
     "TensorElement2",
@@ -122,7 +119,6 @@ __all__ = [
     "mono_product",
     "phi",
     "radix_swap_r",
-    "span_basis",
     "star",
     "state_from_json",
     "state_to_json",

@@ -33,18 +33,6 @@ class NotCommuting(CuntzrError):
         self.witness = witness
 
 
-class GramMismatch(CuntzrError):
-    """The Gram matrices of the two image families do not coincide."""
-
-    def __init__(self, word_x, word_y, residual):
-        super().__init__(
-            f"Gram equality fails at ({word_x}, {word_y}): deviation {residual:.3e}"
-        )
-        self.word_x = word_x
-        self.word_y = word_y
-        self.residual = residual
-
-
 class OutOfDomain(CuntzrError):
     """A vector does not lie in a finite span within tolerance."""
 
@@ -53,6 +41,22 @@ class OutOfDomain(CuntzrError):
             message or f"projection residual {residual:.3e} exceeds tolerance"
         )
         self.residual = residual
+
+
+class SpanTooLarge(CuntzrError, MemoryError):
+    """The dense arrays of a request would not fit in memory.
+
+    Raised before anything is allocated. It is a MemoryError too, so callers
+    that already treat running out of memory as one outcome keep doing so.
+    """
+
+    def __init__(self, nbytes, limit, what):
+        super().__init__(
+            f"{what} needs about {nbytes / 2**20:.1f} MiB of dense arrays, "
+            f"more than the {limit / 2**20:.1f} MiB memory limit"
+        )
+        self.nbytes = nbytes
+        self.limit = limit
 
 
 class SpecError(CuntzrError):

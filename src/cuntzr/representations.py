@@ -14,22 +14,18 @@ that the adjoint generators then satisfy s_j* e_1 = z_j e_1, so images of
 creation words already span everything the coproduct images reach.
 
 Vectors are plain dicts from basis indices (or index pairs / triples for
-tensor legs) to complex amplitudes. :func:`span_basis` collects the images
-of all embedded creation words up to a depth, assembles their exact Gram
-matrix, and orthonormalizes it with the pivoted kernel; the resulting rank
-is the finite-depth cyclicity evidence for the cyclic vector e_1 (x) e_1.
+tensor legs) to complex amplitudes. The operator layer works on dense
+arrays over the coordinate block of one depth instead; :func:`to_dense` and
+:func:`from_dense` convert between the two forms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from ._kernels import RANK_TOL, orthonormalize_gram
-from .algebra import CuntzMonomial, as_element
-from .coproduct import TensorElement2, TensorElement3, delta
-from .errors import MismatchedAlgebra
+from .algebra import as_element
+from .coproduct import TensorElement2, TensorElement3
+from .errors import MismatchedAlgebra, OutOfDomain
 from .states import GPState, UnitVector
 
 AMP_TOL = 1e-13  # amplitudes at or below this magnitude are dropped
@@ -70,7 +66,11 @@ def vec_scale(a, c):
 
 
 def vec_dist(a, b):
-    return vec_norm(vec_add(a, b, scale=-1.0))
+    """Norm of a - b; no entry of the difference is dropped, however small."""
+    diff = dict(a)
+    for k, v in b.items():
+        diff[k] = diff.get(k, 0j) - v
+    return vec_norm(diff)
 
 
 def flip_pairs(vec):
@@ -101,7 +101,9 @@ def complete_unitary(z, tol=1e-10):
     """A unitary with first row conj(z), completed against the standard basis.
 
     Modified Gram-Schmidt over the candidates e_1, e_2, ...; a candidate is
-    skipped when its residual norm is at most ``tol``. Deterministic in z.
+    skipped when its residual norm is at most ``tol``. Each candidate is
+    orthogonalized twice, so that rows kept from a small residual stay
+    orthogonal to rounding. Deterministic in z.
     """
     z = np.asarray(z, dtype=complex).reshape(-1)
     n = z.size
@@ -111,7 +113,7 @@ def complete_unitary(z, tol=1e-10):
             break
         cand = np.zeros(n, dtype=complex)
         cand[k] = 1.0
-        for row in rows:
+        for row in rows + rows:
             cand = cand - np.vdot(row, cand) * row
         nrm = float(np.linalg.norm(cand))
         if nrm > tol:
@@ -293,7 +295,7 @@ def lambda3(rep1, rep2, rep3, t):
 
 
 # ---------------------------------------------------------------------------
-# span bases
+# words and dense coordinate blocks
 
 
 def creation_words(n, depth):
@@ -306,126 +308,22 @@ def creation_words(n, depth):
     return words
 
 
-def pack_vectors(vectors, support=None):
-    """Dense amplitude matrix of a vector list over a common sorted support.
+def to_dense(vec, dims):
+    """Dense array of shape ``dims`` of a dict vector with tuple keys.
 
-    Returns (support, A) with A[s, i] the amplitude of vectors[i] at
-    support[s].
+    Keys are 1-based; a key outside the block raises OutOfDomain.
     """
-    if support is None:
-        keys = set()
-        for vec in vectors:
-            keys.update(vec)
-        support = sorted(keys)
-    index = {k: s for s, k in enumerate(support)}
-    A = np.zeros((len(support), len(vectors)), dtype=complex)
-    for i, vec in enumerate(vectors):
-        for k, a in vec.items():
-            A[index[k], i] = a
-    return support, A
+    out = np.zeros(dims, dtype=complex)
+    if vec:
+        keys = np.array(list(vec), dtype=np.int64).reshape(len(vec), len(dims)) - 1
+        if (keys < 0).any() or (keys >= np.array(dims)).any():
+            bad = next(k for k in vec if not all(1 <= i <= d for i, d in zip(k, dims)))
+            raise OutOfDomain(abs(vec[bad]), f"basis index {bad} outside {tuple(dims)}")
+        out[tuple(keys.T)] = list(vec.values())
+    return out
 
 
-@dataclass
-class SpanBasis:
-    """Images of embedded creation words with exact Gram data.
-
-    ``vectors[i]`` is the image of the coproduct of the i-th creation word
-    under the legwise vector maps of the state pair; ``gram`` collects the
-    exact pairwise inner products; ``coords``/``combos``/``pivots`` come
-    from the pivoted orthonormalization and express the orthonormal basis
-    q_0..q_{rank-1} through the vectors and vice versa.
-    """
-
-    state1: GPState
-    state2: GPState
-    rep1: GPRepresentation
-    rep2: GPRepresentation
-    depth: int
-    words: list
-    vectors: list
-    support: list
-    amat: np.ndarray
-    gram: np.ndarray
-    rank: int
-    pivots: np.ndarray
-    coords: np.ndarray
-    combos: np.ndarray
-    _index: dict = field(repr=False, default=None)
-
-    def __post_init__(self):
-        self._index = {k: s for s, k in enumerate(self.support)}
-
-    @property
-    def block_index(self):
-        return self.state1.n * self.state2.n
-
-    def dense(self, vec):
-        """Amplitudes of a pair vector over the stored support.
-
-        Off-support amplitudes are not representable in the span; their mass
-        shows up in :meth:`coordinates_of` as residual.
-        """
-        out = np.zeros(len(self.support), dtype=complex)
-        for k, a in vec.items():
-            s = self._index.get(k)
-            if s is not None:
-                out[s] = a
-        return out
-
-    def coordinates_of(self, vec):
-        """Orthonormal coordinates of a vector and its off-span residual.
-
-        The residual is the norm of the difference between the vector and
-        its reconstructed projection; the difference-of-squares form would
-        lose half the significant digits and misreport in-span vectors.
-        """
-        b = self.amat.conj().T @ self.dense(vec)
-        y = self.combos.conj() @ b
-        residual = vec_dist(vec, self.from_coordinates(y))
-        return y, float(residual)
-
-    def from_coordinates(self, y):
-        """The vector with the given orthonormal coordinates, as a dict."""
-        dense = self.amat @ (self.combos.T @ y)
-        return prune_vec(
-            {k: complex(dense[s]) for s, k in enumerate(self.support)}
-        )
-
-    def orthobasis_vector(self, a):
-        y = np.zeros(self.rank, dtype=complex)
-        y[a] = 1.0
-        return self.from_coordinates(y)
-
-
-def span_basis(omega1, omega2, depth, rank_tol=RANK_TOL):
-    """Images of all creation words up to ``depth`` with Gram data.
-
-    Words run over O_{n1*n2}; annihilation parts are redundant on the
-    cyclic vector because adjoint generators fix it up to the scalar z_j.
-    """
-    rep1 = GPRepresentation.for_state(omega1)
-    rep2 = GPRepresentation.for_state(omega2)
-    N = omega1.n * omega2.n
-    words = creation_words(N, depth)
-    vectors = [
-        lambda2(rep1, rep2, delta(CuntzMonomial(N, w, ()))) for w in words
-    ]
-    support, A = pack_vectors(vectors)
-    gram = A.conj().T @ A
-    rank, pivots, coords, combos = orthonormalize_gram(gram, tol=rank_tol)
-    return SpanBasis(
-        state1=omega1,
-        state2=omega2,
-        rep1=rep1,
-        rep2=rep2,
-        depth=depth,
-        words=words,
-        vectors=vectors,
-        support=support,
-        amat=A,
-        gram=gram,
-        rank=int(rank),
-        pivots=pivots,
-        coords=coords,
-        combos=combos,
-    )
+def from_dense(arr):
+    """Dict vector of the nonzero entries of a dense array, 1-based keys."""
+    keys = (np.argwhere(arr) + 1).tolist()
+    return dict(zip(map(tuple, keys), arr[arr != 0].tolist()))

@@ -1,8 +1,9 @@
+"""The pivoted Gram orthonormalization of the test oracle (gram_oracle)."""
+
 import numpy as np
 import pytest
 
-from cuntzr import _kernels
-from cuntzr._kernels import active_backend, backend_mode, orthonormalize_gram
+from gram_oracle import orthonormalize_gram
 
 
 def random_gram(rng, n, rank):
@@ -59,30 +60,6 @@ def test_exact_integer_grams_stay_exact():
     rank, pivots, M, C = orthonormalize_gram(G)
     assert rank == 5
     assert set(np.unique(np.abs(M))) <= {0.0, 1.0}
-
-
-def test_backends_agree():
-    if active_backend() != "numba":
-        pytest.skip("numba unavailable in this environment")
-    rng = np.random.default_rng(17)
-    for n, rank in ((8, 8), (30, 18), (70, 70)):
-        G = random_gram(rng, n, rank)
-        r1, p1, M1, C1 = orthonormalize_gram(G, force="numpy")
-        r2, p2, M2, C2 = orthonormalize_gram(G, force="numba")
-        assert r1 == r2
-        assert np.array_equal(p1, p2)
-        assert np.max(np.abs(M1 - M2)) <= 1e-12
-        assert np.max(np.abs(C1 - C2)) <= 1e-12
-
-
-def test_backend_mode_is_valid():
-    assert backend_mode() in ("auto", "numpy", "numba")
-    assert active_backend(4) in ("numpy", "numba")
-    assert active_backend(10_000) in ("numpy", "numba")
-    if backend_mode() == "auto" and active_backend() == "numba":
-        # small problems stay on the numpy path to avoid JIT overhead
-        assert active_backend(4) == "numpy"
-        assert active_backend(_kernels._MIN_NUMBA_SIZE) == "numba"
 
 
 def test_rejects_non_square():

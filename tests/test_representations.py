@@ -10,12 +10,15 @@ from cuntzr.representations import (
     act_element,
     complete_unitary,
     gns_lambda,
+    from_dense,
     lambda2,
-    span_basis,
+    to_dense,
     vec_dist,
     vec_inner,
 )
+from cuntzr.errors import OutOfDomain
 from cuntzr.states import GPState, UnitVector, gp_eval
+from gram_oracle import span_basis
 
 
 def random_unit(rng, n):
@@ -221,7 +224,7 @@ def test_lambda2_projects_other_blocks_away():
 
 
 # ---------------------------------------------------------------------------
-# span bases
+# span bases of the Gram oracle
 
 
 def test_span_rank_standard_pair_depth_one():
@@ -262,6 +265,30 @@ def test_span_detects_foreign_vectors():
 
 
 # ---------------------------------------------------------------------------
+# distances and dense forms
+
+
+def test_vec_dist_keeps_entries_below_the_amplitude_cutoff():
+    # 10^4 differences of 9e-14 each: every one is below the 1e-13 cutoff
+    # that prunes vector sums, yet together they are a distance of 9e-12
+    a = {k: 1 for k in range(10**4)}
+    b = {k: 1 + 9e-14j for k in range(10**4)}
+    assert vec_dist(a, b) == pytest.approx(9e-12, rel=1e-6)
+    assert vec_dist(a, dict(a)) == 0.0
+
+
+def test_dense_round_trip_and_block_bounds():
+    vec = {(1, 3): 0.5j, (2, 1): 1.0 + 0j}
+    arr = to_dense(vec, (2, 3))
+    assert arr[0, 2] == 0.5j and arr[1, 0] == 1.0
+    assert from_dense(arr) == vec
+    assert from_dense(to_dense({(1, 1, 2): 2.0}, (1, 1, 2))) == {(1, 1, 2): 2 + 0j}
+    for key in ((3, 1), (1, 4), (0, 1)):
+        with pytest.raises(OutOfDomain):
+            to_dense({key: 1.0}, (2, 3))
+
+
+# ---------------------------------------------------------------------------
 # report literal forms
 
 
@@ -273,3 +300,12 @@ def test_vector_literal_forms():
         [3, 1.5, -0.5],
     ]
     assert pair_to_list({(2, 2): 1.0 + 0j}) == [[2, 2, 1.0, 0.0]]
+
+
+def test_complete_unitary_stays_unitary_near_a_basis_vector():
+    # the first candidate e_1 leaves a residual of norm ~0.011 here; one
+    # Gram-Schmidt pass left the completion unitary only to ~1e-12
+    z = np.array([-0.9999389685688129, 0.007812023191943851j,
+                  0.007812023191943851j, 6.1031431187061336e-05])
+    U = complete_unitary(z / np.linalg.norm(z))
+    assert np.max(np.abs(U @ U.conj().T - np.eye(4))) <= 1e-14

@@ -1,20 +1,33 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from cuntzr import cli, rmatrix
 from cuntzr.algebra import CuntzMonomial
-from cuntzr.coproduct import delta_op
-from cuntzr.errors import NotCommuting, OutOfDomain
-from cuntzr.representations import flip_pairs, lambda2, vec_dist
+from cuntzr.coproduct import delta
+from cuntzr.errors import NotCommuting, OutOfDomain, SpanTooLarge
+from cuntzr.representations import flip_pairs, to_dense, vec_dist
 from cuntzr.rmatrix import (
+    RMatrixOperator,
+    basis_blocks,
     build_r,
     counterexample_demo,
     radix_swap_r,
+    relation_residual,
     swap_index_pair,
     verify_intertwining,
     verify_symmetry,
     verify_ybe,
 )
 from cuntzr.states import GPState, UnitVector
+from gram_oracle import gram_r, pack_vectors, word_images
 
 
 W2 = GPState.standard(2)
@@ -38,11 +51,13 @@ def test_swap_example_on_standard_pair():
 def test_equal_states_give_the_leg_swap():
     # the relation forces the flip of the legs on the span: the coproduct
     # image of a word and its opposite differ exactly by the leg swap when
-    # both legs carry the same state
+    # both legs carry the same state; checked on the orthonormal basis the
+    # Gram oracle builds from the word images
     for omega in (W2, GPState.uniform(2)):
         rmat = build_r(omega, omega, 2)
-        for a in range(rmat.basis.rank):
-            q = rmat.basis.orthobasis_vector(a)
+        basis = gram_r(omega, omega, 2).basis
+        for a in range(basis.rank):
+            q = basis.orthobasis_vector(a)
             assert vec_dist(rmat.apply(q), flip_pairs(q)) <= 1e-12
 
 
@@ -57,27 +72,34 @@ def test_noncommuting_pair_is_rejected_with_witness():
 def test_gram_equality_of_both_image_families():
     for pair in ((W2, W3), (U2, U3)):
         rmat = build_r(*pair, 1)
-        basis = rmat.basis
-        N = pair[0].n * pair[1].n
-        wvecs = [
-            lambda2(basis.rep1, basis.rep2, delta_op(CuntzMonomial(N, w, ())))
-            for w in basis.words
-        ]
-        from cuntzr.representations import pack_vectors
-
-        keys = set(basis.support)
-        for vec in wvecs:
-            keys.update(vec)
-        _, B = pack_vectors(wvecs, sorted(keys))
-        gram_w = B.conj().T @ B
-        assert np.max(np.abs(basis.gram - gram_w)) <= 1e-10
+        _, vvecs = word_images(rmat.rep1, rmat.rep2, 1)
+        _, wvecs = word_images(rmat.rep1, rmat.rep2, 1, opposite=True)
+        keys = sorted({k for vec in vvecs + wvecs for k in vec})
+        _, A = pack_vectors(vvecs, keys)
+        _, B = pack_vectors(wvecs, keys)
+        assert np.max(np.abs(A.conj().T @ A - B.conj().T @ B)) <= 1e-10
 
 
 def test_unitarity_of_built_operators():
+    # R^H R = I, measured as the Gram matrix of the images of the basis
     for pair, depth in (((W2, W3), 2), ((U2, U3), 2), ((W2, W2), 1)):
         rmat = build_r(*pair, depth)
-        dev = rmat.matrix.conj().T @ rmat.matrix - np.eye(rmat.basis.rank)
+        (E,) = basis_blocks(rmat.dims)
+        images = rmat.apply_dense(E).reshape(rmat.rank, rmat.rank)
+        dev = images.conj().T @ images - np.eye(rmat.rank)
         assert np.max(np.abs(dev)) <= 1e-9
+
+
+def test_dense_apply_matches_the_dict_apply_on_a_batch():
+    rng = np.random.default_rng(8)
+    rmat = build_r(U2, U3, 2)
+    X = rng.normal(size=(4, 9, 3)) + 1j * rng.normal(size=(4, 9, 3))
+    Y = rmat.apply_dense(X)
+    for c in range(3):
+        vec = {(i + 1, j + 1): X[i, j, c] for i in range(4) for j in range(9)}
+        assert np.max(np.abs(to_dense(rmat.apply(vec), (4, 9)) - Y[:, :, c])) <= 1e-14
+    with pytest.raises(OutOfDomain):
+        rmat.apply_dense(np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +126,8 @@ def test_apply_rejects_vectors_outside_the_span():
 def test_depth_stability_on_standard_pair():
     shallow = build_r(W2, W3, 1)
     deep = build_r(W2, W3, 2)
-    for vec in shallow.basis.vectors:
-        if vec:
-            assert shallow.apply(vec) == deep.apply(vec)
+    for vec in word_images(shallow.rep1, shallow.rep2, 1)[1]:
+        assert shallow.apply(vec) == deep.apply(vec)
 
 
 # ---------------------------------------------------------------------------
@@ -168,13 +189,13 @@ def test_intertwining_traces_the_worked_example():
     # e_1 (x) e_3 and its opposite image to e_1 (x) e_2; both orders land
     # on e_1 (x) e_2
     rmat = build_r(W2, W3, 2)
-    from cuntzr.coproduct import delta
+    from cuntzr.coproduct import delta_op
     from cuntzr.representations import act2
 
     v = {(1, 1): 1.0 + 0j}
     g = CuntzMonomial.generator(6, 3)
-    via_coproduct = rmat.apply(act2(rmat.basis.rep1, rmat.basis.rep2, delta(g), v))
-    via_opposite = act2(rmat.basis.rep1, rmat.basis.rep2, delta_op(g), rmat.apply(v))
+    via_coproduct = rmat.apply(act2(rmat.rep1, rmat.rep2, delta(g), v))
+    via_opposite = act2(rmat.rep1, rmat.rep2, delta_op(g), rmat.apply(v))
     assert via_coproduct == {(1, 2): 1 + 0j}
     assert via_opposite == {(1, 2): 1 + 0j}
 
@@ -262,11 +283,187 @@ def test_export_contains_permutation_entry():
     rmat = build_r(W2, W3, 1)
     out = rmat.to_json()
     assert [1, 3, 1, 2] in out["permutation"]
+    assert len(out["permutation"]) == 6
     assert out["rank"] == 6
-    assert len(out["domain_basis"]) == 7
-    assert out["domain_basis"][0] == "n=6;u=;v="
-    assert len(out["matrix"]) == 6
-    # the closed-form export carries the permutation but no dense data
-    closed = radix_swap_r(2, 3, 1).to_json()
-    assert "matrix" not in closed and "gram" not in closed
-    assert [1, 3, 1, 2] in closed["permutation"]
+    assert out["twist1"] == [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    assert len(out["twist2"]) == 3
+    assert "matrix" not in out and "gram" not in out
+    # twisted states export their twists and no permutation
+    twisted = build_r(U2, U3, 1).to_json()
+    assert "permutation" not in twisted
+    U = np.array(twisted["twist1"]) @ np.array([1.0, 1j])
+    assert np.max(np.abs(U[0] - 2**-0.5)) <= 1e-15  # first row conj(z)
+
+
+# ---------------------------------------------------------------------------
+# randomized commuting families against the Gram oracle
+
+
+@st.composite
+def unit_vectors(draw, n):
+    parts = st.floats(-1.0, 1.0, allow_nan=False)
+    z = np.array([complex(draw(parts), draw(parts)) for _ in range(n)])
+    assume(np.linalg.norm(z) > 0.1)
+    return z / np.linalg.norm(z)
+
+
+def kron_power(x, k):
+    out = np.ones(1, dtype=complex)
+    for _ in range(k):
+        out = np.kron(out, x)
+    return out
+
+
+@st.composite
+def commuting_pairs(draw):
+    """(x^{[*]a}, x^{[*]b}) for one random unit vector x: the two product
+    states are both the state of x^{[*](a+b)}, so the pair commutes."""
+    x = draw(unit_vectors(draw(st.integers(2, 3))))
+    a, b = draw(st.sampled_from([(1, 1), (1, 2), (2, 1)]))
+    depth = draw(st.integers(0, 2 if x.size ** (a + b) <= 9 else 1))
+    return GPState(kron_power(x, a)), GPState(kron_power(x, b)), depth
+
+
+@settings(max_examples=15, deadline=None)
+@given(commuting_pairs())
+def test_closed_form_matches_the_gram_oracle_on_commuting_pairs(case):
+    omega, psi, depth = case
+    rmat = build_r(omega, psi, depth)
+    oracle = gram_r(omega, psi, depth)
+    pairs = [(a, b) for a in range(1, rmat.dims[0] + 1) for b in range(1, rmat.dims[1] + 1)]
+    assert oracle.basis.rank == rmat.rank
+    (E,) = basis_blocks(rmat.dims)
+    closed = rmat.apply_dense(E).reshape(rmat.rank, rmat.rank)
+    index = [pairs.index(k) for k in oracle.basis.support]
+    dev = np.max(np.abs(oracle.dense_matrix() - closed[np.ix_(index, index)]))
+    assert dev <= 1e-12
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_generic_pairs_are_rejected_with_a_true_witness(data):
+    x = data.draw(unit_vectors(2))
+    y = data.draw(unit_vectors(3))
+    xy, yx = np.kron(x, y), np.kron(y, x)
+    # pairs of the last basis vectors, e.g., do commute; keep generic ones
+    assume(np.max(np.abs(xy - yx)) > 1e-6)
+    omega, psi = GPState(x), GPState(y)
+    with pytest.raises(NotCommuting) as err:
+        build_r(omega, psi, 1)
+    w = err.value.witness
+    # the product values through the interleaved vectors, from the definition
+    value = lambda z: np.prod(np.conj(z[np.array(w.u, dtype=int) - 1])) * np.prod(
+        z[np.array(w.v, dtype=int) - 1]
+    )
+    assert abs(value(xy) - value(yx)) > 1e-12
+
+
+# ---------------------------------------------------------------------------
+# measured residuals
+
+
+def test_uniform_residuals_are_measured_and_standard_ones_exact():
+    for report in (
+        verify_intertwining(build_r(U2, U3, 2)),
+        verify_ybe(U2, U3, GPState.uniform(2), 1),
+        verify_symmetry(U2, U3, 2),
+    ):
+        assert 0.0 < report.max_residual <= 1e-12
+    for report in (
+        verify_intertwining(build_r(W2, W3, 2)),
+        verify_ybe(W2, W3, W2, 2),
+        verify_symmetry(W2, W3, 2),
+    ):
+        assert report.max_residual == 0.0
+
+
+def test_relation_residual_measures_the_defining_relation():
+    assert relation_residual(build_r(W2, W3, 2), 2) == 0.0
+    assert 0.0 < relation_residual(build_r(U2, U3, 2), 2) <= 1e-12
+    # the factored form of a noncommuting pair, made without build_r,
+    # breaks the relation already on the unit word
+    bad = RMatrixOperator(U2, GPState(UnitVector([0.6, 0.8])), 1)
+    assert relation_residual(bad, 0) > 0.1
+
+
+# ---------------------------------------------------------------------------
+# operator reuse
+
+
+def _counting_build_r(monkeypatch):
+    calls = []
+    original = rmatrix.build_r
+
+    def counted(omega1, omega2, depth):
+        calls.append((omega1, omega2, depth))
+        return original(omega1, omega2, depth)
+
+    monkeypatch.setattr(rmatrix, "build_r", counted)
+    monkeypatch.setattr(cli, "build_r", counted)
+    return calls
+
+
+def test_ybe_builds_each_distinct_pair_once(monkeypatch):
+    calls = _counting_build_r(monkeypatch)
+    x = np.array([0.6, 0.8j])
+    X, XX = GPState(x), GPState(np.kron(x, x))
+    assert verify_ybe(X, X, XX, 1).passed
+    assert len(calls) == 2  # R(x, x) and R(x, x[*]x), which is also R13
+    calls.clear()
+    assert verify_ybe(U3, U2, U2, 1).passed
+    assert len(calls) == 2  # R12 = R13
+
+
+def test_symmetry_reuses_the_operator(monkeypatch):
+    calls = _counting_build_r(monkeypatch)
+    assert verify_symmetry(W2, W2, 2).passed
+    assert len(calls) == 1
+    calls.clear()
+    code = cli.main(["verify", "--omega1", '{"uniform": 2}',
+                     "--omega2", '{"uniform": 3}', "--depth", "1"])
+    assert code == 0
+    assert [(c[0].n, c[1].n) for c in calls] == [(2, 3), (3, 2)]
+
+
+# ---------------------------------------------------------------------------
+# memory preflight
+
+
+def test_oversized_spans_fail_fast_with_the_estimate():
+    with pytest.raises(SpanTooLarge) as err:
+        build_r(W2, W3, 16)  # 6^16 pairs: hundreds of terabytes of arrays
+    assert isinstance(err.value, MemoryError)
+    assert err.value.nbytes > err.value.limit
+    assert "MiB" in str(err.value)
+    # the intertwining span of depth 8 holds 335923 vectors of 6^8 entries
+    with pytest.raises(SpanTooLarge):
+        verify_intertwining(build_r(W2, W3, 8))
+
+
+def test_oversized_build_exits_2(capsys):
+    code = cli.main(["build-r", "--omega1", '{"standard": 2}',
+                     "--omega2", '{"standard": 3}', "--depth", "16"])
+    assert code == 2
+    assert "MiB of dense arrays" in capsys.readouterr().err
+
+
+def test_depth_8_builds_and_applies_under_a_2048_mb_address_space_cap():
+    # the (2,3) span at depth 8 has 1679616 pairs
+    script = textwrap.dedent("""
+        import resource
+        cap = 2048 * 1024 * 1024
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+        from cuntzr import GPState, build_r
+        rmat = build_r(GPState.standard(2), GPState.standard(3), 8)
+        image = rmat.apply({(256, 6561): 1.0, (1, 2): 2.0})
+        print(rmat.rank, sorted(image.items()))
+    """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    a, b = swap_index_pair(2, 3, 256, 6561, 8), swap_index_pair(2, 3, 1, 2, 8)
+    assert out.stdout.split(" ", 1) == [
+        "1679616", f"{sorted([(a, 1 + 0j), (b, 2 + 0j)])}\n"
+    ]
