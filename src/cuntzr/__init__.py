@@ -13,14 +13,14 @@ from .algebra import (
     CuntzMonomial,
     DirectSumElement,
     canonical_equal,
+    canonical_residual,
     level_expand,
     mono_product,
     substitute_generators,
 )
 from .coproduct import (
-    TensorElement2,
+    TensorElement,
     TensorElement3,
-    canonical_equal2,
     canonical_equal3,
     check_coassoc,
     delta,
@@ -45,6 +45,7 @@ from .representations import (
     GPRepresentation,
     act,
     act2,
+    act_legs,
     gns_lambda,
     lambda2,
     lambda3,
@@ -92,17 +93,18 @@ __all__ = [
     "SpanTooLarge",
     "SpecError",
     "StarComposite",
-    "TensorElement2",
+    "TensorElement",
     "TensorElement3",
     "UnitVector",
     "VerificationReport",
     "act",
     "act2",
+    "act_legs",
     "boxtimes",
     "build_r",
     "canonical_equal",
-    "canonical_equal2",
     "canonical_equal3",
+    "canonical_residual",
     "check_coassoc",
     "commutes",
     "counterexample_demo",

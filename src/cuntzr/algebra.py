@@ -13,8 +13,9 @@ operations implemented here.
 Equality modulo the relations is decidable on this span: within a degree
 class d = |u| - |v|, every term can be rewritten with sum_i s_i s_i* = I
 until all annihilation words share one length, and word pairs of a common
-shape (|u|, |v|) are linearly independent. ``canonical_equal`` performs
-exactly that expansion and compares coefficients.
+shape (|u|, |v|) are linearly independent. ``canonical_residual`` performs
+exactly that expansion, on one leg or legwise on tensor elements, and
+returns the largest coefficient left over.
 """
 
 from __future__ import annotations
@@ -246,31 +247,6 @@ def adjoint(x):
     return x.adjoint()
 
 
-def level_expand(x, target_len):
-    """Rewrite x so every annihilation word has length exactly ``target_len``.
-
-    Each term s_u s_v* with |v| < target_len becomes the sum over all words
-    w of length target_len - |v| of s_{u w} s_{v w}*, by inserting
-    sum_i s_i s_i* = I. The value in O_n is unchanged and each term keeps
-    its degree |u| - |v|.
-    """
-    n = x.n
-    out = {}
-    for (u, v), c in x.items():
-        gap = target_len - len(v)
-        if gap < 0:
-            raise BadLevel(
-                f"target {target_len} below annihilation length {len(v)}"
-            )
-        if gap == 0 or n == 1:
-            out[(u, v)] = out.get((u, v), 0j) + c
-        else:
-            for w in itertools.product(range(1, n + 1), repeat=gap):
-                key = (u + w, v + w)
-                out[key] = out.get(key, 0j) + c
-    return AlgebraElement(n, out, _validate=False)
-
-
 def expanded_keys(n, key, target_len):
     """Keys of the level expansion of a single word pair (no coefficients)."""
     u, v = key
@@ -284,31 +260,69 @@ def expanded_keys(n, key, target_len):
         yield (u + w, v + w)
 
 
-def canonical_equal(x, y, tol=EQ_TOL):
-    """Equality in O_n modulo the Cuntz relations.
+def level_expand(x, target_len):
+    """Rewrite x so every annihilation word has length exactly ``target_len``.
 
-    Splits x - y by degree, expands every term of a degree class to the
-    maximal annihilation length present, and checks that all coefficients
-    vanish within ``tol``. Sound and complete on the span because word
-    pairs with fixed |u| and |v| are linearly independent.
+    Each term s_u s_v* with |v| < target_len becomes the sum over all words
+    w of length target_len - |v| of s_{u w} s_{v w}*, by inserting
+    sum_i s_i s_i* = I. The value in O_n is unchanged and each term keeps
+    its degree |u| - |v|.
     """
-    if x.n != y.n:
+    out = {}
+    for key, c in x.items():
+        for ekey in expanded_keys(x.n, key, target_len):
+            out[ekey] = out.get(ekey, 0j) + c
+    return AlgebraElement(x.n, out, _validate=False)
+
+
+def _leg_blocks(x):
+    """Blockwise terms {leg indices: {leg keys: coeff}}; an element is one leg."""
+    if isinstance(x, AlgebraElement):
+        return {(x.n,): {(key,): c for key, c in x.items()}}
+    return x.blocks
+
+
+def canonical_residual(x, y):
+    """Worst coefficient of x - y left after the per-leg level expansion.
+
+    Takes two algebra elements (one leg) or two tensor elements of any
+    arity (anything with blockwise ``blocks``). Inside each block the terms
+    of the difference are grouped by their tuple of leg degrees, and every
+    leg is expanded to the longest annihilation word of its group. The
+    expanded tensor monomials are linearly independent, so the residual is
+    zero exactly when x = y modulo the relations. The difference is summed
+    without dropping small coefficients.
+    """
+    if isinstance(x, AlgebraElement) != isinstance(y, AlgebraElement):
+        raise TypeError("cannot compare an algebra element with a tensor element")
+    if isinstance(x, AlgebraElement) and x.n != y.n:
         raise MismatchedAlgebra(f"O_{x.n} vs O_{y.n}")
-    diff = x - y
-    if diff.is_zero:
-        return True
-    groups = {}
-    for (u, v), c in diff.items():
-        groups.setdefault(len(u) - len(v), []).append(((u, v), c))
-    for terms in groups.values():
-        target = max(len(v) for (_, v), _ in terms)
-        acc = {}
-        for key, c in terms:
-            for ekey in expanded_keys(diff.n, key, target):
-                acc[ekey] = acc.get(ekey, 0j) + c
-        if any(abs(c) > tol for c in acc.values()):
-            return False
-    return True
+    bx, by = _leg_blocks(x), _leg_blocks(y)
+    worst = 0.0
+    for indices in bx.keys() | by.keys():
+        diff = dict(bx.get(indices, {}))
+        for keys, c in by.get(indices, {}).items():
+            diff[keys] = diff.get(keys, 0j) - c
+        groups = {}
+        for keys, c in diff.items():
+            if c:
+                degrees = tuple(len(u) - len(v) for u, v in keys)
+                groups.setdefault(degrees, []).append((keys, c))
+        for members in groups.values():
+            # per leg, the longest annihilation word of the group
+            targets = [max(len(v) for _, v in leg) for leg in zip(*(k for k, _ in members))]
+            acc = {}
+            for keys, c in members:
+                legs = (expanded_keys(*leg) for leg in zip(indices, keys, targets))
+                for ekeys in itertools.product(*legs):
+                    acc[ekeys] = acc.get(ekeys, 0j) + c
+            worst = max(worst, max(abs(c) for c in acc.values()))
+    return worst
+
+
+def canonical_equal(x, y, tol=EQ_TOL):
+    """Equality modulo the Cuntz relations: canonical_residual(x, y) <= tol."""
+    return canonical_residual(x, y) <= tol
 
 
 def substitute_generators(x, matrix):

@@ -24,11 +24,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .algebra import AlgebraElement, CuntzMonomial
-from .coproduct import check_coassoc
+from .algebra import EQ_TOL, AlgebraElement, CuntzMonomial, canonical_residual
+from .coproduct import f_l, f_r
 from .errors import CuntzrError, NotCommuting, SpecError
 from .representations import vec_dist
 from .rmatrix import (
+    BUILD_TOL,
+    VerificationReport,
     build_r,
     counterexample_demo,
     relation_residual,
@@ -37,19 +39,20 @@ from .rmatrix import (
     verify_symmetry,
     verify_ybe,
 )
-from .states import GPState, boxtimes, commutes, gp_eval, star, state_from_json
+from .states import (
+    GPState,
+    boxtimes,
+    commutes,
+    gp_eval,
+    interleaving_gap,
+    star,
+    star_gap,
+    state_from_json,
+)
 
-_KIND_TOLS = {
-    "coassoc": 1e-12,
-    "state-product": 1e-12,
-    "build-r": 1e-9,
-    "intertwine": 1e-9,
-    "symmetry": 1e-9,
-    "ybe": 1e-9,
-    "verify": 1e-9,
-    "counterexample": 1e-9,
-    "all": 1e-9,
-}
+# exact-algebra scenarios default to the equality tolerance, the rest to the
+# verifiers' residual bound
+_EXACT_KINDS = ("coassoc", "state-product")
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +132,7 @@ class ScenarioSpec:
     max_len: int = 1
     samples: int = 0
     seed: int = 7
-    tol: float = 1e-9
+    tol: float = BUILD_TOL
 
     def to_json(self):
         return {k: v for k, v in asdict(self).items() if v is not None}
@@ -165,7 +168,7 @@ def _resolve_tol(args_tol, kind):
         tol = args_tol
     else:
         env = os.environ.get("CUNTZR_TOL", "").strip()
-        tol = float(env) if env else _KIND_TOLS[kind]
+        tol = float(env) if env else (EQ_TOL if kind in _EXACT_KINDS else BUILD_TOL)
     if not (0.0 < tol <= 1e-3):
         raise SpecError([f"tol must lie in (0, 1e-3], got {tol!r}"])
     return float(tol)
@@ -191,8 +194,8 @@ def _validate(spec):
             errors.append(f"{spec.kind} needs --omega1 and --omega2")
     if spec.kind == "ybe" and spec.omega3 is None:
         errors.append("ybe needs --omega3")
-    if spec.kind == "coassoc" and spec.n is None:
-        errors.append("coassoc needs --n")
+    if spec.kind == "coassoc" and (spec.n is None or spec.n < 1):
+        errors.append("coassoc needs --n >= 1")
     if errors:
         raise SpecError(errors)
     return spec
@@ -203,7 +206,7 @@ def _state(spec_field):
 
 
 # ---------------------------------------------------------------------------
-# scenario runners (pure: spec in, report dict out)
+# scenario runners (pure: spec in, VerificationReport out)
 
 
 def _random_monomials(rng, n, max_len, count):
@@ -218,29 +221,21 @@ def _random_monomials(rng, n, max_len, count):
 
 
 def _run_coassoc(spec):
-    checks = []
+    report = VerificationReport(scenario=spec.kind)
     n = spec.n
-    worst_gen = 0.0
-    ok_gen = True
-    for i in range(1, n + 1):
-        ok_gen &= check_coassoc(CuntzMonomial.generator(n, i), tol=spec.tol)
-    checks.append(
-        {"name": "coassoc-generators", "pass": bool(ok_gen), "residual": worst_gen}
-    )
-    if spec.max_len >= 0:
-        ok_unit = check_coassoc(CuntzMonomial.unit(n), tol=spec.tol)
-        checks.append(
-            {"name": "coassoc-unit", "pass": bool(ok_unit), "residual": 0.0}
-        )
+    groups = [
+        ("coassoc-generators", [CuntzMonomial.generator(n, i) for i in range(1, n + 1)]),
+        ("coassoc-unit", [CuntzMonomial.unit(n)]),
+    ]
     if spec.samples:
         rng = np.random.default_rng(spec.seed)
-        ok = True
-        for mono in _random_monomials(rng, n, spec.max_len, spec.samples):
-            ok &= check_coassoc(mono, tol=spec.tol)
-        checks.append(
-            {"name": "coassoc-random-monomials", "pass": bool(ok), "residual": 0.0}
-        )
-    return checks
+        monos = _random_monomials(rng, n, spec.max_len, spec.samples)
+        groups.append(("coassoc-random-monomials", monos))
+    for name, monos in groups:
+        # the worst canonical residual between the two double coproducts
+        worst = max(canonical_residual(f_r(mono), f_l(mono)) for mono in monos)
+        report.add(name, worst <= spec.tol, worst)
+    return report
 
 
 def _run_state_product(spec):
@@ -255,110 +250,70 @@ def _run_state_product(spec):
     for mono in _random_monomials(rng, N, spec.max_len, count):
         x = AlgebraElement.monomial(mono)
         worst = max(worst, abs(prod(x) - gp_eval(boxed, x)))
-    checks = [
-        {
-            "name": "product-matches-interleaved-state",
-            "pass": bool(worst <= spec.tol),
-            "residual": float(worst),
-        }
-    ]
+    report = VerificationReport(scenario=spec.kind)
+    report.add("product-matches-interleaved-state", worst <= spec.tol, worst)
     ok, witness = commutes(omega1, omega2, tol=spec.tol)
-    record = {"name": "commutes", "pass": bool(ok), "residual": 0.0}
-    if witness is not None:
-        record["witness"] = witness.label()
-    checks.append(record)
-    return checks
+    report.add(
+        "commutes",
+        ok,
+        interleaving_gap(omega1, omega2),
+        witness=witness.label() if witness is not None else None,
+    )
+    return report
 
 
 def _run_build_r(spec):
     omega1 = _state(spec.omega1)
     omega2 = _state(spec.omega2)
+    report = VerificationReport(scenario=spec.kind)
     try:
         rmat = build_r(omega1, omega2, spec.depth)
     except NotCommuting as exc:
-        x = AlgebraElement.monomial(exc.witness)
-        gap = abs(star(omega1, omega2)(x) - star(omega2, omega1)(x))
-        record = {
-            "name": "well-defined-gram-equality",
-            "pass": False,
-            "residual": float(gap),
-            "witness": exc.witness.label(),
-        }
-        return [record], None
+        gap = star_gap(omega1, omega2, exc.witness)
+        report.add("well-defined-gram-equality", False, gap, witness=exc.witness.label())
+        return report, None
     unitary = rmat.unitarity_residual
     relation = relation_residual(rmat, 1)
-    checks = [
-        {"name": "unitary", "pass": bool(unitary <= spec.tol), "residual": unitary},
-        {
-            "name": "defining-relation",
-            "pass": bool(relation <= spec.tol),
-            "residual": relation,
-        },
-    ]
-    return checks, rmat
+    report.add("unitary", unitary <= spec.tol, unitary)
+    report.add("defining-relation", relation <= spec.tol, relation)
+    return report, rmat
 
 
 def _run_verify(spec, which):
     omega1 = _state(spec.omega1)
     omega2 = _state(spec.omega2)
-    checks = []
+    report = VerificationReport(scenario=spec.kind)
     rmat = None
     if which in ("intertwine", "symmetry", "all"):
         rmat = build_r(omega1, omega2, spec.depth)
     if which in ("intertwine", "all"):
-        report = verify_intertwining(rmat, tol=spec.tol)
-        worst = report.max_residual
-        checks.append(
-            {
-                "name": "intertwine",
-                "pass": bool(report.passed),
-                "residual": float(worst),
-            }
-        )
+        rep = verify_intertwining(rmat, tol=spec.tol)
+        report.add("intertwine", rep.passed, rep.max_residual)
     if which in ("symmetry", "all"):
-        report = verify_symmetry(omega1, omega2, spec.depth, tol=spec.tol, r12=rmat)
-        checks.append(
-            {
-                "name": "inversion-symmetry",
-                "pass": bool(report.passed),
-                "residual": float(report.max_residual),
-            }
-        )
+        rep = verify_symmetry(omega1, omega2, spec.depth, tol=spec.tol, r12=rmat)
+        report.add("inversion-symmetry", rep.passed, rep.max_residual)
     if which in ("ybe", "all") and spec.omega3 is not None:
         omega3 = _state(spec.omega3)
-        report = verify_ybe(omega1, omega2, omega3, spec.depth, tol=spec.tol)
-        checks.append(
-            {
-                "name": "ybe",
-                "pass": bool(report.passed),
-                "residual": float(report.max_residual),
-            }
-        )
+        rep = verify_ybe(omega1, omega2, omega3, spec.depth, tol=spec.tol)
+        report.add("ybe", rep.passed, rep.max_residual)
     elif which == "ybe":
         raise SpecError(["ybe needs --omega3"])
-    return checks
-
-
-def _run_counterexample(spec):
-    report = counterexample_demo(tol=spec.tol)
-    return [c.to_json() for c in report.checks]
+    return report
 
 
 def _run_all(spec):
-    checks = []
+    report = VerificationReport(scenario=spec.kind)
 
-    def merge(prefix, records):
-        for rec in records:
-            rec = dict(rec)
-            rec["name"] = f"{prefix}/{rec['name']}"
-            checks.append(rec)
+    def merge(prefix, sub):
+        for c in sub.checks:
+            report.add(f"{prefix}/{c.name}", c.passed, c.residual, c.witness)
 
     for n in range(1, 9):
-        sub = ScenarioSpec(kind="coassoc", n=n, max_len=1, tol=1e-12, seed=spec.seed)
+        sub = ScenarioSpec(kind="coassoc", n=n, max_len=1, tol=EQ_TOL, seed=spec.seed)
         merge(f"coassoc-O{n}", _run_coassoc(sub))
     for n in (4, 6, 12):
         sub = ScenarioSpec(
-            kind="coassoc", n=n, max_len=2, samples=25, tol=1e-12, seed=spec.seed
+            kind="coassoc", n=n, max_len=2, samples=25, tol=EQ_TOL, seed=spec.seed
         )
         merge(f"coassoc-random-O{n}", _run_coassoc(sub))
 
@@ -372,7 +327,7 @@ def _run_all(spec):
             omega2=parse_state_arg(json.dumps(pair[1]), "omega2"),
             max_len=3,
             samples=100,
-            tol=1e-12,
+            tol=EQ_TOL,
             seed=spec.seed,
         )
         merge(f"state-product-{label}", _run_state_product(sub))
@@ -384,83 +339,37 @@ def _run_all(spec):
         depth=1,
         tol=spec.tol,
     )
-    records, rmat = _run_build_r(sub)
-    merge("build-r-standard-2-3", records)
+    sub_report, rmat = _run_build_r(sub)
+    merge("build-r-standard-2-3", sub_report)
     if rmat is not None:
         image = rmat.apply({(1, 3): 1.0 + 0j})
         moved = vec_dist(image, {(1, 2): 1.0 + 0j})
-        checks.append(
-            {
-                "name": "build-r-standard-2-3/maps-pair-1-3-to-1-2",
-                "pass": bool(moved == 0.0),
-                "residual": float(moved),
-            }
-        )
+        report.add("build-r-standard-2-3/maps-pair-1-3-to-1-2", moved == 0.0, moved)
         deviation = rmat.basis_residual(lambda E: E)
-        checks.append(
-            {
-                "name": "build-r-standard-2-3/not-identity",
-                "pass": bool(deviation > 0.0),
-                "residual": deviation,
-            }
-        )
+        report.add("build-r-standard-2-3/not-identity", deviation > 0.0, deviation)
 
     u2 = GPState.uniform(2)
     u3 = GPState.uniform(3)
     rmat = build_r(u2, u3, 2)
     rep = verify_intertwining(rmat, tol=spec.tol)
-    checks.append(
-        {
-            "name": "uniform-2-3/intertwine",
-            "pass": bool(rep.passed),
-            "residual": float(rep.max_residual),
-        }
-    )
+    report.add("uniform-2-3/intertwine", rep.passed, rep.max_residual)
     rep = verify_symmetry(u2, u3, 2, tol=spec.tol, r12=rmat)
-    checks.append(
-        {
-            "name": "uniform-2-3/inversion-symmetry",
-            "pass": bool(rep.passed),
-            "residual": float(rep.max_residual),
-        }
-    )
+    report.add("uniform-2-3/inversion-symmetry", rep.passed, rep.max_residual)
 
-    rep = verify_ybe(GPState.standard(2), GPState.standard(3), GPState.standard(5), 1, tol=spec.tol)
-    checks.append(
-        {
-            "name": "ybe-standard-2-3-5/ybe",
-            "pass": bool(rep.passed),
-            "residual": float(rep.max_residual),
-        }
-    )
-    rep = verify_ybe(u2, u3, GPState.uniform(2), 1, tol=spec.tol)
-    checks.append(
-        {
-            "name": "ybe-uniform-2-3-2/ybe",
-            "pass": bool(rep.passed),
-            "residual": float(rep.max_residual),
-        }
-    )
+    for label, states in (
+        ("standard-2-3-5", (GPState.standard(2), GPState.standard(3), GPState.standard(5))),
+        ("uniform-2-3-2", (u2, u3, GPState.uniform(2))),
+    ):
+        rep = verify_ybe(*states, 1, tol=spec.tol)
+        report.add(f"ybe-{label}/ybe", rep.passed, rep.max_residual)
 
     # for equal states the operator is the leg swap on its span
     for label, omega in (("standard-2", GPState.standard(2)), ("uniform-2", GPState.uniform(2))):
         rmat = build_r(omega, omega, 2)
         worst = rmat.basis_residual(lambda E: E.transpose(1, 0, 2))
-        checks.append(
-            {
-                "name": f"equal-states-{label}/operator-is-leg-swap",
-                "pass": bool(worst <= spec.tol),
-                "residual": float(worst),
-            }
-        )
+        report.add(f"equal-states-{label}/operator-is-leg-swap", worst <= spec.tol, worst)
         rep = verify_intertwining(rmat, tol=spec.tol)
-        checks.append(
-            {
-                "name": f"equal-states-{label}/intertwine",
-                "pass": bool(rep.passed),
-                "residual": float(rep.max_residual),
-            }
-        )
+        report.add(f"equal-states-{label}/intertwine", rep.passed, rep.max_residual)
 
     # the built operator moves every basis pair as the digit closed form says
     rmat = build_r(GPState.standard(2), GPState.standard(3), 2)
@@ -469,16 +378,10 @@ def _run_all(spec):
         for b in range(1, 10):
             target = {swap_index_pair(2, 3, a, b, 2): 1.0 + 0j}
             worst = max(worst, vec_dist(rmat.apply({(a, b): 1.0 + 0j}), target))
-    checks.append(
-        {
-            "name": "closed-form-2-3/matches-built-operator",
-            "pass": bool(worst == 0.0),
-            "residual": float(worst),
-        }
-    )
+    report.add("closed-form-2-3/matches-built-operator", worst == 0.0, worst)
 
-    merge("counterexample", _run_counterexample(ScenarioSpec(kind="counterexample", tol=spec.tol)))
-    return checks
+    merge("counterexample", counterexample_demo(tol=spec.tol))
+    return report
 
 
 def run_scenario(spec):
@@ -487,26 +390,26 @@ def run_scenario(spec):
     start = time.perf_counter()
     rmat = None
     if spec.kind == "coassoc":
-        checks = _run_coassoc(spec)
+        result = _run_coassoc(spec)
     elif spec.kind == "state-product":
-        checks = _run_state_product(spec)
+        result = _run_state_product(spec)
     elif spec.kind == "build-r":
-        checks, rmat = _run_build_r(spec)
+        result, rmat = _run_build_r(spec)
     elif spec.kind in ("intertwine", "symmetry", "ybe"):
-        checks = _run_verify(spec, spec.kind)
+        result = _run_verify(spec, spec.kind)
     elif spec.kind == "verify":
-        checks = _run_verify(spec, "all")
+        result = _run_verify(spec, "all")
     elif spec.kind == "counterexample":
-        checks = _run_counterexample(spec)
+        result = counterexample_demo(tol=spec.tol)
     elif spec.kind == "all":
-        checks = _run_all(spec)
+        result = _run_all(spec)
     else:
         raise SpecError([f"unknown scenario kind {spec.kind!r}"])
     elapsed = time.perf_counter() - start
     report = {
         "scenario": spec.to_json(),
-        "checks": checks,
-        "pass": all(c["pass"] for c in checks),
+        "checks": [c.to_json() for c in result.checks],
+        "pass": result.passed,
         "version": __version__,
     }
     return report, rmat, elapsed

@@ -7,11 +7,12 @@ divisor pairs of each component index gives a coassociative comultiplication
 on the direct sum; the opposite comultiplication is the same map followed
 by the leg flip.
 
-Tensor elements are stored blockwise, keyed by the pair (or triple) of
-algebra indices of the legs, so a pair of representations or states can
-project onto the single block it sees. Canonical equality of tensor
-elements applies the level expansion of :mod:`cuntzr.algebra` to every leg
-independently inside each block.
+Tensor elements of any number of legs are stored blockwise, keyed by the
+tuple of algebra indices of the legs, so a pair (or triple) of
+representations or states can project onto the single block it sees.
+Canonical equality of tensor elements is :func:`cuntzr.algebra.canonical_residual`,
+which applies the level expansion to every leg independently inside each
+block.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .algebra import (
     AlgebraElement,
     CuntzMonomial,
     DirectSumElement,
-    expanded_keys,
+    canonical_equal,
     mono_key_product,
 )
 from .errors import BadFactorization
@@ -33,46 +34,61 @@ def divisor_pairs(n):
     return [(m, n // m) for m in range(1, n + 1) if n % m == 0]
 
 
-def split_index(w, l):
-    """Decompose a 1-based generator index w = l*(i-1) + j with 1 <= j <= l."""
-    return (w - 1) // l + 1, (w - 1) % l + 1
+def _split_key(key, n, m):
+    """Leg keys of one word pair of O_{n*m} under phi_{n,m}.
+
+    Letter w = m*(i-1) + j goes to i on the left leg and to j on the right;
+    an O_1 leg collapses to the unit.
+    """
+    left = right = ((), ())
+    if n > 1:
+        left = tuple(tuple([(w - 1) // m + 1 for w in word]) for word in key)
+    if m > 1:
+        right = tuple(tuple([(w - 1) % m + 1 for w in word]) for word in key)
+    return left, right
 
 
-def _split_word(word, right_size):
-    left = []
-    right = []
-    for w in word:
-        i, j = split_index(w, right_size)
-        left.append(i)
-        right.append(j)
-    return tuple(left), tuple(right)
+def _phi_terms(n, m, x):
+    # letterwise splitting is injective on word pairs: no two terms collide
+    return {_split_key(key, n, m): c for key, c in x.items()}
 
 
-class TensorElement2:
-    """Finite combination of two-leg tensor monomials, grouped by index pair."""
+class TensorElement:
+    """Finite combination of tensor monomials, grouped by the legs' algebra indices.
+
+    A block key is the tuple of algebra indices of the legs; its length is
+    the arity. Within a block, terms map the tuple of the legs' word-pair
+    keys to a coefficient. Coefficients with magnitude at or below
+    ``ZERO_TOL`` are pruned. Instances are treated as immutable.
+    """
 
     __slots__ = ("_blocks",)
 
     def __init__(self, blocks=None):
         out = {}
         if blocks:
-            for pair, terms in blocks.items():
-                acc = {}
-                for key, c in terms.items():
+            for indices, terms in blocks.items():
+                kept = {}
+                for keys, c in terms.items():
                     c = complex(c)
-                    acc[key] = acc.get(key, 0j) + c
-                acc = {k: c for k, c in acc.items() if abs(c) > ZERO_TOL}
-                if acc:
-                    out[tuple(pair)] = acc
+                    if abs(c) > ZERO_TOL:
+                        kept[keys] = c
+                if kept:
+                    out[tuple(indices)] = kept
         self._blocks = out
 
     @property
     def blocks(self):
-        """Block map (m, l) -> {(key_left, key_right): coeff}; read-only."""
+        """Block map (n_1, ..., n_k) -> {(key_1, ..., key_k): coeff}; read-only."""
         return self._blocks
 
-    def block(self, m, l):
-        return self._blocks.get((m, l), {})
+    def block(self, *indices):
+        return self._blocks.get(indices, {})
+
+    @property
+    def arity(self):
+        """Number of legs; None for the zero element, which has no blocks."""
+        return len(next(iter(self._blocks))) if self._blocks else None
 
     @property
     def is_zero(self):
@@ -87,120 +103,57 @@ class TensorElement2:
             dst = out.setdefault(p, {})
             for key, c in terms.items():
                 dst[key] = dst.get(key, 0j) + c
-        return TensorElement2(out)
+        return TensorElement(out)
 
     def __sub__(self, other):
         return self + (-1.0) * other
 
     def __rmul__(self, scalar):
         c = complex(scalar)
-        return TensorElement2(
+        return TensorElement(
             {p: {k: c * v for k, v in t.items()} for p, t in self._blocks.items()}
         )
 
     def __mul__(self, other):
-        if not isinstance(other, TensorElement2):
+        """Legwise product; distinct blocks are distinct summands and annihilate."""
+        if not isinstance(other, TensorElement):
             return self.__rmul__(other)
         out = {}
-        for pair, terms in self._blocks.items():
-            if pair not in other._blocks:
-                continue  # distinct direct summands multiply to zero
-            dst = out.setdefault(pair, {})
-            for (a1, a2), c1 in terms.items():
-                for (b1, b2), c2 in other._blocks[pair].items():
-                    k1 = mono_key_product(a1, b1)
-                    if k1 is None:
-                        continue
-                    k2 = mono_key_product(a2, b2)
-                    if k2 is None:
-                        continue
-                    key = (k1, k2)
-                    dst[key] = dst.get(key, 0j) + c1 * c2
-        return TensorElement2(out)
+        for indices, terms in self._blocks.items():
+            if indices not in other._blocks:
+                continue
+            dst = out.setdefault(indices, {})
+            for a_keys, c1 in terms.items():
+                for b_keys, c2 in other._blocks[indices].items():
+                    keys = tuple(map(mono_key_product, a_keys, b_keys))
+                    if None not in keys:
+                        dst[keys] = dst.get(keys, 0j) + c1 * c2
+        return TensorElement(out)
 
-    def flip2(self):
-        """Swap the legs: block (m, l) with term a (x) b becomes (l, m), b (x) a."""
-        out = {}
-        for (m, l), terms in self._blocks.items():
-            dst = out.setdefault((l, m), {})
-            for (k1, k2), c in terms.items():
-                dst[(k2, k1)] = dst.get((k2, k1), 0j) + c
-        return TensorElement2(out)
+    def flip(self):
+        """Reverse the legs: block (m, l) with term a (x) b becomes (l, m), b (x) a."""
+        return TensorElement(
+            {p[::-1]: {k[::-1]: c for k, c in t.items()} for p, t in self._blocks.items()}
+        )
 
     def adjoint(self):
-        out = {}
-        for pair, terms in self._blocks.items():
-            dst = out.setdefault(pair, {})
-            for ((u1, v1), (u2, v2)), c in terms.items():
-                key = ((v1, u1), (v2, u2))
-                dst[key] = dst.get(key, 0j) + c.conjugate()
-        return TensorElement2(out)
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement2):
-            return NotImplemented
-        return self._blocks == other._blocks
-
-    def __repr__(self):
-        return f"TensorElement2(blocks={sorted(self._blocks)})"
-
-
-class TensorElement3:
-    """Finite combination of three-leg tensor monomials, grouped by index triple."""
-
-    __slots__ = ("_blocks",)
-
-    def __init__(self, blocks=None):
-        out = {}
-        if blocks:
-            for triple, terms in blocks.items():
-                acc = {}
-                for key, c in terms.items():
-                    c = complex(c)
-                    acc[key] = acc.get(key, 0j) + c
-                acc = {k: c for k, c in acc.items() if abs(c) > ZERO_TOL}
-                if acc:
-                    out[tuple(triple)] = acc
-        self._blocks = out
-
-    @property
-    def blocks(self):
-        return self._blocks
-
-    def block(self, m, l, k):
-        return self._blocks.get((m, l, k), {})
-
-    @property
-    def is_zero(self):
-        return not self._blocks
-
-    def term_count(self):
-        return sum(len(t) for t in self._blocks.values())
-
-    def __add__(self, other):
-        out = {p: dict(t) for p, t in self._blocks.items()}
-        for p, terms in other._blocks.items():
-            dst = out.setdefault(p, {})
-            for key, c in terms.items():
-                dst[key] = dst.get(key, 0j) + c
-        return TensorElement3(out)
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
-    def __rmul__(self, scalar):
-        c = complex(scalar)
-        return TensorElement3(
-            {p: {k: c * v for k, v in t.items()} for p, t in self._blocks.items()}
+        return TensorElement(
+            {
+                p: {tuple((v, u) for u, v in k): c.conjugate() for k, c in t.items()}
+                for p, t in self._blocks.items()
+            }
         )
 
     def __eq__(self, other):
-        if not isinstance(other, TensorElement3):
+        if not isinstance(other, TensorElement):
             return NotImplemented
         return self._blocks == other._blocks
 
     def __repr__(self):
-        return f"TensorElement3(blocks={sorted(self._blocks)})"
+        return f"TensorElement(blocks={sorted(self._blocks)})"
+
+
+TensorElement3 = TensorElement  # the three-leg name callers already use
 
 
 def phi(n, m, x):
@@ -214,16 +167,7 @@ def phi(n, m, x):
         x = AlgebraElement.monomial(x)
     if x.n != n * m:
         raise BadFactorization(f"element of O_{x.n} does not factor as {n}*{m}")
-    terms = {}
-    for (u, v), c in x.items():
-        uL, uR = _split_word(u, m)
-        vL, vR = _split_word(v, m)
-        # route through CuntzMonomial so O_1 legs collapse to the unit
-        keyL = CuntzMonomial(n, uL, vL).key
-        keyR = CuntzMonomial(m, uR, vR).key
-        key = (keyL, keyR)
-        terms[key] = terms.get(key, 0j) + c
-    return TensorElement2({(n, m): terms})
+    return TensorElement({(n, m): _phi_terms(n, m, x)})
 
 
 def _components(x):
@@ -246,46 +190,37 @@ def delta(x):
     blocks = {}
     for n, comp in sorted(_components(x).items()):
         for m, l in divisor_pairs(n):
-            piece = phi(m, l, comp)
-            for pair, terms in piece.blocks.items():
-                dst = blocks.setdefault(pair, {})
-                for key, c in terms.items():
-                    dst[key] = dst.get(key, 0j) + c
-    return TensorElement2(blocks)
+            blocks[(m, l)] = _phi_terms(m, l, comp)  # m * l = n: a block of its own
+    return TensorElement(blocks)
 
 
 def delta_op(x):
     """Opposite comultiplication: the coproduct followed by the leg flip."""
-    return delta(x).flip2()
+    return delta(x).flip()
 
 
 def expand_leg(t, leg, comap):
     """Apply a coproduct-like map to one leg of every term of ``t``.
 
     ``comap`` receives a single-term AlgebraElement and returns a
-    TensorElement2; the result collects three-leg terms grouped by index
-    triples. ``leg`` is 1 (left) or 2 (right).
+    TensorElement whose legs replace leg number ``leg`` (1-based) of the
+    term, so a two-leg ``comap`` adds one leg. ``t`` may have any arity.
     """
-    if leg not in (1, 2):
-        raise ValueError("leg must be 1 or 2")
     blocks = {}
-    for (m, l), terms in t.blocks.items():
-        for (k1, k2), c in terms.items():
-            if leg == 1:
-                inner = comap(AlgebraElement(m, {k1: 1.0}, _validate=False))
-                for (p, q), tt in inner.blocks.items():
-                    dst = blocks.setdefault((p, q, l), {})
-                    for (a, b), c2 in tt.items():
-                        key = (a, b, k2)
-                        dst[key] = dst.get(key, 0j) + c * c2
-            else:
-                inner = comap(AlgebraElement(l, {k2: 1.0}, _validate=False))
-                for (p, q), tt in inner.blocks.items():
-                    dst = blocks.setdefault((m, p, q), {})
-                    for (a, b), c2 in tt.items():
-                        key = (k1, a, b)
-                        dst[key] = dst.get(key, 0j) + c * c2
-    return TensorElement3(blocks)
+    i = leg - 1
+    for indices, terms in t.blocks.items():
+        if not 0 <= i < len(indices):
+            raise ValueError(f"leg {leg} outside 1..{len(indices)}")
+        head, tail = indices[:i], indices[i + 1:]
+        for keys, c in terms.items():
+            inner = comap(AlgebraElement(indices[i], {keys[i]: 1.0}, _validate=False))
+            pre, post = keys[:i], keys[i + 1:]
+            for mid, inner_terms in inner.blocks.items():
+                dst = blocks.setdefault(head + mid + tail, {})
+                for mid_keys, c2 in inner_terms.items():
+                    key = pre + mid_keys + post
+                    dst[key] = dst.get(key, 0j) + c * c2
+    return TensorElement(blocks)
 
 
 def f_r(x):
@@ -308,56 +243,9 @@ def f_l_op(x):
     return expand_leg(delta_op(x), 1, delta_op)
 
 
-def canonical_equal2(a, b, tol=EQ_TOL):
-    """Blockwise equality of two-leg tensor elements modulo the relations.
-
-    Inside each block, terms are grouped by the pair of leg degrees and both
-    legs are expanded to the maximal annihilation length of the group; the
-    expanded tensor monomials are linearly independent, so vanishing of all
-    coefficients decides equality.
-    """
-    diff = a - b
-    for (m, l), terms in diff.blocks.items():
-        groups = {}
-        for ((u1, v1), (u2, v2)), c in terms.items():
-            d = (len(u1) - len(v1), len(u2) - len(v2))
-            groups.setdefault(d, []).append((((u1, v1), (u2, v2)), c))
-        for members in groups.values():
-            t1 = max(len(k[0][1]) for k, _ in members)
-            t2 = max(len(k[1][1]) for k, _ in members)
-            acc = {}
-            for (key1, key2), c in members:
-                for e1 in expanded_keys(m, key1, t1):
-                    for e2 in expanded_keys(l, key2, t2):
-                        acc[(e1, e2)] = acc.get((e1, e2), 0j) + c
-            if any(abs(c) > tol for c in acc.values()):
-                return False
-    return True
-
-
-def canonical_equal3(a, b, tol=EQ_TOL):
-    """Three-leg analogue of :func:`canonical_equal2`."""
-    diff = a - b
-    for (m, l, k), terms in diff.blocks.items():
-        groups = {}
-        for (key1, key2, key3), c in terms.items():
-            d = tuple(len(u) - len(v) for u, v in (key1, key2, key3))
-            groups.setdefault(d, []).append(((key1, key2, key3), c))
-        for members in groups.values():
-            t1 = max(len(keys[0][1]) for keys, _ in members)
-            t2 = max(len(keys[1][1]) for keys, _ in members)
-            t3 = max(len(keys[2][1]) for keys, _ in members)
-            acc = {}
-            for (key1, key2, key3), c in members:
-                for e1 in expanded_keys(m, key1, t1):
-                    for e2 in expanded_keys(l, key2, t2):
-                        for e3 in expanded_keys(k, key3, t3):
-                            acc[(e1, e2, e3)] = acc.get((e1, e2, e3), 0j) + c
-            if any(abs(c) > tol for c in acc.values()):
-                return False
-    return True
+canonical_equal3 = canonical_equal  # the three-leg name callers already use
 
 
 def check_coassoc(x, tol=EQ_TOL):
     """Whether the two double coproducts of ``x`` agree."""
-    return canonical_equal3(f_r(x), f_l(x), tol)
+    return canonical_equal(f_r(x), f_l(x), tol)

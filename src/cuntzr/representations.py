@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import as_element
-from .coproduct import TensorElement2, TensorElement3
+from .coproduct import TensorElement
 from .errors import MismatchedAlgebra, OutOfDomain
 from .states import GPState, UnitVector
 
@@ -55,14 +55,6 @@ def vec_add(a, b, scale=1.0):
     for k, v in b.items():
         out[k] = out.get(k, 0j) + scale * v
     return prune_vec(out)
-
-
-def vec_sub(a, b):
-    return vec_add(a, b, scale=-1.0)
-
-
-def vec_scale(a, c):
-    return prune_vec({k: c * v for k, v in a.items()})
 
 
 def vec_dist(a, b):
@@ -232,66 +224,47 @@ def gns_lambda(rep, x):
 # tensor legs
 
 
-def lambda2(rep1, rep2, t):
-    """Legwise vector map applied to the matching block of a tensor element.
+def act_legs(reps, t, vec):
+    """Apply the matching block of a tensor element legwise to a vector.
 
-    Blocks other than (rep1.n, rep2.n) act as zero on this pair, mirroring
+    ``vec`` is indexed by tuples of basis indices, one per leg, and leg k
+    of every term acts in ``reps[k]``. Blocks other than the one of the
+    representations' algebra indices act as zero on these legs, mirroring
     how a state of one summand extends to the direct sum.
     """
-    if not isinstance(t, TensorElement2):
-        raise TypeError("lambda2 expects a two-leg tensor element")
+    if not isinstance(t, TensorElement) or t.arity not in (None, len(reps)):
+        raise TypeError(f"expected a {len(reps)}-leg tensor element")
     out = {}
-    omega = {1: 1.0}
-    for (key1, key2), c in t.block(rep1.n, rep2.n).items():
-        f1 = act_word(rep1, key1[0], key1[1], omega)
-        if not f1:
-            continue
-        f2 = act_word(rep2, key2[0], key2[1], omega)
-        for k1, a1 in f1.items():
-            for k2, a2 in f2.items():
-                key = (k1, k2)
-                out[key] = out.get(key, 0j) + c * a1 * a2
+    for keys, c in t.block(*(rep.n for rep in reps)).items():
+        images = [{} for _ in reps]  # per leg: basis index -> image of its word
+        for basis, amp in vec.items():
+            # fold the legs in one at a time: tuples of indices -> amplitude
+            acc = {(): c * amp}
+            for rep, (u, v), k, seen in zip(reps, keys, basis, images):
+                image = seen.get(k)
+                if image is None:
+                    image = seen[k] = act_word(rep, u, v, {k: 1.0})
+                acc = {ks + (q,): a * b for ks, a in acc.items() for q, b in image.items()}
+                if not acc:
+                    break
+            for ks, a in acc.items():
+                out[ks] = out.get(ks, 0j) + a
     return prune_vec(out)
+
+
+def lambda2(rep1, rep2, t):
+    """Legwise vector map of a two-leg tensor element: its action on e_1 (x) e_1."""
+    return act_legs((rep1, rep2), t, {(1, 1): 1.0})
+
+
+def lambda3(rep1, rep2, rep3, t):
+    """Legwise vector map of a three-leg tensor element, on e_1 (x) e_1 (x) e_1."""
+    return act_legs((rep1, rep2, rep3), t, {(1, 1, 1): 1.0})
 
 
 def act2(rep1, rep2, t, vec):
     """Apply the matching block of a two-leg tensor element to a pair vector."""
-    if not isinstance(t, TensorElement2):
-        raise TypeError("act2 expects a two-leg tensor element")
-    out = {}
-    for (key1, key2), c in t.block(rep1.n, rep2.n).items():
-        for (k1, k2), amp in vec.items():
-            f1 = act_word(rep1, key1[0], key1[1], {k1: 1.0})
-            if not f1:
-                continue
-            f2 = act_word(rep2, key2[0], key2[1], {k2: 1.0})
-            for q1, a1 in f1.items():
-                for q2, a2 in f2.items():
-                    key = (q1, q2)
-                    out[key] = out.get(key, 0j) + c * amp * a1 * a2
-    return prune_vec(out)
-
-
-def lambda3(rep1, rep2, rep3, t):
-    """Three-leg analogue of :func:`lambda2`."""
-    if not isinstance(t, TensorElement3):
-        raise TypeError("lambda3 expects a three-leg tensor element")
-    out = {}
-    omega = {1: 1.0}
-    for (key1, key2, key3), c in t.block(rep1.n, rep2.n, rep3.n).items():
-        f1 = act_word(rep1, key1[0], key1[1], omega)
-        if not f1:
-            continue
-        f2 = act_word(rep2, key2[0], key2[1], omega)
-        if not f2:
-            continue
-        f3 = act_word(rep3, key3[0], key3[1], omega)
-        for k1, a1 in f1.items():
-            for k2, a2 in f2.items():
-                for k3, a3 in f3.items():
-                    key = (k1, k2, k3)
-                    out[key] = out.get(key, 0j) + c * a1 * a2 * a3
-    return prune_vec(out)
+    return act_legs((rep1, rep2), t, vec)
 
 
 # ---------------------------------------------------------------------------

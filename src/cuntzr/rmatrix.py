@@ -53,7 +53,7 @@ from .representations import (
     to_dense,
     vec_dist,
 )
-from .states import GPState, commutes, twist_state
+from .states import GPState, commutes, star_gap, twist_state
 
 BUILD_TOL = 1e-9  # residual bound of the verifiers
 
@@ -543,18 +543,17 @@ def counterexample_demo(tol=BUILD_TOL):
     violation = vec_dist(lhs, opposite)
     report.add("conjugation-identity-violated", violation > tol, violation)
 
-    witness_label = None
-    rejected = False
     try:
         build_r(omega, omega_bar, 1)
+        label = None
     except NotCommuting as exc:
-        rejected = True
-        witness_label = exc.witness.label() if exc.witness else None
+        label = exc.witness.label()
+    # x separates the two product states; it must be the witness found
     report.add(
         "construction-rejects-pair",
-        rejected and witness_label == "n=4;u=2;v=",
-        0.0 if rejected else 1.0,
-        witness=witness_label,
+        label == x.label(),
+        star_gap(omega, omega_bar, x),
+        witness=label,
     )
     report.elapsed = time.perf_counter() - start
     return report

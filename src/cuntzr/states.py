@@ -64,9 +64,6 @@ class UnitVector:
             return NotImplemented
         return self.n == other.n and bool(np.array_equal(self.z, other.z))
 
-    def close_to(self, other, tol=NORM_TOL):
-        return self.n == other.n and float(np.max(np.abs(self.z - other.z))) <= tol
-
     def __repr__(self):
         return f"UnitVector({self.z.tolist()!r})"
 
@@ -173,6 +170,19 @@ def star(omega, psi):
     return StarComposite(omega, psi)
 
 
+def interleaving_gap(omega, psi):
+    """Largest componentwise |z [*] y - y [*] z| of the two interleavings."""
+    zy = boxtimes(omega.z, psi.z)
+    yz = boxtimes(psi.z, omega.z)
+    return float(np.max(np.abs(zy.z - yz.z)))
+
+
+def star_gap(omega, psi, mono):
+    """|(omega * psi)(x) - (psi * omega)(x)| on the monomial x."""
+    x = AlgebraElement.monomial(mono)
+    return abs(star(omega, psi)(x) - star(psi, omega)(x))
+
+
 def commutes(omega, psi, tol=COMMUTE_TOL):
     """Whether the two product functionals of a state pair coincide.
 
@@ -183,15 +193,10 @@ def commutes(omega, psi, tol=COMMUTE_TOL):
 
     Returns (True, None) or (False, witness).
     """
-    zy = boxtimes(omega.z, psi.z)
-    yz = boxtimes(psi.z, omega.z)
-    if float(np.max(np.abs(zy.z - yz.z))) <= tol:
+    if interleaving_gap(omega, psi) <= tol:
         return True, None
-    a = star(omega, psi)
-    b = star(psi, omega)
     for mono in iter_monomials(omega.n * psi.n, 2):
-        x = AlgebraElement.monomial(mono)
-        if abs(a(x) - b(x)) > tol:
+        if star_gap(omega, psi, mono) > tol:
             return False, mono
     raise RuntimeError("interleavings differ but no witness was found")
 

@@ -8,6 +8,7 @@ from cuntzr.algebra import (
     CuntzMonomial,
     DirectSumElement,
     canonical_equal,
+    canonical_residual,
     iter_monomials,
     level_expand,
     mono_product,
@@ -166,6 +167,33 @@ def test_canonical_equal_distinguishes_generators():
 def test_canonical_equal_zero_tolerance_exact():
     lhs = elem(2, {((1,), (1,)): 1.0, ((2,), (2,)): 1.0})
     assert canonical_equal(lhs, AlgebraElement.unit(2), tol=0.0)
+
+
+def test_canonical_residual_keeps_differences_below_the_prune_cutoff():
+    # 5e-14 lies below the constructor's 1e-13 prune; the difference must not
+    a = elem(2, {((1,), ()): 1.0})
+    b = elem(2, {((1,), ()): 1.0 + 5e-14})
+    assert canonical_residual(a, b) == abs(1.0 - (1.0 + 5e-14))
+    assert 4e-14 < canonical_residual(a, b) < 6e-14
+    assert not canonical_equal(a, b, tol=0.0)
+
+
+def test_canonical_residual_reads_the_leftover_after_expansion():
+    # I - (s_1 s_1* + 0.75 s_2 s_2*) leaves 0.25 on s_2 s_2*
+    lhs = AlgebraElement.unit(2)
+    rhs = elem(2, {((1,), (1,)): 1.0, ((2,), (2,)): 0.75})
+    assert canonical_residual(lhs, rhs) == 0.25
+    assert canonical_residual(lhs, lhs) == 0.0
+
+
+def test_canonical_residual_rejects_mixed_kinds():
+    from cuntzr.coproduct import delta
+
+    x = AlgebraElement.unit(2)
+    with pytest.raises(TypeError):
+        canonical_residual(x, delta(x))
+    with pytest.raises(MismatchedAlgebra):
+        canonical_residual(x, AlgebraElement.unit(3))
 
 
 # hypothesis strategies: Gaussian-integer coefficients keep arithmetic exact

@@ -267,3 +267,72 @@ def test_state_file_reference(tmp_path):
         ]
     )
     assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# measured residuals
+
+
+def test_perturbed_coassociativity_fails_with_its_residual(tmp_path, monkeypatch):
+    from cuntzr import cli
+    from cuntzr.coproduct import TensorElement, f_l
+
+    def perturbed(x):
+        # 1e-3 added to one coefficient 1 of (Delta (x) id) Delta
+        left = f_l(x)
+        block, terms = next(iter(left.blocks.items()))
+        return left + TensorElement({block: {next(iter(terms)): 1e-3}})
+
+    monkeypatch.setattr(cli, "f_l", perturbed)
+    path = tmp_path / "r.json"
+    assert run(["verify-coassoc", "--n", "4", "--samples", "3", "--out", str(path)]) == 1
+    report = json.loads(path.read_text())
+    assert [c["name"] for c in report["checks"]] == [
+        "coassoc-generators",
+        "coassoc-unit",
+        "coassoc-random-monomials",
+    ]
+    for check in report["checks"]:
+        assert check["pass"] is False
+        assert check["residual"] == (1.0 + 1e-3) - 1.0
+
+
+def test_commutes_record_carries_the_interleaving_gap(tmp_path):
+    path = tmp_path / "r.json"
+    e1 = '{"n": 2, "z": [[1.0, 0.0], [0.0, 0.0]]}'
+    e2 = '{"n": 2, "z": [[0.0, 0.0], [1.0, 0.0]]}'
+    assert run(["state-product", "--omega1", e1, "--omega2", e2, "--out", str(path)]) == 1
+    by_name = {c["name"]: c for c in json.loads(path.read_text())["checks"]}
+    # e1 [*] e2 = e_2 and e2 [*] e1 = e_3 in C^4
+    assert by_name["commutes"]["residual"] == 1.0
+    assert run(["state-product", "--omega1", e1, "--omega2", e1, "--out", str(path)]) == 0
+    by_name = {c["name"]: c for c in json.loads(path.read_text())["checks"]}
+    assert by_name["commutes"] == {"name": "commutes", "pass": True, "residual": 0.0}
+
+
+def test_rejection_records_carry_the_separating_gap(tmp_path):
+    path = tmp_path / "r.json"
+    assert run(["counterexample", "--out", str(path)]) == 0
+    by_name = {c["name"]: c for c in json.loads(path.read_text())["checks"]}
+    # rho_{e1 [*] e2}(s_2) = 1 and rho_{e2 [*] e1}(s_2) = 0
+    assert by_name["construction-rejects-pair"]["residual"] == 1.0
+    assert by_name["construction-rejects-pair"]["witness"] == "n=4;u=2;v="
+
+
+def test_tolerance_defaults_per_kind(monkeypatch):
+    from cuntzr.algebra import EQ_TOL
+    from cuntzr.cli import _resolve_tol
+    from cuntzr.rmatrix import BUILD_TOL
+
+    monkeypatch.delenv("CUNTZR_TOL", raising=False)
+    assert _resolve_tol(None, "coassoc") == EQ_TOL == 1e-12
+    assert _resolve_tol(None, "state-product") == EQ_TOL
+    for kind in ("build-r", "intertwine", "symmetry", "ybe", "verify", "counterexample", "all"):
+        assert _resolve_tol(None, kind) == BUILD_TOL == 1e-9
+    assert ScenarioSpec(kind="all").tol == BUILD_TOL
+    assert _resolve_tol(1e-5, "coassoc") == 1e-5
+
+
+def test_coassoc_needs_a_positive_index(capsys):
+    assert run(["verify-coassoc", "--n", "0"]) == 2
+    assert "--n >= 1" in capsys.readouterr().err

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from cuntzr.algebra import AlgebraElement, CuntzMonomial
+from cuntzr.algebra import canonical_equal, canonical_residual
 from cuntzr.coproduct import (
-    TensorElement2,
-    canonical_equal2,
-    canonical_equal3,
+    TensorElement,
     check_coassoc,
     delta,
     delta_op,
     divisor_pairs,
+    expand_leg,
     f_l,
     f_l_op,
     f_r,
@@ -72,8 +72,8 @@ def test_phi_is_star_homomorphism_on_samples():
         prod = AlgebraElement.monomial(x) * AlgebraElement.monomial(y)
         lhs = phi(2, 3, prod)
         rhs = phi(2, 3, x) * phi(2, 3, y)
-        assert canonical_equal2(lhs, rhs, tol=0.0)
-        assert canonical_equal2(
+        assert canonical_equal(lhs, rhs, tol=0.0)
+        assert canonical_equal(
             phi(2, 3, AlgebraElement.monomial(x).adjoint()),
             phi(2, 3, x).adjoint(),
             tol=0.0,
@@ -151,13 +151,20 @@ def test_delta_op_flips_blocks():
 
 
 def test_flip2():
-    t = TensorElement2({(2, 3): {(key([1]), key([2])): 2.0}})
-    assert t.flip2().blocks == {(3, 2): {(key([2]), key([1])): 2 + 0j}}
+    t = TensorElement({(2, 3): {(key([1]), key([2])): 2.0}})
+    assert t.flip().blocks == {(3, 2): {(key([2]), key([1])): 2 + 0j}}
+
+
+def test_flip_reverses_every_leg():
+    t = TensorElement({(2, 3, 6): {(key([1]), key([2]), key([], [5])): 1.0}})
+    assert t.arity == 3
+    assert t.flip().blocks == {(6, 3, 2): {(key([], [5]), key([2]), key([1])): 1 + 0j}}
+    assert t.flip().flip() == t
 
 
 def test_legwise_product():
-    t = TensorElement2({(2, 2): {(key([1]), key([1])): 1.0}})
-    s = TensorElement2({(2, 2): {(key([], [1]), key([], [1])): 1.0}})
+    t = TensorElement({(2, 2): {(key([1]), key([1])): 1.0}})
+    s = TensorElement({(2, 2): {(key([], [1]), key([], [1])): 1.0}})
     out = t * s
     assert out.blocks == {(2, 2): {(key([1], [1]), key([1], [1])): 1 + 0j}}
 
@@ -172,8 +179,8 @@ def test_delta_is_homomorphism():
             yv = tuple(rng.integers(1, n + 1, size=rng.integers(0, 3)))
             x = AlgebraElement.monomial(CuntzMonomial(n, xu, xv))
             y = AlgebraElement.monomial(CuntzMonomial(n, yu, yv))
-            assert canonical_equal2(delta(x * y), delta(x) * delta(y), tol=0.0)
-            assert canonical_equal2(delta(x.adjoint()), delta(x).adjoint(), tol=0.0)
+            assert canonical_equal(delta(x * y), delta(x) * delta(y), tol=0.0)
+            assert canonical_equal(delta(x.adjoint()), delta(x).adjoint(), tol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +228,7 @@ def test_coassociativity_random_degree_zero_in_o12():
 def test_opposite_coproduct_coassociative():
     for n in (2, 3, 4, 6):
         for i in range(1, n + 1):
-            assert canonical_equal3(
+            assert canonical_equal(
                 f_l_op(gen(n, i)), f_r_op(gen(n, i)), tol=0.0
             )
 
@@ -232,15 +239,71 @@ def test_opposite_coproduct_coassociative():
 
 def test_canonical_equal2_uses_relations_per_leg():
     # I (x) I equals (sum_i s_i s_i*) (x) I blockwise
-    lhs = TensorElement2({(2, 3): {(UNIT, UNIT): 1.0}})
-    rhs = TensorElement2(
+    lhs = TensorElement({(2, 3): {(UNIT, UNIT): 1.0}})
+    rhs = TensorElement(
         {(2, 3): {(key([1], [1]), UNIT): 1.0, (key([2], [2]), UNIT): 1.0}}
     )
-    assert canonical_equal2(lhs, rhs, tol=0.0)
-    assert not canonical_equal2(lhs, 2.0 * rhs)
+    assert canonical_equal(lhs, rhs, tol=0.0)
+    assert not canonical_equal(lhs, 2.0 * rhs)
 
 
 def test_canonical_equal2_respects_blocks():
-    a = TensorElement2({(2, 3): {(UNIT, UNIT): 1.0}})
-    b = TensorElement2({(3, 2): {(UNIT, UNIT): 1.0}})
-    assert not canonical_equal2(a, b)
+    a = TensorElement({(2, 3): {(UNIT, UNIT): 1.0}})
+    b = TensorElement({(3, 2): {(UNIT, UNIT): 1.0}})
+    assert not canonical_equal(a, b)
+
+
+def test_canonical_residual_keeps_differences_below_the_prune_cutoff():
+    # 5e-14 lies below the constructor's 1e-13 prune, at two and three legs
+    bump = 1.0 + 5e-14
+    want = abs(1.0 - bump)
+    two = {(2, 3): (key([1]), UNIT)}
+    three = {(2, 3, 2): (key([1]), UNIT, key([], [2]))}
+    for blocks in (two, three):
+        (indices, keys), = blocks.items()
+        a = TensorElement({indices: {keys: 1.0}})
+        b = TensorElement({indices: {keys: bump}})
+        assert canonical_residual(a, b) == want
+        assert 4e-14 < want < 6e-14
+        assert not canonical_equal(a, b, tol=0.0)
+
+
+def test_perturbed_double_coproduct_reads_the_perturbation():
+    # negative control: 1e-3 added to one coefficient 1 of (Delta (x) id) Delta
+    x = CuntzMonomial(12, (1, 5, 7, 3), (2, 9, 4))
+    left = f_l(x)
+    assert check_coassoc(x, tol=0.0)
+    assert canonical_residual(f_r(x), left) == 0.0
+    block, terms = next(iter(left.blocks.items()))
+    bumped = left + TensorElement({block: {next(iter(terms)): 1e-3}})
+    # the residual is the perturbation as stored: (1 + 1e-3) - 1
+    assert canonical_residual(f_r(x), bumped) == (1.0 + 1e-3) - 1.0
+    assert not canonical_equal(f_r(x), bumped)
+
+
+# ---------------------------------------------------------------------------
+# leg expansion at any arity
+
+
+def test_expand_leg_middle_of_three_legs():
+    # (id (x) Delta (x) id) of a three-leg element adds a leg in the middle
+    t = TensorElement({(2, 6, 3): {(key([1]), key([5]), UNIT): 2.0}})
+    out = expand_leg(t, 2, delta)
+    for (m, l), terms in delta(gen(6, 5)).blocks.items():
+        ((k1, k2), c), = terms.items()
+        assert out.block(2, m, l, 3) == {(key([1]), k1, k2, UNIT): 2 * c}
+    assert out.term_count() == len(divisor_pairs(6))
+
+
+def test_four_leg_coassociativity():
+    # the two outer expansions of a double coproduct agree at four legs
+    for x in (gen(4, 3), CuntzMonomial(6, (5, 2), (3,)), CuntzMonomial.unit(4)):
+        lhs = expand_leg(f_r(x), 3, delta)
+        rhs = expand_leg(f_l(x), 1, delta)
+        assert lhs.arity == 4
+        assert canonical_residual(lhs, rhs) == 0.0
+
+
+def test_expand_leg_rejects_a_missing_leg():
+    with pytest.raises(ValueError):
+        expand_leg(delta(gen(4, 1)), 3, delta)

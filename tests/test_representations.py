@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 
 from cuntzr.algebra import AlgebraElement, CuntzMonomial
-from cuntzr.coproduct import delta, delta_op
+from cuntzr.coproduct import delta, delta_op, f_r
 from cuntzr.errors import MismatchedAlgebra
 from cuntzr.representations import (
     GPRepresentation,
     act,
     act_element,
+    act_legs,
     complete_unitary,
     gns_lambda,
     from_dense,
     lambda2,
+    lambda3,
     to_dense,
     vec_dist,
     vec_inner,
@@ -221,6 +223,32 @@ def test_lambda2_projects_other_blocks_away():
     # an element of O_2 never reaches the (2, 3) block
     out = lambda2(rep2, rep3, delta(CuntzMonomial.generator(2, 1)))
     assert out == {}
+
+
+def test_legwise_action_matches_the_termwise_product():
+    # oracle: each tensor term s_a (x) s_b (x) s_c acts as the product of the
+    # one-leg actions on each basis tuple of the vector
+    rng = np.random.default_rng(17)
+    reps = [GPRepresentation.for_state(random_unit(rng, n)) for n in (2, 3, 2)]
+    t = f_r(CuntzMonomial(12, (7, 2), (5,)))
+    vec = {(1, 2, 1): 0.5 + 0.5j, (1, 3, 2): -1.0, (2, 2, 1): 0.25j, (1, 2, 2): 2.0}
+    want = {}
+    for (ka, kb, kc), c in t.block(2, 3, 2).items():
+        for (i, j, k), amp in vec.items():
+            fa = act(reps[0], CuntzMonomial(2, *ka), {i: 1.0})
+            fb = act(reps[1], CuntzMonomial(3, *kb), {j: 1.0})
+            fc = act(reps[2], CuntzMonomial(2, *kc), {k: 1.0})
+            for qa, a in fa.items():
+                for qb, b in fb.items():
+                    for qc, d in fc.items():
+                        key = (qa, qb, qc)
+                        want[key] = want.get(key, 0j) + c * amp * a * b * d
+    assert len(want) > 10
+    # same products in the same order: equal, after the 1e-13 amplitude cutoff
+    assert act_legs(reps, t, vec) == {k: w for k, w in want.items() if abs(w) > 1e-13}
+    assert lambda3(*reps, t) == act_legs(reps, t, {(1, 1, 1): 1.0})
+    with pytest.raises(TypeError):
+        lambda2(reps[0], reps[1], t)
 
 
 # ---------------------------------------------------------------------------
