@@ -44,7 +44,6 @@ from .errors import (
 from .representations import (
     GPRepresentation,
     act,
-    act2,
     act_legs,
     gns_lambda,
     lambda2,
@@ -98,7 +97,6 @@ __all__ = [
     "UnitVector",
     "VerificationReport",
     "act",
-    "act2",
     "act_legs",
     "boxtimes",
     "build_r",

@@ -196,6 +196,8 @@ def _validate(spec):
         errors.append("ybe needs --omega3")
     if spec.kind == "coassoc" and (spec.n is None or spec.n < 1):
         errors.append("coassoc needs --n >= 1")
+    if spec.kind == "state-product" and spec.samples < 1:
+        errors.append("state-product needs --samples >= 1")
     if errors:
         raise SpecError(errors)
     return spec
@@ -245,9 +247,8 @@ def _run_state_product(spec):
     N = omega1.n * omega2.n
     boxed = boxtimes(omega1.z, omega2.z)
     prod = star(omega1, omega2)
-    count = spec.samples or 100
     worst = 0.0
-    for mono in _random_monomials(rng, N, spec.max_len, count):
+    for mono in _random_monomials(rng, N, spec.max_len, spec.samples):
         x = AlgebraElement.monomial(mono)
         worst = max(worst, abs(prod(x) - gp_eval(boxed, x)))
     report = VerificationReport(scenario=spec.kind)

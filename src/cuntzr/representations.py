@@ -13,30 +13,81 @@ vector stays finitely supported, and all inner products are exact. Note
 that the adjoint generators then satisfy s_j* e_1 = z_j e_1, so images of
 creation words already span everything the coproduct images reach.
 
-Vectors are plain dicts from basis indices (or index pairs / triples for
-tensor legs) to complex amplitudes. The operator layer works on dense
-arrays over the coordinate block of one depth instead; :func:`to_dense` and
-:func:`from_dense` convert between the two forms.
+Vectors are dense arrays over the leading coordinate block of each leg:
+axis k holds the coordinates of e_1, e_2, ... of leg k, and trailing axes
+are a batch. :func:`act_dense` acts on them legwise, growing an axis n-fold
+per creation letter. Dicts from 1-based basis indices (or index tuples, one
+per leg) to amplitudes are only an input/output format; :func:`to_dense`
+and :func:`from_dense` convert, and a dict leaves out exact zeros and
+nothing else.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
+import os
+import resource
 
 import numpy as np
 
 from .algebra import as_element
 from .coproduct import TensorElement
-from .errors import MismatchedAlgebra, OutOfDomain
+from .errors import OutOfDomain, SpanTooLarge
 from .states import GPState, UnitVector
 
-AMP_TOL = 1e-13  # amplitudes at or below this magnitude are dropped
+# ---------------------------------------------------------------------------
+# memory preflight
+
+_ENTRY_BYTES = np.dtype(complex).itemsize
+# arrays of one batch alive at once: the input, output and working copies of
+# an application, and the arrays a verifier stacks and compares
+_WORK_COPIES = 6
+
+
+def preflight(entries, what):
+    """Raise SpanTooLarge, before allocating, when batches of ``entries``
+    entries would not fit under the address-space limit when one is set,
+    or else under the physical memory."""
+    nbytes = _WORK_COPIES * _ENTRY_BYTES * int(entries)
+    limit, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if limit == resource.RLIM_INFINITY:
+        limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > limit:
+        raise SpanTooLarge(nbytes, limit, what)
 
 
 # ---------------------------------------------------------------------------
-# finitely supported vectors as dicts
+# dense arrays and their dict form
 
 
-def prune_vec(vec):
-    return {k: a for k, a in vec.items() if abs(a) > AMP_TOL}
+def to_dense(vec, dims):
+    """Dense array of shape ``dims`` of a dict vector with tuple keys.
+
+    Keys are 1-based; a key outside the block raises OutOfDomain.
+    """
+    out = np.zeros(dims, dtype=complex)
+    if vec:
+        keys = np.array(list(vec), dtype=np.int64).reshape(len(vec), len(dims)) - 1
+        if (keys < 0).any() or (keys >= np.array(dims)).any():
+            bad = next(k for k in vec if not all(1 <= i <= d for i, d in zip(k, dims)))
+            raise OutOfDomain(abs(vec[bad]), f"basis index {bad} outside {tuple(dims)}")
+        out[tuple(keys.T)] = list(vec.values())
+    return out
+
+
+def from_dense(arr):
+    """Dict vector of the nonzero entries of a dense array, 1-based keys."""
+    keys = (np.argwhere(arr) + 1).tolist()
+    return dict(zip(map(tuple, keys), arr[arr != 0].tolist()))
+
+
+def pad_to(arr, lead):
+    """A copy of ``arr`` with its leading axes zero-padded to the sizes
+    ``lead``; the trailing batch axes stay as they are."""
+    out = np.zeros((*lead, *arr.shape[len(lead):]), dtype=arr.dtype)
+    out[tuple(map(slice, arr.shape[:len(lead)]))] = arr
+    return out
 
 
 def vec_inner(a, b):
@@ -48,13 +99,6 @@ def vec_inner(a, b):
 
 def vec_norm(a):
     return float(np.sqrt(sum(abs(v) ** 2 for v in a.values())))
-
-
-def vec_add(a, b, scale=1.0):
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0j) + scale * v
-    return prune_vec(out)
 
 
 def vec_dist(a, b):
@@ -70,18 +114,12 @@ def flip_pairs(vec):
     return {(k2, k1): a for (k1, k2), a in vec.items()}
 
 
-def fock_to_list(vec):
-    """Report form [[k, re, im], ...] of a basis-indexed vector, sorted."""
+def pair_to_list(arr):
+    """Report form [[j, k, re, im], ...] of the nonzero entries of a dense
+    pair array, with 1-based indices, in index order."""
     return [
-        [int(k), float(a.real), float(a.imag)] for k, a in sorted(vec.items())
-    ]
-
-
-def pair_to_list(vec):
-    """Report form [[j, k, re, im], ...] of a pair-indexed vector, sorted."""
-    return [
-        [int(j), int(k), float(a.real), float(a.imag)]
-        for (j, k), a in sorted(vec.items())
+        [int(j) + 1, int(k) + 1, float(arr[j, k].real), float(arr[j, k].imag)]
+        for j, k in np.argwhere(arr)
     ]
 
 
@@ -156,100 +194,100 @@ class GPRepresentation:
         return f"GPRepresentation(O_{self.n}, {kind})"
 
 
-def _creation(rep, j, vec):
+def _leg_word(rep, u, v, X, axis):
+    """s_u s_v* of ``rep`` on one axis of X; s_{v_1}* stands rightmost and
+    acts first."""
     n = rep.n
-    if rep.is_standard:
-        return {n * (k - 1) + j: a for k, a in vec.items()}
-    out = {}
-    col = rep.U[:, j - 1]
-    for k, a in vec.items():
-        base = n * (k - 1)
-        for i in range(1, n + 1):
-            c = col[i - 1]
-            if c != 0:
-                key = base + i
-                out[key] = out.get(key, 0j) + c * a
-    return out
-
-
-def _annihilation(rep, j, vec):
-    n = rep.n
-    out = {}
-    for k, a in vec.items():
-        i = (k - 1) % n + 1
-        q = (k - 1) // n + 1
-        if rep.is_standard:
-            if i == j:
-                out[q] = out.get(q, 0j) + a
-        else:
-            c = rep.U[i - 1, j - 1].conjugate()
-            if c != 0:
-                out[q] = out.get(q, 0j) + c * a
-    return out
-
-
-def act_word(rep, u, v, vec):
-    """Apply s_u s_v* (word tuples) in the representation to a vector."""
-    out = vec
-    for j in v:  # the factor s_{v_1}* stands rightmost and acts first
-        out = _annihilation(rep, j, out)
-        if not out:
-            return {}
+    pre, post = X.shape[:axis], X.shape[axis + 1:]
+    P, Q = math.prod(pre), math.prod(post)
+    for j in v:
+        # e_{n(q-1)+i} -> conj(U[i, j]) e_q: split the axis into (q, i)
+        X = pad_to(X, (*pre, -(-X.shape[axis] // n) * n))
+        X = np.matmul(rep.U[:, j - 1].conj(), X.reshape(P, -1, n, Q))
+        X = X.reshape(*pre, -1, *post)
     for j in reversed(u):
-        out = _creation(rep, j, out)
-    return prune_vec(out)
+        # e_k -> sum_i U[i, j] e_{n(k-1)+i}: the axis becomes (k, i); a
+        # C-ordered product merges the two without a copy
+        col = rep.U[:, j - 1].reshape(n, 1)
+        X = np.multiply(X.reshape(P, -1, 1, Q), col, order="C")
+        X = X.reshape(*pre, -1, *post)
+    return X
+
+
+def _word_size(size, n, u, v):
+    """Axis length after s_u s_v* acts on an axis of length ``size``."""
+    return -(-size // n ** len(v)) * n ** len(u)
+
+
+def _terms(reps, t):
+    """The terms of the block of ``t`` that the representations see."""
+    if not isinstance(t, TensorElement) or t.arity not in (None, len(reps)):
+        raise TypeError(f"expected a {len(reps)}-leg tensor element")
+    return t.block(*(rep.n for rep in reps))
+
+
+def act_dense(reps, t, X):
+    """Apply the matching block of a tensor element legwise to a dense array.
+
+    Axis k of ``X`` holds the coordinates of e_1, e_2, ... of leg k, which
+    ``reps[k]`` acts on; trailing axes are a batch. The terms' images can
+    differ in shape and are summed zero-padded to the largest. Blocks other
+    than the one of the representations' algebra indices act as zero on
+    these legs, mirroring how a state of one summand extends to the direct
+    sum. Nothing is pruned.
+    """
+    terms = _terms(reps, t)
+    X = np.asarray(X, dtype=complex)
+    legs = len(reps)
+    lead = X.shape[:legs]
+    if terms:
+        lead = [
+            max(_word_size(size, rep.n, *keys[k]) for keys in terms)
+            for k, (size, rep) in enumerate(zip(X.shape, reps))
+        ]
+    out = np.zeros((*lead, *X.shape[legs:]), dtype=complex)
+    for keys, c in terms.items():
+        Y = c * X
+        for axis, (rep, (u, v)) in enumerate(zip(reps, keys)):
+            Y = _leg_word(rep, u, v, Y, axis)
+        out[tuple(map(slice, Y.shape))] += Y
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the action on dict vectors
+
+
+def act_legs(reps, t, vec):
+    """Apply the matching block of a tensor element legwise to a dict vector
+    indexed by tuples of basis indices, one per leg; the image leaves out
+    exact zeros. SpanTooLarge is raised before the dense array is made."""
+    terms = _terms(reps, t)
+    if not vec:
+        return {}
+    dims = [max(key[k] for key in vec) for k in range(len(reps))]
+    longest = [max((len(keys[k][0]) for keys in terms), default=0) for k in range(len(reps))]
+    grown = math.prod(d * rep.n**c for d, rep, c in zip(dims, reps, longest))
+    preflight(grown, "the legwise action")
+    return from_dense(act_dense(reps, t, to_dense(vec, dims)))
+
+
+def act_element(rep, x, vec):
+    """Apply an element of O_n in the representation to a dict vector."""
+    x = as_element(x, rep.n)
+    t = TensorElement({(rep.n,): {(key,): c for key, c in x.items()}})
+    out = act_legs((rep,), t, {(k,): a for k, a in vec.items()})
+    return {k: a for (k,), a in out.items()}
 
 
 def act(rep, mono, vec):
     """Apply a monomial in the (possibly twisted) representation to a vector."""
-    if mono.n != rep.n:
-        raise MismatchedAlgebra(f"monomial of O_{mono.n} in O_{rep.n} action")
-    return act_word(rep, mono.u, mono.v, vec)
-
-
-def act_element(rep, x, vec):
-    x = as_element(x, rep.n)
-    out = {}
-    for (u, v), c in x.items():
-        out = vec_add(out, act_word(rep, u, v, vec), scale=c)
-    return out
+    return act_element(rep, mono, vec)
 
 
 def gns_lambda(rep, x):
     """Image of an element under the vector map x -> pi(x) e_1."""
     return act_element(rep, x, {1: 1.0})
-
-
-# ---------------------------------------------------------------------------
-# tensor legs
-
-
-def act_legs(reps, t, vec):
-    """Apply the matching block of a tensor element legwise to a vector.
-
-    ``vec`` is indexed by tuples of basis indices, one per leg, and leg k
-    of every term acts in ``reps[k]``. Blocks other than the one of the
-    representations' algebra indices act as zero on these legs, mirroring
-    how a state of one summand extends to the direct sum.
-    """
-    if not isinstance(t, TensorElement) or t.arity not in (None, len(reps)):
-        raise TypeError(f"expected a {len(reps)}-leg tensor element")
-    out = {}
-    for keys, c in t.block(*(rep.n for rep in reps)).items():
-        images = [{} for _ in reps]  # per leg: basis index -> image of its word
-        for basis, amp in vec.items():
-            # fold the legs in one at a time: tuples of indices -> amplitude
-            acc = {(): c * amp}
-            for rep, (u, v), k, seen in zip(reps, keys, basis, images):
-                image = seen.get(k)
-                if image is None:
-                    image = seen[k] = act_word(rep, u, v, {k: 1.0})
-                acc = {ks + (q,): a * b for ks, a in acc.items() for q, b in image.items()}
-                if not acc:
-                    break
-            for ks, a in acc.items():
-                out[ks] = out.get(ks, 0j) + a
-    return prune_vec(out)
 
 
 def lambda2(rep1, rep2, t):
@@ -262,41 +300,13 @@ def lambda3(rep1, rep2, rep3, t):
     return act_legs((rep1, rep2, rep3), t, {(1, 1, 1): 1.0})
 
 
-def act2(rep1, rep2, t, vec):
-    """Apply the matching block of a two-leg tensor element to a pair vector."""
-    return act_legs((rep1, rep2), t, vec)
-
-
 # ---------------------------------------------------------------------------
-# words and dense coordinate blocks
+# words
 
 
 def creation_words(n, depth):
     """All creation words of O_n with length <= depth, by length then lex."""
-    import itertools
-
     words = [()]
     for t in range(1, depth + 1):
         words.extend(itertools.product(range(1, n + 1), repeat=t))
     return words
-
-
-def to_dense(vec, dims):
-    """Dense array of shape ``dims`` of a dict vector with tuple keys.
-
-    Keys are 1-based; a key outside the block raises OutOfDomain.
-    """
-    out = np.zeros(dims, dtype=complex)
-    if vec:
-        keys = np.array(list(vec), dtype=np.int64).reshape(len(vec), len(dims)) - 1
-        if (keys < 0).any() or (keys >= np.array(dims)).any():
-            bad = next(k for k in vec if not all(1 <= i <= d for i, d in zip(k, dims)))
-            raise OutOfDomain(abs(vec[bad]), f"basis index {bad} outside {tuple(dims)}")
-        out[tuple(keys.T)] = list(vec.values())
-    return out
-
-
-def from_dense(arr):
-    """Dict vector of the nonzero entries of a dense array, 1-based keys."""
-    keys = (np.argwhere(arr) + 1).tolist()
-    return dict(zip(map(tuple, keys), arr[arr != 0].tolist()))

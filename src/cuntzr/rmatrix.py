@@ -32,8 +32,6 @@ noncommuting pair.
 from __future__ import annotations
 
 import json
-import os
-import resource
 import time
 from dataclasses import dataclass, field
 
@@ -41,17 +39,16 @@ import numpy as np
 
 from .algebra import CuntzMonomial
 from .coproduct import delta, delta_op, f_l_op, f_r, f_r_op
-from .errors import NotCommuting, OutOfDomain, SpanTooLarge
+from .errors import NotCommuting, OutOfDomain
 from .representations import (
     GPRepresentation,
-    act2,
+    act_dense,
     creation_words,
     from_dense,
-    lambda2,
-    lambda3,
+    pad_to,
     pair_to_list,
+    preflight,
     to_dense,
-    vec_dist,
 )
 from .states import GPState, commutes, star_gap, twist_state
 
@@ -106,28 +103,6 @@ class VerificationReport:
         if include_timings:
             out["timings"] = {"total_s": float(self.elapsed)}
         return out
-
-
-# ---------------------------------------------------------------------------
-# memory preflight
-
-_ENTRY_BYTES = np.dtype(complex).itemsize
-# arrays of one batch alive at once: the input, output and working copies of
-# an application, and the arrays a verifier stacks and compares
-_WORK_COPIES = 6
-_BLOCK_ENTRIES = 2**20  # entries per block of basis vectors in the symmetry check
-
-
-def preflight(entries, what):
-    """Raise SpanTooLarge, before allocating, when batches of ``entries``
-    entries would not fit under the address-space limit when one is set,
-    or else under the physical memory."""
-    nbytes = _WORK_COPIES * _ENTRY_BYTES * int(entries)
-    limit, _ = resource.getrlimit(resource.RLIMIT_AS)
-    if limit == resource.RLIM_INFINITY:
-        limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if nbytes > limit:
-        raise SpanTooLarge(nbytes, limit, what)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +273,9 @@ class RMatrixOperator:
         return out
 
 
+_BLOCK_ENTRIES = 2**20  # entries per block of basis vectors in the symmetry check
+
+
 def basis_blocks(dims):
     """The standard basis of a (p, q) block as arrays of shape (p, q, k)."""
     N = dims[0] * dims[1]
@@ -318,6 +296,30 @@ def _worst_column(diff):
     """Largest norm of a column of a difference batch (p, q, k)."""
     cols = diff.reshape(-1, diff.shape[-1])
     return float(np.max(np.linalg.norm(cols, axis=0))) if cols.size else 0.0
+
+
+def _worst_gap(A, B):
+    """Largest column norm of A - B, both batches (p, q, k) zero-padded to
+    their common leading shape."""
+    lead = np.maximum(A.shape[:-1], B.shape[:-1])
+    diff = pad_to(A, lead)
+    diff[tuple(map(slice, B.shape))] -= B
+    return _worst_column(diff)
+
+
+def _image(reps, t, dims):
+    """Legwise image of the cyclic vector e_1 (x) ... (x) e_1 under a tensor
+    element, zero-padded to the block ``dims``."""
+    return pad_to(act_dense(reps, t, np.ones((1,) * len(reps))), dims)
+
+
+def _word_images(reps, op, N, depth, dims):
+    """Images of op(s_w), for the creation words w of O_N with length <=
+    depth, on the block ``dims``, stacked along a trailing axis."""
+    return np.stack(
+        [_image(reps, op(CuntzMonomial(N, w, ())), dims) for w in creation_words(N, depth)],
+        axis=-1,
+    )
 
 
 def build_r(omega1, omega2, depth):
@@ -347,14 +349,8 @@ def relation_residual(rmat, max_len):
     N = rmat.omega1.n * rmat.omega2.n
     max_len = min(max_len, rmat.depth)
     preflight(_word_count(N, max_len) * rmat.rank, "the defining-relation check")
-    words = creation_words(N, max_len)
-    V, W = (
-        np.stack([
-            to_dense(lambda2(rmat.rep1, rmat.rep2, op(CuntzMonomial(N, w, ()))), rmat.dims)
-            for w in words
-        ], axis=2)
-        for op in (delta, delta_op)
-    )
+    reps = (rmat.rep1, rmat.rep2)
+    V, W = (_word_images(reps, op, N, max_len, rmat.dims) for op in (delta, delta_op))
     return _worst_column(rmat.apply_dense(V) - W)
 
 
@@ -391,26 +387,20 @@ def verify_intertwining(rmat, test_words=None, span_depth=None, tol=BUILD_TOL):
             f"operator depth {rmat.depth} cannot host words of length "
             f"{max_len} on the depth-{span_depth} span",
         )
-    preflight(_word_count(N, span_depth) * rmat.rank, "the intertwining check")
-    rep1, rep2 = rmat.rep1, rmat.rep2
-    vectors = [
-        lambda2(rep1, rep2, delta(CuntzMonomial(N, w, ())))
-        for w in creation_words(N, span_depth)
-    ]
-    vectors = [vec for vec in vectors if vec]
-
-    def stack(vecs):
-        return np.stack([to_dense(v, rmat.dims) for v in vecs], axis=2)
-
-    moved = rmat.apply_dense(stack(vectors))
-    moved = [from_dense(moved[:, :, c]) for c in range(len(vectors))]
+    # the opposite side acts on R V over the whole depth-d block, so it
+    # grows the block by the longest creation word of a test word
+    grow = max((len(w.u) for w in test_words), default=0)
+    preflight(
+        _word_count(N, span_depth) * N ** (rmat.depth + grow), "the intertwining check"
+    )
+    reps = (rmat.rep1, rmat.rep2)
+    V = _word_images(reps, delta, N, span_depth, (n1**span_depth, n2**span_depth))
+    moved = rmat.apply_dense(pad_to(V, rmat.dims))
     report = VerificationReport(scenario="intertwining")
     for word in test_words:
-        dx = delta(word)
-        dxo = delta_op(word)
-        lhs = rmat.apply_dense(stack([act2(rep1, rep2, dx, v) for v in vectors]))
-        rhs = stack([act2(rep1, rep2, dxo, v) for v in moved])
-        worst = _worst_column(lhs - rhs)
+        lhs = rmat.apply_dense(pad_to(act_dense(reps, delta(word), V), rmat.dims))
+        rhs = act_dense(reps, delta_op(word), moved)
+        worst = _worst_gap(lhs, rhs)
         report.add(f"intertwine:{word.label()}", worst <= tol, worst)
     report.elapsed = time.perf_counter() - start
     return report
@@ -474,15 +464,15 @@ def verify_ybe(omega1, omega2, omega3, depth, tol=BUILD_TOL, rs=None):
     all_permutations = all(r.is_permutation for r in rs)
     for word in creation_words(N, depth):
         mono = CuntzMonomial(N, word, ())
-        t0 = to_dense(lambda3(*reps, f_r(mono)), dims)
+        t0 = _image(reps, f_r(mono), dims)
         lhs = _apply_on_legs(r23, t0, (1, 2))
         lhs = _apply_on_legs(r13, lhs, (0, 2))
         lhs = _apply_on_legs(r12, lhs, (0, 1))
         rhs = _apply_on_legs(r12, t0, (0, 1))
         rhs = _apply_on_legs(r13, rhs, (0, 2))
         rhs = _apply_on_legs(r23, rhs, (1, 2))
-        oracle_l = to_dense(lambda3(*reps, f_l_op(mono)), dims)
-        oracle_r = to_dense(lambda3(*reps, f_r_op(mono)), dims)
+        oracle_l = _image(reps, f_l_op(mono), dims)
+        oracle_r = _image(reps, f_r_op(mono), dims)
         worst = float(max(
             np.linalg.norm(lhs - rhs),
             np.linalg.norm(lhs - oracle_l),
@@ -514,33 +504,32 @@ def counterexample_demo(tol=BUILD_TOL):
     # the flip twist of the standard state is the second basis vector
     flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     omega_bar = twist_state(omega.z, flip)
-    rep = GPRepresentation.standard(2)
-    rep_bar = GPRepresentation.for_state(omega_bar)
-    v = {(1, 1): 1.0 + 0j}
+    reps = (GPRepresentation.standard(2), GPRepresentation.for_state(omega_bar))
+    v = np.ones((1, 1, 1), dtype=complex)  # the cyclic pair vector, batch of one
     x = CuntzMonomial.generator(4, 2)
 
-    fixed = act2(rep, rep_bar, delta(x), v)
-    res_fixed = vec_dist(fixed, v)
+    fixed = act_dense(reps, delta(x), v)
+    res_fixed = _worst_gap(fixed, v)
     report.add("coproduct-action-fixes-cyclic-vector", res_fixed == 0.0, res_fixed)
 
     # the unit branch of the defining relation forces Rv = v
-    rv = act2(rep, rep_bar, delta_op(CuntzMonomial.unit(4)), v)
-    res_rv = vec_dist(rv, v)
+    rv = act_dense(reps, delta_op(CuntzMonomial.unit(4)), v)
+    res_rv = _worst_gap(rv, v)
     report.add("relation-unit-branch-fixes-cyclic-vector", res_rv == 0.0, res_rv)
 
-    opposite = act2(rep, rep_bar, delta_op(x), v)
-    overlap = abs(sum(v[k].conjugate() * a for k, a in opposite.items() if k in v))
+    opposite = act_dense(reps, delta_op(x), v)
+    overlap = abs(opposite[0, 0, 0])  # <v, opposite>, v = e_1 (x) e_1
     report.add(
         "opposite-image-orthogonal-to-cyclic-vector",
         overlap == 0.0,
         overlap,
-        witness=json.dumps(pair_to_list(opposite)),
+        witness=json.dumps(pair_to_list(opposite[:, :, 0])),
     )
 
     # with Rv = v and R* v = v, the conjugated action returns v, which the
     # opposite action contradicts
     lhs = rv  # R (coproduct action) R* v = R v = v
-    violation = vec_dist(lhs, opposite)
+    violation = _worst_gap(lhs, opposite)
     report.add("conjugation-identity-violated", violation > tol, violation)
 
     try:

@@ -33,13 +33,13 @@ from cuntzr.representations import (
     GPRepresentation,
     creation_words,
     lambda2,
-    prune_vec,
     vec_dist,
     vec_norm,
 )
 from cuntzr.states import commutes
 
 RANK_TOL = 1e-10  # residual-diagonal cutoff for rank decisions
+AMP_TOL = 1e-13   # amplitudes at or below this magnitude are dropped from vectors
 TOL = 1e-9        # Gram equality, unitarity and domain projection
 
 
@@ -143,9 +143,11 @@ class SpanBasis:
     def from_coordinates(self, y):
         """The vector with the given orthonormal coordinates, as a dict."""
         dense = self.amat @ (self.combos.T @ y)
-        return prune_vec(
-            {k: complex(dense[s]) for s, k in enumerate(self.support)}
-        )
+        return {
+            k: complex(dense[s])
+            for s, k in enumerate(self.support)
+            if abs(dense[s]) > AMP_TOL
+        }
 
     def orthobasis_vector(self, a):
         y = np.zeros(self.rank, dtype=complex)

@@ -53,3 +53,33 @@ def test_counterexample_and_cli_entry():
     rejects = [k for k in rep.checks if k.name == "construction-rejects-pair"]
     assert len(rejects) == 1 and rejects[0].witness == "n=4;u=2;v="
     assert callable(cuntzr.cli.main)
+
+
+def test_pair_verdict_calls():
+    a, b = cuntzr.GPState.uniform(2), cuntzr.GPState.uniform(3)
+    rep = cuntzr.GPRepresentation.for_state(a)
+    assert isinstance(rep.U, np.ndarray) and rep.U.shape == (2, 2)
+    rmat = cuntzr.build_r(a, b, 2)
+    assert rmat.rank == 36
+    image = rmat.apply({(1, 1): 1.0 + 0j, (4, 9): 0.5})
+    assert isinstance(image, dict) and all(len(k) == 2 for k in image)
+    assert cuntzr.verify_intertwining(rmat).passed
+    assert cuntzr.verify_symmetry(a, b, 2, r12=rmat).passed
+
+
+def test_ybe_report_fields():
+    states = [cuntzr.GPState.standard(n) for n in (2, 3, 2)]
+    rep = cuntzr.verify_ybe(*states, 1)
+    assert rep.passed is True
+    assert len(rep.checks) == 1 + 12
+    assert rep.max_residual == 0.0
+
+
+def test_rejection_names_a_witness():
+    a, b = cuntzr.GPState.standard(2), cuntzr.GPState([0, 1])
+    try:
+        cuntzr.build_r(a, b, 1)
+    except cuntzr.NotCommuting as exc:
+        assert exc.witness.label() == "n=4;u=2;v="
+    else:
+        raise AssertionError("a noncommuting pair was accepted")

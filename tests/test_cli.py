@@ -336,3 +336,21 @@ def test_tolerance_defaults_per_kind(monkeypatch):
 def test_coassoc_needs_a_positive_index(capsys):
     assert run(["verify-coassoc", "--n", "0"]) == 2
     assert "--n >= 1" in capsys.readouterr().err
+
+
+def test_state_product_needs_a_positive_sample_count(tmp_path, capsys):
+    args = ["state-product", "--omega1", '{"uniform": 2}', "--omega2", '{"uniform": 3}']
+    assert run(args + ["--samples", "0"]) == 2
+    assert "state-product needs --samples >= 1" in capsys.readouterr().err
+    # the default count is 100; naming it gives the same report, whose
+    # worst deviation 2^-55 is pinned from the earlier fallback to 100
+    default, named = tmp_path / "default.json", tmp_path / "named.json"
+    assert run(args + ["--out", str(default)]) == 0
+    assert run(args + ["--samples", "100", "--out", str(named)]) == 0
+    assert named.read_bytes() == default.read_bytes()
+    report = json.loads(named.read_text())
+    assert report["scenario"]["samples"] == 100
+    assert report["checks"] == [
+        {"name": "product-matches-interleaved-state", "pass": True, "residual": 2.0**-55},
+        {"name": "commutes", "pass": True, "residual": 0.0},
+    ]

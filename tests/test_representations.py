@@ -18,7 +18,7 @@ from cuntzr.representations import (
     vec_dist,
     vec_inner,
 )
-from cuntzr.errors import OutOfDomain
+from cuntzr.errors import OutOfDomain, SpanTooLarge
 from cuntzr.states import GPState, UnitVector, gp_eval
 from gram_oracle import span_basis
 
@@ -225,30 +225,54 @@ def test_lambda2_projects_other_blocks_away():
     assert out == {}
 
 
-def test_legwise_action_matches_the_termwise_product():
+def _termwise(reps, t, vec):
     # oracle: each tensor term s_a (x) s_b (x) s_c acts as the product of the
     # one-leg actions on each basis tuple of the vector
-    rng = np.random.default_rng(17)
-    reps = [GPRepresentation.for_state(random_unit(rng, n)) for n in (2, 3, 2)]
-    t = f_r(CuntzMonomial(12, (7, 2), (5,)))
-    vec = {(1, 2, 1): 0.5 + 0.5j, (1, 3, 2): -1.0, (2, 2, 1): 0.25j, (1, 2, 2): 2.0}
     want = {}
-    for (ka, kb, kc), c in t.block(2, 3, 2).items():
+    for (ka, kb, kc), c in t.block(*(rep.n for rep in reps)).items():
         for (i, j, k), amp in vec.items():
-            fa = act(reps[0], CuntzMonomial(2, *ka), {i: 1.0})
-            fb = act(reps[1], CuntzMonomial(3, *kb), {j: 1.0})
-            fc = act(reps[2], CuntzMonomial(2, *kc), {k: 1.0})
+            fa = act(reps[0], CuntzMonomial(reps[0].n, *ka), {i: 1.0})
+            fb = act(reps[1], CuntzMonomial(reps[1].n, *kb), {j: 1.0})
+            fc = act(reps[2], CuntzMonomial(reps[2].n, *kc), {k: 1.0})
             for qa, a in fa.items():
                 for qb, b in fb.items():
                     for qc, d in fc.items():
                         key = (qa, qb, qc)
                         want[key] = want.get(key, 0j) + c * amp * a * b * d
+    return want
+
+
+def test_legwise_action_matches_the_termwise_product():
+    rng = np.random.default_rng(17)
+    t = f_r(CuntzMonomial(12, (7, 2), (5,)))
+    vec = {(1, 2, 1): 0.5 + 0.5j, (1, 3, 2): -1.0, (2, 2, 1): 0.25j, (1, 2, 2): 2.0}
+    # twisted legs: the legwise and termwise sums round differently
+    reps = [GPRepresentation.for_state(random_unit(rng, n)) for n in (2, 3, 2)]
+    got, want = act_legs(reps, t, vec), _termwise(reps, t, vec)
     assert len(want) > 10
-    # same products in the same order: equal, after the 1e-13 amplitude cutoff
-    assert act_legs(reps, t, vec) == {k: w for k, w in want.items() if abs(w) > 1e-13}
+    assert max(abs(got.get(k, 0j) - want.get(k, 0j)) for k in got.keys() | want.keys()) <= 1e-15
     assert lambda3(*reps, t) == act_legs(reps, t, {(1, 1, 1): 1.0})
     with pytest.raises(TypeError):
         lambda2(reps[0], reps[1], t)
+    # standard legs multiply by 0 and 1 only: exactly equal
+    reps = [GPRepresentation.standard(n) for n in (2, 3, 2)]
+    vec = {(i, j, k): complex(rng.normal(), rng.normal())
+           for i in (1, 2) for j in (1, 2, 3) for k in (1, 2)}
+    got, want = act_legs(reps, t, vec), _termwise(reps, t, vec)
+    assert want
+    assert got == {k: w for k, w in want.items() if w != 0}
+
+
+def test_dict_interface_preflights_the_grown_array(monkeypatch):
+    # 6 working copies of 16 bytes per entry: a 3-letter word on e_1 needs
+    # 2^3 entries (768 bytes), a 4-letter word 2^4 (1536 bytes)
+    import resource
+
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (1000, 1000))
+    rep = GPRepresentation.standard(2)
+    assert act(rep, CuntzMonomial(2, (2, 2, 2), ()), {1: 1.0}) == {8: 1 + 0j}
+    with pytest.raises(SpanTooLarge):
+        act(rep, CuntzMonomial(2, (2, 2, 2, 2), ()), {1: 1.0})
 
 
 # ---------------------------------------------------------------------------
@@ -321,13 +345,10 @@ def test_dense_round_trip_and_block_bounds():
 
 
 def test_vector_literal_forms():
-    from cuntzr.representations import fock_to_list, pair_to_list
+    from cuntzr.representations import pair_to_list
 
-    assert fock_to_list({3: 1.5 - 0.5j, 1: 2.0}) == [
-        [1, 2.0, 0.0],
-        [3, 1.5, -0.5],
-    ]
-    assert pair_to_list({(2, 2): 1.0 + 0j}) == [[2, 2, 1.0, 0.0]]
+    arr = to_dense({(2, 2): 1.0 + 0j, (1, 3): 1.5 - 0.5j}, (2, 3))
+    assert pair_to_list(arr) == [[1, 3, 1.5, -0.5], [2, 2, 1.0, 0.0]]
 
 
 def test_complete_unitary_stays_unitary_near_a_basis_vector():

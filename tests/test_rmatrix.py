@@ -190,12 +190,13 @@ def test_intertwining_traces_the_worked_example():
     # on e_1 (x) e_2
     rmat = build_r(W2, W3, 2)
     from cuntzr.coproduct import delta_op
-    from cuntzr.representations import act2
+    from cuntzr.representations import act_legs
 
+    reps = (rmat.rep1, rmat.rep2)
     v = {(1, 1): 1.0 + 0j}
     g = CuntzMonomial.generator(6, 3)
-    via_coproduct = rmat.apply(act2(rmat.rep1, rmat.rep2, delta(g), v))
-    via_opposite = act2(rmat.rep1, rmat.rep2, delta_op(g), rmat.apply(v))
+    via_coproduct = rmat.apply(act_legs(reps, delta(g), v))
+    via_opposite = act_legs(reps, delta_op(g), rmat.apply(v))
     assert via_coproduct == {(1, 2): 1 + 0j}
     assert via_opposite == {(1, 2): 1 + 0j}
 
@@ -211,6 +212,29 @@ def test_intertwining_uniform_pair():
     report = verify_intertwining(rmat)
     assert report.passed
     assert report.max_residual <= 1e-9
+
+
+def test_intertwining_sees_mass_that_leaves_the_span_block():
+    # R V lies in the depth-1 block (2, 3) of the (4, 9) block up to rounding;
+    # 5e-14 put on the pair (e_3, e_1) outside it must show in the residual,
+    # although every entry of its image is below 1e-13
+    rmat = build_r(U2, U3, 2)
+    baseline = verify_intertwining(rmat).max_residual
+    original = rmat.apply_dense
+    calls = []
+
+    def bumped(X):
+        Y = original(X)
+        if not calls:
+            Y = Y.copy()
+            Y[2, 0] += 5e-14
+        calls.append(X.shape)
+        return Y
+
+    rmat.apply_dense = bumped
+    report = verify_intertwining(rmat)
+    assert baseline <= 1e-15
+    assert 4.9e-14 <= report.max_residual <= 5.1e-14
 
 
 def test_intertwining_depth_arithmetic_is_enforced():
@@ -438,6 +462,21 @@ def test_oversized_spans_fail_fast_with_the_estimate():
     # the intertwining span of depth 8 holds 335923 vectors of 6^8 entries
     with pytest.raises(SpanTooLarge):
         verify_intertwining(build_r(W2, W3, 8))
+
+
+def test_intertwining_estimate_counts_the_grown_block(monkeypatch):
+    # at depth 2 of (2, 3) the 7 span vectors have 36 entries each under R,
+    # and 6^3 = 216 once a generator's opposite coproduct has grown them;
+    # a limit of 100 entries per vector (6 working copies of 16 bytes) must
+    # stop the check before anything is allocated
+    import resource
+
+    rmat = build_r(W2, W3, 2)
+    limit = 6 * 16 * 7 * 100
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (limit, limit))
+    with pytest.raises(SpanTooLarge) as err:
+        verify_intertwining(rmat)
+    assert err.value.nbytes == 6 * 16 * 7 * 216
 
 
 def test_oversized_build_exits_2(capsys):
