@@ -45,14 +45,27 @@ _ENTRY_BYTES = np.dtype(complex).itemsize
 _WORK_COPIES = 6
 
 
+def _available_memory():
+    """Bytes of memory available to new allocations: MemAvailable of
+    /proc/meminfo, or the physical memory where that cannot be read."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024  # reported in kB
+    except (OSError, ValueError, IndexError):
+        pass
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def preflight(entries, what):
     """Raise SpanTooLarge, before allocating, when batches of ``entries``
     entries would not fit under the address-space limit when one is set,
-    or else under the physical memory."""
+    or else in the available memory."""
     nbytes = _WORK_COPIES * _ENTRY_BYTES * int(entries)
     limit, _ = resource.getrlimit(resource.RLIMIT_AS)
     if limit == resource.RLIM_INFINITY:
-        limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        limit = _available_memory()
     if nbytes > limit:
         raise SpanTooLarge(nbytes, limit, what)
 
@@ -88,30 +101,6 @@ def pad_to(arr, lead):
     out = np.zeros((*lead, *arr.shape[len(lead):]), dtype=arr.dtype)
     out[tuple(map(slice, arr.shape[:len(lead)]))] = arr
     return out
-
-
-def vec_inner(a, b):
-    """<a, b> with the convention conjugate-linear in the first argument."""
-    if len(b) < len(a):
-        return sum(a[k].conjugate() * v for k, v in b.items() if k in a)
-    return sum(v.conjugate() * b[k] for k, v in a.items() if k in b)
-
-
-def vec_norm(a):
-    return float(np.sqrt(sum(abs(v) ** 2 for v in a.values())))
-
-
-def vec_dist(a, b):
-    """Norm of a - b; no entry of the difference is dropped, however small."""
-    diff = dict(a)
-    for k, v in b.items():
-        diff[k] = diff.get(k, 0j) - v
-    return vec_norm(diff)
-
-
-def flip_pairs(vec):
-    """Swap the two legs of a pair-indexed vector."""
-    return {(k2, k1): a for (k1, k2), a in vec.items()}
 
 
 def pair_to_list(arr):

@@ -6,18 +6,20 @@ have identical Gram matrices, so v_w -> w_w extends to a unitary R on the
 common span. For the vector states here the images of the creation words
 of one length d are orthonormal and span the coordinate block
 C^{n^d} (x) C^{m^d}, and each leg's images are the columns of the d-fold
-tensor power of the leg twist U_k with the digits reversed. So R factors
-exactly as
+tensor power of the leg twist U_k with the digits reversed. So R is the
+d-th tensor power of one nm x nm matrix,
 
-    R = T . Pi . T^H,    T = U_1^{(x)d} (x) U_2^{(x)d},
+    R = R_1^{(x)d},    R_1 = (U_1 (x) U_2) P (U_1 (x) U_2)^H,
 
-where Pi is the radix permutation: at each digit position the digit pair
+with one copy of R_1 on each digit pair (digit k of leg 1, digit k of
+leg 2) of the coordinate block. P is the depth-1 re-split: the digit pair
 (i, j) is read as the letter p = m*i + j of O_{nm}, re-split as
-p = n*a + b, and stored as (b, a). The operator keeps the two twists and
-the depth, and applies R to dense arrays of shape (n^d, m^d, *batch) in 2d
-small per-axis contractions around one transpose. Contractions with an
-identity twist are skipped, so for standard states R is the permutation
-itself and exact.
+p = n*a + b, and stored as (b, a). R_1 fixes e_1 (x) e_1, so R at depth
+d + 1 restricts to R at depth d on the smaller block. The operator keeps
+R_1 and the depth, and applies R to dense arrays of shape
+(n^d, m^d, *batch) in d small matrix products between one interleaving
+transpose and its inverse. Every state takes this one path; for standard
+states R_1 is a 0/1 matrix, and products with it are exact.
 
 The verifiers check, on span vectors, everything the construction promises:
 the conjugation identity carrying the coproduct to its opposite, the
@@ -138,31 +140,22 @@ def swap_index_pair(n, m, a, b, length):
     return a2 + 1, b2 + 1
 
 
-def _radix_permute(Y, n, m, d):
-    """Pi on an array of shape (n^d * m^d, B): digit pairs (i, j) -> (b, a)."""
-    B = Y.shape[-1]
-    Y = Y.reshape((n,) * d + (m,) * d + (B,))
-    interleave = [ax for k in range(d) for ax in (k, d + k)] + [2 * d]
-    # digit pair k is the letter m*i + j = n*a + b; split it as (a, b)
-    Y = Y.transpose(interleave).reshape((m, n) * d + (B,))
-    regroup = list(range(1, 2 * d, 2)) + list(range(0, 2 * d, 2)) + [2 * d]
-    return Y.transpose(regroup).copy().reshape(-1, B)
-
-
-def _twist(Y, rep, pre, d, adjoint):
-    """Apply U (or U^H) of ``rep`` to the d axes of size n after ``pre``."""
-    if rep.is_standard:
-        return Y
-    n = rep.n
-    M = rep.U.conj().T if adjoint else rep.U
-    for k in range(d):
-        Y = np.matmul(M, Y.reshape(pre * n**k, n, -1))
-    return Y
+def _resplit(n, m):
+    """The depth-1 re-split P as an nm x nm 0/1 matrix: the source letter
+    p = m*i + j (digit pair (i, j)) is read as p = n*a + b and stored as the
+    digit pair (b, a), at index m*b + a."""
+    p = np.arange(n * m)
+    a, b = np.divmod(p, n)
+    P = np.zeros((n * m, n * m), dtype=complex)
+    P[m * b + a, p] = 1.0
+    return P
 
 
 class RMatrixOperator:
-    """The swap-implementing unitary on the depth-d span, in factored form.
+    """The swap-implementing unitary on the depth-d span, as R_1 and d.
 
+    ``r1`` is the nm x nm matrix R_1 = (U_1 (x) U_2) P (U_1 (x) U_2)^H, and
+    the operator is its d-th tensor power on the digit pairs.
     ``apply_dense`` maps arrays of shape (n^d, m^d, *batch); ``apply`` maps
     pair-indexed dict vectors and raises OutOfDomain for a basis pair
     outside the n^d x m^d block, which is the whole span.
@@ -174,6 +167,8 @@ class RMatrixOperator:
         self.depth = int(depth)
         self.rep1 = GPRepresentation.for_state(omega1)
         self.rep2 = GPRepresentation.for_state(omega2)
+        T = np.kron(self.rep1.U, self.rep2.U)
+        self.r1 = T @ _resplit(omega1.n, omega2.n) @ T.conj().T
 
     @property
     def shape(self):
@@ -194,11 +189,9 @@ class RMatrixOperator:
 
     @property
     def unitarity_residual(self):
-        """Worst entry of U^H U - I over both twists; R is T Pi T^H."""
-        return max(
-            float(np.max(np.abs(rep.U.conj().T @ rep.U - np.eye(rep.n))))
-            for rep in (self.rep1, self.rep2)
-        )
+        """Worst entry of R_1^H R_1 - I."""
+        dev = self.r1.conj().T @ self.r1 - np.eye(len(self.r1))
+        return float(np.max(np.abs(dev)))
 
     def apply_dense(self, X):
         """R applied to an array of shape (n^d, m^d, *batch)."""
@@ -210,11 +203,15 @@ class RMatrixOperator:
                 float(np.linalg.norm(X)),
                 f"array of shape {X.shape} outside the {self.dims} block",
             )
-        Y = X.reshape(self.rank, -1)
-        Y = _twist(_twist(Y, self.rep1, 1, d, True), self.rep2, n**d, d, True)
-        Y = _radix_permute(Y, n, m, d)
-        Y = _twist(_twist(Y, self.rep1, 1, d, False), self.rep2, n**d, d, False)
-        return Y.reshape(X.shape)
+        # digit pair k (the digit k of each leg) as axis k, the batch last
+        Y = X.reshape((n,) * d + (m,) * d + (-1,))
+        Y = Y.transpose([ax for k in range(d) for ax in (k, d + k)] + [2 * d])
+        for _ in range(d):
+            # R_1 on the leading digit pair, which moves to the back: one
+            # matrix product on a view, so the batch ends up in front
+            Y = Y.reshape(n * m, -1).T @ self.r1.T
+        legs = list(range(1, 2 * d, 2)) + list(range(2, 2 * d + 1, 2))
+        return Y.reshape((-1,) + (n, m) * d).transpose(legs + [0]).reshape(X.shape)
 
     def apply(self, vec):
         """Image of a pair-indexed dict vector; exact zeros are left out."""
@@ -222,10 +219,10 @@ class RMatrixOperator:
 
     def _permutation_rows(self):
         """Rows [a, b, a', b'] of the basis-pair permutation, sorted by (a, b)."""
-        n, m = self.shape
-        # entry t of the permuted index array is the source pair landing on t
-        src = _radix_permute(np.arange(self.rank).reshape(-1, 1), n, m, self.depth)
-        src = src.reshape(-1)
+        # R maps the index array to the array whose entry t is the source
+        # pair landing on t; a 0/1 product of integers below 2^53 is exact
+        index = np.arange(self.rank, dtype=float).reshape(*self.dims, 1)
+        src = self.apply_dense(index).real.astype(np.int64).reshape(-1)
         rows = np.empty((self.rank, 4), dtype=np.int64)
         rows[src, 0], rows[src, 1] = np.divmod(src, self.dims[1])
         rows[src, 2], rows[src, 3] = np.divmod(np.arange(self.rank), self.dims[1])
@@ -248,10 +245,6 @@ class RMatrixOperator:
             (_worst_column(self.apply_dense(E) - expected(E)) for E in basis_blocks(self.dims)),
             default=0.0,
         )
-
-    def is_identity(self, tol=0.0):
-        """Whether the operator fixes its whole span within ``tol``."""
-        return self.basis_residual(lambda E: E) <= tol
 
     def to_json(self):
         """Export form: states, depth, rank, both twists, and for standard

@@ -115,10 +115,6 @@ class GPState:
     def __call__(self, x):
         return gp_eval(self.z, x)
 
-    @property
-    def is_standard_basis(self):
-        return self.z == UnitVector.standard(self.n)
-
     def to_json(self):
         return {
             "n": self.n,

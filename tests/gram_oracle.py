@@ -33,8 +33,6 @@ from cuntzr.representations import (
     GPRepresentation,
     creation_words,
     lambda2,
-    vec_dist,
-    vec_norm,
 )
 from cuntzr.states import commutes
 
@@ -78,6 +76,19 @@ def orthonormalize_gram(G, tol=RANK_TOL):
         piv[r] = p
         r += 1
     return r, piv[:r].copy(), M[:r].copy(), C[:r].copy()
+
+
+def vec_norm(a):
+    return float(np.sqrt(sum(abs(v) ** 2 for v in a.values())))
+
+
+def vec_dist(a, b):
+    """Norm of a - b for dict vectors; no entry of the difference is
+    dropped, however small."""
+    diff = dict(a)
+    for k, v in b.items():
+        diff[k] = diff.get(k, 0j) - v
+    return vec_norm(diff)
 
 
 def pack_vectors(vectors, support=None):

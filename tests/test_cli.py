@@ -196,7 +196,7 @@ def test_scenario_round_trip(tmp_path):
         == 0
     )
     report = json.loads(path.read_text())
-    spec = ScenarioSpec.from_json(report["scenario"])
+    spec = ScenarioSpec(**report["scenario"])
     report2, _, _ = run_scenario(spec)
     assert report2["scenario"] == report["scenario"]
     assert report2["checks"] == report["checks"]

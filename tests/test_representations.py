@@ -15,12 +15,10 @@ from cuntzr.representations import (
     lambda2,
     lambda3,
     to_dense,
-    vec_dist,
-    vec_inner,
 )
 from cuntzr.errors import OutOfDomain, SpanTooLarge
 from cuntzr.states import GPState, UnitVector, gp_eval
-from gram_oracle import span_basis
+from gram_oracle import span_basis, vec_dist
 
 
 def random_unit(rng, n):
@@ -187,7 +185,8 @@ def test_lambda_inner_products_reproduce_the_state():
         for _ in range(50):
             x = AlgebraElement.monomial(random_monomial(rng, 2, max_len=2))
             y = AlgebraElement.monomial(random_monomial(rng, 2, max_len=2))
-            lhs = vec_inner(gns_lambda(rep, x), gns_lambda(rep, y))
+            a, b = gns_lambda(rep, x), gns_lambda(rep, y)
+            lhs = sum(v.conjugate() * b.get(k, 0) for k, v in a.items())
             rhs = gp_eval(z, x.adjoint() * y)
             assert abs(lhs - rhs) <= 1e-11
 
@@ -275,6 +274,44 @@ def test_dict_interface_preflights_the_grown_array(monkeypatch):
         act(rep, CuntzMonomial(2, (2, 2, 2, 2), ()), {1: 1.0})
 
 
+def test_preflight_without_an_address_space_limit_uses_available_memory(monkeypatch):
+    import resource
+
+    from cuntzr import representations
+
+    gib = 2**30
+    entries = 2 * gib // (6 * 16)  # a 2 GiB estimate at 6 copies of 16 bytes
+    monkeypatch.setattr(representations, "_available_memory", lambda: gib)
+    unlimited = (resource.RLIM_INFINITY, resource.RLIM_INFINITY)
+    monkeypatch.setattr(resource, "getrlimit", lambda which: unlimited)
+    with pytest.raises(SpanTooLarge) as err:
+        representations.preflight(entries, "a 2 GiB request")
+    assert err.value.limit == gib
+    representations.preflight(entries // 4, "a 512 MiB request")
+    # a set RLIMIT_AS stays the bound, above or below the available memory
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (3 * gib, 3 * gib))
+    representations.preflight(entries, "a 2 GiB request")
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (gib // 2, gib // 2))
+    with pytest.raises(SpanTooLarge) as err:
+        representations.preflight(entries // 2, "a 1 GiB request")
+    assert err.value.limit == gib // 2
+
+
+def test_available_memory_falls_back_to_the_physical_memory(monkeypatch):
+    import os
+
+    from cuntzr import representations
+
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    assert 0 < representations._available_memory() <= physical
+
+    def unreadable(*args, **kwargs):
+        raise OSError("no meminfo")
+
+    monkeypatch.setattr(representations, "open", unreadable, raising=False)
+    assert representations._available_memory() == physical
+
+
 # ---------------------------------------------------------------------------
 # span bases of the Gram oracle
 
@@ -325,7 +362,7 @@ def test_vec_dist_keeps_entries_below_the_amplitude_cutoff():
     # that prunes vector sums, yet together they are a distance of 9e-12
     a = {k: 1 for k in range(10**4)}
     b = {k: 1 + 9e-14j for k in range(10**4)}
-    assert vec_dist(a, b) == pytest.approx(9e-12, rel=1e-6)
+    assert abs(vec_dist(a, b) - 9e-12) <= 9e-18
     assert vec_dist(a, dict(a)) == 0.0
 
 

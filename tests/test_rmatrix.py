@@ -13,7 +13,7 @@ from cuntzr import cli, rmatrix
 from cuntzr.algebra import CuntzMonomial
 from cuntzr.coproduct import delta
 from cuntzr.errors import NotCommuting, OutOfDomain, SpanTooLarge
-from cuntzr.representations import flip_pairs, to_dense, vec_dist
+from cuntzr.representations import pad_to, to_dense
 from cuntzr.rmatrix import (
     RMatrixOperator,
     basis_blocks,
@@ -27,7 +27,7 @@ from cuntzr.rmatrix import (
     verify_ybe,
 )
 from cuntzr.states import GPState, UnitVector
-from gram_oracle import gram_r, pack_vectors, word_images
+from gram_oracle import gram_r, pack_vectors, vec_dist, word_images
 
 
 W2 = GPState.standard(2)
@@ -43,7 +43,7 @@ U3 = GPState.uniform(3)
 def test_swap_example_on_standard_pair():
     rmat = build_r(W2, W3, 1)
     assert rmat.apply({(1, 3): 1.0}) == {(1, 2): 1 + 0j}
-    assert not rmat.is_identity()
+    assert rmat.basis_residual(lambda E: E) > 0.0
     assert rmat.rank == 6
     assert rmat.unitarity_residual == 0.0
 
@@ -58,7 +58,8 @@ def test_equal_states_give_the_leg_swap():
         basis = gram_r(omega, omega, 2).basis
         for a in range(basis.rank):
             q = basis.orthobasis_vector(a)
-            assert vec_dist(rmat.apply(q), flip_pairs(q)) <= 1e-12
+            flipped = {(k2, k1): c for (k1, k2), c in q.items()}
+            assert vec_dist(rmat.apply(q), flipped) <= 1e-12
 
 
 def test_noncommuting_pair_is_rejected_with_witness():
@@ -128,6 +129,30 @@ def test_depth_stability_on_standard_pair():
     deep = build_r(W2, W3, 2)
     for vec in word_images(shallow.rep1, shallow.rep2, 1)[1]:
         assert shallow.apply(vec) == deep.apply(vec)
+    # R_1 fixes e_1 (x) e_1, so R_{d+1} on the zero-padded depth-d block is
+    # the zero-padded R_d image: exact for standard pairs
+    rng = np.random.default_rng(12)
+    x = np.array([0.6, 0.8j])
+    for pair, bound in (
+        ((W2, W3), 0.0),
+        ((U2, U3), 1e-14),
+        ((GPState(x), GPState(np.kron(x, x))), 1e-14),
+    ):
+        for d in (1, 2):
+            shallow, deep = build_r(*pair, d), build_r(*pair, d + 1)
+            X = rng.normal(size=(*shallow.dims, 3)) + 1j * rng.normal(size=(*shallow.dims, 3))
+            X /= np.linalg.norm(X.reshape(-1, 3), axis=0)
+            got = deep.apply_dense(pad_to(X, deep.dims))
+            want = pad_to(shallow.apply_dense(X), deep.dims)
+            assert np.max(np.abs(got - want)) <= bound
+
+
+def test_a_perturbed_r1_breaks_the_defining_relation():
+    for pair in ((W2, W3), (U2, U3)):
+        rmat = build_r(*pair, 2)
+        assert relation_residual(rmat, 2) <= 1e-14
+        rmat.r1[0, 1] += 1e-6
+        assert relation_residual(rmat, 2) >= 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +272,11 @@ def test_symmetry_chain_on_basis_pair():
     r23 = build_r(W2, W3, 1)
     r32 = build_r(W3, W2, 1)
     vec = {(1, 3): 1.0 + 0j}
-    step = flip_pairs(vec)                    # e_3 (x) e_1
+    flip = lambda v: {(k2, k1): c for (k1, k2), c in v.items()}
+    step = flip(vec)                          # e_3 (x) e_1
     step = r32.apply(step)                    # e_2 (x) e_2
     assert step == {(2, 2): 1 + 0j}
-    step = flip_pairs(step)
+    step = flip(step)
     step = r23.apply(step)
     assert step == {(1, 3): 1 + 0j}
 
