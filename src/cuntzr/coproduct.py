@@ -7,15 +7,29 @@ divisor pairs of each component index gives a coassociative comultiplication
 on the direct sum; the opposite comultiplication is the same map followed
 by the leg flip.
 
+Everything here rests on one primitive, ``_split(m, l, key)``: it maps one
+word pair of O_{m*l} to its pair of leg keys under phi_{m,l}, letter by
+letter, through two tables built once per (m, l). Entry w of the left
+table is the digit (w-1)//l + 1 and of the right table (w-1)%l + 1; an O_1
+leg has no table, its words collapse to the unit. ``phi``, ``delta``,
+``delta_op`` and ``expand_leg`` call it directly on the stored keys, with
+no intermediate algebra objects. Letterwise splitting is injective on word
+pairs, so the coproducts copy the already pruned coefficients of their
+input unchanged.
+
 Tensor elements of any number of legs are stored blockwise, keyed by the
 tuple of algebra indices of the legs, so a pair (or triple) of
 representations or states can project onto the single block it sees.
-Canonical equality of tensor elements is :func:`cuntzr.algebra.canonical_residual`,
-which applies the level expansion to every leg independently inside each
-block.
+The double coproducts are the two composition orders: ``f_r`` splits the
+right leg of the coproduct again, ``f_l`` the left leg, so coassociativity
+compares two different computations. Canonical equality of tensor elements
+is :func:`cuntzr.algebra.canonical_residual`, which applies the level
+expansion to every leg independently inside each block.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .algebra import (
     EQ_TOL,
@@ -28,29 +42,35 @@ from .algebra import (
 )
 from .errors import BadFactorization
 
+_UNIT = ((), ())
+
 
 def divisor_pairs(n):
     """Ordered factorizations (m, l) with m * l = n, in increasing m."""
     return [(m, n // m) for m in range(1, n + 1) if n % m == 0]
 
 
-def _split_key(key, n, m):
-    """Leg keys of one word pair of O_{n*m} under phi_{n,m}.
+@functools.lru_cache(maxsize=None)
+def _letter_tables(m, l):
+    """Digit lookups of phi_{m,l}: entry w is the left or right digit of letter w.
 
-    Letter w = m*(i-1) + j goes to i on the left leg and to j on the right;
-    an O_1 leg collapses to the unit.
+    Letter w = l*(i-1) + j has left digit i and right digit j. An O_1 leg
+    has no lookup (None); its words collapse to the unit.
     """
-    left = right = ((), ())
-    if n > 1:
-        left = tuple(tuple([(w - 1) // m + 1 for w in word]) for word in key)
-    if m > 1:
-        right = tuple(tuple([(w - 1) % m + 1 for w in word]) for word in key)
+    letters = range(m * l)
+    left = (0, *(w // l + 1 for w in letters)).__getitem__ if m > 1 else None
+    right = (0, *(w % l + 1 for w in letters)).__getitem__ if l > 1 else None
     return left, right
 
 
-def _phi_terms(n, m, x):
-    # letterwise splitting is injective on word pairs: no two terms collide
-    return {_split_key(key, n, m): c for key, c in x.items()}
+def _split(m, l, key):
+    """Leg keys (left, right) of one word pair of O_{m*l} under phi_{m,l}."""
+    left, right = _letter_tables(m, l)
+    u, v = key
+    return (
+        (tuple(map(left, u)), tuple(map(left, v))) if left else _UNIT,
+        (tuple(map(right, u)), tuple(map(right, v))) if right else _UNIT,
+    )
 
 
 class TensorElement:
@@ -76,6 +96,13 @@ class TensorElement:
                 if kept:
                     out[tuple(indices)] = kept
         self._blocks = out
+
+    @classmethod
+    def _from_pruned(cls, blocks):
+        """Wrap nonempty blocks of complex coefficients already above ``ZERO_TOL``."""
+        t = cls.__new__(cls)
+        t._blocks = blocks
+        return t
 
     @property
     def blocks(self):
@@ -132,7 +159,7 @@ class TensorElement:
 
     def flip(self):
         """Reverse the legs: block (m, l) with term a (x) b becomes (l, m), b (x) a."""
-        return TensorElement(
+        return TensorElement._from_pruned(
             {p[::-1]: {k[::-1]: c for k, c in t.items()} for p, t in self._blocks.items()}
         )
 
@@ -167,7 +194,11 @@ def phi(n, m, x):
         x = AlgebraElement.monomial(x)
     if x.n != n * m:
         raise BadFactorization(f"element of O_{x.n} does not factor as {n}*{m}")
-    return TensorElement({(n, m): _phi_terms(n, m, x)})
+    if x.is_zero:
+        return TensorElement()
+    return TensorElement._from_pruned(
+        {(n, m): {_split(n, m, key): c for key, c in x.items()}}
+    )
 
 
 def _components(x):
@@ -180,6 +211,18 @@ def _components(x):
     return x.components
 
 
+def _coproduct(x, opposite):
+    blocks = {}
+    for n, comp in sorted(_components(x).items()):
+        terms = comp.terms
+        for m, l in divisor_pairs(n):  # m * l = n: a block of its own
+            if opposite:
+                blocks[(l, m)] = {_split(m, l, key)[::-1]: c for key, c in terms.items()}
+            else:
+                blocks[(m, l)] = {_split(m, l, key): c for key, c in terms.items()}
+    return TensorElement._from_pruned(blocks)
+
+
 def delta(x):
     """Comultiplication: one block phi_{m,l}(x_n) per ordered divisor pair.
 
@@ -187,24 +230,22 @@ def delta(x):
     monomial of O_n produces exactly one pure tensor term per ordered
     divisor pair of n.
     """
-    blocks = {}
-    for n, comp in sorted(_components(x).items()):
-        for m, l in divisor_pairs(n):
-            blocks[(m, l)] = _phi_terms(m, l, comp)  # m * l = n: a block of its own
-    return TensorElement(blocks)
+    return _coproduct(x, opposite=False)
 
 
 def delta_op(x):
     """Opposite comultiplication: the coproduct followed by the leg flip."""
-    return delta(x).flip()
+    return _coproduct(x, opposite=True)
 
 
-def expand_leg(t, leg, comap):
-    """Apply a coproduct-like map to one leg of every term of ``t``.
+def expand_leg(t, leg, opposite=False):
+    """Apply the coproduct, or with ``opposite`` its opposite, to one leg of ``t``.
 
-    ``comap`` receives a single-term AlgebraElement and returns a
-    TensorElement whose legs replace leg number ``leg`` (1-based) of the
-    term, so a two-leg ``comap`` adds one leg. ``t`` may have any arity.
+    Leg number ``leg`` (1-based) of every term is split once per ordered
+    divisor pair of its algebra index, so the result has one leg more than
+    ``t``, which may have any arity. Output terms that meet are summed and
+    the sums pruned at ``ZERO_TOL``: with normalized words none meet, but a
+    hand-built ``t`` may hold keys that do.
     """
     blocks = {}
     i = leg - 1
@@ -212,35 +253,33 @@ def expand_leg(t, leg, comap):
         if not 0 <= i < len(indices):
             raise ValueError(f"leg {leg} outside 1..{len(indices)}")
         head, tail = indices[:i], indices[i + 1:]
-        for keys, c in terms.items():
-            inner = comap(AlgebraElement(indices[i], {keys[i]: 1.0}, _validate=False))
-            pre, post = keys[:i], keys[i + 1:]
-            for mid, inner_terms in inner.blocks.items():
-                dst = blocks.setdefault(head + mid + tail, {})
-                for mid_keys, c2 in inner_terms.items():
-                    key = pre + mid_keys + post
-                    dst[key] = dst.get(key, 0j) + c * c2
+        for m, l in divisor_pairs(indices[i]):
+            dst = blocks.setdefault(head + ((l, m) if opposite else (m, l)) + tail, {})
+            for keys, c in terms.items():
+                mid = _split(m, l, keys[i])
+                key = keys[:i] + (mid[::-1] if opposite else mid) + keys[i + 1:]
+                dst[key] = dst.get(key, 0j) + c
     return TensorElement(blocks)
 
 
 def f_r(x):
     """Right-expanded double coproduct (id (x) delta) o delta."""
-    return expand_leg(delta(x), 2, delta)
+    return expand_leg(delta(x), 2)
 
 
 def f_l(x):
     """Left-expanded double coproduct (delta (x) id) o delta."""
-    return expand_leg(delta(x), 1, delta)
+    return expand_leg(delta(x), 1)
 
 
 def f_r_op(x):
     """(id (x) delta_op) o delta_op; right expansion of the opposite coproduct."""
-    return expand_leg(delta_op(x), 2, delta_op)
+    return expand_leg(delta_op(x), 2, opposite=True)
 
 
 def f_l_op(x):
     """(delta_op (x) id) o delta_op; left expansion of the opposite coproduct."""
-    return expand_leg(delta_op(x), 1, delta_op)
+    return expand_leg(delta_op(x), 1, opposite=True)
 
 
 canonical_equal3 = canonical_equal  # the three-leg name callers already use

@@ -1,7 +1,9 @@
+import coproduct_oracle as oracle
 import numpy as np
 import pytest
 
-from cuntzr.algebra import AlgebraElement, CuntzMonomial
+from cuntzr import cli, coproduct
+from cuntzr.algebra import ZERO_TOL, AlgebraElement, CuntzMonomial, DirectSumElement
 from cuntzr.algebra import canonical_equal, canonical_residual
 from cuntzr.coproduct import (
     TensorElement,
@@ -113,8 +115,6 @@ def test_delta_unit_of_o1():
 
 
 def test_delta_on_direct_sums_collects_all_components():
-    from cuntzr.algebra import DirectSumElement
-
     x = DirectSumElement(
         {
             2: AlgebraElement.monomial(gen(2, 1)),
@@ -288,7 +288,7 @@ def test_perturbed_double_coproduct_reads_the_perturbation():
 def test_expand_leg_middle_of_three_legs():
     # (id (x) Delta (x) id) of a three-leg element adds a leg in the middle
     t = TensorElement({(2, 6, 3): {(key([1]), key([5]), UNIT): 2.0}})
-    out = expand_leg(t, 2, delta)
+    out = expand_leg(t, 2)
     for (m, l), terms in delta(gen(6, 5)).blocks.items():
         ((k1, k2), c), = terms.items()
         assert out.block(2, m, l, 3) == {(key([1]), k1, k2, UNIT): 2 * c}
@@ -298,12 +298,190 @@ def test_expand_leg_middle_of_three_legs():
 def test_four_leg_coassociativity():
     # the two outer expansions of a double coproduct agree at four legs
     for x in (gen(4, 3), CuntzMonomial(6, (5, 2), (3,)), CuntzMonomial.unit(4)):
-        lhs = expand_leg(f_r(x), 3, delta)
-        rhs = expand_leg(f_l(x), 1, delta)
+        lhs = expand_leg(f_r(x), 3)
+        rhs = expand_leg(f_l(x), 1)
         assert lhs.arity == 4
         assert canonical_residual(lhs, rhs) == 0.0
 
 
 def test_expand_leg_rejects_a_missing_leg():
     with pytest.raises(ValueError):
-        expand_leg(delta(gen(4, 1)), 3, delta)
+        expand_leg(delta(gen(4, 1)), 3)
+
+
+# ---------------------------------------------------------------------------
+# the split tables against the per-term and mixed-radix oracles
+
+ABOVE_CUTOFF = float(np.nextafter(ZERO_TOL, 1.0))
+BELOW_CUTOFF = float(np.nextafter(ZERO_TOL, 0.0))
+
+
+def _gaussian_element(rng, n, count, max_len=3):
+    """``count`` random word pairs of O_n with Gaussian-integer coefficients."""
+    terms = {}
+    for _ in range(count):
+        u = rng.integers(1, n + 1, size=rng.integers(0, max_len + 1))
+        v = rng.integers(1, n + 1, size=rng.integers(0, max_len + 1))
+        c = complex(*rng.integers(-3, 4, size=2)) or 1.0
+        terms[(tuple(u), tuple(v))] = c
+    return AlgebraElement(n, terms)
+
+
+def _oracle_samples():
+    rng = np.random.default_rng(71)
+    samples = [
+        CuntzMonomial.unit(1),
+        CuntzMonomial.unit(6),  # empty words
+        CuntzMonomial(12, (), (11,)),
+        AlgebraElement(4, {UNIT: 2 - 1j, ((3,), ()): 1j}),
+    ]
+    samples += [_gaussian_element(rng, n, 5) for n in (1, 2, 6, 12)]
+    samples.append(
+        DirectSumElement(
+            {n: _gaussian_element(rng, n, 3) for n in (1, 2, 4, 12)}
+        )
+    )
+    samples.append(_near_cutoff())
+    return samples
+
+
+def _near_cutoff():
+    # coefficients next to the prune cutoff: the one below is dropped on input
+    return AlgebraElement(
+        6, {((5, 1), (2,)): ABOVE_CUTOFF, ((4,), ()): BELOW_CUTOFF, UNIT: 1.0}
+    )
+
+
+def test_coproducts_keep_the_coefficient_above_the_prune_cutoff():
+    x = _near_cutoff()
+    assert sorted(abs(c) for _, c in x.items()) == [ABOVE_CUTOFF, 1.0]
+    for t in (delta(x), f_r(x), f_l_op(x)):
+        assert ABOVE_CUTOFF in {abs(c) for terms in t.blocks.values() for c in terms.values()}
+
+
+def test_phi_matches_the_per_term_oracle():
+    assert phi(2, 3, AlgebraElement.zero(6)).is_zero
+    for x in _oracle_samples():
+        for n, comp in oracle.components(x).items():
+            for m, l in divisor_pairs(n):
+                assert phi(m, l, comp).blocks == oracle.phi(m, l, comp).blocks
+
+
+def test_coproducts_match_the_per_term_oracle():
+    pairs = [
+        (delta, oracle.delta), (delta_op, oracle.delta_op),
+        (f_r, oracle.f_r), (f_l, oracle.f_l),
+        (f_r_op, oracle.f_r_op), (f_l_op, oracle.f_l_op),
+    ]
+    for x in _oracle_samples():
+        for fast, slow in pairs:
+            assert fast(x).blocks == slow(x).blocks, (fast.__name__, x)
+
+
+def test_coproducts_match_the_mixed_radix_split():
+    for x in _oracle_samples():
+        assert delta(x).blocks == oracle.radix_coproduct(x, 2).blocks
+        assert delta_op(x).blocks == oracle.radix_coproduct(x, 2, opposite=True).blocks
+        triple = oracle.radix_coproduct(x, 3).blocks
+        assert f_r(x).blocks == triple
+        assert f_l(x).blocks == triple
+        triple_op = oracle.radix_coproduct(x, 3, opposite=True).blocks
+        assert f_r_op(x).blocks == triple_op
+        assert f_l_op(x).blocks == triple_op
+
+
+def test_expand_leg_at_four_legs_matches_both_oracles():
+    for x in _oracle_samples():
+        quad = oracle.radix_coproduct(x, 4).blocks
+        quad_op = oracle.radix_coproduct(x, 4, opposite=True).blocks
+        for leg in (1, 2, 3):
+            t = f_r(x)
+            assert expand_leg(t, leg).blocks == quad
+            assert expand_leg(t, leg).blocks == oracle.expand_leg(t, leg, oracle.delta).blocks
+            t_op = f_l_op(x)
+            assert expand_leg(t_op, leg, opposite=True).blocks == quad_op
+            assert (
+                expand_leg(t_op, leg, opposite=True).blocks
+                == oracle.expand_leg(t_op, leg, oracle.delta_op).blocks
+            )
+
+
+def test_expand_leg_keeps_coefficients_at_the_prune_cutoff():
+    t = TensorElement(
+        {
+            (2, 6, 1): {
+                (key([1]), key([5], [6]), UNIT): ABOVE_CUTOFF,
+                (key([2]), key([3]), UNIT): BELOW_CUTOFF,
+            },
+            (1, 12, 2): {(UNIT, key([], [12]), key([2], [1])): 3 - 2j},
+        }
+    )
+    assert t.term_count() == 2  # the input drops the coefficient below
+    for leg in (1, 2, 3):
+        for opposite, comap in ((False, oracle.delta), (True, oracle.delta_op)):
+            got = expand_leg(t, leg, opposite=opposite)
+            assert got.blocks == oracle.expand_leg(t, leg, comap).blocks
+            assert got.term_count() == sum(
+                len(divisor_pairs(indices[leg - 1])) for indices in t.blocks
+            )
+
+
+# ---------------------------------------------------------------------------
+# a wrong split table, and the work the split tables do
+
+
+def _patch_split(monkeypatch, wrap):
+    real = coproduct._split
+    monkeypatch.setattr(coproduct, "_split", lambda m, l, k: wrap(m, l, real(m, l, k)))
+
+
+def _shift_right_digit_of_2_3(m, l, legs):
+    # negative control: the right digit of phi_{2,3} moved cyclically, j -> j % 3 + 1
+    if (m, l) != (2, 3):
+        return legs
+    left, right = legs
+    return left, tuple(tuple(j % 3 + 1 for j in word) for word in right)
+
+
+def test_a_shifted_split_fails_coassociativity_on_o12(monkeypatch, tmp_path):
+    _patch_split(monkeypatch, _shift_right_digit_of_2_3)
+    for i in range(1, 13):
+        assert not check_coassoc(gen(12, i))
+    out = tmp_path / "coassoc.json"
+    assert cli.main(["verify-coassoc", "--n", "12", "--out", str(out)]) == 1
+
+
+def test_the_radix_oracle_catches_a_shifted_split_on_o6(monkeypatch):
+    _patch_split(monkeypatch, _shift_right_digit_of_2_3)
+    for i in range(1, 7):
+        g = gen(6, i)
+        # on O_6 the shift is a consistent relabelling: both orders agree
+        assert check_coassoc(g, tol=0.0)
+        assert f_r(g).blocks != oracle.radix_coproduct(g, 3).blocks
+        assert delta(g).blocks != oracle.delta(g).blocks
+
+
+def test_word_splits_are_counted_once(monkeypatch):
+    calls = []
+
+    def count(m, l, legs):
+        calls.append((m, l))
+        return legs
+
+    _patch_split(monkeypatch, count)
+    mono = CuntzMonomial(60, (7, 59, 12), (30,))
+    # one split per divisor pair of 60, then one per divisor pair of each right index
+    f_r(mono)
+    assert len(calls) == 12 + 54
+    calls.clear()
+    f_l(mono)
+    assert len(calls) == 12 + 54
+    calls.clear()
+    assert check_coassoc(mono, tol=0.0)
+    assert len(calls) == 2 * (12 + 54)
+    calls.clear()
+    x = _gaussian_element(np.random.default_rng(3), 12, 4)
+    assert len(x.terms) == 4
+    assert check_coassoc(x, tol=0.0)
+    # d(12) = 6 and the divisors of 12 have 1+2+2+3+4+6 = 18 divisors
+    assert len(calls) == 4 * 2 * (6 + 18)
