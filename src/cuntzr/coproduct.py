@@ -12,10 +12,14 @@ word pair of O_{m*l} to its pair of leg keys under phi_{m,l}, letter by
 letter, through two tables built once per (m, l). Entry w of the left
 table is the digit (w-1)//l + 1 and of the right table (w-1)%l + 1; an O_1
 leg has no table, its words collapse to the unit. ``phi``, ``delta``,
-``delta_op`` and ``expand_leg`` call it directly on the stored keys, with
-no intermediate algebra objects. Letterwise splitting is injective on word
-pairs, so the coproducts copy the already pruned coefficients of their
-input unchanged.
+``delta_op``, ``split_leg`` and ``expand_leg`` call it directly on the
+stored keys, with no intermediate algebra objects. ``split_leg`` applies
+one phi_{m,l} to one leg of a tensor element, and ``expand_leg`` is its
+union over the ordered divisor pairs; composing ``phi`` with ``split_leg``
+gives a single block of a double coproduct, which is all that a triple of
+representations sees. Letterwise splitting is injective on word pairs, so
+the coproducts copy the already pruned coefficients of their input
+unchanged.
 
 Tensor elements of any number of legs are stored blockwise, keyed by the
 tuple of algebra indices of the legs, so a pair (or triple) of
@@ -238,27 +242,53 @@ def delta_op(x):
     return _coproduct(x, opposite=True)
 
 
+def _leg_index(indices, leg):
+    """0-based position of leg ``leg`` (1-based) in a block key."""
+    if not 1 <= leg <= len(indices):
+        raise ValueError(f"leg {leg} outside 1..{len(indices)}")
+    return leg - 1
+
+
+def _split_block(blocks, indices, terms, i, pairs, opposite):
+    """Add phi_{m,l}, or its flip, of leg ``i`` (0-based) of the terms of one
+    block to the output ``blocks``, for each ordered pair (m, l) of ``pairs``."""
+    head, tail = indices[:i], indices[i + 1:]
+    for m, l in pairs:
+        dst = blocks.setdefault(head + ((l, m) if opposite else (m, l)) + tail, {})
+        for keys, c in terms.items():
+            mid = _split(m, l, keys[i])
+            key = keys[:i] + (mid[::-1] if opposite else mid) + keys[i + 1:]
+            dst[key] = dst.get(key, 0j) + c
+
+
+def split_leg(t, leg, m, l, opposite=False):
+    """Apply phi_{m,l}, or with ``opposite`` its flip, to one leg of ``t``.
+
+    Leg number ``leg`` (1-based) of every term in a block whose algebra
+    index there is m*l is split once, so the result has one leg more than
+    ``t``, which may have any arity; the other blocks are left out. Output
+    terms that meet are summed and the sums pruned at ``ZERO_TOL``: with
+    normalized words none meet, but a hand-built ``t`` may hold keys that do.
+    """
+    blocks = {}
+    for indices, terms in t.blocks.items():
+        i = _leg_index(indices, leg)
+        if indices[i] == m * l:
+            _split_block(blocks, indices, terms, i, ((m, l),), opposite)
+    return TensorElement(blocks)
+
+
 def expand_leg(t, leg, opposite=False):
     """Apply the coproduct, or with ``opposite`` its opposite, to one leg of ``t``.
 
-    Leg number ``leg`` (1-based) of every term is split once per ordered
-    divisor pair of its algebra index, so the result has one leg more than
-    ``t``, which may have any arity. Output terms that meet are summed and
-    the sums pruned at ``ZERO_TOL``: with normalized words none meet, but a
-    hand-built ``t`` may hold keys that do.
+    The union of :func:`split_leg` over the ordered divisor pairs (m, l) of
+    each algebra index that leg ``leg`` (1-based) carries in ``t``, summed
+    and pruned in the same way.
     """
     blocks = {}
-    i = leg - 1
     for indices, terms in t.blocks.items():
-        if not 0 <= i < len(indices):
-            raise ValueError(f"leg {leg} outside 1..{len(indices)}")
-        head, tail = indices[:i], indices[i + 1:]
-        for m, l in divisor_pairs(indices[i]):
-            dst = blocks.setdefault(head + ((l, m) if opposite else (m, l)) + tail, {})
-            for keys, c in terms.items():
-                mid = _split(m, l, keys[i])
-                key = keys[:i] + (mid[::-1] if opposite else mid) + keys[i + 1:]
-                dst[key] = dst.get(key, 0j) + c
+        i = _leg_index(indices, leg)
+        _split_block(blocks, indices, terms, i, divisor_pairs(indices[i]), opposite)
     return TensorElement(blocks)
 
 

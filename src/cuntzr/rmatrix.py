@@ -25,10 +25,14 @@ The verifiers check, on span vectors, everything the construction promises:
 the conjugation identity carrying the coproduct to its opposite, the
 inversion symmetry through the leg flip, and the triple-product exchange
 identity, the latter against an independent symbolic expansion of the
-double opposite coproduct. They apply R to whole batches of vectors at
-once and measure residuals on the unpruned dense differences. A fixed
-counterexample scenario shows how the construction degenerates for a
-noncommuting pair.
+double opposite coproduct. A pair or triple of representations sees only
+the block of its algebra indices, so the verifiers expand only that
+block: ``phi`` for the coproducts, and ``phi`` followed by
+``coproduct.split_leg`` for the double coproducts. They apply R to whole
+batches of vectors at once, the exchange check to its words in chunks of
+bounded size, and measure residuals on the unpruned dense differences. A
+fixed counterexample scenario shows how the construction degenerates for
+a noncommuting pair.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import CuntzMonomial
-from .coproduct import delta, delta_op, f_l_op, f_r, f_r_op
+from .coproduct import delta, delta_op, phi, split_leg
 from .errors import NotCommuting, OutOfDomain
 from .representations import (
     GPRepresentation,
@@ -285,10 +289,14 @@ def _word_count(letters, depth):
     return sum(letters**t for t in range(depth + 1))
 
 
+def _column_norms(diff):
+    """Norm of each column of a difference batch (..., k)."""
+    return np.linalg.norm(diff.reshape(-1, diff.shape[-1]), axis=0)
+
+
 def _worst_column(diff):
     """Largest norm of a column of a difference batch (p, q, k)."""
-    cols = diff.reshape(-1, diff.shape[-1])
-    return float(np.max(np.linalg.norm(cols, axis=0))) if cols.size else 0.0
+    return float(np.max(_column_norms(diff))) if diff.size else 0.0
 
 
 def _worst_gap(A, B):
@@ -300,19 +308,23 @@ def _worst_gap(A, B):
     return _worst_column(diff)
 
 
-def _image(reps, t, dims):
-    """Legwise image of the cyclic vector e_1 (x) ... (x) e_1 under a tensor
-    element, zero-padded to the block ``dims``."""
-    return pad_to(act_dense(reps, t, np.ones((1,) * len(reps))), dims)
+def _pair_coproducts(n, m):
+    """The coproduct and its opposite restricted to the block (n, m), which
+    is all that a pair of representations of O_n and O_m sees: phi_{n,m}
+    and the flipped phi_{m,n}."""
+    return (lambda x: phi(n, m, x)), (lambda x: phi(m, n, x).flip())
 
 
-def _word_images(reps, op, N, depth, dims):
-    """Images of op(s_w), for the creation words w of O_N with length <=
-    depth, on the block ``dims``, stacked along a trailing axis."""
-    return np.stack(
-        [_image(reps, op(CuntzMonomial(N, w, ())), dims) for w in creation_words(N, depth)],
-        axis=-1,
-    )
+def _word_images(reps, op, N, words, dims):
+    """Images of the cyclic vector e_1 (x) ... (x) e_1 under op(s_w), for
+    the creation words w of O_N in ``words``, zero-padded to the block
+    ``dims`` and stacked along a trailing axis."""
+    out = np.zeros((*dims, len(words)), dtype=complex)
+    cyclic = np.ones((1,) * len(reps))
+    for k, w in enumerate(words):
+        img = act_dense(reps, op(CuntzMonomial(N, w, ())), cyclic)
+        out[(*map(slice, img.shape), k)] = img
+    return out
 
 
 def build_r(omega1, omega2, depth):
@@ -343,7 +355,10 @@ def relation_residual(rmat, max_len):
     max_len = min(max_len, rmat.depth)
     preflight(_word_count(N, max_len) * rmat.rank, "the defining-relation check")
     reps = (rmat.rep1, rmat.rep2)
-    V, W = (_word_images(reps, op, N, max_len, rmat.dims) for op in (delta, delta_op))
+    V, W = (
+        _word_images(reps, op, N, creation_words(N, max_len), rmat.dims)
+        for op in _pair_coproducts(*rmat.shape)
+    )
     return _worst_column(rmat.apply_dense(V) - W)
 
 
@@ -387,12 +402,15 @@ def verify_intertwining(rmat, test_words=None, span_depth=None, tol=BUILD_TOL):
         _word_count(N, span_depth) * N ** (rmat.depth + grow), "the intertwining check"
     )
     reps = (rmat.rep1, rmat.rep2)
-    V = _word_images(reps, delta, N, span_depth, (n1**span_depth, n2**span_depth))
+    coproduct, coproduct_op = _pair_coproducts(n1, n2)
+    V = _word_images(
+        reps, coproduct, N, creation_words(N, span_depth), (n1**span_depth, n2**span_depth)
+    )
     moved = rmat.apply_dense(pad_to(V, rmat.dims))
     report = VerificationReport(scenario="intertwining")
     for word in test_words:
-        lhs = rmat.apply_dense(pad_to(act_dense(reps, delta(word), V), rmat.dims))
-        rhs = act_dense(reps, delta_op(word), moved)
+        lhs = rmat.apply_dense(pad_to(act_dense(reps, coproduct(word), V), rmat.dims))
+        rhs = act_dense(reps, coproduct_op(word), moved)
         worst = _worst_gap(lhs, rhs)
         report.add(f"intertwine:{word.label()}", worst <= tol, worst)
     report.elapsed = time.perf_counter() - start
@@ -424,10 +442,13 @@ def verify_symmetry(omega1, omega2, depth, tol=BUILD_TOL, r12=None, r21=None):
 
 def _apply_on_legs(rmat, T, legs):
     """Apply a pairwise operator to two legs (0-based, ascending) of a dense
-    triple array, the parked leg riding along as the batch axis."""
-    order = (*legs, 3 - sum(legs))
+    triple array, the parked leg riding along with the trailing batch axes."""
+    order = (*legs, 3 - sum(legs), *range(3, T.ndim))
     out = rmat.apply_dense(T.transpose(order))
     return out.transpose(np.argsort(order))
+
+
+_YBE_CHUNK_ENTRIES = 2**12  # entries per stacked array of word images in the YBE check
 
 
 def verify_ybe(omega1, omega2, omega3, depth, tol=BUILD_TOL, rs=None):
@@ -437,8 +458,16 @@ def verify_ybe(omega1, omega2, omega3, depth, tol=BUILD_TOL, rs=None):
     orderings are applied leg pair by leg pair to the image of the
     right-expanded double coproduct, and both are compared with each other
     and with the legwise images of the two double opposite coproducts,
-    which the two orderings must reproduce. Each distinct state pair is
-    built once.
+    which the two orderings must reproduce. The states' representations
+    see only the block (a, b, c) of their algebra indices, so each image is
+    that block alone, composed from ``phi`` and ``split_leg``: the
+    right-expanded one splits the right leg of phi_{a,bc}(x), and the two
+    opposite ones split a leg of the flipped phi_{c,ab}(x) and
+    phi_{bc,a}(x) by the flipped phi_{b,a} and phi_{c,b}. The words' images
+    are stacked in chunks of at most ``_YBE_CHUNK_ENTRIES`` entries, and
+    each operator is applied once per chunk; every word still gets its own
+    record, whose residual is the largest column norm of the four
+    differences. Each distinct state pair is built once.
     """
     start = time.perf_counter()
     states = (omega1, omega2, omega3)
@@ -451,32 +480,40 @@ def verify_ybe(omega1, omega2, omega3, depth, tol=BUILD_TOL, rs=None):
     r12, r13, r23 = rs
     reps = [GPRepresentation.for_state(s) for s in states]
     dims = tuple(s.n**depth for s in states)
-    N = omega1.n * omega2.n * omega3.n
-    preflight(3 * int(np.prod(dims)), "the triple exchange check")
+    a, b, c = (s.n for s in states)
+    N = a * b * c
+    block = int(np.prod(dims))
+    step = max(1, _YBE_CHUNK_ENTRIES // block)  # words per chunk
+    preflight(3 * step * block, "the triple exchange check")
+    expansions = (  # the blocks (a, b, c) of f_r, f_l_op and f_r_op
+        lambda x: split_leg(phi(a, b * c, x), 2, b, c),
+        lambda x: split_leg(phi(c, a * b, x).flip(), 1, b, a, opposite=True),
+        lambda x: split_leg(phi(b * c, a, x).flip(), 2, c, b, opposite=True),
+    )
     report = VerificationReport(scenario="ybe")
     all_permutations = all(r.is_permutation for r in rs)
-    for word in creation_words(N, depth):
-        mono = CuntzMonomial(N, word, ())
-        t0 = _image(reps, f_r(mono), dims)
+    words = creation_words(N, depth)
+    for first in range(0, len(words), step):
+        chunk = words[first:first + step]
+        t0, oracle_l, oracle_r = (_word_images(reps, op, N, chunk, dims) for op in expansions)
         lhs = _apply_on_legs(r23, t0, (1, 2))
         lhs = _apply_on_legs(r13, lhs, (0, 2))
         lhs = _apply_on_legs(r12, lhs, (0, 1))
         rhs = _apply_on_legs(r12, t0, (0, 1))
         rhs = _apply_on_legs(r13, rhs, (0, 2))
         rhs = _apply_on_legs(r23, rhs, (1, 2))
-        oracle_l = _image(reps, f_l_op(mono), dims)
-        oracle_r = _image(reps, f_r_op(mono), dims)
-        worst = float(max(
-            np.linalg.norm(lhs - rhs),
-            np.linalg.norm(lhs - oracle_l),
-            np.linalg.norm(rhs - oracle_r),
-            np.linalg.norm(oracle_l - oracle_r),
-        ))
-        if all_permutations and worst > 0.0:
-            passed = False  # permutation paths must agree exactly
-        else:
-            passed = worst <= tol
-        report.add(f"ybe:{mono.label()}", passed, worst)
+        worst = np.max([
+            _column_norms(lhs - rhs),
+            _column_norms(lhs - oracle_l),
+            _column_norms(rhs - oracle_r),
+            _column_norms(oracle_l - oracle_r),
+        ], axis=0)
+        for word, res in zip(chunk, worst.tolist()):
+            if all_permutations and res > 0.0:
+                passed = False  # permutation paths must agree exactly
+            else:
+                passed = res <= tol
+            report.add(f"ybe:{CuntzMonomial(N, word, ()).label()}", passed, res)
     report.elapsed = time.perf_counter() - start
     return report
 

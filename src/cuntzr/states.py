@@ -73,20 +73,26 @@ def boxtimes(z, y):
     return UnitVector(np.kron(z.z, y.z))
 
 
+def _word_value(zz, key, val):
+    """``val`` times rho_z(s_u s_v*) for the word pair key = (u, v), with the
+    letters multiplied in one by one from the components ``zz`` of z."""
+    u, v = key
+    for l in u:
+        val *= zz[l - 1].conjugate()
+    for l in v:
+        val *= zz[l - 1]
+    return val
+
+
 def gp_eval(z, x):
     """Evaluate the state of ``z`` on an element or monomial of O_n."""
     x = as_element(x)
     if x.n != z.n:
         raise MismatchedAlgebra(f"state on O_{z.n}, element of O_{x.n}")
-    zz = z.z
+    zz = z.z.tolist()
     total = 0j
-    for (u, v), c in x.items():
-        val = complex(c)
-        for l in u:
-            val *= zz[l - 1].conjugate()
-        for l in v:
-            val *= zz[l - 1]
-        total += val
+    for key, c in x.items():
+        total += _word_value(zz, key, complex(c))
     return total
 
 
@@ -148,17 +154,26 @@ class StarComposite:
     def __call__(self, x):
         x = as_element(x, self.n)
         block = phi(self.left.n, self.right.n, x).block(self.left.n, self.right.n)
+        left, right = _key_values(self.left), _key_values(self.right)
         total = 0j
         for (key1, key2), c in block.items():
-            a = self.left(AlgebraElement(self.left.n, {key1: 1.0}, _validate=False))
+            a = left(key1)
             if a == 0:
                 continue
-            b = self.right(AlgebraElement(self.right.n, {key2: 1.0}, _validate=False))
-            total += c * a * b
+            total += c * a * right(key2)
         return total
 
     def __repr__(self):
         return f"StarComposite({self.left!r}, {self.right!r})"
+
+
+def _key_values(functional):
+    """The value of a functional on one word pair, as a function of its key:
+    straight from the vector of a state, else on the one-term element."""
+    if isinstance(functional, GPState):
+        zz = functional.z.z.tolist()
+        return lambda key: _word_value(zz, key, 1 + 0j)
+    return lambda key: functional(AlgebraElement(functional.n, {key: 1.0}, _validate=False))
 
 
 def star(omega, psi):

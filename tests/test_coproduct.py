@@ -17,6 +17,7 @@ from cuntzr.coproduct import (
     f_r,
     f_r_op,
     phi,
+    split_leg,
 )
 from cuntzr.errors import BadFactorization
 
@@ -424,6 +425,41 @@ def test_expand_leg_keeps_coefficients_at_the_prune_cutoff():
             assert got.term_count() == sum(
                 len(divisor_pairs(indices[leg - 1])) for indices in t.blocks
             )
+
+
+# ---------------------------------------------------------------------------
+# single blocks of the double coproducts through split_leg
+
+
+def test_single_block_compositions_equal_the_double_coproduct_blocks():
+    rng = np.random.default_rng(29)
+    for a, b, c in ((2, 3, 2), (3, 2, 2), (2, 3, 5), (3, 9, 3), (1, 2, 3)):
+        x = _gaussian_element(rng, a * b * c, 5)
+        assert len(x.terms) > 1
+        want_r = f_r(x).block(a, b, c)
+        want_l_op = f_l_op(x).block(a, b, c)
+        want_r_op = f_r_op(x).block(a, b, c)
+        assert want_r and want_l_op and want_r_op
+        assert split_leg(phi(a, b * c, x), 2, b, c).blocks == {(a, b, c): want_r}
+        assert (
+            split_leg(phi(c, a * b, x).flip(), 1, b, a, opposite=True).blocks
+            == {(a, b, c): want_l_op}
+        )
+        assert (
+            split_leg(phi(b * c, a, x).flip(), 2, c, b, opposite=True).blocks
+            == {(a, b, c): want_r_op}
+        )
+        for m, n in ((a, b * c), (a * b, c), (b, a * c)):
+            assert phi(m, n, x).flip().blocks == {(n, m): delta_op(x).block(n, m)}
+        # split_leg keeps only the blocks whose leg carries m*l
+        assert split_leg(delta(x), 2, b, c).blocks == {
+            p: t for p, t in f_r(x).blocks.items() if p[1:] == (b, c)
+        }
+
+
+def test_split_leg_rejects_a_missing_leg():
+    with pytest.raises(ValueError):
+        split_leg(delta(gen(4, 1)), 3, 2, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cuntzr import cli, rmatrix
+import ybe_oracle
+from cuntzr import cli, coproduct, rmatrix
 from cuntzr.algebra import CuntzMonomial
 from cuntzr.coproduct import delta
 from cuntzr.errors import NotCommuting, OutOfDomain, SpanTooLarge
-from cuntzr.representations import pad_to, to_dense
+from cuntzr.representations import GPRepresentation, pad_to, to_dense
 from cuntzr.rmatrix import (
     RMatrixOperator,
     basis_blocks,
@@ -303,6 +304,90 @@ def test_ybe_equal_triple():
 def test_ybe_uniform_triple():
     report = verify_ybe(U2, U3, GPState.uniform(2), 1)
     assert report.passed and report.max_residual <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the chunked YBE check against the per-word oracle
+
+
+def _triple_operators(states, depth):
+    return [build_r(states[i], states[j], depth) for i, j in ((0, 1), (0, 2), (1, 2))]
+
+
+def _oracle_records(states, depth, rs):
+    reps = [GPRepresentation.for_state(s) for s in states]
+    return ybe_oracle.ybe_records(reps, rs, depth)
+
+
+def _ybe_chunks(states, depth):
+    """Word count and words per chunk of verify_ybe on a triple."""
+    N = states[0].n * states[1].n * states[2].n
+    block = int(np.prod([s.n**depth for s in states]))
+    return rmatrix._word_count(N, depth), max(1, rmatrix._YBE_CHUNK_ENTRIES // block)
+
+
+def test_chunked_ybe_matches_the_per_word_oracle():
+    x = np.array([0.6, 0.8j])
+    X, XX = GPState(x), GPState(np.kron(x, x))
+    # (2, 3, 2) at depth 2: 157 words of 4 * 9 * 4 = 144 entries, 28 to a chunk
+    assert _ybe_chunks((W2, W3, W2), 2) == (157, 28)
+    for states, exact in (((W2, W3, W2), True), ((U2, U3, U2), False), ((X, XX, X), False)):
+        words, step = _ybe_chunks(states, 2)
+        assert words > 2 * step  # at least three chunks
+        rs = _triple_operators(states, 2)
+        report = verify_ybe(*states, 2, rs=rs)
+        want = _oracle_records(states, 2, rs)
+        assert [c.name for c in report.checks] == [name for name, _, _ in want]
+        assert [c.passed for c in report.checks] == [ok for _, ok, _ in want]
+        assert all(ok for _, ok, _ in want)
+        for check, (_, _, residual) in zip(report.checks, want):
+            if exact:
+                assert check.residual == residual == 0.0
+            else:
+                assert abs(check.residual - residual) <= 1e-15
+
+
+def test_chunked_ybe_fails_where_the_oracle_does_under_a_perturbed_r13():
+    states = (W2, W3, W2)
+    rs = _triple_operators(states, 2)
+    rs[1].r1[0, 1] += 1e-6
+    report = verify_ybe(*states, 2, rs=rs)
+    want = _oracle_records(states, 2, rs)
+    words, step = _ybe_chunks(states, 2)
+    for chunk in (range(0, step), range((words - 1) // step * step, words)):
+        failed = [k for k in chunk if not report.checks[k].passed]
+        assert failed, chunk
+        for k in failed:
+            assert not want[k][1]
+            assert report.checks[k].residual == pytest.approx(want[k][2], rel=0, abs=1e-15)
+            assert report.checks[k].residual >= 1e-7
+    assert [c.passed for c in report.checks] == [ok for _, ok, _ in want]
+
+
+def test_ybe_splits_six_times_per_word_and_applies_six_times_per_chunk(monkeypatch):
+    states = (W2, W3, W2)
+    rs = _triple_operators(states, 2)
+    splits, applies = [], []
+    real_split = coproduct._split
+    real_apply = RMatrixOperator.apply_dense
+
+    def split(m, l, key):
+        splits.append((m, l))
+        return real_split(m, l, key)
+
+    def apply_dense(self, X):
+        applies.append(X.shape)
+        return real_apply(self, X)
+
+    monkeypatch.setattr(coproduct, "_split", split)
+    monkeypatch.setattr(RMatrixOperator, "apply_dense", apply_dense)
+    assert verify_ybe(*states, 2, rs=rs).passed
+    words, step = _ybe_chunks(states, 2)
+    chunks = -(-words // step)
+    assert (words, chunks) == (157, 6)
+    assert len(splits) == 6 * words
+    assert len(applies) == 6 * chunks
+    assert max(int(np.prod(shape)) for shape in applies) <= rmatrix._YBE_CHUNK_ENTRIES
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from cuntzr import algebra
 from cuntzr.algebra import AlgebraElement, CuntzMonomial, iter_monomials, substitute_generators
+from cuntzr.coproduct import phi
 from cuntzr.errors import MismatchedAlgebra, NotUnitary
 from cuntzr.states import (
     GPState,
@@ -115,6 +117,39 @@ def test_star_matches_interleaved_state():
             for _ in range(20):
                 x = AlgebraElement.monomial(random_monomial(rng, n * m))
                 assert abs(prod(x) - gp_eval(boxed, x)) <= 1e-12
+
+
+def test_star_values_equal_gp_eval_on_the_per_term_elements(monkeypatch):
+    rng = np.random.default_rng(8)
+    cases = []
+    for n, m in ((2, 3), (3, 2), (3, 4), (2, 6)):
+        omega, psi = GPState(random_unit(rng, n)), GPState(random_unit(rng, m))
+        for _ in range(10):
+            terms = {}
+            for _ in range(4):
+                mono = random_monomial(rng, n * m)
+                terms[(mono.u, mono.v)] = complex(*rng.normal(size=2))
+            cases.append((omega, psi, AlgebraElement(n * m, terms)))
+    # the value term by term, as gp_eval gives it on one-term elements
+    want = []
+    for omega, psi, x in cases:
+        total = 0j
+        for (key1, key2), c in phi(omega.n, psi.n, x).block(omega.n, psi.n).items():
+            a = gp_eval(omega.z, AlgebraElement(omega.n, {key1: 1.0}))
+            if a != 0:
+                total += c * a * gp_eval(psi.z, AlgebraElement(psi.n, {key2: 1.0}))
+        want.append(total)
+    built = []
+    real_init = algebra.AlgebraElement.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(algebra.AlgebraElement, "__init__", init)
+    got = [star(omega, psi)(x) for omega, psi, x in cases]
+    assert not built  # no per-term algebra elements
+    assert [(v.real, v.imag) for v in got] == [(v.real, v.imag) for v in want]
 
 
 def test_star_is_associative_on_values():
