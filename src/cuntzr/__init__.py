@@ -11,7 +11,6 @@ construction satisfies.
 from .algebra import (
     AlgebraElement,
     CuntzMonomial,
-    DirectSumElement,
     canonical_equal,
     canonical_residual,
     level_expand,
@@ -81,7 +80,6 @@ __all__ = [
     "BadLevel",
     "CuntzMonomial",
     "CuntzrError",
-    "DirectSumElement",
     "GPRepresentation",
     "GPState",
     "MismatchedAlgebra",

@@ -355,86 +355,6 @@ def substitute_generators(x, matrix):
     return AlgebraElement(n, out, _validate=False)
 
 
-class DirectSumElement:
-    """Finitely supported map n -> AlgebraElement in the direct sum.
-
-    An absent index means the zero component; products are componentwise
-    because distinct summands annihilate each other.
-    """
-
-    __slots__ = ("_components",)
-
-    def __init__(self, components=None):
-        comps = {}
-        if components:
-            for n, x in components.items():
-                if x.n != int(n):
-                    raise MismatchedAlgebra(
-                        f"component keyed {n} has algebra index {x.n}"
-                    )
-                if not x.is_zero:
-                    comps[int(n)] = x
-        self._components = comps
-
-    @classmethod
-    def from_element(cls, x):
-        return cls({x.n: x})
-
-    @property
-    def components(self):
-        """Component map; treat as read-only."""
-        return self._components
-
-    def component(self, n):
-        return self._components.get(n, AlgebraElement.zero(n))
-
-    def indices(self):
-        return sorted(self._components)
-
-    @property
-    def is_zero(self):
-        return not self._components
-
-    def __add__(self, other):
-        out = dict(self._components)
-        for n, x in other._components.items():
-            out[n] = out[n] + x if n in out else x
-        return DirectSumElement(out)
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
-    def __mul__(self, other):
-        if isinstance(other, DirectSumElement):
-            out = {}
-            for n, x in self._components.items():
-                if n in other._components:
-                    out[n] = x * other._components[n]
-            return DirectSumElement(out)
-        return DirectSumElement(
-            {n: x * other for n, x in self._components.items()}
-        )
-
-    def __rmul__(self, scalar):
-        return self * scalar
-
-    def __neg__(self):
-        return (-1.0) * self
-
-    def adjoint(self):
-        return DirectSumElement(
-            {n: x.adjoint() for n, x in self._components.items()}
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, DirectSumElement):
-            return NotImplemented
-        return self._components == other._components
-
-    def __repr__(self):
-        return f"DirectSumElement({self._components!r})"
-
-
 def as_element(x, n=None):
     """Coerce a monomial or element to an AlgebraElement, checking the index."""
     if isinstance(x, CuntzMonomial):

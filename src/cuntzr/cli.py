@@ -178,18 +178,9 @@ def _validate(spec):
         errors.append(f"max-len must be >= 0, got {spec.max_len}")
     if spec.samples < 0:
         errors.append(f"samples must be >= 0, got {spec.samples}")
-    if spec.kind in (
-        "state-product",
-        "build-r",
-        "intertwine",
-        "symmetry",
-        "ybe",
-        "verify",
-    ):
+    if spec.kind in ("state-product", "build-r", "verify"):
         if spec.omega1 is None or spec.omega2 is None:
             errors.append(f"{spec.kind} needs --omega1 and --omega2")
-    if spec.kind == "ybe" and spec.omega3 is None:
-        errors.append("ybe needs --omega3")
     if spec.kind == "coassoc" and (spec.n is None or spec.n < 1):
         errors.append("coassoc needs --n >= 1")
     if spec.kind == "state-product" and spec.samples < 1:
@@ -276,25 +267,19 @@ def _run_build_r(spec):
     return report, rmat
 
 
-def _run_verify(spec, which):
+def _run_verify(spec):
     omega1 = _state(spec.omega1)
     omega2 = _state(spec.omega2)
     report = VerificationReport(scenario=spec.kind)
-    rmat = None
-    if which in ("intertwine", "symmetry", "all"):
-        rmat = build_r(omega1, omega2, spec.depth)
-    if which in ("intertwine", "all"):
-        rep = verify_intertwining(rmat, tol=spec.tol)
-        report.add("intertwine", rep.passed, rep.max_residual)
-    if which in ("symmetry", "all"):
-        rep = verify_symmetry(omega1, omega2, spec.depth, tol=spec.tol, r12=rmat)
-        report.add("inversion-symmetry", rep.passed, rep.max_residual)
-    if which in ("ybe", "all") and spec.omega3 is not None:
+    rmat = build_r(omega1, omega2, spec.depth)
+    rep = verify_intertwining(rmat, tol=spec.tol)
+    report.add("intertwine", rep.passed, rep.max_residual)
+    rep = verify_symmetry(omega1, omega2, spec.depth, tol=spec.tol, r12=rmat)
+    report.add("inversion-symmetry", rep.passed, rep.max_residual)
+    if spec.omega3 is not None:
         omega3 = _state(spec.omega3)
         rep = verify_ybe(omega1, omega2, omega3, spec.depth, tol=spec.tol)
         report.add("ybe", rep.passed, rep.max_residual)
-    elif which == "ybe":
-        raise SpecError(["ybe needs --omega3"])
     return report
 
 
@@ -393,10 +378,8 @@ def run_scenario(spec):
         result = _run_state_product(spec)
     elif spec.kind == "build-r":
         result, rmat = _run_build_r(spec)
-    elif spec.kind in ("intertwine", "symmetry", "ybe"):
-        result = _run_verify(spec, spec.kind)
     elif spec.kind == "verify":
-        result = _run_verify(spec, "all")
+        result = _run_verify(spec)
     elif spec.kind == "counterexample":
         result = counterexample_demo(tol=spec.tol)
     elif spec.kind == "all":

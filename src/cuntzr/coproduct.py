@@ -7,23 +7,30 @@ divisor pairs of each component index gives a coassociative comultiplication
 on the direct sum; the opposite comultiplication is the same map followed
 by the leg flip.
 
-Everything here rests on one primitive, ``_split(m, l, key)``: it maps one
-word pair of O_{m*l} to its pair of leg keys under phi_{m,l}, letter by
+Elements of the direct sum and of its tensor powers are one type,
+``TensorElement``, stored blockwise and keyed by the tuple of algebra
+indices of the legs: an element of the direct sum is a one-leg tensor
+element (``TensorElement.from_element``), and the coproduct (two legs) and
+the double coproducts (three legs) have more legs. The public constructor
+checks each key once, against the algebra index of its leg; everything
+built from checked keys is wrapped without a second pass. So a pair (or
+triple) of representations or states can project onto the single block it
+sees.
+
+Every coproduct is one leg split. The primitive ``_split(m, l, key)`` maps
+one word pair of O_{m*l} to its pair of leg keys under phi_{m,l}, letter by
 letter, through two tables built once per (m, l). Entry w of the left
 table is the digit (w-1)//l + 1 and of the right table (w-1)%l + 1; an O_1
-leg has no table, its words collapse to the unit. ``phi``, ``delta``,
-``delta_op``, ``split_leg`` and ``expand_leg`` call it directly on the
-stored keys, with no intermediate algebra objects. ``split_leg`` applies
-one phi_{m,l} to one leg of a tensor element, and ``expand_leg`` is its
-union over the ordered divisor pairs; composing ``phi`` with ``split_leg``
+leg has no table, its words collapse to the unit. ``split_leg`` applies one
+phi_{m,l} to one leg of a tensor element, and ``expand_leg`` is its union
+over the ordered divisor pairs. Letterwise splitting is injective on
+checked word pairs, so both copy the coefficients of their input unchanged,
+with no summing and no pruning. ``phi`` is ``split_leg`` on leg 1 of a
+one-leg element, Δ (``delta``) is ``expand_leg`` on leg 1, and Δ^op
+(``delta_op``) the same with the flip. Composing ``phi`` with ``split_leg``
 gives a single block of a double coproduct, which is all that a triple of
-representations sees. Letterwise splitting is injective on word pairs, so
-the coproducts copy the already pruned coefficients of their input
-unchanged.
+representations sees.
 
-Tensor elements of any number of legs are stored blockwise, keyed by the
-tuple of algebra indices of the legs, so a pair (or triple) of
-representations or states can project onto the single block it sees.
 The double coproducts are the two composition orders: ``f_r`` splits the
 right leg of the coproduct again, ``f_l`` the left leg, so coassociativity
 compares two different computations. Canonical equality of tensor elements
@@ -38,9 +45,8 @@ import functools
 from .algebra import (
     EQ_TOL,
     ZERO_TOL,
-    AlgebraElement,
-    CuntzMonomial,
-    DirectSumElement,
+    _check_word,
+    as_element,
     canonical_equal,
     mono_key_product,
 )
@@ -77,29 +83,58 @@ def _split(m, l, key):
     )
 
 
+def _checked_terms(indices, terms):
+    """Terms of one block with every leg key checked against its algebra
+    index; keys that meet once O_1 words collapse are summed."""
+    out = {}
+    for keys, c in terms.items():
+        if len(keys) != len(indices):
+            raise ValueError(f"{len(keys)}-leg key {keys!r} in block {indices}")
+        keys = tuple((_check_word(n, u), _check_word(n, v)) for n, (u, v) in zip(indices, keys))
+        if keys in out:
+            out[keys] += c
+        else:
+            out[keys] = c
+    return out
+
+
 class TensorElement:
     """Finite combination of tensor monomials, grouped by the legs' algebra indices.
 
     A block key is the tuple of algebra indices of the legs; its length is
-    the arity. Within a block, terms map the tuple of the legs' word-pair
-    keys to a coefficient. Coefficients with magnitude at or below
-    ``ZERO_TOL`` are pruned. Instances are treated as immutable.
+    the arity, and an element of the direct sum has one leg. Within a
+    block, terms map the tuple of the legs' word-pair keys to a
+    coefficient. Each key is checked once, here: it has one word pair per
+    leg, every letter lies in 1..n of its leg, and O_1 words collapse to
+    the unit, summing the terms that meet. Coefficients with magnitude at
+    or below ``ZERO_TOL`` are pruned. Instances are treated as immutable.
     """
 
     __slots__ = ("_blocks",)
 
-    def __init__(self, blocks=None):
+    def __init__(self, blocks=None, _validate=True):
         out = {}
         if blocks:
             for indices, terms in blocks.items():
+                indices = tuple(indices)
+                if _validate:
+                    terms = _checked_terms(indices, terms)
                 kept = {}
                 for keys, c in terms.items():
                     c = complex(c)
                     if abs(c) > ZERO_TOL:
                         kept[keys] = c
                 if kept:
-                    out[tuple(indices)] = kept
+                    out[indices] = kept
         self._blocks = out
+
+    @classmethod
+    def from_element(cls, x):
+        """The one-leg element {(n,): {(key,): c}} of a monomial or element of O_n."""
+        x = as_element(x)
+        if x.is_zero:
+            return cls()
+        return cls._from_pruned({(x.n,): {(key,): c for key, c in x.items()}})
 
     @classmethod
     def _from_pruned(cls, blocks):
@@ -134,7 +169,7 @@ class TensorElement:
             dst = out.setdefault(p, {})
             for key, c in terms.items():
                 dst[key] = dst.get(key, 0j) + c
-        return TensorElement(out)
+        return TensorElement(out, _validate=False)
 
     def __sub__(self, other):
         return self + (-1.0) * other
@@ -142,7 +177,8 @@ class TensorElement:
     def __rmul__(self, scalar):
         c = complex(scalar)
         return TensorElement(
-            {p: {k: c * v for k, v in t.items()} for p, t in self._blocks.items()}
+            {p: {k: c * v for k, v in t.items()} for p, t in self._blocks.items()},
+            _validate=False,
         )
 
     def __mul__(self, other):
@@ -159,7 +195,7 @@ class TensorElement:
                     keys = tuple(map(mono_key_product, a_keys, b_keys))
                     if None not in keys:
                         dst[keys] = dst.get(keys, 0j) + c1 * c2
-        return TensorElement(out)
+        return TensorElement(out, _validate=False)
 
     def flip(self):
         """Reverse the legs: block (m, l) with term a (x) b becomes (l, m), b (x) a."""
@@ -168,7 +204,7 @@ class TensorElement:
         )
 
     def adjoint(self):
-        return TensorElement(
+        return TensorElement._from_pruned(
             {
                 p: {tuple((v, u) for u, v in k): c.conjugate() for k, c in t.items()}
                 for p, t in self._blocks.items()
@@ -194,52 +230,35 @@ def phi(n, m, x):
     1 <= i <= n and 1 <= j <= m; creation and annihilation words map letter
     by letter, so every input term yields exactly one tensor term.
     """
-    if isinstance(x, CuntzMonomial):
-        x = AlgebraElement.monomial(x)
+    x = as_element(x)
     if x.n != n * m:
         raise BadFactorization(f"element of O_{x.n} does not factor as {n}*{m}")
-    if x.is_zero:
-        return TensorElement()
-    return TensorElement._from_pruned(
-        {(n, m): {_split(n, m, key): c for key, c in x.items()}}
-    )
+    return split_leg(TensorElement.from_element(x), 1, n, m)
 
 
-def _components(x):
-    if isinstance(x, CuntzMonomial):
-        x = AlgebraElement.monomial(x)
-    if isinstance(x, AlgebraElement):
-        x = DirectSumElement.from_element(x)
-    if not isinstance(x, DirectSumElement):
-        raise TypeError(f"cannot take the coproduct of {type(x).__name__}")
-    return x.components
-
-
-def _coproduct(x, opposite):
-    blocks = {}
-    for n, comp in sorted(_components(x).items()):
-        terms = comp.terms
-        for m, l in divisor_pairs(n):  # m * l = n: a block of its own
-            if opposite:
-                blocks[(l, m)] = {_split(m, l, key)[::-1]: c for key, c in terms.items()}
-            else:
-                blocks[(m, l)] = {_split(m, l, key): c for key, c in terms.items()}
-    return TensorElement._from_pruned(blocks)
+def _one_leg(x):
+    """A monomial, algebra element or one-leg tensor element as a one-leg tensor."""
+    if not isinstance(x, TensorElement):
+        return TensorElement.from_element(x)
+    if x.arity not in (None, 1):
+        raise TypeError(f"cannot take the coproduct of a {x.arity}-leg tensor element")
+    return x
 
 
 def delta(x):
     """Comultiplication: one block phi_{m,l}(x_n) per ordered divisor pair.
 
-    Accepts a CuntzMonomial, AlgebraElement, or DirectSumElement. A single
-    monomial of O_n produces exactly one pure tensor term per ordered
-    divisor pair of n.
+    Accepts a CuntzMonomial, an AlgebraElement or a one-leg TensorElement,
+    which is an element of the direct sum, and splits its one leg with
+    :func:`expand_leg`. A single monomial of O_n produces exactly one pure
+    tensor term per ordered divisor pair of n.
     """
-    return _coproduct(x, opposite=False)
+    return expand_leg(_one_leg(x), 1)
 
 
 def delta_op(x):
     """Opposite comultiplication: the coproduct followed by the leg flip."""
-    return _coproduct(x, opposite=True)
+    return expand_leg(_one_leg(x), 1, opposite=True)
 
 
 def _leg_index(indices, leg):
@@ -250,15 +269,17 @@ def _leg_index(indices, leg):
 
 
 def _split_block(blocks, indices, terms, i, pairs, opposite):
-    """Add phi_{m,l}, or its flip, of leg ``i`` (0-based) of the terms of one
-    block to the output ``blocks``, for each ordered pair (m, l) of ``pairs``."""
+    """Write phi_{m,l}, or its flip, of leg ``i`` (0-based) of the terms of one
+    block into the output ``blocks``, one block per ordered pair (m, l) of
+    ``pairs``. Checked keys split injectively and each output block comes
+    from one input block, so the terms are written, not summed."""
     head, tail = indices[:i], indices[i + 1:]
     for m, l in pairs:
-        dst = blocks.setdefault(head + ((l, m) if opposite else (m, l)) + tail, {})
+        out = {}
         for keys, c in terms.items():
             mid = _split(m, l, keys[i])
-            key = keys[:i] + (mid[::-1] if opposite else mid) + keys[i + 1:]
-            dst[key] = dst.get(key, 0j) + c
+            out[keys[:i] + (mid[::-1] if opposite else mid) + keys[i + 1:]] = c
+        blocks[head + ((l, m) if opposite else (m, l)) + tail] = out
 
 
 def split_leg(t, leg, m, l, opposite=False):
@@ -266,30 +287,28 @@ def split_leg(t, leg, m, l, opposite=False):
 
     Leg number ``leg`` (1-based) of every term in a block whose algebra
     index there is m*l is split once, so the result has one leg more than
-    ``t``, which may have any arity; the other blocks are left out. Output
-    terms that meet are summed and the sums pruned at ``ZERO_TOL``: with
-    normalized words none meet, but a hand-built ``t`` may hold keys that do.
+    ``t``, which may have any arity; the other blocks are left out. The
+    coefficients are copied unchanged.
     """
     blocks = {}
     for indices, terms in t.blocks.items():
         i = _leg_index(indices, leg)
         if indices[i] == m * l:
             _split_block(blocks, indices, terms, i, ((m, l),), opposite)
-    return TensorElement(blocks)
+    return TensorElement._from_pruned(blocks)
 
 
 def expand_leg(t, leg, opposite=False):
     """Apply the coproduct, or with ``opposite`` its opposite, to one leg of ``t``.
 
     The union of :func:`split_leg` over the ordered divisor pairs (m, l) of
-    each algebra index that leg ``leg`` (1-based) carries in ``t``, summed
-    and pruned in the same way.
+    each algebra index that leg ``leg`` (1-based) carries in ``t``.
     """
     blocks = {}
     for indices, terms in t.blocks.items():
         i = _leg_index(indices, leg)
         _split_block(blocks, indices, terms, i, divisor_pairs(indices[i]), opposite)
-    return TensorElement(blocks)
+    return TensorElement._from_pruned(blocks)
 
 
 def f_r(x):

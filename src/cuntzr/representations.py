@@ -263,8 +263,7 @@ def act_legs(reps, t, vec):
 
 def act_element(rep, x, vec):
     """Apply an element of O_n in the representation to a dict vector."""
-    x = as_element(x, rep.n)
-    t = TensorElement({(rep.n,): {(key,): c for key, c in x.items()}})
+    t = TensorElement.from_element(as_element(x, rep.n))
     out = act_legs((rep,), t, {(k,): a for k, a in vec.items()})
     return {k: a for (k,), a in out.items()}
 

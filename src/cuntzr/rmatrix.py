@@ -38,7 +38,6 @@ a noncommuting pair.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,11 +82,10 @@ class CheckRecord:
 
 @dataclass
 class VerificationReport:
-    """A scenario id with its list of checks and wall-clock time."""
+    """A scenario id with its list of checks."""
 
     scenario: str
     checks: list = field(default_factory=list)
-    elapsed: float = 0.0
 
     @property
     def passed(self):
@@ -100,15 +98,12 @@ class VerificationReport:
     def add(self, name, passed, residual, witness=None):
         self.checks.append(CheckRecord(name, bool(passed), float(residual), witness))
 
-    def to_json(self, include_timings=False):
-        out = {
+    def to_json(self):
+        return {
             "scenario": self.scenario,
             "checks": [c.to_json() for c in self.checks],
             "pass": self.passed,
         }
-        if include_timings:
-            out["timings"] = {"total_s": float(self.elapsed)}
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +372,6 @@ def verify_intertwining(rmat, test_words=None, span_depth=None, tol=BUILD_TOL):
     R is applied once to all span vectors, and once per test word to their
     coproduct images.
     """
-    start = time.perf_counter()
     n1, n2 = rmat.shape
     N = n1 * n2
     if test_words is None:
@@ -413,22 +407,19 @@ def verify_intertwining(rmat, test_words=None, span_depth=None, tol=BUILD_TOL):
         rhs = act_dense(reps, coproduct_op(word), moved)
         worst = _worst_gap(lhs, rhs)
         report.add(f"intertwine:{word.label()}", worst <= tol, worst)
-    report.elapsed = time.perf_counter() - start
     return report
 
 
-def verify_symmetry(omega1, omega2, depth, tol=BUILD_TOL, r12=None, r21=None):
+def verify_symmetry(omega1, omega2, depth, tol=BUILD_TOL, r12=None):
     """Inversion symmetry: the operator, composed with its reversed-pair
     partner through leg flips, is the identity on the span.
 
     Checked on the standard basis of the span, in blocks. For equal states
     the reversed-pair partner is the operator itself.
     """
-    start = time.perf_counter()
     if r12 is None:
         r12 = build_r(omega1, omega2, depth)
-    if r21 is None:
-        r21 = r12 if omega1 == omega2 else build_r(omega2, omega1, depth)
+    r21 = r12 if omega1 == omega2 else build_r(omega2, omega1, depth)
     worst = 0.0
     for E in basis_blocks(r12.dims):
         step = r21.apply_dense(E.transpose(1, 0, 2))
@@ -436,7 +427,6 @@ def verify_symmetry(omega1, omega2, depth, tol=BUILD_TOL, r12=None, r21=None):
         worst = max(worst, _worst_column(step - E))
     report = VerificationReport(scenario="inversion-symmetry")
     report.add("inversion-symmetry", worst <= tol, worst)
-    report.elapsed = time.perf_counter() - start
     return report
 
 
@@ -469,7 +459,6 @@ def verify_ybe(omega1, omega2, omega3, depth, tol=BUILD_TOL, rs=None):
     record, whose residual is the largest column norm of the four
     differences. Each distinct state pair is built once.
     """
-    start = time.perf_counter()
     states = (omega1, omega2, omega3)
     if rs is None:
         built = []
@@ -514,7 +503,6 @@ def verify_ybe(omega1, omega2, omega3, depth, tol=BUILD_TOL, rs=None):
             else:
                 passed = res <= tol
             report.add(f"ybe:{CuntzMonomial(N, word, ()).label()}", passed, res)
-    report.elapsed = time.perf_counter() - start
     return report
 
 
@@ -528,7 +516,6 @@ def counterexample_demo(tol=BUILD_TOL):
     to an orthogonal one, so no unitary can satisfy the conjugation
     identity, and the construction rejects the pair with a witness.
     """
-    start = time.perf_counter()
     report = VerificationReport(scenario="counterexample")
     omega = GPState.standard(2)
     # the flip twist of the standard state is the second basis vector
@@ -574,5 +561,4 @@ def counterexample_demo(tol=BUILD_TOL):
         star_gap(omega, omega_bar, x),
         witness=label,
     )
-    report.elapsed = time.perf_counter() - start
     return report

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import AlgebraElement, as_element, iter_monomials
+from .algebra import EQ_TOL, AlgebraElement, as_element, iter_monomials
 from .coproduct import phi
 from .errors import MismatchedAlgebra, NotUnitary
 
 NORM_TOL = 1e-12     # unit-vector normalization tolerance
 UNITARY_TOL = 1e-10  # column-orthonormality tolerance for twists
-COMMUTE_TOL = 1e-12  # componentwise tolerance of the commutation test
 
 
 class UnitVector:
@@ -194,7 +193,7 @@ def star_gap(omega, psi, mono):
     return abs(star(omega, psi)(x) - star(psi, omega)(x))
 
 
-def commutes(omega, psi, tol=COMMUTE_TOL):
+def commutes(omega, psi, tol=EQ_TOL):
     """Whether the two product functionals of a state pair coincide.
 
     Distinct unit vectors give distinct states, so the componentwise

@@ -18,17 +18,19 @@ of the tests.
 
 from __future__ import annotations
 
-from cuntzr.algebra import AlgebraElement, CuntzMonomial, DirectSumElement
+from cuntzr.algebra import AlgebraElement, CuntzMonomial
 from cuntzr.coproduct import TensorElement
 
 
 def components(x):
-    """Component map {n: AlgebraElement} of a monomial, element or direct sum."""
+    """Component map {n: AlgebraElement} of a monomial, an element, or an
+    element of the direct sum stored as a one-leg tensor element."""
     if isinstance(x, CuntzMonomial):
         x = AlgebraElement.monomial(x)
     if isinstance(x, AlgebraElement):
-        x = DirectSumElement.from_element(x)
-    return x.components
+        return {x.n: x}
+    return {n: AlgebraElement(n, {k: c for (k,), c in terms.items()})
+            for (n,), terms in x.blocks.items()}
 
 
 def factorizations(n, k):

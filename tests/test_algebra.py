@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from cuntzr.algebra import (
     AlgebraElement,
     CuntzMonomial,
-    DirectSumElement,
     canonical_equal,
     canonical_residual,
     iter_monomials,
@@ -14,6 +13,7 @@ from cuntzr.algebra import (
     mono_product,
     substitute_generators,
 )
+from cuntzr.coproduct import TensorElement
 from cuntzr.errors import BadLevel, MismatchedAlgebra
 from cuntzr.states import UnitVector, gp_eval
 
@@ -293,31 +293,38 @@ def test_o1_level_expand_is_trivial():
 
 
 # ---------------------------------------------------------------------------
-# direct sums
+# direct sums: one-leg tensor elements, one block per summand
+
+
+def one_leg(*parts):
+    """The direct sum of the given algebra elements as a one-leg tensor element."""
+    out = TensorElement()
+    for x in parts:
+        out = out + TensorElement.from_element(x)
+    return out
 
 
 def test_direct_sum_componentwise_product():
-    x = DirectSumElement(
-        {2: AlgebraElement.unit(2), 3: elem(3, {((1,), ()): 1.0})}
-    )
-    y = DirectSumElement({2: elem(2, {((2,), ()): 1.0})})
+    x = one_leg(AlgebraElement.unit(2), elem(3, {((1,), ()): 1.0}))
+    y = one_leg(elem(2, {((2,), ()): 1.0}))
     out = x * y
-    assert out.indices() == [2]
-    assert out.component(2).terms == {((2,), ()): 1 + 0j}
-    assert out.component(3).is_zero
+    assert sorted(out.blocks) == [(2,)]
+    assert out.block(2) == {(((2,), ()),): 1 + 0j}
+    assert out.block(3) == {}
 
 
 def test_direct_sum_add_and_adjoint():
-    x = DirectSumElement.from_element(elem(2, {((1,), ()): 1j}))
-    y = DirectSumElement.from_element(elem(4, {((2,), ()): 1.0}))
+    x = TensorElement.from_element(elem(2, {((1,), ()): 1j}))
+    y = TensorElement.from_element(elem(4, {((2,), ()): 1.0}))
     s = (x + y).adjoint()
-    assert s.component(2).terms == {((), (1,)): -1j}
-    assert s.component(4).terms == {((), (2,)): 1 + 0j}
+    assert s.block(2) == {(((), (1,)),): -1j}
+    assert s.block(4) == {(((), (2,)),): 1 + 0j}
 
 
 def test_direct_sum_rejects_bad_key():
-    with pytest.raises(MismatchedAlgebra):
-        DirectSumElement({3: AlgebraElement.unit(2)})
+    # a key of O_4 filed under the summand O_3
+    with pytest.raises(ValueError):
+        TensorElement({(3,): {(((4,), ()),): 1.0}})
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,12 @@ import cuntzr.coproduct
 import cuntzr.representations
 
 
+def test_every_exported_name_resolves_once():
+    assert len(cuntzr.__all__) == len(set(cuntzr.__all__))
+    for name in cuntzr.__all__:
+        assert getattr(cuntzr, name, None) is not None, name
+
+
 def test_three_leg_tensor_construction_and_sum():
     mono = cuntzr.CuntzMonomial(12, (1, 5, 7, 3), (2, 9, 4))
     left = cuntzr.f_l(mono)

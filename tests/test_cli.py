@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from cuntzr.cli import ScenarioSpec, main, run_scenario, stable_json
+from cuntzr.errors import SpecError
 
 try:
     import jsonschema
@@ -327,10 +330,21 @@ def test_tolerance_defaults_per_kind(monkeypatch):
     monkeypatch.delenv("CUNTZR_TOL", raising=False)
     assert _resolve_tol(None, "coassoc") == EQ_TOL == 1e-12
     assert _resolve_tol(None, "state-product") == EQ_TOL
-    for kind in ("build-r", "intertwine", "symmetry", "ybe", "verify", "counterexample", "all"):
+    for kind in ("build-r", "verify", "counterexample", "all"):
         assert _resolve_tol(None, kind) == BUILD_TOL == 1e-9
     assert ScenarioSpec(kind="all").tol == BUILD_TOL
     assert _resolve_tol(1e-5, "coassoc") == 1e-5
+
+
+def test_only_the_subcommand_kinds_run():
+    # no subcommand produces the kinds intertwine, symmetry or ybe; `verify`
+    # runs all three checks
+    states = {"omega1": {"uniform": 2}, "omega2": {"uniform": 3}, "omega3": {"uniform": 2}}
+    for kind in ("intertwine", "symmetry", "ybe"):
+        with pytest.raises(SpecError, match=f"unknown scenario kind '{kind}'"):
+            run_scenario(ScenarioSpec(kind=kind, **states))
+    enum = load_schema("report.schema.json")["properties"]["scenario"]["properties"]["kind"]
+    assert not {"intertwine", "symmetry", "ybe"} & set(enum["enum"])
 
 
 def test_coassoc_needs_a_positive_index(capsys):

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from cuntzr import cli, coproduct
-from cuntzr.algebra import ZERO_TOL, AlgebraElement, CuntzMonomial, DirectSumElement
+from cuntzr.algebra import ZERO_TOL, AlgebraElement, CuntzMonomial
 from cuntzr.algebra import canonical_equal, canonical_residual
 from cuntzr.coproduct import (
     TensorElement,
@@ -116,12 +116,7 @@ def test_delta_unit_of_o1():
 
 
 def test_delta_on_direct_sums_collects_all_components():
-    x = DirectSumElement(
-        {
-            2: AlgebraElement.monomial(gen(2, 1)),
-            4: AlgebraElement.monomial(gen(4, 1)),
-        }
-    )
+    x = TensorElement.from_element(gen(2, 1)) + TensorElement.from_element(gen(4, 1))
     t = delta(x)
     # blocks (1,2), (2,1) from the O_2 part and (1,4), (2,2), (4,1) from O_4
     assert set(t.blocks) == {(1, 2), (2, 1), (1, 4), (2, 2), (4, 1)}
@@ -145,6 +140,68 @@ def test_delta_op_flips_blocks():
     assert t.block(2, 2) == {(key([2]), key([1])): 1 + 0j}
     t = delta_op(CuntzMonomial.unit(1))
     assert t.blocks == {(1, 1): {(UNIT, UNIT): 1 + 0j}}
+
+
+# ---------------------------------------------------------------------------
+# keys are checked where a tensor element is built
+
+
+def test_tensor_element_rejects_letters_outside_the_leg():
+    for letter in (0, -1, 4):
+        with pytest.raises(ValueError, match="outside 1..3"):
+            TensorElement({(2, 3): {(key([1]), key([letter])): 1.0}})
+        with pytest.raises(ValueError, match="outside 1..3"):
+            TensorElement({(3,): {(key([], [2, letter]),): 1.0}})
+
+
+def test_tensor_element_rejects_a_key_with_the_wrong_number_of_legs():
+    with pytest.raises(ValueError, match="2-leg key"):
+        TensorElement({(2, 3, 2): {(key([1]), key([2])): 1.0}})
+    with pytest.raises(ValueError, match="1-leg key"):
+        TensorElement({(2, 3): {(key([1]),): 1.0}})
+
+
+def test_tensor_element_collapses_and_sums_o1_words():
+    t = TensorElement(
+        {
+            (1, 2): {(key([1]), key([2])): 1.0, (key([], [1, 1]), key([2])): 2j, (UNIT, UNIT): 1},
+            (2, 1): {(key([1]), key([1])): 1.0, (key([1]), UNIT): -1.0},
+        }
+    )
+    assert t.blocks == {(1, 2): {(UNIT, key([2])): 1 + 2j, (UNIT, UNIT): 1 + 0j}}
+    with pytest.raises(ValueError, match="outside 1..1"):
+        TensorElement({(1,): {(key([2]),): 1.0}})
+
+
+def test_bad_letters_stop_at_construction():
+    # past the constructor, letter 0 of O_2 would index column -1 of a twist
+    # and letter -1 of O_6 would split as letter 6
+    with pytest.raises(ValueError, match="letter 0 outside 1..2"):
+        TensorElement({(2, 3): {(key([0]), key([1])): 1}})
+    with pytest.raises(ValueError, match="letter -1 outside 1..6"):
+        TensorElement({(6,): {(key([-1]),): 1}})
+
+
+def test_from_element_is_the_one_leg_tensor():
+    mono = CuntzMonomial(4, (3, 1), (2,))
+    assert TensorElement.from_element(mono).blocks == {(4,): {(key([3, 1], [2]),): 1 + 0j}}
+    x = AlgebraElement(6, {UNIT: 2 - 1j, ((5,), (1, 6)): 1j})
+    t = TensorElement.from_element(x)
+    assert t.arity == 1
+    assert t.blocks == {(6,): {(UNIT,): 2 - 1j, (key([5], [1, 6]),): 1j}}
+    assert t == TensorElement({(6,): {(k,): c for k, c in x.items()}})
+    zero = TensorElement.from_element(AlgebraElement.zero(6))
+    assert zero.is_zero and zero.arity is None and zero == TensorElement()
+    assert delta(zero).is_zero and phi(2, 3, AlgebraElement.zero(6)).is_zero
+    with pytest.raises(TypeError):
+        TensorElement.from_element(1.0)
+
+
+def test_coproducts_take_only_one_leg_tensor_elements():
+    with pytest.raises(TypeError):
+        delta(delta(gen(4, 1)))
+    with pytest.raises(TypeError):
+        delta_op(f_r(gen(4, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +394,11 @@ def _oracle_samples():
         AlgebraElement(4, {UNIT: 2 - 1j, ((3,), ()): 1j}),
     ]
     samples += [_gaussian_element(rng, n, 5) for n in (1, 2, 6, 12)]
+    # an element of the direct sum: a one-leg sum of parts in O_1, O_2, O_4, O_12
     samples.append(
-        DirectSumElement(
-            {n: _gaussian_element(rng, n, 3) for n in (1, 2, 4, 12)}
+        sum(
+            (TensorElement.from_element(_gaussian_element(rng, n, 3)) for n in (1, 2, 4, 12)),
+            TensorElement(),
         )
     )
     samples.append(_near_cutoff())
