@@ -104,10 +104,11 @@ class TensorElement:
     A block key is the tuple of algebra indices of the legs; its length is
     the arity, and an element of the direct sum has one leg. Within a
     block, terms map the tuple of the legs' word-pair keys to a
-    coefficient. Each key is checked once, here: it has one word pair per
-    leg, every letter lies in 1..n of its leg, and O_1 words collapse to
-    the unit, summing the terms that meet. Coefficients with magnitude at
-    or below ``ZERO_TOL`` are pruned. Instances are treated as immutable.
+    coefficient. Each key is checked once, here: all blocks have one
+    arity, a key has one word pair per leg, every letter lies in 1..n of
+    its leg, and O_1 words collapse to the unit, summing the terms that
+    meet. Coefficients with magnitude at or below ``ZERO_TOL`` are pruned.
+    Instances are treated as immutable.
     """
 
     __slots__ = ("_blocks",)
@@ -115,6 +116,8 @@ class TensorElement:
     def __init__(self, blocks=None, _validate=True):
         out = {}
         if blocks:
+            if _validate and len({len(indices) for indices in blocks}) > 1:
+                raise ValueError(f"blocks of mixed arity: {list(blocks)}")
             for indices, terms in blocks.items():
                 indices = tuple(indices)
                 if _validate:

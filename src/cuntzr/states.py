@@ -46,6 +46,9 @@ class UnitVector:
 
     @classmethod
     def basis(cls, n, k=1):
+        """The k-th standard basis vector e_k of C^n, for 1 <= k <= n."""
+        if not 1 <= k <= n:
+            raise ValueError(f"basis vector e_{k} of C^{n} needs 1 <= k <= n")
         z = np.zeros(n, dtype=complex)
         z[k - 1] = 1.0
         return cls(z)
@@ -56,6 +59,8 @@ class UnitVector:
 
     @classmethod
     def uniform(cls, n):
+        if n < 1:
+            raise ValueError(f"the uniform vector of C^{n} needs n >= 1")
         return cls(np.full(n, 1.0 / np.sqrt(n), dtype=complex))
 
     def __eq__(self, other):

@@ -249,12 +249,31 @@ def test_tol_out_of_range_is_rejected(capsys):
     assert code == 2
 
 
-def test_env_tolerance_default(tmp_path, monkeypatch):
-    monkeypatch.setenv("CUNTZR_TOL", "1e-6")
-    path = tmp_path / "r.json"
-    assert run(["counterexample", "--out", str(path)]) == 0
-    report = json.loads(path.read_text())
-    assert report["scenario"]["tol"] == 1e-6
+_STD2 = '{"standard": 2}'
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["state-product", "--omega1", '{"standard": 0}', "--omega2", _STD2],
+        ["state-product", "--omega1", '{"standard": -1}', "--omega2", _STD2],
+        ["state-product", "--omega1", '{"uniform": 0}', "--omega2", _STD2],
+        ["state-product", "--omega1", "{bad", "--omega2", _STD2],
+        ["state-product", "--omega1", "@{missing}", "--omega2", _STD2],
+        ["counterexample", "--tol", "0.5"],
+        ["counterexample", "--tol", "nan"],
+        ["verify", "--omega1", _STD2, "--omega2", _STD2, "--depth", "-1"],
+        ["verify-coassoc", "--n", "0"],
+    ],
+)
+def test_bad_input_exits_2_with_an_error_line(args, tmp_path, capsys):
+    # an exception escaping main would reach the console as a traceback
+    args = [a.format(missing=tmp_path / "missing.json") if a.startswith("@") else a for a in args]
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_state_file_reference(tmp_path):
@@ -322,12 +341,11 @@ def test_rejection_records_carry_the_separating_gap(tmp_path):
     assert by_name["construction-rejects-pair"]["witness"] == "n=4;u=2;v="
 
 
-def test_tolerance_defaults_per_kind(monkeypatch):
+def test_tolerance_defaults_per_kind():
     from cuntzr.algebra import EQ_TOL
     from cuntzr.cli import _resolve_tol
     from cuntzr.rmatrix import BUILD_TOL
 
-    monkeypatch.delenv("CUNTZR_TOL", raising=False)
     assert _resolve_tol(None, "coassoc") == EQ_TOL == 1e-12
     assert _resolve_tol(None, "state-product") == EQ_TOL
     for kind in ("build-r", "verify", "counterexample", "all"):

@@ -182,6 +182,13 @@ def test_bad_letters_stop_at_construction():
         TensorElement({(6,): {(key([-1]),): 1}})
 
 
+def test_mixed_arity_stops_at_construction():
+    # arity reads the first block, so this would pass delta's one-leg check
+    # and delta would mix 3-leg blocks into its 2-leg ones
+    with pytest.raises(ValueError, match="mixed arity"):
+        TensorElement({(6,): {(((1,), ()),): 1}, (2, 3): {(((1,), ()), ((1,), ())): 1}})
+
+
 def test_from_element_is_the_one_leg_tensor():
     mono = CuntzMonomial(4, (3, 1), (2,))
     assert TensorElement.from_element(mono).blocks == {(4,): {(key([3, 1], [2]),): 1 + 0j}}

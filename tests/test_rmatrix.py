@@ -16,8 +16,8 @@ from cuntzr.coproduct import delta
 from cuntzr.errors import NotCommuting, OutOfDomain, SpanTooLarge
 from cuntzr.representations import GPRepresentation, pad_to, to_dense
 from cuntzr.rmatrix import (
+    BUILD_TOL,
     RMatrixOperator,
-    basis_blocks,
     build_r,
     counterexample_demo,
     radix_swap_r,
@@ -28,6 +28,7 @@ from cuntzr.rmatrix import (
     verify_ybe,
 )
 from cuntzr.states import GPState, UnitVector
+from basis_oracle import basis_blocks, basis_residual, symmetry_oracle
 from gram_oracle import gram_r, pack_vectors, vec_dist, word_images
 
 
@@ -44,7 +45,7 @@ U3 = GPState.uniform(3)
 def test_swap_example_on_standard_pair():
     rmat = build_r(W2, W3, 1)
     assert rmat.apply({(1, 3): 1.0}) == {(1, 2): 1 + 0j}
-    assert rmat.basis_residual(lambda E: E) > 0.0
+    assert basis_residual(rmat, lambda E: E) > 0.0
     assert rmat.rank == 6
     assert rmat.unitarity_residual == 0.0
 
@@ -491,6 +492,120 @@ def test_generic_pairs_are_rejected_with_a_true_witness(data):
         z[np.array(w.v, dtype=int) - 1]
     )
     assert abs(value(xy) - value(yx)) > 1e-12
+
+
+# ---------------------------------------------------------------------------
+# whole-operator identities on R_1 against the basis sweep
+
+
+def _leg_swap_residual(rmat):
+    """Worst column of R_1 - F_1, the check `cuntzr all` makes for equal states."""
+    n = rmat.omega1.n
+    return rmatrix._worst_column(rmat.r1 - rmatrix._leg_flip(n, n))
+
+
+def _flip_legs(E):
+    return E.transpose(1, 0, 2)
+
+
+@st.composite
+def twisted_powers(draw, count):
+    """(e^{i alpha_k} x^{[*]a_k}) for one unit vector x of C^2, a_k in {1, 2}:
+    every product of two of them is e^{i(alpha_j + alpha_k)} x^{[*](a_j + a_k)}
+    in either order, so they commute pairwise."""
+    x = draw(unit_vectors(2))
+    phases = st.floats(0.0, 2 * np.pi, allow_nan=False)
+    return tuple(
+        GPState(np.exp(1j * draw(phases)) * kron_power(x, draw(st.sampled_from([1, 2]))))
+        for _ in range(count)
+    )
+
+
+@settings(max_examples=15, deadline=None)
+@given(twisted_powers(2))
+def test_twisted_powers_pass_symmetry_as_the_sweep_does(pair):
+    for depth in (1, 2):
+        report = verify_symmetry(*pair, depth)
+        oracle = symmetry_oracle(*pair, depth)
+        assert report.passed and oracle.passed
+        assert report.max_residual <= 1e-12 and oracle.max_residual <= 1e-12
+    rmat = build_r(*pair, 2)
+    assert verify_intertwining(rmat).passed
+
+
+@settings(max_examples=10, deadline=None)
+@given(twisted_powers(1))
+def test_equal_twisted_powers_give_the_leg_swap_on_r1(single):
+    (omega,) = single
+    for depth in (1, 2):
+        rmat = build_r(omega, omega, depth)
+        assert _leg_swap_residual(rmat) <= 1e-12
+        assert basis_residual(rmat, _flip_legs) <= 1e-12
+
+
+@settings(max_examples=8, deadline=None)
+@given(twisted_powers(3))
+def test_twisted_power_triples_pass_ybe(triple):
+    assert verify_ybe(*triple, 1).passed
+
+
+def test_symmetry_on_r1_equals_the_sweep_at_depth_1():
+    x = np.array([0.6, 0.8j])
+    X, XX = GPState(x), GPState(np.kron(x, x))
+    pairs = ((W2, W3), (U2, U3), (U2, GPState.uniform(5)), (X, XX), (XX, X), (X, X))
+    for pair in pairs:
+        assert verify_symmetry(*pair, 1).max_residual == symmetry_oracle(*pair, 1).max_residual
+    for depth in (2, 3):
+        assert verify_symmetry(W2, W3, depth).max_residual == 0.0
+        assert symmetry_oracle(W2, W3, depth).max_residual == 0.0
+        for pair in pairs[1:]:
+            assert verify_symmetry(*pair, depth).max_residual <= 1e-12
+            assert symmetry_oracle(*pair, depth).max_residual <= 1e-12
+
+
+def _bump_entry(r1):
+    r1[0, 1] += 1e-6
+
+
+def _scale(r1):
+    r1 *= 1.001
+
+
+@pytest.mark.parametrize("perturb", [_bump_entry, _scale])
+def test_perturbed_r1_fails_on_r1_and_in_the_sweep_at_depth_3(perturb):
+    x = np.exp(0.4j) * np.array([0.6, 0.8j])
+    omega, psi = GPState(x), GPState(np.exp(1.1j) * np.kron(x, x))
+    r12 = build_r(omega, psi, 3)
+    perturb(r12.r1)
+    assert not verify_symmetry(omega, psi, 3, r12=r12).passed
+    assert not symmetry_oracle(omega, psi, 3, r12=r12).passed
+    equal = build_r(omega, omega, 3)
+    perturb(equal.r1)
+    assert _leg_swap_residual(equal) > BUILD_TOL
+    assert basis_residual(equal, _flip_legs) > BUILD_TOL
+    assert not verify_symmetry(omega, omega, 3, r12=equal).passed
+
+
+def test_symmetry_at_depth_8_under_a_2048_mb_address_space_cap():
+    # at depth 8 the (2,3) span has 1679616 pairs, and the basis sweep took
+    # over 300 s already at depth 6
+    script = textwrap.dedent("""
+        import resource, time
+        cap = 2048 * 1024 * 1024
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+        from cuntzr import GPState, verify_symmetry
+        start = time.perf_counter()
+        report = verify_symmetry(GPState.uniform(2), GPState.uniform(3), 8)
+        print(report.passed, time.perf_counter() - start)
+    """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    passed, elapsed = out.stdout.split()
+    assert passed == "True"
+    assert float(elapsed) < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -270,6 +270,16 @@ def test_unit_vector_rejects_non_unit():
         UnitVector([1.0, 1.0])
 
 
+def test_basis_vector_index_is_checked():
+    assert UnitVector.basis(3, 3) == UnitVector([0, 0, 1])
+    # k = 0 used to index from the back and return e_n
+    for n, k in ((2, 0), (2, 3), (2, -1), (0, 1)):
+        with pytest.raises(ValueError, match="1 <= k <= n"):
+            UnitVector.basis(n, k)
+    with pytest.raises(ValueError, match="n >= 1"):
+        UnitVector.uniform(0)
+
+
 def test_scalar_state_is_trivial():
     rho = GPState.standard(1)
     assert rho(AlgebraElement(1, {((), ()): 2.5})) == 2.5
