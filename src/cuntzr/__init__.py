@@ -42,9 +42,6 @@ from .errors import (
 )
 from .representations import (
     GPRepresentation,
-    act,
-    act_legs,
-    gns_lambda,
     lambda2,
     lambda3,
 )
@@ -53,7 +50,6 @@ from .rmatrix import (
     VerificationReport,
     build_r,
     counterexample_demo,
-    radix_swap_r,
     swap_index_pair,
     verify_intertwining,
     verify_symmetry,
@@ -68,7 +64,6 @@ from .states import (
     gp_eval,
     star,
     state_from_json,
-    state_to_json,
     twist_state,
 )
 
@@ -94,8 +89,6 @@ __all__ = [
     "TensorElement3",
     "UnitVector",
     "VerificationReport",
-    "act",
-    "act_legs",
     "boxtimes",
     "build_r",
     "canonical_equal",
@@ -109,17 +102,14 @@ __all__ = [
     "divisor_pairs",
     "f_l",
     "f_r",
-    "gns_lambda",
     "gp_eval",
     "lambda2",
     "lambda3",
     "level_expand",
     "mono_product",
     "phi",
-    "radix_swap_r",
     "star",
     "state_from_json",
-    "state_to_json",
     "substitute_generators",
     "swap_index_pair",
     "twist_state",

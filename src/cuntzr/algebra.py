@@ -243,10 +243,6 @@ def mono_product(a, b):
     return AlgebraElement(a.n, {key: 1.0}, _validate=False)
 
 
-def adjoint(x):
-    return x.adjoint()
-
-
 def expanded_keys(n, key, target_len):
     """Keys of the level expansion of a single word pair (no coefficients)."""
     u, v = key

@@ -28,7 +28,6 @@ from . import __version__
 from .algebra import EQ_TOL, AlgebraElement, CuntzMonomial, canonical_residual
 from .coproduct import f_l, f_r
 from .errors import CuntzrError, NotCommuting, SpecError
-from .representations import to_dense
 from .rmatrix import (
     BUILD_TOL,
     VerificationReport,
@@ -285,6 +284,19 @@ def _run_verify(spec):
     return report
 
 
+def _pair_gap(rmat, targets):
+    """Largest norm of R(e_a (x) e_b) - e_a' (x) e_b' over 1-based basis pairs
+    {(a, b): (a', b')}; R acts once, on the identity batch of the block."""
+    p, q = rmat.dims
+    images = rmat.apply_dense(np.eye(p * q).reshape(p, q, p * q))
+    worst = 0.0
+    for (a, b), (a2, b2) in targets.items():
+        image = images[:, :, (a - 1) * q + b - 1].copy()
+        image[a2 - 1, b2 - 1] -= 1.0
+        worst = max(worst, float(np.linalg.norm(image)))
+    return worst
+
+
 def _run_all(spec):
     report = VerificationReport(scenario=spec.kind)
 
@@ -301,14 +313,11 @@ def _run_all(spec):
         )
         merge(f"coassoc-random-O{n}", _run_coassoc(sub))
 
-    for label, pair in (
-        ("standard", ({"standard": 2}, {"standard": 3})),
-        ("uniform", ({"uniform": 2}, {"uniform": 3})),
-    ):
+    for label, builder in (("standard", GPState.standard), ("uniform", GPState.uniform)):
         sub = ScenarioSpec(
             kind="state-product",
-            omega1=parse_state_arg(json.dumps(pair[0]), "omega1"),
-            omega2=parse_state_arg(json.dumps(pair[1]), "omega2"),
+            omega1=builder(2).to_json(),
+            omega2=builder(3).to_json(),
             max_len=3,
             samples=100,
             tol=EQ_TOL,
@@ -326,8 +335,7 @@ def _run_all(spec):
     sub_report, rmat = _run_build_r(sub)
     merge("build-r-standard-2-3", sub_report)
     if rmat is not None:
-        image = rmat.apply_dense(to_dense({(1, 3): 1.0}, rmat.dims))
-        moved = float(np.linalg.norm(image - to_dense({(1, 2): 1.0}, rmat.dims)))
+        moved = _pair_gap(rmat, {(1, 3): (1, 2)})
         report.add("build-r-standard-2-3/maps-pair-1-3-to-1-2", moved == 0.0, moved)
         # R = R_1^{(x)d} is the identity exactly when R_1 is (R_1 fixes e_1 (x) e_1)
         deviation = _worst_column(rmat.r1 - np.eye(len(rmat.r1)))
@@ -359,12 +367,8 @@ def _run_all(spec):
 
     # the built operator moves every basis pair as the digit closed form says
     rmat = build_r(GPState.standard(2), GPState.standard(3), 2)
-    worst = 0.0
-    for a in range(1, 5):
-        for b in range(1, 10):
-            image = rmat.apply_dense(to_dense({(a, b): 1.0}, rmat.dims))
-            target = to_dense({swap_index_pair(2, 3, a, b, 2): 1.0}, rmat.dims)
-            worst = max(worst, float(np.linalg.norm(image - target)))
+    pairs = [(a, b) for a in range(1, 5) for b in range(1, 10)]
+    worst = _pair_gap(rmat, {p: swap_index_pair(2, 3, *p, 2) for p in pairs})
     report.add("closed-form-2-3/matches-built-operator", worst == 0.0, worst)
 
     merge("counterexample", counterexample_demo(tol=spec.tol))

@@ -167,6 +167,9 @@ class TensorElement:
         return sum(len(t) for t in self._blocks.values())
 
     def __add__(self, other):
+        """Termwise sum; arities must agree, and the zero element (None) adds to any."""
+        if None not in (self.arity, other.arity) and self.arity != other.arity:
+            raise ValueError(f"cannot add a {self.arity}-leg and a {other.arity}-leg element")
         out = {p: dict(t) for p, t in self._blocks.items()}
         for p, terms in other._blocks.items():
             dst = out.setdefault(p, {})

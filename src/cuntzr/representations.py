@@ -15,11 +15,11 @@ creation words already span everything the coproduct images reach.
 
 Vectors are dense arrays over the leading coordinate block of each leg:
 axis k holds the coordinates of e_1, e_2, ... of leg k, and trailing axes
-are a batch. :func:`act_dense` acts on them legwise, growing an axis n-fold
-per creation letter. Dicts from 1-based basis indices (or index tuples, one
-per leg) to amplitudes are only an input/output format; :func:`to_dense`
-and :func:`from_dense` convert, and a dict leaves out exact zeros and
-nothing else.
+are a batch. :func:`act_dense`, the only action, acts on them legwise,
+growing an axis n-fold per creation letter. :func:`lambda2` and
+:func:`lambda3` are dict adapters over it that the benchmark still calls;
+:func:`to_dense` and :func:`from_dense` convert for them, and a dict vector
+leaves out exact zeros and nothing else.
 """
 
 from __future__ import annotations
@@ -31,10 +31,9 @@ import resource
 
 import numpy as np
 
-from .algebra import as_element
 from .coproduct import TensorElement
 from .errors import OutOfDomain, SpanTooLarge
-from .states import GPState, UnitVector
+from .states import UNITARY_TOL, GPState, UnitVector
 
 # ---------------------------------------------------------------------------
 # memory preflight
@@ -116,13 +115,13 @@ def pair_to_list(arr):
 # the twisted permutative action
 
 
-def complete_unitary(z, tol=1e-10):
+def complete_unitary(z):
     """A unitary with first row conj(z), completed against the standard basis.
 
     Modified Gram-Schmidt over the candidates e_1, e_2, ...; a candidate is
-    skipped when its residual norm is at most ``tol``. Each candidate is
-    orthogonalized twice, so that rows kept from a small residual stay
-    orthogonal to rounding. Deterministic in z.
+    skipped when its residual norm is at most ``UNITARY_TOL``. Each
+    candidate is orthogonalized twice, so that rows kept from a small
+    residual stay orthogonal to rounding. Deterministic in z.
     """
     z = np.asarray(z, dtype=complex).reshape(-1)
     n = z.size
@@ -135,7 +134,7 @@ def complete_unitary(z, tol=1e-10):
         for row in rows + rows:
             cand = cand - np.vdot(row, cand) * row
         nrm = float(np.linalg.norm(cand))
-        if nrm > tol:
+        if nrm > UNITARY_TOL:
             rows.append(cand / nrm)
     if len(rows) != n:
         raise RuntimeError("unitary completion failed")  # cannot happen for unit z
@@ -244,48 +243,26 @@ def act_dense(reps, t, X):
 
 
 # ---------------------------------------------------------------------------
-# the action on dict vectors
+# dict images of the cyclic vector
 
 
-def act_legs(reps, t, vec):
-    """Apply the matching block of a tensor element legwise to a dict vector
-    indexed by tuples of basis indices, one per leg; the image leaves out
-    exact zeros. SpanTooLarge is raised before the dense array is made."""
+def _cyclic_image(reps, t):
+    """Dict image of e_1 (x) ... (x) e_1 under a tensor element, legwise;
+    SpanTooLarge is raised before the grown array is made."""
     terms = _terms(reps, t)
-    if not vec:
-        return {}
-    dims = [max(key[k] for key in vec) for k in range(len(reps))]
     longest = [max((len(keys[k][0]) for keys in terms), default=0) for k in range(len(reps))]
-    grown = math.prod(d * rep.n**c for d, rep, c in zip(dims, reps, longest))
-    preflight(grown, "the legwise action")
-    return from_dense(act_dense(reps, t, to_dense(vec, dims)))
-
-
-def act_element(rep, x, vec):
-    """Apply an element of O_n in the representation to a dict vector."""
-    t = TensorElement.from_element(as_element(x, rep.n))
-    out = act_legs((rep,), t, {(k,): a for k, a in vec.items()})
-    return {k: a for (k,), a in out.items()}
-
-
-def act(rep, mono, vec):
-    """Apply a monomial in the (possibly twisted) representation to a vector."""
-    return act_element(rep, mono, vec)
-
-
-def gns_lambda(rep, x):
-    """Image of an element under the vector map x -> pi(x) e_1."""
-    return act_element(rep, x, {1: 1.0})
+    preflight(math.prod(rep.n**c for rep, c in zip(reps, longest)), "the legwise action")
+    return from_dense(act_dense(reps, t, np.ones((1,) * len(reps))))
 
 
 def lambda2(rep1, rep2, t):
     """Legwise vector map of a two-leg tensor element: its action on e_1 (x) e_1."""
-    return act_legs((rep1, rep2), t, {(1, 1): 1.0})
+    return _cyclic_image((rep1, rep2), t)
 
 
 def lambda3(rep1, rep2, rep3, t):
     """Legwise vector map of a three-leg tensor element, on e_1 (x) e_1 (x) e_1."""
-    return act_legs((rep1, rep2, rep3), t, {(1, 1, 1): 1.0})
+    return _cyclic_image((rep1, rep2, rep3), t)
 
 
 # ---------------------------------------------------------------------------

@@ -158,9 +158,9 @@ class RMatrixOperator:
 
     ``r1`` is the nm x nm matrix R_1 = (U_1 (x) U_2) P (U_1 (x) U_2)^H, and
     the operator is its d-th tensor power on the digit pairs.
-    ``apply_dense`` maps arrays of shape (n^d, m^d, *batch); ``apply`` maps
-    pair-indexed dict vectors and raises OutOfDomain for a basis pair
-    outside the n^d x m^d block, which is the whole span.
+    ``apply_dense`` maps arrays of shape (n^d, m^d, *batch), the whole span,
+    and raises OutOfDomain for any other shape; ``apply`` is its adapter for
+    pair-indexed dict vectors, which the benchmark still calls.
     """
 
     def __init__(self, omega1, omega2, depth):
@@ -229,13 +229,6 @@ class RMatrixOperator:
         rows[src, 0], rows[src, 1] = np.divmod(src, self.dims[1])
         rows[src, 2], rows[src, 3] = np.divmod(np.arange(self.rank), self.dims[1])
         return rows + 1
-
-    @property
-    def permutation(self):
-        """{(a, b): (a', b')} for standard states, built on each access; else None."""
-        if not self.is_permutation:
-            return None
-        return {(a, b): (a2, b2) for a, b, a2, b2 in self._permutation_rows().tolist()}
 
     def to_json(self):
         """Export form: states, depth, rank, both twists, and for standard
@@ -314,11 +307,6 @@ def build_r(omega1, omega2, depth):
         )
     preflight((omega1.n * omega2.n) ** depth, f"the depth-{depth} span")
     return RMatrixOperator(omega1, omega2, depth)
-
-
-def radix_swap_r(n, m, depth):
-    """The closed-form operator for the standard states, a permutation."""
-    return RMatrixOperator(GPState.standard(n), GPState.standard(m), depth)
 
 
 def relation_residual(rmat, max_len):

@@ -216,13 +216,13 @@ def commutes(omega, psi, tol=EQ_TOL):
     raise RuntimeError("interleavings differ but no witness was found")
 
 
-def twist_state(z, matrix, tol=UNITARY_TOL):
+def twist_state(z, matrix):
     """The state of ``z`` composed with the substitution s_j -> sum_i U[i,j] s_i.
 
     For a unitary U this equals the state of the vector U^dagger z, which is
     what is returned; the tests validate the identity against direct
     symbolic substitution. Raises NotUnitary when the columns of U are not
-    orthonormal within ``tol``.
+    orthonormal within ``UNITARY_TOL``.
     """
     if not isinstance(z, UnitVector):
         z = UnitVector(z)
@@ -230,30 +230,35 @@ def twist_state(z, matrix, tol=UNITARY_TOL):
     if U.shape != (z.n, z.n):
         raise NotUnitary(f"matrix shape {U.shape} does not match C^{z.n}")
     dev = float(np.max(np.abs(U.conj().T @ U - np.eye(z.n))))
-    if dev > tol:
+    if dev > UNITARY_TOL:
         raise NotUnitary(f"columns not orthonormal: deviation {dev:.3e}")
     return GPState(UnitVector(U.conj().T @ z.z))
 
 
-def state_to_json(state):
-    return state.to_json()
+def _json_int(obj, key):
+    """The integer under ``key``; a float, bool or string is an error."""
+    value = obj[key]
+    if type(value) is not int:
+        raise ValueError(f'state JSON: "{key}" must be an integer, got {value!r}')
+    return value
 
 
 def state_from_json(obj):
     """Build a state from its JSON form.
 
     Accepts the explicit form {"n": n, "z": [[re, im], ...]} and the
-    shortcuts {"standard": n} (first basis vector) and {"uniform": n}.
+    shortcuts {"standard": n} (first basis vector) and {"uniform": n}; n
+    must be a JSON integer.
     """
     if not isinstance(obj, dict):
         raise ValueError("state JSON must be an object")
     if "standard" in obj:
-        return GPState.standard(int(obj["standard"]))
+        return GPState.standard(_json_int(obj, "standard"))
     if "uniform" in obj:
-        return GPState.uniform(int(obj["uniform"]))
+        return GPState.uniform(_json_int(obj, "uniform"))
     if "n" not in obj or "z" not in obj:
         raise ValueError('state JSON needs "n" and "z" (or a shortcut key)')
-    n = int(obj["n"])
+    n = _json_int(obj, "n")
     comps = []
     for entry in obj["z"]:
         re, im = entry

@@ -1,6 +1,13 @@
 """The names, call shapes and return kinds the benchmark in ``perfbench/``
 relies on. The benchmark is not part of this suite, so a rename here would
-otherwise break it silently."""
+otherwise break it silently.
+
+Vectors in the package are dense arrays. The dict forms that remain are
+adapters kept only because the benchmark still calls them:
+``RMatrixOperator.apply`` on pair-indexed dicts, ``lambda2`` and ``lambda3``
+(also its tracer targets), and the 3-leg aliases ``TensorElement3`` and
+``canonical_equal3``. They go once the benchmark moves to ``apply_dense``,
+``act_dense``, ``TensorElement`` and ``canonical_equal``."""
 
 import numpy as np
 

@@ -258,6 +258,10 @@ _STD2 = '{"standard": 2}'
         ["state-product", "--omega1", '{"standard": 0}', "--omega2", _STD2],
         ["state-product", "--omega1", '{"standard": -1}', "--omega2", _STD2],
         ["state-product", "--omega1", '{"uniform": 0}', "--omega2", _STD2],
+        ["state-product", "--omega1", '{"standard": 2.9}', "--omega2", _STD2],
+        ["state-product", "--omega1", '{"standard": "2"}', "--omega2", _STD2],
+        ["state-product", "--omega1", '{"uniform": true}', "--omega2", _STD2],
+        ["state-product", "--omega1", '{"n": 2.5, "z": [[1, 0], [0, 0]]}', "--omega2", _STD2],
         ["state-product", "--omega1", "{bad", "--omega2", _STD2],
         ["state-product", "--omega1", "@{missing}", "--omega2", _STD2],
         ["counterexample", "--tol", "0.5"],

@@ -189,6 +189,19 @@ def test_mixed_arity_stops_at_construction():
         TensorElement({(6,): {(((1,), ()),): 1}, (2, 3): {(((1,), ()), ((1,), ())): 1}})
 
 
+def test_sums_of_mixed_arity_are_rejected():
+    # the sum used to build unchecked: arity 1 read off its first block, and
+    # delta of it mixed 3-leg blocks into its 2-leg ones
+    s1 = CuntzMonomial.generator(6, 1)
+    with pytest.raises(ValueError, match="1-leg and a 2-leg"):
+        TensorElement.from_element(s1) + delta(s1)
+    with pytest.raises(ValueError):
+        delta(s1) - TensorElement.from_element(s1)
+    # the zero element has no arity and adds to anything
+    assert TensorElement() + delta(s1) == delta(s1)
+    assert (delta(s1) + TensorElement()).arity == 2
+
+
 def test_from_element_is_the_one_leg_tensor():
     mono = CuntzMonomial(4, (3, 1), (2,))
     assert TensorElement.from_element(mono).blocks == {(4,): {(key([3, 1], [2]),): 1 + 0j}}

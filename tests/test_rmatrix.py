@@ -14,13 +14,12 @@ from cuntzr import cli, coproduct, rmatrix
 from cuntzr.algebra import CuntzMonomial
 from cuntzr.coproduct import delta
 from cuntzr.errors import NotCommuting, OutOfDomain, SpanTooLarge
-from cuntzr.representations import GPRepresentation, pad_to, to_dense
+from cuntzr.representations import GPRepresentation, act_dense, from_dense, pad_to, to_dense
 from cuntzr.rmatrix import (
     BUILD_TOL,
     RMatrixOperator,
     build_r,
     counterexample_demo,
-    radix_swap_r,
     relation_residual,
     swap_index_pair,
     verify_intertwining,
@@ -177,24 +176,30 @@ def test_swap_index_pair_padding_invariance():
                 assert short == padded
 
 
+def _permutation(rmat):
+    """{(a, b): (a', b')} from the exported rows of a standard-state operator."""
+    return {(a, b): (a2, b2) for a, b, a2, b2 in rmat.to_json()["permutation"]}
+
+
 def test_closed_form_matches_built_operator():
     rmat = build_r(W2, W3, 2)
-    closed = radix_swap_r(2, 3, 2)
-    assert len(closed.permutation) == 36
-    for key, target in sorted(closed.permutation.items()):
+    closed = _permutation(rmat)
+    assert len(closed) == 36
+    for key, target in sorted(closed.items()):
         assert rmat.apply({key: 1.0}) == {target: 1 + 0j}
-        assert closed.apply({key: 1.0}) == {target: 1 + 0j}
+        assert swap_index_pair(2, 3, *key, 2) == target
 
 
 def test_closed_form_is_an_involution_with_its_reverse():
-    fwd = radix_swap_r(2, 3, 2).permutation
-    rev = radix_swap_r(3, 2, 2).permutation
+    fwd = _permutation(build_r(W2, W3, 2))
+    rev = _permutation(build_r(W3, W2, 2))
     for (a, b), (a2, b2) in fwd.items():
         assert rev[(b2, a2)] == (b, a)
 
 
 def test_permutation_form_rejects_pairs_outside_the_grid():
-    closed = radix_swap_r(2, 3, 1)
+    closed = build_r(W2, W3, 1)
+    assert set(_permutation(closed)) == {(a, b) for a in (1, 2) for b in (1, 2, 3)}
     with pytest.raises(OutOfDomain):
         closed.apply({(1, 7): 1.0})
 
@@ -217,15 +222,14 @@ def test_intertwining_traces_the_worked_example():
     # on e_1 (x) e_2
     rmat = build_r(W2, W3, 2)
     from cuntzr.coproduct import delta_op
-    from cuntzr.representations import act_legs
 
     reps = (rmat.rep1, rmat.rep2)
-    v = {(1, 1): 1.0 + 0j}
+    v = to_dense({(1, 1): 1.0 + 0j}, (1, 1))
     g = CuntzMonomial.generator(6, 3)
-    via_coproduct = rmat.apply(act_legs(reps, delta(g), v))
-    via_opposite = act_legs(reps, delta_op(g), rmat.apply(v))
-    assert via_coproduct == {(1, 2): 1 + 0j}
-    assert via_opposite == {(1, 2): 1 + 0j}
+    via_coproduct = rmat.apply_dense(pad_to(act_dense(reps, delta(g), v), rmat.dims))
+    via_opposite = act_dense(reps, delta_op(g), rmat.apply_dense(pad_to(v, rmat.dims)))
+    assert from_dense(via_coproduct) == {(1, 2): 1 + 0j}
+    assert from_dense(via_opposite) == {(1, 2): 1 + 0j}
 
 
 def test_intertwining_equal_states():

@@ -13,7 +13,6 @@ from cuntzr.states import (
     gp_eval,
     star,
     state_from_json,
-    state_to_json,
     twist_state,
 )
 
@@ -289,7 +288,7 @@ def test_state_json_round_trip():
     rng = np.random.default_rng(10)
     z = random_unit(rng, 3)
     state = GPState(z)
-    again = state_from_json(state_to_json(state))
+    again = state_from_json(state.to_json())
     assert again == state
 
 
