@@ -2,8 +2,12 @@
 
 Subcommands mirror the verifier surface: ``verify-coassoc``,
 ``state-product``, ``build-r``, ``verify``, ``counterexample``, and ``all``.
-States are passed as inline JSON or ``@file`` references, either in the
-explicit form ``{"n": 2, "z": [[re, im], ...]}`` or with the shortcuts
+Each subcommand names its scenario kind, and ``run_scenario`` runs the
+kind's entry of one runner table. ``ScenarioSpec`` holds every default, so
+the library path and the CLI give the same report: options left unset on
+the command line take its values, and only ``state-product`` overrides
+``--max-len``/``--samples``. States are passed as inline JSON or ``@file``
+references in exactly one of the forms ``{"n": 2, "z": [[re, im], ...]}``,
 ``{"standard": n}`` and ``{"uniform": n}``. Reports are JSON with sorted
 keys and fixed 17-significant-digit float formatting, so identical inputs
 produce byte-identical files; wall-clock timings are only included on
@@ -20,7 +24,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -51,11 +55,6 @@ from .states import (
     star_gap,
     state_from_json,
 )
-
-# exact-algebra scenarios default to the equality tolerance, the rest to the
-# verifiers' residual bound
-_EXACT_KINDS = ("coassoc", "state-product")
-
 
 # ---------------------------------------------------------------------------
 # deterministic JSON
@@ -123,25 +122,53 @@ def emit(obj, path):
 
 @dataclass
 class ScenarioSpec:
-    """A validated description of one verification scenario."""
+    """A description of one verification scenario, and the one source of
+    its defaults.
+
+    ``tol=None`` resolves per kind: the equality tolerance ``EQ_TOL`` for
+    the exact algebra of ``coassoc`` and ``state-product``, the verifiers'
+    bound ``BUILD_TOL`` otherwise. States are ``GPState`` objects or their
+    JSON forms, which are read here; a bad one raises ``SpecError`` naming
+    its field. ``run_scenario`` checks the remaining rules.
+    """
 
     kind: str
-    omega1: dict = None
-    omega2: dict = None
-    omega3: dict = None
-    n: int = None
+    omega1: GPState | dict | None = None
+    omega2: GPState | dict | None = None
+    omega3: GPState | dict | None = None
+    n: int | None = None
     depth: int = 1
     max_len: int = 1
     samples: int = 0
     seed: int = 7
-    tol: float = BUILD_TOL
+    tol: float | None = None
+
+    def __post_init__(self):
+        if self.tol is None:
+            self.tol = EQ_TOL if self.kind in ("coassoc", "state-product") else BUILD_TOL
+        for name in ("omega1", "omega2", "omega3"):
+            setattr(self, name, _as_state(getattr(self, name), name))
 
     def to_json(self):
-        return {k: v for k, v in asdict(self).items() if v is not None}
+        return {
+            k: v.to_json() if isinstance(v, GPState) else v
+            for k, v in vars(self).items()
+            if v is not None
+        }
+
+
+def _as_state(value, field):
+    """A state given as a GPState or its JSON form; None stays None."""
+    if value is None or isinstance(value, GPState):
+        return value
+    try:
+        return state_from_json(value)
+    except (ValueError, TypeError) as exc:
+        raise SpecError([f"{field}: {exc}"])
 
 
 def parse_state_arg(text, field):
-    """A state from inline JSON or an @file reference; canonical JSON form."""
+    """A state from inline JSON or an @file reference."""
     if text is None:
         return None
     if text.startswith("@"):
@@ -154,31 +181,23 @@ def parse_state_arg(text, field):
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecError([f"{field}: invalid JSON: {exc}"])
-    try:
-        state = state_from_json(obj)
-    except (ValueError, TypeError) as exc:
-        raise SpecError([f"{field}: {exc}"])
-    return state.to_json()
-
-
-def _resolve_tol(args_tol, kind):
-    if args_tol is not None:
-        tol = args_tol
-    else:
-        tol = EQ_TOL if kind in _EXACT_KINDS else BUILD_TOL
-    if not (0.0 < tol <= 1e-3):
-        raise SpecError([f"tol must lie in (0, 1e-3], got {tol!r}"])
-    return float(tol)
+    return _as_state(obj, field)
 
 
 def _validate(spec):
+    if spec.kind not in _RUNNERS:
+        raise SpecError([f"unknown scenario kind {spec.kind!r}"])
     errors = []
+    if not (0.0 < spec.tol <= 1e-3):
+        errors.append(f"tol must lie in (0, 1e-3], got {spec.tol!r}")
     if spec.depth < 0:
         errors.append(f"depth must be >= 0, got {spec.depth}")
     if spec.max_len < 0:
         errors.append(f"max-len must be >= 0, got {spec.max_len}")
     if spec.samples < 0:
         errors.append(f"samples must be >= 0, got {spec.samples}")
+    if spec.seed < 0:
+        errors.append(f"seed must be >= 0, got {spec.seed}")
     if spec.kind in ("state-product", "build-r", "verify"):
         if spec.omega1 is None or spec.omega2 is None:
             errors.append(f"{spec.kind} needs --omega1 and --omega2")
@@ -188,11 +207,6 @@ def _validate(spec):
         errors.append("state-product needs --samples >= 1")
     if errors:
         raise SpecError(errors)
-    return spec
-
-
-def _state(spec_field):
-    return state_from_json(spec_field) if spec_field is not None else None
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +243,7 @@ def _run_coassoc(spec):
 
 
 def _run_state_product(spec):
-    omega1 = _state(spec.omega1)
-    omega2 = _state(spec.omega2)
+    omega1, omega2 = spec.omega1, spec.omega2
     rng = np.random.default_rng(spec.seed)
     N = omega1.n * omega2.n
     boxed = boxtimes(omega1.z, omega2.z)
@@ -252,8 +265,7 @@ def _run_state_product(spec):
 
 
 def _run_build_r(spec):
-    omega1 = _state(spec.omega1)
-    omega2 = _state(spec.omega2)
+    omega1, omega2 = spec.omega1, spec.omega2
     report = VerificationReport(scenario=spec.kind)
     try:
         rmat = build_r(omega1, omega2, spec.depth)
@@ -269,8 +281,7 @@ def _run_build_r(spec):
 
 
 def _run_verify(spec):
-    omega1 = _state(spec.omega1)
-    omega2 = _state(spec.omega2)
+    omega1, omega2 = spec.omega1, spec.omega2
     report = VerificationReport(scenario=spec.kind)
     rmat = build_r(omega1, omega2, spec.depth)
     rep = verify_intertwining(rmat, tol=spec.tol)
@@ -278,8 +289,7 @@ def _run_verify(spec):
     rep = verify_symmetry(omega1, omega2, spec.depth, tol=spec.tol, r12=rmat)
     report.add("inversion-symmetry", rep.passed, rep.max_residual)
     if spec.omega3 is not None:
-        omega3 = _state(spec.omega3)
-        rep = verify_ybe(omega1, omega2, omega3, spec.depth, tol=spec.tol)
+        rep = verify_ybe(omega1, omega2, spec.omega3, spec.depth, tol=spec.tol)
         report.add("ybe", rep.passed, rep.max_residual)
     return report
 
@@ -305,33 +315,19 @@ def _run_all(spec):
             report.add(f"{prefix}/{c.name}", c.passed, c.residual, c.witness)
 
     for n in range(1, 9):
-        sub = ScenarioSpec(kind="coassoc", n=n, max_len=1, tol=EQ_TOL, seed=spec.seed)
-        merge(f"coassoc-O{n}", _run_coassoc(sub))
+        merge(f"coassoc-O{n}", _run_coassoc(ScenarioSpec("coassoc", n=n, seed=spec.seed)))
     for n in (4, 6, 12):
-        sub = ScenarioSpec(
-            kind="coassoc", n=n, max_len=2, samples=25, tol=EQ_TOL, seed=spec.seed
-        )
+        sub = ScenarioSpec("coassoc", n=n, max_len=2, samples=25, seed=spec.seed)
         merge(f"coassoc-random-O{n}", _run_coassoc(sub))
 
+    u2, u3 = GPState.uniform(2), GPState.uniform(3)
     for label, builder in (("standard", GPState.standard), ("uniform", GPState.uniform)):
         sub = ScenarioSpec(
-            kind="state-product",
-            omega1=builder(2).to_json(),
-            omega2=builder(3).to_json(),
-            max_len=3,
-            samples=100,
-            tol=EQ_TOL,
-            seed=spec.seed,
+            "state-product", builder(2), builder(3), max_len=3, samples=100, seed=spec.seed
         )
         merge(f"state-product-{label}", _run_state_product(sub))
 
-    sub = ScenarioSpec(
-        kind="build-r",
-        omega1={"n": 2, "z": [[1.0, 0.0], [0.0, 0.0]]},
-        omega2={"n": 3, "z": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]},
-        depth=1,
-        tol=spec.tol,
-    )
+    sub = ScenarioSpec("build-r", GPState.standard(2), GPState.standard(3), tol=spec.tol)
     sub_report, rmat = _run_build_r(sub)
     merge("build-r-standard-2-3", sub_report)
     if rmat is not None:
@@ -341,13 +337,7 @@ def _run_all(spec):
         deviation = _worst_column(rmat.r1 - np.eye(len(rmat.r1)))
         report.add("build-r-standard-2-3/not-identity", deviation > 0.0, deviation)
 
-    u2 = GPState.uniform(2)
-    u3 = GPState.uniform(3)
-    rmat = build_r(u2, u3, 2)
-    rep = verify_intertwining(rmat, tol=spec.tol)
-    report.add("uniform-2-3/intertwine", rep.passed, rep.max_residual)
-    rep = verify_symmetry(u2, u3, 2, tol=spec.tol, r12=rmat)
-    report.add("uniform-2-3/inversion-symmetry", rep.passed, rep.max_residual)
+    merge("uniform-2-3", _run_verify(ScenarioSpec("verify", u2, u3, depth=2, tol=spec.tol)))
 
     for label, states in (
         ("standard-2-3-5", (GPState.standard(2), GPState.standard(3), GPState.standard(5))),
@@ -375,25 +365,24 @@ def _run_all(spec):
     return report
 
 
+_RUNNERS = {
+    "coassoc": _run_coassoc,
+    "state-product": _run_state_product,
+    "build-r": _run_build_r,
+    "verify": _run_verify,
+    "counterexample": lambda spec: counterexample_demo(tol=spec.tol),
+    "all": _run_all,
+}
+
+
 def run_scenario(spec):
-    """Dispatch a validated scenario; returns the report dict."""
+    """Validate and run a scenario; returns the report dict, the operator
+    ``build-r`` built (else None) and the elapsed seconds."""
     _validate(spec)
     start = time.perf_counter()
-    rmat = None
-    if spec.kind == "coassoc":
-        result = _run_coassoc(spec)
-    elif spec.kind == "state-product":
-        result = _run_state_product(spec)
-    elif spec.kind == "build-r":
-        result, rmat = _run_build_r(spec)
-    elif spec.kind == "verify":
-        result = _run_verify(spec)
-    elif spec.kind == "counterexample":
-        result = counterexample_demo(tol=spec.tol)
-    elif spec.kind == "all":
-        result = _run_all(spec)
-    else:
-        raise SpecError([f"unknown scenario kind {spec.kind!r}"])
+    result, rmat = _RUNNERS[spec.kind](spec), None
+    if isinstance(result, tuple):
+        result, rmat = result
     elapsed = time.perf_counter() - start
     report = {
         "scenario": spec.to_json(),
@@ -408,24 +397,21 @@ def run_scenario(spec):
 # argument parsing
 
 
-def _add_common(parser, states=0, depth=False, sampling=False):
-    parser.add_argument("--tol", type=float, default=None, help="tolerance override")
-    parser.add_argument("--out", default=None, help="output JSON path")
+def _add_common(parser, kind, states=0, depth=False, sampling=False):
+    parser.set_defaults(kind=kind)
+    parser.add_argument("--tol", type=float, help="tolerance override")
+    parser.add_argument("--out", help="output JSON path")
     parser.add_argument(
         "--timings", action="store_true", help="include wall-clock timings in the output"
     )
-    if states >= 1:
-        parser.add_argument("--omega1", default=None, help="state JSON or @file")
-    if states >= 2:
-        parser.add_argument("--omega2", default=None, help="state JSON or @file")
-    if states >= 3:
-        parser.add_argument("--omega3", default=None, help="state JSON or @file")
+    for i in range(1, states + 1):
+        parser.add_argument(f"--omega{i}", help="state JSON or @file")
     if depth:
-        parser.add_argument("--depth", type=int, default=1, help="span depth")
+        parser.add_argument("--depth", type=int, help="span depth")
     if sampling:
-        parser.add_argument("--max-len", type=int, default=1, dest="max_len")
-        parser.add_argument("--samples", type=int, default=0)
-        parser.add_argument("--seed", type=int, default=7)
+        parser.add_argument("--max-len", type=int, dest="max_len")
+        parser.add_argument("--samples", type=int)
+        parser.add_argument("--seed", type=int)
 
 
 def build_parser():
@@ -438,51 +424,40 @@ def build_parser():
 
     p = sub.add_parser("verify-coassoc", help="double-coproduct agreement")
     p.add_argument("--n", type=int, required=True, help="algebra index")
-    _add_common(p, sampling=True)
+    _add_common(p, "coassoc", sampling=True)
 
     p = sub.add_parser("state-product", help="product state against the closed form")
-    _add_common(p, states=2, sampling=True)
+    _add_common(p, "state-product", states=2, sampling=True)
     p.set_defaults(max_len=3, samples=100)
 
     p = sub.add_parser("build-r", help="construct and export the operator")
-    _add_common(p, states=2, depth=True)
-    p.add_argument("--report", default=None, help="also write the check report here")
+    _add_common(p, "build-r", states=2, depth=True)
+    p.add_argument("--report", help="also write the check report here")
 
     p = sub.add_parser("verify", help="intertwining, symmetry, and (with omega3) ybe")
-    _add_common(p, states=3, depth=True)
+    _add_common(p, "verify", states=3, depth=True)
 
     p = sub.add_parser("counterexample", help="the noncommuting-pair degeneration")
-    _add_common(p)
+    _add_common(p, "counterexample")
 
     p = sub.add_parser("all", help="the full deterministic battery")
-    _add_common(p)
-    p.add_argument("--seed", type=int, default=7)
+    _add_common(p, "all")
+    p.add_argument("--seed", type=int)
 
     return parser
 
 
 def _spec_from_args(args):
-    kind = {
-        "verify-coassoc": "coassoc",
-        "state-product": "state-product",
-        "build-r": "build-r",
-        "verify": "verify",
-        "counterexample": "counterexample",
-        "all": "all",
-    }[args.command]
-    spec = ScenarioSpec(
-        kind=kind,
-        omega1=parse_state_arg(getattr(args, "omega1", None), "omega1"),
-        omega2=parse_state_arg(getattr(args, "omega2", None), "omega2"),
-        omega3=parse_state_arg(getattr(args, "omega3", None), "omega3"),
-        n=getattr(args, "n", None),
-        depth=getattr(args, "depth", 1),
-        max_len=getattr(args, "max_len", 1),
-        samples=getattr(args, "samples", 0),
-        seed=getattr(args, "seed", 7),
-        tol=_resolve_tol(args.tol, kind),
-    )
-    return spec
+    """The scenario of a parsed command line; unset options take the
+    ScenarioSpec defaults."""
+    given = {}
+    for f in fields(ScenarioSpec):
+        value = getattr(args, f.name, None)
+        if f.name.startswith("omega"):
+            value = parse_state_arg(value, f.name)
+        if value is not None:
+            given[f.name] = value
+    return ScenarioSpec(**given)
 
 
 def main(argv=None):
@@ -505,10 +480,10 @@ def main(argv=None):
         witness = f" witness={check['witness']}" if "witness" in check else ""
         print(f"{status} {check['name']} residual={check['residual']:.3e}{witness}")
     print(f"{'PASS' if report['pass'] else 'FAIL'} overall")
-    if args.command == "build-r":
+    if args.kind == "build-r":
         if rmat is not None and args.out:
             emit(rmat.to_json(), args.out)
-        if getattr(args, "report", None):
+        if args.report:
             emit(report, args.report)
     elif args.out:
         emit(report, args.out)

@@ -327,40 +327,25 @@ def relation_residual(rmat, max_len):
 # verifiers
 
 
-def verify_intertwining(rmat, test_words=None, span_depth=None, tol=BUILD_TOL):
+def verify_intertwining(rmat, tol=BUILD_TOL):
     """Conjugation identity on span vectors.
 
-    For every test word x and every image v of a creation word of length at
-    most ``span_depth``, compares the image of the coproduct action
+    For every generator x of O_{nm} and every image v of a creation word of
+    length at most depth - 1, compares the image of the coproduct action
     followed by the operator with the operator followed by the
-    opposite-coproduct action. The operator must be built deep enough that
-    both paths stay inside its domain: depth >= span_depth + longest word.
-    R is applied once to all span vectors, and once per test word to their
-    coproduct images.
+    opposite-coproduct action; the one-letter generators keep both paths
+    inside the operator's depth-d domain. R is applied once to all span
+    vectors, and once per generator to their coproduct images. Raises
+    OutOfDomain for a depth-0 operator, which has no such span.
     """
     n1, n2 = rmat.shape
     N = n1 * n2
-    if test_words is None:
-        test_words = [CuntzMonomial.generator(N, i) for i in range(1, N + 1)]
-    test_words = [
-        w if isinstance(w, CuntzMonomial) else CuntzMonomial(N, w, ())
-        for w in test_words
-    ]
-    max_len = max((len(w.u) + len(w.v) for w in test_words), default=0)
-    if span_depth is None:
-        span_depth = rmat.depth - max_len
-    if rmat.depth < span_depth + max_len or span_depth < 0:
-        raise OutOfDomain(
-            float(span_depth + max_len - rmat.depth),
-            f"operator depth {rmat.depth} cannot host words of length "
-            f"{max_len} on the depth-{span_depth} span",
-        )
+    if rmat.depth < 1:
+        raise OutOfDomain(1.0, f"intertwining needs operator depth >= 1, got {rmat.depth}")
+    span_depth = rmat.depth - 1
     # the opposite side acts on R V over the whole depth-d block, so it
-    # grows the block by the longest creation word of a test word
-    grow = max((len(w.u) for w in test_words), default=0)
-    preflight(
-        _word_count(N, span_depth) * N ** (rmat.depth + grow), "the intertwining check"
-    )
+    # grows the block by one letter
+    preflight(_word_count(N, span_depth) * N ** (rmat.depth + 1), "the intertwining check")
     reps = (rmat.rep1, rmat.rep2)
     coproduct, coproduct_op = _pair_coproducts(n1, n2)
     V = _word_images(
@@ -368,7 +353,8 @@ def verify_intertwining(rmat, test_words=None, span_depth=None, tol=BUILD_TOL):
     )
     moved = rmat.apply_dense(pad_to(V, rmat.dims))
     report = VerificationReport(scenario="intertwining")
-    for word in test_words:
+    for i in range(1, N + 1):
+        word = CuntzMonomial.generator(N, i)
         lhs = rmat.apply_dense(pad_to(act_dense(reps, coproduct(word), V), rmat.dims))
         rhs = act_dense(reps, coproduct_op(word), moved)
         worst = _worst_gap(lhs, rhs)

@@ -38,7 +38,8 @@ class UnitVector:
         if z.size < 1:
             raise ValueError("a unit vector needs at least one component")
         nrm = float(np.linalg.norm(z))
-        if abs(nrm - 1.0) > NORM_TOL:
+        # written so that a NaN norm fails too
+        if not abs(nrm - 1.0) <= NORM_TOL:
             raise ValueError(f"not a unit vector: norm = {nrm!r}")
         z.setflags(write=False)
         self.n = int(z.size)
@@ -243,26 +244,39 @@ def _json_int(obj, key):
     return value
 
 
+def _json_number(value):
+    """A JSON number (int or float, not bool) as a float; anything else is an error."""
+    if type(value) not in (int, float):
+        raise ValueError(f'state JSON: "z" entries must be numbers, got {value!r}')
+    return float(value)
+
+
 def state_from_json(obj):
     """Build a state from its JSON form.
 
-    Accepts the explicit form {"n": n, "z": [[re, im], ...]} and the
-    shortcuts {"standard": n} (first basis vector) and {"uniform": n}; n
-    must be a JSON integer.
+    Accepts exactly one of three forms, with no other key: the explicit
+    {"n": n, "z": [[re, im], ...]} and the shortcuts {"standard": n} (first
+    basis vector) and {"uniform": n}. n must be a JSON integer and each
+    re, im a JSON number.
     """
     if not isinstance(obj, dict):
         raise ValueError("state JSON must be an object")
     if "standard" in obj:
-        return GPState.standard(_json_int(obj, "standard"))
-    if "uniform" in obj:
-        return GPState.uniform(_json_int(obj, "uniform"))
-    if "n" not in obj or "z" not in obj:
-        raise ValueError('state JSON needs "n" and "z" (or a shortcut key)')
-    n = _json_int(obj, "n")
-    comps = []
-    for entry in obj["z"]:
-        re, im = entry
-        comps.append(complex(float(re), float(im)))
-    if len(comps) != n:
-        raise ValueError(f'state JSON: |z| = {len(comps)} but n = {n}')
-    return GPState(UnitVector(comps))
+        form, state = {"standard"}, GPState.standard(_json_int(obj, "standard"))
+    elif "uniform" in obj:
+        form, state = {"uniform"}, GPState.uniform(_json_int(obj, "uniform"))
+    else:
+        if "n" not in obj or "z" not in obj:
+            raise ValueError('state JSON needs "n" and "z" (or a shortcut key)')
+        n = _json_int(obj, "n")
+        comps = []
+        for entry in obj["z"]:
+            re, im = entry
+            comps.append(complex(_json_number(re), _json_number(im)))
+        if len(comps) != n:
+            raise ValueError(f'state JSON: |z| = {len(comps)} but n = {n}')
+        form, state = {"n", "z"}, GPState(UnitVector(comps))
+    extra = set(obj) - form
+    if extra:
+        raise ValueError(f"state JSON takes one form only, got extra keys {sorted(extra)}")
+    return state

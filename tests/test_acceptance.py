@@ -135,7 +135,7 @@ def test_criterion_5_intertwining_and_symmetry(acceptance_log):
     u2, u3 = GPState.uniform(2), GPState.uniform(3)
     rmat = build_r(u2, u3, 2)
     unitary = rmat.unitarity_residual
-    inter = verify_intertwining(rmat, span_depth=1)
+    inter = verify_intertwining(rmat)
     sym = verify_symmetry(u2, u3, 2, r12=rmat)
     elapsed = time.perf_counter() - start
     ok = (

@@ -4,6 +4,7 @@ import pytest
 
 from cuntzr.cli import ScenarioSpec, main, run_scenario, stable_json
 from cuntzr.errors import SpecError
+from cuntzr.states import GPState
 
 try:
     import jsonschema
@@ -250,6 +251,7 @@ def test_tol_out_of_range_is_rejected(capsys):
 
 
 _STD2 = '{"standard": 2}'
+_STD3 = '{"standard": 3}'
 
 
 @pytest.mark.parametrize(
@@ -267,7 +269,13 @@ _STD2 = '{"standard": 2}'
         ["counterexample", "--tol", "0.5"],
         ["counterexample", "--tol", "nan"],
         ["verify", "--omega1", _STD2, "--omega2", _STD2, "--depth", "-1"],
+        ["verify", "--omega1", _STD2, "--omega2", _STD2, "--depth", "0"],
         ["verify-coassoc", "--n", "0"],
+        ["verify-coassoc", "--n", "4", "--samples", "3", "--seed", "-1"],
+        ["state-product", "--omega1", '{"n": 2, "z": [["1", "0"], [false, 0]]}', "--omega2", _STD3],
+        ["state-product", "--omega1", '{"n": 2, "z": [[NaN, 0], [0, 0]]}', "--omega2", _STD3],
+        ["state-product", "--omega1", '{"standard": 2, "uniform": 2.5}', "--omega2", _STD3],
+        ["state-product", "--omega1", '{"standard": 2, "bogus": 1}', "--omega2", _STD3],
     ],
 )
 def test_bad_input_exits_2_with_an_error_line(args, tmp_path, capsys):
@@ -347,15 +355,44 @@ def test_rejection_records_carry_the_separating_gap(tmp_path):
 
 def test_tolerance_defaults_per_kind():
     from cuntzr.algebra import EQ_TOL
-    from cuntzr.cli import _resolve_tol
     from cuntzr.rmatrix import BUILD_TOL
 
-    assert _resolve_tol(None, "coassoc") == EQ_TOL == 1e-12
-    assert _resolve_tol(None, "state-product") == EQ_TOL
+    assert ScenarioSpec(kind="coassoc").tol == EQ_TOL == 1e-12
+    assert ScenarioSpec(kind="state-product").tol == EQ_TOL
     for kind in ("build-r", "verify", "counterexample", "all"):
-        assert _resolve_tol(None, kind) == BUILD_TOL == 1e-9
+        assert ScenarioSpec(kind=kind).tol == BUILD_TOL == 1e-9
     assert ScenarioSpec(kind="all").tol == BUILD_TOL
-    assert _resolve_tol(1e-5, "coassoc") == 1e-5
+    assert ScenarioSpec(kind="coassoc", tol=1e-5).tol == 1e-5
+
+
+@pytest.mark.parametrize(
+    "spec, args",
+    [
+        (dict(kind="coassoc", n=4), ["verify-coassoc", "--n", "4"]),
+        (
+            dict(kind="state-product", omega1={"uniform": 2}, omega2={"uniform": 3}, max_len=3,
+                 samples=100),
+            ["state-product", "--omega1", '{"uniform": 2}', "--omega2", '{"uniform": 3}'],
+        ),
+    ],
+)
+def test_library_path_gives_the_cli_report(spec, args, tmp_path):
+    # same inputs, same report: tolerance per kind, states in canonical form
+    path = tmp_path / "r.json"
+    assert run(args + ["--out", str(path)]) == 0
+    report, _, _ = run_scenario(ScenarioSpec(**spec))
+    assert stable_json(report) == path.read_text()
+    assert report["scenario"]["tol"] == 1e-12
+    if "omega1" in spec:
+        assert report["scenario"]["omega1"] == GPState.uniform(2).to_json()
+        assert set(report["scenario"]["omega2"]) == {"n", "z"}
+
+
+def test_library_spec_rejects_what_the_cli_rejects():
+    with pytest.raises(SpecError, match="tol must lie in"):
+        run_scenario(ScenarioSpec(kind="coassoc", n=4, tol=0.5))
+    with pytest.raises(SpecError, match="omega1: basis vector"):
+        ScenarioSpec(kind="verify", omega1={"standard": 0}, omega2={"standard": 2})
 
 
 def test_only_the_subcommand_kinds_run():

@@ -269,9 +269,9 @@ def test_intertwining_sees_mass_that_leaves_the_span_block():
 
 
 def test_intertwining_depth_arithmetic_is_enforced():
-    rmat = build_r(W2, W3, 1)
+    rmat = build_r(W2, W3, 0)
     with pytest.raises(OutOfDomain):
-        verify_intertwining(rmat, span_depth=1)
+        verify_intertwining(rmat)
 
 
 def test_symmetry_chain_on_basis_pair():

@@ -265,8 +265,10 @@ def test_twist_rejects_non_unitary():
 
 
 def test_unit_vector_rejects_non_unit():
-    with pytest.raises(ValueError):
-        UnitVector([1.0, 1.0])
+    # a NaN norm compares false against the bound, so it must fail the check
+    for components in ([1.0, 1.0], [float("nan"), 0.0]):
+        with pytest.raises(ValueError, match="not a unit vector"):
+            UnitVector(components)
 
 
 def test_basis_vector_index_is_checked():
