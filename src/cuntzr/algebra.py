@@ -20,7 +20,9 @@ returns the largest coefficient left over.
 
 from __future__ import annotations
 
+import cmath
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,7 +127,8 @@ class AlgebraElement:
 
     Terms are stored as a map (u, v) -> coefficient; keys are normalized
     word tuples and coefficients with magnitude at or below ``ZERO_TOL``
-    are pruned. Instances are treated as immutable.
+    are pruned; a NaN coefficient is kept. Instances are treated as
+    immutable.
     """
 
     __slots__ = ("n", "_terms")
@@ -144,7 +147,8 @@ class AlgebraElement:
                     acc[key] += c
                 else:
                     acc[key] = c
-        self._terms = {k: c for k, c in acc.items() if abs(c) > ZERO_TOL}
+        # written so that a NaN coefficient is kept
+        self._terms = {k: c for k, c in acc.items() if not abs(c) <= ZERO_TOL}
 
     @classmethod
     def zero(cls, n):
@@ -287,7 +291,9 @@ def canonical_residual(x, y):
     leg is expanded to the longest annihilation word of its group. The
     expanded tensor monomials are linearly independent, so the residual is
     zero exactly when x = y modulo the relations. The difference is summed
-    without dropping small coefficients.
+    without dropping small coefficients, a block whose two term maps are
+    equal is skipped, and a NaN anywhere in the difference makes the
+    residual NaN, so no tolerance accepts it.
     """
     if isinstance(x, AlgebraElement) != isinstance(y, AlgebraElement):
         raise TypeError("cannot compare an algebra element with a tensor element")
@@ -296,9 +302,14 @@ def canonical_residual(x, y):
     bx, by = _leg_blocks(x), _leg_blocks(y)
     worst = 0.0
     for indices in bx.keys() | by.keys():
-        diff = dict(bx.get(indices, {}))
-        for keys, c in by.get(indices, {}).items():
+        tx, ty = bx.get(indices, {}), by.get(indices, {})
+        if tx == ty and not any(map(cmath.isnan, tx.values())):
+            continue  # equal term maps: the difference is exactly zero
+        diff = dict(tx)
+        for keys, c in ty.items():
             diff[keys] = diff.get(keys, 0j) - c
+        if any(map(cmath.isnan, diff.values())):
+            return math.nan
         groups = {}
         for keys, c in diff.items():
             if c:

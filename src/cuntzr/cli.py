@@ -29,8 +29,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import __version__
-from .algebra import EQ_TOL, AlgebraElement, CuntzMonomial, canonical_residual
-from .coproduct import f_l, f_r
+from .algebra import EQ_TOL, AlgebraElement, CuntzMonomial
+from .coproduct import coassoc_residual
 from .errors import CuntzrError, NotCommuting, SpecError
 from .rmatrix import (
     BUILD_TOL,
@@ -184,6 +184,34 @@ def parse_state_arg(text, field):
     return _as_state(obj, field)
 
 
+# about 20 s of verify-coassoc, at the 5 us a split measured on a 2-core machine
+MAX_COASSOC_SPLITS = 4_000_000
+
+
+def _coassoc_splits(n, samples):
+    """Word-pair splits (``_split`` calls) that ``verify-coassoc`` makes on O_n.
+
+    Each of its n generators, its unit and its ``samples`` random monomials
+    is one term: delta splits it once per ordered divisor pair of n, d(n)
+    times, and each outer expansion once per ordered divisor triple, d_3(n)
+    times. Both counts are products over the prime factorization
+    n = prod p^e: d(n) of (e + 1) and d_3(n) of (e + 1)(e + 2)/2.
+    """
+    d = d3 = 1
+    p, rest = 2, n
+    while rest > 1:
+        if p * p > rest:
+            p = rest  # what is left is prime
+        e = 0
+        while rest % p == 0:
+            rest //= p
+            e += 1
+        d *= e + 1
+        d3 *= (e + 1) * (e + 2) // 2
+        p += 1
+    return (n + 1 + samples) * (d + 2 * d3)
+
+
 def _validate(spec):
     if spec.kind not in _RUNNERS:
         raise SpecError([f"unknown scenario kind {spec.kind!r}"])
@@ -203,6 +231,18 @@ def _validate(spec):
             errors.append(f"{spec.kind} needs --omega1 and --omega2")
     if spec.kind == "coassoc" and (spec.n is None or spec.n < 1):
         errors.append("coassoc needs --n >= 1")
+    elif spec.kind == "coassoc" and spec.samples >= 0:
+        # each monomial takes at least 3 splits, and n is factored only
+        # when that floor stays under the cap
+        floor = 3 * (spec.n + 1 + spec.samples)
+        exact = floor <= MAX_COASSOC_SPLITS
+        splits = _coassoc_splits(spec.n, spec.samples) if exact else floor
+        if splits > MAX_COASSOC_SPLITS:
+            errors.append(
+                f"verify-coassoc on O_{spec.n} with {spec.samples} samples needs "
+                f"{'' if exact else 'at least '}{splits} word-pair splits, "
+                f"above the cap of {MAX_COASSOC_SPLITS}"
+            )
     if spec.kind == "state-product" and spec.samples < 1:
         errors.append("state-product needs --samples >= 1")
     if errors:
@@ -237,7 +277,7 @@ def _run_coassoc(spec):
         groups.append(("coassoc-random-monomials", monos))
     for name, monos in groups:
         # the worst canonical residual between the two double coproducts
-        worst = max(canonical_residual(f_r(mono), f_l(mono)) for mono in monos)
+        worst = max(coassoc_residual(mono) for mono in monos)
         report.add(name, worst <= spec.tol, worst)
     return report
 

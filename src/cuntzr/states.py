@@ -149,17 +149,19 @@ class StarComposite:
     nest and non-closed-form functionals can be compared directly.
     """
 
-    __slots__ = ("left", "right", "n")
+    __slots__ = ("left", "right", "n", "_left_value", "_right_value")
 
     def __init__(self, left, right):
         self.left = left
         self.right = right
         self.n = left.n * right.n
+        self._left_value = _key_values(left)
+        self._right_value = _key_values(right)
 
     def __call__(self, x):
         x = as_element(x, self.n)
         block = phi(self.left.n, self.right.n, x).block(self.left.n, self.right.n)
-        left, right = _key_values(self.left), _key_values(self.right)
+        left, right = self._left_value, self._right_value
         total = 0j
         for (key1, key2), c in block.items():
             a = left(key1)

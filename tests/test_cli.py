@@ -1,8 +1,17 @@
 import json
+import time
 
 import pytest
 
-from cuntzr.cli import ScenarioSpec, main, run_scenario, stable_json
+from cuntzr import coproduct
+from cuntzr.cli import (
+    MAX_COASSOC_SPLITS,
+    ScenarioSpec,
+    _coassoc_splits,
+    main,
+    run_scenario,
+    stable_json,
+)
 from cuntzr.errors import SpecError
 from cuntzr.states import GPState
 
@@ -308,16 +317,19 @@ def test_state_file_reference(tmp_path):
 
 
 def test_perturbed_coassociativity_fails_with_its_residual(tmp_path, monkeypatch):
-    from cuntzr import cli
-    from cuntzr.coproduct import TensorElement, f_l
+    from cuntzr.coproduct import TensorElement
 
-    def perturbed(x):
+    real = coproduct.expand_leg
+
+    def perturbed(t, leg, opposite=False):
+        out = real(t, leg, opposite)
+        if (t.arity, leg) != (2, 1):
+            return out
         # 1e-3 added to one coefficient 1 of (Delta (x) id) Delta
-        left = f_l(x)
-        block, terms = next(iter(left.blocks.items()))
-        return left + TensorElement({block: {next(iter(terms)): 1e-3}})
+        block, terms = next(iter(out.blocks.items()))
+        return out + TensorElement({block: {next(iter(terms)): 1e-3}})
 
-    monkeypatch.setattr(cli, "f_l", perturbed)
+    monkeypatch.setattr(coproduct, "expand_leg", perturbed)
     path = tmp_path / "r.json"
     assert run(["verify-coassoc", "--n", "4", "--samples", "3", "--out", str(path)]) == 1
     report = json.loads(path.read_text())
@@ -427,3 +439,53 @@ def test_state_product_needs_a_positive_sample_count(tmp_path, capsys):
         {"name": "product-matches-interleaved-state", "pass": True, "residual": 2.0**-55},
         {"name": "commutes", "pass": True, "residual": 0.0},
     ]
+
+
+# ---------------------------------------------------------------------------
+# the size cap of verify-coassoc
+
+
+def _count_splits(monkeypatch):
+    calls = []
+    real = coproduct._split
+
+    def count(m, l, k):
+        calls.append((m, l))
+        return real(m, l, k)
+
+    monkeypatch.setattr(coproduct, "_split", count)
+    return calls
+
+
+def test_coassoc_split_estimate_is_the_counted_work(monkeypatch, capsys):
+    calls = _count_splits(monkeypatch)
+    assert run(["verify-coassoc", "--n", "360", "--samples", "5"]) == 0
+    # d(360) = 24 and d_3(360) = 180, for 361 + 5 monomials
+    assert _coassoc_splits(360, 5) == 366 * (24 + 2 * 180)
+    assert len(calls) == _coassoc_splits(360, 5)
+
+
+def test_oversized_coassoc_fails_fast(monkeypatch, capsys):
+    from cuntzr.cli import _validate
+
+    # --n 3000 makes about 1.9M splits and runs; --n 30000 would make 42M
+    assert _coassoc_splits(3000, 0) <= MAX_COASSOC_SPLITS < _coassoc_splits(30000, 0)
+
+    def split(m, l, k):
+        raise AssertionError("a refused request split a word pair")
+
+    monkeypatch.setattr(coproduct, "_split", split)
+    for args, needs in (
+        (["--n", "30000"], "needs 42001400 word-pair splits"),
+        (["--n", "4", "--samples", "700000"], "needs 10500075 word-pair splits"),
+    ):
+        start = time.perf_counter()
+        assert run(["verify-coassoc", *args]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and needs in err
+        assert f"above the cap of {MAX_COASSOC_SPLITS}" in err
+    # an index too large to factor is refused on the floor of 3 splits a monomial
+    with pytest.raises(SpecError) as exc:
+        _validate(ScenarioSpec(kind="coassoc", n=10**30))
+    assert f"needs at least {3 * (10**30 + 1)} word-pair splits" in exc.value.errors[0]

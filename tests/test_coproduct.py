@@ -8,6 +8,7 @@ from cuntzr.algebra import canonical_equal, canonical_residual
 from cuntzr.coproduct import (
     TensorElement,
     check_coassoc,
+    coassoc_residual,
     delta,
     delta_op,
     divisor_pairs,
@@ -359,6 +360,60 @@ def test_perturbed_double_coproduct_reads_the_perturbation():
     assert not canonical_equal(f_r(x), bumped)
 
 
+def test_a_bump_in_any_one_block_of_o60_is_reported(monkeypatch):
+    # negative control: 1e-3 added to the one coefficient 1 of a single
+    # three-leg block of (Delta (x) id) Delta; the other 53 blocks are equal
+    x = CuntzMonomial(60, (7, 59, 12), (30,))
+    blocks = list(f_l(x).blocks)
+    assert len(blocks) == 54
+    assert coassoc_residual(x) == 0.0
+    real = coproduct.expand_leg
+    for bumped in blocks:
+
+        def perturbed(t, leg, opposite=False):
+            out = real(t, leg, opposite)
+            if (t.arity, leg) != (2, 1):
+                return out
+            (keys, c), = out.block(*bumped).items()
+            assert c == 1.0
+            return out + TensorElement({bumped: {keys: 1e-3}})
+
+        monkeypatch.setattr(coproduct, "expand_leg", perturbed)
+        assert coassoc_residual(x) == (1.0 + 1e-3) - 1.0
+        assert not check_coassoc(x)
+
+
+def test_coassoc_residual_is_the_residual_of_the_two_double_coproducts():
+    rng = np.random.default_rng(5)
+    for n in (1, 4, 6, 12):
+        x = _gaussian_element(rng, n, 5)
+        assert coassoc_residual(x) == canonical_residual(f_r(x), f_l(x)) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# NaN coefficients
+
+
+def test_nan_coefficients_are_kept_and_never_compare_equal():
+    nan = float("nan")
+    x = AlgebraElement(2, {((1,), ()): nan})
+    assert not x.is_zero
+    t = TensorElement({(2, 3): {(key([1]), UNIT): nan}})
+    assert not t.is_zero
+    # the same NaN object on both sides: equal dicts, but no equality
+    for a in (x, t):
+        assert np.isnan(canonical_residual(a, a))
+        assert not canonical_equal(a, a, tol=1.0)
+    y = AlgebraElement(12, {((5,), ()): nan, ((1,), (2,)): 1.0})
+    assert np.isnan(coassoc_residual(y))
+    assert not check_coassoc(y, tol=1.0)
+    # a NaN in one block of several is not hidden by the others
+    u = TensorElement({(2, 3): {(key([1]), UNIT): 1.0}, (3, 2): {(UNIT, UNIT): nan}})
+    v = TensorElement({(2, 3): {(key([1]), UNIT): 2.0}, (3, 2): {(UNIT, UNIT): 1.0}})
+    assert np.isnan(canonical_residual(u, v))
+    assert np.isnan(canonical_residual(v, u))
+
+
 # ---------------------------------------------------------------------------
 # leg expansion at any arity
 
@@ -592,11 +647,16 @@ def test_word_splits_are_counted_once(monkeypatch):
     f_l(mono)
     assert len(calls) == 12 + 54
     calls.clear()
+    # coassociativity splits Delta once and then each of its two legs
     assert check_coassoc(mono, tol=0.0)
-    assert len(calls) == 2 * (12 + 54)
+    assert len(calls) == 12 + 2 * 54
+    calls.clear()
+    # the CLI pays the same per monomial: the 60 generators and the unit
+    assert cli.main(["verify-coassoc", "--n", "60"]) == 0
+    assert len(calls) == 61 * (12 + 2 * 54)
     calls.clear()
     x = _gaussian_element(np.random.default_rng(3), 12, 4)
     assert len(x.terms) == 4
     assert check_coassoc(x, tol=0.0)
     # d(12) = 6 and the divisors of 12 have 1+2+2+3+4+6 = 18 divisors
-    assert len(calls) == 4 * 2 * (6 + 18)
+    assert len(calls) == 4 * (6 + 2 * 18)

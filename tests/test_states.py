@@ -151,6 +151,34 @@ def test_star_values_equal_gp_eval_on_the_per_term_elements(monkeypatch):
     assert [(v.real, v.imag) for v in got] == [(v.real, v.imag) for v in want]
 
 
+def test_star_sets_up_its_factor_values_once(monkeypatch):
+    from cuntzr import states
+
+    calls = []
+    real = states._key_values
+
+    def count(functional):
+        calls.append(functional)
+        return real(functional)
+
+    monkeypatch.setattr(states, "_key_values", count)
+    rng = np.random.default_rng(9)
+    omega, psi = GPState(random_unit(rng, 2)), GPState(random_unit(rng, 3))
+    prod = star(omega, psi)
+    xs = [AlgebraElement.monomial(random_monomial(rng, 6)) for _ in range(20)]
+    values = [prod(x) for x in xs]
+    assert calls == [omega, psi]
+    assert values == [prod(x) for x in xs]
+
+
+def test_a_nan_coefficient_reaches_the_state_value():
+    x = AlgebraElement(2, {((1,), ()): float("nan")})
+    assert np.isnan(GPState.uniform(2)(x))
+    assert np.isnan(star(GPState.uniform(2), GPState.uniform(3))(
+        AlgebraElement(6, {((4,), ()): float("nan")})
+    ))
+
+
 def test_star_is_associative_on_values():
     rng = np.random.default_rng(4)
     a, b, c = (GPState(random_unit(rng, n)) for n in (2, 2, 3))
