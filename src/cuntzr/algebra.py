@@ -29,8 +29,17 @@ import numpy as np
 
 from .errors import BadLevel, MismatchedAlgebra
 
-ZERO_TOL = 1e-13  # coefficients at or below this magnitude are dropped
-EQ_TOL = 1e-12    # default tolerance for canonical equality
+# The tolerance policy: three constants and one pass rule, ``holds``.
+ZERO_TOL = 1e-13   # prune cutoff: coefficients at or below it are dropped
+EQ_TOL = 1e-12     # equality of exact arithmetic, and input checks
+BUILD_TOL = 1e-9   # residual bound of the float verifiers
+
+
+def holds(residual, tol, exact=False):
+    """The pass rule of every identity check: ``residual == 0.0`` on exact
+    paths (standard states, whose operators are 0/1 matrices), else
+    ``residual <= tol``. Written so that a NaN residual fails either way."""
+    return residual == 0.0 if exact else residual <= tol
 
 
 def _check_word(n, letters):
@@ -329,7 +338,7 @@ def canonical_residual(x, y):
 
 def canonical_equal(x, y, tol=EQ_TOL):
     """Equality modulo the Cuntz relations: canonical_residual(x, y) <= tol."""
-    return canonical_residual(x, y) <= tol
+    return holds(canonical_residual(x, y), tol)
 
 
 def substitute_generators(x, matrix):

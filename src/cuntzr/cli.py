@@ -29,11 +29,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import __version__
-from .algebra import EQ_TOL, AlgebraElement, CuntzMonomial
+from .algebra import BUILD_TOL, EQ_TOL, AlgebraElement, CuntzMonomial, holds
 from .coproduct import coassoc_residual
 from .errors import CuntzrError, NotCommuting, SpecError
 from .rmatrix import (
-    BUILD_TOL,
     VerificationReport,
     _leg_flip,
     _worst_column,
@@ -278,7 +277,7 @@ def _run_coassoc(spec):
     for name, monos in groups:
         # the worst canonical residual between the two double coproducts
         worst = max(coassoc_residual(mono) for mono in monos)
-        report.add(name, worst <= spec.tol, worst)
+        report.add(name, holds(worst, spec.tol), worst)
     return report
 
 
@@ -293,7 +292,7 @@ def _run_state_product(spec):
         x = AlgebraElement.monomial(mono)
         worst = max(worst, abs(prod(x) - gp_eval(boxed, x)))
     report = VerificationReport(scenario=spec.kind)
-    report.add("product-matches-interleaved-state", worst <= spec.tol, worst)
+    report.add("product-matches-interleaved-state", holds(worst, spec.tol), worst)
     ok, witness = commutes(omega1, omega2, tol=spec.tol)
     report.add(
         "commutes",
@@ -315,8 +314,8 @@ def _run_build_r(spec):
         return report, None
     unitary = rmat.unitarity_residual
     relation = relation_residual(rmat, 1)
-    report.add("unitary", unitary <= spec.tol, unitary)
-    report.add("defining-relation", relation <= spec.tol, relation)
+    report.add("unitary", holds(unitary, spec.tol, rmat.is_permutation), unitary)
+    report.add("defining-relation", holds(relation, spec.tol, rmat.is_permutation), relation)
     return report, rmat
 
 
@@ -372,7 +371,8 @@ def _run_all(spec):
     merge("build-r-standard-2-3", sub_report)
     if rmat is not None:
         moved = _pair_gap(rmat, {(1, 3): (1, 2)})
-        report.add("build-r-standard-2-3/maps-pair-1-3-to-1-2", moved == 0.0, moved)
+        passed = holds(moved, spec.tol, True)
+        report.add("build-r-standard-2-3/maps-pair-1-3-to-1-2", passed, moved)
         # R = R_1^{(x)d} is the identity exactly when R_1 is (R_1 fixes e_1 (x) e_1)
         deviation = _worst_column(rmat.r1 - np.eye(len(rmat.r1)))
         report.add("build-r-standard-2-3/not-identity", deviation > 0.0, deviation)
@@ -391,7 +391,8 @@ def _run_all(spec):
     for label, omega in (("standard-2", GPState.standard(2)), ("uniform-2", GPState.uniform(2))):
         rmat = build_r(omega, omega, 2)
         worst = _worst_column(rmat.r1 - _leg_flip(omega.n, omega.n))
-        report.add(f"equal-states-{label}/operator-is-leg-swap", worst <= spec.tol, worst)
+        passed = holds(worst, spec.tol, rmat.is_permutation)
+        report.add(f"equal-states-{label}/operator-is-leg-swap", passed, worst)
         rep = verify_intertwining(rmat, tol=spec.tol)
         report.add(f"equal-states-{label}/intertwine", rep.passed, rep.max_residual)
 
@@ -399,7 +400,7 @@ def _run_all(spec):
     rmat = build_r(GPState.standard(2), GPState.standard(3), 2)
     pairs = [(a, b) for a in range(1, 5) for b in range(1, 10)]
     worst = _pair_gap(rmat, {p: swap_index_pair(2, 3, *p, 2) for p in pairs})
-    report.add("closed-form-2-3/matches-built-operator", worst == 0.0, worst)
+    report.add("closed-form-2-3/matches-built-operator", holds(worst, spec.tol, True), worst)
 
     merge("counterexample", counterexample_demo(tol=spec.tol))
     return report

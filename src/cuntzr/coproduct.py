@@ -55,6 +55,7 @@ from .algebra import (
     as_element,
     canonical_equal,
     canonical_residual,
+    holds,
     mono_key_product,
 )
 from .errors import BadFactorization
@@ -368,4 +369,4 @@ def coassoc_residual(x):
 
 def check_coassoc(x, tol=EQ_TOL):
     """Whether the two double coproducts of ``x`` agree."""
-    return coassoc_residual(x) <= tol
+    return holds(coassoc_residual(x), tol)

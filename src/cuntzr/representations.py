@@ -33,7 +33,7 @@ import numpy as np
 
 from .coproduct import TensorElement
 from .errors import OutOfDomain, SpanTooLarge
-from .states import UNITARY_TOL, GPState, UnitVector
+from .states import GPState, UnitVector
 
 # ---------------------------------------------------------------------------
 # memory preflight
@@ -116,29 +116,25 @@ def pair_to_list(arr):
 
 
 def complete_unitary(z):
-    """A unitary with first row conj(z), completed against the standard basis.
+    """A unitary with first row conj(z): one Householder reflection, then a
+    phase fix.
 
-    Modified Gram-Schmidt over the candidates e_1, e_2, ...; a candidate is
-    skipped when its residual norm is at most ``UNITARY_TOL``. Each
-    candidate is orthogonalized twice, so that rows kept from a small
-    residual stay orthogonal to rounding. Deterministic in z.
+    The reflection H = I - 2 v v^H / (v^H v) with v = z + e^{it} ||z|| e_1,
+    e^{it} the phase of z_1 (1 when z_1 = 0), maps z to -e^{it} ||z|| e_1
+    (Householder 1958; the sign as in Golub-Van Loan 5.1, so forming v
+    never cancels). H is Hermitian, so its first row is -e^{it} conj(z) up
+    to rounding. The phase fix returns -e^{-it} H with row 0 set to conj(z)
+    exactly. A basis vector e_k with k > 1 gives a 0/+-1 matrix, the flip
+    for e_2 of C^2. Deterministic in z.
     """
     z = np.asarray(z, dtype=complex).reshape(-1)
-    n = z.size
-    rows = [z.conj()]
-    for k in range(n):
-        if len(rows) == n:
-            break
-        cand = np.zeros(n, dtype=complex)
-        cand[k] = 1.0
-        for row in rows + rows:
-            cand = cand - np.vdot(row, cand) * row
-        nrm = float(np.linalg.norm(cand))
-        if nrm > UNITARY_TOL:
-            rows.append(cand / nrm)
-    if len(rows) != n:
-        raise RuntimeError("unitary completion failed")  # cannot happen for unit z
-    return np.vstack(rows)
+    phase = z[0] / abs(z[0]) if z[0] else 1.0
+    v = z.copy()
+    v[0] += phase * np.linalg.norm(z)
+    U = (2.0 / np.vdot(v, v).real) * np.outer(v, v.conj()) - np.eye(z.size)
+    U *= np.conj(phase)
+    U[0] = z.conj()
+    return U
 
 
 class GPRepresentation:
@@ -169,7 +165,7 @@ class GPRepresentation:
         z = state.z if isinstance(state, GPState) else state
         if not isinstance(z, UnitVector):
             z = UnitVector(z)
-        if z == UnitVector.standard(z.n):
+        if z == UnitVector.standard(z.n):  # no reflection returns I for e_1
             return cls(z.n)
         return cls(z.n, complete_unitary(z.z))
 

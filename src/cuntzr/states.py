@@ -20,12 +20,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import EQ_TOL, AlgebraElement, as_element, iter_monomials
+from .algebra import EQ_TOL, AlgebraElement, as_element, holds, iter_monomials
 from .coproduct import phi
 from .errors import MismatchedAlgebra, NotUnitary
-
-NORM_TOL = 1e-12     # unit-vector normalization tolerance
-UNITARY_TOL = 1e-10  # column-orthonormality tolerance for twists
 
 
 class UnitVector:
@@ -38,8 +35,7 @@ class UnitVector:
         if z.size < 1:
             raise ValueError("a unit vector needs at least one component")
         nrm = float(np.linalg.norm(z))
-        # written so that a NaN norm fails too
-        if not abs(nrm - 1.0) <= NORM_TOL:
+        if not holds(abs(nrm - 1.0), EQ_TOL):  # a NaN norm fails too
             raise ValueError(f"not a unit vector: norm = {nrm!r}")
         z.setflags(write=False)
         self.n = int(z.size)
@@ -211,7 +207,7 @@ def commutes(omega, psi, tol=EQ_TOL):
 
     Returns (True, None) or (False, witness).
     """
-    if interleaving_gap(omega, psi) <= tol:
+    if holds(interleaving_gap(omega, psi), tol):
         return True, None
     for mono in iter_monomials(omega.n * psi.n, 2):
         if star_gap(omega, psi, mono) > tol:
@@ -225,7 +221,7 @@ def twist_state(z, matrix):
     For a unitary U this equals the state of the vector U^dagger z, which is
     what is returned; the tests validate the identity against direct
     symbolic substitution. Raises NotUnitary when the columns of U are not
-    orthonormal within ``UNITARY_TOL``.
+    orthonormal within ``EQ_TOL``.
     """
     if not isinstance(z, UnitVector):
         z = UnitVector(z)
@@ -233,7 +229,7 @@ def twist_state(z, matrix):
     if U.shape != (z.n, z.n):
         raise NotUnitary(f"matrix shape {U.shape} does not match C^{z.n}")
     dev = float(np.max(np.abs(U.conj().T @ U - np.eye(z.n))))
-    if dev > UNITARY_TOL:
+    if not holds(dev, EQ_TOL):
         raise NotUnitary(f"columns not orthonormal: deviation {dev:.3e}")
     return GPState(UnitVector(U.conj().T @ z.z))
 

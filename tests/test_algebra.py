@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from cuntzr.algebra import (
     CuntzMonomial,
     canonical_equal,
     canonical_residual,
+    holds,
     iter_monomials,
     level_expand,
     mono_product,
@@ -370,3 +374,35 @@ def test_substitute_generators_is_multiplicative():
     lhs = substitute_generators(a * b, q)
     rhs = substitute_generators(a, q) * substitute_generators(b, q)
     assert canonical_equal(lhs, rhs)
+
+
+# ---------------------------------------------------------------------------
+# the tolerance policy
+
+
+def test_holds_is_exact_on_exact_paths_and_bounded_elsewhere():
+    assert holds(0.0, 1e-9) and holds(1e-9, 1e-9) and not holds(2e-9, 1e-9)
+    assert holds(0.0, 1e-9, True)
+    assert not holds(5e-324, 1e-9, True)  # the smallest subnormal already fails
+    for exact in (False, True):
+        assert not holds(float("nan"), 1e-9, exact)
+
+
+def test_src_defines_exactly_three_tolerance_constants():
+    policy = {"ZERO_TOL", "EQ_TOL", "BUILD_TOL"}
+    defined = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "cuntzr").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ImportFrom):
+                # an import defines nothing new, but may bring in only the three
+                names = {a.asname or a.name for a in node.names}
+                assert {x for x in names if x.endswith("_TOL")} <= policy, path.name
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [
+                    (t.id, path.name)
+                    for target in targets
+                    for t in ast.walk(target)
+                    if isinstance(t, ast.Name) and t.id.endswith("_TOL")
+                ]
+    assert sorted(defined) == sorted((name, "algebra.py") for name in policy)

@@ -116,11 +116,25 @@ def test_range_projections_sum_to_identity():
 
 def test_complete_unitary_first_row_and_unitarity():
     rng = np.random.default_rng(1)
+    vectors = [random_unit(rng, n).z for n in (2, 3, 5)]
     for n in (2, 3, 5):
-        z = random_unit(rng, n)
-        U = complete_unitary(z.z)
-        assert np.array_equal(U[0], z.z.conj())
-        assert np.max(np.abs(U @ U.conj().T - np.eye(n))) <= 1e-12
+        z = random_unit(rng, n).z
+        # the sign rule meets z_1 = 0 and |z_1| near 1e-12 without cancelling
+        for first in (0.0, 1e-12 * z[0] / abs(z[0])):
+            w = z.copy()
+            w[0] = first
+            vectors.append(w / np.linalg.norm(w))
+    for z in vectors:
+        U = complete_unitary(z)
+        assert np.array_equal(U[0], z.conj())
+        assert np.max(np.abs(U @ U.conj().T - np.eye(z.size))) <= 1e-12
+    for n in (2, 3, 5):
+        for k in range(1, n + 1):
+            z = UnitVector.basis(n, k).z
+            U = complete_unitary(z)
+            assert np.array_equal(U[0], z.conj())
+            assert set(U.real.ravel().tolist()) <= {-1.0, 0.0, 1.0} and not U.imag.any()
+            assert np.array_equal(U @ U.conj().T, np.eye(n))
 
 
 def test_standard_vector_gives_identity_twist():
@@ -400,8 +414,9 @@ def test_vector_literal_forms():
 
 
 def test_complete_unitary_stays_unitary_near_a_basis_vector():
-    # the first candidate e_1 leaves a residual of norm ~0.011 here; one
-    # Gram-Schmidt pass left the completion unitary only to ~1e-12
+    # z lies within 0.011 of -e_1, so projecting e_1 off z leaves a small
+    # residual that a completion must not divide by; the reflection vector
+    # has first entry ~-2 here, and its squared norm ~4 is the only divisor
     z = np.array([-0.9999389685688129, 0.007812023191943851j,
                   0.007812023191943851j, 6.1031431187061336e-05])
     U = complete_unitary(z / np.linalg.norm(z))

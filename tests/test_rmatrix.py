@@ -631,6 +631,21 @@ def test_uniform_residuals_are_measured_and_standard_ones_exact():
         assert report.max_residual == 0.0
 
 
+def test_standard_checks_fail_on_an_r1_entry_moved_by_1e_15():
+    # standard states decide by the exact rule, so a move far below
+    # BUILD_TOL fails every verifier that sees the moved entry
+    states = (W2, W3, W2)
+    rs = _triple_operators(states, 2)
+    rs[0].r1[1, 1] += 1e-15
+    for report in (
+        verify_intertwining(rs[0]),
+        verify_symmetry(W2, W3, 2, r12=rs[0]),
+        verify_ybe(*states, 2, rs=rs),
+    ):
+        assert not report.passed
+        assert 0.0 < report.max_residual <= 1e-14
+
+
 def test_relation_residual_measures_the_defining_relation():
     assert relation_residual(build_r(W2, W3, 2), 2) == 0.0
     assert 0.0 < relation_residual(build_r(U2, U3, 2), 2) <= 1e-12

@@ -284,8 +284,11 @@ def test_twist_matches_direct_substitution():
 
 
 def test_twist_rejects_non_unitary():
-    with pytest.raises(NotUnitary):
-        twist_state(UnitVector([1, 0]), np.array([[1, 1], [0, 1]], dtype=complex))
+    # the second is a rotation with one entry off by 1e-11, above EQ_TOL
+    off = np.array([[0.6, -0.8], [0.8, 0.6 + 1e-11]], dtype=complex)
+    for matrix in (np.array([[1, 1], [0, 1]], dtype=complex), off):
+        with pytest.raises(NotUnitary):
+            twist_state(UnitVector([1, 0]), matrix)
 
 
 # ---------------------------------------------------------------------------
