@@ -21,11 +21,14 @@ Every coproduct is one leg split. The primitive ``_split(m, l, key)`` maps
 one word pair of O_{m*l} to its pair of leg keys under phi_{m,l}, letter by
 letter, through two tables built once per (m, l). Entry w of the left
 table is the digit (w-1)//l + 1 and of the right table (w-1)%l + 1; an O_1
-leg has no table, its words collapse to the unit. ``split_leg`` applies one
-phi_{m,l} to one leg of a tensor element, and ``expand_leg`` is its union
-over the ordered divisor pairs. Letterwise splitting is injective on
-checked word pairs, so both copy the coefficients of their input unchanged,
-with no summing and no pruning. ``phi`` is ``split_leg`` on leg 1 of a
+leg has no table, its words collapse to the unit. ``split_words(m, l, W)``
+reads the same tables for an integer array W of creation words of one
+length, all letters at once; the verifiers build their word images from
+it, so a wrong table breaks them and coassociativity alike. ``split_leg``
+applies one phi_{m,l} to one leg of a tensor element, and ``expand_leg``
+is its union over the ordered divisor pairs. Letterwise splitting is
+injective on checked word pairs, so both copy the coefficients of their
+input unchanged, with no summing and no pruning. ``phi`` is ``split_leg`` on leg 1 of a
 one-leg element, Δ (``delta``) is ``expand_leg`` on leg 1, and Δ^op
 (``delta_op``) the same with the flip. Composing ``phi`` with ``split_leg``
 gives a single block of a double coproduct, which is all that a triple of
@@ -47,6 +50,8 @@ whose two term maps are equal.
 from __future__ import annotations
 
 import functools
+
+import numpy as np
 
 from .algebra import (
     EQ_TOL,
@@ -78,8 +83,9 @@ def _divisor_pairs(n):
 def _letter_tables(m, l):
     """Digit lookups of phi_{m,l}: entry w is the left or right digit of letter w.
 
-    Letter w = l*(i-1) + j has left digit i and right digit j. An O_1 leg
-    has no lookup (None); its words collapse to the unit.
+    Letter w = l*(i-1) + j has left digit i and right digit j; entry 0 is
+    0. An O_1 leg has no lookup (None); its words collapse to the unit.
+    Both splits below read these lookups and no other table.
     """
     letters = range(m * l)
     left = (0, *(w // l + 1 for w in letters)).__getitem__ if m > 1 else None
@@ -94,6 +100,20 @@ def _split(m, l, key):
     return (
         (tuple(map(left, u)), tuple(map(left, v))) if left else _UNIT,
         (tuple(map(right, u)), tuple(map(right, v))) if right else _UNIT,
+    )
+
+
+def split_words(m, l, words):
+    """Digit arrays (left, right) of creation words of O_{m*l} under phi_{m,l}.
+
+    ``words`` is an integer array (K, t) of K words of one length t. Each
+    lookup is read once into an array and indexed with the whole word
+    array, so each output is (K, t); an O_1 leg gives (K, 0), the unit.
+    """
+    words = np.asarray(words, dtype=np.intp)
+    return tuple(
+        np.array([*map(digit, range(m * l + 1))])[words] if digit else words[:, :0]
+        for digit in _letter_tables(m, l)
     )
 
 

@@ -31,23 +31,33 @@ R_1. The flip is the swap F_1 on every digit pair, so an identity among
 R's and flips holds at depth d exactly when it holds for R_1; and since
 R_1 fixes e_1 (x) e_1, R is the identity, or the flip, exactly when R_1
 is. A pair or triple of representations sees only the block of its
-algebra indices, so the verifiers expand only that block: ``phi`` for
-the coproducts, and ``phi`` followed by ``coproduct.split_leg`` for the
-double coproducts. They apply R to whole batches of vectors at once, the
-exchange check to its words in chunks of bounded size, and measure
-residuals on the unpruned dense differences. A fixed counterexample
-scenario shows how the construction degenerates for a noncommuting pair.
+algebra indices, so the verifiers expand only that block. The image of a
+creation word under a coproduct is a product vector: each leg gets the
+word's digits there, and a leg word u_1 ... u_t maps e_1 to
+U[:, u_t] (x) ... (x) U[:, u_1], a column of the t-fold tensor power of
+its twist. So the word images are built one word length at a time: the
+words of that length, stacked as an integer array, are split through the
+letter tables of ``coproduct.split_words`` (the tables ``phi`` reads),
+once for a coproduct and twice, in the order of its composition, for a
+double coproduct; each leg's images are gathered twist columns, and the
+block is their tensor product. The verifiers apply R to whole batches of
+vectors at once, the exchange check to its words in chunks of bounded
+size, and measure residuals on the unpruned dense differences. The
+generators of the conjugation identity still act through ``phi`` and
+``act_dense``. A fixed counterexample scenario shows how the
+construction degenerates for a noncommuting pair.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import BUILD_TOL, CuntzMonomial, holds
-from .coproduct import delta, delta_op, phi, split_leg
+from .coproduct import delta, delta_op, phi, split_words
 from .errors import NotCommuting, OutOfDomain
 from .representations import (
     GPRepresentation,
@@ -273,15 +283,46 @@ def _pair_coproducts(n, m):
     return (lambda x: phi(n, m, x)), (lambda x: phi(m, n, x).flip())
 
 
-def _word_images(reps, op, N, words, dims):
-    """Images of the cyclic vector e_1 (x) ... (x) e_1 under op(s_w), for
-    the creation words w of O_N in ``words``, zero-padded to the block
-    ``dims`` and stacked along a trailing axis."""
+def _pair_splits(n, m):
+    """The word-array forms of ``_pair_coproducts``: a (K, t) array of
+    words of O_{nm} to its digit arrays on the legs (n, m), through
+    phi_{n,m} and through phi_{m,n} followed by the flip."""
+    return (lambda W: split_words(n, m, W)), (lambda W: split_words(m, n, W)[::-1])
+
+
+def _leg_images(U, digits):
+    """Images of e_1 under the creation words in the rows of ``digits``
+    (K, t), in the representation twisted by U: row k of the (K, n^t)
+    result is U[:, w_t] (x) ... (x) U[:, w_1] for the word w = digits[k],
+    the last letter most significant; a (K, 0) array gives e_1."""
+    K = len(digits)
+    X = np.ones((K, 1), dtype=complex)
+    columns = U.T  # row j - 1 is the image of e_1 under s_j
+    for p in reversed(range(digits.shape[1])):
+        X = (X[:, :, None] * columns[digits[:, p] - 1][:, None, :]).reshape(K, -1)
+    return X
+
+
+def _word_images(reps, split, words, dims):
+    """Images of the cyclic vector e_1 (x) ... (x) e_1 under the coproduct
+    form ``split`` of the creation words ``words``, sorted by length,
+    zero-padded to the block ``dims`` and stacked along a trailing axis.
+
+    ``split`` maps a (K, t) array of words to one digit array per leg. The
+    words of each length are split together, each leg's images are the
+    rows of :func:`_leg_images`, and the block of the length is their
+    tensor product, one ``einsum``.
+    """
     out = np.zeros((*dims, len(words)), dtype=complex)
-    cyclic = np.ones((1,) * len(reps))
-    for k, w in enumerate(words):
-        img = act_dense(reps, op(CuntzMonomial(N, w, ())), cyclic)
-        out[(*map(slice, img.shape), k)] = img
+    legs = "abc"[:len(reps)]
+    spec = ",".join("k" + leg for leg in legs) + "->" + legs + "k"
+    start = 0
+    for _, group in itertools.groupby(words, len):
+        W = np.array(list(group), dtype=np.intp)
+        images = [_leg_images(rep.U, digits) for rep, digits in zip(reps, split(W))]
+        block = (*(slice(X.shape[1]) for X in images), slice(start, start + len(W)))
+        np.einsum(spec, *images, out=out[block])  # written in place, no temporary block
+        start += len(W)
     return out
 
 
@@ -309,8 +350,8 @@ def relation_residual(rmat, max_len):
     preflight(_word_count(N, max_len) * rmat.rank, "the defining-relation check")
     reps = (rmat.rep1, rmat.rep2)
     V, W = (
-        _word_images(reps, op, N, creation_words(N, max_len), rmat.dims)
-        for op in _pair_coproducts(*rmat.shape)
+        _word_images(reps, split, creation_words(N, max_len), rmat.dims)
+        for split in _pair_splits(*rmat.shape)
     )
     return _worst_column(rmat.apply_dense(V) - W)
 
@@ -341,7 +382,8 @@ def verify_intertwining(rmat, tol=BUILD_TOL):
     reps = (rmat.rep1, rmat.rep2)
     coproduct, coproduct_op = _pair_coproducts(n1, n2)
     V = _word_images(
-        reps, coproduct, N, creation_words(N, span_depth), (n1**span_depth, n2**span_depth)
+        reps, _pair_splits(n1, n2)[0], creation_words(N, span_depth),
+        (n1**span_depth, n2**span_depth),
     )
     moved = rmat.apply_dense(pad_to(V, rmat.dims))
     report = VerificationReport(scenario="intertwining")
@@ -391,6 +433,26 @@ def _apply_on_legs(rmat, T, legs):
     return out.transpose(np.argsort(order))
 
 
+def _triple_splits(a, b, c):
+    """The blocks (a, b, c) of f_r, f_l_op and f_r_op on word arrays: each
+    maps a (K, t) array of words of O_{abc} to its digit arrays on the
+    legs (a, b, c), through two splits composed in its own order."""
+
+    def f_r(W):  # phi_{a,bc}, then phi_{b,c} on the right leg
+        x, yz = split_words(a, b * c, W)
+        return (x, *split_words(b, c, yz))
+
+    def f_l_op(W):  # flipped phi_{c,ab}, then flipped phi_{b,a} on the left leg
+        z, xy = split_words(c, a * b, W)
+        return (*split_words(b, a, xy)[::-1], z)
+
+    def f_r_op(W):  # flipped phi_{bc,a}, then flipped phi_{c,b} on the right leg
+        yz, x = split_words(b * c, a, W)
+        return (x, *split_words(c, b, yz)[::-1])
+
+    return f_r, f_l_op, f_r_op
+
+
 _YBE_CHUNK_ENTRIES = 2**12  # entries per stacked array of word images in the YBE check
 
 
@@ -403,14 +465,21 @@ def verify_ybe(omega1, omega2, omega3, depth, tol=BUILD_TOL, rs=None):
     and with the legwise images of the two double opposite coproducts,
     which the two orderings must reproduce. The states' representations
     see only the block (a, b, c) of their algebra indices, so each image is
-    that block alone, composed from ``phi`` and ``split_leg``: the
+    that block alone, from two array splits (``_triple_splits``): the
     right-expanded one splits the right leg of phi_{a,bc}(x), and the two
     opposite ones split a leg of the flipped phi_{c,ab}(x) and
-    phi_{bc,a}(x) by the flipped phi_{b,a} and phi_{c,b}. The words' images
-    are stacked in chunks of at most ``_YBE_CHUNK_ENTRIES`` entries, and
-    each operator is applied once per chunk; every word still gets its own
-    record, whose residual is the largest column norm of the four
-    differences. Each distinct state pair is built once.
+    phi_{bc,a}(x) by the flipped phi_{b,a} and phi_{c,b}. The words are
+    taken in chunks of at most ``_YBE_CHUNK_ENTRIES`` image entries; the
+    words of one length in a chunk are split as one array and their images
+    built at once (``_word_images``), and each operator is applied once per
+    chunk. Every word still gets its own record, whose residual is the
+    largest column norm of the four differences. Each distinct state pair
+    is built once.
+
+    The chunk size is a trade: on uniform (2, 3, 2) at depth 3 a triple
+    block has 1728 entries, so a chunk holds 2 words and the check makes
+    six applications per 2 words; 2^16 entries halve its time there but
+    cost more memory, and a little time, on the small blocks of depths 1-2.
     """
     states = (omega1, omega2, omega3)
     if rs is None:
@@ -427,17 +496,13 @@ def verify_ybe(omega1, omega2, omega3, depth, tol=BUILD_TOL, rs=None):
     block = int(np.prod(dims))
     step = max(1, _YBE_CHUNK_ENTRIES // block)  # words per chunk
     preflight(3 * step * block, "the triple exchange check")
-    expansions = (  # the blocks (a, b, c) of f_r, f_l_op and f_r_op
-        lambda x: split_leg(phi(a, b * c, x), 2, b, c),
-        lambda x: split_leg(phi(c, a * b, x).flip(), 1, b, a, opposite=True),
-        lambda x: split_leg(phi(b * c, a, x).flip(), 2, c, b, opposite=True),
-    )
     report = VerificationReport(scenario="ybe")
     exact = all(r.is_permutation for r in rs)
     words = creation_words(N, depth)
+    splits = _triple_splits(a, b, c)
     for first in range(0, len(words), step):
         chunk = words[first:first + step]
-        t0, oracle_l, oracle_r = (_word_images(reps, op, N, chunk, dims) for op in expansions)
+        t0, oracle_l, oracle_r = (_word_images(reps, split, chunk, dims) for split in splits)
         lhs = _apply_on_legs(r23, t0, (1, 2))
         lhs = _apply_on_legs(r13, lhs, (0, 2))
         lhs = _apply_on_legs(r12, lhs, (0, 1))

@@ -21,6 +21,9 @@ from cuntzr.coproduct import (
     split_leg,
 )
 from cuntzr.errors import BadFactorization
+from cuntzr.representations import creation_words
+from cuntzr.rmatrix import build_r, verify_ybe
+from cuntzr.states import GPState
 
 UNIT = ((), ())
 
@@ -629,6 +632,51 @@ def test_the_radix_oracle_catches_a_shifted_split_on_o6(monkeypatch):
         assert check_coassoc(g, tol=0.0)
         assert f_r(g).blocks != oracle.radix_coproduct(g, 3).blocks
         assert delta(g).blocks != oracle.delta(g).blocks
+
+
+def _shift_right_digit_of_the_2_3_table(monkeypatch):
+    # the same shift, made once in the lookup both splits read
+    real = coproduct._letter_tables
+
+    def tables(m, l):
+        left, right = real(m, l)
+        if (m, l) == (2, 3):
+            return left, lambda w: w and right(w) % 3 + 1
+        return left, right
+
+    monkeypatch.setattr(coproduct, "_letter_tables", tables)
+
+
+def test_a_shifted_table_fails_coassociativity_and_the_ybe_check(monkeypatch):
+    states = (GPState.uniform(2), GPState.uniform(3), GPState.uniform(2))
+    rs = [build_r(states[i], states[j], 1) for i, j in ((0, 1), (0, 2), (1, 2))]
+    assert verify_ybe(*states, 1, rs=rs).passed
+    _shift_right_digit_of_the_2_3_table(monkeypatch)
+    for i in range(1, 13):
+        assert not check_coassoc(gen(12, i))
+    report = verify_ybe(*states, 1, rs=rs)
+    failed = [c for c in report.checks if not c.passed]
+    assert failed and not report.passed
+    # the unit word is untouched; each failing record names its word of O_12
+    assert report.checks[0].name == "ybe:n=12;u=;v=" and report.checks[0].passed
+    for check in failed:
+        word = CuntzMonomial.parse_label(check.name.removeprefix("ybe:"))
+        assert word.n == 12 and len(word.u) == 1
+        assert check.residual > 1e-3
+
+
+def test_the_array_split_equals_the_word_split():
+    for n in (12, 30):
+        words = creation_words(n, 3)
+        for m, l in divisor_pairs(n):
+            for t in range(4):
+                group = [w for w in words if len(w) == t]
+                left, right = coproduct.split_words(m, l, np.array(group).reshape(len(group), t))
+                assert left.shape == ((len(group), t) if m > 1 else (len(group), 0))
+                assert right.shape == ((len(group), t) if l > 1 else (len(group), 0))
+                for w, x, y in zip(group, left.tolist(), right.tolist()):
+                    (u_left, _), (u_right, _) = coproduct._split(m, l, (w, ()))
+                    assert (tuple(x), tuple(y)) == (u_left, u_right)
 
 
 def test_word_splits_are_counted_once(monkeypatch):

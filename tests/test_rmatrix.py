@@ -14,7 +14,14 @@ from cuntzr import cli, coproduct, rmatrix
 from cuntzr.algebra import CuntzMonomial
 from cuntzr.coproduct import delta
 from cuntzr.errors import NotCommuting, OutOfDomain, SpanTooLarge
-from cuntzr.representations import GPRepresentation, act_dense, from_dense, pad_to, to_dense
+from cuntzr.representations import (
+    GPRepresentation,
+    act_dense,
+    creation_words,
+    from_dense,
+    pad_to,
+    to_dense,
+)
 from cuntzr.rmatrix import (
     BUILD_TOL,
     RMatrixOperator,
@@ -372,27 +379,87 @@ def test_chunked_ybe_fails_where_the_oracle_does_under_a_perturbed_r13():
 def test_ybe_splits_six_times_per_word_and_applies_six_times_per_chunk(monkeypatch):
     states = (W2, W3, W2)
     rs = _triple_operators(states, 2)
-    splits, applies = [], []
-    real_split = coproduct._split
+    rows, word_splits, applies = [], [], []
+    real_split_words = rmatrix.split_words
     real_apply = RMatrixOperator.apply_dense
 
-    def split(m, l, key):
-        splits.append((m, l))
-        return real_split(m, l, key)
+    def split_words(m, l, words):
+        rows.append(len(words))
+        return real_split_words(m, l, words)
 
     def apply_dense(self, X):
         applies.append(X.shape)
         return real_apply(self, X)
 
-    monkeypatch.setattr(coproduct, "_split", split)
+    monkeypatch.setattr(rmatrix, "split_words", split_words)
+    monkeypatch.setattr(coproduct, "_split", lambda *args: word_splits.append(args))
     monkeypatch.setattr(RMatrixOperator, "apply_dense", apply_dense)
     assert verify_ybe(*states, 2, rs=rs).passed
     words, step = _ybe_chunks(states, 2)
     chunks = -(-words // step)
     assert (words, chunks) == (157, 6)
-    assert len(splits) == 6 * words
+    # each word is split twice in each of the three expansions, as a row of
+    # a word array; no word goes through the per-word split
+    assert sum(rows) == 6 * words
+    assert not word_splits
     assert len(applies) == 6 * chunks
     assert max(int(np.prod(shape)) for shape in applies) <= rmatrix._YBE_CHUNK_ENTRIES
+
+
+def _per_word_images(reps, op, words, dims):
+    """The word images one word at a time: act_dense of op(s_w) on the
+    cyclic vector, zero-padded to ``dims`` and stacked."""
+    N = int(np.prod([rep.n for rep in reps]))
+    cyclic = np.ones((1,) * len(reps))
+    columns = [
+        pad_to(act_dense(reps, op(CuntzMonomial(N, w, ())), cyclic), dims) for w in words
+    ]
+    return np.stack(columns, axis=-1)
+
+
+def test_batched_pair_images_equal_the_per_word_images():
+    x = np.array([0.6, 0.8j])
+    for pair, exact in (
+        ((W2, W3), True),
+        ((U2, U3), False),
+        ((GPState(x), GPState(np.kron(x, x))), False),
+    ):
+        reps = [GPRepresentation.for_state(s) for s in pair]
+        n, m = (s.n for s in pair)
+        words = creation_words(n * m, 2)
+        dims = (n**2, m**2)
+        for split, op in zip(rmatrix._pair_splits(n, m), (delta, coproduct.delta_op)):
+            got = rmatrix._word_images(reps, split, words, dims)
+            want = _per_word_images(reps, op, words, dims)
+            if exact:
+                assert np.array_equal(got, want)
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def test_batched_triple_images_equal_the_per_word_images():
+    x = np.array([0.6, 0.8j])
+    X, XX = GPState(x), GPState(np.kron(x, x))
+    # whole double coproducts, from which the representations pick their block
+    ops = (coproduct.f_r, coproduct.f_l_op, coproduct.f_r_op)
+    for states, exact in (
+        ((W2, W3, W2), True),
+        ((U2, U3, U2), False),
+        ((X, XX, X), False),
+        ((GPState.standard(1), U2, U3), False),
+    ):
+        reps = [GPRepresentation.for_state(s) for s in states]
+        a, b, c = (s.n for s in states)
+        for depth in range(3):
+            words = creation_words(a * b * c, depth)
+            dims = tuple(s.n**depth for s in states)
+            for split, op in zip(rmatrix._triple_splits(a, b, c), ops):
+                got = rmatrix._word_images(reps, split, words, dims)
+                want = _per_word_images(reps, op, words, dims)
+                if exact:
+                    assert np.array_equal(got, want)
+                else:
+                    assert np.max(np.abs(got - want)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
