@@ -309,6 +309,9 @@ def canonical_residual(x, y):
     if isinstance(x, AlgebraElement) and x.n != y.n:
         raise MismatchedAlgebra(f"O_{x.n} vs O_{y.n}")
     bx, by = _leg_blocks(x), _leg_blocks(y)
+    if bx == by:  # equal block maps: every difference is exactly zero
+        coeffs = itertools.chain.from_iterable(map(dict.values, bx.values()))
+        return math.nan if any(map(cmath.isnan, coeffs)) else 0.0
     worst = 0.0
     for indices in bx.keys() | by.keys():
         tx, ty = bx.get(indices, {}), by.get(indices, {})

@@ -183,18 +183,24 @@ def parse_state_arg(text, field):
     return _as_state(obj, field)
 
 
-# about 20 s of verify-coassoc, at the 5 us a split measured on a 2-core machine
+# about 8 s of verify-coassoc, at the 1.9 us a (word pair, divisor pair)
+# split measured on a 2-core machine (--n 3000: 1.9M splits in 3.6 s); a
+# large prime n, whose blocks hold one term each, costs about 5 us a split
+# (--n 499979: 4.0M splits in 20 s)
 MAX_COASSOC_SPLITS = 4_000_000
 
 
 def _coassoc_splits(n, samples):
-    """Word-pair splits (``_split`` calls) that ``verify-coassoc`` makes on O_n.
+    """(Word pair, divisor pair) splits that ``verify-coassoc`` makes on O_n.
 
-    Each of its n generators, its unit and its ``samples`` random monomials
-    is one term: delta splits it once per ordered divisor pair of n, d(n)
-    times, and each outer expansion once per ordered divisor triple, d_3(n)
-    times. Both counts are products over the prime factorization
-    n = prod p^e: d(n) of (e + 1) and d_3(n) of (e + 1)(e + 2)/2.
+    A word pair of O_k is split under all d(k) ordered divisor pairs of k
+    at once (``coproduct._leg_keys``), which counts d(k) splits. Each of
+    the n generators, the unit and the ``samples`` random monomials is one
+    term: delta splits it under the d(n) pairs of n, and each outer
+    expansion splits one leg of every block of delta under the pairs of
+    its index, d_3(n) splits in all, the number of ordered divisor triples.
+    Both counts are products over the prime factorization n = prod p^e:
+    d(n) of (e + 1) and d_3(n) of (e + 1)(e + 2)/2.
     """
     d = d3 = 1
     p, rest = 2, n

@@ -17,22 +17,26 @@ built from checked keys is wrapped without a second pass. So a pair (or
 triple) of representations or states can project onto the single block it
 sees.
 
-Every coproduct is one leg split. The primitive ``_split(m, l, key)`` maps
-one word pair of O_{m*l} to its pair of leg keys under phi_{m,l}, letter by
-letter, through two tables built once per (m, l). Entry w of the left
-table is the digit (w-1)//l + 1 and of the right table (w-1)%l + 1; an O_1
-leg has no table, its words collapse to the unit. ``split_words(m, l, W)``
-reads the same tables for an integer array W of creation words of one
-length, all letters at once; the verifiers build their word images from
-it, so a wrong table breaks them and coassociativity alike. ``split_leg``
-applies one phi_{m,l} to one leg of a tensor element, and ``expand_leg``
-is its union over the ordered divisor pairs. Letterwise splitting is
-injective on checked word pairs, so both copy the coefficients of their
-input unchanged, with no summing and no pruning. ``phi`` is ``split_leg`` on leg 1 of a
-one-leg element, Δ (``delta``) is ``expand_leg`` on leg 1, and Δ^op
-(``delta_op``) the same with the flip. Composing ``phi`` with ``split_leg``
-gives a single block of a double coproduct, which is all that a triple of
-representations sees.
+Every coproduct is one leg split, and every split reads one digit table
+per index n, built once (``_digit_table``). Its row w holds the left
+digit (w-1)//l + 1 and the right digit (w-1)%l + 1 of letter w under
+every ordered divisor pair (m, l) of n; an O_1 leg has no column, its
+words collapse to the unit. A word pair is split under all pairs of its
+index in one pass over its letters (``_leg_keys``: the rows of its
+letters, transposed into one column per leg), and ``_expand_block``
+writes the coefficient of each term, from that one split, into the
+output block of every pair its caller asks for: ``split_leg`` asks for
+one phi_{m,l}, ``expand_leg`` for all the ordered divisor pairs, so
+``expand_leg`` is the union of ``split_leg`` over them. ``split_words(m, l, W)`` indexes
+the pair's two columns of the table with an integer array W of creation
+words of one length; the verifiers build their word images from it, so a
+wrong table breaks them and coassociativity alike. Letterwise splitting
+is injective on checked word pairs, so the splits copy the coefficients
+of their input unchanged, with no summing and no pruning. ``phi`` is
+``split_leg`` on leg 1 of a one-leg element, Δ (``delta``) is
+``expand_leg`` on leg 1, and Δ^op (``delta_op``) the same with the flip.
+Composing ``phi`` with ``split_leg`` gives a single block of a double
+coproduct, which is all that a triple of representations sees.
 
 The double coproducts are the two composition orders: ``f_r`` splits the
 right leg of the coproduct again, ``f_l`` the left leg. Coassociativity
@@ -43,8 +47,8 @@ independent check of both is the mixed-radix split of
 ``tests/coproduct_oracle.py``. The divisor pairs of each index are
 scanned once. Canonical equality of tensor elements is
 :func:`cuntzr.algebra.canonical_residual`, which applies the level
-expansion to every leg independently inside each block and skips blocks
-whose two term maps are equal.
+expansion to every leg independently inside each block, and skips blocks,
+or the whole comparison, where the two term maps are equal.
 """
 
 from __future__ import annotations
@@ -80,41 +84,52 @@ def _divisor_pairs(n):
 
 
 @functools.lru_cache(maxsize=None)
-def _letter_tables(m, l):
-    """Digit lookups of phi_{m,l}: entry w is the left or right digit of letter w.
+def _digit_table(n):
+    """Digits of every letter of O_n under every ordered divisor pair of n.
 
-    Letter w = l*(i-1) + j has left digit i and right digit j; entry 0 is
-    0. An O_1 leg has no lookup (None); its words collapse to the unit.
-    Both splits below read these lookups and no other table.
+    Pair k of ``_divisor_pairs(n)``, (m, l), gives letter w = l*(i-1) + j
+    its left digit i in column 2k-1 of row w and its right digit j in
+    column 2k. The left leg of (1, n) and the right leg of (n, 1) are O_1
+    legs, whose words collapse to the unit, so they have no column. Row 0
+    is zeros. Every split reads this table and no other: ``_leg_keys`` its
+    rows, ``split_words`` the pair's two columns.
+
+    The table holds (n+1)(2d(n)-2) digits for the life of the process, also
+    when only one pair is read. ``verify-coassoc`` bounds it: a request
+    makes at least (n+1)*3d(n) splits, so under ``MAX_COASSOC_SPLITS`` the
+    table has at most 2/3 of that many digits. The largest, O_499979 (the
+    largest index allowed, prime) and O_181817 (d = 4, the most digits),
+    take 61 MB and 37 MB (tracemalloc).
     """
-    letters = range(m * l)
-    left = (0, *(w // l + 1 for w in letters)).__getitem__ if m > 1 else None
-    right = (0, *(w % l + 1 for w in letters)).__getitem__ if l > 1 else None
-    return left, right
+    pairs = _divisor_pairs(n)
+    rows = [tuple(d + 1 for _, l in pairs for d in divmod(w, l))[1:-1] for w in range(n)]
+    return ((0,) * len(rows[0]), *rows)
 
 
-def _split(m, l, key):
-    """Leg keys (left, right) of one word pair of O_{m*l} under phi_{m,l}."""
-    left, right = _letter_tables(m, l)
+def _leg_keys(n, key):
+    """Leg keys of one word pair of O_n under every ordered divisor pair of
+    n, from one pass over its letters: entries 2k and 2k+1 are the left and
+    right keys under pair k of ``_divisor_pairs(n)``."""
+    rows = _digit_table(n)
     u, v = key
-    return (
-        (tuple(map(left, u)), tuple(map(left, v))) if left else _UNIT,
-        (tuple(map(right, u)), tuple(map(right, v))) if right else _UNIT,
-    )
+    # every column of the empty word is the empty word
+    cu = zip(*map(rows.__getitem__, u)) if u else ((),) * len(rows[0])
+    cv = zip(*map(rows.__getitem__, v)) if v else ((),) * len(rows[0])
+    return (_UNIT, *zip(cu, cv), _UNIT)
 
 
 def split_words(m, l, words):
     """Digit arrays (left, right) of creation words of O_{m*l} under phi_{m,l}.
 
-    ``words`` is an integer array (K, t) of K words of one length t. Each
-    lookup is read once into an array and indexed with the whole word
+    ``words`` is an integer array (K, t) of K words of one length t. The
+    pair's two columns of the digit table are indexed with the whole word
     array, so each output is (K, t); an O_1 leg gives (K, 0), the unit.
     """
     words = np.asarray(words, dtype=np.intp)
-    return tuple(
-        np.array([*map(digit, range(m * l + 1))])[words] if digit else words[:, :0]
-        for digit in _letter_tables(m, l)
-    )
+    # one column per leg, as the entries of _leg_keys; None for an O_1 leg
+    columns = (None, *zip(*_digit_table(m * l)), None)
+    k = 2 * _divisor_pairs(m * l).index((m, l))
+    return tuple(words[:, :0] if col is None else np.array(col)[words] for col in columns[k:k + 2])
 
 
 def _checked_terms(indices, terms):
@@ -309,18 +324,23 @@ def _leg_index(indices, leg):
     return leg - 1
 
 
-def _split_block(blocks, indices, terms, i, pairs, opposite):
-    """Write phi_{m,l}, or its flip, of leg ``i`` (0-based) of the terms of one
-    block into the output ``blocks``, one block per ordered pair (m, l) of
-    ``pairs``. Checked keys split injectively and each output block comes
-    from one input block, so the terms are written, not summed."""
-    head, tail = indices[:i], indices[i + 1:]
-    for m, l in pairs:
-        out = {}
-        for keys, c in terms.items():
-            mid = _split(m, l, keys[i])
-            out[keys[:i] + (mid[::-1] if opposite else mid) + keys[i + 1:]] = c
-        blocks[head + ((l, m) if opposite else (m, l)) + tail] = out
+def _expand_block(blocks, indices, terms, i, first, stop, opposite):
+    """Write leg ``i`` (0-based) of the terms of one block, split under
+    pairs ``first`` to ``stop`` (None: to the end) of the divisor pairs of
+    its index (or their flips), into one output block per pair, in pair
+    order. Each term is split once for all its pairs (``_leg_keys``), and
+    its coefficient is copied unchanged."""
+    before, after = indices[:i], indices[i + 1:]
+    pairs = _divisor_pairs(indices[i])[first:stop]
+    outs = [blocks.setdefault(before + (p[::-1] if opposite else p) + after, {}) for p in pairs]
+    # pair k's leg keys are entries 2k and 2k+1, taken as (right, left) for
+    # the flip; zip stops at the last pair asked for
+    a, b = 2 * first + opposite, 2 * first + (not opposite)
+    for keys, c in terms.items():
+        legs = _leg_keys(indices[i], keys[i])
+        head, tail = keys[:i], keys[i + 1:]
+        for out, mid in zip(outs, zip(legs[a::2], legs[b::2])):
+            out[head + mid + tail] = c
 
 
 def split_leg(t, leg, m, l, opposite=False):
@@ -328,14 +348,15 @@ def split_leg(t, leg, m, l, opposite=False):
 
     Leg number ``leg`` (1-based) of every term in a block whose algebra
     index there is m*l is split once, so the result has one leg more than
-    ``t``, which may have any arity; the other blocks are left out. The
-    coefficients are copied unchanged.
+    ``t``, which may have any arity; the other blocks are left out. Checked
+    keys split injectively, so the coefficients are copied unchanged.
     """
     blocks = {}
     for indices, terms in t.blocks.items():
         i = _leg_index(indices, leg)
         if indices[i] == m * l:
-            _split_block(blocks, indices, terms, i, ((m, l),), opposite)
+            k = _divisor_pairs(m * l).index((m, l))
+            _expand_block(blocks, indices, terms, i, k, k + 1, opposite)
     return TensorElement._from_pruned(blocks)
 
 
@@ -343,12 +364,13 @@ def expand_leg(t, leg, opposite=False):
     """Apply the coproduct, or with ``opposite`` its opposite, to one leg of ``t``.
 
     The union of :func:`split_leg` over the ordered divisor pairs (m, l) of
-    each algebra index that leg ``leg`` (1-based) carries in ``t``.
+    each algebra index that leg ``leg`` (1-based) carries in ``t``, in pair
+    order, from one split of each term under all its pairs.
     """
     blocks = {}
     for indices, terms in t.blocks.items():
         i = _leg_index(indices, leg)
-        _split_block(blocks, indices, terms, i, _divisor_pairs(indices[i]), opposite)
+        _expand_block(blocks, indices, terms, i, 0, None, opposite)
     return TensorElement._from_pruned(blocks)
 
 

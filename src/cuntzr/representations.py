@@ -128,7 +128,10 @@ def complete_unitary(z):
     for e_2 of C^2. Deterministic in z.
     """
     z = np.asarray(z, dtype=complex).reshape(-1)
-    phase = z[0] / abs(z[0]) if z[0] else 1.0
+    # numpy divides by |z_1| through its reciprocal, which overflows for a
+    # subnormal z_1; scaling by a power of two is exact and keeps the phase
+    z1 = z[0] * 2.0**600 if abs(z[0]) < np.finfo(float).tiny else z[0]
+    phase = z1 / abs(z1) if z1 else 1.0
     v = z.copy()
     v[0] += phase * np.linalg.norm(z)
     U = (2.0 / np.vdot(v, v).real) * np.outer(v, v.conj()) - np.eye(z.size)

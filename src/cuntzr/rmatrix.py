@@ -37,7 +37,7 @@ word's digits there, and a leg word u_1 ... u_t maps e_1 to
 U[:, u_t] (x) ... (x) U[:, u_1], a column of the t-fold tensor power of
 its twist. So the word images are built one word length at a time: the
 words of that length, stacked as an integer array, are split through the
-letter tables of ``coproduct.split_words`` (the tables ``phi`` reads),
+digit table of ``coproduct.split_words`` (the table ``phi`` reads),
 once for a coproduct and twice, in the order of its composition, for a
 double coproduct; each leg's images are gathered twist columns, and the
 block is their tensor product. The verifiers apply R to whole batches of

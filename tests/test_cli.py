@@ -445,24 +445,12 @@ def test_state_product_needs_a_positive_sample_count(tmp_path, capsys):
 # the size cap of verify-coassoc
 
 
-def _count_splits(monkeypatch):
-    calls = []
-    real = coproduct._split
-
-    def count(m, l, k):
-        calls.append((m, l))
-        return real(m, l, k)
-
-    monkeypatch.setattr(coproduct, "_split", count)
-    return calls
-
-
-def test_coassoc_split_estimate_is_the_counted_work(monkeypatch, capsys):
-    calls = _count_splits(monkeypatch)
+def test_coassoc_split_estimate_is_the_counted_work(leg_splits, capsys):
     assert run(["verify-coassoc", "--n", "360", "--samples", "5"]) == 0
-    # d(360) = 24 and d_3(360) = 180, for 361 + 5 monomials
+    # d(360) = 24 and d_3(360) = 180, for 361 + 5 monomials; an all-pairs
+    # split of a word pair of O_n counts its d(n) (word pair, divisor pair) splits
     assert _coassoc_splits(360, 5) == 366 * (24 + 2 * 180)
-    assert len(calls) == _coassoc_splits(360, 5)
+    assert sum(len(coproduct.divisor_pairs(n)) for n in leg_splits) == _coassoc_splits(360, 5)
 
 
 def test_oversized_coassoc_fails_fast(monkeypatch, capsys):
@@ -471,10 +459,11 @@ def test_oversized_coassoc_fails_fast(monkeypatch, capsys):
     # --n 3000 makes about 1.9M splits and runs; --n 30000 would make 42M
     assert _coassoc_splits(3000, 0) <= MAX_COASSOC_SPLITS < _coassoc_splits(30000, 0)
 
-    def split(m, l, k):
-        raise AssertionError("a refused request split a word pair")
+    def table(n):
+        raise AssertionError("a refused request read a digit table")
 
-    monkeypatch.setattr(coproduct, "_split", split)
+    # every split, under all divisor pairs or under one, reads the digit table
+    monkeypatch.setattr(coproduct, "_digit_table", table)
     for args, needs in (
         (["--n", "30000"], "needs 42001400 word-pair splits"),
         (["--n", "4", "--samples", "700000"], "needs 10500075 word-pair splits"),

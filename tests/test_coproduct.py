@@ -1,3 +1,5 @@
+import itertools
+
 import coproduct_oracle as oracle
 import numpy as np
 import pytest
@@ -600,24 +602,25 @@ def test_split_leg_rejects_a_missing_leg():
 
 
 # ---------------------------------------------------------------------------
-# a wrong split table, and the work the split tables do
+# a wrong digit table, and the work the splits do
 
 
-def _patch_split(monkeypatch, wrap):
-    real = coproduct._split
-    monkeypatch.setattr(coproduct, "_split", lambda m, l, k: wrap(m, l, real(m, l, k)))
-
-
-def _shift_right_digit_of_2_3(m, l, legs):
-    # negative control: the right digit of phi_{2,3} moved cyclically, j -> j % 3 + 1
-    if (m, l) != (2, 3):
-        return legs
-    left, right = legs
-    return left, tuple(tuple(j % 3 + 1 for j in word) for word in right)
+def _shift_right_digit_of_2_3(monkeypatch):
+    # negative control: the right digit of phi_{2,3} moved cyclically,
+    # j -> j % 3 + 1, in the digit table of O_6. Every split reads the table
+    # through coproduct._digit_table when it runs, so the shift takes hold
+    # even where the real table is already built.
+    real = coproduct._digit_table
+    col = 2 * coproduct._divisor_pairs(6).index((2, 3))
+    shifted = tuple(
+        row[:col] + (row[col] % 3 + 1 if w else 0,) + row[col + 1:]
+        for w, row in enumerate(real(6))
+    )
+    monkeypatch.setattr(coproduct, "_digit_table", lambda n: shifted if n == 6 else real(n))
 
 
 def test_a_shifted_split_fails_coassociativity_on_o12(monkeypatch, tmp_path):
-    _patch_split(monkeypatch, _shift_right_digit_of_2_3)
+    _shift_right_digit_of_2_3(monkeypatch)
     for i in range(1, 13):
         assert not check_coassoc(gen(12, i))
     out = tmp_path / "coassoc.json"
@@ -625,33 +628,26 @@ def test_a_shifted_split_fails_coassociativity_on_o12(monkeypatch, tmp_path):
 
 
 def test_the_radix_oracle_catches_a_shifted_split_on_o6(monkeypatch):
-    _patch_split(monkeypatch, _shift_right_digit_of_2_3)
+    _shift_right_digit_of_2_3(monkeypatch)
     for i in range(1, 7):
         g = gen(6, i)
         # on O_6 the shift is a consistent relabelling: both orders agree
         assert check_coassoc(g, tol=0.0)
         assert f_r(g).blocks != oracle.radix_coproduct(g, 3).blocks
         assert delta(g).blocks != oracle.delta(g).blocks
-
-
-def _shift_right_digit_of_the_2_3_table(monkeypatch):
-    # the same shift, made once in the lookup both splits read
-    real = coproduct._letter_tables
-
-    def tables(m, l):
-        left, right = real(m, l)
-        if (m, l) == (2, 3):
-            return left, lambda w: w and right(w) % 3 + 1
-        return left, right
-
-    monkeypatch.setattr(coproduct, "_letter_tables", tables)
+        # phi reads the same table
+        assert phi(2, 3, g).blocks != {(2, 3): oracle.delta(g).block(2, 3)}
 
 
 def test_a_shifted_table_fails_coassociativity_and_the_ybe_check(monkeypatch):
     states = (GPState.uniform(2), GPState.uniform(3), GPState.uniform(2))
     rs = [build_r(states[i], states[j], 1) for i, j in ((0, 1), (0, 2), (1, 2))]
+    # both checks pass first, which builds the digit tables of O_6 and O_12;
+    # the shift made afterwards must still reach every split
     assert verify_ybe(*states, 1, rs=rs).passed
-    _shift_right_digit_of_the_2_3_table(monkeypatch)
+    for i in range(1, 13):
+        assert check_coassoc(gen(12, i))
+    _shift_right_digit_of_2_3(monkeypatch)
     for i in range(1, 13):
         assert not check_coassoc(gen(12, i))
     report = verify_ybe(*states, 1, rs=rs)
@@ -666,45 +662,65 @@ def test_a_shifted_table_fails_coassociativity_and_the_ybe_check(monkeypatch):
 
 
 def test_the_array_split_equals_the_word_split():
-    for n in (12, 30):
+    # the dict split of each word pair under all divisor pairs at once
+    # (coproduct._leg_keys) against split_words on both of its words; the
+    # annihilation word of each pair is the creation word of another
+    chain = itertools.chain.from_iterable
+
+    def inner_legs(n, us):
+        for u, v in zip(us, us[::-1]):
+            legs = coproduct._leg_keys(n, (u, v))
+            # the left leg of (1, n) and the right leg of (n, 1) are O_1 legs
+            assert legs[0] == legs[-1] == UNIT
+            yield legs[1:-1]
+
+    for n in (12, 30, 60):
         words = creation_words(n, 3)
-        for m, l in divisor_pairs(n):
-            for t in range(4):
-                group = [w for w in words if len(w) == t]
-                left, right = coproduct.split_words(m, l, np.array(group).reshape(len(group), t))
-                assert left.shape == ((len(group), t) if m > 1 else (len(group), 0))
-                assert right.shape == ((len(group), t) if l > 1 else (len(group), 0))
-                for w, x, y in zip(group, left.tolist(), right.tolist()):
-                    (u_left, _), (u_right, _) = coproduct._split(m, l, (w, ()))
-                    assert (tuple(x), tuple(y)) == (u_left, u_right)
+        for t in range(4):
+            group = [w for w in words if len(w) == t]
+            for start in range(0, len(group), 8192):  # chunks keep the arrays small
+                us = group[start:start + 8192]
+                got = np.fromiter(chain(chain(chain(inner_legs(n, us)))), dtype=np.intp)
+                U = np.array(us, dtype=np.intp).reshape(len(us), t)
+                # per divisor pair, its left and then its right leg, each (K, 2, t)
+                want = [
+                    np.stack(side, axis=1)
+                    for m, l in divisor_pairs(n)
+                    for side in zip(*(coproduct.split_words(m, l, W) for W in (U, U[::-1])))
+                ]
+                assert want[0].shape == want[-1].shape == (len(us), 2, 0)
+                want = np.stack(want[1:-1], axis=1).reshape(len(us), -1)
+                assert np.array_equal(got.reshape(len(us), -1), want)
 
 
-def test_word_splits_are_counted_once(monkeypatch):
-    calls = []
-
-    def count(m, l, legs):
-        calls.append((m, l))
-        return legs
-
-    _patch_split(monkeypatch, count)
+def test_word_splits_are_counted_once(leg_splits):
     mono = CuntzMonomial(60, (7, 59, 12), (30,))
-    # one split per divisor pair of 60, then one per divisor pair of each right index
+    right = [l for _, l in divisor_pairs(60)]
+    # one split of the word pair of O_60, under its 12 divisor pairs, then
+    # one of the right leg of each block of Delta, under the 54 divisor
+    # pairs of the right indices together
     f_r(mono)
-    assert len(calls) == 12 + 54
-    calls.clear()
+    assert leg_splits == [60, *right]
+    assert sum(len(divisor_pairs(n)) for n in leg_splits) == 12 + 54
+    leg_splits.clear()
     f_l(mono)
-    assert len(calls) == 12 + 54
-    calls.clear()
+    assert leg_splits == [60, *right[::-1]]
+    assert sum(len(divisor_pairs(n)) for n in leg_splits) == 12 + 54
+    leg_splits.clear()
     # coassociativity splits Delta once and then each of its two legs
     assert check_coassoc(mono, tol=0.0)
-    assert len(calls) == 12 + 2 * 54
-    calls.clear()
+    assert leg_splits == [60, *right, *right[::-1]]
+    assert sum(len(divisor_pairs(n)) for n in leg_splits) == 12 + 2 * 54
+    leg_splits.clear()
     # the CLI pays the same per monomial: the 60 generators and the unit
     assert cli.main(["verify-coassoc", "--n", "60"]) == 0
-    assert len(calls) == 61 * (12 + 2 * 54)
-    calls.clear()
+    assert leg_splits == 61 * [60, *right, *right[::-1]]
+    assert sum(len(divisor_pairs(n)) for n in leg_splits) == 61 * (12 + 2 * 54)
+    leg_splits.clear()
     x = _gaussian_element(np.random.default_rng(3), 12, 4)
     assert len(x.terms) == 4
     assert check_coassoc(x, tol=0.0)
-    # d(12) = 6 and the divisors of 12 have 1+2+2+3+4+6 = 18 divisors
-    assert len(calls) == 4 * (6 + 2 * 18)
+    # d(12) = 6 and the divisors of 12 have 1+2+2+3+4+6 = 18 divisors; each
+    # block of Delta(x) holds the 4 terms, and each term is split once
+    assert len(leg_splits) == 4 * (1 + 2 * 6)
+    assert sum(len(divisor_pairs(n)) for n in leg_splits) == 4 * (6 + 2 * 18)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cuntzr.algebra import AlgebraElement, CuntzMonomial, as_element
+from cuntzr.algebra import EQ_TOL, AlgebraElement, CuntzMonomial, as_element
 from cuntzr.coproduct import TensorElement, delta, delta_op, f_r
 from cuntzr.representations import (
     GPRepresentation,
@@ -13,6 +13,7 @@ from cuntzr.representations import (
     to_dense,
 )
 from cuntzr.errors import OutOfDomain, SpanTooLarge
+from cuntzr.rmatrix import verify_symmetry
 from cuntzr.states import GPState, UnitVector, gp_eval
 from gram_oracle import span_basis, vec_dist
 
@@ -135,6 +136,17 @@ def test_complete_unitary_first_row_and_unitarity():
             assert np.array_equal(U[0], z.conj())
             assert set(U.real.ravel().tolist()) <= {-1.0, 0.0, 1.0} and not U.imag.any()
             assert np.array_equal(U @ U.conj().T, np.eye(n))
+
+
+def test_complete_unitary_with_a_subnormal_first_entry():
+    # 1/|z_1| overflows for these z_1, and the twist once came out NaN
+    for z in (np.array([2.225073858507203e-309j, 1j]), np.array([5e-324, 1.0])):
+        U = complete_unitary(z)
+        assert np.isfinite(U).all()
+        assert np.array_equal(U[0], z.conj())
+        assert np.max(np.abs(U @ U.conj().T - np.eye(2))) <= EQ_TOL
+        X = GPState(z)
+        assert verify_symmetry(X, X, 1).max_residual <= EQ_TOL
 
 
 def test_standard_vector_gives_identity_twist():

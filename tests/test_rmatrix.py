@@ -392,7 +392,8 @@ def test_ybe_splits_six_times_per_word_and_applies_six_times_per_chunk(monkeypat
         return real_apply(self, X)
 
     monkeypatch.setattr(rmatrix, "split_words", split_words)
-    monkeypatch.setattr(coproduct, "_split", lambda *args: word_splits.append(args))
+    # the per-word dict split, which split_leg and expand_leg both read
+    monkeypatch.setattr(coproduct, "_leg_keys", lambda *args: word_splits.append(args))
     monkeypatch.setattr(RMatrixOperator, "apply_dense", apply_dense)
     assert verify_ybe(*states, 2, rs=rs).passed
     words, step = _ybe_chunks(states, 2)
