@@ -183,26 +183,25 @@ def parse_state_arg(text, field):
     return _as_state(obj, field)
 
 
-# about 8 s of verify-coassoc, at the 1.9 us a (word pair, divisor pair)
-# split measured on a 2-core machine (--n 3000: 1.9M splits in 3.6 s); a
-# large prime n, whose blocks hold one term each, costs about 5 us a split
-# (--n 499979: 4.0M splits in 20 s)
+# term writes of verify-coassoc (see _coassoc_splits); on a 2-core machine a
+# write costs about 0.7 us at n = 3000 (1.8M writes in 1.3 s) and about 4 us
+# at a large prime n, whose three blocks hold one term each, so that the work
+# per monomial outweighs the writes (--n 666649, the largest index allowed:
+# 4.0M writes in 16 s); the cap thus allows about 3 s to 16 s
 MAX_COASSOC_SPLITS = 4_000_000
 
 
 def _coassoc_splits(n, samples):
-    """(Word pair, divisor pair) splits that ``verify-coassoc`` makes on O_n.
+    """Term writes of the two double coproducts that ``verify-coassoc`` makes on O_n.
 
-    A word pair of O_k is split under all d(k) ordered divisor pairs of k
-    at once (``coproduct._leg_keys``), which counts d(k) splits. Each of
-    the n generators, the unit and the ``samples`` random monomials is one
-    term: delta splits it under the d(n) pairs of n, and each outer
-    expansion splits one leg of every block of delta under the pairs of
-    its index, d_3(n) splits in all, the number of ordered divisor triples.
-    Both counts are products over the prime factorization n = prod p^e:
-    d(n) of (e + 1) and d_3(n) of (e + 1)(e + 2)/2.
+    Each of the n generators, the unit and the ``samples`` random monomials
+    is one term of O_n. Each double coproduct splits it in one pass through
+    its composed table and writes one term into each of its d_3(n) blocks,
+    the ordered divisor triples of n; no Delta is computed. So a monomial
+    costs 2 d_3(n) writes. d_3(n) is the product of (e + 1)(e + 2)/2 over
+    the prime factorization n = prod p^e.
     """
-    d = d3 = 1
+    d3 = 1
     p, rest = 2, n
     while rest > 1:
         if p * p > rest:
@@ -211,10 +210,9 @@ def _coassoc_splits(n, samples):
         while rest % p == 0:
             rest //= p
             e += 1
-        d *= e + 1
         d3 *= (e + 1) * (e + 2) // 2
         p += 1
-    return (n + 1 + samples) * (d + 2 * d3)
+    return (n + 1 + samples) * 2 * d3
 
 
 def _validate(spec):
@@ -237,15 +235,15 @@ def _validate(spec):
     if spec.kind == "coassoc" and (spec.n is None or spec.n < 1):
         errors.append("coassoc needs --n >= 1")
     elif spec.kind == "coassoc" and spec.samples >= 0:
-        # each monomial takes at least 3 splits, and n is factored only
-        # when that floor stays under the cap
-        floor = 3 * (spec.n + 1 + spec.samples)
+        # each monomial takes at least 2 term writes (d_3(1) = 1), and n is
+        # factored only when that floor stays under the cap
+        floor = 2 * (spec.n + 1 + spec.samples)
         exact = floor <= MAX_COASSOC_SPLITS
-        splits = _coassoc_splits(spec.n, spec.samples) if exact else floor
-        if splits > MAX_COASSOC_SPLITS:
+        writes = _coassoc_splits(spec.n, spec.samples) if exact else floor
+        if writes > MAX_COASSOC_SPLITS:
             errors.append(
                 f"verify-coassoc on O_{spec.n} with {spec.samples} samples needs "
-                f"{'' if exact else 'at least '}{splits} word-pair splits, "
+                f"{'' if exact else 'at least '}{writes} term writes, "
                 f"above the cap of {MAX_COASSOC_SPLITS}"
             )
     if spec.kind == "state-product" and spec.samples < 1:
@@ -273,7 +271,8 @@ def _run_coassoc(spec):
     report = VerificationReport(scenario=spec.kind)
     n = spec.n
     groups = [
-        ("coassoc-generators", [CuntzMonomial.generator(n, i) for i in range(1, n + 1)]),
+        # the generators one at a time, not as a list of n monomials
+        ("coassoc-generators", (CuntzMonomial.generator(n, i) for i in range(1, n + 1))),
         ("coassoc-unit", [CuntzMonomial.unit(n)]),
     ]
     if spec.samples:

@@ -17,11 +17,11 @@ built from checked keys is wrapped without a second pass. So a pair (or
 triple) of representations or states can project onto the single block it
 sees.
 
-Every coproduct is one leg split, and every split reads one digit table
-per index n, built once (``_digit_table``). Its row w holds the left
-digit (w-1)//l + 1 and the right digit (w-1)%l + 1 of letter w under
-every ordered divisor pair (m, l) of n; an O_1 leg has no column, its
-words collapse to the unit. A word pair is split under all pairs of its
+Delta, Delta^op and phi are one leg split each, and every split reads
+one digit table per index n, built once (``_digit_table``). Its row w
+holds the left digit (w-1)//l + 1 and the right digit (w-1)%l + 1 of
+letter w under every ordered divisor pair (m, l) of n; an O_1 leg has no
+column, its words collapse to the unit. A word pair is split under all pairs of its
 index in one pass over its letters (``_leg_keys``: the rows of its
 letters, transposed into one column per leg), and ``_expand_block``
 writes the coefficient of each term, from that one split, into the
@@ -39,21 +39,31 @@ Composing ``phi`` with ``split_leg`` gives a single block of a double
 coproduct, which is all that a triple of representations sees.
 
 The double coproducts are the two composition orders: ``f_r`` splits the
-right leg of the coproduct again, ``f_l`` the left leg. Coassociativity
-(``coassoc_residual``) computes Delta(x) once and compares its two outer
-expansions, which are different computations: block (a, b, c) of the
-right one splits leg 2 by (b, c), of the left one leg 1 by (a, b). The
-independent check of both is the mixed-radix split of
-``tests/coproduct_oracle.py``. The divisor pairs of each index are
-scanned once. Canonical equality of tensor elements is
-:func:`cuntzr.algebra.canonical_residual`, which applies the level
-expansion to every leg independently inside each block, and skips blocks,
-or the whole comparison, where the two term maps are equal.
+right leg of the coproduct again, ``f_l`` the left leg, and ``f_r_op``,
+``f_l_op`` the same with the flips. They are letterwise, so each reads one
+table per index n and order, composed once from the columns of the digit
+tables (``_compose``): row w holds the digits of letter w on the legs of
+every ordered divisor triple (a, b, c), gathered through phi_{a,bc} and
+then phi_{b,c} for ``f_r``, through phi_{ab,c} and then phi_{a,b} for
+``f_l``. A term is split in one pass over its letters and written into
+every block (a, b, c); no Delta is computed. A composed table is reused
+only while each digit table it came from is still the one
+``_digit_table`` hands out. Coassociativity (``coassoc_residual``)
+compares ``f_r`` with ``f_l``, which read different tables composed in
+different orders. The independent check of all four is the mixed-radix
+split of ``tests/coproduct_oracle.py``; ``expand_leg`` of Delta is the
+second. The divisor pairs of each index are scanned once. Canonical
+equality of tensor elements is :func:`cuntzr.algebra.canonical_residual`,
+which applies the level expansion to every leg independently inside each
+block, and skips blocks, or the whole comparison, where the two term maps
+are equal.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,14 +102,19 @@ def _digit_table(n):
     column 2k. The left leg of (1, n) and the right leg of (n, 1) are O_1
     legs, whose words collapse to the unit, so they have no column. Row 0
     is zeros. Every split reads this table and no other: ``_leg_keys`` its
-    rows, ``split_words`` the pair's two columns.
+    rows, ``split_words`` the pair's two columns and ``_compose`` all its
+    columns.
 
     The table holds (n+1)(2d(n)-2) digits for the life of the process, also
-    when only one pair is read. ``verify-coassoc`` bounds it: a request
-    makes at least (n+1)*3d(n) splits, so under ``MAX_COASSOC_SPLITS`` the
-    table has at most 2/3 of that many digits. The largest, O_499979 (the
-    largest index allowed, prime) and O_181817 (d = 4, the most digits),
-    take 61 MB and 37 MB (tracemalloc).
+    when only one pair is read, and so do the composed tables of the double
+    coproducts (``_compose``) with (n+1)(d_3(n)-d(n)) digits each, one per
+    distinct column. ``verify-coassoc`` bounds them: a request makes
+    (n+1)*2d_3(n) term writes, at most ``MAX_COASSOC_SPLITS``, and
+    d_3(n) >= d(n). At the largest allowed indices (tracemalloc), the digit
+    table takes 82 MiB and the two composed tables of coassociativity 112
+    MiB at O_666649 (prime, the largest index and the most rows); at O_3600
+    (the most composed digits, 1.8M a table) 4 MiB and 32 MiB, with the
+    digit tables of the divisors.
     """
     pairs = _divisor_pairs(n)
     rows = [tuple(d + 1 for _, l in pairs for d in divmod(w, l))[1:-1] for w in range(n)]
@@ -374,24 +389,136 @@ def expand_leg(t, leg, opposite=False):
     return TensorElement._from_pruned(blocks)
 
 
+# the double coproducts as two splits composed: which leg of phi_{m,l} (0
+# left, 1 right) is split again, and whether the three legs come out
+# reversed, as in the opposite orders
+_ORDERS = {"f_r": (1, False), "f_l": (0, False), "f_r_op": (0, True), "f_l_op": (1, True)}
+
+
+@dataclass(frozen=True, eq=False)
+class _ComposedTable:
+    """One double coproduct of O_n as a per-letter table.
+
+    ``triples`` are its output blocks (a, b, c) in block order. Row w of
+    ``rows`` holds the digits of letter w on the legs of every triple; an
+    O_1 leg has no column, and legs with equal columns share one. Row 0 is
+    zeros. ``place`` takes (unit, leg key of column 1, ...) to the three leg
+    keys of every triple, in order. ``sources`` are the digit tables of
+    ``indices`` that the table was composed from.
+    """
+
+    n: int
+    indices: tuple
+    sources: tuple
+    triples: tuple
+    rows: tuple
+    place: operator.itemgetter
+
+
+_composed = {}  # (n, order) -> its composed table, replaced when stale
+
+
+def _composed_table(n, order):
+    """The table of ``order`` on O_n, composed once and reused while every
+    digit table it was composed from is still the one ``_digit_table``
+    hands out."""
+    table = _composed.get((n, order))
+    if table is None or not all(map(operator.is_, map(_digit_table, table.indices), table.sources)):
+        table = _composed[(n, order)] = _compose(n, order)
+    return table
+
+
+def _columns(table):
+    """The columns of a digit table as integer arrays indexed by letter, one
+    per leg of each divisor pair in pair order, as the entries of
+    ``_leg_keys``; None for an O_1 leg. One transpose of the whole table."""
+    return (None, *np.array(table, dtype=np.intp).T, None)
+
+
+def _compose(n, order):
+    """Compose phi_{m,l} and then phi on one of its legs, per letter, for
+    every ordered divisor triple of n, from the columns of the digit tables
+    of n and of the indices of that leg: each triple's columns are gathers
+    of the inner pair's columns by the outer pair's, and the rows are one
+    transpose of them all."""
+    inner, reverse = _ORDERS[order]
+    sources = {n: _digit_table(n)}
+    outer = _columns(sources[n])
+    columns, triples, place, unique = {}, [], [], {}
+    for k, pair in enumerate(_divisor_pairs(n)):
+        j, split, other = pair[inner], outer[2 * k + inner], outer[2 * k + 1 - inner]
+        if j not in columns:
+            sources[j] = _digit_table(j)
+            columns[j] = _columns(sources[j])
+        for p, (a, b) in enumerate(_divisor_pairs(j)):
+            # an O_1 inner leg has no column, and neither have its two splits
+            two = [None if col is None else col[split] for col in columns[j][2 * p:2 * p + 2]]
+            three = (other, *two) if inner else (*two, other)
+            triple = (pair[0], a, b) if inner else (a, b, pair[1])
+            triples.append(triple[::-1] if reverse else triple)
+            for col in three[::-1] if reverse else three:
+                if col is None:
+                    place.append(0)
+                else:  # equal columns give equal leg keys, so each is kept once
+                    place.append(unique.setdefault(col.tobytes(), len(unique) + 1))
+    # the digits as one shared int object each, not one per entry
+    digits = np.arange(n + 1).astype(object)
+    rows = tuple(zip(*(digits[np.frombuffer(col, dtype=np.intp)].tolist() for col in unique)))
+    return _ComposedTable(
+        n,
+        tuple(sources),
+        tuple(sources.values()),
+        tuple(triples),
+        rows or ((),) * (n + 1),  # O_1 has no column
+        operator.itemgetter(*place),
+    )
+
+
+def _triple_keys(table, key):
+    """The keys of one word pair of O_n on the three legs of every triple
+    of a composed table, in block order, from one pass over its letters."""
+    rows = table.rows
+    u, v = key
+    # every column of the empty word is the empty word
+    cu = zip(*map(rows.__getitem__, u)) if u else ((),) * len(rows[0])
+    cv = zip(*map(rows.__getitem__, v)) if v else ((),) * len(rows[0])
+    keys = iter(table.place((_UNIT, *zip(cu, cv))))
+    return zip(keys, keys, keys)
+
+
+def _double_coproduct(x, order):
+    """A double coproduct of a monomial, an element or a one-leg tensor
+    element: each term of O_n is split once through the composed table and
+    written, with its coefficient unchanged, into every block (a, b, c)."""
+    blocks = {}
+    for (n,), terms in _one_leg(x).blocks.items():
+        table = _composed_table(n, order)
+        outs = [{} for _ in table.triples]
+        blocks.update(zip(table.triples, outs))
+        for (key,), c in terms.items():
+            for out, keys in zip(outs, _triple_keys(table, key)):
+                out[keys] = c
+    return TensorElement._from_pruned(blocks)
+
+
 def f_r(x):
     """Right-expanded double coproduct (id (x) delta) o delta."""
-    return expand_leg(delta(x), 2)
+    return _double_coproduct(x, "f_r")
 
 
 def f_l(x):
     """Left-expanded double coproduct (delta (x) id) o delta."""
-    return expand_leg(delta(x), 1)
+    return _double_coproduct(x, "f_l")
 
 
 def f_r_op(x):
     """(id (x) delta_op) o delta_op; right expansion of the opposite coproduct."""
-    return expand_leg(delta_op(x), 2, opposite=True)
+    return _double_coproduct(x, "f_r_op")
 
 
 def f_l_op(x):
     """(delta_op (x) id) o delta_op; left expansion of the opposite coproduct."""
-    return expand_leg(delta_op(x), 1, opposite=True)
+    return _double_coproduct(x, "f_l_op")
 
 
 canonical_equal3 = canonical_equal  # the three-leg name callers already use
@@ -400,13 +527,12 @@ canonical_equal3 = canonical_equal  # the three-leg name callers already use
 def coassoc_residual(x):
     """Canonical residual between (id (x) delta) delta(x) and (delta (x) id) delta(x).
 
-    Delta(x) is computed once; its right leg is then split by the ordered
-    divisor pairs (b, c) of each right index and its left leg by the pairs
-    (a, b) of each left index. The two expansions reach each block (a, b, c)
-    through different splits, so they are two computations.
+    The two double coproducts read different composed tables: block
+    (a, b, c) of the right one splits by (a, bc) and then (b, c), of the
+    left one by (ab, c) and then (a, b), so they are two computations.
     """
-    d = delta(x)
-    return canonical_residual(expand_leg(d, 2), expand_leg(d, 1))
+    x = _one_leg(x)
+    return canonical_residual(f_r(x), f_l(x))
 
 
 def check_coassoc(x, tol=EQ_TOL):

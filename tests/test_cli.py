@@ -319,17 +319,15 @@ def test_state_file_reference(tmp_path):
 def test_perturbed_coassociativity_fails_with_its_residual(tmp_path, monkeypatch):
     from cuntzr.coproduct import TensorElement
 
-    real = coproduct.expand_leg
+    real = coproduct.f_l
 
-    def perturbed(t, leg, opposite=False):
-        out = real(t, leg, opposite)
-        if (t.arity, leg) != (2, 1):
-            return out
+    def perturbed(x):
+        out = real(x)
         # 1e-3 added to one coefficient 1 of (Delta (x) id) Delta
         block, terms = next(iter(out.blocks.items()))
         return out + TensorElement({block: {next(iter(terms)): 1e-3}})
 
-    monkeypatch.setattr(coproduct, "expand_leg", perturbed)
+    monkeypatch.setattr(coproduct, "f_l", perturbed)
     path = tmp_path / "r.json"
     assert run(["verify-coassoc", "--n", "4", "--samples", "3", "--out", str(path)]) == 1
     report = json.loads(path.read_text())
@@ -445,28 +443,32 @@ def test_state_product_needs_a_positive_sample_count(tmp_path, capsys):
 # the size cap of verify-coassoc
 
 
-def test_coassoc_split_estimate_is_the_counted_work(leg_splits, capsys):
+def test_coassoc_split_estimate_is_the_counted_work(splits, capsys):
     assert run(["verify-coassoc", "--n", "360", "--samples", "5"]) == 0
-    # d(360) = 24 and d_3(360) = 180, for 361 + 5 monomials; an all-pairs
-    # split of a word pair of O_n counts its d(n) (word pair, divisor pair) splits
-    assert _coassoc_splits(360, 5) == 366 * (24 + 2 * 180)
-    assert sum(len(coproduct.divisor_pairs(n)) for n in leg_splits) == _coassoc_splits(360, 5)
+    # d_3(360) = 180, for 361 + 5 monomials; each double coproduct splits a
+    # monomial in one pass and writes one term into each of its 180 blocks
+    assert _coassoc_splits(360, 5) == 366 * 2 * 180
+    assert splits.passes == 2 * 366 * [(360, 180)]
+    assert sum(writes for _, writes in splits.passes) == _coassoc_splits(360, 5)
+    # and no Delta: no word pair is split under the divisor pairs alone
+    assert splits.all_pairs == []
 
 
 def test_oversized_coassoc_fails_fast(monkeypatch, capsys):
     from cuntzr.cli import _validate
 
-    # --n 3000 makes about 1.9M splits and runs; --n 30000 would make 42M
+    # --n 3000 makes about 1.8M term writes and runs; --n 30000 would make 41M
     assert _coassoc_splits(3000, 0) <= MAX_COASSOC_SPLITS < _coassoc_splits(30000, 0)
 
     def table(n):
         raise AssertionError("a refused request read a digit table")
 
-    # every split, under all divisor pairs or under one, reads the digit table
+    # every split, under all divisor pairs, under one or through a composed
+    # table, reads the digit table
     monkeypatch.setattr(coproduct, "_digit_table", table)
     for args, needs in (
-        (["--n", "30000"], "needs 42001400 word-pair splits"),
-        (["--n", "4", "--samples", "700000"], "needs 10500075 word-pair splits"),
+        (["--n", "30000"], "needs 40501350 term writes"),
+        (["--n", "4", "--samples", "700000"], "needs 8400060 term writes"),
     ):
         start = time.perf_counter()
         assert run(["verify-coassoc", *args]) == 2
@@ -474,7 +476,7 @@ def test_oversized_coassoc_fails_fast(monkeypatch, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and needs in err
         assert f"above the cap of {MAX_COASSOC_SPLITS}" in err
-    # an index too large to factor is refused on the floor of 3 splits a monomial
+    # an index too large to factor is refused on the floor of 2 term writes a monomial
     with pytest.raises(SpecError) as exc:
         _validate(ScenarioSpec(kind="coassoc", n=10**30))
-    assert f"needs at least {3 * (10**30 + 1)} word-pair splits" in exc.value.errors[0]
+    assert f"needs at least {2 * (10**30 + 1)} term writes" in exc.value.errors[0]

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import coproduct_oracle as oracle
@@ -372,18 +373,16 @@ def test_a_bump_in_any_one_block_of_o60_is_reported(monkeypatch):
     blocks = list(f_l(x).blocks)
     assert len(blocks) == 54
     assert coassoc_residual(x) == 0.0
-    real = coproduct.expand_leg
+    real = coproduct.f_l
     for bumped in blocks:
 
-        def perturbed(t, leg, opposite=False):
-            out = real(t, leg, opposite)
-            if (t.arity, leg) != (2, 1):
-                return out
+        def perturbed(y):
+            out = real(y)
             (keys, c), = out.block(*bumped).items()
             assert c == 1.0
             return out + TensorElement({bumped: {keys: 1e-3}})
 
-        monkeypatch.setattr(coproduct, "expand_leg", perturbed)
+        monkeypatch.setattr(coproduct, "f_l", perturbed)
         assert coassoc_residual(x) == (1.0 + 1e-3) - 1.0
         assert not check_coassoc(x)
 
@@ -567,6 +566,76 @@ def test_expand_leg_keeps_coefficients_at_the_prune_cutoff():
 
 
 # ---------------------------------------------------------------------------
+# the composed tables of the double coproducts
+
+OPPOSITE = {"f_r": False, "f_l": False, "f_r_op": True, "f_l_op": True}
+
+# the double coproducts as Delta (or Delta^op) followed by one leg expansion,
+# which split a word pair twice through the digit tables; the composed
+# tables split it once
+LEG_EXPANSIONS = {
+    f_r: lambda x: expand_leg(delta(x), 2),
+    f_l: lambda x: expand_leg(delta(x), 1),
+    f_r_op: lambda x: expand_leg(delta_op(x), 2, opposite=True),
+    f_l_op: lambda x: expand_leg(delta_op(x), 1, opposite=True),
+}
+
+
+def test_each_composed_table_is_the_mixed_radix_split_of_every_letter():
+    for n in (*range(1, 61), 360):
+        for order, opposite in OPPOSITE.items():
+            table = coproduct._composed_table(n, order)
+            assert sorted(table.triples) == oracle.factorizations(n, 3)
+            for w in range(1, n + 1):
+                got = coproduct._triple_keys(table, ((w,), (w, w)))
+                for triple, keys in zip(table.triples, got, strict=True):
+                    # the opposite block (a, b, c) reverses the split of (c, b, a)
+                    if opposite:
+                        digits = oracle.radix_digits(triple[::-1], w)[::-1]
+                    else:
+                        digits = oracle.radix_digits(triple, w)
+                    want = tuple(key([d], [d, d]) if a > 1 else UNIT for a, d in zip(triple, digits))
+                    assert keys == want, (order, n, w, triple)
+
+
+def _ordered(t):
+    # blocks and terms in the order they were written
+    return [(p, list(terms.items())) for p, terms in t.blocks.items()]
+
+
+def test_double_coproducts_equal_the_leg_expansions_of_delta():
+    rng = np.random.default_rng(43)
+    samples = [_gaussian_element(rng, n, 3) for n in range(1, 361)]
+    # an element of the direct sum with several blocks, and zero
+    samples.append(
+        sum(
+            (TensorElement.from_element(_gaussian_element(rng, n, 4)) for n in (4, 6, 1, 60)),
+            TensorElement(),
+        )
+    )
+    samples += [AlgebraElement.zero(12), TensorElement()]
+    for x in samples:
+        for fast, slow in LEG_EXPANSIONS.items():
+            assert _ordered(fast(x)) == _ordered(slow(x)), (fast.__name__, x)
+    assert all(f(TensorElement()).is_zero for f in LEG_EXPANSIONS)
+
+
+def test_one_changed_digit_of_the_f_l_table_breaks_coassociativity_on_o12(monkeypatch):
+    # negative control: the first digit of letter 5 in the composed table of
+    # f_l on O_12 moved cyclically within its leg; every other row is intact
+    table = coproduct._composed_table(12, "f_l")
+    assert coproduct._composed_table(12, "f_l") is table  # reused while its sources stand
+    rows = list(table.rows)
+    size = max(row[0] for row in rows)  # the index of the first column's leg
+    rows[5] = (rows[5][0] % size + 1, *rows[5][1:])
+    changed = dataclasses.replace(table, rows=tuple(rows))
+    monkeypatch.setitem(coproduct._composed, (12, "f_l"), changed)
+    for i in range(1, 13):
+        residual = coassoc_residual(gen(12, i))
+        assert residual == (1.0 if i == 5 else 0.0), i
+
+
+# ---------------------------------------------------------------------------
 # single blocks of the double coproducts through split_leg
 
 
@@ -693,34 +762,30 @@ def test_the_array_split_equals_the_word_split():
                 assert np.array_equal(got.reshape(len(us), -1), want)
 
 
-def test_word_splits_are_counted_once(leg_splits):
+def test_word_splits_are_counted_once(splits):
     mono = CuntzMonomial(60, (7, 59, 12), (30,))
-    right = [l for _, l in divisor_pairs(60)]
-    # one split of the word pair of O_60, under its 12 divisor pairs, then
-    # one of the right leg of each block of Delta, under the 54 divisor
-    # pairs of the right indices together
-    f_r(mono)
-    assert leg_splits == [60, *right]
-    assert sum(len(divisor_pairs(n)) for n in leg_splits) == 12 + 54
-    leg_splits.clear()
-    f_l(mono)
-    assert leg_splits == [60, *right[::-1]]
-    assert sum(len(divisor_pairs(n)) for n in leg_splits) == 12 + 54
-    leg_splits.clear()
-    # coassociativity splits Delta once and then each of its two legs
+    # each double coproduct splits the word pair of O_60 in one pass
+    # through its composed table and writes one term into each of the
+    # d_3(60) = 54 blocks; it computes no Delta
+    for f in (f_r, f_l, f_r_op, f_l_op):
+        assert f(mono).term_count() == 54
+        assert splits.passes == [(60, 54)]
+        splits.passes.clear()
+    # coassociativity is one pass of each of the two
     assert check_coassoc(mono, tol=0.0)
-    assert leg_splits == [60, *right, *right[::-1]]
-    assert sum(len(divisor_pairs(n)) for n in leg_splits) == 12 + 2 * 54
-    leg_splits.clear()
+    assert splits.passes == 2 * [(60, 54)]
+    splits.passes.clear()
     # the CLI pays the same per monomial: the 60 generators and the unit
     assert cli.main(["verify-coassoc", "--n", "60"]) == 0
-    assert leg_splits == 61 * [60, *right, *right[::-1]]
-    assert sum(len(divisor_pairs(n)) for n in leg_splits) == 61 * (12 + 2 * 54)
-    leg_splits.clear()
+    assert splits.passes == 61 * 2 * [(60, 54)]
+    assert sum(writes for _, writes in splits.passes) == cli._coassoc_splits(60, 0)
+    splits.passes.clear()
     x = _gaussian_element(np.random.default_rng(3), 12, 4)
     assert len(x.terms) == 4
     assert check_coassoc(x, tol=0.0)
-    # d(12) = 6 and the divisors of 12 have 1+2+2+3+4+6 = 18 divisors; each
-    # block of Delta(x) holds the 4 terms, and each term is split once
-    assert len(leg_splits) == 4 * (1 + 2 * 6)
-    assert sum(len(divisor_pairs(n)) for n in leg_splits) == 4 * (6 + 2 * 18)
+    # d_3(12) = 18; each of the 4 terms is split once by each double coproduct
+    assert splits.passes == 2 * 4 * [(12, 18)]
+    assert splits.all_pairs == []
+    # Delta splits a word pair under all the divisor pairs of its index at once
+    assert delta(mono).term_count() == 12
+    assert splits.all_pairs == [60]
