@@ -70,6 +70,7 @@ import numpy as np
 from .algebra import (
     EQ_TOL,
     ZERO_TOL,
+    CuntzMonomial,
     _check_word,
     as_element,
     canonical_equal,
@@ -199,6 +200,8 @@ class TensorElement:
     @classmethod
     def from_element(cls, x):
         """The one-leg element {(n,): {(key,): c}} of a monomial or element of O_n."""
+        if isinstance(x, CuntzMonomial):  # its one term, as AlgebraElement.monomial has it
+            return cls._from_pruned({(x.n,): {(x.key,): 1 + 0j}})
         x = as_element(x)
         if x.is_zero:
             return cls()

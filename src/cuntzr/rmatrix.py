@@ -43,9 +43,11 @@ double coproduct; each leg's images are gathered twist columns, and the
 block is their tensor product. The verifiers apply R to whole batches of
 vectors at once, the exchange check to its words in chunks of bounded
 size, and measure residuals on the unpruned dense differences. The
-generators of the conjugation identity still act through ``phi`` and
-``act_dense``. A fixed counterexample scenario shows how the
-construction degenerates for a noncommuting pair.
+generators of the conjugation identity act the same way: a one-letter
+word splits to one digit per leg (none on an O_1 leg), so a generator
+grows each leg of a batch by one least significant digit and multiplies
+in that letter's twist column there. A fixed counterexample scenario
+shows how the construction degenerates for a noncommuting pair.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import BUILD_TOL, CuntzMonomial, holds
-from .coproduct import delta, delta_op, phi, split_words
+from .coproduct import delta, delta_op, split_words
 from .errors import NotCommuting, OutOfDomain
 from .representations import (
     GPRepresentation,
@@ -276,17 +278,12 @@ def _worst_gap(A, B):
     return _worst_column(diff)
 
 
-def _pair_coproducts(n, m):
-    """The coproduct and its opposite restricted to the block (n, m), which
-    is all that a pair of representations of O_n and O_m sees: phi_{n,m}
-    and the flipped phi_{m,n}."""
-    return (lambda x: phi(n, m, x)), (lambda x: phi(m, n, x).flip())
-
-
 def _pair_splits(n, m):
-    """The word-array forms of ``_pair_coproducts``: a (K, t) array of
-    words of O_{nm} to its digit arrays on the legs (n, m), through
-    phi_{n,m} and through phi_{m,n} followed by the flip."""
+    """The coproduct and its opposite restricted to the block (n, m), which
+    is all that a pair of representations of O_n and O_m sees, on word
+    arrays: a (K, t) array of words of O_{nm} to its digit arrays on the
+    legs (n, m), through phi_{n,m} and through phi_{m,n} followed by the
+    flip."""
     return (lambda W: split_words(n, m, W)), (lambda W: split_words(m, n, W)[::-1])
 
 
@@ -360,6 +357,17 @@ def relation_residual(rmat, max_len):
 # verifiers
 
 
+def _grow(X, c1, c2):
+    """A batch X (p, q, k) under s_a (x) s_b, where s_a e_1 = c1 (length n)
+    and s_b e_1 = c2 (length m): entry (i, j) goes to every (i n + a',
+    j m + b') times c1[a'] and c2[b'], the new digits least significant,
+    multiplied in the order of ``act_dense``, (X c1) c2. An O_1 leg has
+    the column [1] and keeps its size."""
+    p, q, k = X.shape
+    grown = X[:, None, :, None] * c1[:, None, None, None] * c2[:, None]
+    return grown.reshape(p * len(c1), q * len(c2), k)
+
+
 def verify_intertwining(rmat, tol=BUILD_TOL):
     """Conjugation identity on span vectors.
 
@@ -367,9 +375,15 @@ def verify_intertwining(rmat, tol=BUILD_TOL):
     length at most depth - 1, compares the image of the coproduct action
     followed by the operator with the operator followed by the
     opposite-coproduct action; the one-letter generators keep both paths
-    inside the operator's depth-d domain. R is applied once to all span
-    vectors, and once per generator to their coproduct images. Raises
-    OutOfDomain for a depth-0 operator, which has no such span.
+    inside the operator's depth-d domain. R is applied once to the span V
+    (``_word_images``). The N one-letter words are split once per
+    coproduct (``_pair_splits``), which gives each generator one twist
+    column per leg (``_leg_images``), and each generator grows V and R V by
+    one digit per leg (``_grow``). R is then applied once to the grown V,
+    which lies in the (n^d, m^d) corner of the grown R V's block
+    (n^{d+1}, m^{d+1}); the residual is the worst column of their unpruned
+    difference over that whole block. Raises OutOfDomain for a depth-0
+    operator, which has no such span.
     """
     n1, n2 = rmat.shape
     N = n1 * n2
@@ -380,18 +394,21 @@ def verify_intertwining(rmat, tol=BUILD_TOL):
     # grows the block by one letter
     preflight(_word_count(N, span_depth) * N ** (rmat.depth + 1), "the intertwining check")
     reps = (rmat.rep1, rmat.rep2)
-    coproduct, coproduct_op = _pair_coproducts(n1, n2)
-    V = _word_images(
-        reps, _pair_splits(n1, n2)[0], creation_words(N, span_depth),
-        (n1**span_depth, n2**span_depth),
+    splits = _pair_splits(n1, n2)
+    V = _word_images(reps, splits[0], creation_words(N, span_depth), rmat.dims)
+    moved = rmat.apply_dense(V)
+    V = V[:n1**span_depth, :n2**span_depth]
+    letters = np.arange(1, N + 1)[:, None]
+    columns, columns_op = (
+        [_leg_images(rep.U, digits) for rep, digits in zip(reps, split(letters))]
+        for split in splits
     )
-    moved = rmat.apply_dense(pad_to(V, rmat.dims))
     report = VerificationReport(scenario="intertwining")
-    for i in range(1, N + 1):
+    for i, (c1, c2, c1_op, c2_op) in enumerate(zip(*columns, *columns_op), 1):
+        diff = _grow(moved, c1_op, c2_op)
+        diff[:rmat.dims[0], :rmat.dims[1]] -= rmat.apply_dense(_grow(V, c1, c2))
+        worst = _worst_column(diff)
         word = CuntzMonomial.generator(N, i)
-        lhs = rmat.apply_dense(pad_to(act_dense(reps, coproduct(word), V), rmat.dims))
-        rhs = act_dense(reps, coproduct_op(word), moved)
-        worst = _worst_gap(lhs, rhs)
         report.add(f"intertwine:{word.label()}", holds(worst, tol, rmat.is_permutation), worst)
     return report
 

@@ -1,0 +1,40 @@
+"""The conjugation identity one generator at a time, through the symbolic action.
+
+This is how ``verify_intertwining`` first acted with the generators. For
+each generator x of O_{nm} it takes the tensor elements phi_{n,m}(x) and
+the flipped phi_{m,n}(x), lets ``act_dense`` apply them legwise to the span
+V and to R V, zero-pads both sides to their common block and measures the
+worst column of the difference. ``verify_intertwining`` never forms a
+tensor element: it grows both batches by gathered twist columns. The span
+V, the operator and the pass rule are shared, so the records must agree
+exactly.
+"""
+
+from __future__ import annotations
+
+from cuntzr.algebra import CuntzMonomial, holds
+from cuntzr.coproduct import phi
+from cuntzr.representations import act_dense, creation_words, pad_to
+from cuntzr.rmatrix import BUILD_TOL, _pair_splits, _word_images, _worst_gap
+
+
+def intertwining_records(rmat, tol=BUILD_TOL):
+    """[(name, passed, residual)] for every generator of O_{nm}, in
+    ``verify_intertwining``'s order."""
+    n1, n2 = rmat.shape
+    N = n1 * n2
+    span_depth = rmat.depth - 1
+    reps = (rmat.rep1, rmat.rep2)
+    V = _word_images(
+        reps, _pair_splits(n1, n2)[0], creation_words(N, span_depth),
+        (n1**span_depth, n2**span_depth),
+    )
+    moved = rmat.apply_dense(pad_to(V, rmat.dims))
+    records = []
+    for i in range(1, N + 1):
+        word = CuntzMonomial.generator(N, i)
+        lhs = rmat.apply_dense(pad_to(act_dense(reps, phi(n1, n2, word), V), rmat.dims))
+        rhs = act_dense(reps, phi(n2, n1, word).flip(), moved)
+        worst = _worst_gap(lhs, rhs)
+        records.append((f"intertwine:{word.label()}", holds(worst, tol, rmat.is_permutation), worst))
+    return records

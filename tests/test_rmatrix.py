@@ -9,10 +9,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import intertwining_oracle
 import ybe_oracle
 from cuntzr import cli, coproduct, rmatrix
 from cuntzr.algebra import CuntzMonomial
-from cuntzr.coproduct import delta
+from cuntzr.coproduct import delta, phi
 from cuntzr.errors import NotCommuting, OutOfDomain, SpanTooLarge
 from cuntzr.representations import (
     GPRepresentation,
@@ -42,6 +43,7 @@ W2 = GPState.standard(2)
 W3 = GPState.standard(3)
 U2 = GPState.uniform(2)
 U3 = GPState.uniform(3)
+S1 = GPState.standard(1)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +275,41 @@ def test_intertwining_sees_mass_that_leaves_the_span_block():
     report = verify_intertwining(rmat)
     assert baseline <= 1e-15
     assert 4.9e-14 <= report.max_residual <= 5.1e-14
+
+
+def test_intertwining_on_o1_legs():
+    # an O_1 leg stays one entry wide: the generators of O_m split to the
+    # unit there, and its twist column is [1]
+    for pair, exact in (((S1, U2), False), ((U2, S1), False), ((S1, S1), True)):
+        for depth in (1, 2, 3):
+            report = verify_intertwining(build_r(*pair, depth))
+            assert report.passed
+            assert len(report.checks) == pair[0].n * pair[1].n
+            if exact:
+                assert report.max_residual == 0.0
+            else:
+                assert report.max_residual <= 1e-15
+
+
+def test_intertwining_applies_the_span_first_and_once_per_generator(monkeypatch):
+    rmat = build_r(U2, U3, 2)
+    applied, word_splits = [], []
+    real_apply = RMatrixOperator.apply_dense
+
+    def apply_dense(self, X):
+        applied.append(np.array(X))
+        return real_apply(self, X)
+
+    # the per-word dict split, which phi and the coproducts read
+    monkeypatch.setattr(coproduct, "_leg_keys", lambda *args: word_splits.append(args))
+    monkeypatch.setattr(RMatrixOperator, "apply_dense", apply_dense)
+    assert verify_intertwining(rmat).passed
+    assert len(applied) == 6 + 1
+    # R V comes first: the span images, zero outside the depth-1 block
+    reps = (rmat.rep1, rmat.rep2)
+    span = rmatrix._word_images(reps, rmatrix._pair_splits(2, 3)[0], creation_words(6, 1), rmat.dims)
+    assert np.array_equal(applied[0], span)
+    assert not word_splits
 
 
 def test_intertwining_depth_arithmetic_is_enforced():
@@ -621,6 +658,56 @@ def test_twisted_power_triples_pass_ybe(triple):
     assert verify_ybe(*triple, 1).passed
 
 
+# ---------------------------------------------------------------------------
+# the generator step of the conjugation identity against the symbolic action
+
+
+def _assert_oracle_records(rmat):
+    report = verify_intertwining(rmat)
+    want = intertwining_oracle.intertwining_records(rmat)
+    assert [c.name for c in report.checks] == [name for name, _, _ in want]
+    assert [c.passed for c in report.checks] == [ok for _, ok, _ in want]
+    assert [c.residual for c in report.checks] == [res for _, _, res in want]
+    assert all(ok for _, ok, _ in want)
+
+
+def test_intertwining_records_equal_the_symbolic_oracle():
+    x = np.array([0.6, 0.8j])
+    X, XX = GPState(x), GPState(np.kron(x, x))
+    pairs = (
+        (W2, W3), (U2, U3), (U3, U2), (U2, GPState.uniform(5)), (X, XX), (X, X),
+        (S1, U2), (U2, S1), (S1, S1),
+    )
+    for pair in pairs:
+        for depth in (1, 2, 3):
+            _assert_oracle_records(build_r(*pair, depth))
+
+
+@settings(max_examples=10, deadline=None)
+@given(twisted_powers(2))
+def test_intertwining_records_equal_the_symbolic_oracle_on_twisted_powers(pair):
+    for depth in (1, 2):
+        _assert_oracle_records(build_r(*pair, depth))
+
+
+def test_the_generator_step_is_the_symbolic_action_of_the_generator():
+    rng = np.random.default_rng(18)
+    x = np.array([0.6, 0.8j])
+    for pair in ((W2, W3), (U2, U3), (GPState(x), GPState(np.kron(x, x))), (S1, U2), (U2, S1)):
+        reps = [GPRepresentation.for_state(s) for s in pair]
+        n, m = (s.n for s in pair)
+        shape = (n**2, m**2, 5)
+        batch = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        letters = np.arange(1, n * m + 1)[:, None]
+        coproducts = (lambda g: phi(n, m, g), lambda g: phi(m, n, g).flip())
+        for split, coproduct_of in zip(rmatrix._pair_splits(n, m), coproducts):
+            c1, c2 = (rmatrix._leg_images(rep.U, d) for rep, d in zip(reps, split(letters)))
+            for i in range(n * m):
+                got = rmatrix._grow(batch, c1[i], c2[i])
+                want = act_dense(reps, coproduct_of(CuntzMonomial.generator(n * m, i + 1)), batch)
+                assert np.array_equal(got, want)
+
+
 def test_symmetry_on_r1_equals_the_sweep_at_depth_1():
     x = np.array([0.6, 0.8j])
     X, XX = GPState(x), GPState(np.kron(x, x))
@@ -712,6 +799,35 @@ def test_standard_checks_fail_on_an_r1_entry_moved_by_1e_15():
     ):
         assert not report.passed
         assert 0.0 < report.max_residual <= 1e-14
+
+
+@pytest.mark.parametrize("other", [U3, GPState.uniform(5)])
+def test_intertwining_fails_on_an_r1_entry_moved_by_1e_6_at_depth_3(other):
+    rmat = build_r(U2, other, 3)
+    _bump_entry(rmat.r1)
+    report = verify_intertwining(rmat)
+    assert not report.passed
+    assert 1e-7 <= report.max_residual <= 1e-5
+
+
+@pytest.mark.parametrize("other", [U3, GPState.uniform(5)])
+def test_a_scaled_r1_passes_intertwining_and_fails_the_defining_relation(other):
+    # R Delta(x) = Delta^op(x) R is linear in R, so no multiple of R breaks
+    # it; the defining relation R v_w = w_w sees the scale
+    rmat = build_r(U2, other, 3)
+    _scale(rmat.r1)
+    assert verify_intertwining(rmat).max_residual <= 1e-15
+    assert relation_residual(rmat, 3) == pytest.approx(1.001**3 - 1, rel=1e-9)
+
+
+def test_intertwining_fails_when_the_opposite_coproduct_is_not_flipped(monkeypatch):
+    # with the coproduct on both sides only s_1 and s_6, on which phi_{2,3}
+    # and the flipped phi_{3,2} agree, still pass
+    pair_splits = rmatrix._pair_splits
+    monkeypatch.setattr(rmatrix, "_pair_splits", lambda n, m: (pair_splits(n, m)[0],) * 2)
+    report = verify_intertwining(build_r(U2, U3, 3))
+    assert [c.passed for c in report.checks] == [True, False, False, False, False, True]
+    assert 1.0 <= report.max_residual <= 2.0
 
 
 def test_relation_residual_measures_the_defining_relation():
