@@ -17,53 +17,53 @@ built from checked keys is wrapped without a second pass. So a pair (or
 triple) of representations or states can project onto the single block it
 sees.
 
-Delta, Delta^op and phi are one leg split each, and every split reads
-one digit table per index n, built once (``_digit_table``). Its row w
-holds the left digit (w-1)//l + 1 and the right digit (w-1)%l + 1 of
-letter w under every ordered divisor pair (m, l) of n; an O_1 leg has no
-column, its words collapse to the unit. A word pair is split under all pairs of its
-index in one pass over its letters (``_leg_keys``: the rows of its
-letters, transposed into one column per leg), and ``_expand_block``
-writes the coefficient of each term, from that one split, into the
-output block of every pair its caller asks for: ``split_leg`` asks for
-one phi_{m,l}, ``expand_leg`` for all the ordered divisor pairs, so
-``expand_leg`` is the union of ``split_leg`` over them. ``split_words(m, l, W)`` indexes
-the pair's two columns of the table with an integer array W of creation
-words of one length; the verifiers build their word images from it, so a
-wrong table breaks them and coassociativity alike. Letterwise splitting
-is injective on checked word pairs, so the splits copy the coefficients
-of their input unchanged, with no summing and no pruning. ``phi`` is
-``split_leg`` on leg 1 of a one-leg element, Δ (``delta``) is
-``expand_leg`` on leg 1, and Δ^op (``delta_op``) the same with the flip.
-Composing ``phi`` with ``split_leg`` gives a single block of a double
-coproduct, which is all that a triple of representations sees.
+Every coproduct here is letterwise: a word pair of O_n maps letter by
+letter to one word pair per leg of each output block, and which digit each
+leg gets is one table per index n and form, built once and cached
+(``_table``). The forms are Delta (``delta``), Delta^op (``delta_op``)
+and the four double coproducts (``f_r``, ``f_l``, ``f_r_op``, ``f_l_op``).
+A table holds its output blocks in block order, one integer array per
+distinct leg column (indexed by letter, row 0 zeros), the per-letter rows
+of those columns, and the placement of the columns on the legs of every
+block; an O_1 leg has no column, its words collapse to the unit. Delta's
+table is the digit table of O_n (``_digit_table``): under the ordered
+divisor pair (m, l), letter w gets the left digit (w-1)//l + 1 and the
+right digit (w-1)%l + 1. Delta^op reads the same columns with each
+block's legs reversed. A double coproduct's table is composed once from
+the columns of the tables of n and of its divisors: ``f_r`` splits the
+right leg of every block of Delta again by Delta, gathering the columns
+of phi_{b,c} through the right column of phi_{a,bc}; ``f_l`` splits the
+left leg, through phi_{ab,c} and then phi_{a,b}; ``f_r_op`` and
+``f_l_op`` do the same with Delta^op. Legs with equal columns share one.
 
-The double coproducts are the two composition orders: ``f_r`` splits the
-right leg of the coproduct again, ``f_l`` the left leg, and ``f_r_op``,
-``f_l_op`` the same with the flips. They are letterwise, so each reads one
-table per index n and order, composed once from the columns of the digit
-tables (``_compose``): row w holds the digits of letter w on the legs of
-every ordered divisor triple (a, b, c), gathered through phi_{a,bc} and
-then phi_{b,c} for ``f_r``, through phi_{ab,c} and then phi_{a,b} for
-``f_l``. A term is split in one pass over its letters and written into
-every block (a, b, c); no Delta is computed. A composed table is reused
-only while each digit table it came from is still the one
-``_digit_table`` hands out. Coassociativity (``coassoc_residual``)
-compares ``f_r`` with ``f_l``, which read different tables composed in
-different orders. The independent check of all four is the mixed-radix
-split of ``tests/coproduct_oracle.py``; ``expand_leg`` of Delta is the
-second. The divisor pairs of each index are scanned once. Canonical
-equality of tensor elements is :func:`cuntzr.algebra.canonical_residual`,
-which applies the level expansion to every leg independently inside each
-block, and skips blocks, or the whole comparison, where the two term maps
-are equal.
+Two readers share every table. ``_split`` splits one word pair on all
+blocks of a table in one pass over its letters, and ``_coproduct`` writes
+each term, with its coefficient unchanged, into every block: letterwise
+splitting is injective on checked word pairs, so there is no summing and
+no pruning. ``split_words(form, block, W)`` gathers one block's columns
+with an integer array W of creation words of one length; the verifiers
+build their word images from it, so a wrong table breaks them and
+coassociativity alike. ``split_block(form, block)`` is the per-term split
+of one block, through the table cut down to that block (``_one_block``):
+``phi(m, l, x)``, the block (m, l) of Delta(x), and the product
+functional of two states (``states.StarComposite``) read it. Coassociativity
+(``coassoc_residual``) compares ``f_r`` with ``f_l``, which read
+different tables composed in different orders. The independent check of
+all six forms is the mixed-radix split of ``tests/coproduct_oracle.py``;
+its per-term expansion of Delta is the second. The divisor pairs of each
+index are scanned once. Canonical equality of tensor elements is
+:func:`cuntzr.algebra.canonical_residual`, which applies the level
+expansion to every leg independently inside each block, and skips
+blocks, or the whole comparison, where the two term maps are equal.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -94,58 +94,155 @@ def _divisor_pairs(n):
     return tuple((m, n // m) for m in range(1, n + 1) if n % m == 0)
 
 
-@functools.lru_cache(maxsize=None)
 def _digit_table(n):
     """Digits of every letter of O_n under every ordered divisor pair of n.
 
-    Pair k of ``_divisor_pairs(n)``, (m, l), gives letter w = l*(i-1) + j
-    its left digit i in column 2k-1 of row w and its right digit j in
-    column 2k. The left leg of (1, n) and the right leg of (n, 1) are O_1
-    legs, whose words collapse to the unit, so they have no column. Row 0
-    is zeros. Every split reads this table and no other: ``_leg_keys`` its
-    rows, ``split_words`` the pair's two columns and ``_compose`` all its
-    columns.
-
-    The table holds (n+1)(2d(n)-2) digits for the life of the process, also
-    when only one pair is read, and so do the composed tables of the double
-    coproducts (``_compose``) with (n+1)(d_3(n)-d(n)) digits each, one per
-    distinct column. ``verify-coassoc`` bounds them: a request makes
-    (n+1)*2d_3(n) term writes, at most ``MAX_COASSOC_SPLITS``, and
-    d_3(n) >= d(n). At the largest allowed indices (tracemalloc), the digit
-    table takes 82 MiB and the two composed tables of coassociativity 112
-    MiB at O_666649 (prime, the largest index and the most rows); at O_3600
-    (the most composed digits, 1.8M a table) 4 MiB and 32 MiB, with the
-    digit tables of the divisors.
+    An integer array (n+1, 2d(n)-2): pair k of ``_divisor_pairs(n)``,
+    (m, l), gives letter w = l*(i-1) + j its left digit i in column 2k-1 of
+    row w and its right digit j in column 2k. The left leg of (1, n) and
+    the right leg of (n, 1) are O_1 legs, whose words collapse to the
+    unit, so they have no column. Row 0 is zeros. Delta's table is built
+    from it (``_table``), and every other table from Delta's.
     """
     pairs = _divisor_pairs(n)
-    rows = [tuple(d + 1 for _, l in pairs for d in divmod(w, l))[1:-1] for w in range(n)]
-    return ((0,) * len(rows[0]), *rows)
+    table = np.zeros((n + 1, 2 * len(pairs)), dtype=np.intp)
+    letters = np.arange(n)
+    for k, (_, l) in enumerate(pairs):
+        table[1:, 2 * k] = letters // l + 1
+        table[1:, 2 * k + 1] = letters % l + 1
+    return table[:, 1:-1]
 
 
-def _leg_keys(n, key):
-    """Leg keys of one word pair of O_n under every ordered divisor pair of
-    n, from one pass over its letters: entries 2k and 2k+1 are the left and
-    right keys under pair k of ``_divisor_pairs(n)``."""
-    rows = _digit_table(n)
+@dataclass(frozen=True, eq=False)
+class _Table:
+    """One coproduct form on O_n as a per-letter table.
+
+    ``form`` is the name of the form and ``blocks`` its output blocks in
+    block order. ``columns`` holds None for the unit and then one integer
+    array per distinct leg column, indexed by letter; ``legs`` gives, per
+    block, the position in ``columns`` of each leg (0 for an O_1 leg), and
+    ``place`` takes (unit, leg key of column 1, ...) to the leg keys of
+    every block, in order. Row w of ``rows`` holds the digits of letter w
+    in every column.
+    """
+
+    form: str
+    blocks: tuple
+    legs: tuple
+    columns: tuple
+    rows: tuple
+    place: operator.itemgetter = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "place", operator.itemgetter(*itertools.chain(*self.legs)))
+
+
+@functools.lru_cache(maxsize=None)
+def _digits(n):
+    """The digits 0..n as an object array of one shared int object each,
+    which the rows of every table of O_n hold."""
+    return np.arange(n + 1).astype(object)
+
+
+def _tabulate(n, form, entries):
+    """A table of ``form`` on O_n from its (block, leg columns) pairs in
+    block order, a leg column being an integer array indexed by letter or
+    None for an O_1 leg. Equal columns are kept once, and the rows are one
+    transpose of them all."""
+    unique, blocks, legs = {}, [], []
+    for block, cols in entries:
+        blocks.append(block)
+        legs.append(tuple(
+            0 if c is None else unique.setdefault(c.tobytes(), len(unique) + 1) for c in cols
+        ))
+    columns = [np.frombuffer(c, dtype=np.intp) for c in unique]
+    digits = _digits(n)
+    rows = tuple(zip(*(digits[c].tolist() for c in columns))) or ((),) * (n + 1)
+    return _Table(form, tuple(blocks), tuple(legs), (None, *columns), rows)
+
+
+# the double coproducts as a form whose blocks have one leg (0 left, 1
+# right) split again by the same form
+_ORDERS = {
+    "f_r": ("delta", 1), "f_l": ("delta", 0), "f_r_op": ("delta_op", 1), "f_l_op": ("delta_op", 0)
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _table(n, form):
+    """The table of ``form`` on O_n, built once.
+
+    Tables are kept for the life of the process. ``verify-coassoc`` bounds
+    the largest it builds: a request makes (n+1)*2d_3(n) term writes, at
+    most ``MAX_COASSOC_SPLITS``. At O_666649 (prime, the most rows) Delta's
+    table takes 66 MiB and the tables of f_r and f_l 81 MiB together; at
+    O_3600 (the most composed columns) 5 MiB, with the tables of its
+    divisors, and 62 MiB (tracemalloc).
+    """
+    if form == "delta":  # pair k has the leg columns 2k and 2k+1
+        cols = iter((None, *_digit_table(n).T, None))
+        return _tabulate(n, form, zip(_divisor_pairs(n), zip(cols, cols)))
+    if form == "delta_op":  # Delta's columns and rows, each block's legs reversed
+        table = _table(n, "delta")
+        blocks, legs = (tuple(t[::-1] for t in ts) for ts in (table.blocks, table.legs))
+        return _Table(form, blocks, legs, table.columns, table.rows)
+    return _tabulate(n, form, _compose(n, *_ORDERS[form]))
+
+
+def _compose(n, form, leg):
+    """The (block, leg columns) pairs of ``form`` on O_n with leg ``leg``
+    of every block split again by ``form``: the two new columns are the
+    columns of the inner table gathered by the column of the split leg."""
+    outer = _table(n, form)
+    for block, legs in zip(outer.blocks, outer.legs):
+        cols = [outer.columns[c] for c in legs]
+        inner = _table(block[leg], form)
+        for inner_block, inner_legs in zip(inner.blocks, inner.legs):
+            # an O_1 leg has no column, and neither have its two splits
+            two = [None if c == 0 else inner.columns[c][cols[leg]] for c in inner_legs]
+            yield block[:leg] + inner_block + block[leg + 1:], cols[:leg] + two + cols[leg + 1:]
+
+
+def _split(table, key):
+    """The leg keys of one word pair of O_n on every block of ``table``, in
+    block order, from one pass over its letters."""
+    rows = table.rows
     u, v = key
     # every column of the empty word is the empty word
     cu = zip(*map(rows.__getitem__, u)) if u else ((),) * len(rows[0])
     cv = zip(*map(rows.__getitem__, v)) if v else ((),) * len(rows[0])
-    return (_UNIT, *zip(cu, cv), _UNIT)
+    keys = iter(table.place((_UNIT, *zip(cu, cv))))
+    return zip(*(keys,) * len(table.blocks[0]))
 
 
-def split_words(m, l, words):
-    """Digit arrays (left, right) of creation words of O_{m*l} under phi_{m,l}.
+@functools.lru_cache(maxsize=None)
+def _one_block(table, block):
+    """``table`` cut down to one of its blocks; it shares the columns and
+    rows of the whole table, and is kept as long as the table is."""
+    k = table.blocks.index(block)
+    return replace(table, blocks=table.blocks[k:k + 1], legs=table.legs[k:k + 1])
 
-    ``words`` is an integer array (K, t) of K words of one length t. The
-    pair's two columns of the digit table are indexed with the whole word
-    array, so each output is (K, t); an O_1 leg gives (K, 0), the unit.
+
+def split_block(form, block):
+    """The per-term split of one block of ``form``: a function from a word
+    pair of O_n, n the product of ``block``, to its leg keys on that block,
+    one pass over its letters per call."""
+    table = _one_block(_table(math.prod(block), form), tuple(block))
+    return lambda key: next(_split(table, key))
+
+
+def split_words(form, block, words):
+    """Digit arrays of creation words of O_n on the legs of one block of ``form``.
+
+    ``block`` is a block of the form on O_n, the algebra indices of its
+    legs with product n, and ``words`` an integer array (K, t) of K words
+    of O_n of one length t. Each leg's column of the table is indexed with
+    the whole word array, so each output is (K, t); an O_1 leg gives
+    (K, 0), the unit.
     """
     words = np.asarray(words, dtype=np.intp)
-    # one column per leg, as the entries of _leg_keys; None for an O_1 leg
-    columns = (None, *zip(*_digit_table(m * l)), None)
-    k = 2 * _divisor_pairs(m * l).index((m, l))
-    return tuple(words[:, :0] if col is None else np.array(col)[words] for col in columns[k:k + 2])
+    table = _one_block(_table(math.prod(block), form), tuple(block))
+    return tuple(words[:, :0] if c == 0 else table.columns[c][words] for c in table.legs[0])
 
 
 def _checked_terms(indices, terms):
@@ -297,19 +394,6 @@ class TensorElement:
 TensorElement3 = TensorElement  # the three-leg name callers already use
 
 
-def phi(n, m, x):
-    """Letterwise embedding of O_{n*m} into the block O_n (x) O_m.
-
-    Each 1-based generator index w splits uniquely as w = m*(i-1) + j with
-    1 <= i <= n and 1 <= j <= m; creation and annihilation words map letter
-    by letter, so every input term yields exactly one tensor term.
-    """
-    x = as_element(x)
-    if x.n != n * m:
-        raise BadFactorization(f"element of O_{x.n} does not factor as {n}*{m}")
-    return split_leg(TensorElement.from_element(x), 1, n, m)
-
-
 def _one_leg(x):
     """A monomial, algebra element or one-leg tensor element as a one-leg tensor."""
     if not isinstance(x, TensorElement):
@@ -319,209 +403,70 @@ def _one_leg(x):
     return x
 
 
-def delta(x):
-    """Comultiplication: one block phi_{m,l}(x_n) per ordered divisor pair.
-
-    Accepts a CuntzMonomial, an AlgebraElement or a one-leg TensorElement,
-    which is an element of the direct sum, and splits its one leg with
-    :func:`expand_leg`. A single monomial of O_n produces exactly one pure
-    tensor term per ordered divisor pair of n.
-    """
-    return expand_leg(_one_leg(x), 1)
-
-
-def delta_op(x):
-    """Opposite comultiplication: the coproduct followed by the leg flip."""
-    return expand_leg(_one_leg(x), 1, opposite=True)
-
-
-def _leg_index(indices, leg):
-    """0-based position of leg ``leg`` (1-based) in a block key."""
-    if not 1 <= leg <= len(indices):
-        raise ValueError(f"leg {leg} outside 1..{len(indices)}")
-    return leg - 1
-
-
-def _expand_block(blocks, indices, terms, i, first, stop, opposite):
-    """Write leg ``i`` (0-based) of the terms of one block, split under
-    pairs ``first`` to ``stop`` (None: to the end) of the divisor pairs of
-    its index (or their flips), into one output block per pair, in pair
-    order. Each term is split once for all its pairs (``_leg_keys``), and
-    its coefficient is copied unchanged."""
-    before, after = indices[:i], indices[i + 1:]
-    pairs = _divisor_pairs(indices[i])[first:stop]
-    outs = [blocks.setdefault(before + (p[::-1] if opposite else p) + after, {}) for p in pairs]
-    # pair k's leg keys are entries 2k and 2k+1, taken as (right, left) for
-    # the flip; zip stops at the last pair asked for
-    a, b = 2 * first + opposite, 2 * first + (not opposite)
-    for keys, c in terms.items():
-        legs = _leg_keys(indices[i], keys[i])
-        head, tail = keys[:i], keys[i + 1:]
-        for out, mid in zip(outs, zip(legs[a::2], legs[b::2])):
-            out[head + mid + tail] = c
-
-
-def split_leg(t, leg, m, l, opposite=False):
-    """Apply phi_{m,l}, or with ``opposite`` its flip, to one leg of ``t``.
-
-    Leg number ``leg`` (1-based) of every term in a block whose algebra
-    index there is m*l is split once, so the result has one leg more than
-    ``t``, which may have any arity; the other blocks are left out. Checked
-    keys split injectively, so the coefficients are copied unchanged.
-    """
+def _coproduct(t, form):
+    """``form`` of a one-leg tensor element: each term of O_n is split once
+    through the table of O_n and written, with its coefficient unchanged,
+    into every block of the table."""
     blocks = {}
-    for indices, terms in t.blocks.items():
-        i = _leg_index(indices, leg)
-        if indices[i] == m * l:
-            k = _divisor_pairs(m * l).index((m, l))
-            _expand_block(blocks, indices, terms, i, k, k + 1, opposite)
-    return TensorElement._from_pruned(blocks)
-
-
-def expand_leg(t, leg, opposite=False):
-    """Apply the coproduct, or with ``opposite`` its opposite, to one leg of ``t``.
-
-    The union of :func:`split_leg` over the ordered divisor pairs (m, l) of
-    each algebra index that leg ``leg`` (1-based) carries in ``t``, in pair
-    order, from one split of each term under all its pairs.
-    """
-    blocks = {}
-    for indices, terms in t.blocks.items():
-        i = _leg_index(indices, leg)
-        _expand_block(blocks, indices, terms, i, 0, None, opposite)
-    return TensorElement._from_pruned(blocks)
-
-
-# the double coproducts as two splits composed: which leg of phi_{m,l} (0
-# left, 1 right) is split again, and whether the three legs come out
-# reversed, as in the opposite orders
-_ORDERS = {"f_r": (1, False), "f_l": (0, False), "f_r_op": (0, True), "f_l_op": (1, True)}
-
-
-@dataclass(frozen=True, eq=False)
-class _ComposedTable:
-    """One double coproduct of O_n as a per-letter table.
-
-    ``triples`` are its output blocks (a, b, c) in block order. Row w of
-    ``rows`` holds the digits of letter w on the legs of every triple; an
-    O_1 leg has no column, and legs with equal columns share one. Row 0 is
-    zeros. ``place`` takes (unit, leg key of column 1, ...) to the three leg
-    keys of every triple, in order. ``sources`` are the digit tables of
-    ``indices`` that the table was composed from.
-    """
-
-    n: int
-    indices: tuple
-    sources: tuple
-    triples: tuple
-    rows: tuple
-    place: operator.itemgetter
-
-
-_composed = {}  # (n, order) -> its composed table, replaced when stale
-
-
-def _composed_table(n, order):
-    """The table of ``order`` on O_n, composed once and reused while every
-    digit table it was composed from is still the one ``_digit_table``
-    hands out."""
-    table = _composed.get((n, order))
-    if table is None or not all(map(operator.is_, map(_digit_table, table.indices), table.sources)):
-        table = _composed[(n, order)] = _compose(n, order)
-    return table
-
-
-def _columns(table):
-    """The columns of a digit table as integer arrays indexed by letter, one
-    per leg of each divisor pair in pair order, as the entries of
-    ``_leg_keys``; None for an O_1 leg. One transpose of the whole table."""
-    return (None, *np.array(table, dtype=np.intp).T, None)
-
-
-def _compose(n, order):
-    """Compose phi_{m,l} and then phi on one of its legs, per letter, for
-    every ordered divisor triple of n, from the columns of the digit tables
-    of n and of the indices of that leg: each triple's columns are gathers
-    of the inner pair's columns by the outer pair's, and the rows are one
-    transpose of them all."""
-    inner, reverse = _ORDERS[order]
-    sources = {n: _digit_table(n)}
-    outer = _columns(sources[n])
-    columns, triples, place, unique = {}, [], [], {}
-    for k, pair in enumerate(_divisor_pairs(n)):
-        j, split, other = pair[inner], outer[2 * k + inner], outer[2 * k + 1 - inner]
-        if j not in columns:
-            sources[j] = _digit_table(j)
-            columns[j] = _columns(sources[j])
-        for p, (a, b) in enumerate(_divisor_pairs(j)):
-            # an O_1 inner leg has no column, and neither have its two splits
-            two = [None if col is None else col[split] for col in columns[j][2 * p:2 * p + 2]]
-            three = (other, *two) if inner else (*two, other)
-            triple = (pair[0], a, b) if inner else (a, b, pair[1])
-            triples.append(triple[::-1] if reverse else triple)
-            for col in three[::-1] if reverse else three:
-                if col is None:
-                    place.append(0)
-                else:  # equal columns give equal leg keys, so each is kept once
-                    place.append(unique.setdefault(col.tobytes(), len(unique) + 1))
-    # the digits as one shared int object each, not one per entry
-    digits = np.arange(n + 1).astype(object)
-    rows = tuple(zip(*(digits[np.frombuffer(col, dtype=np.intp)].tolist() for col in unique)))
-    return _ComposedTable(
-        n,
-        tuple(sources),
-        tuple(sources.values()),
-        tuple(triples),
-        rows or ((),) * (n + 1),  # O_1 has no column
-        operator.itemgetter(*place),
-    )
-
-
-def _triple_keys(table, key):
-    """The keys of one word pair of O_n on the three legs of every triple
-    of a composed table, in block order, from one pass over its letters."""
-    rows = table.rows
-    u, v = key
-    # every column of the empty word is the empty word
-    cu = zip(*map(rows.__getitem__, u)) if u else ((),) * len(rows[0])
-    cv = zip(*map(rows.__getitem__, v)) if v else ((),) * len(rows[0])
-    keys = iter(table.place((_UNIT, *zip(cu, cv))))
-    return zip(keys, keys, keys)
-
-
-def _double_coproduct(x, order):
-    """A double coproduct of a monomial, an element or a one-leg tensor
-    element: each term of O_n is split once through the composed table and
-    written, with its coefficient unchanged, into every block (a, b, c)."""
-    blocks = {}
-    for (n,), terms in _one_leg(x).blocks.items():
-        table = _composed_table(n, order)
-        outs = [{} for _ in table.triples]
-        blocks.update(zip(table.triples, outs))
+    for (n,), terms in t.blocks.items():
+        table = _table(n, form)
+        outs = [{} for _ in table.blocks]
+        blocks.update(zip(table.blocks, outs))
         for (key,), c in terms.items():
-            for out, keys in zip(outs, _triple_keys(table, key)):
+            for out, keys in zip(outs, _split(table, key)):
                 out[keys] = c
     return TensorElement._from_pruned(blocks)
 
 
+def phi(m, l, x):
+    """Letterwise embedding of O_{m*l} into the block O_m (x) O_l.
+
+    Each 1-based generator index w splits uniquely as w = l*(i-1) + j with
+    1 <= i <= m and 1 <= j <= l; creation and annihilation words map letter
+    by letter, so every input term yields exactly one tensor term. This is
+    the block (m, l) of the coproduct; m and l must be positive with m*l
+    the index of ``x``.
+    """
+    x = as_element(x)
+    if not (m >= 1 and l >= 1 and m * l == x.n):
+        raise BadFactorization(f"element of O_{x.n} does not factor as {m}*{l}")
+    split = split_block("delta", (m, l))
+    return TensorElement({(m, l): {split(key): c for key, c in x.items()}}, _validate=False)
+
+
+def delta(x):
+    """Comultiplication: one block phi_{m,l}(x_n) per ordered divisor pair.
+
+    Accepts a CuntzMonomial, an AlgebraElement or a one-leg TensorElement,
+    which is an element of the direct sum. A single monomial of O_n
+    produces exactly one pure tensor term per ordered divisor pair of n.
+    """
+    return _coproduct(_one_leg(x), "delta")
+
+
+def delta_op(x):
+    """Opposite comultiplication: the coproduct followed by the leg flip."""
+    return _coproduct(_one_leg(x), "delta_op")
+
+
 def f_r(x):
     """Right-expanded double coproduct (id (x) delta) o delta."""
-    return _double_coproduct(x, "f_r")
+    return _coproduct(_one_leg(x), "f_r")
 
 
 def f_l(x):
     """Left-expanded double coproduct (delta (x) id) o delta."""
-    return _double_coproduct(x, "f_l")
+    return _coproduct(_one_leg(x), "f_l")
 
 
 def f_r_op(x):
     """(id (x) delta_op) o delta_op; right expansion of the opposite coproduct."""
-    return _double_coproduct(x, "f_r_op")
+    return _coproduct(_one_leg(x), "f_r_op")
 
 
 def f_l_op(x):
     """(delta_op (x) id) o delta_op; left expansion of the opposite coproduct."""
-    return _double_coproduct(x, "f_l_op")
+    return _coproduct(_one_leg(x), "f_l_op")
 
 
 canonical_equal3 = canonical_equal  # the three-leg name callers already use
@@ -535,7 +480,7 @@ def coassoc_residual(x):
     left one by (ab, c) and then (a, b), so they are two computations.
     """
     x = _one_leg(x)
-    return canonical_residual(f_r(x), f_l(x))
+    return canonical_residual(_coproduct(x, "f_r"), _coproduct(x, "f_l"))
 
 
 def check_coassoc(x, tol=EQ_TOL):

@@ -36,18 +36,18 @@ creation word under a coproduct is a product vector: each leg gets the
 word's digits there, and a leg word u_1 ... u_t maps e_1 to
 U[:, u_t] (x) ... (x) U[:, u_1], a column of the t-fold tensor power of
 its twist. So the word images are built one word length at a time: the
-words of that length, stacked as an integer array, are split through the
-digit table of ``coproduct.split_words`` (the table ``phi`` reads),
-once for a coproduct and twice, in the order of its composition, for a
-double coproduct; each leg's images are gathered twist columns, and the
-block is their tensor product. The verifiers apply R to whole batches of
-vectors at once, the exchange check to its words in chunks of bounded
-size, and measure residuals on the unpruned dense differences. The
-generators of the conjugation identity act the same way: a one-letter
-word splits to one digit per leg (none on an O_1 leg), so a generator
-grows each leg of a batch by one least significant digit and multiplies
-in that letter's twist column there. A fixed counterexample scenario
-shows how the construction degenerates for a noncommuting pair.
+words of that length, stacked as an integer array, are split on the block
+of the representations by one gather per leg from the cached table of the
+coproduct form (``coproduct.split_words``: the table that ``delta``,
+``phi`` and the double coproducts read); each leg's images are gathered
+twist columns, and the block is their tensor product. The verifiers apply
+R to whole batches of vectors at once, the exchange check to its words in
+chunks of bounded size, and measure residuals on the unpruned dense
+differences. The generators of the conjugation identity act the same way:
+a one-letter word splits to one digit per leg (none on an O_1 leg), so a
+generator grows each leg of a batch by one least significant digit and
+multiplies in that letter's twist column there. A fixed counterexample
+scenario shows how the construction degenerates for a noncommuting pair.
 """
 
 from __future__ import annotations
@@ -278,15 +278,6 @@ def _worst_gap(A, B):
     return _worst_column(diff)
 
 
-def _pair_splits(n, m):
-    """The coproduct and its opposite restricted to the block (n, m), which
-    is all that a pair of representations of O_n and O_m sees, on word
-    arrays: a (K, t) array of words of O_{nm} to its digit arrays on the
-    legs (n, m), through phi_{n,m} and through phi_{m,n} followed by the
-    flip."""
-    return (lambda W: split_words(n, m, W)), (lambda W: split_words(m, n, W)[::-1])
-
-
 def _leg_images(U, digits):
     """Images of e_1 under the creation words in the rows of ``digits``
     (K, t), in the representation twisted by U: row k of the (K, n^t)
@@ -300,23 +291,26 @@ def _leg_images(U, digits):
     return X
 
 
-def _word_images(reps, split, words, dims):
+def _word_images(reps, form, words, dims):
     """Images of the cyclic vector e_1 (x) ... (x) e_1 under the coproduct
-    form ``split`` of the creation words ``words``, sorted by length,
-    zero-padded to the block ``dims`` and stacked along a trailing axis.
+    ``form`` (a form name of ``coproduct.split_words``) of the creation
+    words ``words``, sorted by length, zero-padded to the block ``dims`` and
+    stacked along a trailing axis.
 
-    ``split`` maps a (K, t) array of words to one digit array per leg. The
-    words of each length are split together, each leg's images are the
-    rows of :func:`_leg_images`, and the block of the length is their
-    tensor product, one ``einsum``.
+    A pair or triple of representations sees only the block of their
+    algebra indices. The words of each length are split together on that
+    block, each leg's images are the rows of :func:`_leg_images`, and the
+    block of the length is their tensor product, one ``einsum``.
     """
     out = np.zeros((*dims, len(words)), dtype=complex)
+    indices = tuple(rep.n for rep in reps)
     legs = "abc"[:len(reps)]
     spec = ",".join("k" + leg for leg in legs) + "->" + legs + "k"
     start = 0
     for _, group in itertools.groupby(words, len):
         W = np.array(list(group), dtype=np.intp)
-        images = [_leg_images(rep.U, digits) for rep, digits in zip(reps, split(W))]
+        split = split_words(form, indices, W)
+        images = [_leg_images(rep.U, digits) for rep, digits in zip(reps, split)]
         block = (*(slice(X.shape[1]) for X in images), slice(start, start + len(W)))
         np.einsum(spec, *images, out=out[block])  # written in place, no temporary block
         start += len(W)
@@ -347,8 +341,8 @@ def relation_residual(rmat, max_len):
     preflight(_word_count(N, max_len) * rmat.rank, "the defining-relation check")
     reps = (rmat.rep1, rmat.rep2)
     V, W = (
-        _word_images(reps, split, creation_words(N, max_len), rmat.dims)
-        for split in _pair_splits(*rmat.shape)
+        _word_images(reps, form, creation_words(N, max_len), rmat.dims)
+        for form in ("delta", "delta_op")
     )
     return _worst_column(rmat.apply_dense(V) - W)
 
@@ -376,14 +370,14 @@ def verify_intertwining(rmat, tol=BUILD_TOL):
     followed by the operator with the operator followed by the
     opposite-coproduct action; the one-letter generators keep both paths
     inside the operator's depth-d domain. R is applied once to the span V
-    (``_word_images``). The N one-letter words are split once per
-    coproduct (``_pair_splits``), which gives each generator one twist
-    column per leg (``_leg_images``), and each generator grows V and R V by
-    one digit per leg (``_grow``). R is then applied once to the grown V,
-    which lies in the (n^d, m^d) corner of the grown R V's block
-    (n^{d+1}, m^{d+1}); the residual is the worst column of their unpruned
-    difference over that whole block. Raises OutOfDomain for a depth-0
-    operator, which has no such span.
+    (``_word_images``). The N one-letter words are split once on the block
+    (n, m) of the coproduct and of its opposite (``split_words``), which
+    gives each generator one twist column per leg (``_leg_images``), and
+    each generator grows V and R V by one digit per leg (``_grow``). R is
+    then applied once to the grown V, which lies in the (n^d, m^d) corner of
+    the grown R V's block (n^{d+1}, m^{d+1}); the residual is the worst
+    column of their unpruned difference over that whole block. Raises
+    OutOfDomain for a depth-0 operator, which has no such span.
     """
     n1, n2 = rmat.shape
     N = n1 * n2
@@ -394,14 +388,13 @@ def verify_intertwining(rmat, tol=BUILD_TOL):
     # grows the block by one letter
     preflight(_word_count(N, span_depth) * N ** (rmat.depth + 1), "the intertwining check")
     reps = (rmat.rep1, rmat.rep2)
-    splits = _pair_splits(n1, n2)
-    V = _word_images(reps, splits[0], creation_words(N, span_depth), rmat.dims)
+    V = _word_images(reps, "delta", creation_words(N, span_depth), rmat.dims)
     moved = rmat.apply_dense(V)
     V = V[:n1**span_depth, :n2**span_depth]
     letters = np.arange(1, N + 1)[:, None]
     columns, columns_op = (
-        [_leg_images(rep.U, digits) for rep, digits in zip(reps, split(letters))]
-        for split in splits
+        [_leg_images(rep.U, d) for rep, d in zip(reps, split_words(form, (n1, n2), letters))]
+        for form in ("delta", "delta_op")
     )
     report = VerificationReport(scenario="intertwining")
     for i, (c1, c2, c1_op, c2_op) in enumerate(zip(*columns, *columns_op), 1):
@@ -450,26 +443,6 @@ def _apply_on_legs(rmat, T, legs):
     return out.transpose(np.argsort(order))
 
 
-def _triple_splits(a, b, c):
-    """The blocks (a, b, c) of f_r, f_l_op and f_r_op on word arrays: each
-    maps a (K, t) array of words of O_{abc} to its digit arrays on the
-    legs (a, b, c), through two splits composed in its own order."""
-
-    def f_r(W):  # phi_{a,bc}, then phi_{b,c} on the right leg
-        x, yz = split_words(a, b * c, W)
-        return (x, *split_words(b, c, yz))
-
-    def f_l_op(W):  # flipped phi_{c,ab}, then flipped phi_{b,a} on the left leg
-        z, xy = split_words(c, a * b, W)
-        return (*split_words(b, a, xy)[::-1], z)
-
-    def f_r_op(W):  # flipped phi_{bc,a}, then flipped phi_{c,b} on the right leg
-        yz, x = split_words(b * c, a, W)
-        return (x, *split_words(c, b, yz)[::-1])
-
-    return f_r, f_l_op, f_r_op
-
-
 _YBE_CHUNK_ENTRIES = 2**12  # entries per stacked array of word images in the YBE check
 
 
@@ -482,16 +455,16 @@ def verify_ybe(omega1, omega2, omega3, depth, tol=BUILD_TOL, rs=None):
     and with the legwise images of the two double opposite coproducts,
     which the two orderings must reproduce. The states' representations
     see only the block (a, b, c) of their algebra indices, so each image is
-    that block alone, from two array splits (``_triple_splits``): the
-    right-expanded one splits the right leg of phi_{a,bc}(x), and the two
-    opposite ones split a leg of the flipped phi_{c,ab}(x) and
-    phi_{bc,a}(x) by the flipped phi_{b,a} and phi_{c,b}. The words are
-    taken in chunks of at most ``_YBE_CHUNK_ENTRIES`` image entries; the
-    words of one length in a chunk are split as one array and their images
-    built at once (``_word_images``), and each operator is applied once per
-    chunk. Every word still gets its own record, whose residual is the
-    largest column norm of the four differences. Each distinct state pair
-    is built once.
+    that block alone, gathered from the composed table of its double
+    coproduct (``split_words``): ``f_r`` splits the right leg of
+    phi_{a,bc}(x) by phi_{b,c}, and ``f_l_op`` and ``f_r_op`` split a leg
+    of the flipped phi_{c,ab}(x) and phi_{bc,a}(x) by the flipped phi_{b,a}
+    and phi_{c,b}. The words are taken in chunks of at most
+    ``_YBE_CHUNK_ENTRIES`` image entries; the words of one length in a chunk
+    are split as one array and their images built at once
+    (``_word_images``), and each operator is applied once per chunk. Every
+    word still gets its own record, whose residual is the largest column
+    norm of the four differences. Each distinct state pair is built once.
 
     The chunk size is a trade: on uniform (2, 3, 2) at depth 3 a triple
     block has 1728 entries, so a chunk holds 2 words and the check makes
@@ -516,10 +489,11 @@ def verify_ybe(omega1, omega2, omega3, depth, tol=BUILD_TOL, rs=None):
     report = VerificationReport(scenario="ybe")
     exact = all(r.is_permutation for r in rs)
     words = creation_words(N, depth)
-    splits = _triple_splits(a, b, c)
     for first in range(0, len(words), step):
         chunk = words[first:first + step]
-        t0, oracle_l, oracle_r = (_word_images(reps, split, chunk, dims) for split in splits)
+        t0, oracle_l, oracle_r = (
+            _word_images(reps, form, chunk, dims) for form in ("f_r", "f_l_op", "f_r_op")
+        )
         lhs = _apply_on_legs(r23, t0, (1, 2))
         lhs = _apply_on_legs(r13, lhs, (0, 2))
         lhs = _apply_on_legs(r12, lhs, (0, 1))

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import EQ_TOL, AlgebraElement, as_element, holds, iter_monomials
-from .coproduct import _divisor_pairs, _leg_keys
+from .coproduct import split_block
 from .errors import MismatchedAlgebra, NotUnitary
 
 
@@ -146,24 +146,23 @@ class StarComposite:
     directly.
     """
 
-    __slots__ = ("left", "right", "n", "_pair", "_left_value", "_right_value")
+    __slots__ = ("left", "right", "n", "_left_value", "_right_value")
 
     def __init__(self, left, right):
         self.left = left
         self.right = right
         self.n = left.n * right.n
-        # the leg keys of phi_{n,m} are these two entries of _leg_keys
-        self._pair = 2 * _divisor_pairs(self.n).index((left.n, right.n))
         self._left_value = _key_values(left)
         self._right_value = _key_values(right)
 
     def __call__(self, x):
         x = as_element(x, self.n)
-        k = self._pair
+        # phi_{n,m} is the block (n, m) of the coproduct
+        split = split_block("delta", (self.left.n, self.right.n))
         left, right = self._left_value, self._right_value
         total = 0j
         for key, c in x.items():
-            key1, key2 = _leg_keys(self.n, key)[k:k + 2]
+            key1, key2 = split(key)
             a = left(key1)
             if a == 0:
                 continue

@@ -22,36 +22,59 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture
 def splits(monkeypatch):
-    """Every split of a word pair, in call order, in two lists.
+    """Every pass of a word pair through a coproduct table, in call order.
 
-    ``all_pairs`` holds the index n of each split under all divisor pairs
-    of n at once (``coproduct._leg_keys``: delta, delta_op, phi and
-    ``expand_leg``). ``passes`` holds (n, term writes) for each pass of a
-    word pair through a composed table of a double coproduct
-    (``coproduct._triple_keys``), which writes one term into each of the
-    table's blocks. A call of the one-pair ``coproduct.split_leg`` fails the
-    test.
+    ``passes`` holds (n, form, term writes) for each word pair of O_n that
+    is split through a table of its form (``coproduct._split``), which
+    writes one term into each of the table's blocks: all blocks of the
+    form for a coproduct, one block for ``phi`` and the product functional
+    of two states (``coproduct.split_block``).
     """
     from types import SimpleNamespace
 
     from cuntzr import coproduct
 
-    calls = SimpleNamespace(all_pairs=[], passes=[])
-    leg_keys, triple_keys = coproduct._leg_keys, coproduct._triple_keys
-
-    def all_pairs(n, key):
-        calls.all_pairs.append(n)
-        return leg_keys(n, key)
+    calls = SimpleNamespace(passes=[])
+    split = coproduct._split
 
     def one_pass(table, key):
-        keys = tuple(triple_keys(table, key))
-        calls.passes.append((table.n, len(keys)))
-        return keys
+        keys = tuple(split(table, key))
+        calls.passes.append((len(table.rows) - 1, table.form, len(keys)))
+        return iter(keys)
 
-    def one_pair(*args, **kwargs):
-        raise AssertionError("a one-pair split")
-
-    monkeypatch.setattr(coproduct, "_leg_keys", all_pairs)
-    monkeypatch.setattr(coproduct, "_triple_keys", one_pass)
-    monkeypatch.setattr(coproduct, "split_leg", one_pair)
+    monkeypatch.setattr(coproduct, "_split", one_pass)
     return calls
+
+
+@pytest.fixture
+def altered_tables(monkeypatch):
+    """Changed split tables for one test.
+
+    ``digits(digit_table)`` replaces ``coproduct._digit_table``, from which
+    every table is built, and ``replace(n, form, table)`` replaces the
+    table of one form on O_n. The table cache is cleared on entry, on each
+    change of the digit table and on exit, so every table is built again
+    from the digit table then in place, also where the real one was
+    already read. ``real_digits`` is the real ``_digit_table``.
+    """
+    from types import SimpleNamespace
+
+    from cuntzr import coproduct
+
+    table = coproduct._table
+    replaced = {}
+
+    def digits(digit_table):
+        monkeypatch.setattr(coproduct, "_digit_table", digit_table)
+        table.cache_clear()
+
+    def replace(n, form, new):
+        replaced[n, form] = new
+
+    def changed(n, form):
+        return replaced.get((n, form)) or table(n, form)
+
+    monkeypatch.setattr(coproduct, "_table", changed)
+    table.cache_clear()
+    yield SimpleNamespace(digits=digits, replace=replace, real_digits=coproduct._digit_table)
+    table.cache_clear()

@@ -15,7 +15,7 @@ from __future__ import annotations
 from cuntzr.algebra import CuntzMonomial, holds
 from cuntzr.coproduct import phi
 from cuntzr.representations import act_dense, creation_words, pad_to
-from cuntzr.rmatrix import BUILD_TOL, _pair_splits, _word_images, _worst_gap
+from cuntzr.rmatrix import BUILD_TOL, _word_images, _worst_gap
 
 
 def intertwining_records(rmat, tol=BUILD_TOL):
@@ -26,7 +26,7 @@ def intertwining_records(rmat, tol=BUILD_TOL):
     span_depth = rmat.depth - 1
     reps = (rmat.rep1, rmat.rep2)
     V = _word_images(
-        reps, _pair_splits(n1, n2)[0], creation_words(N, span_depth),
+        reps, "delta", creation_words(N, span_depth),
         (n1**span_depth, n2**span_depth),
     )
     moved = rmat.apply_dense(pad_to(V, rmat.dims))

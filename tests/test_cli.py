@@ -319,15 +319,17 @@ def test_state_file_reference(tmp_path):
 def test_perturbed_coassociativity_fails_with_its_residual(tmp_path, monkeypatch):
     from cuntzr.coproduct import TensorElement
 
-    real = coproduct.f_l
+    real = coproduct._coproduct  # the table pass of every coproduct
 
-    def perturbed(x):
-        out = real(x)
+    def perturbed(x, form):
+        out = real(x, form)
+        if form != "f_l":
+            return out
         # 1e-3 added to one coefficient 1 of (Delta (x) id) Delta
         block, terms = next(iter(out.blocks.items()))
         return out + TensorElement({block: {next(iter(terms)): 1e-3}})
 
-    monkeypatch.setattr(coproduct, "f_l", perturbed)
+    monkeypatch.setattr(coproduct, "_coproduct", perturbed)
     path = tmp_path / "r.json"
     assert run(["verify-coassoc", "--n", "4", "--samples", "3", "--out", str(path)]) == 1
     report = json.loads(path.read_text())
@@ -448,13 +450,12 @@ def test_coassoc_split_estimate_is_the_counted_work(splits, capsys):
     # d_3(360) = 180, for 361 + 5 monomials; each double coproduct splits a
     # monomial in one pass and writes one term into each of its 180 blocks
     assert _coassoc_splits(360, 5) == 366 * 2 * 180
-    assert splits.passes == 2 * 366 * [(360, 180)]
-    assert sum(writes for _, writes in splits.passes) == _coassoc_splits(360, 5)
-    # and no Delta: no word pair is split under the divisor pairs alone
-    assert splits.all_pairs == []
+    # and no Delta: every pass is through the table of f_r or of f_l
+    assert splits.passes == 366 * [(360, "f_r", 180), (360, "f_l", 180)]
+    assert sum(writes for _, _, writes in splits.passes) == _coassoc_splits(360, 5)
 
 
-def test_oversized_coassoc_fails_fast(monkeypatch, capsys):
+def test_oversized_coassoc_fails_fast(altered_tables, capsys):
     from cuntzr.cli import _validate
 
     # --n 3000 makes about 1.8M term writes and runs; --n 30000 would make 41M
@@ -463,9 +464,8 @@ def test_oversized_coassoc_fails_fast(monkeypatch, capsys):
     def table(n):
         raise AssertionError("a refused request read a digit table")
 
-    # every split, under all divisor pairs, under one or through a composed
-    # table, reads the digit table
-    monkeypatch.setattr(coproduct, "_digit_table", table)
+    # every table is built from the digit table, and none is cached here
+    altered_tables.digits(table)
     for args, needs in (
         (["--n", "30000"], "needs 40501350 term writes"),
         (["--n", "4", "--samples", "700000"], "needs 8400060 term writes"),

@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import json
+import math
 
 import coproduct_oracle as oracle
 import numpy as np
@@ -15,18 +17,17 @@ from cuntzr.coproduct import (
     delta,
     delta_op,
     divisor_pairs,
-    expand_leg,
     f_l,
     f_l_op,
     f_r,
     f_r_op,
     phi,
-    split_leg,
+    split_words,
 )
 from cuntzr.errors import BadFactorization
 from cuntzr.representations import creation_words
-from cuntzr.rmatrix import build_r, verify_ybe
-from cuntzr.states import GPState
+from cuntzr.rmatrix import build_r, verify_intertwining, verify_ybe
+from cuntzr.states import GPState, star
 
 UNIT = ((), ())
 
@@ -373,16 +374,18 @@ def test_a_bump_in_any_one_block_of_o60_is_reported(monkeypatch):
     blocks = list(f_l(x).blocks)
     assert len(blocks) == 54
     assert coassoc_residual(x) == 0.0
-    real = coproduct.f_l
+    real = coproduct._coproduct  # the table pass of every coproduct
     for bumped in blocks:
 
-        def perturbed(y):
-            out = real(y)
+        def perturbed(y, form):
+            out = real(y, form)
+            if form != "f_l":
+                return out
             (keys, c), = out.block(*bumped).items()
             assert c == 1.0
             return out + TensorElement({bumped: {keys: 1e-3}})
 
-        monkeypatch.setattr(coproduct, "f_l", perturbed)
+        monkeypatch.setattr(coproduct, "_coproduct", perturbed)
         assert coassoc_residual(x) == (1.0 + 1e-3) - 1.0
         assert not check_coassoc(x)
 
@@ -422,28 +425,13 @@ def test_nan_coefficients_are_kept_and_never_compare_equal():
 # leg expansion at any arity
 
 
-def test_expand_leg_middle_of_three_legs():
-    # (id (x) Delta (x) id) of a three-leg element adds a leg in the middle
-    t = TensorElement({(2, 6, 3): {(key([1]), key([5]), UNIT): 2.0}})
-    out = expand_leg(t, 2)
-    for (m, l), terms in delta(gen(6, 5)).blocks.items():
-        ((k1, k2), c), = terms.items()
-        assert out.block(2, m, l, 3) == {(key([1]), k1, k2, UNIT): 2 * c}
-    assert out.term_count() == len(divisor_pairs(6))
-
-
 def test_four_leg_coassociativity():
     # the two outer expansions of a double coproduct agree at four legs
     for x in (gen(4, 3), CuntzMonomial(6, (5, 2), (3,)), CuntzMonomial.unit(4)):
-        lhs = expand_leg(f_r(x), 3)
-        rhs = expand_leg(f_l(x), 1)
+        lhs = oracle.expand_leg(f_r(x), 3, delta)
+        rhs = oracle.expand_leg(f_l(x), 1, delta)
         assert lhs.arity == 4
         assert canonical_residual(lhs, rhs) == 0.0
-
-
-def test_expand_leg_rejects_a_missing_leg():
-    with pytest.raises(ValueError):
-        expand_leg(delta(gen(4, 1)), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +486,26 @@ def test_coproducts_keep_the_coefficient_above_the_prune_cutoff():
         assert ABOVE_CUTOFF in {abs(c) for terms in t.blocks.values() for c in terms.values()}
 
 
+def test_phi_refuses_a_pair_that_is_not_a_positive_factorization():
+    # phi is the block (m, l) of Delta, so an (m, l) that is no block of it
+    # would otherwise give an empty element without an error
+    s1 = gen(2, 1)
+    for m, l, x in (
+        (-1, -2, s1),
+        (-2, -1, s1),
+        (0, 2, s1),
+        (2, 2, s1),
+        (-2, -3, AlgebraElement.zero(6)),
+        (3, 3, AlgebraElement.zero(6)),
+        (0, 0, CuntzMonomial.unit(1)),
+    ):
+        with pytest.raises(BadFactorization):
+            phi(m, l, x)
+    assert phi(1, 2, s1).blocks == {(1, 2): {(UNIT, key([1])): 1}}
+    assert phi(2, 1, s1).blocks == {(2, 1): {(key([1]), UNIT): 1}}
+    assert phi(1, 1, CuntzMonomial.unit(1)).blocks == {(1, 1): {(UNIT, UNIT): 1}}
+
+
 def test_phi_matches_the_per_term_oracle():
     assert phi(2, 3, AlgebraElement.zero(6)).is_zero
     for x in _oracle_samples():
@@ -530,72 +538,77 @@ def test_coproducts_match_the_mixed_radix_split():
 
 
 def test_expand_leg_at_four_legs_matches_both_oracles():
+    # a double coproduct with one more leg expanded, by Delta and by the
+    # per-term oracle, is the four-fold mixed-radix split
     for x in _oracle_samples():
         quad = oracle.radix_coproduct(x, 4).blocks
         quad_op = oracle.radix_coproduct(x, 4, opposite=True).blocks
         for leg in (1, 2, 3):
             t = f_r(x)
-            assert expand_leg(t, leg).blocks == quad
-            assert expand_leg(t, leg).blocks == oracle.expand_leg(t, leg, oracle.delta).blocks
+            assert oracle.expand_leg(t, leg, delta).blocks == quad
+            assert oracle.expand_leg(t, leg, oracle.delta).blocks == quad
             t_op = f_l_op(x)
-            assert expand_leg(t_op, leg, opposite=True).blocks == quad_op
-            assert (
-                expand_leg(t_op, leg, opposite=True).blocks
-                == oracle.expand_leg(t_op, leg, oracle.delta_op).blocks
-            )
+            assert oracle.expand_leg(t_op, leg, delta_op).blocks == quad_op
+            assert oracle.expand_leg(t_op, leg, oracle.delta_op).blocks == quad_op
 
 
 def test_expand_leg_keeps_coefficients_at_the_prune_cutoff():
+    # Delta and f_r of an element of the direct sum copy a coefficient just
+    # above the cutoff into every block; the one below is dropped on input
     t = TensorElement(
         {
-            (2, 6, 1): {
-                (key([1]), key([5], [6]), UNIT): ABOVE_CUTOFF,
-                (key([2]), key([3]), UNIT): BELOW_CUTOFF,
-            },
-            (1, 12, 2): {(UNIT, key([], [12]), key([2], [1])): 3 - 2j},
+            (12,): {(key([1, 5], [6]),): ABOVE_CUTOFF, (key([2]),): BELOW_CUTOFF},
+            (6,): {(key([], [6]),): 3 - 2j},
         }
     )
-    assert t.term_count() == 2  # the input drops the coefficient below
-    for leg in (1, 2, 3):
-        for opposite, comap in ((False, oracle.delta), (True, oracle.delta_op)):
-            got = expand_leg(t, leg, opposite=opposite)
-            assert got.blocks == oracle.expand_leg(t, leg, comap).blocks
-            assert got.term_count() == sum(
-                len(divisor_pairs(indices[leg - 1])) for indices in t.blocks
-            )
+    assert t.term_count() == 2
+    for got, want in (
+        (delta(t), oracle.delta(t)),
+        (delta_op(t), oracle.delta_op(t)),
+        (f_r(t), oracle.expand_leg(oracle.delta(t), 2, oracle.delta)),
+        (f_l_op(t), oracle.expand_leg(oracle.delta_op(t), 1, oracle.delta_op)),
+    ):
+        assert got.blocks == want.blocks
+        assert ABOVE_CUTOFF in {abs(c) for terms in got.blocks.values() for c in terms.values()}
+    assert delta(t).term_count() == len(divisor_pairs(12)) + len(divisor_pairs(6))
+    assert f_r(t).term_count() == sum(len(oracle.factorizations(n, 3)) for n in (12, 6))
 
 
 # ---------------------------------------------------------------------------
-# the composed tables of the double coproducts
+# the tables of the six forms
 
-OPPOSITE = {"f_r": False, "f_l": False, "f_r_op": True, "f_l_op": True}
+# form -> (arity, whether its blocks reverse the mixed-radix split)
+FORMS = {
+    "delta": (2, False), "delta_op": (2, True),
+    "f_r": (3, False), "f_l": (3, False), "f_r_op": (3, True), "f_l_op": (3, True),
+}
 
-# the double coproducts as Delta (or Delta^op) followed by one leg expansion,
-# which split a word pair twice through the digit tables; the composed
-# tables split it once
+# the double coproducts as Delta (or Delta^op) followed by Delta (or
+# Delta^op) on one leg, which split a word pair twice through Delta's
+# table; the composed tables split it once
 LEG_EXPANSIONS = {
-    f_r: lambda x: expand_leg(delta(x), 2),
-    f_l: lambda x: expand_leg(delta(x), 1),
-    f_r_op: lambda x: expand_leg(delta_op(x), 2, opposite=True),
-    f_l_op: lambda x: expand_leg(delta_op(x), 1, opposite=True),
+    f_r: lambda x: oracle.expand_leg(delta(x), 2, delta),
+    f_l: lambda x: oracle.expand_leg(delta(x), 1, delta),
+    f_r_op: lambda x: oracle.expand_leg(delta_op(x), 2, delta_op),
+    f_l_op: lambda x: oracle.expand_leg(delta_op(x), 1, delta_op),
 }
 
 
 def test_each_composed_table_is_the_mixed_radix_split_of_every_letter():
     for n in (*range(1, 61), 360):
-        for order, opposite in OPPOSITE.items():
-            table = coproduct._composed_table(n, order)
-            assert sorted(table.triples) == oracle.factorizations(n, 3)
+        for form, (arity, opposite) in FORMS.items():
+            table = coproduct._table(n, form)
+            assert sorted(table.blocks) == oracle.factorizations(n, arity)
             for w in range(1, n + 1):
-                got = coproduct._triple_keys(table, ((w,), (w, w)))
-                for triple, keys in zip(table.triples, got, strict=True):
+                got = coproduct._split(table, ((w,), (w, w)))
+                for block, keys in zip(table.blocks, got, strict=True):
                     # the opposite block (a, b, c) reverses the split of (c, b, a)
                     if opposite:
-                        digits = oracle.radix_digits(triple[::-1], w)[::-1]
+                        digits = oracle.radix_digits(block[::-1], w)[::-1]
                     else:
-                        digits = oracle.radix_digits(triple, w)
-                    want = tuple(key([d], [d, d]) if a > 1 else UNIT for a, d in zip(triple, digits))
-                    assert keys == want, (order, n, w, triple)
+                        digits = oracle.radix_digits(block, w)
+                    want = tuple(key([d], [d, d]) if a > 1 else UNIT for a, d in zip(block, digits))
+                    assert keys == want, (form, n, w, block)
 
 
 def _ordered(t):
@@ -620,23 +633,32 @@ def test_double_coproducts_equal_the_leg_expansions_of_delta():
     assert all(f(TensorElement()).is_zero for f in LEG_EXPANSIONS)
 
 
-def test_one_changed_digit_of_the_f_l_table_breaks_coassociativity_on_o12(monkeypatch):
+def test_one_changed_digit_of_the_f_l_table_breaks_coassociativity_on_o12(altered_tables):
     # negative control: the first digit of letter 5 in the composed table of
     # f_l on O_12 moved cyclically within its leg; every other row is intact
-    table = coproduct._composed_table(12, "f_l")
-    assert coproduct._composed_table(12, "f_l") is table  # reused while its sources stand
+    table = coproduct._table(12, "f_l")
+    assert coproduct._table(12, "f_l") is table  # built once
     rows = list(table.rows)
     size = max(row[0] for row in rows)  # the index of the first column's leg
     rows[5] = (rows[5][0] % size + 1, *rows[5][1:])
-    changed = dataclasses.replace(table, rows=tuple(rows))
-    monkeypatch.setitem(coproduct._composed, (12, "f_l"), changed)
+    altered_tables.replace(12, "f_l", dataclasses.replace(table, rows=tuple(rows)))
     for i in range(1, 13):
         residual = coassoc_residual(gen(12, i))
         assert residual == (1.0 if i == 5 else 0.0), i
 
 
 # ---------------------------------------------------------------------------
-# single blocks of the double coproducts through split_leg
+# single blocks of the double coproducts as two phi composed
+
+
+def _then(m, l, flip=False):
+    # phi_{m,l}, or its flip, on the legs of index m*l; nothing on the others
+    def comap(y):
+        if y.n != m * l:
+            return TensorElement()
+        return phi(m, l, y).flip() if flip else phi(m, l, y)
+
+    return comap
 
 
 def test_single_block_compositions_equal_the_double_coproduct_blocks():
@@ -648,56 +670,49 @@ def test_single_block_compositions_equal_the_double_coproduct_blocks():
         want_l_op = f_l_op(x).block(a, b, c)
         want_r_op = f_r_op(x).block(a, b, c)
         assert want_r and want_l_op and want_r_op
-        assert split_leg(phi(a, b * c, x), 2, b, c).blocks == {(a, b, c): want_r}
+        assert oracle.expand_leg(phi(a, b * c, x), 2, _then(b, c)).blocks == {(a, b, c): want_r}
         assert (
-            split_leg(phi(c, a * b, x).flip(), 1, b, a, opposite=True).blocks
+            oracle.expand_leg(phi(c, a * b, x).flip(), 1, _then(b, a, flip=True)).blocks
             == {(a, b, c): want_l_op}
         )
         assert (
-            split_leg(phi(b * c, a, x).flip(), 2, c, b, opposite=True).blocks
+            oracle.expand_leg(phi(b * c, a, x).flip(), 2, _then(c, b, flip=True)).blocks
             == {(a, b, c): want_r_op}
         )
         for m, n in ((a, b * c), (a * b, c), (b, a * c)):
             assert phi(m, n, x).flip().blocks == {(n, m): delta_op(x).block(n, m)}
-        # split_leg keeps only the blocks whose leg carries m*l
-        assert split_leg(delta(x), 2, b, c).blocks == {
+        # phi_{b,c} on the right leg of Delta gives the blocks of f_r whose
+        # right legs are (b, c)
+        assert oracle.expand_leg(delta(x), 2, _then(b, c)).blocks == {
             p: t for p, t in f_r(x).blocks.items() if p[1:] == (b, c)
         }
-
-
-def test_split_leg_rejects_a_missing_leg():
-    with pytest.raises(ValueError):
-        split_leg(delta(gen(4, 1)), 3, 2, 2)
 
 
 # ---------------------------------------------------------------------------
 # a wrong digit table, and the work the splits do
 
 
-def _shift_right_digit_of_2_3(monkeypatch):
-    # negative control: the right digit of phi_{2,3} moved cyclically,
-    # j -> j % 3 + 1, in the digit table of O_6. Every split reads the table
-    # through coproduct._digit_table when it runs, so the shift takes hold
-    # even where the real table is already built.
-    real = coproduct._digit_table
+def shift_right_digit_of_2_3(altered_tables):
+    """Negative control: the right digit of phi_{2,3} moved cyclically,
+    j -> j % 3 + 1, in the digit table of O_6. Every table is built again
+    from the shifted digit table, also where the real one was already read."""
+    real = altered_tables.real_digits
     col = 2 * coproduct._divisor_pairs(6).index((2, 3))
-    shifted = tuple(
-        row[:col] + (row[col] % 3 + 1 if w else 0,) + row[col + 1:]
-        for w, row in enumerate(real(6))
-    )
-    monkeypatch.setattr(coproduct, "_digit_table", lambda n: shifted if n == 6 else real(n))
+    shifted = real(6).copy()
+    shifted[1:, col] = shifted[1:, col] % 3 + 1
+    altered_tables.digits(lambda n: shifted if n == 6 else real(n))
 
 
-def test_a_shifted_split_fails_coassociativity_on_o12(monkeypatch, tmp_path):
-    _shift_right_digit_of_2_3(monkeypatch)
+def test_a_shifted_split_fails_coassociativity_on_o12(altered_tables, tmp_path):
+    shift_right_digit_of_2_3(altered_tables)
     for i in range(1, 13):
         assert not check_coassoc(gen(12, i))
     out = tmp_path / "coassoc.json"
     assert cli.main(["verify-coassoc", "--n", "12", "--out", str(out)]) == 1
 
 
-def test_the_radix_oracle_catches_a_shifted_split_on_o6(monkeypatch):
-    _shift_right_digit_of_2_3(monkeypatch)
+def test_the_radix_oracle_catches_a_shifted_split_on_o6(altered_tables):
+    shift_right_digit_of_2_3(altered_tables)
     for i in range(1, 7):
         g = gen(6, i)
         # on O_6 the shift is a consistent relabelling: both orders agree
@@ -708,15 +723,15 @@ def test_the_radix_oracle_catches_a_shifted_split_on_o6(monkeypatch):
         assert phi(2, 3, g).blocks != {(2, 3): oracle.delta(g).block(2, 3)}
 
 
-def test_a_shifted_table_fails_coassociativity_and_the_ybe_check(monkeypatch):
+def test_a_shifted_table_fails_coassociativity_and_the_ybe_check(altered_tables):
     states = (GPState.uniform(2), GPState.uniform(3), GPState.uniform(2))
     rs = [build_r(states[i], states[j], 1) for i, j in ((0, 1), (0, 2), (1, 2))]
-    # both checks pass first, which builds the digit tables of O_6 and O_12;
-    # the shift made afterwards must still reach every split
+    # both checks pass first, which builds the tables of O_6 and O_12; the
+    # shift made afterwards must still reach every split
     assert verify_ybe(*states, 1, rs=rs).passed
     for i in range(1, 13):
         assert check_coassoc(gen(12, i))
-    _shift_right_digit_of_2_3(monkeypatch)
+    shift_right_digit_of_2_3(altered_tables)
     for i in range(1, 13):
         assert not check_coassoc(gen(12, i))
     report = verify_ybe(*states, 1, rs=rs)
@@ -730,36 +745,86 @@ def test_a_shifted_table_fails_coassociativity_and_the_ybe_check(monkeypatch):
         assert check.residual > 1e-3
 
 
+def _state_json(v):
+    return json.dumps({"n": len(v), "z": [[c.real, c.imag] for c in v]})
+
+
+def _product_state_residual(tmp_path, omega1, omega2):
+    # (pass, residual) of the product-state record of ``cuntzr state-product``
+    out = tmp_path / "product.json"
+    cli.main(["state-product", "--omega1", omega1, "--omega2", omega2, "--out", str(out)])
+    checks = json.loads(out.read_text())["checks"]
+    check, = (c for c in checks if c["name"] == "product-matches-interleaved-state")
+    return check["pass"], check["residual"]
+
+
+def test_a_shifted_table_fails_intertwining_product_states_and_coassociativity(
+    altered_tables, tmp_path, capsys
+):
+    # negative control: one shifted column of Delta's table on O_6 reaches
+    # the word images of the verifiers, the product functional of two
+    # states and the composed tables alike
+    rng = np.random.default_rng(19)
+    z, y = (rng.standard_normal(k) + 1j * rng.standard_normal(k) for k in (2, 3))
+    z, y = (_state_json(v / np.linalg.norm(v)) for v in (z, y))
+    uniform = ('{"uniform": 2}', '{"uniform": 3}')
+    pairs = [(GPState.uniform(2), GPState.uniform(3)), (GPState.standard(2), GPState.standard(3))]
+    # everything passes on the real table first
+    assert all(verify_intertwining(build_r(*pair, 2)).passed for pair in pairs)
+    assert _product_state_residual(tmp_path, z, y)[0]
+    shift_right_digit_of_2_3(altered_tables)
+    for pair in pairs:
+        report = verify_intertwining(build_r(*pair, 2))
+        assert not any(c.passed for c in report.checks)
+        assert report.max_residual == pytest.approx(np.sqrt(2), rel=1e-15)
+    passed, residual = _product_state_residual(tmp_path, z, y)
+    assert not passed and residual > 0.5
+    # the uniform pair does not see the shift: its product values are equal
+    # on every relabelling of the letters of one leg
+    passed, residual = _product_state_residual(tmp_path, *uniform)
+    assert passed and residual <= 1e-15
+    for i in range(1, 13):
+        assert not check_coassoc(gen(12, i))
+    capsys.readouterr()
+
+
 def test_the_array_split_equals_the_word_split():
-    # the dict split of each word pair under all divisor pairs at once
-    # (coproduct._leg_keys) against split_words on both of its words; the
-    # annihilation word of each pair is the creation word of another
+    # the per-term split of each word pair on every block of a form
+    # (coproduct._split, which reads the rows of its table) against
+    # split_words on both of its words (which gathers the table's columns);
+    # the annihilation word of each pair is the creation word of another
     chain = itertools.chain.from_iterable
-
-    def inner_legs(n, us):
-        for u, v in zip(us, us[::-1]):
-            legs = coproduct._leg_keys(n, (u, v))
-            # the left leg of (1, n) and the right leg of (n, 1) are O_1 legs
-            assert legs[0] == legs[-1] == UNIT
-            yield legs[1:-1]
-
     for n in (12, 30, 60):
         words = creation_words(n, 3)
         for t in range(4):
             group = [w for w in words if len(w) == t]
-            for start in range(0, len(group), 8192):  # chunks keep the arrays small
-                us = group[start:start + 8192]
-                got = np.fromiter(chain(chain(chain(inner_legs(n, us)))), dtype=np.intp)
-                U = np.array(us, dtype=np.intp).reshape(len(us), t)
-                # per divisor pair, its left and then its right leg, each (K, 2, t)
-                want = [
-                    np.stack(side, axis=1)
-                    for m, l in divisor_pairs(n)
-                    for side in zip(*(coproduct.split_words(m, l, W) for W in (U, U[::-1])))
-                ]
-                assert want[0].shape == want[-1].shape == (len(us), 2, 0)
-                want = np.stack(want[1:-1], axis=1).reshape(len(us), -1)
-                assert np.array_equal(got.reshape(len(us), -1), want)
+            # a stride coprime to n through the words, which are in lex
+            # order, so that a sample of them puts every letter in every
+            # position
+            stride = len(group) // 1024 | 1
+            while math.gcd(stride, n) > 1:
+                stride += 2
+            for form in FORMS:
+                # every word for Delta and every word up to length 2 for all
+                # forms; of the words of length 3 of the other forms, the
+                # strided sample, which keeps this fast
+                sample = group if t < 3 or form == "delta" else group[::stride]
+                table = coproduct._table(n, form)
+                for start in range(0, len(sample), 8192):  # chunks keep the arrays small
+                    us = sample[start:start + 8192]
+                    U = np.array(us, dtype=np.intp).reshape(len(us), t)
+                    keys = (coproduct._split(table, (u, v)) for u, v in zip(us, us[::-1]))
+                    got = np.fromiter(chain(chain(chain(chain(keys)))), dtype=np.intp)
+                    # per block, per leg, the digits of u and then of v, each (K, 2, t)
+                    want = []
+                    for block in table.blocks:
+                        legs = zip(split_words(form, block, U), split_words(form, block, U[::-1]))
+                        for a, (u, v) in zip(block, legs):
+                            # an O_1 leg has no digits: its words are the unit
+                            assert u.shape == v.shape == (len(us), t if a > 1 else 0)
+                            want.append(np.stack([u, v], axis=1).reshape(len(us), -1))
+                    got = got.reshape(len(us), -1)
+                    assert np.array_equal(got, np.concatenate(want, axis=1))
 
 
 def test_word_splits_are_counted_once(splits):
@@ -767,25 +832,32 @@ def test_word_splits_are_counted_once(splits):
     # each double coproduct splits the word pair of O_60 in one pass
     # through its composed table and writes one term into each of the
     # d_3(60) = 54 blocks; it computes no Delta
-    for f in (f_r, f_l, f_r_op, f_l_op):
+    for f, form in ((f_r, "f_r"), (f_l, "f_l"), (f_r_op, "f_r_op"), (f_l_op, "f_l_op")):
         assert f(mono).term_count() == 54
-        assert splits.passes == [(60, 54)]
+        assert splits.passes == [(60, form, 54)]
         splits.passes.clear()
     # coassociativity is one pass of each of the two
     assert check_coassoc(mono, tol=0.0)
-    assert splits.passes == 2 * [(60, 54)]
+    assert splits.passes == [(60, "f_r", 54), (60, "f_l", 54)]
     splits.passes.clear()
     # the CLI pays the same per monomial: the 60 generators and the unit
     assert cli.main(["verify-coassoc", "--n", "60"]) == 0
-    assert splits.passes == 61 * 2 * [(60, 54)]
-    assert sum(writes for _, writes in splits.passes) == cli._coassoc_splits(60, 0)
+    assert splits.passes == 61 * [(60, "f_r", 54), (60, "f_l", 54)]
+    assert sum(writes for _, _, writes in splits.passes) == cli._coassoc_splits(60, 0)
     splits.passes.clear()
     x = _gaussian_element(np.random.default_rng(3), 12, 4)
     assert len(x.terms) == 4
     assert check_coassoc(x, tol=0.0)
     # d_3(12) = 18; each of the 4 terms is split once by each double coproduct
-    assert splits.passes == 2 * 4 * [(12, 18)]
-    assert splits.all_pairs == []
-    # Delta splits a word pair under all the divisor pairs of its index at once
+    assert splits.passes == 4 * [(12, "f_r", 18)] + 4 * [(12, "f_l", 18)]
+    splits.passes.clear()
+    # Delta and Delta^op split a word pair under all the divisor pairs of its
+    # index at once; phi and the product functional of two states split it
+    # on their one block of Delta's table and write one term
     assert delta(mono).term_count() == 12
-    assert splits.all_pairs == [60]
+    assert delta_op(mono).term_count() == 12
+    assert phi(3, 20, mono).term_count() == 1
+    assert star(GPState.uniform(3), GPState.uniform(20))(mono) == pytest.approx(60**-2)
+    assert splits.passes == [
+        (60, "delta", 12), (60, "delta_op", 12), (60, "delta", 1), (60, "delta", 1)
+    ]

@@ -300,14 +300,14 @@ def test_intertwining_applies_the_span_first_and_once_per_generator(monkeypatch)
         applied.append(np.array(X))
         return real_apply(self, X)
 
-    # the per-word dict split, which phi and the coproducts read
-    monkeypatch.setattr(coproduct, "_leg_keys", lambda *args: word_splits.append(args))
+    # the per-term split, which phi and the coproducts read
+    monkeypatch.setattr(coproduct, "_split", lambda *args: word_splits.append(args))
     monkeypatch.setattr(RMatrixOperator, "apply_dense", apply_dense)
     assert verify_intertwining(rmat).passed
     assert len(applied) == 6 + 1
     # R V comes first: the span images, zero outside the depth-1 block
     reps = (rmat.rep1, rmat.rep2)
-    span = rmatrix._word_images(reps, rmatrix._pair_splits(2, 3)[0], creation_words(6, 1), rmat.dims)
+    span = rmatrix._word_images(reps, "delta", creation_words(6, 1), rmat.dims)
     assert np.array_equal(applied[0], span)
     assert not word_splits
 
@@ -413,32 +413,37 @@ def test_chunked_ybe_fails_where_the_oracle_does_under_a_perturbed_r13():
     assert [c.passed for c in report.checks] == [ok for _, ok, _ in want]
 
 
-def test_ybe_splits_six_times_per_word_and_applies_six_times_per_chunk(monkeypatch):
+def test_ybe_splits_three_times_per_word_and_applies_six_times_per_chunk(monkeypatch):
     states = (W2, W3, W2)
     rs = _triple_operators(states, 2)
     rows, word_splits, applies = [], [], []
     real_split_words = rmatrix.split_words
     real_apply = RMatrixOperator.apply_dense
 
-    def split_words(m, l, words):
-        rows.append(len(words))
-        return real_split_words(m, l, words)
+    def split_words(form, block, words):
+        rows.append((form, block, len(words)))
+        return real_split_words(form, block, words)
 
     def apply_dense(self, X):
         applies.append(X.shape)
         return real_apply(self, X)
 
     monkeypatch.setattr(rmatrix, "split_words", split_words)
-    # the per-word dict split, which split_leg and expand_leg both read
-    monkeypatch.setattr(coproduct, "_leg_keys", lambda *args: word_splits.append(args))
+    # the per-term split, which the coproducts read
+    monkeypatch.setattr(coproduct, "_split", lambda *args: word_splits.append(args))
     monkeypatch.setattr(RMatrixOperator, "apply_dense", apply_dense)
     assert verify_ybe(*states, 2, rs=rs).passed
     words, step = _ybe_chunks(states, 2)
     chunks = -(-words // step)
     assert (words, chunks) == (157, 6)
-    # each word is split twice in each of the three expansions, as a row of
-    # a word array; no word goes through the per-word split
-    assert sum(rows) == 6 * words
+    # each word is split once in each of the three expansions, as a row of
+    # a word array gathered from the block (2, 3, 2) of its composed table;
+    # no word goes through the per-term split
+    for form in ("f_r", "f_l_op", "f_r_op"):
+        assert sum(k for f, block, k in rows if f == form) == words
+    assert {(f, block) for f, block, _ in rows} == {
+        (f, (2, 3, 2)) for f in ("f_r", "f_l_op", "f_r_op")
+    }
     assert not word_splits
     assert len(applies) == 6 * chunks
     assert max(int(np.prod(shape)) for shape in applies) <= rmatrix._YBE_CHUNK_ENTRIES
@@ -466,8 +471,8 @@ def test_batched_pair_images_equal_the_per_word_images():
         n, m = (s.n for s in pair)
         words = creation_words(n * m, 2)
         dims = (n**2, m**2)
-        for split, op in zip(rmatrix._pair_splits(n, m), (delta, coproduct.delta_op)):
-            got = rmatrix._word_images(reps, split, words, dims)
+        for form, op in (("delta", delta), ("delta_op", coproduct.delta_op)):
+            got = rmatrix._word_images(reps, form, words, dims)
             want = _per_word_images(reps, op, words, dims)
             if exact:
                 assert np.array_equal(got, want)
@@ -491,8 +496,8 @@ def test_batched_triple_images_equal_the_per_word_images():
         for depth in range(3):
             words = creation_words(a * b * c, depth)
             dims = tuple(s.n**depth for s in states)
-            for split, op in zip(rmatrix._triple_splits(a, b, c), ops):
-                got = rmatrix._word_images(reps, split, words, dims)
+            for form, op in zip(("f_r", "f_l_op", "f_r_op"), ops):
+                got = rmatrix._word_images(reps, form, words, dims)
                 want = _per_word_images(reps, op, words, dims)
                 if exact:
                     assert np.array_equal(got, want)
@@ -700,8 +705,9 @@ def test_the_generator_step_is_the_symbolic_action_of_the_generator():
         batch = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         letters = np.arange(1, n * m + 1)[:, None]
         coproducts = (lambda g: phi(n, m, g), lambda g: phi(m, n, g).flip())
-        for split, coproduct_of in zip(rmatrix._pair_splits(n, m), coproducts):
-            c1, c2 = (rmatrix._leg_images(rep.U, d) for rep, d in zip(reps, split(letters)))
+        for form, coproduct_of in zip(("delta", "delta_op"), coproducts):
+            split = coproduct.split_words(form, (n, m), letters)
+            c1, c2 = (rmatrix._leg_images(rep.U, d) for rep, d in zip(reps, split))
             for i in range(n * m):
                 got = rmatrix._grow(batch, c1[i], c2[i])
                 want = act_dense(reps, coproduct_of(CuntzMonomial.generator(n * m, i + 1)), batch)
@@ -823,8 +829,11 @@ def test_a_scaled_r1_passes_intertwining_and_fails_the_defining_relation(other):
 def test_intertwining_fails_when_the_opposite_coproduct_is_not_flipped(monkeypatch):
     # with the coproduct on both sides only s_1 and s_6, on which phi_{2,3}
     # and the flipped phi_{3,2} agree, still pass
-    pair_splits = rmatrix._pair_splits
-    monkeypatch.setattr(rmatrix, "_pair_splits", lambda n, m: (pair_splits(n, m)[0],) * 2)
+    split_words = rmatrix.split_words
+    monkeypatch.setattr(
+        rmatrix, "split_words",
+        lambda form, block, W: split_words("delta" if form == "delta_op" else form, block, W),
+    )
     report = verify_intertwining(build_r(U2, U3, 3))
     assert [c.passed for c in report.checks] == [True, False, False, False, False, True]
     assert 1.0 <= report.max_residual <= 2.0
