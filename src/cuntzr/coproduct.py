@@ -44,7 +44,8 @@ no pruning. ``split_words(form, block, W)`` gathers one block's columns
 with an integer array W of creation words of one length; the verifiers
 build their word images from it, so a wrong table breaks them and
 coassociativity alike. ``split_block(form, block)`` is the per-term split
-of one block, through the table cut down to that block (``_one_block``):
+of one block, through a table of that block's columns alone
+(``_one_block``), so a term transposes only that block's digits.
 ``phi(m, l, x)``, the block (m, l) of Delta(x), and the product
 functional of two states (``states.StarComposite``) read it. Coassociativity
 (``coassoc_residual``) compares ``f_r`` with ``f_l``, which read
@@ -63,7 +64,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -217,10 +218,12 @@ def _split(table, key):
 
 @functools.lru_cache(maxsize=None)
 def _one_block(table, block):
-    """``table`` cut down to one of its blocks; it shares the columns and
-    rows of the whole table, and is kept as long as the table is."""
+    """``table`` cut down to one of its blocks: that block's columns of the
+    whole table, tabulated again, so a split transposes only them. It is
+    kept as long as the table is."""
     k = table.blocks.index(block)
-    return replace(table, blocks=table.blocks[k:k + 1], legs=table.legs[k:k + 1])
+    cols = [table.columns[c] for c in table.legs[k]]
+    return _tabulate(len(table.rows) - 1, table.form, [(block, cols)])
 
 
 def split_block(form, block):

@@ -5,9 +5,11 @@ each generator x of O_{nm} it takes the tensor elements phi_{n,m}(x) and
 the flipped phi_{m,n}(x), lets ``act_dense`` apply them legwise to the span
 V and to R V, zero-pads both sides to their common block and measures the
 worst column of the difference. ``verify_intertwining`` never forms a
-tensor element: it grows both batches by gathered twist columns. The span
-V, the operator and the pass rule are shared, so the records must agree
-exactly.
+tensor element: it grows the span by all generators at once with gathered
+twist columns, and sums a column's squares on the corner of the grown
+block and off it apart. The span V, the operator and the pass rule are
+shared, so names and pass flags must agree exactly, and residuals to
+rounding (exactly on permutation pairs, whose products are exact).
 """
 
 from __future__ import annotations

@@ -611,6 +611,25 @@ def test_each_composed_table_is_the_mixed_radix_split_of_every_letter():
                     assert keys == want, (form, n, w, block)
 
 
+def test_the_one_block_split_equals_the_split_of_the_whole_table():
+    # split_block tabulates only its block's columns again; on every block
+    # of every form, the O_1-leg blocks (1, n) and (n, 1) of Delta among
+    # them, it must give the whole table's leg keys of that block
+    rng = np.random.default_rng(20)
+    for n in (6, 60, 360):
+        pairs = [
+            tuple(tuple(rng.integers(1, n + 1, size=rng.integers(0, 5)).tolist()) for _ in "uv")
+            for _ in range(12)
+        ]
+        assert (1, n) in coproduct._table(n, "delta").blocks
+        for form in FORMS:
+            table = coproduct._table(n, form)
+            whole = [list(coproduct._split(table, pair)) for pair in pairs]
+            for k, block in enumerate(table.blocks):
+                cut = coproduct.split_block(form, block)
+                assert [cut(pair) for pair in pairs] == [keys[k] for keys in whole], (form, block)
+
+
 def _ordered(t):
     # blocks and terms in the order they were written
     return [(p, list(terms.items())) for p, terms in t.blocks.items()]

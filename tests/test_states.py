@@ -11,6 +11,7 @@ from cuntzr.states import (
     boxtimes,
     commutes,
     gp_eval,
+    interleaving_gap,
     star,
     state_from_json,
     twist_state,
@@ -214,6 +215,15 @@ def test_boxtimes_associative():
     assert np.max(np.abs(left.z - right.z)) <= 1e-15
     e = (UnitVector.standard(2), UnitVector.standard(3), UnitVector.standard(2))
     assert boxtimes(boxtimes(e[0], e[1]), e[2]) == boxtimes(e[0], boxtimes(e[1], e[2]))
+
+
+def test_interleavings_equal_np_kron_bit_for_bit():
+    rng = np.random.default_rng(20)
+    for n, m in ((1, 3), (2, 3), (3, 2), (4, 5), (6, 1)):
+        z, y = random_unit(rng, n), random_unit(rng, m)
+        assert np.array_equal(boxtimes(z, y).z, np.kron(z.z, y.z))
+        gap = np.max(np.abs(np.kron(z.z, y.z) - np.kron(y.z, z.z)))
+        assert interleaving_gap(GPState(z), GPState(y)) == float(gap)
 
 
 # ---------------------------------------------------------------------------
