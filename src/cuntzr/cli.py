@@ -34,10 +34,10 @@ from .coproduct import coassoc_residual
 from .errors import CuntzrError, NotCommuting, SpecError
 from .rmatrix import (
     VerificationReport,
-    _leg_flip,
     _worst_column,
     build_r,
     counterexample_demo,
+    radix_perm,
     relation_residual,
     swap_index_pair,
     verify_intertwining,
@@ -61,50 +61,35 @@ from .states import (
 
 def stable_json(obj):
     """Render JSON with sorted keys and 17-significant-digit floats."""
-    pieces = []
-    _render(obj, pieces, 0)
-    pieces.append("\n")
-    return "".join(pieces)
+    return _render(obj, 0) + "\n"
 
 
-def _render(obj, out, level):
+def _render(obj, level):
+    """One value as text; a container is one join of its rendered items."""
     pad = "  " * level
     if isinstance(obj, dict):
         if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        keys = sorted(obj)
-        for idx, key in enumerate(keys):
+            return "{}"
+        items = []
+        for key in sorted(obj):
             if not isinstance(key, str):
                 raise ValueError(f"JSON object keys must be strings, got {key!r}")
-            out.append(pad + "  " + json.dumps(key) + ": ")
-            _render(obj[key], out, level + 1)
-            out.append(",\n" if idx + 1 < len(keys) else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
+            items.append(f"{pad}  {json.dumps(key)}: {_render(obj[key], level + 1)}")
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
         if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for idx, item in enumerate(obj):
-            out.append(pad + "  ")
-            _render(item, out, level + 1)
-            out.append(",\n" if idx + 1 < len(obj) else "\n")
-        out.append(pad + "]")
-    elif isinstance(obj, bool) or obj is None:
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        val = float(obj)
-        if not np.isfinite(val):
-            raise ValueError(f"cannot emit non-finite float {val!r}")
-        out.append(format(val, ".17g"))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    else:
-        raise ValueError(f"cannot emit {type(obj).__name__} as JSON")
+            return "[]"
+        items = (f"{pad}  {_render(item, level + 1)}" for item in obj)
+        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    if isinstance(obj, (bool, str)) or obj is None:  # bool before int
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        if not np.isfinite(obj):
+            raise ValueError(f"cannot emit non-finite float {float(obj)!r}")
+        return format(float(obj), ".17g")
+    raise ValueError(f"cannot emit {type(obj).__name__} as JSON")
 
 
 def emit(obj, path):
@@ -392,10 +377,10 @@ def _run_all(spec):
         report.add(f"ybe-{label}/ybe", rep.passed, rep.max_residual)
 
     # for equal states the operator is the leg swap on its span, which holds
-    # exactly when R_1 is the swap F_1, since the flip is F_1 on every digit pair
+    # exactly when R_1 is the swap F_1 = P_{n,n}, since the flip is F_1 on every digit pair
     for label, omega in (("standard-2", GPState.standard(2)), ("uniform-2", GPState.uniform(2))):
         rmat = build_r(omega, omega, 2)
-        worst = _worst_column(rmat.r1 - _leg_flip(omega.n, omega.n))
+        worst = _worst_column(rmat.r1 - np.eye(omega.n**2)[:, radix_perm(omega.n, omega.n)])
         passed = holds(worst, spec.tol, rmat.is_permutation)
         report.add(f"equal-states-{label}/operator-is-leg-swap", passed, worst)
         rep = verify_intertwining(rmat, tol=spec.tol)

@@ -14,7 +14,10 @@ d-th tensor power of one nm x nm matrix,
 with one copy of R_1 on each digit pair (digit k of leg 1, digit k of
 leg 2) of the coordinate block. P is the depth-1 re-split: the digit pair
 (i, j) is read as the letter p = m*i + j of O_{nm}, re-split as
-p = n*a + b, and stored as (b, a). R_1 fixes e_1 (x) e_1, so R at depth
+p = n*a + b, and stored as (b, a). It is held once, as the integer index
+array ``radix_perm(n, m)``: R_1 is one column gather of the twist, and the
+leg flip, the closed form ``swap_index_pair`` and the exported basis-pair
+permutation all read the same array. R_1 fixes e_1 (x) e_1, so R at depth
 d + 1 restricts to R at depth d on the smaller block. The operator keeps
 R_1 and the depth, and applies R to dense arrays of shape
 (n^d, m^d, *batch) in d small matrix products between one interleaving
@@ -27,13 +30,14 @@ conjugation identity carrying the coproduct to its opposite and the
 triple-product exchange identity on span vectors at the requested depth,
 the latter against an independent symbolic expansion of the double
 opposite coproduct, and the inversion symmetry through the leg flip on
-R_1. The flip is the swap F_1 on every digit pair, so an identity among
-R's and flips holds at depth d exactly when it holds for R_1; and since
-R_1 fixes e_1 (x) e_1, R is the identity, or the flip, exactly when R_1
-is. A pair or triple of representations sees only the block of its
-algebra indices, so the verifiers expand only that block. The image of a
-creation word under a coproduct is a product vector: each leg gets the
-word's digits there, and a leg word u_1 ... u_t maps e_1 to
+R_1. The flip C^n (x) C^m -> C^m (x) C^n is the radix permutation P_{m,n}
+on every digit pair, so an identity among R's and flips holds at depth d
+exactly when it holds for R_1; and since R_1 fixes e_1 (x) e_1, R is the
+identity, or the flip, exactly when R_1 is. A pair or triple of
+representations sees only the block of its algebra indices, so the
+verifiers expand only that block. The image of a creation word under a
+coproduct is a product vector: each leg gets the word's digits there, and
+a leg word u_1 ... u_t maps e_1 to
 U[:, u_t] (x) ... (x) U[:, u_1], a column of the t-fold tensor power of
 its twist. So the word images are built one word length at a time: the
 words of that length, stacked as an integer array, are split on the block
@@ -119,13 +123,27 @@ class VerificationReport:
 # the factored operator
 
 
-def _digits(x, base, length):
-    """Base digits of x, least significant first, fixed length."""
-    out = []
-    for _ in range(length):
-        out.append(x % base)
-        x //= base
-    return out
+def radix_perm(n, m):
+    """The re-split sigma of the letters of O_{nm}, as an index array of
+    length nm: the letter p = m*i + j (digit pair (i, j)) is read as
+    p = n*a + b and stored as the digit pair (b, a), at sigma(p) = m*b + a.
+    As a matrix, P = I[:, sigma]; the leg flip C^n (x) C^m -> C^m (x) C^n is
+    P_{m,n}, and radix_perm(m, n) inverts radix_perm(n, m)."""
+    p = np.arange(n * m)
+    return m * (p % n) + p // n
+
+
+def _resplit_pairs(n, m, a, b, length, sigma):
+    """The 0-based basis pair (a, b), ints or integer arrays, re-split digit
+    pair by digit pair through ``sigma`` (``radix_perm(n, m)``): digit k of
+    a (base n) and digit k of b (base m) form the letter m*i + j, whose image
+    gives digit k of each new index. Python ints and a list ``sigma`` keep
+    the arithmetic exact at any length."""
+    a2 = b2 = 0 * a  # an array for arrays, also at length 0
+    for k in reversed(range(length)):
+        i, j = divmod(sigma[m * (a // n**k % n) + b // m**k % m], m)
+        a2, b2 = a2 * n + i, b2 * m + j
+    return a2, b2
 
 
 def swap_index_pair(n, m, a, b, length):
@@ -135,28 +153,13 @@ def swap_index_pair(n, m, a, b, length):
     w = m*(i-1) + j; each letter is re-split as w = n*(i'-1) + j' and the
     digit strings are reassembled, base-n from the j' and base-m from the
     i'. Padding with leading units leaves the image unchanged, so the map
-    is consistent across lengths.
+    is consistent across lengths. Raises ValueError for a pair outside the
+    block [1, n^length] x [1, m^length].
     """
-    da = _digits(a - 1, n, length)
-    db = _digits(b - 1, m, length)
-    a2 = 0
-    b2 = 0
-    for k in reversed(range(length)):
-        w = m * da[k] + db[k]  # 0-based letter
-        b2 = b2 * m + w // n
-        a2 = a2 * n + w % n
+    if not (1 <= a <= n**length and 1 <= b <= m**length):
+        raise ValueError(f"basis pair ({a}, {b}) outside the block ({n}^{length}, {m}^{length})")
+    a2, b2 = _resplit_pairs(n, m, a - 1, b - 1, length, radix_perm(n, m).tolist())
     return a2 + 1, b2 + 1
-
-
-def _resplit(n, m):
-    """The depth-1 re-split P as an nm x nm 0/1 matrix: the source letter
-    p = m*i + j (digit pair (i, j)) is read as p = n*a + b and stored as the
-    digit pair (b, a), at index m*b + a."""
-    p = np.arange(n * m)
-    a, b = np.divmod(p, n)
-    P = np.zeros((n * m, n * m), dtype=complex)
-    P[m * b + a, p] = 1.0
-    return P
 
 
 class RMatrixOperator:
@@ -177,7 +180,7 @@ class RMatrixOperator:
         self.rep2 = GPRepresentation.for_state(omega2)
         n, m = omega1.n, omega2.n
         T = (self.rep1.U[:, None, :, None] * self.rep2.U[:, None]).reshape(n * m, n * m)
-        self.r1 = T @ _resplit(n, m) @ T.conj().T
+        self.r1 = T[:, radix_perm(n, m)] @ T.conj().T
 
     @property
     def shape(self):
@@ -228,14 +231,10 @@ class RMatrixOperator:
 
     def _permutation_rows(self):
         """Rows [a, b, a', b'] of the basis-pair permutation, sorted by (a, b)."""
-        # R maps the index array to the array whose entry t is the source
-        # pair landing on t; a 0/1 product of integers below 2^53 is exact
-        index = np.arange(self.rank, dtype=float).reshape(*self.dims, 1)
-        src = self.apply_dense(index).real.astype(np.int64).reshape(-1)
-        rows = np.empty((self.rank, 4), dtype=np.int64)
-        rows[src, 0], rows[src, 1] = np.divmod(src, self.dims[1])
-        rows[src, 2], rows[src, 3] = np.divmod(np.arange(self.rank), self.dims[1])
-        return rows + 1
+        n, m = self.shape
+        a, b = np.divmod(np.arange(self.rank), self.dims[1])
+        a2, b2 = _resplit_pairs(n, m, a, b, self.depth, radix_perm(n, m))
+        return np.stack([a, b, a2, b2], axis=1) + 1
 
     def to_json(self):
         """Export form: states, depth, rank, both twists, and for standard
@@ -429,12 +428,6 @@ def verify_intertwining(rmat, tol=BUILD_TOL):
     return report
 
 
-def _leg_flip(n, m):
-    """The leg flip F: C^n (x) C^m -> C^m (x) C^n, e_i (x) e_j -> e_j (x) e_i,
-    as an nm x nm 0/1 matrix; products with it are exact."""
-    return np.eye(n * m).reshape(n, m, n * m).transpose(1, 0, 2).reshape(n * m, n * m)
-
-
 def verify_symmetry(omega1, omega2, depth, tol=BUILD_TOL, r12=None):
     """Inversion symmetry: the operator, composed with its reversed-pair
     partner through leg flips, is the identity on the span.
@@ -450,7 +443,9 @@ def verify_symmetry(omega1, omega2, depth, tol=BUILD_TOL, r12=None):
         r12 = build_r(omega1, omega2, depth)
     r21 = r12 if omega1 == omega2 else build_r(omega2, omega1, depth)
     n, m = r12.shape
-    chain = r12.r1 @ (_leg_flip(m, n) @ r21.r1 @ _leg_flip(n, m))
+    # F_{m,n} R_1(omega2, omega1) F_{n,m}, the flips as one gather
+    f = radix_perm(m, n)
+    chain = r12.r1 @ r21.r1[np.ix_(f, f)]
     worst = _worst_column(chain - np.eye(n * m))
     report = VerificationReport(scenario="inversion-symmetry")
     exact = r12.is_permutation and r21.is_permutation

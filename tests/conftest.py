@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 _acceptance_lines = []
@@ -18,6 +24,24 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in _acceptance_lines:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def run_capped():
+    """``run_capped(script, cap_mb)`` runs a Python script in a fresh
+    interpreter whose address space is capped at ``cap_mb`` MiB
+    (``RLIMIT_AS``, set before the script's own imports), with this
+    checkout's ``src`` on ``PYTHONPATH``; returns the completed process."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run(script, cap_mb):
+        cap = cap_mb * 1024 * 1024
+        limit = f"import resource\nresource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+        return subprocess.run([sys.executable, "-c", limit + textwrap.dedent(script)], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    return run
 
 
 @pytest.fixture

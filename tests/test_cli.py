@@ -1,6 +1,7 @@
 import json
 import time
 
+import numpy as np
 import pytest
 
 from cuntzr import coproduct
@@ -106,6 +107,22 @@ def test_build_r_exports_permutation(tmp_path):
     assert export["rank"] == 6
     if jsonschema is not None:
         jsonschema.validate(export, load_schema("rmatrix-export.schema.json"))
+
+
+def test_depth_7_export_under_a_320_mb_address_space_cap(tmp_path, run_capped):
+    # 279936 permutation rows; rendered one piece per token, the export ran
+    # out of memory under this cap
+    path = tmp_path / "r.json"
+    out = run_capped(f"""
+        from cuntzr.cli import main
+        raise SystemExit(main(["build-r", "--omega1", '{{"standard": 2}}',
+                               "--omega2", '{{"standard": 3}}', "--depth", "7",
+                               "--out", {str(path)!r}]))
+    """, 320)
+    assert out.returncode == 0, out.stderr
+    export = json.loads(path.read_text())
+    assert len(export["permutation"]) == 6**7
+    assert export["permutation"][1] == [1, 2, 2, 1]
 
 
 def test_build_r_noncommuting_is_a_failed_check_not_a_crash(tmp_path, capsys):
@@ -228,6 +245,49 @@ def test_stable_json_formatting():
     text = stable_json({"b": 1.0, "a": [True, None, 0.1]})
     assert text.index('"a"') < text.index('"b"')
     assert "0.10000000000000001" in text  # 17 significant digits
+
+
+def test_stable_json_renders_exact_bytes():
+    obj = {
+        "z": {"empty": {}, "none": [], "flags": [True, False, None]},
+        "a": [np.int64(-3), np.float64(0.1), 2.5e-300, 7, [[1, 2], {"k": "q\"\\\né"}]],
+    }
+    assert stable_json(obj) == (
+        '{\n'
+        '  "a": [\n'
+        '    -3,\n'
+        '    0.10000000000000001,\n'
+        '    2.5e-300,\n'
+        '    7,\n'
+        '    [\n'
+        '      [\n'
+        '        1,\n'
+        '        2\n'
+        '      ],\n'
+        '      {\n'
+        '        "k": "q\\"\\\\\\n\\u00e9"\n'
+        '      }\n'
+        '    ]\n'
+        '  ],\n'
+        '  "z": {\n'
+        '    "empty": {},\n'
+        '    "flags": [\n'
+        '      true,\n'
+        '      false,\n'
+        '      null\n'
+        '    ],\n'
+        '    "none": []\n'
+        '  }\n'
+        '}\n'
+    )
+    assert stable_json([]) == "[]\n" and stable_json("x") == '"x"\n'
+    for bad, message in (
+        ({"a": {1: 2}}, "keys must be strings"),
+        ([1, float("nan")], "non-finite"),
+        ({"a": {1, 2}}, "cannot emit set"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            stable_json(bad)
 
 
 # ---------------------------------------------------------------------------

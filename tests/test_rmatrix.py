@@ -1,8 +1,5 @@
-import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
+import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +25,7 @@ from cuntzr.rmatrix import (
     RMatrixOperator,
     build_r,
     counterexample_demo,
+    radix_perm,
     relation_residual,
     swap_index_pair,
     verify_intertwining,
@@ -117,6 +115,23 @@ def test_dense_apply_matches_the_dict_apply_on_a_batch():
 # application
 
 
+def _resplit(n, m):
+    """The depth-1 re-split P as an nm x nm 0/1 matrix: the source letter
+    p = m*i + j (digit pair (i, j)) is read as p = n*a + b and stored as the
+    digit pair (b, a), at index m*b + a."""
+    p = np.arange(n * m)
+    a, b = np.divmod(p, n)
+    P = np.zeros((n * m, n * m), dtype=complex)
+    P[m * b + a, p] = 1.0
+    return P
+
+
+def _leg_flip(n, m):
+    """The leg flip F: C^n (x) C^m -> C^m (x) C^n, e_i (x) e_j -> e_j (x) e_i,
+    as an nm x nm 0/1 matrix, by transposing the two leg axes."""
+    return np.eye(n * m).reshape(n, m, n * m).transpose(1, 0, 2).reshape(n * m, n * m)
+
+
 def test_r1_equals_the_np_kron_form_bit_for_bit():
     # the twist T = U_1 (x) U_2 is a broadcast product; R_1 = T P T^H must
     # be what np.kron gives, on random twists of any pair of indices
@@ -128,7 +143,7 @@ def test_r1_equals_the_np_kron_form_bit_for_bit():
             states.append(GPState(z / np.linalg.norm(z)))
         rmat = RMatrixOperator(*states, 1)
         T = np.kron(rmat.rep1.U, rmat.rep2.U)
-        assert np.array_equal(rmat.r1, T @ rmatrix._resplit(n, m) @ T.conj().T)
+        assert np.array_equal(rmat.r1, T @ _resplit(n, m) @ T.conj().T)
 
 
 def test_apply_fixes_unit_image():
@@ -197,6 +212,111 @@ def test_swap_index_pair_padding_invariance():
                 short = swap_index_pair(n, m, a, b, 1)
                 padded = swap_index_pair(n, m, a, b, 3)
                 assert short == padded
+
+
+def test_swap_index_pair_rejects_pairs_outside_the_block():
+    for a, b in ((5, 1), (0, 1), (1, 10), (1, 0)):
+        with pytest.raises(ValueError, match="outside the block"):
+            swap_index_pair(2, 3, a, b, 2)
+    # Python ints all the way: 3^41 is above 2^63
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        image = swap_index_pair(2, 3, 2**41, 3**41, 41)
+    assert image == (2199023255552, 36472996377170786403)
+    assert all(type(k) is int for k in image)
+
+
+def _digits(x, base, length):
+    """Base digits of x, least significant first, fixed length."""
+    out = []
+    for _ in range(length):
+        out.append(x % base)
+        x //= base
+    return out
+
+
+def _swap_oracle(n, m, a, b, length):
+    """The closed form letter by letter: the digits of a-1 (base n) and b-1
+    (base m) zip to letters w = m*i + j, each re-split as w = n*i' + j' and
+    reassembled, base n from the j' and base m from the i'."""
+    da = _digits(a - 1, n, length)
+    db = _digits(b - 1, m, length)
+    a2 = 0
+    b2 = 0
+    for k in reversed(range(length)):
+        w = m * da[k] + db[k]  # 0-based letter
+        b2 = b2 * m + w // n
+        a2 = a2 * n + w % n
+    return a2 + 1, b2 + 1
+
+
+def test_closed_form_and_export_equal_the_letter_oracle():
+    # every (n, m, d) with n, m <= 6 and (nm)^d <= 4096; the exported pairs
+    # of depth d also padded to depth d + 1
+    cases = [
+        (n, m, d) for n in range(1, 7) for m in range(1, 7) for d in range(13)
+        if (n * m) ** d <= 4096
+    ]
+    assert (2, 3, 4) in cases and (1, 2, 12) in cases and (6, 6, 2) in cases
+    for n, m, d in cases:
+        rows = build_r(GPState.standard(n), GPState.standard(m), d).to_json()["permutation"]
+        assert [r[:2] for r in rows] == [[a, b] for a in range(1, n**d + 1) for b in range(1, m**d + 1)]
+        for a, b, a2, b2 in rows:
+            want = _swap_oracle(n, m, a, b, d)
+            assert (a2, b2) == want == swap_index_pair(n, m, a, b, d)
+            assert swap_index_pair(n, m, a, b, d + 1) == want == _swap_oracle(n, m, a, b, d + 1)
+
+
+def _on_legs(sigma, dims, legs):
+    """The permutation ``sigma`` of the digit pair of two legs (x, y) of the
+    index space ``dims``, as an index array of the whole space."""
+    idx = np.indices(dims).reshape(len(dims), -1)
+    x, y = legs
+    idx[x], idx[y] = np.divmod(sigma[idx[x] * dims[y] + idx[y]], dims[y])
+    return np.ravel_multi_index(tuple(idx), dims)
+
+
+def _identity_failures(perm, sizes=range(1, 7)):
+    """Counts of the sizes where each permutation identity fails for the
+    index arrays ``perm(n, m)``: perm(m, n) inverts perm(n, m); perm(n, n)
+    is the leg flip; and P_12 P_13 P_23 = P_23 P_13 P_12 on digit triples
+    (P[:, s] composes as index arrays, P_A P_B = sigma_A[sigma_B])."""
+    inverse = flip = braid = 0
+    for n, m in itertools.product(sizes, repeat=2):
+        inverse += not np.array_equal(perm(m, n)[perm(n, m)], np.arange(n * m))
+    for n in sizes:
+        flip += not np.array_equal(np.eye(n * n)[:, perm(n, n)], _leg_flip(n, n))
+    for dims in itertools.product(sizes, repeat=3):
+        n, m, l = dims
+        p12 = _on_legs(perm(n, m), dims, (0, 1))
+        p13 = _on_legs(perm(n, l), dims, (0, 2))
+        p23 = _on_legs(perm(m, l), dims, (1, 2))
+        braid += not np.array_equal(p12[p13[p23]], p23[p13[p12]])
+    return inverse, flip, braid
+
+
+def test_radix_permutation_identities_on_integer_arrays():
+    for n, m in itertools.product(range(1, 9), repeat=2):
+        sigma = radix_perm(n, m)
+        assert sigma.dtype.kind == "i" and sorted(sigma) == list(range(n * m))
+        # as a matrix P_{m,n} is the leg flip C^n (x) C^m -> C^m (x) C^n
+        assert np.array_equal(np.eye(n * m)[:, radix_perm(m, n)], _leg_flip(n, m))
+    assert _identity_failures(radix_perm) == (0, 0, 0)
+
+
+def test_a_transposed_radix_permutation_fails_the_identities():
+    # the digit table read transposed fails the flip and the braid; it is
+    # still inverted by its reverse, which a transpose on one side breaks
+    def transposed(n, m):
+        return radix_perm(n, m).reshape(n, m).T.ravel()
+
+    def one_side(n, m):
+        return transposed(n, m) if n < m else radix_perm(n, m)
+
+    inverse, flip, braid = _identity_failures(transposed)
+    assert inverse == 0 and flip > 0 and braid > 0
+    inverse, _, braid = _identity_failures(one_side)
+    assert inverse > 0 and braid > 0
 
 
 def _permutation(rmat):
@@ -631,7 +751,7 @@ def test_generic_pairs_are_rejected_with_a_true_witness(data):
 def _leg_swap_residual(rmat):
     """Worst column of R_1 - F_1, the check `cuntzr all` makes for equal states."""
     n = rmat.omega1.n
-    return rmatrix._worst_column(rmat.r1 - rmatrix._leg_flip(n, n))
+    return rmatrix._worst_column(rmat.r1 - _leg_flip(n, n))
 
 
 def _flip_legs(E):
@@ -776,22 +896,16 @@ def test_perturbed_r1_fails_on_r1_and_in_the_sweep_at_depth_3(perturb):
     assert not verify_symmetry(omega, omega, 3, r12=equal).passed
 
 
-def test_symmetry_at_depth_8_under_a_2048_mb_address_space_cap():
+def test_symmetry_at_depth_8_under_a_2048_mb_address_space_cap(run_capped):
     # at depth 8 the (2,3) span has 1679616 pairs, and the basis sweep took
     # over 300 s already at depth 6
-    script = textwrap.dedent("""
-        import resource, time
-        cap = 2048 * 1024 * 1024
-        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+    out = run_capped("""
+        import time
         from cuntzr import GPState, verify_symmetry
         start = time.perf_counter()
         report = verify_symmetry(GPState.uniform(2), GPState.uniform(3), 8)
         print(report.passed, time.perf_counter() - start)
-    """)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, text=True, timeout=120)
+    """, 2048)
     assert out.returncode == 0, out.stderr
     passed, elapsed = out.stdout.split()
     assert passed == "True"
@@ -962,13 +1076,10 @@ def test_intertwining_estimate_counts_the_grown_block(monkeypatch):
     assert err.value.nbytes == 6 * 16 * 7 * 216
 
 
-def test_intertwining_at_depth_4_under_a_2048_mb_address_space_cap():
+def test_intertwining_at_depth_4_under_a_2048_mb_address_space_cap(run_capped):
     # the depth-4 check of (2,3) grows 259 span vectors to 6^5 entries for
     # each of the 6 generators; depth 5 would need 6642 MiB
-    script = textwrap.dedent("""
-        import resource
-        cap = 2048 * 1024 * 1024
-        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+    out = run_capped("""
         from cuntzr import GPState, SpanTooLarge, build_r, verify_intertwining
         U2, U3 = GPState.uniform(2), GPState.uniform(3)
         report = verify_intertwining(build_r(U2, U3, 4))
@@ -977,11 +1088,7 @@ def test_intertwining_at_depth_4_under_a_2048_mb_address_space_cap():
             verify_intertwining(build_r(U2, U3, 5))
         except SpanTooLarge:
             print("refused")
-    """)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, text=True, timeout=120)
+    """, 2048)
     assert out.returncode == 0, out.stderr
     verdict, refused = out.stdout.splitlines()
     passed, count, residual = verdict.split()
@@ -996,21 +1103,14 @@ def test_oversized_build_exits_2(capsys):
     assert "MiB of dense arrays" in capsys.readouterr().err
 
 
-def test_depth_8_builds_and_applies_under_a_2048_mb_address_space_cap():
+def test_depth_8_builds_and_applies_under_a_2048_mb_address_space_cap(run_capped):
     # the (2,3) span at depth 8 has 1679616 pairs
-    script = textwrap.dedent("""
-        import resource
-        cap = 2048 * 1024 * 1024
-        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+    out = run_capped("""
         from cuntzr import GPState, build_r
         rmat = build_r(GPState.standard(2), GPState.standard(3), 8)
         image = rmat.apply({(256, 6561): 1.0, (1, 2): 2.0})
         print(rmat.rank, sorted(image.items()))
-    """)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, text=True, timeout=120)
+    """, 2048)
     assert out.returncode == 0, out.stderr
     a, b = swap_index_pair(2, 3, 256, 6561, 8), swap_index_pair(2, 3, 1, 2, 8)
     assert out.stdout.split(" ", 1) == [
