@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import BadLevel, MismatchedAlgebra
 
-# The tolerance policy: three constants and one pass rule, ``holds``.
-ZERO_TOL = 1e-13   # prune cutoff: coefficients at or below it are dropped
+# The tolerance policy: two constants and one pass rule, ``holds``; only
+# exact zero coefficients are dropped.
 EQ_TOL = 1e-12     # equality of exact arithmetic, and input checks
 BUILD_TOL = 1e-9   # residual bound of the float verifiers
 
@@ -135,9 +135,8 @@ class AlgebraElement:
     """Finite complex combination of word pairs in one O_n.
 
     Terms are stored as a map (u, v) -> coefficient; keys are normalized
-    word tuples and coefficients with magnitude at or below ``ZERO_TOL``
-    are pruned; a NaN coefficient is kept. Instances are treated as
-    immutable.
+    word tuples and exact zero coefficients are dropped; a NaN coefficient
+    is kept. Instances are treated as immutable.
     """
 
     __slots__ = ("n", "_terms")
@@ -156,8 +155,7 @@ class AlgebraElement:
                     acc[key] += c
                 else:
                     acc[key] = c
-        # written so that a NaN coefficient is kept
-        self._terms = {k: c for k, c in acc.items() if not abs(c) <= ZERO_TOL}
+        self._terms = {k: c for k, c in acc.items() if c != 0}  # NaN is kept
 
     @classmethod
     def zero(cls, n):
@@ -361,13 +359,13 @@ def substitute_generators(x, matrix):
             cu = c
             for a, b in zip(iu, u):
                 cu *= U[a - 1, b - 1]
-            if abs(cu) <= ZERO_TOL:
+            if cu == 0:
                 continue
             for iv in itertools.product(letters, repeat=len(v)):
                 cv = cu
                 for a, b in zip(iv, v):
                     cv *= U[a - 1, b - 1].conjugate()
-                if abs(cv) <= ZERO_TOL:
+                if cv == 0:
                     continue
                 key = (iu, iv)
                 out[key] = out.get(key, 0j) + cv
@@ -386,10 +384,7 @@ def as_element(x, n=None):
 
 
 def iter_monomials(n, max_total_len):
-    """Word pairs ordered by total length, creation-heavy first, then lex.
-
-    The order is the deterministic scan used for witness searches.
-    """
+    """Word pairs ordered by total length, creation-heavy first, then lex."""
     for t in range(max_total_len + 1):
         if n == 1 and t > 0:
             break  # everything collapses to the unit

@@ -495,15 +495,20 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        spec = _spec_from_args(args)
-        report, rmat, elapsed = run_scenario(spec)
+        return _run(args)
     except SpecError as exc:
         for line in exc.errors:
             print(f"error: {line}", file=sys.stderr)
         return 2
-    except CuntzrError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CuntzrError, MemoryError) as exc:  # SpanTooLarge is both
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
+
+
+def _run(args):
+    """Run the scenario of the parsed arguments, print its checks and write
+    its files; returns the exit code of a completed run."""
+    report, rmat, elapsed = run_scenario(_spec_from_args(args))
     if args.timings:
         report["timings"] = {"total_s": float(elapsed)}
     for check in report["checks"]:

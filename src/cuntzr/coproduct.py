@@ -70,7 +70,6 @@ import numpy as np
 
 from .algebra import (
     EQ_TOL,
-    ZERO_TOL,
     CuntzMonomial,
     _check_word,
     as_element,
@@ -272,8 +271,7 @@ class TensorElement:
     coefficient. Each key is checked once, here: all blocks have one
     arity, a key has one word pair per leg, every letter lies in 1..n of
     its leg, and O_1 words collapse to the unit, summing the terms that
-    meet. Coefficients with magnitude at or below ``ZERO_TOL`` are pruned;
-    a NaN coefficient is kept.
+    meet. Exact zero coefficients are dropped; a NaN coefficient is kept.
     Instances are treated as immutable.
     """
 
@@ -291,7 +289,7 @@ class TensorElement:
                 kept = {}
                 for keys, c in terms.items():
                     c = complex(c)
-                    if not abs(c) <= ZERO_TOL:  # written so that NaN is kept
+                    if c != 0:  # NaN is kept
                         kept[keys] = c
                 if kept:
                     out[indices] = kept
@@ -309,7 +307,7 @@ class TensorElement:
 
     @classmethod
     def _from_pruned(cls, blocks):
-        """Wrap nonempty blocks of complex coefficients already above ``ZERO_TOL``."""
+        """Wrap nonempty blocks of nonzero complex coefficients."""
         t = cls.__new__(cls)
         t._blocks = blocks
         return t

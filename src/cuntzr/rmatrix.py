@@ -19,11 +19,16 @@ array ``radix_perm(n, m)``: R_1 is one column gather of the twist, and the
 leg flip, the closed form ``swap_index_pair`` and the exported basis-pair
 permutation all read the same array. R_1 fixes e_1 (x) e_1, so R at depth
 d + 1 restricts to R at depth d on the smaller block. The operator keeps
-R_1 and the depth, and applies R to dense arrays of shape
-(n^d, m^d, *batch) in d small matrix products between one interleaving
-transpose and its inverse. Every state takes this one path; for standard
-states R_1 is a 0/1 matrix, and products with it are exact, so their
-checks pass only at residual exactly 0 (``algebra.holds``).
+R_1 and the depth. One digit kernel, ``_apply_digits``, applies a square
+matrix to every digit tuple of an array whose k leading axes are legs of
+r_i^d entries: d small matrix products between one interleaving transpose
+and its inverse. R on a pair of legs is R_1 through it, k = 2. On a triple
+of legs each side of the Yang-Baxter identity is a product of three R's,
+so it too acts on every digit triple as one abc x abc matrix, built once
+from the three R_1, and goes through the same kernel, k = 3. Every state
+takes this one path; for standard states R_1 is a 0/1 matrix, and
+products with it are exact, so their checks pass only at residual exactly
+0 (``algebra.holds``).
 
 The verifiers check everything the construction promises: the
 conjugation identity carrying the coproduct to its opposite and the
@@ -45,15 +50,15 @@ of the representations by one gather per leg from the cached table of the
 coproduct form (``coproduct.split_words``: the table that ``delta``,
 ``phi`` and the double coproducts read); each leg's images are gathered
 twist columns, and the block is their tensor product. The verifiers apply
-R to whole batches of vectors at once, the exchange check to its words in
-chunks of bounded size, and measure residuals on the unpruned dense
-differences. The generators of the conjugation identity act the same way:
-a one-letter word splits to one digit per leg (none on an O_1 leg), so a
-generator grows each leg of a batch by one least significant digit and
-multiplies in that letter's twist column there. All N generators grow a
-batch at once, along a new generator axis, so R is applied once to the
-grown span. A fixed counterexample scenario shows how the construction
-degenerates for a noncommuting pair.
+R to whole batches of vectors at once, the exchange check each of its two
+sides once per chunk of words of bounded size, and measure residuals on
+the unpruned dense differences. The generators of the conjugation
+identity act the same way: a one-letter word splits to one digit per leg
+(none on an O_1 leg), so a generator grows each leg of a batch by one
+least significant digit and multiplies in that letter's twist column
+there. All N generators grow a batch at once, along a new generator axis,
+so R is applied once to the grown span. A fixed counterexample scenario
+shows how the construction degenerates for a noncommuting pair.
 """
 
 from __future__ import annotations
@@ -162,6 +167,27 @@ def swap_index_pair(n, m, a, b, length):
     return a2 + 1, b2 + 1
 
 
+def _apply_digits(M, X, radices, depth):
+    """M applied to every digit tuple of X.
+
+    The k leading axes of X have sizes r_i^depth for the radices r_i; the
+    rest is batch. M is square of size prod(radices) and acts on the tuple
+    (digit j of leg 1, ..., digit j of leg k), leg 1 most significant, the
+    same for every j: one interleaving transpose, ``depth`` matrix
+    products, one de-interleave.
+    """
+    k, d = len(radices), depth
+    # digit tuple j (digit j of each leg) as axis j, the batch last
+    Y = X.reshape(tuple(r for r in radices for _ in range(d)) + (-1,))
+    Y = Y.transpose([i * d + j for j in range(d) for i in range(k)] + [k * d])
+    for _ in range(d):
+        # M on the leading digit tuple, which moves to the back: one matrix
+        # product on a view, so the batch ends up in front
+        Y = Y.reshape(len(M), -1).T @ M.T
+    legs = [1 + j * k + i for i in range(k) for j in range(d)]
+    return Y.reshape((-1,) + tuple(radices) * d).transpose(legs + [0]).reshape(X.shape)
+
+
 class RMatrixOperator:
     """The swap-implementing unitary on the depth-d span, as R_1 and d.
 
@@ -207,23 +233,13 @@ class RMatrixOperator:
 
     def apply_dense(self, X):
         """R applied to an array of shape (n^d, m^d, *batch)."""
-        n, m = self.shape
-        d = self.depth
         X = np.asarray(X)
         if X.shape[:2] != self.dims:
             raise OutOfDomain(
                 float(np.linalg.norm(X)),
                 f"array of shape {X.shape} outside the {self.dims} block",
             )
-        # digit pair k (the digit k of each leg) as axis k, the batch last
-        Y = X.reshape((n,) * d + (m,) * d + (-1,))
-        Y = Y.transpose([ax for k in range(d) for ax in (k, d + k)] + [2 * d])
-        for _ in range(d):
-            # R_1 on the leading digit pair, which moves to the back: one
-            # matrix product on a view, so the batch ends up in front
-            Y = Y.reshape(n * m, -1).T @ self.r1.T
-        legs = list(range(1, 2 * d, 2)) + list(range(2, 2 * d + 1, 2))
-        return Y.reshape((-1,) + (n, m) * d).transpose(legs + [0]).reshape(X.shape)
+        return _apply_digits(self.r1, X, self.shape, self.depth)
 
     def apply(self, vec):
         """Image of a pair-indexed dict vector; exact zeros are left out."""
@@ -453,41 +469,38 @@ def verify_symmetry(omega1, omega2, depth, tol=BUILD_TOL, r12=None):
     return report
 
 
-def _apply_on_legs(rmat, T, legs):
-    """Apply a pairwise operator to two legs (0-based, ascending) of a dense
-    triple array, the parked leg riding along with the trailing batch axes."""
-    order = (*legs, 3 - sum(legs), *range(3, T.ndim))
-    out = rmat.apply_dense(T.transpose(order))
-    return out.transpose(np.argsort(order))
-
-
 _YBE_CHUNK_ENTRIES = 2**12  # entries per stacked array of word images in the YBE check
 
 
 def verify_ybe(omega1, omega2, omega3, depth, tol=BUILD_TOL, rs=None):
     """Triple exchange identity with an independent symbolic oracle.
 
-    For every word x of the combined algebra up to ``depth``, both operator
-    orderings are applied leg pair by leg pair to the image of the
-    right-expanded double coproduct, and both are compared with each other
-    and with the legwise images of the two double opposite coproducts,
-    which the two orderings must reproduce. The states' representations
-    see only the block (a, b, c) of their algebra indices, so each image is
-    that block alone, gathered from the composed table of its double
-    coproduct (``split_words``): ``f_r`` splits the right leg of
-    phi_{a,bc}(x) by phi_{b,c}, and ``f_l_op`` and ``f_r_op`` split a leg
-    of the flipped phi_{c,ab}(x) and phi_{bc,a}(x) by the flipped phi_{b,a}
-    and phi_{c,b}. The words are taken in chunks of at most
-    ``_YBE_CHUNK_ENTRIES`` image entries; the words of one length in a chunk
-    are split as one array and their images built at once
-    (``_word_images``), and each operator is applied once per chunk. Every
-    word still gets its own record, whose residual is the largest column
-    norm of the four differences. Each distinct state pair is built once.
+    For every word x of the combined algebra up to ``depth``, both sides
+    of the identity, R_12 R_13 R_23 and R_23 R_13 R_12, are applied to the
+    image of the right-expanded double coproduct, and both are compared
+    with each other and with the legwise images of the two double opposite
+    coproducts, which the two sides must reproduce. Each R is R_1 on every
+    digit pair of its two legs, so each side is one abc x abc matrix on
+    every digit triple: the three R_1, each placed on its two legs of the
+    triple with the identity on the third, multiplied once per call. The
+    states' representations see only the block (a, b, c) of their algebra
+    indices, so each image is that block alone, gathered from the composed
+    table of its double coproduct (``split_words``): ``f_r`` splits the
+    right leg of phi_{a,bc}(x) by phi_{b,c}, and ``f_l_op`` and ``f_r_op``
+    split a leg of the flipped phi_{c,ab}(x) and phi_{bc,a}(x) by the
+    flipped phi_{b,a} and phi_{c,b}. The words are taken in chunks of at
+    most ``_YBE_CHUNK_ENTRIES`` image entries; the words of one length in a
+    chunk are split as one array and their images built at once
+    (``_word_images``), and each side is applied once per chunk
+    (``_apply_digits``). Every word still gets its own record, whose
+    residual is the largest column norm of the four differences. Each
+    distinct state pair is built once.
 
     The chunk size is a trade: on uniform (2, 3, 2) at depth 3 a triple
     block has 1728 entries, so a chunk holds 2 words and the check makes
-    six applications per 2 words; 2^16 entries halve its time there but
-    cost more memory, and a little time, on the small blocks of depths 1-2.
+    two applications per 2 words; 2^16 entries make it about twice as
+    fast there, but hold sixteen times the image entries per chunk, which
+    the small blocks of depths 1-2 pay for in peak memory.
     """
     states = (omega1, omega2, omega3)
     if rs is None:
@@ -496,11 +509,17 @@ def verify_ybe(omega1, omega2, omega3, depth, tol=BUILD_TOL, rs=None):
             same = [r for r in built if r.omega1 == states[i] and r.omega2 == states[j]]
             built.append(same[0] if same else build_r(states[i], states[j], depth))
         rs = built
-    r12, r13, r23 = rs
     reps = [GPRepresentation.for_state(s) for s in states]
     dims = tuple(s.n**depth for s in states)
     a, b, c = (s.n for s in states)
     N = a * b * c
+    # each R_1 on its two legs of a digit triple, the identity on the third;
+    # R_13 is placed on the legs (1, 3, 2) and its axes put back in order
+    r12 = np.kron(rs[0].r1, np.eye(c))
+    r13 = np.kron(rs[1].r1, np.eye(b)).reshape((a, c, b) * 2)
+    r13 = r13.transpose(0, 2, 1, 3, 5, 4).reshape(N, N)
+    r23 = np.kron(np.eye(a), rs[2].r1)
+    sides = (r12 @ r13 @ r23, r23 @ r13 @ r12)
     block = int(np.prod(dims))
     step = max(1, _YBE_CHUNK_ENTRIES // block)  # words per chunk
     preflight(3 * step * block, "the triple exchange check")
@@ -512,12 +531,7 @@ def verify_ybe(omega1, omega2, omega3, depth, tol=BUILD_TOL, rs=None):
         t0, oracle_l, oracle_r = (
             _word_images(reps, form, chunk, dims) for form in ("f_r", "f_l_op", "f_r_op")
         )
-        lhs = _apply_on_legs(r23, t0, (1, 2))
-        lhs = _apply_on_legs(r13, lhs, (0, 2))
-        lhs = _apply_on_legs(r12, lhs, (0, 1))
-        rhs = _apply_on_legs(r12, t0, (0, 1))
-        rhs = _apply_on_legs(r13, rhs, (0, 2))
-        rhs = _apply_on_legs(r23, rhs, (1, 2))
+        lhs, rhs = (_apply_digits(M, t0, (a, b, c), depth) for M in sides)
         worst = np.max([
             _column_norms(lhs - rhs),
             _column_norms(lhs - oracle_l),

@@ -174,7 +174,7 @@ def test_canonical_equal_zero_tolerance_exact():
 
 
 def test_canonical_residual_keeps_differences_below_the_prune_cutoff():
-    # 5e-14 lies below the constructor's 1e-13 prune; the difference must not
+    # only exact zeros are dropped, so a difference of 5e-14 counts
     a = elem(2, {((1,), ()): 1.0})
     b = elem(2, {((1,), ()): 1.0 + 5e-14})
     assert canonical_residual(a, b) == abs(1.0 - (1.0 + 5e-14))
@@ -376,6 +376,15 @@ def test_substitute_generators_is_multiplicative():
     assert canonical_equal(lhs, rhs)
 
 
+def test_elements_and_substitution_drop_exact_zeros_only():
+    x = elem(2, {((1,), ()): 5e-324, ((2,), ()): 0.0, ((), (1,)): -0.0})
+    assert x.terms == {((1,), ()): 5e-324 + 0j}
+    # a 1e-14 entry of the matrix gives a 1e-14 term; exact zeros give none
+    U = np.array([[1.0, 0.0], [1e-14, 1.0]], dtype=complex)
+    out = substitute_generators(elem(2, {((1,), ()): 1.0}), U)
+    assert out.terms == {((1,), ()): 1 + 0j, ((2,), ()): 1e-14 + 0j}
+
+
 # ---------------------------------------------------------------------------
 # the tolerance policy
 
@@ -388,13 +397,13 @@ def test_holds_is_exact_on_exact_paths_and_bounded_elsewhere():
         assert not holds(float("nan"), 1e-9, exact)
 
 
-def test_src_defines_exactly_three_tolerance_constants():
-    policy = {"ZERO_TOL", "EQ_TOL", "BUILD_TOL"}
+def test_src_defines_exactly_two_tolerance_constants():
+    policy = {"EQ_TOL", "BUILD_TOL"}
     defined = []
     for path in sorted((Path(__file__).resolve().parents[1] / "src" / "cuntzr").glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.ImportFrom):
-                # an import defines nothing new, but may bring in only the three
+                # an import defines nothing new, but may bring in only the two
                 names = {a.asname or a.name for a in node.names}
                 assert {x for x in names if x.endswith("_TOL")} <= policy, path.name
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):

@@ -125,6 +125,21 @@ def test_depth_7_export_under_a_320_mb_address_space_cap(tmp_path, run_capped):
     assert export["permutation"][1] == [1, 2, 2, 1]
 
 
+def test_running_out_of_memory_past_the_preflight_exits_2(tmp_path, run_capped):
+    # the preflight compares its estimate with the whole cap, not with what
+    # is left of it after the interpreter and numpy, so under this cap the
+    # depth-7 checks pass it and then fail to allocate
+    out = run_capped(f"""
+        from cuntzr.cli import main
+        raise SystemExit(main(["build-r", "--omega1", '{{"standard": 2}}',
+                               "--omega2", '{{"standard": 3}}', "--depth", "7",
+                               "--out", {str(tmp_path / "r.json")!r}]))
+    """, 256)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("error: ")
+    assert "Traceback" not in out.stderr
+
+
 def test_build_r_noncommuting_is_a_failed_check_not_a_crash(tmp_path, capsys):
     report_path = tmp_path / "report.json"
     code = run(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cuntzr import cli, coproduct
-from cuntzr.algebra import ZERO_TOL, AlgebraElement, CuntzMonomial
+from cuntzr.algebra import AlgebraElement, CuntzMonomial
 from cuntzr.algebra import canonical_equal, canonical_residual
 from cuntzr.coproduct import (
     TensorElement,
@@ -340,7 +340,8 @@ def test_canonical_equal2_respects_blocks():
 
 
 def test_canonical_residual_keeps_differences_below_the_prune_cutoff():
-    # 5e-14 lies below the constructor's 1e-13 prune, at two and three legs
+    # a difference of 5e-14, at two and three legs: only exact zeros are
+    # dropped, by the constructor or by the residual
     bump = 1.0 + 5e-14
     want = abs(1.0 - bump)
     two = {(2, 3): (key([1]), UNIT)}
@@ -437,8 +438,7 @@ def test_four_leg_coassociativity():
 # ---------------------------------------------------------------------------
 # the split tables against the per-term and mixed-radix oracles
 
-ABOVE_CUTOFF = float(np.nextafter(ZERO_TOL, 1.0))
-BELOW_CUTOFF = float(np.nextafter(ZERO_TOL, 0.0))
+SMALLEST = 5e-324  # the smallest subnormal: kept, as only exact zeros are dropped
 
 
 def _gaussian_element(rng, n, count, max_len=3):
@@ -473,17 +473,16 @@ def _oracle_samples():
 
 
 def _near_cutoff():
-    # coefficients next to the prune cutoff: the one below is dropped on input
-    return AlgebraElement(
-        6, {((5, 1), (2,)): ABOVE_CUTOFF, ((4,), ()): BELOW_CUTOFF, UNIT: 1.0}
-    )
+    # coefficients next to the prune cutoff, exact zero: 0.0 is dropped on
+    # input, the smallest subnormal kept
+    return AlgebraElement(6, {((5, 1), (2,)): SMALLEST, ((4,), ()): 0.0, UNIT: 1.0})
 
 
 def test_coproducts_keep_the_coefficient_above_the_prune_cutoff():
     x = _near_cutoff()
-    assert sorted(abs(c) for _, c in x.items()) == [ABOVE_CUTOFF, 1.0]
+    assert sorted(abs(c) for _, c in x.items()) == [SMALLEST, 1.0]
     for t in (delta(x), f_r(x), f_l_op(x)):
-        assert ABOVE_CUTOFF in {abs(c) for terms in t.blocks.values() for c in terms.values()}
+        assert SMALLEST in {abs(c) for terms in t.blocks.values() for c in terms.values()}
 
 
 def test_phi_refuses_a_pair_that_is_not_a_positive_factorization():
@@ -553,11 +552,11 @@ def test_expand_leg_at_four_legs_matches_both_oracles():
 
 
 def test_expand_leg_keeps_coefficients_at_the_prune_cutoff():
-    # Delta and f_r of an element of the direct sum copy a coefficient just
-    # above the cutoff into every block; the one below is dropped on input
+    # Delta and f_r of an element of the direct sum copy the smallest
+    # subnormal into every block; an exact zero is dropped on input
     t = TensorElement(
         {
-            (12,): {(key([1, 5], [6]),): ABOVE_CUTOFF, (key([2]),): BELOW_CUTOFF},
+            (12,): {(key([1, 5], [6]),): SMALLEST, (key([2]),): 0.0},
             (6,): {(key([], [6]),): 3 - 2j},
         }
     )
@@ -569,7 +568,7 @@ def test_expand_leg_keeps_coefficients_at_the_prune_cutoff():
         (f_l_op(t), oracle.expand_leg(oracle.delta_op(t), 1, oracle.delta_op)),
     ):
         assert got.blocks == want.blocks
-        assert ABOVE_CUTOFF in {abs(c) for terms in got.blocks.values() for c in terms.values()}
+        assert SMALLEST in {abs(c) for terms in got.blocks.values() for c in terms.values()}
     assert delta(t).term_count() == len(divisor_pairs(12)) + len(divisor_pairs(6))
     assert f_r(t).term_count() == sum(len(oracle.factorizations(n, 3)) for n in (12, 6))
 

@@ -549,25 +549,26 @@ def test_chunked_ybe_fails_where_the_oracle_does_under_a_perturbed_r13():
     assert [c.passed for c in report.checks] == [ok for _, ok, _ in want]
 
 
-def test_ybe_splits_three_times_per_word_and_applies_six_times_per_chunk(monkeypatch):
+def test_ybe_splits_three_times_per_word_and_applies_two_kernels_per_chunk(monkeypatch):
     states = (W2, W3, W2)
     rs = _triple_operators(states, 2)
-    rows, word_splits, applies = [], [], []
+    rows, word_splits, applies, kernels = [], [], [], []
     real_split_words = rmatrix.split_words
-    real_apply = RMatrixOperator.apply_dense
+    real_kernel = rmatrix._apply_digits
 
     def split_words(form, block, words):
         rows.append((form, block, len(words)))
         return real_split_words(form, block, words)
 
-    def apply_dense(self, X):
-        applies.append(X.shape)
-        return real_apply(self, X)
+    def apply_digits(M, X, radices, depth):
+        kernels.append((M.shape, X.shape, radices, depth))
+        return real_kernel(M, X, radices, depth)
 
     monkeypatch.setattr(rmatrix, "split_words", split_words)
     # the per-term split, which the coproducts read
     monkeypatch.setattr(coproduct, "_split", lambda *args: word_splits.append(args))
-    monkeypatch.setattr(RMatrixOperator, "apply_dense", apply_dense)
+    monkeypatch.setattr(RMatrixOperator, "apply_dense", lambda self, X: applies.append(X))
+    monkeypatch.setattr(rmatrix, "_apply_digits", apply_digits)
     assert verify_ybe(*states, 2, rs=rs).passed
     words, step = _ybe_chunks(states, 2)
     chunks = -(-words // step)
@@ -581,8 +582,81 @@ def test_ybe_splits_three_times_per_word_and_applies_six_times_per_chunk(monkeyp
         (f, (2, 3, 2)) for f in ("f_r", "f_l_op", "f_r_op")
     }
     assert not word_splits
-    assert len(applies) == 6 * chunks
-    assert max(int(np.prod(shape)) for shape in applies) <= rmatrix._YBE_CHUNK_ENTRIES
+    # no pairwise application: each side is one 12 x 12 matrix on the
+    # digit triples, applied once per chunk
+    assert not applies
+    assert len(kernels) == 2 * chunks
+    assert {(M, radices, depth) for M, _, radices, depth in kernels} == {((12, 12), (2, 3, 2), 2)}
+    assert max(int(np.prod(shape)) for _, shape, _, _ in kernels) <= rmatrix._YBE_CHUNK_ENTRIES
+
+
+def _assert_ybe_matches_the_oracle(states, depth):
+    rs = _triple_operators(states, depth)
+    report = verify_ybe(*states, depth, rs=rs)
+    want = _oracle_records(states, depth, rs)
+    assert [c.name for c in report.checks] == [name for name, _, _ in want]
+    assert [c.passed for c in report.checks] == [ok for _, ok, _ in want]
+    assert all(ok for _, ok, _ in want)
+    for check, (_, _, residual) in zip(report.checks, want):
+        if all(r.is_permutation for r in rs):
+            assert check.residual == residual == 0.0
+        else:
+            assert abs(check.residual - residual) <= 1e-15
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+@pytest.mark.parametrize("states", [(S1, U2, U3), (U2, S1, U2), (S1, S1, S1)],
+                         ids=["S1-U2-U3", "U2-S1-U2", "S1-S1-S1"])
+def test_ybe_with_o1_legs_matches_the_per_word_oracle(states, depth):
+    # an O_1 leg has one digit value, so its R_1 places on the digit triple
+    # as a 1-dimensional identity factor; depth 0 has only the unit word
+    _assert_ybe_matches_the_oracle(states, depth)
+
+
+def test_ybe_on_a_kron_triple_matches_the_per_word_oracle():
+    # (y, y [*] y, y) has the triple block (3, 9, 3): each side is one 81 x 81 matrix
+    y = np.array([0.6, 0.48j, 0.64])
+    Y, YY = GPState(y), GPState(np.kron(y, y))
+    _assert_ybe_matches_the_oracle((Y, YY, Y), 1)
+
+
+def _interleaved_order(radices, depth):
+    """For each flat index of a leg-major array (r_1^d, ..., r_k^d), its
+    flat index among the digit tuples (tuple 0 most significant), each tuple
+    (digit j of leg 1, ..., digit j of leg k) read leg 1 first; digit 0 is
+    the most significant digit of each leg. Plain integer arithmetic."""
+    sizes = [r**depth for r in radices]
+    tuple_size = int(np.prod(radices))
+    order = []
+    for idx in itertools.product(*map(range, sizes)):
+        flat = 0
+        for j in range(depth):
+            t = 0
+            for r, a in zip(radices, idx):
+                t = t * r + a // r ** (depth - 1 - j) % r
+            flat = flat * tuple_size + t
+        order.append(flat)
+    return np.array(order)
+
+
+@pytest.mark.parametrize("radices", [(3,), (2, 3), (2, 1, 3), (1, 1, 1), (2, 2, 3)])
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_digit_kernel_is_the_kron_power_on_the_interleaved_digits(radices, depth):
+    rng = np.random.default_rng(31)
+    P = int(np.prod(radices))
+    M = rng.normal(size=(P, P)) + 1j * rng.normal(size=(P, P))
+    shape = tuple(r**depth for r in radices)
+    X = rng.normal(size=shape + (2, 3)) + 1j * rng.normal(size=shape + (2, 3))
+    got = rmatrix._apply_digits(M, X, radices, depth)
+    full = np.ones((1, 1))
+    for _ in range(depth):
+        full = np.kron(full, M)
+    order = _interleaved_order(radices, depth)
+    interleaved = np.empty((len(order), 6), dtype=complex)
+    interleaved[order] = X.reshape(len(order), -1)
+    want = (full @ interleaved)[order]
+    assert got.shape == X.shape
+    assert np.max(np.abs(got.reshape(len(order), -1) - want)) <= 1e-12
 
 
 def _per_word_images(reps, op, words, dims):

@@ -13,6 +13,7 @@ from cuntzr.states import (
     gp_eval,
     interleaving_gap,
     star,
+    star_gap,
     state_from_json,
     twist_state,
 )
@@ -263,6 +264,45 @@ def test_witness_values_differ():
     assert not ok
     x = AlgebraElement.monomial(witness)
     assert abs(star(omega, psi)(x) - star(psi, omega)(x)) > 1e-12
+
+
+def _scan_witness(omega, psi, tol=algebra.EQ_TOL):
+    """The first monomial of total length <= 2, in the scan order of
+    ``iter_monomials``, whose two product values differ by more than tol."""
+    for mono in iter_monomials(omega.n * psi.n, 2):
+        if star_gap(omega, psi, mono) > tol:
+            return mono
+    return None
+
+
+def test_commutes_names_the_witness_the_scan_finds():
+    # the closed-form witness against the scan over word pairs: random
+    # pairs, and kron pairs (x, x [*] x) moved by about the tolerance
+    rng = np.random.default_rng(2009)
+    pairs = [
+        (GPState(random_unit(rng, n)), GPState(random_unit(rng, m)))
+        for n, m in rng.integers(1, 6, size=(60, 2))
+    ]
+    for n in rng.integers(1, 5, size=60):
+        x = random_unit(rng, n).z
+        y = np.kron(x, x)
+        y[rng.integers(len(y))] += rng.uniform(0.3, 3.0) * 1e-12 * np.exp(2j * np.pi * rng.random())
+        pairs.append((GPState(x), GPState(y / np.linalg.norm(y))))
+    verdicts = []
+    for omega, psi in pairs:
+        ok, witness = commutes(omega, psi)
+        verdicts.append(ok)
+        N = omega.n * psi.n
+        if ok:
+            assert witness is None
+            assert all(
+                star_gap(omega, psi, CuntzMonomial.generator(N, w)) <= algebra.EQ_TOL
+                for w in range(1, N + 1)
+            )
+        else:
+            assert witness.label() == _scan_witness(omega, psi).label()
+    # both verdicts among the pairs near the tolerance
+    assert set(verdicts[60:]) == {True, False}
 
 
 # ---------------------------------------------------------------------------
