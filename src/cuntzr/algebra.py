@@ -43,7 +43,7 @@ def holds(residual, tol, exact=False):
 
 
 def _check_word(n, letters):
-    word = tuple(int(l) for l in letters)
+    word = tuple(map(int, letters))
     if n < 1:
         raise ValueError(f"algebra index must be >= 1, got {n}")
     for l in word:

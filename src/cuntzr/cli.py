@@ -79,8 +79,11 @@ def _render(obj, level):
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = (f"{pad}  {_render(item, level + 1)}" for item in obj)
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+        if all(type(item) is int for item in obj):  # plain ints, no bools: one join
+            items = map(str, obj)
+        else:
+            items = (_render(item, level + 1) for item in obj)
+        return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
     if isinstance(obj, (bool, str)) or obj is None:  # bool before int
         return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
@@ -168,23 +171,26 @@ def parse_state_arg(text, field):
     return _as_state(obj, field)
 
 
-# term writes of verify-coassoc (see _coassoc_splits); on a 2-core machine a
-# write costs about 0.7 us at n = 3000 (1.8M writes in 1.3 s) and about 4 us
-# at a large prime n, whose three blocks hold one term each, so that the work
-# per monomial outweighs the writes (--n 666649, the largest index allowed:
-# 4.0M writes in 16 s); the cap thus allows about 3 s to 16 s
+# block keys that verify-coassoc splits and compares (see _coassoc_splits);
+# on a 2-core machine a key costs about 0.4 us at n = 3000 (1.8M keys in
+# 0.7 s) and about 1.7 us at a large prime n, whose three blocks take one
+# key each, so that the work per monomial outweighs the keys (--n 666649,
+# the largest index allowed: 4.0M keys in 6.5-7 s); the cap thus allows
+# about 1 s to 7 s
 MAX_COASSOC_SPLITS = 4_000_000
 
 
 def _coassoc_splits(n, samples):
-    """Term writes of the two double coproducts that ``verify-coassoc`` makes on O_n.
+    """Block keys that ``verify-coassoc`` splits and compares on O_n.
 
     Each of the n generators, the unit and the ``samples`` random monomials
-    is one term of O_n. Each double coproduct splits it in one pass through
-    its composed table and writes one term into each of its d_3(n) blocks,
-    the ordered divisor triples of n; no Delta is computed. So a monomial
-    costs 2 d_3(n) writes. d_3(n) is the product of (e + 1)(e + 2)/2 over
-    the prime factorization n = prod p^e.
+    is one term of O_n. It is split in one pass through the composed table
+    of each double coproduct, into one key for each of its d_3(n) blocks,
+    the ordered divisor triples of n, and the two splits are compared; no
+    Delta is computed. So a monomial costs 2 d_3(n) keys. Only a monomial
+    whose keys differ also writes them as terms of the two double
+    coproducts, the same number again. d_3(n) is the product of
+    (e + 1)(e + 2)/2 over the prime factorization n = prod p^e.
     """
     d3 = 1
     p, rest = 2, n
@@ -220,7 +226,7 @@ def _validate(spec):
     if spec.kind == "coassoc" and (spec.n is None or spec.n < 1):
         errors.append("coassoc needs --n >= 1")
     elif spec.kind == "coassoc" and spec.samples >= 0:
-        # each monomial takes at least 2 term writes (d_3(1) = 1), and n is
+        # each monomial takes at least 2 block keys (d_3(1) = 1), and n is
         # factored only when that floor stays under the cap
         floor = 2 * (spec.n + 1 + spec.samples)
         exact = floor <= MAX_COASSOC_SPLITS

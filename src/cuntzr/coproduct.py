@@ -36,30 +36,37 @@ of phi_{b,c} through the right column of phi_{a,bc}; ``f_l`` splits the
 left leg, through phi_{ab,c} and then phi_{a,b}; ``f_r_op`` and
 ``f_l_op`` do the same with Delta^op. Legs with equal columns share one.
 
-Two readers share every table. ``_split`` splits one word pair on all
-blocks of a table in one pass over its letters, and ``_coproduct`` writes
-each term, with its coefficient unchanged, into every block: letterwise
-splitting is injective on checked word pairs, so there is no summing and
-no pruning. ``split_words(form, block, W)`` gathers one block's columns
-with an integer array W of creation words of one length; the verifiers
-build their word images from it, so a wrong table breaks them and
-coassociativity alike. ``split_block(form, block)`` is the per-term split
-of one block, through a table of that block's columns alone
-(``_one_block``), so a term transposes only that block's digits.
-``phi(m, l, x)``, the block (m, l) of Delta(x), and the product
-functional of two states (``states.StarComposite``) read it. Coassociativity
-(``coassoc_residual``) compares ``f_r`` with ``f_l``, which read
-different tables composed in different orders. The independent check of
-all six forms is the mixed-radix split of ``tests/coproduct_oracle.py``;
-its per-term expansion of Delta is the second. The divisor pairs of each
-index are scanned once. Canonical equality of tensor elements is
+Two readers share every table. ``_leg_keys`` splits one word pair on all
+blocks of a table in one pass over its letters, into one flat tuple of
+leg keys in block order; ``_split`` groups it by block, and
+``_coproduct`` writes each term, with its coefficient unchanged, into
+every block: letterwise splitting is injective on checked word pairs, so
+there is no summing and no pruning. ``split_words(form, block, W)``
+gathers one block's columns with an integer array W of creation words of
+one length; the verifiers build their word images from it, so a wrong
+table breaks them and coassociativity alike. ``split_block(form, block)``
+is the per-term split of one block, through a table of that block's
+columns alone (``_one_block``), so a term transposes only that block's
+digits. ``phi(m, l, x)``, the block (m, l) of Delta(x), and the product
+functional of two states (``states.StarComposite``) read it.
+Coassociativity (``coassoc_residual``) compares ``f_r`` with ``f_l``,
+which read different tables composed in different orders. Since a split
+cannot change a coefficient, it compares them term by term on their leg
+keys, the left split's read in the right one's block order
+(``_aligned``); only a term whose keys differ, a NaN coefficient, or two
+tables with different blocks make it build both double coproducts and
+take their canonical residual. The independent check of all six forms is
+the mixed-radix split of ``tests/coproduct_oracle.py``; its per-term
+expansion of Delta is the second. The divisor pairs of each index are
+scanned once. Canonical equality of tensor elements is
 :func:`cuntzr.algebra.canonical_residual`, which applies the level
-expansion to every leg independently inside each block, and skips
-blocks, or the whole comparison, where the two term maps are equal.
+expansion to every leg independently inside each block, and skips blocks,
+or the whole comparison, where the two term maps are equal.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -173,11 +180,13 @@ def _table(n, form):
     """The table of ``form`` on O_n, built once.
 
     Tables are kept for the life of the process. ``verify-coassoc`` bounds
-    the largest it builds: a request makes (n+1)*2d_3(n) term writes, at
-    most ``MAX_COASSOC_SPLITS``. At O_666649 (prime, the most rows) Delta's
-    table takes 66 MiB and the tables of f_r and f_l 81 MiB together; at
-    O_3600 (the most composed columns) 5 MiB, with the tables of its
-    divisors, and 62 MiB (tracemalloc).
+    the largest it builds: a request splits each of its n+1 or more
+    monomials through the tables of f_r and f_l into d_3(n) block keys
+    each, 2(n+1)d_3(n) or more in all, at most ``MAX_COASSOC_SPLITS``. At
+    O_666649 (prime, the most rows) Delta's table takes 66 MiB and the
+    tables of f_r and f_l 81 MiB together; at O_3600 (the most composed
+    columns) 5 MiB, with the tables of its divisors, and 62 MiB
+    (tracemalloc).
     """
     if form == "delta":  # pair k has the leg columns 2k and 2k+1
         cols = iter((None, *_digit_table(n).T, None))
@@ -203,15 +212,21 @@ def _compose(n, form, leg):
             yield block[:leg] + inner_block + block[leg + 1:], cols[:leg] + two + cols[leg + 1:]
 
 
-def _split(table, key):
+def _leg_keys(table, key):
     """The leg keys of one word pair of O_n on every block of ``table``, in
-    block order, from one pass over its letters."""
+    block order, as one flat tuple, from one pass over its letters."""
     rows = table.rows
     u, v = key
     # every column of the empty word is the empty word
     cu = zip(*map(rows.__getitem__, u)) if u else ((),) * len(rows[0])
     cv = zip(*map(rows.__getitem__, v)) if v else ((),) * len(rows[0])
-    keys = iter(table.place((_UNIT, *zip(cu, cv))))
+    return table.place((_UNIT, *zip(cu, cv)))
+
+
+def _split(table, key):
+    """The leg keys of one word pair of O_n on every block of ``table``, in
+    block order, one tuple per block."""
+    keys = iter(_leg_keys(table, key))
     return zip(*(keys,) * len(table.blocks[0]))
 
 
@@ -473,15 +488,44 @@ def f_l_op(x):
 canonical_equal3 = canonical_equal  # the three-leg name callers already use
 
 
+@functools.lru_cache(maxsize=None)
+def _aligned(right, left):
+    """An itemgetter that reads the flat leg keys of a split by ``left`` in
+    the block order of ``right``, or None when the two tables do not hold
+    the same distinct blocks. Keyed on the table objects, so a table built
+    again gets its own."""
+    if len(set(right.blocks)) != len(right.blocks) or sorted(right.blocks) != sorted(left.blocks):
+        return None
+    k, at = len(right.blocks[0]), {block: i for i, block in enumerate(left.blocks)}
+    return operator.itemgetter(*(at[block] * k + j for block in right.blocks for j in range(k)))
+
+
 def coassoc_residual(x):
     """Canonical residual between (id (x) delta) delta(x) and (delta (x) id) delta(x).
 
     The two double coproducts read different composed tables: block
     (a, b, c) of the right one splits by (a, bc) and then (b, c), of the
     left one by (ab, c) and then (a, b), so they are two computations.
+    Each term of ``x`` is split through both tables, and the leg keys of
+    the left split, read in the right one's block order, are compared
+    with those of the right. A split writes the coefficient unchanged, so
+    when every term's keys agree the two double coproducts are equal
+    block maps and the residual is 0.0. A term whose keys differ, a NaN
+    coefficient or two tables with different blocks build both double
+    coproducts and return their canonical residual, NaN for a NaN
+    coefficient; so every residual is the canonical one.
     """
     x = _one_leg(x)
-    return canonical_residual(_coproduct(x, "f_r"), _coproduct(x, "f_l"))
+    for (n,), terms in x.blocks.items():
+        right, left = _table(n, "f_r"), _table(n, "f_l")
+        align = _aligned(right, left)
+        for (key,), c in terms.items():
+            # a NaN coefficient, like differing keys, takes the canonical residual
+            if align is None or cmath.isnan(c) or (
+                _leg_keys(right, key) != align(_leg_keys(left, key))
+            ):
+                return canonical_residual(_coproduct(x, "f_r"), _coproduct(x, "f_l"))
+    return 0.0
 
 
 def check_coassoc(x, tol=EQ_TOL):

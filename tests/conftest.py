@@ -31,9 +31,13 @@ def run_capped():
     """``run_capped(script, cap_mb)`` runs a Python script in a fresh
     interpreter whose address space is capped at ``cap_mb`` MiB
     (``RLIMIT_AS``, set before the script's own imports), with this
-    checkout's ``src`` on ``PYTHONPATH``; returns the completed process."""
+    checkout's ``src`` on ``PYTHONPATH`` and one BLAS thread, whatever the
+    caller's BLAS variables say: each BLAS thread maps its own buffers, so
+    the thread count moves where a cap bites. Returns the completed
+    process."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)
+    env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 
     def run(script, cap_mb):
         cap = cap_mb * 1024 * 1024
@@ -48,25 +52,26 @@ def run_capped():
 def splits(monkeypatch):
     """Every pass of a word pair through a coproduct table, in call order.
 
-    ``passes`` holds (n, form, term writes) for each word pair of O_n that
-    is split through a table of its form (``coproduct._split``), which
-    writes one term into each of the table's blocks: all blocks of the
-    form for a coproduct, one block for ``phi`` and the product functional
-    of two states (``coproduct.split_block``).
+    ``passes`` holds (n, form, leg keys per leg) for each word pair of O_n
+    that is split through a table of its form (``coproduct._leg_keys``),
+    which gives its leg keys on each of the table's blocks: all blocks of
+    the form for a coproduct and for each side of the coassociativity
+    check, one block for ``phi`` and the product functional of two states
+    (``coproduct.split_block``).
     """
     from types import SimpleNamespace
 
     from cuntzr import coproduct
 
     calls = SimpleNamespace(passes=[])
-    split = coproduct._split
+    leg_keys = coproduct._leg_keys
 
     def one_pass(table, key):
-        keys = tuple(split(table, key))
-        calls.passes.append((len(table.rows) - 1, table.form, len(keys)))
-        return iter(keys)
+        keys = leg_keys(table, key)
+        calls.passes.append((len(table.rows) - 1, table.form, len(keys) // len(table.blocks[0])))
+        return keys
 
-    monkeypatch.setattr(coproduct, "_split", one_pass)
+    monkeypatch.setattr(coproduct, "_leg_keys", one_pass)
     return calls
 
 

@@ -368,27 +368,104 @@ def test_perturbed_double_coproduct_reads_the_perturbation():
     assert not canonical_equal(f_r(x), bumped)
 
 
-def test_a_bump_in_any_one_block_of_o60_is_reported(monkeypatch):
+def test_a_bump_in_any_one_block_of_o60_is_reported():
     # negative control: 1e-3 added to the one coefficient 1 of a single
     # three-leg block of (Delta (x) id) Delta; the other 53 blocks are equal
     x = CuntzMonomial(60, (7, 59, 12), (30,))
-    blocks = list(f_l(x).blocks)
-    assert len(blocks) == 54
-    assert coassoc_residual(x) == 0.0
-    real = coproduct._coproduct  # the table pass of every coproduct
-    for bumped in blocks:
+    right, left = f_r(x), f_l(x)
+    assert len(left.blocks) == 54
+    assert coassoc_residual(x) == canonical_residual(right, left) == 0.0
+    for bumped in left.blocks:
+        (keys, c), = left.block(*bumped).items()
+        assert c == 1.0
+        residual = canonical_residual(right, left + TensorElement({bumped: {keys: 1e-3}}))
+        assert residual == (1.0 + 1e-3) - 1.0
 
-        def perturbed(y, form):
-            out = real(y, form)
-            if form != "f_l":
-                return out
-            (keys, c), = out.block(*bumped).items()
-            assert c == 1.0
-            return out + TensorElement({bumped: {keys: 1e-3}})
 
-        monkeypatch.setattr(coproduct, "_coproduct", perturbed)
-        assert coassoc_residual(x) == (1.0 + 1e-3) - 1.0
+def _entries(table):
+    """The (block, leg columns) pairs of ``table`` in block order, from
+    which ``coproduct._tabulate`` builds it again."""
+    return [(block, [table.columns[c] for c in legs]) for block, legs in zip(table.blocks, table.legs)]
+
+
+def test_a_moved_digit_in_any_one_block_of_o60_fails_coassociativity(altered_tables):
+    # negative control: in one block of f_l's table of O_60 at a time, the
+    # digit of letter 7 moved cyclically on the block's first leg of index
+    # a > 1, j -> j % a + 1; only that block differs, and the residual is
+    # the canonical residual of the two double coproducts under the same
+    # tables
+    x = CuntzMonomial(60, (7, 59, 12), (30,))
+    entries = _entries(coproduct._table(60, "f_l"))
+    assert len(entries) == 54
+    for k, (block, cols) in enumerate(entries):
+        leg = next(i for i, a in enumerate(block) if a > 1)
+        col = cols[leg].copy()
+        col[7] = col[7] % block[leg] + 1
+        moved = [*entries[:k], (block, cols[:leg] + [col] + cols[leg + 1:]), *entries[k + 1:]]
+        altered_tables.replace(60, "f_l", coproduct._tabulate(60, "f_l", moved))
+        right, left = f_r(x), f_l(x)
+        assert [p for p in right.blocks if right.block(*p) != left.block(*p)] == [block]
+        assert coassoc_residual(x) == canonical_residual(right, left) > 0.0
         assert not check_coassoc(x)
+
+
+def _bits(r):
+    """A residual as the bytes of its double, so that NaN equals NaN."""
+    return np.float64(r).tobytes()
+
+
+WITH_NAN = AlgebraElement(12, {((5,), ()): float("nan"), ((1,), (2,)): 1.0})
+
+
+def _coassoc_samples():
+    rng = np.random.default_rng(23)
+    samples = [_gaussian_element(rng, n, 6) for n in (1, 7, 12, 60, 360)]
+    samples += [gen(360, 17), CuntzMonomial.unit(60), AlgebraElement(12, {}), WITH_NAN]
+    samples.append(TensorElement())  # the zero element of the direct sum
+    samples.append(
+        sum(
+            (TensorElement.from_element(_gaussian_element(rng, n, 3)) for n in (1, 5, 6, 12)),
+            TensorElement(),
+        )
+    )
+    return samples
+
+
+def test_coassoc_residual_equals_the_canonical_residual_bit_for_bit(altered_tables):
+    # the comparison of leg keys against the canonical residual of the two
+    # double coproducts: on the real tables, where every residual is 0.0
+    # or NaN, and with the right digit of phi_{2,3} shifted on O_6, where
+    # the elements of O_12 fail and take the fallback
+    samples = _coassoc_samples()
+    for x in samples:
+        assert _bits(coassoc_residual(x)) == _bits(canonical_residual(f_r(x), f_l(x)))
+    assert math.isnan(coassoc_residual(WITH_NAN))
+    shift_right_digit_of_2_3(altered_tables)
+    failed = 0
+    for x in samples:
+        residual = coassoc_residual(x)
+        assert _bits(residual) == _bits(canonical_residual(f_r(x), f_l(x)))
+        failed += residual > 0.0
+    assert failed >= 2
+
+
+def test_tables_with_different_blocks_take_the_fallback(altered_tables):
+    # f_l's table of O_12 without its last block, f_r's without its first,
+    # or f_l's with a block twice: the two tables' blocks differ, and the
+    # residual is that of the two double coproducts, with no KeyError from
+    # aligning the blocks
+    x = _gaussian_element(np.random.default_rng(29), 12, 4)
+    real = {form: coproduct._table(12, form) for form in ("f_r", "f_l")}
+    fr, fl = _entries(real["f_r"]), _entries(real["f_l"])
+    for form, entries, fails in (
+        ("f_l", fl[:-1], True), ("f_r", fr[1:], True), ("f_l", fl + fl[2:3], False)
+    ):
+        altered_tables.replace(12, form, coproduct._tabulate(12, form, entries))
+        assert coproduct._aligned(coproduct._table(12, "f_r"), coproduct._table(12, "f_l")) is None
+        want = canonical_residual(f_r(x), f_l(x))
+        assert (want > 0.0) == fails
+        assert _bits(coassoc_residual(x)) == _bits(want)
+        altered_tables.replace(12, form, real[form])
 
 
 def test_coassoc_residual_is_the_residual_of_the_two_double_coproducts():
@@ -866,8 +943,9 @@ def test_word_splits_are_counted_once(splits):
     x = _gaussian_element(np.random.default_rng(3), 12, 4)
     assert len(x.terms) == 4
     assert check_coassoc(x, tol=0.0)
-    # d_3(12) = 18; each of the 4 terms is split once by each double coproduct
-    assert splits.passes == 4 * [(12, "f_r", 18)] + 4 * [(12, "f_l", 18)]
+    # d_3(12) = 18; each of the 4 terms is split once by each double
+    # coproduct, and its two splits are compared before the next term's
+    assert splits.passes == 4 * [(12, "f_r", 18), (12, "f_l", 18)]
     splits.passes.clear()
     # Delta and Delta^op split a word pair under all the divisor pairs of its
     # index at once; phi and the product functional of two states split it
