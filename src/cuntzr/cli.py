@@ -21,6 +21,7 @@ the swap F_1: R = R_1^{(x)d} equals either exactly when R_1 does.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import BUILD_TOL, EQ_TOL, AlgebraElement, CuntzMonomial, holds
-from .coproduct import coassoc_residual
+from .coproduct import coassoc_residual, disagreeing_letters
 from .errors import CuntzrError, NotCommuting, SpecError
 from .rmatrix import (
     VerificationReport,
@@ -171,26 +172,30 @@ def parse_state_arg(text, field):
     return _as_state(obj, field)
 
 
-# block keys that verify-coassoc splits and compares (see _coassoc_splits);
-# on a 2-core machine a key costs about 0.4 us at n = 3000 (1.8M keys in
-# 0.7 s) and about 1.7 us at a large prime n, whose three blocks take one
-# key each, so that the work per monomial outweighs the keys (--n 666649,
-# the largest index allowed: 4.0M keys in 6.5-7 s); the cap thus allows
-# about 1 s to 7 s
+# block keys that verify-coassoc splits in the worst case, where every
+# monomial falls back (see _coassoc_splits); on a 2-core machine a key then
+# costs about 0.8 us at n = 3000 (1.8M keys in 1.4 s) and about 3.5 us at a
+# large prime n, whose three blocks take one key each, so that the work per
+# monomial outweighs the keys (--n 666649, the largest index allowed: 4.0M
+# keys in 14 s). When the tables agree no monomial is split: --n 3000 takes
+# 0.3 s and --n 666649 0.9 s, most of it building the tables
 MAX_COASSOC_SPLITS = 4_000_000
 
 
 def _coassoc_splits(n, samples):
-    """Block keys that ``verify-coassoc`` splits and compares on O_n.
+    """Block keys that ``verify-coassoc`` splits on O_n in the worst case.
 
     Each of the n generators, the unit and the ``samples`` random monomials
-    is one term of O_n. It is split in one pass through the composed table
-    of each double coproduct, into one key for each of its d_3(n) blocks,
-    the ordered divisor triples of n, and the two splits are compared; no
-    Delta is computed. So a monomial costs 2 d_3(n) keys. Only a monomial
-    whose keys differ also writes them as terms of the two double
-    coproducts, the same number again. d_3(n) is the product of
-    (e + 1)(e + 2)/2 over the prime factorization n = prod p^e.
+    is one term of O_n. A term whose letters all agree in the composed
+    tables of the two double coproducts (``coproduct.disagreeing_letters``)
+    is not split, and no generator of an agreeing letter is built. A term
+    that falls back, every term when the two tables' blocks differ, is
+    split in one pass through each table into one key for each of its
+    d_3(n) blocks, the ordered divisor triples of n, and those keys are
+    written as the terms of the two double coproducts; no Delta is
+    computed. So the count is 2 d_3(n) keys a monomial, an upper bound on
+    the work done. d_3(n) is the product of (e + 1)(e + 2)/2 over the
+    prime factorization n = prod p^e.
     """
     d3 = 1
     p, rest = 2, n
@@ -226,8 +231,9 @@ def _validate(spec):
     if spec.kind == "coassoc" and (spec.n is None or spec.n < 1):
         errors.append("coassoc needs --n >= 1")
     elif spec.kind == "coassoc" and spec.samples >= 0:
-        # each monomial takes at least 2 block keys (d_3(1) = 1), and n is
-        # factored only when that floor stays under the cap
+        # each monomial that falls back takes at least 2 block keys
+        # (d_3(1) = 1), and n is factored only when that floor stays under
+        # the cap
         floor = 2 * (spec.n + 1 + spec.samples)
         exact = floor <= MAX_COASSOC_SPLITS
         writes = _coassoc_splits(spec.n, spec.samples) if exact else floor
@@ -248,22 +254,26 @@ def _validate(spec):
 
 
 def _random_monomials(rng, n, max_len, count):
-    out = []
-    for _ in range(count):
-        a = int(rng.integers(0, max_len + 1))
-        b = int(rng.integers(0, max_len + 1))
-        u = tuple(int(x) for x in rng.integers(1, n + 1, size=a))
-        v = tuple(int(x) for x in rng.integers(1, n + 1, size=b))
-        out.append(CuntzMonomial(n, u, v))
-    return out
+    """``count`` monomials of O_n whose two words have lengths in
+    0..max_len: every length is drawn in one call and every letter in
+    another, and each monomial takes its words' letters in turn."""
+    lengths = rng.integers(0, max_len + 1, size=(count, 2)).tolist()
+    letters = iter(rng.integers(1, n + 1, size=sum(map(sum, lengths))).tolist())
+    return [
+        CuntzMonomial(n, tuple(itertools.islice(letters, a)), tuple(itertools.islice(letters, b)))
+        for a, b in lengths
+    ]
 
 
 def _run_coassoc(spec):
     report = VerificationReport(scenario=spec.kind)
     n = spec.n
+    # a generator is coassociative exactly when its letter agrees in the two
+    # tables, so only the generators of disagreeing letters are built
+    bad = disagreeing_letters(n)
+    letters = range(1, n + 1) if bad is None else sorted(bad)
     groups = [
-        # the generators one at a time, not as a list of n monomials
-        ("coassoc-generators", (CuntzMonomial.generator(n, i) for i in range(1, n + 1))),
+        ("coassoc-generators", (CuntzMonomial.generator(n, i) for i in letters)),
         ("coassoc-unit", [CuntzMonomial.unit(n)]),
     ]
     if spec.samples:
@@ -272,7 +282,7 @@ def _run_coassoc(spec):
         groups.append(("coassoc-random-monomials", monos))
     for name, monos in groups:
         # the worst canonical residual between the two double coproducts
-        worst = max(coassoc_residual(mono) for mono in monos)
+        worst = max((coassoc_residual(mono) for mono in monos), default=0.0)
         report.add(name, holds(worst, spec.tol), worst)
     return report
 

@@ -50,12 +50,18 @@ columns alone (``_one_block``), so a term transposes only that block's
 digits. ``phi(m, l, x)``, the block (m, l) of Delta(x), and the product
 functional of two states (``states.StarComposite``) read it.
 Coassociativity (``coassoc_residual``) compares ``f_r`` with ``f_l``,
-which read different tables composed in different orders. Since a split
-cannot change a coefficient, it compares them term by term on their leg
-keys, the left split's read in the right one's block order
-(``_aligned``); only a term whose keys differ, a NaN coefficient, or two
-tables with different blocks make it build both double coproducts and
-take their canonical residual. The independent check of all six forms is
+which read different tables composed in different orders. A split cannot
+change a coefficient, and both are letterwise, so a term's leg keys, the
+left split's read in the right one's block order (``_aligned``), agree on
+every block exactly when each of its letters' rows agree in the two
+tables. Which letters do not is computed once per pair of tables
+(``_disagreeing``, an agreement mask read from the rows); a term with
+none of them is equal on both sides and is not split. Only a term with a
+disagreeing letter, a NaN coefficient, or two tables with different
+blocks make it build both double coproducts and take their canonical
+residual. On a 2-core machine the mask of O_666649, the largest index
+``verify-coassoc`` allows, takes about 0.07 s, and the whole command
+with no samples about 0.9 s. The independent check of all six forms is
 the mixed-radix split of ``tests/coproduct_oracle.py``; its per-term
 expansion of Delta is the second. The divisor pairs of each index are
 scanned once. Canonical equality of tensor elements is
@@ -180,9 +186,10 @@ def _table(n, form):
     """The table of ``form`` on O_n, built once.
 
     Tables are kept for the life of the process. ``verify-coassoc`` bounds
-    the largest it builds: a request splits each of its n+1 or more
-    monomials through the tables of f_r and f_l into d_3(n) block keys
-    each, 2(n+1)d_3(n) or more in all, at most ``MAX_COASSOC_SPLITS``. At
+    the largest it builds: in the worst case, where each of its n+1 or
+    more monomials falls back, it splits them through the tables of f_r
+    and f_l into d_3(n) block keys each, 2(n+1)d_3(n) or more in all, at
+    most ``MAX_COASSOC_SPLITS``. At
     O_666649 (prime, the most rows) Delta's table takes 66 MiB and the
     tables of f_r and f_l 81 MiB together; at O_3600 (the most composed
     columns) 5 MiB, with the tables of its divisors, and 62 MiB
@@ -488,16 +495,54 @@ def f_l_op(x):
 canonical_equal3 = canonical_equal  # the three-leg name callers already use
 
 
-@functools.lru_cache(maxsize=None)
 def _aligned(right, left):
     """An itemgetter that reads the flat leg keys of a split by ``left`` in
     the block order of ``right``, or None when the two tables do not hold
-    the same distinct blocks. Keyed on the table objects, so a table built
-    again gets its own."""
+    the same distinct blocks."""
     if len(set(right.blocks)) != len(right.blocks) or sorted(right.blocks) != sorted(left.blocks):
         return None
     k, at = len(right.blocks[0]), {block: i for i, block in enumerate(left.blocks)}
     return operator.itemgetter(*(at[block] * k + j for block in right.blocks for j in range(k)))
+
+
+@functools.lru_cache(maxsize=None)
+def _disagreeing(right, left):
+    """The letters of O_n whose leg keys on the blocks of ``right`` differ
+    from those on the blocks of ``left`` read through ``_aligned``: the
+    per-letter agreement mask of the two tables, as the set of letters where
+    it is false, or None when ``_aligned`` is None. Keyed on the table
+    objects, so a table built again gets its own.
+
+    A letter's leg key on a leg is its digit in that leg's column, so a
+    letter agrees when its row of ``right`` and its row of ``left`` hold the
+    same digit at each distinct pair of (right column, aligned left column)
+    positions. An O_1 leg (column 0) has no digit and agrees only with an
+    O_1 leg. The rows are read one letter at a time, as ``_leg_keys`` reads
+    them, and no array of them is built.
+    """
+    align = _aligned(right, left)
+    if align is None:
+        return None
+    flat = align(tuple(itertools.chain(*left.legs)))
+    pairs = set(zip(itertools.chain(*right.legs), flat))
+    letters = range(1, len(right.rows))
+    if any((a == 0) != (b == 0) for a, b in pairs):
+        return frozenset(letters)
+    pairs = [(a - 1, b - 1) for a, b in pairs if a]
+    if not pairs:  # every leg is an O_1 leg
+        return frozenset()
+    get_r, get_l = (operator.itemgetter(*col) for col in zip(*pairs))
+    rows_r, rows_l = (itertools.islice(t.rows, 1, None) for t in (right, left))
+    differ = map(operator.ne, map(get_r, rows_r), map(get_l, rows_l))
+    return frozenset(itertools.compress(letters, differ))
+
+
+def disagreeing_letters(n):
+    """The letters of O_n on which the tables of ``f_r`` and ``f_l``
+    disagree (``_disagreeing``), or None when their blocks differ; a
+    generator of O_n is coassociative exactly when its letter is not
+    among them."""
+    return _disagreeing(_table(n, "f_r"), _table(n, "f_l"))
 
 
 def coassoc_residual(x):
@@ -506,25 +551,24 @@ def coassoc_residual(x):
     The two double coproducts read different composed tables: block
     (a, b, c) of the right one splits by (a, bc) and then (b, c), of the
     left one by (ab, c) and then (a, b), so they are two computations.
-    Each term of ``x`` is split through both tables, and the leg keys of
-    the left split, read in the right one's block order, are compared
-    with those of the right. A split writes the coefficient unchanged, so
-    when every term's keys agree the two double coproducts are equal
-    block maps and the residual is 0.0. A term whose keys differ, a NaN
-    coefficient or two tables with different blocks build both double
+    Both are letterwise, and a split writes each coefficient unchanged, so
+    a term's leg keys agree on every block exactly when each letter of its
+    two words agrees in the two tables; the letters that do not are cached
+    once per pair of tables (``disagreeing_letters``). When no term holds
+    such a letter, the two double coproducts are equal block maps and the
+    residual is 0.0, with no split made. A term with a disagreeing letter,
+    a NaN coefficient or two tables with different blocks build both double
     coproducts and return their canonical residual, NaN for a NaN
     coefficient; so every residual is the canonical one.
     """
     x = _one_leg(x)
     for (n,), terms in x.blocks.items():
-        right, left = _table(n, "f_r"), _table(n, "f_l")
-        align = _aligned(right, left)
-        for (key,), c in terms.items():
-            # a NaN coefficient, like differing keys, takes the canonical residual
-            if align is None or cmath.isnan(c) or (
-                _leg_keys(right, key) != align(_leg_keys(left, key))
-            ):
-                return canonical_residual(_coproduct(x, "f_r"), _coproduct(x, "f_l"))
+        bad = disagreeing_letters(n)
+        # a NaN coefficient, like a disagreeing letter, takes the canonical residual
+        if bad is None or any(map(cmath.isnan, terms.values())) or (
+            bad and any(not bad.isdisjoint(u + v) for ((u, v),) in terms)
+        ):
+            return canonical_residual(_coproduct(x, "f_r"), _coproduct(x, "f_l"))
     return 0.0
 
 

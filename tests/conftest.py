@@ -55,9 +55,10 @@ def splits(monkeypatch):
     ``passes`` holds (n, form, leg keys per leg) for each word pair of O_n
     that is split through a table of its form (``coproduct._leg_keys``),
     which gives its leg keys on each of the table's blocks: all blocks of
-    the form for a coproduct and for each side of the coassociativity
-    check, one block for ``phi`` and the product functional of two states
-    (``coproduct.split_block``).
+    the form for a coproduct and for each side of a coassociativity check
+    that falls back to the canonical residual, one block for ``phi`` and
+    the product functional of two states (``coproduct.split_block``). A
+    coassociativity check whose letters all agree makes no pass.
     """
     from types import SimpleNamespace
 

@@ -520,12 +520,38 @@ def test_state_product_needs_a_positive_sample_count(tmp_path, capsys):
 # the size cap of verify-coassoc
 
 
-def test_coassoc_split_estimate_is_the_counted_work(splits, capsys):
-    assert run(["verify-coassoc", "--n", "360", "--samples", "5"]) == 0
-    # d_3(360) = 180, for 361 + 5 monomials; each double coproduct splits a
-    # monomial in one pass and writes one term into each of its 180 blocks
+def test_coassoc_split_estimate_is_the_counted_work(splits, altered_tables, capsys):
+    args = ["verify-coassoc", "--n", "360", "--samples", "5"]
+    # d_3(360) = 180, for 361 + 5 monomials; a monomial that falls back is
+    # split in one pass through the table of each double coproduct, which
+    # writes one term into each of its 180 blocks
     assert _coassoc_splits(360, 5) == 366 * 2 * 180
-    # and no Delta: every pass is through the table of f_r or of f_l
+    assert run(args) == 0
+    # on the real tables every letter agrees and no monomial is split
+    assert splits.passes == []
+    real = coproduct._table(360, "f_l")
+    entries = [(block, [real.columns[c] for c in legs]) for block, legs in zip(real.blocks, real.legs)]
+    # one letter moved in one block of f_l's table: only the monomials
+    # holding it are split, fewer than the count
+    block, cols = entries[1]
+    col = cols[2].copy()
+    col[7] = col[7] % block[2] + 1
+    moved = [entries[0], (block, [cols[0], cols[1], col]), *entries[2:]]
+    altered_tables.replace(360, "f_l", coproduct._tabulate(360, "f_l", moved))
+    assert run(args) == 1
+    assert 0 < len(splits.passes) < 2 * 366
+    assert set(splits.passes) == {(360, "f_r", 180), (360, "f_l", 180)}
+    assert sum(writes for _, _, writes in splits.passes) < _coassoc_splits(360, 5)
+    splits.passes.clear()
+    # f_l's first block (1, 1, 360) renamed (1, 1, 720), which f_r's table
+    # lacks: the two tables' blocks differ, so every monomial, the unit too,
+    # falls back, and the count is the work done; no Delta, every pass is
+    # through the table of f_r or of f_l
+    (a, b, c), cols = entries[0]
+    assert (a, b, c) == (1, 1, 360)
+    renamed = [((1, 1, 720), cols), *entries[1:]]
+    altered_tables.replace(360, "f_l", coproduct._tabulate(360, "f_l", renamed))
+    assert run(args) == 1
     assert splits.passes == 366 * [(360, "f_r", 180), (360, "f_l", 180)]
     assert sum(writes for _, _, writes in splits.passes) == _coassoc_splits(360, 5)
 

@@ -388,6 +388,18 @@ def _entries(table):
     return [(block, [table.columns[c] for c in legs]) for block, legs in zip(table.blocks, table.legs)]
 
 
+def _moved_digit(table, k, letter):
+    """The entries of ``table`` with the digit of ``letter`` moved cyclically,
+    j -> j % a + 1, on the first leg of index a > 1 of block ``k``."""
+    entries = _entries(table)
+    block, cols = entries[k]
+    leg = next(i for i, a in enumerate(block) if a > 1)
+    col = cols[leg].copy()
+    col[letter] = col[letter] % block[leg] + 1
+    entries[k] = (block, cols[:leg] + [col] + cols[leg + 1:])
+    return entries
+
+
 def test_a_moved_digit_in_any_one_block_of_o60_fails_coassociativity(altered_tables):
     # negative control: in one block of f_l's table of O_60 at a time, the
     # digit of letter 7 moved cyclically on the block's first leg of index
@@ -395,14 +407,10 @@ def test_a_moved_digit_in_any_one_block_of_o60_fails_coassociativity(altered_tab
     # the canonical residual of the two double coproducts under the same
     # tables
     x = CuntzMonomial(60, (7, 59, 12), (30,))
-    entries = _entries(coproduct._table(60, "f_l"))
-    assert len(entries) == 54
-    for k, (block, cols) in enumerate(entries):
-        leg = next(i for i, a in enumerate(block) if a > 1)
-        col = cols[leg].copy()
-        col[7] = col[7] % block[leg] + 1
-        moved = [*entries[:k], (block, cols[:leg] + [col] + cols[leg + 1:]), *entries[k + 1:]]
-        altered_tables.replace(60, "f_l", coproduct._tabulate(60, "f_l", moved))
+    real = coproduct._table(60, "f_l")
+    assert len(real.blocks) == 54
+    for k, block in enumerate(real.blocks):
+        altered_tables.replace(60, "f_l", coproduct._tabulate(60, "f_l", _moved_digit(real, k, 7)))
         right, left = f_r(x), f_l(x)
         assert [p for p in right.blocks if right.block(*p) != left.block(*p)] == [block]
         assert coassoc_residual(x) == canonical_residual(right, left) > 0.0
@@ -473,6 +481,108 @@ def test_coassoc_residual_is_the_residual_of_the_two_double_coproducts():
     for n in (1, 4, 6, 12):
         x = _gaussian_element(rng, n, 5)
         assert coassoc_residual(x) == canonical_residual(f_r(x), f_l(x)) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the per-letter agreement mask of the tables of f_r and f_l
+
+
+def _changed_row(table, letter):
+    """``table`` with the first digit of ``letter`` moved cyclically within
+    its leg, in the rows only; the columns are left as they are."""
+    rows = list(table.rows)
+    size = max(row[0] for row in rows)  # the index of the first column's leg
+    rows[letter] = (rows[letter][0] % size + 1, *rows[letter][1:])
+    return dataclasses.replace(table, rows=tuple(rows))
+
+
+def _compared(n):
+    """The letters of O_n whose leg keys on the blocks of f_r's table differ
+    from those on f_l's read in the same block order: one split of each
+    generator through each table, compared as before the mask."""
+    right, left = coproduct._table(n, "f_r"), coproduct._table(n, "f_l")
+    align = coproduct._aligned(right, left)
+    return {
+        w for w in range(1, n + 1)
+        if coproduct._leg_keys(right, ((w,), ())) != align(coproduct._leg_keys(left, ((w,), ())))
+    }
+
+
+def test_the_agreement_mask_is_the_per_letter_key_comparison():
+    for n in range(1, 401):
+        assert coproduct.disagreeing_letters(n) == _compared(n) == set(), n
+
+
+def test_the_agreement_mask_is_false_exactly_on_the_changed_letters(altered_tables):
+    # the changed O_12 row of letter 5
+    table = coproduct._table(12, "f_l")
+    altered_tables.replace(12, "f_l", _changed_row(table, 5))
+    assert coproduct.disagreeing_letters(12) == _compared(12) == {5}
+    altered_tables.replace(12, "f_l", table)
+    assert coproduct.disagreeing_letters(12) == set()
+    # letter 7 moved in each one of the 54 blocks of f_l's table of O_60, on
+    # either table
+    for form in ("f_l", "f_r"):
+        real = coproduct._table(60, form)
+        for k in range(54):
+            altered_tables.replace(60, form, coproduct._tabulate(60, form, _moved_digit(real, k, 7)))
+            assert coproduct.disagreeing_letters(60) == _compared(60) == {7}, (form, k)
+        altered_tables.replace(60, form, real)
+    # the right digit of phi_{2,3} shifted on O_6: a consistent relabelling
+    # there, and every letter of O_12 disagrees
+    shift_right_digit_of_2_3(altered_tables)
+    assert coproduct.disagreeing_letters(6) == _compared(6) == set()
+    assert coproduct.disagreeing_letters(12) == _compared(12) == set(range(1, 13))
+    # an O_1 leg against a leg with digits: block (1, 3, 4) of f_l's table of
+    # O_12 with its columns reversed, so every letter disagrees
+    altered_tables.digits(altered_tables.real_digits)
+    entries = _entries(coproduct._table(12, "f_l"))
+    k = next(i for i, (block, _) in enumerate(entries) if block == (1, 3, 4))
+    entries[k] = ((1, 3, 4), [entries[k][1][2], entries[k][1][1], None])
+    altered_tables.replace(12, "f_l", coproduct._tabulate(12, "f_l", entries))
+    assert coproduct.disagreeing_letters(12) == set(range(1, 13))
+
+
+def _generator_loop(n):
+    """The coassoc-generators residual as the CLI computed it before the
+    mask: every generator of O_n through ``coassoc_residual``, each also
+    against its canonical residual."""
+    worst = 0.0
+    for i in range(1, n + 1):
+        g = gen(n, i)
+        residual = coassoc_residual(g)
+        assert _bits(residual) == _bits(canonical_residual(f_r(g), f_l(g)))
+        worst = max(worst, residual)
+    return worst
+
+
+def _generator_record(n):
+    record, = (c for c in cli._run_coassoc(cli.ScenarioSpec("coassoc", n=n)).checks
+               if c.name == "coassoc-generators")
+    return record
+
+
+def test_the_generator_record_equals_the_per_generator_loop(altered_tables):
+    for n in (*range(1, 13), 60, 360):
+        record = _generator_record(n)
+        assert record.passed and _bits(record.residual) == _bits(_generator_loop(n)) == _bits(0.0)
+    real = {n: coproduct._table(n, "f_l") for n in (12, 60)}
+    altered = [
+        (12, _changed_row(real[12], 5)),  # one changed row
+        (60, coproduct._tabulate(60, "f_l", _moved_digit(real[60], 20, 7))),  # a moved digit
+        (12, coproduct._tabulate(12, "f_l", _entries(real[12])[:-1])),  # a block less
+    ]
+    for n, table in altered:
+        altered_tables.replace(n, "f_l", table)
+        record = _generator_record(n)
+        assert not record.passed and record.residual > 0.0
+        assert _bits(record.residual) == _bits(_generator_loop(n))
+        altered_tables.replace(n, "f_l", real[n])
+    shift_right_digit_of_2_3(altered_tables)
+    for n in (6, 12):
+        record = _generator_record(n)
+        assert record.passed == (n == 6)
+        assert _bits(record.residual) == _bits(_generator_loop(n))
 
 
 # ---------------------------------------------------------------------------
@@ -733,10 +843,7 @@ def test_one_changed_digit_of_the_f_l_table_breaks_coassociativity_on_o12(altere
     # f_l on O_12 moved cyclically within its leg; every other row is intact
     table = coproduct._table(12, "f_l")
     assert coproduct._table(12, "f_l") is table  # built once
-    rows = list(table.rows)
-    size = max(row[0] for row in rows)  # the index of the first column's leg
-    rows[5] = (rows[5][0] % size + 1, *rows[5][1:])
-    altered_tables.replace(12, "f_l", dataclasses.replace(table, rows=tuple(rows)))
+    altered_tables.replace(12, "f_l", _changed_row(table, 5))
     for i in range(1, 13):
         residual = coassoc_residual(gen(12, i))
         assert residual == (1.0 if i == 5 else 0.0), i
@@ -922,7 +1029,7 @@ def test_the_array_split_equals_the_word_split():
                     assert np.array_equal(got, np.concatenate(want, axis=1))
 
 
-def test_word_splits_are_counted_once(splits):
+def test_word_splits_are_counted_once(splits, altered_tables):
     mono = CuntzMonomial(60, (7, 59, 12), (30,))
     # each double coproduct splits the word pair of O_60 in one pass
     # through its composed table and writes one term into each of the
@@ -931,21 +1038,34 @@ def test_word_splits_are_counted_once(splits):
         assert f(mono).term_count() == 54
         assert splits.passes == [(60, form, 54)]
         splits.passes.clear()
-    # coassociativity is one pass of each of the two
+    # coassociativity splits no term whose letters all agree in the two
+    # tables; the tables here are built afresh, and their mask is built
+    # once, on the first check of O_60, and read by every later one, the
+    # CLI's 60 generators and unit among them
+    built = coproduct._disagreeing.cache_info().misses
     assert check_coassoc(mono, tol=0.0)
-    assert splits.passes == [(60, "f_r", 54), (60, "f_l", 54)]
-    splits.passes.clear()
-    # the CLI pays the same per monomial: the 60 generators and the unit
+    assert check_coassoc(mono, tol=0.0)
     assert cli.main(["verify-coassoc", "--n", "60"]) == 0
-    assert splits.passes == 61 * [(60, "f_r", 54), (60, "f_l", 54)]
-    assert sum(writes for _, _, writes in splits.passes) == cli._coassoc_splits(60, 0)
-    splits.passes.clear()
     x = _gaussian_element(np.random.default_rng(3), 12, 4)
     assert len(x.terms) == 4
     assert check_coassoc(x, tol=0.0)
-    # d_3(12) = 18; each of the 4 terms is split once by each double
-    # coproduct, and its two splits are compared before the next term's
-    assert splits.passes == 4 * [(12, "f_r", 18), (12, "f_l", 18)]
+    assert splits.passes == []
+    # one mask for the tables of O_60 and one for those of O_12
+    assert coproduct._disagreeing.cache_info().misses - built == 2
+    # with letter 7 moved in one block of f_l's table of O_60, a term holding
+    # it makes exactly the fallback's passes, one through each table, and a
+    # term without it none; the CLI splits only generator 7, and the new
+    # pair of tables gets one mask
+    altered_tables.replace(60, "f_l", coproduct._tabulate(
+        60, "f_l", _moved_digit(coproduct._table(60, "f_l"), 5, 7)
+    ))
+    assert not check_coassoc(mono)
+    assert splits.passes == [(60, "f_r", 54), (60, "f_l", 54)]
+    splits.passes.clear()
+    assert check_coassoc(CuntzMonomial(60, (59, 12), (30, 30)), tol=0.0)
+    assert cli.main(["verify-coassoc", "--n", "60"]) == 1
+    assert splits.passes == [(60, "f_r", 54), (60, "f_l", 54)]
+    assert coproduct._disagreeing.cache_info().misses - built == 3
     splits.passes.clear()
     # Delta and Delta^op split a word pair under all the divisor pairs of its
     # index at once; phi and the product functional of two states split it
