@@ -174,11 +174,13 @@ def parse_state_arg(text, field):
 
 # block keys that verify-coassoc splits in the worst case, where every
 # monomial falls back (see _coassoc_splits); on a 2-core machine a key then
-# costs about 0.8 us at n = 3000 (1.8M keys in 1.4 s) and about 3.5 us at a
+# costs about 1 us at n = 3000 (1.8M keys in 1.7 s) and about 4 us at a
 # large prime n, whose three blocks take one key each, so that the work per
 # monomial outweighs the keys (--n 666649, the largest index allowed: 4.0M
-# keys in 14 s). When the tables agree no monomial is split: --n 3000 takes
-# 0.3 s and --n 666649 0.9 s, most of it building the tables
+# keys in 16 s and 152 MB max RSS, the rows of both tables built). When
+# the tables agree no monomial is split and no table builds its per-letter
+# rows: --n 3000 takes 0.2 s (44 MB max RSS) and --n 666649 0.3 s (61 MB),
+# most of it starting Python and importing numpy
 MAX_COASSOC_SPLITS = 4_000_000
 
 

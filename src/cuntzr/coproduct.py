@@ -22,14 +22,14 @@ letter to one word pair per leg of each output block, and which digit each
 leg gets is one table per index n and form, built once and cached
 (``_table``). The forms are Delta (``delta``), Delta^op (``delta_op``)
 and the four double coproducts (``f_r``, ``f_l``, ``f_r_op``, ``f_l_op``).
-A table holds its output blocks in block order, one integer array per
-distinct leg column (indexed by letter, row 0 zeros), the per-letter rows
-of those columns, and the placement of the columns on the legs of every
-block; an O_1 leg has no column, its words collapse to the unit. Delta's
-table is the digit table of O_n (``_digit_table``): under the ordered
-divisor pair (m, l), letter w gets the left digit (w-1)//l + 1 and the
-right digit (w-1)%l + 1. Delta^op reads the same columns with each
-block's legs reversed. A double coproduct's table is composed once from
+A table is its digit columns: its output blocks in block order, one
+integer array per distinct leg column (indexed by letter, row 0 zeros),
+and the position of each block's legs among the columns; an O_1 leg has
+no column, its words collapse to the unit. Delta's table is the digit
+table of O_n (``_digit_table``): under the ordered divisor pair (m, l),
+letter w gets the left digit (w-1)//l + 1 and the right digit
+(w-1)%l + 1. Delta^op reads the same columns with each block's legs
+reversed. A double coproduct's table is composed once from
 the columns of the tables of n and of its divisors: ``f_r`` splits the
 right leg of every block of Delta again by Delta, gathering the columns
 of phi_{b,c} through the right column of phi_{a,bc}; ``f_l`` splits the
@@ -38,36 +38,39 @@ left leg, through phi_{ab,c} and then phi_{a,b}; ``f_r_op`` and
 
 Two readers share every table. ``_leg_keys`` splits one word pair on all
 blocks of a table in one pass over its letters, into one flat tuple of
-leg keys in block order; ``_split`` groups it by block, and
-``_coproduct`` writes each term, with its coefficient unchanged, into
-every block: letterwise splitting is injective on checked word pairs, so
-there is no summing and no pruning. ``split_words(form, block, W)``
-gathers one block's columns with an integer array W of creation words of
-one length; the verifiers build their word images from it, so a wrong
-table breaks them and coassociativity alike. ``split_block(form, block)``
-is the per-term split of one block, through a table of that block's
-columns alone (``_one_block``), so a term transposes only that block's
-digits. ``phi(m, l, x)``, the block (m, l) of Delta(x), and the product
+leg keys in block order, through the per-letter rows of the columns and
+their placement on the legs, which the table builds on its first such
+split; ``_split`` groups it by block, and ``_coproduct`` writes each
+term, with its coefficient unchanged, into every block: letterwise
+splitting is injective on checked word pairs, so there is no summing and
+no pruning. ``split_words(form, block, W)`` gathers one block's columns
+of the whole table with an integer array W of creation words of one
+length; the verifiers build their word images from it, so a wrong table
+breaks them and coassociativity alike. ``split_block(form, block)`` is
+the per-term split of one block, through a table of that block's columns
+alone (``_one_block``), so a term transposes only that block's digits.
+``phi(m, l, x)``, the block (m, l) of Delta(x), and the product
 functional of two states (``states.StarComposite``) read it.
 Coassociativity (``coassoc_residual``) compares ``f_r`` with ``f_l``,
 which read different tables composed in different orders. A split cannot
-change a coefficient, and both are letterwise, so a term's leg keys, the
-left split's read in the right one's block order (``_aligned``), agree on
-every block exactly when each of its letters' rows agree in the two
-tables. Which letters do not is computed once per pair of tables
-(``_disagreeing``, an agreement mask read from the rows); a term with
-none of them is equal on both sides and is not split. Only a term with a
-disagreeing letter, a NaN coefficient, or two tables with different
-blocks make it build both double coproducts and take their canonical
-residual. On a 2-core machine the mask of O_666649, the largest index
-``verify-coassoc`` allows, takes about 0.07 s, and the whole command
-with no samples about 0.9 s. The independent check of all six forms is
-the mixed-radix split of ``tests/coproduct_oracle.py``; its per-term
-expansion of Delta is the second. The divisor pairs of each index are
+change a coefficient, and both are letterwise, so a term's leg keys agree
+on every block exactly when each of its letters has the same digit in
+the two tables' columns of every leg of that block. Which letters do not
+is computed once per pair of tables (``_disagreeing``, the agreement
+mask, one comparison of two columns per distinct pair of them on a
+leg); a term with none of them is equal on both sides and is not split.
+Only a term with a disagreeing letter, a NaN coefficient, or two tables
+with different blocks make it build both double coproducts and take
+their canonical residual. So ``verify-coassoc`` with real tables never
+builds the rows: on a 2-core machine the tables and mask of O_666649, the
+largest index it allows, take about 0.05 s, and the whole command with
+no samples about 0.3 s and 61 MB max RSS. The independent check of all
+six forms is the mixed-radix split of ``tests/coproduct_oracle.py``; its
+per-term expansion of Delta is the second. The divisor pairs of each index are
 scanned once. Canonical equality of tensor elements is
 :func:`cuntzr.algebra.canonical_residual`, which applies the level
-expansion to every leg independently inside each block, and skips blocks,
-or the whole comparison, where the two term maps are equal.
+expansion to every leg independently inside each block, and skips the
+blocks where the two term maps are equal.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,42 +129,48 @@ def _digit_table(n):
     return table[:, 1:-1]
 
 
+@functools.lru_cache(maxsize=None)
+def _digits(n):
+    """The digits 0..n as an object array of one shared int object each,
+    from which the rows of every table of O_n are read."""
+    return np.arange(n + 1).astype(object)
+
+
 @dataclass(frozen=True, eq=False)
 class _Table:
-    """One coproduct form on O_n as a per-letter table.
+    """One coproduct form on O_n (``n``) as a per-letter table: its digit columns.
 
     ``form`` is the name of the form and ``blocks`` its output blocks in
     block order. ``columns`` holds None for the unit and then one integer
-    array per distinct leg column, indexed by letter; ``legs`` gives, per
-    block, the position in ``columns`` of each leg (0 for an O_1 leg), and
-    ``place`` takes (unit, leg key of column 1, ...) to the leg keys of
-    every block, in order. Row w of ``rows`` holds the digits of letter w
-    in every column.
+    array per distinct leg column, indexed by letter, row 0 zeros; ``legs``
+    gives, per block, the position in ``columns`` of each leg (0 for an O_1
+    leg). The columns are the only stored form of the table. The per-term
+    split reads two views of them, each built on its first use and kept as
+    long as the table: ``rows``, whose row w holds the digits of letter w
+    in every column, and ``place``, which takes (unit, leg key of column 1,
+    ...) to the leg keys of every block, in order.
     """
 
+    n: int
     form: str
     blocks: tuple
     legs: tuple
     columns: tuple
-    rows: tuple
-    place: operator.itemgetter = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "place", operator.itemgetter(*itertools.chain(*self.legs)))
+    @functools.cached_property
+    def rows(self):
+        digits = _digits(self.n)
+        return tuple(zip(*(digits[c].tolist() for c in self.columns[1:]))) or ((),) * (self.n + 1)
 
-
-@functools.lru_cache(maxsize=None)
-def _digits(n):
-    """The digits 0..n as an object array of one shared int object each,
-    which the rows of every table of O_n hold."""
-    return np.arange(n + 1).astype(object)
+    @functools.cached_property
+    def place(self):
+        return operator.itemgetter(*itertools.chain(*self.legs))
 
 
 def _tabulate(n, form, entries):
     """A table of ``form`` on O_n from its (block, leg columns) pairs in
     block order, a leg column being an integer array indexed by letter or
-    None for an O_1 leg. Equal columns are kept once, and the rows are one
-    transpose of them all."""
+    None for an O_1 leg. Equal columns are kept once."""
     unique, blocks, legs = {}, [], []
     for block, cols in entries:
         blocks.append(block)
@@ -169,9 +178,7 @@ def _tabulate(n, form, entries):
             0 if c is None else unique.setdefault(c.tobytes(), len(unique) + 1) for c in cols
         ))
     columns = [np.frombuffer(c, dtype=np.intp) for c in unique]
-    digits = _digits(n)
-    rows = tuple(zip(*(digits[c].tolist() for c in columns))) or ((),) * (n + 1)
-    return _Table(form, tuple(blocks), tuple(legs), (None, *columns), rows)
+    return _Table(n, form, tuple(blocks), tuple(legs), (None, *columns))
 
 
 # the double coproducts as a form whose blocks have one leg (0 left, 1
@@ -189,19 +196,20 @@ def _table(n, form):
     the largest it builds: in the worst case, where each of its n+1 or
     more monomials falls back, it splits them through the tables of f_r
     and f_l into d_3(n) block keys each, 2(n+1)d_3(n) or more in all, at
-    most ``MAX_COASSOC_SPLITS``. At
-    O_666649 (prime, the most rows) Delta's table takes 66 MiB and the
-    tables of f_r and f_l 81 MiB together; at O_3600 (the most composed
-    columns) 5 MiB, with the tables of its divisors, and 62 MiB
-    (tracemalloc).
+    most ``MAX_COASSOC_SPLITS``. A table holds its digit columns only, so
+    at O_666649 (prime, the most letters) Delta's table takes 5 MiB and
+    the tables of f_r and f_l, with Delta's under them, 15 MiB; at O_3600
+    (the most composed columns) 2.4 MiB, and 33 MiB with the tables of its
+    divisors (tracemalloc). The rows of a split add one tuple of shared
+    ints per letter, on the first per-term split only.
     """
     if form == "delta":  # pair k has the leg columns 2k and 2k+1
         cols = iter((None, *_digit_table(n).T, None))
         return _tabulate(n, form, zip(_divisor_pairs(n), zip(cols, cols)))
-    if form == "delta_op":  # Delta's columns and rows, each block's legs reversed
+    if form == "delta_op":  # Delta's columns, each block's legs reversed
         table = _table(n, "delta")
         blocks, legs = (tuple(t[::-1] for t in ts) for ts in (table.blocks, table.legs))
-        return _Table(form, blocks, legs, table.columns, table.rows)
+        return _Table(n, form, blocks, legs, table.columns)
     return _tabulate(n, form, _compose(n, *_ORDERS[form]))
 
 
@@ -244,7 +252,7 @@ def _one_block(table, block):
     kept as long as the table is."""
     k = table.blocks.index(block)
     cols = [table.columns[c] for c in table.legs[k]]
-    return _tabulate(len(table.rows) - 1, table.form, [(block, cols)])
+    return _tabulate(table.n, table.form, [(block, cols)])
 
 
 def split_block(form, block):
@@ -265,8 +273,9 @@ def split_words(form, block, words):
     (K, 0), the unit.
     """
     words = np.asarray(words, dtype=np.intp)
-    table = _one_block(_table(math.prod(block), form), tuple(block))
-    return tuple(words[:, :0] if c == 0 else table.columns[c][words] for c in table.legs[0])
+    table = _table(math.prod(block), form)
+    legs = table.legs[table.blocks.index(tuple(block))]
+    return tuple(words[:, :0] if c == 0 else table.columns[c][words] for c in legs)
 
 
 def _checked_terms(indices, terms):
@@ -447,10 +456,14 @@ def phi(m, l, x):
     Each 1-based generator index w splits uniquely as w = l*(i-1) + j with
     1 <= i <= m and 1 <= j <= l; creation and annihilation words map letter
     by letter, so every input term yields exactly one tensor term. This is
-    the block (m, l) of the coproduct; m and l must be positive with m*l
-    the index of ``x``.
+    the block (m, l) of the coproduct; m and l must be positive integers
+    (``operator.index``) with m*l the index of ``x``.
     """
     x = as_element(x)
+    try:
+        m, l = operator.index(m), operator.index(l)
+    except TypeError:
+        raise BadFactorization(f"factors {m!r} and {l!r} of O_{x.n} are not integers") from None
     if not (m >= 1 and l >= 1 and m * l == x.n):
         raise BadFactorization(f"element of O_{x.n} does not factor as {m}*{l}")
     split = split_block("delta", (m, l))
@@ -495,46 +508,30 @@ def f_l_op(x):
 canonical_equal3 = canonical_equal  # the three-leg name callers already use
 
 
-def _aligned(right, left):
-    """An itemgetter that reads the flat leg keys of a split by ``left`` in
-    the block order of ``right``, or None when the two tables do not hold
-    the same distinct blocks."""
-    if len(set(right.blocks)) != len(right.blocks) or sorted(right.blocks) != sorted(left.blocks):
-        return None
-    k, at = len(right.blocks[0]), {block: i for i, block in enumerate(left.blocks)}
-    return operator.itemgetter(*(at[block] * k + j for block in right.blocks for j in range(k)))
-
-
 @functools.lru_cache(maxsize=None)
 def _disagreeing(right, left):
     """The letters of O_n whose leg keys on the blocks of ``right`` differ
-    from those on the blocks of ``left`` read through ``_aligned``: the
-    per-letter agreement mask of the two tables, as the set of letters where
-    it is false, or None when ``_aligned`` is None. Keyed on the table
-    objects, so a table built again gets its own.
+    from those on the same blocks of ``left``: the per-letter agreement
+    mask of the two tables, as the set of letters where it is false, or
+    None when the two tables do not hold the same distinct blocks. Keyed
+    on the table objects, so a table built again gets its own.
 
-    A letter's leg key on a leg is its digit in that leg's column, so a
-    letter agrees when its row of ``right`` and its row of ``left`` hold the
-    same digit at each distinct pair of (right column, aligned left column)
-    positions. An O_1 leg (column 0) has no digit and agrees only with an
-    O_1 leg. The rows are read one letter at a time, as ``_leg_keys`` reads
-    them, and no array of them is built.
+    A letter's leg key on a leg is its digit in that leg's column, so the
+    mask is one comparison of the two columns of each distinct pair of
+    (right column, left column) on the legs of a block. An O_1 leg (column
+    0) has no digit and agrees only with an O_1 leg: against a leg with
+    digits every letter disagrees.
     """
-    align = _aligned(right, left)
-    if align is None:
+    if len(set(right.blocks)) != len(right.blocks) or sorted(right.blocks) != sorted(left.blocks):
         return None
-    flat = align(tuple(itertools.chain(*left.legs)))
-    pairs = set(zip(itertools.chain(*right.legs), flat))
-    letters = range(1, len(right.rows))
-    if any((a == 0) != (b == 0) for a, b in pairs):
-        return frozenset(letters)
-    pairs = [(a - 1, b - 1) for a, b in pairs if a]
-    if not pairs:  # every leg is an O_1 leg
-        return frozenset()
-    get_r, get_l = (operator.itemgetter(*col) for col in zip(*pairs))
-    rows_r, rows_l = (itertools.islice(t.rows, 1, None) for t in (right, left))
-    differ = map(operator.ne, map(get_r, rows_r), map(get_l, rows_l))
-    return frozenset(itertools.compress(letters, differ))
+    at = dict(zip(left.blocks, left.legs))
+    pairs = {p for block, legs in zip(right.blocks, right.legs) for p in zip(legs, at[block])}
+    # an O_1 leg reads as a column of zeros, which no letter's digit equals
+    zero = np.zeros(right.n + 1, dtype=np.intp)
+    differ = np.zeros(right.n + 1, dtype=bool)
+    for a, b in pairs:
+        differ |= (right.columns[a] if a else zero) != (left.columns[b] if b else zero)
+    return frozenset(np.flatnonzero(differ).tolist())
 
 
 def disagreeing_letters(n):

@@ -69,7 +69,7 @@ def splits(monkeypatch):
 
     def one_pass(table, key):
         keys = leg_keys(table, key)
-        calls.passes.append((len(table.rows) - 1, table.form, len(keys) // len(table.blocks[0])))
+        calls.passes.append((table.n, table.form, len(keys) // len(table.blocks[0])))
         return keys
 
     monkeypatch.setattr(coproduct, "_leg_keys", one_pass)

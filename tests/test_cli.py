@@ -1,6 +1,8 @@
 import json
 import time
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -15,13 +17,6 @@ from cuntzr.cli import (
 )
 from cuntzr.errors import SpecError
 from cuntzr.states import GPState
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
-
-from pathlib import Path
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -105,8 +100,7 @@ def test_build_r_exports_permutation(tmp_path):
     export = json.loads(path.read_text())
     assert [1, 3, 1, 2] in export["permutation"]
     assert export["rank"] == 6
-    if jsonschema is not None:
-        jsonschema.validate(export, load_schema("rmatrix-export.schema.json"))
+    jsonschema.validate(export, load_schema("rmatrix-export.schema.json"))
 
 
 def test_depth_7_export_under_a_320_mb_address_space_cap(tmp_path, run_capped):
@@ -123,6 +117,19 @@ def test_depth_7_export_under_a_320_mb_address_space_cap(tmp_path, run_capped):
     export = json.loads(path.read_text())
     assert len(export["permutation"]) == 6**7
     assert export["permutation"][1] == [1, 2, 2, 1]
+
+
+def test_coassoc_at_the_largest_index_under_a_224_mb_address_space_cap(run_capped):
+    # O_666649, the largest index verify-coassoc allows: the tables are held
+    # as their digit columns only, and with every letter agreeing no
+    # monomial is split, so no per-letter rows are built; with the rows of
+    # every table built as well, this ran out of memory under this cap
+    out = run_capped("""
+        from cuntzr.cli import main
+        raise SystemExit(main(["verify-coassoc", "--n", "666649", "--samples", "0"]))
+    """, 224)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "PASS overall"
 
 
 def test_running_out_of_memory_past_the_preflight_exits_2(tmp_path, run_capped):
@@ -201,8 +208,7 @@ def test_all_battery(tmp_path):
     names = [c["name"] for c in report["checks"]]
     assert "ybe-standard-2-3-5/ybe" in names
     assert "equal-states-standard-2/operator-is-leg-swap" in names
-    if jsonschema is not None:
-        jsonschema.validate(report, load_schema("report.schema.json"))
+    jsonschema.validate(report, load_schema("report.schema.json"))
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +253,7 @@ def test_scenario_round_trip(tmp_path):
     report2, _, _ = run_scenario(spec)
     assert report2["scenario"] == report["scenario"]
     assert report2["checks"] == report["checks"]
-    if jsonschema is not None:
-        jsonschema.validate(report, load_schema("report.schema.json"))
+    jsonschema.validate(report, load_schema("report.schema.json"))
 
 
 def test_timings_flag_adds_timings(tmp_path):

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import operator
 
 import coproduct_oracle as oracle
 import numpy as np
@@ -469,7 +470,7 @@ def test_tables_with_different_blocks_take_the_fallback(altered_tables):
         ("f_l", fl[:-1], True), ("f_r", fr[1:], True), ("f_l", fl + fl[2:3], False)
     ):
         altered_tables.replace(12, form, coproduct._tabulate(12, form, entries))
-        assert coproduct._aligned(coproduct._table(12, "f_r"), coproduct._table(12, "f_l")) is None
+        assert coproduct.disagreeing_letters(12) is None
         want = canonical_residual(f_r(x), f_l(x))
         assert (want > 0.0) == fails
         assert _bits(coassoc_residual(x)) == _bits(want)
@@ -488,20 +489,24 @@ def test_coassoc_residual_is_the_residual_of_the_two_double_coproducts():
 
 
 def _changed_row(table, letter):
-    """``table`` with the first digit of ``letter`` moved cyclically within
-    its leg, in the rows only; the columns are left as they are."""
-    rows = list(table.rows)
-    size = max(row[0] for row in rows)  # the index of the first column's leg
-    rows[letter] = (rows[letter][0] % size + 1, *rows[letter][1:])
-    return dataclasses.replace(table, rows=tuple(rows))
+    """``table`` with the digit of ``letter`` in its first column moved
+    cyclically within that column's leg, on every leg that reads it; the
+    rows of the split are read from the changed column, so the table stays
+    consistent."""
+    col = table.columns[1].copy()
+    size = col.max()  # the index of the first column's leg
+    col[letter] = col[letter] % size + 1
+    return dataclasses.replace(table, columns=(None, col, *table.columns[2:]))
 
 
 def _compared(n):
     """The letters of O_n whose leg keys on the blocks of f_r's table differ
     from those on f_l's read in the same block order: one split of each
-    generator through each table, compared as before the mask."""
+    generator through each table, compared as before the mask. The block
+    order is aligned here, from the two tables' blocks."""
     right, left = coproduct._table(n, "f_r"), coproduct._table(n, "f_l")
-    align = coproduct._aligned(right, left)
+    k, at = len(right.blocks[0]), {block: i for i, block in enumerate(left.blocks)}
+    align = operator.itemgetter(*(at[block] * k + j for block in right.blocks for j in range(k)))
     return {
         w for w in range(1, n + 1)
         if coproduct._leg_keys(right, ((w,), ())) != align(coproduct._leg_keys(left, ((w,), ())))
@@ -690,6 +695,21 @@ def test_phi_refuses_a_pair_that_is_not_a_positive_factorization():
     assert phi(1, 2, s1).blocks == {(1, 2): {(UNIT, key([1])): 1}}
     assert phi(2, 1, s1).blocks == {(2, 1): {(key([1]), UNIT): 1}}
     assert phi(1, 1, CuntzMonomial.unit(1)).blocks == {(1, 1): {(UNIT, UNIT): 1}}
+
+
+def test_phi_refuses_factors_that_are_not_integers():
+    # a float factor used to raise TypeError from range on a fresh table
+    # cache, and once the table of O_6 was built to give a block keyed
+    # (2.0, 3) or (2, 3.0); integers of any integer type are read as ints
+    s4 = gen(6, 4)
+    phi(2, 3, s4)  # the table of O_6 built
+    for m, l in ((2.0, 3), (2, 3.0), (2.5, 2.4), ("2", 3)):
+        with pytest.raises(BadFactorization, match="not integers"):
+            phi(m, l, s4)
+    for m, l in ((np.int64(2), 3), (2, np.uint8(3))):
+        blocks = phi(m, l, s4).blocks
+        assert blocks == {(2, 3): {(key([2]), key([1])): 1}}
+        assert all(type(a) is int for a in next(iter(blocks)))
 
 
 def test_phi_matches_the_per_term_oracle():
