@@ -167,7 +167,12 @@ class AlgebraElement:
 
     @classmethod
     def monomial(cls, mono, coeff=1.0):
-        return cls(mono.n, {mono.key: coeff}, _validate=False)
+        """The one-term element coeff * mono, built without the term loop."""
+        x = cls.__new__(cls)
+        x.n = int(mono.n)
+        c = complex(coeff)
+        x._terms = {mono.key: c} if c != 0 else {}  # NaN is kept
+        return x
 
     @property
     def terms(self):

@@ -21,6 +21,7 @@ the swap F_1: R = R_1^{(x)d} equals either exactly when R_1 does.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -463,7 +464,10 @@ def _add_common(parser, kind, states=0, depth=False, sampling=False):
         parser.add_argument("--seed", type=int)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The command-line parser, built on the first call and kept: parsing
+    leaves it unchanged, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="cuntzr",
         description="verify the Cuntz bialgebra identities and build swap unitaries",

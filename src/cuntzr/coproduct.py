@@ -48,9 +48,10 @@ of the whole table with an integer array W of creation words of one
 length; the verifiers build their word images from it, so a wrong table
 breaks them and coassociativity alike. ``split_block(form, block)`` is
 the per-term split of one block, through a table of that block's columns
-alone (``_one_block``), so a term transposes only that block's digits.
-``phi(m, l, x)``, the block (m, l) of Delta(x), and the product
-functional of two states (``states.StarComposite``) read it.
+alone (``_one_block``), so a term transposes only that block's digits;
+``phi(m, l, x)``, the block (m, l) of Delta(x), reads it. The product
+functional of two states (``states.StarComposite``) splits no term: it
+reads its block's columns once through ``split_words``.
 Coassociativity (``coassoc_residual``) compares ``f_r`` with ``f_l``,
 which read different tables composed in different orders. A split cannot
 change a coefficient, and both are letterwise, so a term's leg keys agree
@@ -147,8 +148,9 @@ class _Table:
     leg). The columns are the only stored form of the table. The per-term
     split reads two views of them, each built on its first use and kept as
     long as the table: ``rows``, whose row w holds the digits of letter w
-    in every column, and ``place``, which takes (unit, leg key of column 1,
-    ...) to the leg keys of every block, in order.
+    in every column (Delta^op's table, on Delta's columns, takes Delta's
+    rows), and ``place``, which takes (unit, leg key of column 1, ...) to
+    the leg keys of every block, in order.
     """
 
     n: int
@@ -159,6 +161,10 @@ class _Table:
 
     @functools.cached_property
     def rows(self):
+        if self.form == "delta_op":  # on Delta's columns, Delta's rows
+            delta = _table(self.n, "delta")
+            if delta.columns is self.columns:
+                return delta.rows
         digits = _digits(self.n)
         return tuple(zip(*(digits[c].tolist() for c in self.columns[1:]))) or ((),) * (self.n + 1)
 

@@ -13,15 +13,20 @@ product functional (rho_z (x) rho_y) o phi on O_{nm} gives the state of the
 interleaved vector with components (z [*] y)_{m(i-1)+j} = z_i y_j, i.e. the
 Kronecker product of the coefficient vectors. The product functional is
 kept lazily as :class:`StarComposite` so the closed form is something the
-tests verify rather than assume.
+tests verify rather than assume: it is letterwise, the values of its
+factors read at the digits of phi_{n,m}, which it takes from the columns
+of Delta's table, so a wrong table breaks it. Its factors must be states or
+composites.
 """
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .algebra import EQ_TOL, AlgebraElement, CuntzMonomial, as_element, holds
-from .coproduct import split_block
+from .coproduct import split_words
 from .errors import MismatchedAlgebra, NotUnitary
 
 
@@ -145,46 +150,57 @@ class GPState:
 class StarComposite:
     """Lazy product functional (omega (x) psi) o phi_{n,m} on O_{n*m}.
 
-    Evaluation splits each word pair under phi_{n,m} and multiplies the two
-    factor values; nothing about the factors beyond linearity is assumed,
-    so composites nest and non-closed-form functionals can be compared
-    directly.
+    Both factors are letterwise: a state's value on a word pair is the
+    product of one value per letter, conj(z_l) for each letter l of the
+    creation word and z_l for each of the annihilation word. phi_{n,m} is
+    letterwise too, so construction reads the block (n, m) of Delta's digit
+    columns once (``coproduct.split_words``) and lifts each factor's vector
+    through its digit column to one component per letter of O_{n*m}; an
+    O_1 leg, whose words collapse to the unit, lifts to 1. Evaluation takes
+    each term's value in the left factor's lifted vector and, unless it is
+    zero, in the right factor's, as ``gp_eval`` does. A factor must be a
+    :class:`GPState` or a composite, whose vector is the letterwise product
+    of its two lifted ones, so composites nest; anything else is a
+    ``TypeError``.
     """
 
-    __slots__ = ("left", "right", "n", "_left_value", "_right_value")
+    __slots__ = ("left", "right", "n", "_left_letters", "_right_letters")
 
     def __init__(self, left, right):
+        vectors = _letter_vector(left), _letter_vector(right)
         self.left = left
         self.right = right
         self.n = left.n * right.n
-        self._left_value = _key_values(left)
-        self._right_value = _key_values(right)
+        letters = np.arange(1, self.n + 1)[:, None]
+        cols = split_words("delta", (left.n, right.n), letters)
+        # an O_1 leg has a (K, 0) column
+        self._left_letters, self._right_letters = (
+            [zz[d - 1] for d in col[:, 0].tolist()] if col.shape[1] else [1 + 0j] * self.n
+            for zz, col in zip(vectors, cols)
+        )
 
     def __call__(self, x):
         x = as_element(x, self.n)
-        # phi_{n,m} is the block (n, m) of the coproduct
-        split = split_block("delta", (self.left.n, self.right.n))
-        left, right = self._left_value, self._right_value
+        left, right = self._left_letters, self._right_letters
         total = 0j
         for key, c in x.items():
-            key1, key2 = split(key)
-            a = left(key1)
+            a = _word_value(left, key, 1 + 0j)
             if a == 0:
                 continue
-            total += c * a * right(key2)
+            total += c * a * _word_value(right, key, 1 + 0j)
         return total
 
     def __repr__(self):
         return f"StarComposite({self.left!r}, {self.right!r})"
 
 
-def _key_values(functional):
-    """The value of a functional on one word pair, as a function of its key:
-    straight from the vector of a state, else on the one-term element."""
+def _letter_vector(functional):
+    """The components, one per letter, of a state or composite as a list."""
     if isinstance(functional, GPState):
-        zz = functional.z.z.tolist()
-        return lambda key: _word_value(zz, key, 1 + 0j)
-    return lambda key: functional(AlgebraElement(functional.n, {key: 1.0}, _validate=False))
+        return functional.z.z.tolist()
+    if isinstance(functional, StarComposite):
+        return list(map(operator.mul, functional._left_letters, functional._right_letters))
+    raise TypeError(f"a product functional needs states or composites, got {functional!r}")
 
 
 def star(omega, psi):

@@ -56,9 +56,9 @@ def splits(monkeypatch):
     that is split through a table of its form (``coproduct._leg_keys``),
     which gives its leg keys on each of the table's blocks: all blocks of
     the form for a coproduct and for each side of a coassociativity check
-    that falls back to the canonical residual, one block for ``phi`` and
-    the product functional of two states (``coproduct.split_block``). A
-    coassociativity check whose letters all agree makes no pass.
+    that falls back to the canonical residual, one block for ``phi``
+    (``coproduct.split_block``). A coassociativity check whose letters all
+    agree, and the product functional of two states, make no pass.
     """
     from types import SimpleNamespace
 

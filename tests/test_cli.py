@@ -586,3 +586,19 @@ def test_oversized_coassoc_fails_fast(altered_tables, capsys):
     with pytest.raises(SpecError) as exc:
         _validate(ScenarioSpec(kind="coassoc", n=10**30))
     assert f"needs at least {2 * (10**30 + 1)} term writes" in exc.value.errors[0]
+
+
+def test_the_parser_is_built_once_and_parses_alike_after_an_error(tmp_path, capsys):
+    from cuntzr.cli import build_parser
+
+    assert build_parser() is build_parser()
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert run(["counterexample", "--out", str(first)]) == 0
+    out = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        run(["counterexample", "--depth", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --depth 2" in capsys.readouterr().err
+    assert run(["counterexample", "--out", str(second)]) == 0
+    assert capsys.readouterr().out == out
+    assert first.read_bytes() == second.read_bytes()

@@ -8,7 +8,7 @@ import coproduct_oracle as oracle
 import numpy as np
 import pytest
 
-from cuntzr import cli, coproduct
+from cuntzr import cli, coproduct, states
 from cuntzr.algebra import AlgebraElement, CuntzMonomial
 from cuntzr.algebra import canonical_equal, canonical_residual
 from cuntzr.coproduct import (
@@ -1049,7 +1049,19 @@ def test_the_array_split_equals_the_word_split():
                     assert np.array_equal(got, np.concatenate(want, axis=1))
 
 
-def test_word_splits_are_counted_once(splits, altered_tables):
+def test_delta_op_shares_the_rows_of_delta():
+    rng = np.random.default_rng(21)
+    for n in (6, 60, 97):
+        table, op = coproduct._table(n, "delta"), coproduct._table(n, "delta_op")
+        assert op.columns is table.columns
+        assert op.rows is table.rows
+        for _ in range(20):
+            u, v = rng.integers(1, n + 1, 3).tolist(), rng.integers(1, n + 1, 2).tolist()
+            mono = CuntzMonomial(n, tuple(u), tuple(v))
+            assert delta_op(mono) == delta(mono).flip()
+
+
+def test_word_splits_are_counted_once(splits, altered_tables, monkeypatch):
     mono = CuntzMonomial(60, (7, 59, 12), (30,))
     # each double coproduct splits the word pair of O_60 in one pass
     # through its composed table and writes one term into each of the
@@ -1088,12 +1100,27 @@ def test_word_splits_are_counted_once(splits, altered_tables):
     assert coproduct._disagreeing.cache_info().misses - built == 3
     splits.passes.clear()
     # Delta and Delta^op split a word pair under all the divisor pairs of its
-    # index at once; phi and the product functional of two states split it
-    # on their one block of Delta's table and write one term
+    # index at once; phi splits it on its one block of Delta's table and
+    # writes one term
     assert delta(mono).term_count() == 12
     assert delta_op(mono).term_count() == 12
     assert phi(3, 20, mono).term_count() == 1
-    assert star(GPState.uniform(3), GPState.uniform(20))(mono) == pytest.approx(60**-2)
-    assert splits.passes == [
-        (60, "delta", 12), (60, "delta_op", 12), (60, "delta", 1), (60, "delta", 1)
-    ]
+    assert splits.passes == [(60, "delta", 12), (60, "delta_op", 12), (60, "delta", 1)]
+    splits.passes.clear()
+    # the product functional of two states reads the columns of its block of
+    # Delta's table once, for all letters of O_60, when it is built, and
+    # splits no word pair
+    reads = []
+    real_split_words = states.split_words
+
+    def read(form, block, words):
+        reads.append((form, block, np.asarray(words).tolist()))
+        return real_split_words(form, block, words)
+
+    monkeypatch.setattr(states, "split_words", read)
+    prod = star(GPState.uniform(3), GPState.uniform(20))
+    assert reads == [("delta", (3, 20), [[w] for w in range(1, 61)])]
+    assert prod(mono) == pytest.approx(60**-2)
+    assert prod(CuntzMonomial(60, (1, 60), (7, 7))) == pytest.approx(60**-2)
+    assert len(reads) == 1
+    assert splits.passes == []

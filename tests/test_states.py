@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cuntzr import algebra
+from cuntzr import algebra, coproduct
 from cuntzr.algebra import AlgebraElement, CuntzMonomial, iter_monomials, substitute_generators
 from cuntzr.coproduct import phi
 from cuntzr.errors import MismatchedAlgebra, NotUnitary
@@ -157,20 +157,29 @@ def test_star_sets_up_its_factor_values_once(monkeypatch):
     from cuntzr import states
 
     calls = []
-    real = states._key_values
+    real = states._letter_vector
 
     def count(functional):
         calls.append(functional)
         return real(functional)
 
-    monkeypatch.setattr(states, "_key_values", count)
+    monkeypatch.setattr(states, "_letter_vector", count)
     rng = np.random.default_rng(9)
     omega, psi = GPState(random_unit(rng, 2)), GPState(random_unit(rng, 3))
     prod = star(omega, psi)
+    assert calls == [omega, psi]
     xs = [AlgebraElement.monomial(random_monomial(rng, 6)) for _ in range(20)]
     values = [prod(x) for x in xs]
     assert calls == [omega, psi]
     assert values == [prod(x) for x in xs]
+    # a nested composite reads its factors' letter values once, when it is
+    # built, and is read once itself by the composite it is a factor of
+    calls.clear()
+    chi = GPState(random_unit(rng, 2))
+    outer = star(prod, chi)
+    assert calls == [prod, chi]
+    outer(AlgebraElement.monomial(random_monomial(rng, 12)))
+    assert calls == [prod, chi]
 
 
 def test_a_nan_coefficient_reaches_the_state_value():
@@ -186,9 +195,80 @@ def test_star_is_associative_on_values():
     a, b, c = (GPState(random_unit(rng, n)) for n in (2, 2, 3))
     left = star(star(a, b), c)
     right = star(a, star(b, c))
+    # both nestings are the state of the interleaved vector
+    closed = GPState(np.kron(np.kron(a.z.z, b.z.z), c.z.z))
     for _ in range(25):
         x = AlgebraElement.monomial(random_monomial(rng, 12, max_len=2))
         assert abs(left(x) - right(x)) <= 1e-12
+        assert abs(left(x) - closed(x)) <= algebra.EQ_TOL
+        assert abs(right(x) - closed(x)) <= algebra.EQ_TOL
+
+
+def test_star_takes_states_and_composites_only():
+    rho = GPState.uniform(2)
+    with pytest.raises(TypeError):
+        star(rho, rho.z)
+    with pytest.raises(TypeError):
+        star(lambda x: 1.0, rho)
+    with pytest.raises(TypeError):
+        star(star(rho, rho), gp_eval)
+
+
+def test_an_o1_leg_contributes_the_unit_value():
+    # the words of O_1 collapse to the unit, so a scalar factor gives 1 on
+    # every word pair, whatever the phase of its one component
+    rng = np.random.default_rng(15)
+    rho = GPState(random_unit(rng, 3))
+    for scalar in (GPState.standard(1), GPState([1j])):
+        for prod in (star(rho, scalar), star(scalar, rho)):
+            for _ in range(20):
+                x = AlgebraElement.monomial(random_monomial(rng, 3))
+                assert prod(x) == rho(x)
+
+
+def test_a_transposed_digit_table_breaks_the_product_state(altered_tables):
+    from cuntzr.cli import ScenarioSpec, _run_state_product
+
+    MATCH = "product-matches-interleaved-state"
+    # letter w of O_n read in the transposed radix under every divisor pair
+    # (m, l): left digit (w-1) % m + 1, right digit (w-1) // m + 1
+    def transposed(n):
+        pairs = coproduct._divisor_pairs(n)
+        table = np.zeros((n + 1, 2 * len(pairs)), dtype=np.intp)
+        letters = np.arange(n)
+        for k, (m, _) in enumerate(pairs):
+            table[1:, 2 * k] = letters % m + 1
+            table[1:, 2 * k + 1] = letters // m + 1
+        return table[:, 1:-1]
+
+    rng = np.random.default_rng(16)
+    x, y = random_unit(rng, 2), random_unit(rng, 3)
+    boxed = boxtimes(x, y)
+    gens = [AlgebraElement.monomial(CuntzMonomial.generator(6, w)) for w in range(1, 7)]
+    prod = star(GPState(x), GPState(y))
+    assert all(abs(prod(g) - gp_eval(boxed, g)) <= 1e-15 for g in gens)
+    spec = ScenarioSpec(kind="state-product", omega1=GPState(x), omega2=GPState(y), samples=50)
+
+    def matches():
+        (check,) = (c for c in _run_state_product(spec).checks if c.name == MATCH)
+        return check.passed
+
+    assert matches()
+    altered_tables.digits(transposed)
+    prod = star(GPState(x), GPState(y))
+    assert max(abs(prod(g) - gp_eval(boxed, g)) for g in gens) > 0.01
+    assert not matches()
+
+
+def test_a_monomial_element_has_the_terms_of_the_general_constructor():
+    mono = CuntzMonomial(4, (1, 3), (2,))
+    for coeff in (1.0, 0, 0.0, -0.0, 0j, float("nan"), complex(0.5, -2.0), 3, np.complex128(1j)):
+        got = AlgebraElement.monomial(mono, coeff)
+        want = AlgebraElement(4, {mono.key: coeff}, _validate=False)
+        assert got.n == want.n == 4
+        assert repr(got.terms) == repr(want.terms)
+    assert AlgebraElement.monomial(mono).terms == {mono.key: 1 + 0j}
+    assert AlgebraElement.monomial(mono, 0).is_zero
 
 
 def test_boxtimes_standard_vectors():
