@@ -229,7 +229,8 @@ def test_an_o1_leg_contributes_the_unit_value():
 def test_a_transposed_digit_table_breaks_the_product_state(altered_tables):
     from cuntzr.cli import ScenarioSpec, _run_state_product
 
-    MATCH = "product-matches-interleaved-state"
+    match = "product-matches-interleaved-state"
+
     # letter w of O_n read in the transposed radix under every divisor pair
     # (m, l): left digit (w-1) % m + 1, right digit (w-1) // m + 1
     def transposed(n):
@@ -250,7 +251,7 @@ def test_a_transposed_digit_table_breaks_the_product_state(altered_tables):
     spec = ScenarioSpec(kind="state-product", omega1=GPState(x), omega2=GPState(y), samples=50)
 
     def matches():
-        (check,) = (c for c in _run_state_product(spec).checks if c.name == MATCH)
+        (check,) = (c for c in _run_state_product(spec).checks if c.name == match)
         return check.passed
 
     assert matches()
