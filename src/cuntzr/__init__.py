@@ -15,7 +15,6 @@ from .algebra import (
     canonical_residual,
     level_expand,
     mono_product,
-    substitute_generators,
 )
 from .coproduct import (
     TensorElement,
@@ -110,7 +109,6 @@ __all__ = [
     "phi",
     "star",
     "state_from_json",
-    "substitute_generators",
     "swap_index_pair",
     "twist_state",
     "verify_intertwining",

@@ -23,9 +23,8 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import BadLevel, MismatchedAlgebra
 
@@ -42,16 +41,24 @@ def holds(residual, tol, exact=False):
     return residual == 0.0 if exact else residual <= tol
 
 
+def _letter(n, l):
+    """Letter ``l`` of O_n as an int in 1..n, read through ``operator.index``:
+    2.5 or "2" is refused, not truncated or parsed; numpy integers are
+    accepted."""
+    try:
+        i = operator.index(l)
+    except TypeError:
+        raise ValueError(f"letter {l!r} is not an integer") from None
+    if not 1 <= i <= n:
+        raise ValueError(f"letter {i} outside 1..{n}")
+    return i
+
+
 def _check_word(n, letters):
-    word = tuple(map(int, letters))
     if n < 1:
         raise ValueError(f"algebra index must be >= 1, got {n}")
-    for l in word:
-        if not 1 <= l <= n:
-            raise ValueError(f"letter {l} outside 1..{n}")
-    if n == 1:
-        return ()  # the single generator of O_1 is the unit, words collapse
-    return word
+    word = tuple(_letter(n, l) for l in letters)
+    return () if n == 1 else word  # the single generator of O_1 is the unit, words collapse
 
 
 @dataclass(frozen=True)
@@ -342,36 +349,6 @@ def canonical_residual(x, y):
 def canonical_equal(x, y, tol=EQ_TOL):
     """Equality modulo the Cuntz relations: canonical_residual(x, y) <= tol."""
     return holds(canonical_residual(x, y), tol)
-
-
-def substitute_generators(x, matrix):
-    """Apply the *-endomorphism s_j -> sum_i matrix[i-1, j-1] s_i termwise.
-
-    Expands every letter of every word; intended for short words (the cost
-    is n^(|u|+|v|) per term).
-    """
-    n = x.n
-    U = np.asarray(matrix, dtype=complex)
-    if U.shape != (n, n):
-        raise ValueError(f"matrix shape {U.shape} does not match O_{n}")
-    out = {}
-    letters = range(1, n + 1)
-    for (u, v), c in x.items():
-        for iu in itertools.product(letters, repeat=len(u)):
-            cu = c
-            for a, b in zip(iu, u):
-                cu *= U[a - 1, b - 1]
-            if cu == 0:
-                continue
-            for iv in itertools.product(letters, repeat=len(v)):
-                cv = cu
-                for a, b in zip(iv, v):
-                    cv *= U[a - 1, b - 1].conjugate()
-                if cv == 0:
-                    continue
-                key = (iu, iv)
-                out[key] = out.get(key, 0j) + cv
-    return AlgebraElement(n, out, _validate=False)
 
 
 def as_element(x, n=None):

@@ -28,13 +28,15 @@ and the position of each block's legs among the columns; an O_1 leg has
 no column, its words collapse to the unit. Delta's table is the digit
 table of O_n (``_digit_table``): under the ordered divisor pair (m, l),
 letter w gets the left digit (w-1)//l + 1 and the right digit
-(w-1)%l + 1. Delta^op reads the same columns with each block's legs
-reversed. A double coproduct's table is composed once from
-the columns of the tables of n and of its divisors: ``f_r`` splits the
-right leg of every block of Delta again by Delta, gathering the columns
-of phi_{b,c} through the right column of phi_{a,bc}; ``f_l`` splits the
-left leg, through phi_{ab,c} and then phi_{a,b}; ``f_r_op`` and
-``f_l_op`` do the same with Delta^op. Legs with equal columns share one.
+(w-1)%l + 1. The tables of ``f_r`` and ``f_l`` are composed once from
+the columns of the tables of Delta on n and its divisors: ``f_r`` splits
+the right leg of every block of Delta again by Delta, gathering the
+columns of phi_{b,c} through the right column of phi_{a,bc}; ``f_l``
+splits the left leg, through phi_{ab,c} and then phi_{a,b}. Legs with
+equal columns share one. Each opposite form is its mirror followed by the
+leg reversal, so its table is a view of the mirror's, on the same columns
+with each block's legs reversed: Delta^op of Delta, ``f_r_op`` =
+(id (x) Delta^op) Delta^op of ``f_l``, and ``f_l_op`` of ``f_r``.
 
 Two readers share every table. ``_leg_keys`` splits one word pair on all
 blocks of a table in one pass over its letters, into one flat tuple of
@@ -46,12 +48,11 @@ splitting is injective on checked word pairs, so there is no summing and
 no pruning. ``split_words(form, block, W)`` gathers one block's columns
 of the whole table with an integer array W of creation words of one
 length; the verifiers build their word images from it, so a wrong table
-breaks them and coassociativity alike. ``split_block(form, block)`` is
-the per-term split of one block, through a table of that block's columns
-alone (``_one_block``), so a term transposes only that block's digits;
-``phi(m, l, x)``, the block (m, l) of Delta(x), reads it. The product
-functional of two states (``states.StarComposite``) splits no term: it
-reads its block's columns once through ``split_words``.
+breaks them and coassociativity alike. ``phi(m, l, x)``, the block (m, l)
+of Delta(x), splits each term through the whole of Delta's table and
+keeps that block. The product functional of two states
+(``states.StarComposite``) splits no term: it reads its block's columns
+once through ``split_words``.
 Coassociativity (``coassoc_residual``) compares ``f_r`` with ``f_l``,
 which read different tables composed in different orders. A split cannot
 change a coefficient, and both are letterwise, so a term's leg keys agree
@@ -148,9 +149,9 @@ class _Table:
     leg). The columns are the only stored form of the table. The per-term
     split reads two views of them, each built on its first use and kept as
     long as the table: ``rows``, whose row w holds the digits of letter w
-    in every column (Delta^op's table, on Delta's columns, takes Delta's
-    rows), and ``place``, which takes (unit, leg key of column 1, ...) to
-    the leg keys of every block, in order.
+    in every column (an opposite table, on its mirror's columns, takes its
+    mirror's rows), and ``place``, which takes (unit, leg key of column 1,
+    ...) to the leg keys of every block, in order.
     """
 
     n: int
@@ -161,10 +162,10 @@ class _Table:
 
     @functools.cached_property
     def rows(self):
-        if self.form == "delta_op":  # on Delta's columns, Delta's rows
-            delta = _table(self.n, "delta")
-            if delta.columns is self.columns:
-                return delta.rows
+        if self.form in _MIRRORS:  # on its mirror's columns, its mirror's rows
+            mirror = _table(self.n, _MIRRORS[self.form])
+            if mirror.columns is self.columns:
+                return mirror.rows
         digits = _digits(self.n)
         return tuple(zip(*(digits[c].tolist() for c in self.columns[1:]))) or ((),) * (self.n + 1)
 
@@ -187,11 +188,15 @@ def _tabulate(n, form, entries):
     return _Table(n, form, tuple(blocks), tuple(legs), (None, *columns))
 
 
-# the double coproducts as a form whose blocks have one leg (0 left, 1
-# right) split again by the same form
-_ORDERS = {
-    "f_r": ("delta", 1), "f_l": ("delta", 0), "f_r_op": ("delta_op", 1), "f_l_op": ("delta_op", 0)
-}
+# the double coproducts as Delta with one leg of every block (0 left, 1
+# right) split again by Delta
+_ORDERS = {"f_r": 1, "f_l": 0}
+
+# each opposite form as its mirror with every block's legs reversed:
+# Delta^op is Delta flipped, (id (x) Delta^op) Delta^op is (Delta (x) id)
+# Delta reversed, and (Delta^op (x) id) Delta^op is (id (x) Delta) Delta
+# reversed
+_MIRRORS = {"delta_op": "delta", "f_r_op": "f_l", "f_l_op": "f_r"}
 
 
 @functools.lru_cache(maxsize=None)
@@ -207,26 +212,28 @@ def _table(n, form):
     the tables of f_r and f_l, with Delta's under them, 15 MiB; at O_3600
     (the most composed columns) 2.4 MiB, and 33 MiB with the tables of its
     divisors (tracemalloc). The rows of a split add one tuple of shared
-    ints per letter, on the first per-term split only.
+    ints per letter, on the first per-term split only. An opposite table
+    holds no columns or rows of its own: it reads its mirror's
+    (``_MIRRORS``).
     """
     if form == "delta":  # pair k has the leg columns 2k and 2k+1
         cols = iter((None, *_digit_table(n).T, None))
         return _tabulate(n, form, zip(_divisor_pairs(n), zip(cols, cols)))
-    if form == "delta_op":  # Delta's columns, each block's legs reversed
-        table = _table(n, "delta")
+    if form in _MIRRORS:  # the mirror's columns, each block's legs reversed
+        table = _table(n, _MIRRORS[form])
         blocks, legs = (tuple(t[::-1] for t in ts) for ts in (table.blocks, table.legs))
         return _Table(n, form, blocks, legs, table.columns)
-    return _tabulate(n, form, _compose(n, *_ORDERS[form]))
+    return _tabulate(n, form, _compose(n, _ORDERS[form]))
 
 
-def _compose(n, form, leg):
-    """The (block, leg columns) pairs of ``form`` on O_n with leg ``leg``
-    of every block split again by ``form``: the two new columns are the
-    columns of the inner table gathered by the column of the split leg."""
-    outer = _table(n, form)
+def _compose(n, leg):
+    """The (block, leg columns) pairs of Delta on O_n with leg ``leg`` of
+    every block split again by Delta: the two new columns are the columns
+    of the inner table gathered by the column of the split leg."""
+    outer = _table(n, "delta")
     for block, legs in zip(outer.blocks, outer.legs):
         cols = [outer.columns[c] for c in legs]
-        inner = _table(block[leg], form)
+        inner = _table(block[leg], "delta")
         for inner_block, inner_legs in zip(inner.blocks, inner.legs):
             # an O_1 leg has no column, and neither have its two splits
             two = [None if c == 0 else inner.columns[c][cols[leg]] for c in inner_legs]
@@ -249,24 +256,6 @@ def _split(table, key):
     block order, one tuple per block."""
     keys = iter(_leg_keys(table, key))
     return zip(*(keys,) * len(table.blocks[0]))
-
-
-@functools.lru_cache(maxsize=None)
-def _one_block(table, block):
-    """``table`` cut down to one of its blocks: that block's columns of the
-    whole table, tabulated again, so a split transposes only them. It is
-    kept as long as the table is."""
-    k = table.blocks.index(block)
-    cols = [table.columns[c] for c in table.legs[k]]
-    return _tabulate(table.n, table.form, [(block, cols)])
-
-
-def split_block(form, block):
-    """The per-term split of one block of ``form``: a function from a word
-    pair of O_n, n the product of ``block``, to its leg keys on that block,
-    one pass over its letters per call."""
-    table = _one_block(_table(math.prod(block), form), tuple(block))
-    return lambda key: next(_split(table, key))
 
 
 def split_words(form, block, words):
@@ -462,8 +451,9 @@ def phi(m, l, x):
     Each 1-based generator index w splits uniquely as w = l*(i-1) + j with
     1 <= i <= m and 1 <= j <= l; creation and annihilation words map letter
     by letter, so every input term yields exactly one tensor term. This is
-    the block (m, l) of the coproduct; m and l must be positive integers
-    (``operator.index``) with m*l the index of ``x``.
+    the block (m, l) of the coproduct: each term is split through Delta's
+    whole table and keeps that block's leg keys. m and l must be positive
+    integers (``operator.index``) with m*l the index of ``x``.
     """
     x = as_element(x)
     try:
@@ -472,8 +462,11 @@ def phi(m, l, x):
         raise BadFactorization(f"factors {m!r} and {l!r} of O_{x.n} are not integers") from None
     if not (m >= 1 and l >= 1 and m * l == x.n):
         raise BadFactorization(f"element of O_{x.n} does not factor as {m}*{l}")
-    split = split_block("delta", (m, l))
-    return TensorElement({(m, l): {split(key): c for key, c in x.items()}}, _validate=False)
+    table = _table(x.n, "delta")
+    k = 2 * table.blocks.index((m, l))  # its two leg keys among those of every block
+    return TensorElement(
+        {(m, l): {_leg_keys(table, key)[k:k + 2]: c for key, c in x.items()}}, _validate=False
+    )
 
 
 def delta(x):

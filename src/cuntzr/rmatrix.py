@@ -484,11 +484,14 @@ def verify_ybe(omega1, omega2, omega3, depth, tol=BUILD_TOL, rs=None):
     every digit triple: the three R_1, each placed on its two legs of the
     triple with the identity on the third, multiplied once per call. The
     states' representations see only the block (a, b, c) of their algebra
-    indices, so each image is that block alone, gathered from the composed
-    table of its double coproduct (``split_words``): ``f_r`` splits the
-    right leg of phi_{a,bc}(x) by phi_{b,c}, and ``f_l_op`` and ``f_r_op``
-    split a leg of the flipped phi_{c,ab}(x) and phi_{bc,a}(x) by the
-    flipped phi_{b,a} and phi_{c,b}. The words are taken in chunks of at
+    indices, so each image is that block alone, gathered from the table of
+    its double coproduct (``split_words``): ``f_r`` splits the right leg of
+    phi_{a,bc}(x) by phi_{b,c}, and ``f_l_op`` and ``f_r_op`` are the tables
+    of ``f_r`` and ``f_l`` with the legs reversed, which split a leg of the
+    flipped phi_{c,ab}(x) and phi_{bc,a}(x) by the flipped phi_{b,a} and
+    phi_{c,b}. So all three images are gathers of the same digit columns;
+    the check that the tables are the paper's maps is the mixed-radix split
+    of the tests. The words are taken in chunks of at
     most ``_YBE_CHUNK_ENTRIES`` image entries; the words of one length in a
     chunk are split as one array and their images built at once
     (``_word_images``), and each side is applied once per chunk

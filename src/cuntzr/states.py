@@ -42,6 +42,9 @@ class UnitVector:
         nrm = float(np.linalg.norm(z))
         if not holds(abs(nrm - 1.0), EQ_TOL):  # a NaN norm fails too
             raise ValueError(f"not a unit vector: norm = {nrm!r}")
+        # O_1 is the scalars, and its one state is the scalar 1: a phase is refused
+        if z.size == 1 and not holds(abs(z[0] - 1.0), EQ_TOL):
+            raise ValueError(f"the unit vector of C^1 is 1, not {complex(z[0])!r}")
         z.setflags(write=False)
         self.n = int(z.size)
         self.z = z
@@ -247,7 +250,7 @@ def twist_state(z, matrix):
 
     For a unitary U this equals the state of the vector U^dagger z, which is
     what is returned; the tests validate the identity against direct
-    symbolic substitution. Raises NotUnitary when the columns of U are not
+    symbolic substitution (``tests/substitution_oracle.py``). Raises NotUnitary when the columns of U are not
     orthonormal within ``EQ_TOL``.
     """
     if not isinstance(z, UnitVector):

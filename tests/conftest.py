@@ -54,11 +54,11 @@ def splits(monkeypatch):
 
     ``passes`` holds (n, form, leg keys per leg) for each word pair of O_n
     that is split through a table of its form (``coproduct._leg_keys``),
-    which gives its leg keys on each of the table's blocks: all blocks of
-    the form for a coproduct and for each side of a coassociativity check
-    that falls back to the canonical residual, one block for ``phi``
-    (``coproduct.split_block``). A coassociativity check whose letters all
-    agree, and the product functional of two states, make no pass.
+    which gives its leg keys on every block of the table: for a coproduct,
+    for each side of a coassociativity check that falls back to the
+    canonical residual, and for ``phi``, which keeps one block of Delta's.
+    A coassociativity check whose letters all agree, and the product
+    functional of two states, make no pass.
     """
     from types import SimpleNamespace
 

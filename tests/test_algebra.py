@@ -1,10 +1,12 @@
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from substitution_oracle import substitute_generators
 
 from cuntzr.algebra import (
     AlgebraElement,
@@ -15,7 +17,6 @@ from cuntzr.algebra import (
     iter_monomials,
     level_expand,
     mono_product,
-    substitute_generators,
 )
 from cuntzr.coproduct import TensorElement
 from cuntzr.errors import BadLevel, MismatchedAlgebra
@@ -329,6 +330,25 @@ def test_direct_sum_rejects_bad_key():
     # a key of O_4 filed under the summand O_3
     with pytest.raises(ValueError):
         TensorElement({(3,): {(((4,), ()),): 1.0}})
+    # a letter is read through operator.index: 2.5 would truncate to s_2 and
+    # "2" parse to s_2, so both are refused, and named, wherever a word is
+    # checked; numpy integers are integers
+    for word in ((2.5,), (True, "2"), (1, np.float64(2.0))):
+        match = re.escape(f"letter {word[-1]!r} is not an integer")
+        with pytest.raises(ValueError, match=match):
+            CuntzMonomial(3, word)
+        with pytest.raises(ValueError, match=match):
+            AlgebraElement(3, {((), word): 1.0})
+        with pytest.raises(ValueError, match=match):
+            TensorElement({(3,): {((word, ()),): 1.0}})
+        with pytest.raises(ValueError, match=match):
+            TensorElement({(2, 3): {(((1,), ()), ((), word)): 1.0}})
+    letters = np.array([2, 3], dtype=np.int64)
+    assert CuntzMonomial(3, letters, (np.int32(1),)) == mono(3, (2, 3), (1,))
+    assert AlgebraElement(3, {(tuple(letters), ()): 1.0}).terms == {((2, 3), ()): 1 + 0j}
+    assert TensorElement({(3,): {((tuple(letters), ()),): 1.0}}).block(3) == {
+        (((2, 3), ()),): 1 + 0j
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -372,6 +372,8 @@ _STD3 = '{"standard": 3}'
         ["state-product", "--omega1", '{"n": 2, "z": [[NaN, 0], [0, 0]]}', "--omega2", _STD3],
         ["state-product", "--omega1", '{"standard": 2, "uniform": 2.5}', "--omega2", _STD3],
         ["state-product", "--omega1", '{"standard": 2, "bogus": 1}', "--omega2", _STD3],
+        # C^1 holds the scalar 1 alone; i is a unit vector of C but no state of O_1
+        ["state-product", "--omega1", '{"n": 1, "z": [[0, 1]]}', "--omega2", '{"uniform": 5}'],
     ],
 )
 def test_bad_input_exits_2_with_an_error_line(args, tmp_path, capsys):

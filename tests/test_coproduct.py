@@ -805,6 +805,9 @@ def test_each_composed_table_is_the_mixed_radix_split_of_every_letter():
         for form, (arity, opposite) in FORMS.items():
             table = coproduct._table(n, form)
             assert sorted(table.blocks) == oracle.factorizations(n, arity)
+            # in the order the per-term expansion writes them, which is the
+            # order of the blocks of every output of the form
+            assert table.blocks == tuple(getattr(oracle, form)(CuntzMonomial.unit(n)).blocks)
             for w in range(1, n + 1):
                 got = coproduct._split(table, ((w,), (w, w)))
                 for block, keys in zip(table.blocks, got, strict=True):
@@ -817,23 +820,17 @@ def test_each_composed_table_is_the_mixed_radix_split_of_every_letter():
                     assert keys == want, (form, n, w, block)
 
 
-def test_the_one_block_split_equals_the_split_of_the_whole_table():
-    # split_block tabulates only its block's columns again; on every block
-    # of every form, the O_1-leg blocks (1, n) and (n, 1) of Delta among
-    # them, it must give the whole table's leg keys of that block
+def test_phi_is_the_block_of_delta_on_every_divisor_pair():
+    # phi splits each term through Delta's whole table and keeps one block;
+    # on every divisor pair, the O_1-leg pairs (1, n) and (n, 1) among them,
+    # it must give that block of Delta
     rng = np.random.default_rng(20)
     for n in (6, 60, 360):
-        pairs = [
-            tuple(tuple(rng.integers(1, n + 1, size=rng.integers(0, 5)).tolist()) for _ in "uv")
-            for _ in range(12)
-        ]
-        assert (1, n) in coproduct._table(n, "delta").blocks
-        for form in FORMS:
-            table = coproduct._table(n, form)
-            whole = [list(coproduct._split(table, pair)) for pair in pairs]
-            for k, block in enumerate(table.blocks):
-                cut = coproduct.split_block(form, block)
-                assert [cut(pair) for pair in pairs] == [keys[k] for keys in whole], (form, block)
+        x = _gaussian_element(rng, n, 12, max_len=4)
+        whole = delta(x)
+        assert {(1, n), (n, 1)} <= whole.blocks.keys()
+        for m, l in coproduct.divisor_pairs(n):
+            assert phi(m, l, x).blocks == {(m, l): whole.block(m, l)}, (m, l)
 
 
 def _ordered(t):
@@ -1049,16 +1046,35 @@ def test_the_array_split_equals_the_word_split():
                     assert np.array_equal(got, np.concatenate(want, axis=1))
 
 
-def test_delta_op_shares_the_rows_of_delta():
+def test_opposite_tables_are_their_mirrors_reversed(altered_tables, monkeypatch):
+    # Delta^op is Delta flipped, f_r_op is f_l with its legs reversed and
+    # f_l_op is f_r so: each opposite table is a view of its mirror's, with
+    # the mirror's columns and rows, and composes nothing of its own
+    composed = []
+    compose = coproduct._compose
+    monkeypatch.setattr(
+        coproduct, "_compose", lambda n, leg: composed.append((n, leg)) or compose(n, leg)
+    )
     rng = np.random.default_rng(21)
     for n in (6, 60, 97):
-        table, op = coproduct._table(n, "delta"), coproduct._table(n, "delta_op")
-        assert op.columns is table.columns
-        assert op.rows is table.rows
-        for _ in range(20):
-            u, v = rng.integers(1, n + 1, 3).tolist(), rng.integers(1, n + 1, 2).tolist()
-            mono = CuntzMonomial(n, tuple(u), tuple(v))
-            assert delta_op(mono) == delta(mono).flip()
+        for (op, f_op), (form, f) in (
+            (("delta_op", delta_op), ("delta", delta)),
+            (("f_r_op", f_r_op), ("f_l", f_l)),
+            (("f_l_op", f_l_op), ("f_r", f_r)),
+        ):
+            table = coproduct._table(n, op)
+            mirror = coproduct._table(n, form)
+            assert table.columns is mirror.columns
+            assert table.rows is mirror.rows
+            assert table.blocks == tuple(b[::-1] for b in mirror.blocks)
+            assert table.legs == tuple(legs[::-1] for legs in mirror.legs)
+            for _ in range(20):
+                u, v = rng.integers(1, n + 1, 3).tolist(), rng.integers(1, n + 1, 2).tolist()
+                mono = CuntzMonomial(n, tuple(u), tuple(v))
+                assert _ordered(f_op(mono)) == _ordered(f(mono).flip()), (op, mono)
+        # one composition each for f_l and f_r, made for their mirrors
+        assert composed == [(n, 0), (n, 1)]
+        composed.clear()
 
 
 def test_word_splits_are_counted_once(splits, altered_tables, monkeypatch):
@@ -1100,12 +1116,12 @@ def test_word_splits_are_counted_once(splits, altered_tables, monkeypatch):
     assert coproduct._disagreeing.cache_info().misses - built == 3
     splits.passes.clear()
     # Delta and Delta^op split a word pair under all the divisor pairs of its
-    # index at once; phi splits it on its one block of Delta's table and
-    # writes one term
+    # index at once; phi splits it through the whole of Delta's table too
+    # and writes one term, that of its block
     assert delta(mono).term_count() == 12
     assert delta_op(mono).term_count() == 12
     assert phi(3, 20, mono).term_count() == 1
-    assert splits.passes == [(60, "delta", 12), (60, "delta_op", 12), (60, "delta", 1)]
+    assert splits.passes == [(60, "delta", 12), (60, "delta_op", 12), (60, "delta", 12)]
     splits.passes.clear()
     # the product functional of two states reads the columns of its block of
     # Delta's table once, for all letters of O_60, when it is built, and

@@ -140,7 +140,8 @@ def test_r1_equals_the_np_kron_form_bit_for_bit():
         states = []
         for k in (n, m):
             z = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-            states.append(GPState(z / np.linalg.norm(z)))
+            # C^1 admits the scalar 1 alone
+            states.append(GPState(z / np.linalg.norm(z) if k > 1 else [1.0]))
         rmat = RMatrixOperator(*states, 1)
         T = np.kron(rmat.rep1.U, rmat.rep2.U)
         assert np.array_equal(rmat.r1, T @ _resplit(n, m) @ T.conj().T)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from substitution_oracle import substitute_generators
 
 from cuntzr import algebra, coproduct
-from cuntzr.algebra import AlgebraElement, CuntzMonomial, iter_monomials, substitute_generators
+from cuntzr.algebra import AlgebraElement, CuntzMonomial, iter_monomials
 from cuntzr.coproduct import phi
 from cuntzr.errors import MismatchedAlgebra, NotUnitary
 from cuntzr.states import (
@@ -21,7 +22,9 @@ from cuntzr.states import (
 
 def random_unit(rng, n):
     z = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return UnitVector(z / np.linalg.norm(z))
+    # C^1 admits the scalar 1 alone; the draw is made anyway, so the draws
+    # after it are those of any other n
+    return UnitVector(z / np.linalg.norm(z) if n > 1 else [1.0])
 
 
 def random_monomial(rng, n, max_len=3):
@@ -215,15 +218,18 @@ def test_star_takes_states_and_composites_only():
 
 
 def test_an_o1_leg_contributes_the_unit_value():
-    # the words of O_1 collapse to the unit, so a scalar factor gives 1 on
-    # every word pair, whatever the phase of its one component
+    # the words of O_1 collapse to the unit, so the scalar factor gives 1 on
+    # every word pair; C^1 admits the component 1 alone, not another phase
     rng = np.random.default_rng(15)
     rho = GPState(random_unit(rng, 3))
-    for scalar in (GPState.standard(1), GPState([1j])):
-        for prod in (star(rho, scalar), star(scalar, rho)):
-            for _ in range(20):
-                x = AlgebraElement.monomial(random_monomial(rng, 3))
-                assert prod(x) == rho(x)
+    scalar = GPState.standard(1)
+    for prod in (star(rho, scalar), star(scalar, rho)):
+        for _ in range(20):
+            x = AlgebraElement.monomial(random_monomial(rng, 3))
+            assert prod(x) == rho(x)
+    for phase in (1j, -1.0, np.exp(1e-6j)):
+        with pytest.raises(ValueError, match="unit vector of C\\^1"):
+            GPState([phase])
 
 
 def test_a_transposed_digit_table_breaks_the_product_state(altered_tables):
@@ -368,7 +374,13 @@ def test_commutes_names_the_witness_the_scan_finds():
         x = random_unit(rng, n).z
         y = np.kron(x, x)
         y[rng.integers(len(y))] += rng.uniform(0.3, 3.0) * 1e-12 * np.exp(2j * np.pi * rng.random())
-        pairs.append((GPState(x), GPState(y / np.linalg.norm(y))))
+        y /= np.linalg.norm(y)
+        if n == 1 and abs(y[0] - 1) > algebra.EQ_TOL:
+            # C^1 admits only a component within EQ_TOL of 1
+            with pytest.raises(ValueError, match="C\\^1"):
+                GPState(y)
+            continue
+        pairs.append((GPState(x), GPState(y)))
     verdicts = []
     for omega, psi in pairs:
         ok, witness = commutes(omega, psi)
