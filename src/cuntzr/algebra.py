@@ -41,10 +41,27 @@ def holds(residual, tol, exact=False):
     return residual == 0.0 if exact else residual <= tol
 
 
+def _index(n):
+    """Algebra index ``n`` as an int >= 1, read through ``operator.index``:
+    a bool, 2.5 or "2" is refused, not truncated or parsed; numpy integers
+    are accepted and stored as int."""
+    if n.__class__ is bool:
+        raise ValueError(f"algebra index {n!r} is not an integer")
+    try:
+        i = operator.index(n)
+    except TypeError:
+        raise ValueError(f"algebra index {n!r} is not an integer") from None
+    if i < 1:
+        raise ValueError(f"algebra index must be >= 1, got {i}")
+    return i
+
+
 def _letter(n, l):
     """Letter ``l`` of O_n as an int in 1..n, read through ``operator.index``:
-    2.5 or "2" is refused, not truncated or parsed; numpy integers are
-    accepted."""
+    a bool, 2.5 or "2" is refused, not converted, truncated or parsed; numpy
+    integers are accepted."""
+    if l.__class__ is bool:
+        raise ValueError(f"letter {l!r} is not an integer")
     try:
         i = operator.index(l)
     except TypeError:
@@ -70,6 +87,7 @@ class CuntzMonomial:
     v: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _index(self.n))
         object.__setattr__(self, "u", _check_word(self.n, self.u))
         object.__setattr__(self, "v", _check_word(self.n, self.v))
 
@@ -149,7 +167,7 @@ class AlgebraElement:
     __slots__ = ("n", "_terms")
 
     def __init__(self, n, terms=None, _validate=True):
-        self.n = int(n)
+        self.n = _index(n)
         acc = {}
         if terms:
             for (u, v), c in terms.items():
@@ -176,7 +194,7 @@ class AlgebraElement:
     def monomial(cls, mono, coeff=1.0):
         """The one-term element coeff * mono, built without the term loop."""
         x = cls.__new__(cls)
-        x.n = int(mono.n)
+        x.n = mono.n
         c = complex(coeff)
         x._terms = {mono.key: c} if c != 0 else {}  # NaN is kept
         return x

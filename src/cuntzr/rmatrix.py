@@ -309,28 +309,42 @@ def _leg_images(U, digits):
     return X
 
 
+def _split_images(reps, form, words):
+    """Each leg's images of e_1 under the creation words in the rows of
+    ``words`` (K, t), one length t, for the coproduct ``form`` (a form name
+    of ``coproduct.split_words``): the words are split together on the
+    block of the representations' algebra indices, and leg i's images are
+    the K rows of :func:`_leg_images`."""
+    split = split_words(form, tuple(rep.n for rep in reps), words)
+    return [_leg_images(rep.U, digits) for rep, digits in zip(reps, split)]
+
+
+def _fill_images(out, images, rows, start):
+    """The tensor products of the rows ``rows`` (a slice) of each leg's
+    images, written into the corner of ``out`` that the legs span, at the
+    trailing positions from ``start`` on: one ``einsum``, in place."""
+    legs = "abc"[:len(images)]
+    spec = ",".join("k" + leg for leg in legs) + "->" + legs + "k"
+    parts = [X[rows] for X in images]
+    block = (*(slice(X.shape[1]) for X in parts), slice(start, start + len(parts[0])))
+    np.einsum(spec, *parts, out=out[block])  # no temporary block
+
+
 def _word_images(reps, form, words, dims):
     """Images of the cyclic vector e_1 (x) ... (x) e_1 under the coproduct
-    ``form`` (a form name of ``coproduct.split_words``) of the creation
-    words ``words``, sorted by length, zero-padded to the block ``dims`` and
-    stacked along a trailing axis.
+    ``form`` of the creation words ``words``, sorted by length, zero-padded
+    to the block ``dims`` and stacked along a trailing axis.
 
     A pair or triple of representations sees only the block of their
-    algebra indices. The words of each length are split together on that
-    block, each leg's images are the rows of :func:`_leg_images`, and the
-    block of the length is their tensor product, one ``einsum``.
+    algebra indices. The words of each length are split and imaged
+    together (:func:`_split_images`), and the block of the length is their
+    tensor product (:func:`_fill_images`).
     """
     out = np.zeros((*dims, len(words)), dtype=complex)
-    indices = tuple(rep.n for rep in reps)
-    legs = "abc"[:len(reps)]
-    spec = ",".join("k" + leg for leg in legs) + "->" + legs + "k"
     start = 0
     for _, group in itertools.groupby(words, len):
         W = np.array(list(group), dtype=np.intp)
-        split = split_words(form, indices, W)
-        images = [_leg_images(rep.U, digits) for rep, digits in zip(reps, split)]
-        block = (*(slice(X.shape[1]) for X in images), slice(start, start + len(W)))
-        np.einsum(spec, *images, out=out[block])  # written in place, no temporary block
+        _fill_images(out, _split_images(reps, form, W), slice(None), start)
         start += len(W)
     return out
 
@@ -491,28 +505,39 @@ def verify_ybe(omega1, omega2, omega3, depth, tol=BUILD_TOL, rs=None):
     flipped phi_{c,ab}(x) and phi_{bc,a}(x) by the flipped phi_{b,a} and
     phi_{c,b}. So all three images are gathers of the same digit columns;
     the check that the tables are the paper's maps is the mixed-radix split
-    of the tests. The words are taken in chunks of at
-    most ``_YBE_CHUNK_ENTRIES`` image entries; the words of one length in a
-    chunk are split as one array and their images built at once
-    (``_word_images``), and each side is applied once per chunk
-    (``_apply_digits``). Every word still gets its own record, whose
-    residual is the largest column norm of the four differences. Each
-    distinct state pair is built once.
+    of the tests. The words of each length are split once per form, as
+    one array, and each leg's images are built once (``_split_images``),
+    K x r^t entries per leg for the K = N^t words. The words are then taken
+    in chunks of at most ``_YBE_CHUNK_ENTRIES`` image entries: a chunk's
+    stacked images are the tensor products of row slices of those leg
+    images, one ``einsum`` per form and length in the chunk
+    (``_fill_images``), and each side is applied once per chunk
+    (``_apply_digits``). Every word still gets its own record, named as
+    ``CuntzMonomial(N, word, ()).label()``, whose residual is the largest
+    column norm of the four differences. Each distinct state pair is built
+    once, and the twists are the ones the operators hold; so a given
+    ``rs`` must be R(omega1, omega2), R(omega1, omega3) and R(omega2,
+    omega3) of these states, else ValueError names the pair.
 
     The chunk size is a trade: on uniform (2, 3, 2) at depth 3 a triple
     block has 1728 entries, so a chunk holds 2 words and the check makes
-    two applications per 2 words; 2^16 entries make it about twice as
-    fast there, but hold sixteen times the image entries per chunk, which
-    the small blocks of depths 1-2 pay for in peak memory.
+    two applications per 2 words; 2^16 entries make it faster there, but
+    hold sixteen times the image entries per chunk, which the small blocks
+    of depths 1-2 pay for in peak memory.
     """
     states = (omega1, omega2, omega3)
+    pairs = ((0, 1), (0, 2), (1, 2))
     if rs is None:
         built = []
-        for i, j in ((0, 1), (0, 2), (1, 2)):
+        for i, j in pairs:
             same = [r for r in built if r.omega1 == states[i] and r.omega2 == states[j]]
             built.append(same[0] if same else build_r(states[i], states[j], depth))
         rs = built
-    reps = [GPRepresentation.for_state(s) for s in states]
+    else:
+        for k, (i, j) in enumerate(pairs):
+            if not (rs[k].omega1 == states[i] and rs[k].omega2 == states[j]):
+                raise ValueError(f"rs[{k}] is not the operator of (omega{i + 1}, omega{j + 1})")
+    reps = (rs[0].rep1, rs[0].rep2, rs[1].rep2)
     dims = tuple(s.n**depth for s in states)
     a, b, c = (s.n for s in states)
     N = a * b * c
@@ -529,11 +554,25 @@ def verify_ybe(omega1, omega2, omega3, depth, tol=BUILD_TOL, rs=None):
     report = VerificationReport(scenario="ybe")
     exact = all(r.is_permutation for r in rs)
     words = creation_words(N, depth)
+    # the words of length t sit at starts[t]:starts[t + 1]; each length is
+    # split and imaged once per form, and the chunks take row slices
+    starts = [_word_count(N, t - 1) for t in range(depth + 2)]
+    forms = ("f_r", "f_l_op", "f_r_op")
+    images = [
+        [_split_images(reps, form, np.array(words[starts[t]:starts[t + 1]], dtype=np.intp))
+         for t in range(depth + 1)]
+        for form in forms
+    ]
     for first in range(0, len(words), step):
         chunk = words[first:first + step]
-        t0, oracle_l, oracle_r = (
-            _word_images(reps, form, chunk, dims) for form in ("f_r", "f_l_op", "f_r_op")
-        )
+        stacks = [np.zeros((*dims, len(chunk)), dtype=complex) for _ in forms]
+        for t in range(depth + 1):
+            lo, hi = max(first, starts[t]), min(first + len(chunk), starts[t + 1])
+            if lo < hi:
+                rows = slice(lo - starts[t], hi - starts[t])
+                for out, by_length in zip(stacks, images):
+                    _fill_images(out, by_length[t], rows, lo - first)
+        t0, oracle_l, oracle_r = stacks
         lhs, rhs = (_apply_digits(M, t0, (a, b, c), depth) for M in sides)
         worst = np.max([
             _column_norms(lhs - rhs),
@@ -542,7 +581,9 @@ def verify_ybe(omega1, omega2, omega3, depth, tol=BUILD_TOL, rs=None):
             _column_norms(oracle_l - oracle_r),
         ], axis=0)
         for word, res in zip(chunk, worst.tolist()):
-            report.add(f"ybe:{CuntzMonomial(N, word, ()).label()}", holds(res, tol, exact), res)
+            # CuntzMonomial(N, word, ()).label(); O_1 words collapse to the unit
+            us = ",".join(map(str, word)) if N > 1 else ""
+            report.add(f"ybe:n={N};u={us};v=", holds(res, tol, exact), res)
     return report
 
 

@@ -330,10 +330,10 @@ def test_direct_sum_rejects_bad_key():
     # a key of O_4 filed under the summand O_3
     with pytest.raises(ValueError):
         TensorElement({(3,): {(((4,), ()),): 1.0}})
-    # a letter is read through operator.index: 2.5 would truncate to s_2 and
-    # "2" parse to s_2, so both are refused, and named, wherever a word is
-    # checked; numpy integers are integers
-    for word in ((2.5,), (True, "2"), (1, np.float64(2.0))):
+    # a letter is read through operator.index: 2.5 would truncate to s_2,
+    # "2" parse to s_2 and True read as s_1, so all are refused, and named,
+    # wherever a word is checked; numpy integers are integers
+    for word in ((2.5,), (1, "2"), (1, np.float64(2.0)), (True,), (2, False)):
         match = re.escape(f"letter {word[-1]!r} is not an integer")
         with pytest.raises(ValueError, match=match):
             CuntzMonomial(3, word)
@@ -349,6 +349,27 @@ def test_direct_sum_rejects_bad_key():
     assert TensorElement({(3,): {((tuple(letters), ()),): 1.0}}).block(3) == {
         (((2, 3), ()),): 1 + 0j
     }
+
+
+def test_the_algebra_index_is_an_integer():
+    # not kept as n = 2.5, truncated to O_2 or read as O_1
+    for n in (2.5, 2.7, np.float64(3.0), "3", True, False):
+        match = re.escape(f"algebra index {n!r} is not an integer")
+        with pytest.raises(ValueError, match=match):
+            CuntzMonomial(n, (1, 2))
+        with pytest.raises(ValueError, match=match):
+            AlgebraElement(n, {((1,), ()): 1.0})
+    for n in (0, -2, np.int64(0)):
+        with pytest.raises(ValueError, match="algebra index must be >= 1"):
+            CuntzMonomial(n)
+        with pytest.raises(ValueError, match="algebra index must be >= 1"):
+            AlgebraElement(n)
+    # numpy integers are integers, stored as int
+    m = CuntzMonomial(np.int64(3), (2,))
+    x = AlgebraElement(np.int32(3), {((2,), ()): 1.0})
+    assert type(m.n) is int and type(x.n) is int
+    assert m == mono(3, (2,)) and m.label() == "n=3;u=2;v="
+    assert x.n == 3 and AlgebraElement.monomial(m).n == 3
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -553,9 +554,10 @@ def test_chunked_ybe_fails_where_the_oracle_does_under_a_perturbed_r13():
 def test_ybe_splits_three_times_per_word_and_applies_two_kernels_per_chunk(monkeypatch):
     states = (W2, W3, W2)
     rs = _triple_operators(states, 2)
-    rows, word_splits, applies, kernels = [], [], [], []
+    rows, word_splits, applies, kernels, legs, twists = [], [], [], [], [], []
     real_split_words = rmatrix.split_words
     real_kernel = rmatrix._apply_digits
+    real_leg_images = rmatrix._leg_images
 
     def split_words(form, block, words):
         rows.append((form, block, len(words)))
@@ -565,20 +567,32 @@ def test_ybe_splits_three_times_per_word_and_applies_two_kernels_per_chunk(monke
         kernels.append((M.shape, X.shape, radices, depth))
         return real_kernel(M, X, radices, depth)
 
+    def leg_images(U, digits):
+        legs.append(digits.shape)
+        return real_leg_images(U, digits)
+
     monkeypatch.setattr(rmatrix, "split_words", split_words)
     # the per-term split, which the coproducts read
     monkeypatch.setattr(coproduct, "_split", lambda *args: word_splits.append(args))
     monkeypatch.setattr(RMatrixOperator, "apply_dense", lambda self, X: applies.append(X))
     monkeypatch.setattr(rmatrix, "_apply_digits", apply_digits)
+    monkeypatch.setattr(rmatrix, "_leg_images", leg_images)
+    # the twists come from rs, not from the states again
+    monkeypatch.setattr(GPRepresentation, "for_state", lambda state: twists.append(state))
     assert verify_ybe(*states, 2, rs=rs).passed
     words, step = _ybe_chunks(states, 2)
     chunks = -(-words // step)
     assert (words, chunks) == (157, 6)
     # each word is split once in each of the three expansions, as a row of
-    # a word array gathered from the block (2, 3, 2) of its composed table;
-    # no word goes through the per-term split
+    # a word array gathered from the block (2, 3, 2) of its composed table:
+    # one array per length and form, not one per chunk; no word goes through
+    # the per-term split
     for form in ("f_r", "f_l_op", "f_r_op"):
+        assert [k for f, block, k in rows if f == form] == [1, 12, 144]
         assert sum(k for f, block, k in rows if f == form) == words
+    # and each leg's images are built once per length and form
+    assert len(legs) == 3 * 3 * 3
+    assert not twists
     assert {(f, block) for f, block, _ in rows} == {
         (f, (2, 3, 2)) for f in ("f_r", "f_l_op", "f_r_op")
     }
@@ -587,6 +601,7 @@ def test_ybe_splits_three_times_per_word_and_applies_two_kernels_per_chunk(monke
     # digit triples, applied once per chunk
     assert not applies
     assert len(kernels) == 2 * chunks
+    assert [X[-1] for _, X, _, _ in kernels] == [n for n in (28, 28, 28, 28, 28, 17) for _ in "lr"]
     assert {(M, radices, depth) for M, _, radices, depth in kernels} == {((12, 12), (2, 3, 2), 2)}
     assert max(int(np.prod(shape)) for _, shape, _, _ in kernels) <= rmatrix._YBE_CHUNK_ENTRIES
 
@@ -619,6 +634,22 @@ def test_ybe_on_a_kron_triple_matches_the_per_word_oracle():
     y = np.array([0.6, 0.48j, 0.64])
     Y, YY = GPState(y), GPState(np.kron(y, y))
     _assert_ybe_matches_the_oracle((Y, YY, Y), 1)
+
+
+def test_ybe_refuses_operators_of_another_triple():
+    # the images are built from the twists the operators hold, so rs must be
+    # R(omega1, omega2), R(omega1, omega3), R(omega2, omega3) of this triple
+    states = (U2, U3, U2)
+    rs = _triple_operators(states, 1)
+    assert verify_ybe(*states, 1, rs=rs).passed
+    for bad, k, pair in (
+        ([rs[2], rs[1], rs[0]], 0, "(omega1, omega2)"),
+        ([rs[0], rs[0], rs[2]], 1, "(omega1, omega3)"),
+        ([rs[0], rs[1], rs[0]], 2, "(omega2, omega3)"),
+        (_triple_operators((W2, W3, W2), 1), 0, "(omega1, omega2)"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"rs[{k}] is not the operator of {pair}")):
+            verify_ybe(*states, 1, rs=bad)
 
 
 def _interleaved_order(radices, depth):
