@@ -41,18 +41,19 @@ def holds(residual, tol, exact=False):
     return residual == 0.0 if exact else residual <= tol
 
 
-def _index(n):
-    """Algebra index ``n`` as an int >= 1, read through ``operator.index``:
-    a bool, 2.5 or "2" is refused, not truncated or parsed; numpy integers
-    are accepted and stored as int."""
+def _index(n, lower=1, name="algebra index"):
+    """``n`` as an int >= ``lower`` (any int if None), read through
+    ``operator.index``: a bool, 2.5 or "2" is refused, not truncated or
+    parsed; numpy integers are accepted and returned as int. ``name`` is
+    the argument's name in the ValueError."""
     if n.__class__ is bool:
-        raise ValueError(f"algebra index {n!r} is not an integer")
+        raise ValueError(f"{name} {n!r} is not an integer")
     try:
         i = operator.index(n)
     except TypeError:
-        raise ValueError(f"algebra index {n!r} is not an integer") from None
-    if i < 1:
-        raise ValueError(f"algebra index must be >= 1, got {i}")
+        raise ValueError(f"{name} {n!r} is not an integer") from None
+    if lower is not None and i < lower:
+        raise ValueError(f"{name} must be >= {lower}, got {i}")
     return i
 
 

@@ -49,10 +49,12 @@ words of that length, stacked as an integer array, are split on the block
 of the representations by one gather per leg from the cached table of the
 coproduct form (``coproduct.split_words``: the table that ``delta``,
 ``phi`` and the double coproducts read); each leg's images are gathered
-twist columns, and the block is their tensor product. The verifiers apply
+twist columns, and the block is their tensor product. Every verifier
+takes its stacks from this one path, ``_word_images``, whole or, in the
+exchange check, in chunks of words of bounded size. The verifiers apply
 R to whole batches of vectors at once, the exchange check each of its two
-sides once per chunk of words of bounded size, and measure residuals on
-the unpruned dense differences. The generators of the conjugation
+sides once per chunk, and measure residuals on the unpruned dense
+differences. The generators of the conjugation
 identity act the same way: a one-letter word splits to one digit per leg
 (none on an O_1 leg), so a generator grows each leg of a batch by one
 least significant digit and multiplies in that letter's twist column
@@ -69,7 +71,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import BUILD_TOL, CuntzMonomial, holds
+from .algebra import BUILD_TOL, CuntzMonomial, _index, holds
 from .coproduct import delta, delta_op, split_words
 from .errors import NotCommuting, OutOfDomain
 from .representations import (
@@ -159,8 +161,11 @@ def swap_index_pair(n, m, a, b, length):
     digit strings are reassembled, base-n from the j' and base-m from the
     i'. Padding with leading units leaves the image unchanged, so the map
     is consistent across lengths. Raises ValueError for a pair outside the
-    block [1, n^length] x [1, m^length].
+    block [1, n^length] x [1, m^length], and one for a length below 0 or a
+    bool or non-integer index or length.
     """
+    a, b = _index(a, None, "basis index"), _index(b, None, "basis index")
+    length = _index(length, 0, "length")
     if not (1 <= a <= n**length and 1 <= b <= m**length):
         raise ValueError(f"basis pair ({a}, {b}) outside the block ({n}^{length}, {m}^{length})")
     a2, b2 = _resplit_pairs(n, m, a - 1, b - 1, length, radix_perm(n, m).tolist())
@@ -201,7 +206,7 @@ class RMatrixOperator:
     def __init__(self, omega1, omega2, depth):
         self.omega1 = omega1
         self.omega2 = omega2
-        self.depth = int(depth)
+        self.depth = _index(depth, 0, "depth")
         self.rep1 = GPRepresentation.for_state(omega1)
         self.rep2 = GPRepresentation.for_state(omega2)
         n, m = omega1.n, omega2.n
@@ -319,34 +324,34 @@ def _split_images(reps, form, words):
     return [_leg_images(rep.U, digits) for rep, digits in zip(reps, split)]
 
 
-def _fill_images(out, images, rows, start):
-    """The tensor products of the rows ``rows`` (a slice) of each leg's
-    images, written into the corner of ``out`` that the legs span, at the
-    trailing positions from ``start`` on: one ``einsum``, in place."""
-    legs = "abc"[:len(images)]
-    spec = ",".join("k" + leg for leg in legs) + "->" + legs + "k"
-    parts = [X[rows] for X in images]
-    block = (*(slice(X.shape[1]) for X in parts), slice(start, start + len(parts[0])))
-    np.einsum(spec, *parts, out=out[block])  # no temporary block
-
-
-def _word_images(reps, form, words, dims):
+def _word_images(reps, form, words, dims, step=None):
     """Images of the cyclic vector e_1 (x) ... (x) e_1 under the coproduct
     ``form`` of the creation words ``words``, sorted by length, zero-padded
-    to the block ``dims`` and stacked along a trailing axis.
+    to the block ``dims`` and stacked along a trailing axis, yielded in
+    chunks of ``step`` words (one chunk if None).
 
     A pair or triple of representations sees only the block of their
-    algebra indices. The words of each length are split and imaged
-    together (:func:`_split_images`), and the block of the length is their
-    tensor product (:func:`_fill_images`).
+    algebra indices. The words of each length are split and imaged once
+    (:func:`_split_images`); a chunk's part of a length is the tensor
+    product of row slices of those leg images, one ``einsum`` in place.
     """
-    out = np.zeros((*dims, len(words)), dtype=complex)
-    start = 0
+    lengths, start = [], 0  # (first word, leg images) of each length
     for _, group in itertools.groupby(words, len):
         W = np.array(list(group), dtype=np.intp)
-        _fill_images(out, _split_images(reps, form, W), slice(None), start)
+        lengths.append((start, _split_images(reps, form, W)))
         start += len(W)
-    return out
+    legs = "abc"[:len(reps)]
+    spec = ",".join("k" + leg for leg in legs) + "->" + legs + "k"
+    step = step or len(words)
+    for first in range(0, len(words), step):
+        out = np.zeros((*dims, min(step, len(words) - first)), dtype=complex)
+        for start, images in lengths:
+            lo, hi = max(first, start), min(first + step, start + len(images[0]))
+            if lo < hi:
+                parts = [X[lo - start:hi - start] for X in images]
+                block = (*(slice(X.shape[1]) for X in parts), slice(lo - first, hi - first))
+                np.einsum(spec, *parts, out=out[block])  # no temporary block
+        yield out
 
 
 def build_r(omega1, omega2, depth):
@@ -354,8 +359,10 @@ def build_r(omega1, omega2, depth):
 
     Raises NotCommuting (with a witness monomial) when the two product
     functionals differ, and SpanTooLarge when one vector of the span would
-    not fit in memory.
+    not fit in memory. A depth below 0, a bool or a non-integer depth
+    raises ValueError.
     """
+    depth = _index(depth, 0, "depth")
     ok, witness = commutes(omega1, omega2)
     if not ok:
         raise NotCommuting(
@@ -369,11 +376,11 @@ def relation_residual(rmat, max_len):
     """Worst ||R lambda2(Delta s_w) - lambda2(Delta^op s_w)|| over the
     creation words w of length <= ``max_len`` (at most the depth)."""
     N = rmat.omega1.n * rmat.omega2.n
-    max_len = min(max_len, rmat.depth)
+    max_len = min(_index(max_len, 0, "max_len"), rmat.depth)
     preflight(_word_count(N, max_len) * rmat.rank, "the defining-relation check")
     reps = (rmat.rep1, rmat.rep2)
     V, W = (
-        _word_images(reps, form, creation_words(N, max_len), rmat.dims)
+        next(_word_images(reps, form, creation_words(N, max_len), rmat.dims))
         for form in ("delta", "delta_op")
     )
     return _worst_column(rmat.apply_dense(V) - W)
@@ -412,14 +419,13 @@ def verify_intertwining(rmat, tol=BUILD_TOL):
     followed by the operator with the operator followed by the
     opposite-coproduct action; the one-letter generators keep both paths
     inside the operator's depth-d domain. R is applied once to the span V
-    (``_word_images``). The N one-letter words are split once on the block
-    (n, m) of the coproduct and of its opposite (``split_words``), which
-    gives each generator one twist column per leg (``_leg_images``). V
-    grows by all N generators at once (``_grow_all``), with one digit per
-    leg, and R is applied once to that batch: two applications in all. The
-    grown V lies in the (n^d, m^d) corner of the block (n^{d+1}, m^{d+1})
-    of R V grown by the opposite coproduct, and so does the grown corner
-    (n^{d-1}, m^{d-1}) of R V; only that corner difference is formed.
+    (``_word_images``). The N one-letter words, imaged for the coproduct and
+    its opposite (``_split_images``), give each generator one twist column
+    per leg. V grows by all N generators at once (``_grow_all``), with one
+    digit per leg, and R is applied once to that batch: two applications in
+    all. The grown V lies in the (n^d, m^d) corner of the block (n^{d+1},
+    m^{d+1}) of R V grown by the opposite coproduct, and so does the grown
+    corner (n^{d-1}, m^{d-1}) of R V; only that corner difference is formed.
     Outside it the grown R V is R V outside its corner times both twist
     columns, so its squared column norm is that of R V outside the corner
     times the columns' squared norms, summed once for all generators. The
@@ -436,13 +442,12 @@ def verify_intertwining(rmat, tol=BUILD_TOL):
     # grows the block by one letter
     preflight(_word_count(N, span_depth) * N ** (rmat.depth + 1), "the intertwining check")
     reps = (rmat.rep1, rmat.rep2)
-    V = _word_images(reps, "delta", creation_words(N, span_depth), rmat.dims)
+    V = next(_word_images(reps, "delta", creation_words(N, span_depth), rmat.dims))
     moved = rmat.apply_dense(V)
     p, q = n1**span_depth, n2**span_depth
     letters = np.arange(1, N + 1)[:, None]
     (c1, c2), (c1_op, c2_op) = (
-        [_leg_images(rep.U, d) for rep, d in zip(reps, split_words(form, (n1, n2), letters))]
-        for form in ("delta", "delta_op")
+        _split_images(reps, form, letters) for form in ("delta", "delta_op")
     )
     diff = rmat.apply_dense(_grow_all(V[:p, :q], c1, c2))
     diff -= _grow_all(moved[:p, :q], c1_op, c2_op)
@@ -467,10 +472,14 @@ def verify_symmetry(omega1, omega2, depth, tol=BUILD_TOL, r12=None):
     R_1, and it is checked there: the residual is the worst column norm of
     R_1(omega1, omega2) F R_1(omega2, omega1) F - I. Both operators are
     still built at the requested depth, so its preflight applies. For equal
-    states the reversed-pair partner is the operator itself.
+    states the reversed-pair partner is the operator itself. A given ``r12``
+    must be R(omega1, omega2) of these states, else ValueError.
     """
+    depth = _index(depth, 0, "depth")
     if r12 is None:
         r12 = build_r(omega1, omega2, depth)
+    elif not (r12.omega1 == omega1 and r12.omega2 == omega2):
+        raise ValueError("r12 is not the operator of (omega1, omega2)")
     r21 = r12 if omega1 == omega2 else build_r(omega2, omega1, depth)
     n, m = r12.shape
     # F_{m,n} R_1(omega2, omega1) F_{n,m}, the flips as one gather
@@ -505,15 +514,11 @@ def verify_ybe(omega1, omega2, omega3, depth, tol=BUILD_TOL, rs=None):
     flipped phi_{c,ab}(x) and phi_{bc,a}(x) by the flipped phi_{b,a} and
     phi_{c,b}. So all three images are gathers of the same digit columns;
     the check that the tables are the paper's maps is the mixed-radix split
-    of the tests. The words of each length are split once per form, as
-    one array, and each leg's images are built once (``_split_images``),
-    K x r^t entries per leg for the K = N^t words. The words are then taken
-    in chunks of at most ``_YBE_CHUNK_ENTRIES`` image entries: a chunk's
-    stacked images are the tensor products of row slices of those leg
-    images, one ``einsum`` per form and length in the chunk
-    (``_fill_images``), and each side is applied once per chunk
-    (``_apply_digits``). Every word still gets its own record, named as
-    ``CuntzMonomial(N, word, ()).label()``, whose residual is the largest
+    of the tests. The three forms' images come from ``_word_images``, three
+    streams zipped chunk by chunk, at most ``_YBE_CHUNK_ENTRIES`` entries a
+    stack, and each side is applied once per chunk (``_apply_digits``).
+    Every word still gets its own record, named as ``CuntzMonomial(N,
+    word, ()).label()``, whose residual is the largest
     column norm of the four differences. Each distinct state pair is built
     once, and the twists are the ones the operators hold; so a given
     ``rs`` must be R(omega1, omega2), R(omega1, omega3) and R(omega2,
@@ -525,6 +530,7 @@ def verify_ybe(omega1, omega2, omega3, depth, tol=BUILD_TOL, rs=None):
     hold sixteen times the image entries per chunk, which the small blocks
     of depths 1-2 pay for in peak memory.
     """
+    depth = _index(depth, 0, "depth")
     states = (omega1, omega2, omega3)
     pairs = ((0, 1), (0, 2), (1, 2))
     if rs is None:
@@ -554,25 +560,9 @@ def verify_ybe(omega1, omega2, omega3, depth, tol=BUILD_TOL, rs=None):
     report = VerificationReport(scenario="ybe")
     exact = all(r.is_permutation for r in rs)
     words = creation_words(N, depth)
-    # the words of length t sit at starts[t]:starts[t + 1]; each length is
-    # split and imaged once per form, and the chunks take row slices
-    starts = [_word_count(N, t - 1) for t in range(depth + 2)]
     forms = ("f_r", "f_l_op", "f_r_op")
-    images = [
-        [_split_images(reps, form, np.array(words[starts[t]:starts[t + 1]], dtype=np.intp))
-         for t in range(depth + 1)]
-        for form in forms
-    ]
-    for first in range(0, len(words), step):
-        chunk = words[first:first + step]
-        stacks = [np.zeros((*dims, len(chunk)), dtype=complex) for _ in forms]
-        for t in range(depth + 1):
-            lo, hi = max(first, starts[t]), min(first + len(chunk), starts[t + 1])
-            if lo < hi:
-                rows = slice(lo - starts[t], hi - starts[t])
-                for out, by_length in zip(stacks, images):
-                    _fill_images(out, by_length[t], rows, lo - first)
-        t0, oracle_l, oracle_r = stacks
+    stacks = zip(*(_word_images(reps, form, words, dims, step) for form in forms))
+    for first, (t0, oracle_l, oracle_r) in zip(range(0, len(words), step), stacks):
         lhs, rhs = (_apply_digits(M, t0, (a, b, c), depth) for M in sides)
         worst = np.max([
             _column_norms(lhs - rhs),
@@ -580,7 +570,7 @@ def verify_ybe(omega1, omega2, omega3, depth, tol=BUILD_TOL, rs=None):
             _column_norms(rhs - oracle_r),
             _column_norms(oracle_l - oracle_r),
         ], axis=0)
-        for word, res in zip(chunk, worst.tolist()):
+        for word, res in zip(words[first:first + step], worst.tolist()):
             # CuntzMonomial(N, word, ()).label(); O_1 words collapse to the unit
             us = ",".join(map(str, word)) if N > 1 else ""
             report.add(f"ybe:n={N};u={us};v=", holds(res, tol, exact), res)

@@ -27,10 +27,10 @@ def intertwining_records(rmat, tol=BUILD_TOL):
     N = n1 * n2
     span_depth = rmat.depth - 1
     reps = (rmat.rep1, rmat.rep2)
-    V = _word_images(
+    V = next(_word_images(
         reps, "delta", creation_words(N, span_depth),
         (n1**span_depth, n2**span_depth),
-    )
+    ))
     moved = rmat.apply_dense(pad_to(V, rmat.dims))
     records = []
     for i in range(1, N + 1):

@@ -443,7 +443,7 @@ def test_intertwining_applies_the_span_first_and_the_grown_batch_once(monkeypatc
     assert len(applied) == 2
     # R V comes first: the span images, zero outside the depth-1 block
     reps = (rmat.rep1, rmat.rep2)
-    span = rmatrix._word_images(reps, "delta", creation_words(6, 1), rmat.dims)
+    span = next(rmatrix._word_images(reps, "delta", creation_words(6, 1), rmat.dims))
     assert np.array_equal(applied[0], span)
     # then V grown by all six generators at once: (n^d, m^d, N, K)
     assert applied[1].shape == (4, 9, 6, 7)
@@ -474,6 +474,51 @@ def test_symmetry_reports():
     assert verify_symmetry(W2, W2, 1).passed
     report = verify_symmetry(U2, U3, 1)
     assert report.passed and report.max_residual <= 1e-9
+
+
+def test_symmetry_refuses_the_operator_of_another_pair():
+    assert verify_symmetry(W2, W3, 2, r12=build_r(W2, W3, 2)).passed
+    for states, r12 in (
+        ((W2, W3), build_r(U2, U3, 2)),
+        ((W2, W3), build_r(W3, W2, 2)),
+        ((U2, U2), build_r(W2, W2, 2)),
+    ):
+        with pytest.raises(ValueError, match=re.escape("r12 is not the operator of (omega1, omega2)")):
+            verify_symmetry(*states, 2, r12=r12)
+
+
+def test_depths_and_basis_indices_are_integers():
+    rmat = build_r(W2, W3, 1)
+    for bad, message in (
+        (-1, "must be >= 0, got -1"),
+        (1.5, "1.5 is not an integer"),
+        (True, "True is not an integer"),
+        ("1", "'1' is not an integer"),
+    ):
+        for name, call in (
+            ("depth", lambda: build_r(W2, W3, bad)),
+            ("depth", lambda: RMatrixOperator(W2, W3, bad)),
+            ("depth", lambda: verify_ybe(W2, W3, W2, bad)),
+            ("depth", lambda: verify_symmetry(W2, W3, bad)),
+            ("depth", lambda: verify_symmetry(W2, W3, bad, r12=rmat)),
+            ("max_len", lambda: relation_residual(rmat, bad)),
+            ("length", lambda: swap_index_pair(2, 3, 1, 1, bad)),
+        ):
+            with pytest.raises(ValueError, match=re.escape(f"{name} {message}")):
+                call()
+    for bad in (True, 1.5, "1"):
+        with pytest.raises(ValueError, match=re.escape(f"basis index {bad!r} is not an integer")):
+            swap_index_pair(2, 3, bad, 1, 1)
+        with pytest.raises(ValueError, match=re.escape(f"basis index {bad!r} is not an integer")):
+            swap_index_pair(2, 3, 1, bad, 1)
+    # numpy integers are integers
+    one, two = np.int64(1), np.int32(2)
+    assert type(build_r(W2, W3, two).depth) is int
+    assert type(RMatrixOperator(W2, W3, two).depth) is int
+    assert swap_index_pair(2, 3, one, np.int8(3), one) == (1, 2)
+    assert verify_ybe(W2, W3, W2, one).passed
+    assert verify_symmetry(W2, W3, two).passed
+    assert relation_residual(rmat, one) == 0.0
 
 
 def test_ybe_standard_triple_is_exact():
@@ -714,7 +759,7 @@ def test_batched_pair_images_equal_the_per_word_images():
         words = creation_words(n * m, 2)
         dims = (n**2, m**2)
         for form, op in (("delta", delta), ("delta_op", coproduct.delta_op)):
-            got = rmatrix._word_images(reps, form, words, dims)
+            got = next(rmatrix._word_images(reps, form, words, dims))
             want = _per_word_images(reps, op, words, dims)
             if exact:
                 assert np.array_equal(got, want)
@@ -739,12 +784,73 @@ def test_batched_triple_images_equal_the_per_word_images():
             words = creation_words(a * b * c, depth)
             dims = tuple(s.n**depth for s in states)
             for form, op in zip(("f_r", "f_l_op", "f_r_op"), ops):
-                got = rmatrix._word_images(reps, form, words, dims)
+                got = next(rmatrix._word_images(reps, form, words, dims))
                 want = _per_word_images(reps, op, words, dims)
                 if exact:
                     assert np.array_equal(got, want)
                 else:
                     assert np.max(np.abs(got - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("step", [1, 5, 28])
+def test_chunked_word_images_stitch_to_the_single_chunk(step):
+    # chunks of 5 and 28 words straddle the length boundaries at 1 and 1 + N
+    cases = [
+        (states, depth, form)
+        for states in ((W2, W3, W2), (U2, U3, U2), (S1, U2, U3))
+        for depth in range(3)
+        for form in ("f_r", "f_l_op", "f_r_op")
+    ] + [
+        (pair, depth, form)
+        for pair in ((W2, W3), (U2, U3))
+        for depth in range(3)
+        for form in ("delta", "delta_op")
+    ]
+    for states, depth, form in cases:
+        reps = [GPRepresentation.for_state(s) for s in states]
+        words = creation_words(int(np.prod([s.n for s in states])), depth)
+        dims = tuple(s.n**depth for s in states)
+        (whole,) = rmatrix._word_images(reps, form, words, dims)
+        chunks = list(rmatrix._word_images(reps, form, words, dims, step))
+        sizes = [min(step, len(words) - first) for first in range(0, len(words), step)]
+        assert [X.shape for X in chunks] == [(*dims, k) for k in sizes]
+        assert np.array_equal(np.concatenate(chunks, axis=-1), whole)
+
+
+def test_the_dense_verifiers_take_every_stack_from_word_images(monkeypatch):
+    calls, stacks, kernels = [], [], []
+    real_word_images, real_kernel = rmatrix._word_images, rmatrix._apply_digits
+
+    def word_images(reps, form, words, dims, step=None):
+        calls.append(form)
+        for X in real_word_images(reps, form, words, dims, step):
+            stacks.append(X)
+            yield X
+
+    def apply_digits(M, X, radices, depth):
+        kernels.append(X)
+        return real_kernel(M, X, radices, depth)
+
+    def streamed(X):
+        return any(X is S for S in stacks)
+
+    monkeypatch.setattr(rmatrix, "_word_images", word_images)
+    monkeypatch.setattr(rmatrix, "_apply_digits", apply_digits)
+    rmat = build_r(U2, U3, 2)
+    assert relation_residual(rmat, 2) <= BUILD_TOL
+    assert calls == ["delta", "delta_op"] and len(stacks) == 2
+    assert len(kernels) == 1 and streamed(kernels[0])
+    calls.clear(), stacks.clear(), kernels.clear()
+    assert verify_intertwining(rmat).passed
+    # R V on the streamed span, then R on the span grown by the generators
+    assert calls == ["delta"] and len(stacks) == 1
+    assert len(kernels) == 2 and streamed(kernels[0]) and not streamed(kernels[1])
+    calls.clear(), stacks.clear(), kernels.clear()
+    states = (U2, U3, U2)
+    assert verify_ybe(*states, 2, rs=_triple_operators(states, 2)).passed
+    # three streams of 6 chunks; both sides act on the f_r chunk
+    assert calls == ["f_r", "f_l_op", "f_r_op"] and len(stacks) == 3 * 6
+    assert len(kernels) == 2 * 6 and all(streamed(X) for X in kernels)
 
 
 # ---------------------------------------------------------------------------
