@@ -328,17 +328,27 @@ def _run_build_r(spec):
     return report, rmat
 
 
+def _fold(report, name, sub):
+    """Add the report ``sub`` as one record: its pass flag and worst
+    residual, and, when it fails, the witness (else the name) of its worst
+    failing record."""
+    witness = None
+    if not sub.passed:
+        worst = max((c for c in sub.checks if not c.passed), key=lambda c: c.residual)
+        witness = worst.witness or worst.name
+    report.add(name, sub.passed, sub.max_residual, witness)
+
+
 def _run_verify(spec):
     omega1, omega2 = spec.omega1, spec.omega2
     report = VerificationReport(scenario=spec.kind)
     rmat = build_r(omega1, omega2, spec.depth)
-    rep = verify_intertwining(rmat, tol=spec.tol)
-    report.add("intertwine", rep.passed, rep.max_residual)
+    _fold(report, "intertwine", verify_intertwining(rmat, tol=spec.tol))
     rep = verify_symmetry(omega1, omega2, spec.depth, tol=spec.tol, r12=rmat)
-    report.add("inversion-symmetry", rep.passed, rep.max_residual)
+    _fold(report, "inversion-symmetry", rep)
     if spec.omega3 is not None:
         rep = verify_ybe(omega1, omega2, spec.omega3, spec.depth, tol=spec.tol)
-        report.add("ybe", rep.passed, rep.max_residual)
+        _fold(report, "ybe", rep)
     return report
 
 
@@ -392,8 +402,7 @@ def _run_all(spec):
         ("standard-2-3-5", (GPState.standard(2), GPState.standard(3), GPState.standard(5))),
         ("uniform-2-3-2", (u2, u3, GPState.uniform(2))),
     ):
-        rep = verify_ybe(*states, 1, tol=spec.tol)
-        report.add(f"ybe-{label}/ybe", rep.passed, rep.max_residual)
+        _fold(report, f"ybe-{label}/ybe", verify_ybe(*states, 1, tol=spec.tol))
 
     # for equal states the operator is the leg swap on its span, which holds
     # exactly when R_1 is the swap F_1 = P_{n,n}, since the flip is F_1 on every digit pair
@@ -402,8 +411,7 @@ def _run_all(spec):
         worst = _worst_column(rmat.r1 - np.eye(omega.n**2)[:, radix_perm(omega.n, omega.n)])
         passed = holds(worst, spec.tol, rmat.is_permutation)
         report.add(f"equal-states-{label}/operator-is-leg-swap", passed, worst)
-        rep = verify_intertwining(rmat, tol=spec.tol)
-        report.add(f"equal-states-{label}/intertwine", rep.passed, rep.max_residual)
+        _fold(report, f"equal-states-{label}/intertwine", verify_intertwining(rmat, tol=spec.tol))
 
     # the built operator moves every basis pair as the digit closed form says
     rmat = build_r(GPState.standard(2), GPState.standard(3), 2)

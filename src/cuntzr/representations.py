@@ -48,10 +48,11 @@ def _available_memory():
     """Bytes of memory available to new allocations: MemAvailable of
     /proc/meminfo, or the physical memory where that cannot be read."""
     try:
-        with open("/proc/meminfo", encoding="ascii") as fh:
-            for line in fh:
-                if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024  # reported in kB
+        # one unbuffered read: MemAvailable is the file's third line
+        with open("/proc/meminfo", "rb", buffering=0) as fh:
+            data = fh.read(8192)
+        start = data.index(b"MemAvailable:") + len(b"MemAvailable:")
+        return int(data[start:].split(None, 1)[0]) * 1024  # reported in kB
     except (OSError, ValueError, IndexError):
         pass
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -164,13 +165,19 @@ class GPRepresentation:
 
     @classmethod
     def for_state(cls, state):
-        """The realization of the state of z: twist by a completion of conj(z)."""
+        """The realization of the state of z: twist by a completion of conj(z).
+
+        Built once per unit vector and kept on it, with U read-only, so every
+        operator on the state shares one twist."""
         z = state.z if isinstance(state, GPState) else state
         if not isinstance(z, UnitVector):
             z = UnitVector(z)
-        if z == UnitVector.standard(z.n):  # no reflection returns I for e_1
-            return cls(z.n)
-        return cls(z.n, complete_unitary(z.z))
+        if z.rep is None:
+            # no reflection returns I for e_1
+            standard = z == UnitVector.standard(z.n)
+            z.rep = cls(z.n) if standard else cls(z.n, complete_unitary(z.z))
+            z.rep.U.setflags(write=False)
+        return z.rep
 
     def state(self):
         """The vector state at e_1; equals the state the twist was built from."""

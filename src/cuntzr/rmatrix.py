@@ -44,14 +44,16 @@ verifiers expand only that block. The image of a creation word under a
 coproduct is a product vector: each leg gets the word's digits there, and
 a leg word u_1 ... u_t maps e_1 to
 U[:, u_t] (x) ... (x) U[:, u_1], a column of the t-fold tensor power of
-its twist. So the word images are built one word length at a time: the
-words of that length, stacked as an integer array, are split on the block
-of the representations by one gather per leg from the cached table of the
+its twist. The table is letterwise, so only the letters are split: the N
+one-letter words, stacked as an integer array, are split on the block of
+the representations by one gather per leg from the cached table of the
 coproduct form (``coproduct.split_words``: the table that ``delta``,
-``phi`` and the double coproducts read); each leg's images are gathered
-twist columns, and the block is their tensor product. Every verifier
-takes its stacks from this one path, ``_word_images``, whole or, in the
-exchange check, in chunks of words of bounded size. The verifiers apply
+``phi`` and the double coproducts read), which gives each letter one twist
+column per leg. The leg images of each word length are then those of the
+length before, grown by one letter, and the block is their tensor
+product. Every verifier takes its stacks of all creation words up to a
+depth from this one path, ``_word_images``, whole or, in the exchange
+check, in chunks of words of bounded size. The verifiers apply
 R to whole batches of vectors at once, the exchange check each of its two
 sides once per chunk, and measure residuals on the unpruned dense
 differences. The generators of the conjugation
@@ -65,7 +67,6 @@ shows how the construction degenerates for a noncommuting pair.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -301,56 +302,59 @@ def _worst_gap(A, B):
     return _worst_column(diff)
 
 
-def _leg_images(U, digits):
-    """Images of e_1 under the creation words in the rows of ``digits``
-    (K, t), in the representation twisted by U: row k of the (K, n^t)
-    result is U[:, w_t] (x) ... (x) U[:, w_1] for the word w = digits[k],
-    the last letter most significant; a (K, 0) array gives e_1."""
-    K = len(digits)
-    X = np.ones((K, 1), dtype=complex)
-    columns = U.T  # row j - 1 is the image of e_1 under s_j
-    for p in reversed(range(digits.shape[1])):
-        X = (X[:, :, None] * columns[digits[:, p] - 1][:, None, :]).reshape(K, -1)
-    return X
+def _letter_images(reps, form):
+    """Each leg's images of e_1 under the N letters of the block of the
+    representations' algebra indices, for the coproduct ``form`` (a form
+    name of ``coproduct.split_words``): the letters are split together, one
+    digit per leg, and row g - 1 of leg i's array is U_i[:, j] for the
+    digit j of letter g there; an O_1 leg, with no digit, gives [1]."""
+    N = int(np.prod([rep.n for rep in reps]))
+    split = split_words(form, tuple(rep.n for rep in reps), np.arange(1, N + 1)[:, None])
+    return [
+        rep.U.T[digits[:, 0] - 1] if digits.shape[1] else np.ones((N, 1), dtype=complex)
+        for rep, digits in zip(reps, split)
+    ]
 
 
-def _split_images(reps, form, words):
-    """Each leg's images of e_1 under the creation words in the rows of
-    ``words`` (K, t), one length t, for the coproduct ``form`` (a form name
-    of ``coproduct.split_words``): the words are split together on the
-    block of the representations' algebra indices, and leg i's images are
-    the K rows of :func:`_leg_images`."""
-    split = split_words(form, tuple(rep.n for rep in reps), words)
-    return [_leg_images(rep.U, digits) for rep, digits in zip(reps, split)]
-
-
-def _word_images(reps, form, words, dims, step=None):
+def _word_images(reps, form, depth, dims, step=None):
     """Images of the cyclic vector e_1 (x) ... (x) e_1 under the coproduct
-    ``form`` of the creation words ``words``, sorted by length, zero-padded
-    to the block ``dims`` and stacked along a trailing axis, yielded in
-    chunks of ``step`` words (one chunk if None).
+    ``form`` of every creation word up to ``depth``, by length then lex,
+    zero-padded to the block ``dims`` and stacked along a trailing axis,
+    yielded in chunks of ``step`` words (one chunk if None).
 
     A pair or triple of representations sees only the block of their
-    algebra indices. The words of each length are split and imaged once
-    (:func:`_split_images`); a chunk's part of a length is the tensor
-    product of row slices of those leg images, one ``einsum`` in place.
+    algebra indices. The table is letterwise, so only the N letters are
+    split (:func:`_letter_images`), giving each letter one column per leg,
+    and each length's leg images are the previous length's grown by one
+    letter: on each leg the word (w_1, ..., w_t) maps e_1 to the image of
+    (w_2, ..., w_t) (x) the column of w_1, the first letter least
+    significant, multiplied in the order of a per-word product from e_1
+    (``tests/test_rmatrix.py`` keeps that product as the oracle). A
+    chunk's part of a length is the tensor product of row slices of those
+    leg images, one ``einsum`` in place.
     """
-    lengths, start = [], 0  # (first word, leg images) of each length
-    for _, group in itertools.groupby(words, len):
-        W = np.array(list(group), dtype=np.intp)
-        lengths.append((start, _split_images(reps, form, W)))
-        start += len(W)
+    columns = _letter_images(reps, form)
+    N = len(columns[0])
+    lengths = [[np.ones((1, 1), dtype=complex)] * len(reps)]  # leg images of each length
+    for _ in range(depth):
+        # X first, as in the per-word product: the swapped order differs
+        # in the last bit
+        lengths.append([(X[None, :, :, None] * c[:, None, None, :]).reshape(N * len(X), -1)
+                        for X, c in zip(lengths[-1], columns)])
     legs = "abc"[:len(reps)]
     spec = ",".join("k" + leg for leg in legs) + "->" + legs + "k"
-    step = step or len(words)
-    for first in range(0, len(words), step):
-        out = np.zeros((*dims, min(step, len(words) - first)), dtype=complex)
-        for start, images in lengths:
+    total = _word_count(N, depth)
+    step = step or total
+    for first in range(0, total, step):
+        out = np.zeros((*dims, min(step, total - first)), dtype=complex)
+        start = 0  # first word of each length
+        for images in lengths:
             lo, hi = max(first, start), min(first + step, start + len(images[0]))
             if lo < hi:
                 parts = [X[lo - start:hi - start] for X in images]
                 block = (*(slice(X.shape[1]) for X in parts), slice(lo - first, hi - first))
                 np.einsum(spec, *parts, out=out[block])  # no temporary block
+            start += len(images[0])
         yield out
 
 
@@ -380,7 +384,7 @@ def relation_residual(rmat, max_len):
     preflight(_word_count(N, max_len) * rmat.rank, "the defining-relation check")
     reps = (rmat.rep1, rmat.rep2)
     V, W = (
-        next(_word_images(reps, form, creation_words(N, max_len), rmat.dims))
+        next(_word_images(reps, form, max_len, rmat.dims))
         for form in ("delta", "delta_op")
     )
     return _worst_column(rmat.apply_dense(V) - W)
@@ -419,8 +423,8 @@ def verify_intertwining(rmat, tol=BUILD_TOL):
     followed by the operator with the operator followed by the
     opposite-coproduct action; the one-letter generators keep both paths
     inside the operator's depth-d domain. R is applied once to the span V
-    (``_word_images``). The N one-letter words, imaged for the coproduct and
-    its opposite (``_split_images``), give each generator one twist column
+    (``_word_images``). The N letters, imaged for the coproduct and its
+    opposite (``_letter_images``), give each generator one twist column
     per leg. V grows by all N generators at once (``_grow_all``), with one
     digit per leg, and R is applied once to that batch: two applications in
     all. The grown V lies in the (n^d, m^d) corner of the block (n^{d+1},
@@ -442,13 +446,10 @@ def verify_intertwining(rmat, tol=BUILD_TOL):
     # grows the block by one letter
     preflight(_word_count(N, span_depth) * N ** (rmat.depth + 1), "the intertwining check")
     reps = (rmat.rep1, rmat.rep2)
-    V = next(_word_images(reps, "delta", creation_words(N, span_depth), rmat.dims))
+    V = next(_word_images(reps, "delta", span_depth, rmat.dims))
     moved = rmat.apply_dense(V)
     p, q = n1**span_depth, n2**span_depth
-    letters = np.arange(1, N + 1)[:, None]
-    (c1, c2), (c1_op, c2_op) = (
-        _split_images(reps, form, letters) for form in ("delta", "delta_op")
-    )
+    (c1, c2), (c1_op, c2_op) = (_letter_images(reps, form) for form in ("delta", "delta_op"))
     diff = rmat.apply_dense(_grow_all(V[:p, :q], c1, c2))
     diff -= _grow_all(moved[:p, :q], c1_op, c2_op)
     # off the (n^d, m^d) corner the grown R V is R V off its (p, q) corner
@@ -473,7 +474,9 @@ def verify_symmetry(omega1, omega2, depth, tol=BUILD_TOL, r12=None):
     R_1(omega1, omega2) F R_1(omega2, omega1) F - I. Both operators are
     still built at the requested depth, so its preflight applies. For equal
     states the reversed-pair partner is the operator itself. A given ``r12``
-    must be R(omega1, omega2) of these states, else ValueError.
+    must be R(omega1, omega2) of these states, else ValueError. A failing
+    record names the digit pair of its worst column as witness,
+    ``digit-pair=i,j`` (1-based: digit i of leg 1, digit j of leg 2).
     """
     depth = _index(depth, 0, "depth")
     if r12 is None:
@@ -485,10 +488,14 @@ def verify_symmetry(omega1, omega2, depth, tol=BUILD_TOL, r12=None):
     # F_{m,n} R_1(omega2, omega1) F_{n,m}, the flips as one gather
     f = radix_perm(m, n)
     chain = r12.r1 @ r21.r1[np.ix_(f, f)]
-    worst = _worst_column(chain - np.eye(n * m))
+    norms = _column_norms(chain - np.eye(n * m))
+    worst = float(np.max(norms))
+    passed = holds(worst, tol, r12.is_permutation and r21.is_permutation)
+    # a failure names its worst column, the digit pair (i, j) of R_1
+    i, j = divmod(int(np.argmax(norms)), m)
+    witness = None if passed else f"digit-pair={i + 1},{j + 1}"
     report = VerificationReport(scenario="inversion-symmetry")
-    exact = r12.is_permutation and r21.is_permutation
-    report.add("inversion-symmetry", holds(worst, tol, exact), worst)
+    report.add("inversion-symmetry", passed, worst, witness)
     return report
 
 
@@ -498,31 +505,33 @@ _YBE_CHUNK_ENTRIES = 2**12  # entries per stacked array of word images in the YB
 def verify_ybe(omega1, omega2, omega3, depth, tol=BUILD_TOL, rs=None):
     """Triple exchange identity with an independent symbolic oracle.
 
-    For every word x of the combined algebra up to ``depth``, both sides
-    of the identity, R_12 R_13 R_23 and R_23 R_13 R_12, are applied to the
-    image of the right-expanded double coproduct, and both are compared
-    with each other and with the legwise images of the two double opposite
+    For every word x of the combined algebra up to ``depth``, both sides of
+    the identity, R_12 R_13 R_23 and R_23 R_13 R_12, are applied to the
+    image of the right-expanded double coproduct, and both are compared with
+    each other and with the legwise images of the two double opposite
     coproducts, which the two sides must reproduce. Each R is R_1 on every
     digit pair of its two legs, so each side is one abc x abc matrix on
     every digit triple: the three R_1, each placed on its two legs of the
-    triple with the identity on the third, multiplied once per call. The
-    states' representations see only the block (a, b, c) of their algebra
-    indices, so each image is that block alone, gathered from the table of
-    its double coproduct (``split_words``): ``f_r`` splits the right leg of
-    phi_{a,bc}(x) by phi_{b,c}, and ``f_l_op`` and ``f_r_op`` are the tables
-    of ``f_r`` and ``f_l`` with the legs reversed, which split a leg of the
-    flipped phi_{c,ab}(x) and phi_{bc,a}(x) by the flipped phi_{b,a} and
-    phi_{c,b}. So all three images are gathers of the same digit columns;
-    the check that the tables are the paper's maps is the mixed-radix split
-    of the tests. The three forms' images come from ``_word_images``, three
-    streams zipped chunk by chunk, at most ``_YBE_CHUNK_ENTRIES`` entries a
-    stack, and each side is applied once per chunk (``_apply_digits``).
-    Every word still gets its own record, named as ``CuntzMonomial(N,
-    word, ()).label()``, whose residual is the largest
-    column norm of the four differences. Each distinct state pair is built
-    once, and the twists are the ones the operators hold; so a given
-    ``rs`` must be R(omega1, omega2), R(omega1, omega3) and R(omega2,
-    omega3) of these states, else ValueError names the pair.
+    triple by broadcasting against the identity on the third, multiplied
+    once per call. The states' representations see only the block (a, b, c)
+    of their algebra indices, so each image is that block alone, gathered
+    from the table of its double coproduct (``split_words``): ``f_r`` splits
+    the right leg of phi_{a,bc}(x) by phi_{b,c}, and ``f_l_op`` and
+    ``f_r_op`` are the tables of ``f_r`` and ``f_l`` with the legs reversed,
+    which split a leg of the flipped phi_{c,ab}(x) and phi_{bc,a}(x) by the
+    flipped phi_{b,a} and phi_{c,b}. So all three images are gathers of the
+    same digit columns; the check that the tables are the paper's maps is
+    the mixed-radix split of the tests. The three forms' images come from
+    ``_word_images``, three streams zipped chunk by chunk, at most
+    ``_YBE_CHUNK_ENTRIES`` entries a stack, and each side is applied once
+    per chunk (``_apply_digits``). Every word still gets its own record,
+    named as ``CuntzMonomial(N, word, ()).label()``, whose residual is the
+    largest column norm of the four differences; a chunk's records are made
+    in one pass. Each distinct state pair is built once, and the twists are
+    the ones the operators hold, one per state
+    (``GPRepresentation.for_state``); so a given ``rs`` must be R(omega1,
+    omega2), R(omega1, omega3) and R(omega2, omega3) of these states, else
+    ValueError names the pair.
 
     The chunk size is a trade: on uniform (2, 3, 2) at depth 3 a triple
     block has 1728 entries, so a chunk holds 2 words and the check makes
@@ -547,22 +556,25 @@ def verify_ybe(omega1, omega2, omega3, depth, tol=BUILD_TOL, rs=None):
     dims = tuple(s.n**depth for s in states)
     a, b, c = (s.n for s in states)
     N = a * b * c
-    # each R_1 on its two legs of a digit triple, the identity on the third;
-    # R_13 is placed on the legs (1, 3, 2) and its axes put back in order
-    r12 = np.kron(rs[0].r1, np.eye(c))
-    r13 = np.kron(rs[1].r1, np.eye(b)).reshape((a, c, b) * 2)
-    r13 = r13.transpose(0, 2, 1, 3, 5, 4).reshape(N, N)
-    r23 = np.kron(np.eye(a), rs[2].r1)
+    # each R_1 on its two legs of a digit triple, the identity on the third
+    r12 = rs[0].r1.reshape(a, b, 1, a, b, 1) * np.eye(c).reshape(1, 1, c, 1, 1, c)
+    r13 = rs[1].r1.reshape(a, 1, c, a, 1, c) * np.eye(b).reshape(1, b, 1, 1, b, 1)
+    r23 = np.eye(a).reshape(a, 1, 1, a, 1, 1) * rs[2].r1.reshape(1, b, c, 1, b, c)
+    r12, r13, r23 = (r.reshape(N, N) for r in (r12, r13, r23))
     sides = (r12 @ r13 @ r23, r23 @ r13 @ r12)
     block = int(np.prod(dims))
     step = max(1, _YBE_CHUNK_ENTRIES // block)  # words per chunk
     preflight(3 * step * block, "the triple exchange check")
     report = VerificationReport(scenario="ybe")
     exact = all(r.is_permutation for r in rs)
-    words = creation_words(N, depth)
+    # CuntzMonomial(N, word, ()).label(); O_1 words collapse to the unit
+    names = [
+        f"ybe:n={N};u={','.join(map(str, w)) if N > 1 else ''};v="
+        for w in creation_words(N, depth)
+    ]
     forms = ("f_r", "f_l_op", "f_r_op")
-    stacks = zip(*(_word_images(reps, form, words, dims, step) for form in forms))
-    for first, (t0, oracle_l, oracle_r) in zip(range(0, len(words), step), stacks):
+    stacks = zip(*(_word_images(reps, form, depth, dims, step) for form in forms))
+    for first, (t0, oracle_l, oracle_r) in zip(range(0, len(names), step), stacks):
         lhs, rhs = (_apply_digits(M, t0, (a, b, c), depth) for M in sides)
         worst = np.max([
             _column_norms(lhs - rhs),
@@ -570,10 +582,10 @@ def verify_ybe(omega1, omega2, omega3, depth, tol=BUILD_TOL, rs=None):
             _column_norms(rhs - oracle_r),
             _column_norms(oracle_l - oracle_r),
         ], axis=0)
-        for word, res in zip(words[first:first + step], worst.tolist()):
-            # CuntzMonomial(N, word, ()).label(); O_1 words collapse to the unit
-            us = ",".join(map(str, word)) if N > 1 else ""
-            report.add(f"ybe:n={N};u={us};v=", holds(res, tol, exact), res)
+        report.checks += [
+            CheckRecord(name, holds(res, tol, exact), res)
+            for name, res in zip(names[first:first + step], worst.tolist())
+        ]
     return report
 
 

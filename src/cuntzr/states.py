@@ -33,7 +33,8 @@ from .errors import MismatchedAlgebra, NotUnitary
 class UnitVector:
     """A unit vector in C^n; the parameter of one state."""
 
-    __slots__ = ("n", "z")
+    # rep: the representation GPRepresentation.for_state built, once per vector
+    __slots__ = ("n", "z", "rep")
 
     def __init__(self, components):
         z = np.asarray(components, dtype=complex).reshape(-1).copy()
@@ -48,6 +49,7 @@ class UnitVector:
         z.setflags(write=False)
         self.n = int(z.size)
         self.z = z
+        self.rep = None
 
     @classmethod
     def basis(cls, n, k=1):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from cuntzr.algebra import CuntzMonomial, holds
 from cuntzr.coproduct import phi
-from cuntzr.representations import act_dense, creation_words, pad_to
+from cuntzr.representations import act_dense, pad_to
 from cuntzr.rmatrix import BUILD_TOL, _word_images, _worst_gap
 
 
@@ -27,10 +27,7 @@ def intertwining_records(rmat, tol=BUILD_TOL):
     N = n1 * n2
     span_depth = rmat.depth - 1
     reps = (rmat.rep1, rmat.rep2)
-    V = next(_word_images(
-        reps, "delta", creation_words(N, span_depth),
-        (n1**span_depth, n2**span_depth),
-    ))
+    V = next(_word_images(reps, "delta", span_depth, (n1**span_depth, n2**span_depth)))
     moved = rmat.apply_dense(pad_to(V, rmat.dims))
     records = []
     for i in range(1, N + 1):

@@ -1,4 +1,5 @@
 import json
+import re
 import time
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from cuntzr.cli import (
     stable_json,
 )
 from cuntzr.errors import SpecError
+from cuntzr.rmatrix import RMatrixOperator, build_r, radix_perm, verify_intertwining, verify_ybe
 from cuntzr.states import GPState
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
@@ -191,6 +193,70 @@ def test_verify_with_three_states(capsys):
     assert "PASS intertwine" in out
     assert "PASS inversion-symmetry" in out
     assert "PASS ybe" in out
+
+
+# the battery's records that fold a verifier's report
+_FOLDED = ("/intertwine", "/inversion-symmetry", "/ybe")
+
+
+def _perturbed_r1(monkeypatch):
+    """Every operator built from here on has R_1[0, 1] moved by 1e-6."""
+    real_init = RMatrixOperator.__init__
+
+    def init(self, *args):
+        real_init(self, *args)
+        self.r1[0, 1] += 1e-6
+
+    monkeypatch.setattr(RMatrixOperator, "__init__", init)
+
+
+def test_failing_folded_records_name_their_worst_record(monkeypatch, tmp_path, capsys):
+    u2, u3 = GPState.uniform(2), GPState.uniform(3)
+    _perturbed_r1(monkeypatch)
+    path = tmp_path / "verify.json"
+    states = ["--omega1", '{"uniform": 2}', "--omega2", '{"uniform": 3}', "--omega3", '{"uniform": 2}']
+    assert run(["verify", *states, "--depth", "2", "--out", str(path)]) == 1
+    report = json.loads(path.read_text())
+    jsonschema.validate(report, load_schema("report.schema.json"))
+    folded = {c["name"]: c for c in report["checks"]}
+    assert not any(c["pass"] for c in folded.values())
+    # the witness is a failing record of the verifier, with the folded residual
+    subs = {
+        "intertwine": verify_intertwining(build_r(u2, u3, 2)),
+        "ybe": verify_ybe(u2, u3, u2, 2),
+    }
+    for name, sub in subs.items():
+        records = {c.name: c for c in sub.checks}
+        witness = folded[name]["witness"]
+        assert not records[witness].passed
+        assert records[witness].residual == folded[name]["residual"]
+    assert re.fullmatch(r"intertwine:n=6;u=\d;v=", folded["intertwine"]["witness"])
+    assert re.fullmatch(r"ybe:n=12;u=(\d+,)*\d+;v=", folded["ybe"]["witness"])
+    # inversion symmetry names the worst digit pair (i, j) of R_1: its column
+    # of R_1 F R_1' F - I, with the flips as permutation matrices, is the worst
+    witness = folded["inversion-symmetry"]["witness"]
+    i, j = map(int, re.fullmatch(r"digit-pair=(\d),(\d)", witness).groups())
+    r12, r21 = build_r(u2, u3, 2).r1, build_r(u3, u2, 2).r1
+    F = np.eye(6)[:, radix_perm(3, 2)]
+    norms = np.linalg.norm(r12 @ F.T @ r21 @ F - np.eye(6), axis=0)
+    assert np.argmax(norms) == (i - 1) * 3 + (j - 1)
+    assert norms.max() == pytest.approx(folded["inversion-symmetry"]["residual"], rel=1e-12)
+    out = capsys.readouterr().out
+    assert f"FAIL ybe residual={folded['ybe']['residual']:.3e} witness=ybe:n=12;" in out
+    # the battery's folded records name theirs too
+    path = tmp_path / "all.json"
+    assert run(["all", "--out", str(path)]) == 1
+    folded = [c for c in json.loads(path.read_text())["checks"] if c["name"].endswith(_FOLDED)]
+    assert len(folded) == 6
+    assert all(not c["pass"] and "witness" in c for c in folded)
+
+
+def test_passing_folded_records_carry_no_witness(tmp_path):
+    path = tmp_path / "all.json"
+    assert run(["all", "--out", str(path)]) == 0
+    folded = [c for c in json.loads(path.read_text())["checks"] if c["name"].endswith(_FOLDED)]
+    assert len(folded) == 6
+    assert all(c["pass"] and "witness" not in c for c in folded)
 
 
 def test_counterexample(capsys):

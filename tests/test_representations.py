@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cuntzr import representations
 from cuntzr.algebra import EQ_TOL, AlgebraElement, CuntzMonomial, as_element
 from cuntzr.coproduct import TensorElement, delta, delta_op, f_r
 from cuntzr.representations import (
@@ -13,7 +14,7 @@ from cuntzr.representations import (
     to_dense,
 )
 from cuntzr.errors import OutOfDomain, SpanTooLarge
-from cuntzr.rmatrix import verify_symmetry
+from cuntzr.rmatrix import verify_symmetry, verify_ybe
 from cuntzr.states import GPState, UnitVector, gp_eval
 from gram_oracle import span_basis, vec_dist
 
@@ -152,6 +153,36 @@ def test_complete_unitary_with_a_subnormal_first_entry():
 def test_standard_vector_gives_identity_twist():
     rep = GPRepresentation.for_state(UnitVector.standard(4))
     assert rep.is_standard
+
+
+def test_a_state_has_one_read_only_twist():
+    rng = np.random.default_rng(30)
+    z = random_unit(rng, 3)
+    rep = GPRepresentation.for_state(z)
+    # the same vector, directly or through its state: the same representation
+    assert GPRepresentation.for_state(z) is rep
+    assert GPRepresentation.for_state(GPState(z)) is rep
+    for cached in (rep, GPRepresentation.for_state(UnitVector.standard(3))):
+        with pytest.raises(ValueError, match="read-only"):
+            cached.U[0, 0] = 2.0
+    # an equal vector of its own builds an equal twist
+    twin = GPRepresentation.for_state(UnitVector(z.z))
+    assert twin is not rep and np.array_equal(twin.U, rep.U)
+
+
+def test_a_triple_exchange_check_completes_each_state_once(monkeypatch):
+    calls = []
+    real = representations.complete_unitary
+
+    def completion(z):
+        calls.append(z)
+        return real(z)
+
+    monkeypatch.setattr(representations, "complete_unitary", completion)
+    u2, u3 = GPState.uniform(2), GPState.uniform(3)
+    assert verify_ybe(u2, u3, u2, 2).passed
+    # one completion per distinct vector, however many operators use it
+    assert len(calls) == 2
 
 
 def test_vector_state_reproduces_the_state():

@@ -443,7 +443,7 @@ def test_intertwining_applies_the_span_first_and_the_grown_batch_once(monkeypatc
     assert len(applied) == 2
     # R V comes first: the span images, zero outside the depth-1 block
     reps = (rmat.rep1, rmat.rep2)
-    span = next(rmatrix._word_images(reps, "delta", creation_words(6, 1), rmat.dims))
+    span = next(rmatrix._word_images(reps, "delta", 1, rmat.dims))
     assert np.array_equal(applied[0], span)
     # then V grown by all six generators at once: (n^d, m^d, N, K)
     assert applied[1].shape == (4, 9, 6, 7)
@@ -599,10 +599,10 @@ def test_chunked_ybe_fails_where_the_oracle_does_under_a_perturbed_r13():
 def test_ybe_splits_three_times_per_word_and_applies_two_kernels_per_chunk(monkeypatch):
     states = (W2, W3, W2)
     rs = _triple_operators(states, 2)
-    rows, word_splits, applies, kernels, legs, twists = [], [], [], [], [], []
+    rows, word_splits, applies, kernels, letters, twists = [], [], [], [], [], []
     real_split_words = rmatrix.split_words
     real_kernel = rmatrix._apply_digits
-    real_leg_images = rmatrix._leg_images
+    real_letter_images = rmatrix._letter_images
 
     def split_words(form, block, words):
         rows.append((form, block, len(words)))
@@ -612,31 +612,29 @@ def test_ybe_splits_three_times_per_word_and_applies_two_kernels_per_chunk(monke
         kernels.append((M.shape, X.shape, radices, depth))
         return real_kernel(M, X, radices, depth)
 
-    def leg_images(U, digits):
-        legs.append(digits.shape)
-        return real_leg_images(U, digits)
+    def letter_images(reps, form):
+        letters.append(form)
+        return real_letter_images(reps, form)
 
     monkeypatch.setattr(rmatrix, "split_words", split_words)
     # the per-term split, which the coproducts read
     monkeypatch.setattr(coproduct, "_split", lambda *args: word_splits.append(args))
     monkeypatch.setattr(RMatrixOperator, "apply_dense", lambda self, X: applies.append(X))
     monkeypatch.setattr(rmatrix, "_apply_digits", apply_digits)
-    monkeypatch.setattr(rmatrix, "_leg_images", leg_images)
+    monkeypatch.setattr(rmatrix, "_letter_images", letter_images)
     # the twists come from rs, not from the states again
     monkeypatch.setattr(GPRepresentation, "for_state", lambda state: twists.append(state))
     assert verify_ybe(*states, 2, rs=rs).passed
     words, step = _ybe_chunks(states, 2)
     chunks = -(-words // step)
     assert (words, chunks) == (157, 6)
-    # each word is split once in each of the three expansions, as a row of
-    # a word array gathered from the block (2, 3, 2) of its composed table:
-    # one array per length and form, not one per chunk; no word goes through
-    # the per-term split
+    # only the 12 letters are split, once in each of the three expansions,
+    # as one array gathered from the block (2, 3, 2) of its composed table;
+    # longer words grow from their letters' images, and no word goes
+    # through the per-term split
     for form in ("f_r", "f_l_op", "f_r_op"):
-        assert [k for f, block, k in rows if f == form] == [1, 12, 144]
-        assert sum(k for f, block, k in rows if f == form) == words
-    # and each leg's images are built once per length and form
-    assert len(legs) == 3 * 3 * 3
+        assert [k for f, block, k in rows if f == form] == [12]
+    assert letters == ["f_r", "f_l_op", "f_r_op"]
     assert not twists
     assert {(f, block) for f, block, _ in rows} == {
         (f, (2, 3, 2)) for f in ("f_r", "f_l_op", "f_r_op")
@@ -759,7 +757,7 @@ def test_batched_pair_images_equal_the_per_word_images():
         words = creation_words(n * m, 2)
         dims = (n**2, m**2)
         for form, op in (("delta", delta), ("delta_op", coproduct.delta_op)):
-            got = next(rmatrix._word_images(reps, form, words, dims))
+            got = next(rmatrix._word_images(reps, form, 2, dims))
             want = _per_word_images(reps, op, words, dims)
             if exact:
                 assert np.array_equal(got, want)
@@ -784,12 +782,76 @@ def test_batched_triple_images_equal_the_per_word_images():
             words = creation_words(a * b * c, depth)
             dims = tuple(s.n**depth for s in states)
             for form, op in zip(("f_r", "f_l_op", "f_r_op"), ops):
-                got = next(rmatrix._word_images(reps, form, words, dims))
+                got = next(rmatrix._word_images(reps, form, depth, dims))
                 want = _per_word_images(reps, op, words, dims)
                 if exact:
                     assert np.array_equal(got, want)
                 else:
                     assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def _leg_images(U, digits):
+    """Images of e_1 under the creation words in the rows of ``digits``
+    (K, t), in the representation twisted by U: row k of the (K, n^t)
+    result is U[:, w_t] (x) ... (x) U[:, w_1] for the word w = digits[k],
+    the last letter most significant; a (K, 0) array gives e_1."""
+    K = len(digits)
+    X = np.ones((K, 1), dtype=complex)
+    columns = U.T  # row j - 1 is the image of e_1 under s_j
+    for p in reversed(range(digits.shape[1])):
+        X = (X[:, :, None] * columns[digits[:, p] - 1][:, None, :]).reshape(K, -1)
+    return X
+
+
+def _per_length_images(reps, form, depth, dims, step):
+    """The word images stacked length by length, the oracle of the growth:
+    the words of each length are split together as one (K, t) array and
+    imaged per leg, one product per letter from e_1 (``_leg_images``), and
+    the stack is yielded in the chunks of ``_word_images``."""
+    words = creation_words(int(np.prod([rep.n for rep in reps])), depth)
+    lengths, start = [], 0
+    for _, group in itertools.groupby(words, len):
+        W = np.array(list(group), dtype=np.intp)
+        split = coproduct.split_words(form, tuple(rep.n for rep in reps), W)
+        lengths.append((start, [_leg_images(rep.U, d) for rep, d in zip(reps, split)]))
+        start += len(W)
+    legs = "abc"[:len(reps)]
+    spec = ",".join("k" + leg for leg in legs) + "->" + legs + "k"
+    for first in range(0, len(words), step):
+        out = np.zeros((*dims, min(step, len(words) - first)), dtype=complex)
+        for start, images in lengths:
+            lo, hi = max(first, start), min(first + step, start + len(images[0]))
+            if lo < hi:
+                parts = [X[lo - start:hi - start] for X in images]
+                block = (*(slice(X.shape[1]) for X in parts), slice(lo - first, hi - first))
+                np.einsum(spec, *parts, out=out[block])
+        yield out
+
+
+def test_grown_word_images_equal_the_per_length_split_bit_for_bit():
+    rng = np.random.default_rng(30)
+
+    def random_state(n):
+        z = rng.normal(size=n) + 1j * rng.normal(size=n)
+        return GPState(z / np.linalg.norm(z))
+
+    x = np.array([0.6, 0.8j])
+    X, XX = GPState(x), GPState(np.kron(x, x))
+    # R2, R3 and R2b do not commute pairwise; the images need no operator
+    R2, R3, R2b, R5 = (random_state(n) for n in (2, 3, 2, 5))
+    triples = ((W2, W3, W2), (U2, U3, U2), (X, XX, X), (R2, R3, R2b), (S1, U2, U3))
+    pairs = ((W2, W3), (U2, U3), (R2, R3), (W2, GPState.uniform(5)), (U2, R5))
+    cases = [(t, f) for t in triples for f in ("f_r", "f_l_op", "f_r_op")]
+    cases += [(p, f) for p in pairs for f in ("delta", "delta_op")]
+    for states, form in cases:
+        reps = [GPRepresentation.for_state(s) for s in states]
+        for depth in range(4):
+            dims = tuple(s.n**depth for s in states)
+            step = max(1, 2**16 // int(np.prod(dims)))  # chunks keep the test small
+            got = rmatrix._word_images(reps, form, depth, dims, step)
+            want = _per_length_images(reps, form, depth, dims, step)
+            for A, B in itertools.zip_longest(got, want):
+                assert np.array_equal(A, B), (states, form, depth)
 
 
 @pytest.mark.parametrize("step", [1, 5, 28])
@@ -808,11 +870,11 @@ def test_chunked_word_images_stitch_to_the_single_chunk(step):
     ]
     for states, depth, form in cases:
         reps = [GPRepresentation.for_state(s) for s in states]
-        words = creation_words(int(np.prod([s.n for s in states])), depth)
+        words = rmatrix._word_count(int(np.prod([s.n for s in states])), depth)
         dims = tuple(s.n**depth for s in states)
-        (whole,) = rmatrix._word_images(reps, form, words, dims)
-        chunks = list(rmatrix._word_images(reps, form, words, dims, step))
-        sizes = [min(step, len(words) - first) for first in range(0, len(words), step)]
+        (whole,) = rmatrix._word_images(reps, form, depth, dims)
+        chunks = list(rmatrix._word_images(reps, form, depth, dims, step))
+        sizes = [min(step, words - first) for first in range(0, words, step)]
         assert [X.shape for X in chunks] == [(*dims, k) for k in sizes]
         assert np.array_equal(np.concatenate(chunks, axis=-1), whole)
 
@@ -821,9 +883,9 @@ def test_the_dense_verifiers_take_every_stack_from_word_images(monkeypatch):
     calls, stacks, kernels = [], [], []
     real_word_images, real_kernel = rmatrix._word_images, rmatrix._apply_digits
 
-    def word_images(reps, form, words, dims, step=None):
+    def word_images(reps, form, depth, dims, step=None):
         calls.append(form)
-        for X in real_word_images(reps, form, words, dims, step):
+        for X in real_word_images(reps, form, depth, dims, step):
             stacks.append(X)
             yield X
 
@@ -1059,11 +1121,9 @@ def test_the_generator_step_is_the_symbolic_action_of_the_generator():
         n, m = (s.n for s in pair)
         shape = (n**2, m**2, 5)
         batch = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        letters = np.arange(1, n * m + 1)[:, None]
         coproducts = (lambda g: phi(n, m, g), lambda g: phi(m, n, g).flip())
         for form, coproduct_of in zip(("delta", "delta_op"), coproducts):
-            split = coproduct.split_words(form, (n, m), letters)
-            c1, c2 = (rmatrix._leg_images(rep.U, d) for rep, d in zip(reps, split))
+            c1, c2 = rmatrix._letter_images(reps, form)
             grown = rmatrix._grow_all(batch, c1, c2)
             assert grown.shape == (n**3, m**3, n * m, 5)
             for i in range(n * m):
