@@ -173,25 +173,45 @@ def swap_index_pair(n, m, a, b, length):
     return a2 + 1, b2 + 1
 
 
-def _apply_digits(M, X, radices, depth):
+def _into(out, Y):
+    """Y copied into the C-ordered ``out`` of its size, in Y's shape."""
+    out = out.reshape(Y.shape)
+    out[...] = Y
+    return out
+
+
+def _apply_digits(M, X, radices, depth, work=None):
     """M applied to every digit tuple of X.
 
     The k leading axes of X have sizes r_i^depth for the radices r_i; the
     rest is batch. M is square of size prod(radices) and acts on the tuple
     (digit j of leg 1, ..., digit j of leg k), leg 1 most significant, the
     same for every j: one interleaving transpose, ``depth`` matrix
-    products, one de-interleave.
+    products, one de-interleave. Each step allocates its result, unless
+    ``work``, a C-ordered complex array of 2 X.size entries, is given:
+    then the steps alternate between its two halves, X is not written, and
+    the result is a view of one half.
     """
     k, d = len(radices), depth
+    halves = None if work is None else work.reshape(2, -1)
     # digit tuple j (digit j of each leg) as axis j, the batch last
     Y = X.reshape(tuple(r for r in radices for _ in range(d)) + (-1,))
     Y = Y.transpose([i * d + j for j in range(d) for i in range(k)] + [k * d])
-    for _ in range(d):
+    if halves is not None:
+        Y = _into(halves[0], Y)
+    for j in range(d):
         # M on the leading digit tuple, which moves to the back: one matrix
         # product on a view, so the batch ends up in front
-        Y = Y.reshape(len(M), -1).T @ M.T
+        Z = Y.reshape(len(M), -1).T
+        if halves is None:
+            Y = Z @ M.T
+        else:
+            Y = np.matmul(Z, M.T, out=halves[(j + 1) % 2].reshape(len(Z), -1))
     legs = [1 + j * k + i for i in range(k) for j in range(d)]
-    return Y.reshape((-1,) + tuple(radices) * d).transpose(legs + [0]).reshape(X.shape)
+    Y = Y.reshape((-1,) + tuple(radices) * d).transpose(legs + [0])
+    if halves is not None:
+        Y = _into(halves[(d + 1) % 2], Y)
+    return Y.reshape(X.shape)
 
 
 class RMatrixOperator:
@@ -237,15 +257,16 @@ class RMatrixOperator:
         dev = self.r1.conj().T @ self.r1 - np.eye(len(self.r1))
         return float(np.max(np.abs(dev)))
 
-    def apply_dense(self, X):
-        """R applied to an array of shape (n^d, m^d, *batch)."""
+    def apply_dense(self, X, work=None):
+        """R applied to an array of shape (n^d, m^d, *batch); a given
+        ``work`` holds the steps, as in ``_apply_digits``."""
         X = np.asarray(X)
         if X.shape[:2] != self.dims:
             raise OutOfDomain(
                 float(np.linalg.norm(X)),
                 f"array of shape {X.shape} outside the {self.dims} block",
             )
-        return _apply_digits(self.r1, X, self.shape, self.depth)
+        return _apply_digits(self.r1, X, self.shape, self.depth, work)
 
     def apply(self, vec):
         """Image of a pair-indexed dict vector; exact zeros are left out."""
@@ -316,11 +337,13 @@ def _letter_images(reps, form):
     ]
 
 
-def _word_images(reps, form, depth, dims, step=None):
+def _word_images(reps, form, depth, dims, step=None, columns=None):
     """Images of the cyclic vector e_1 (x) ... (x) e_1 under the coproduct
     ``form`` of every creation word up to ``depth``, by length then lex,
     zero-padded to the block ``dims`` and stacked along a trailing axis,
-    yielded in chunks of ``step`` words (one chunk if None).
+    yielded in chunks of ``step`` words (one chunk if None). ``columns``
+    are the letters' images of ``_letter_images(reps, form)``, when the
+    caller already has them.
 
     A pair or triple of representations sees only the block of their
     algebra indices. The table is letterwise, so only the N letters are
@@ -333,7 +356,8 @@ def _word_images(reps, form, depth, dims, step=None):
     chunk's part of a length is the tensor product of row slices of those
     leg images, one ``einsum`` in place.
     """
-    columns = _letter_images(reps, form)
+    if columns is None:
+        columns = _letter_images(reps, form)
     N = len(columns[0])
     lengths = [[np.ones((1, 1), dtype=complex)] * len(reps)]  # leg images of each length
     for _ in range(depth):
@@ -362,9 +386,9 @@ def build_r(omega1, omega2, depth):
     """Construct the swap-implementing unitary for a commuting state pair.
 
     Raises NotCommuting (with a witness monomial) when the two product
-    functionals differ, and SpanTooLarge when one vector of the span would
-    not fit in memory. A depth below 0, a bool or a non-integer depth
-    raises ValueError.
+    functionals differ, and SpanTooLarge when one vector of the span, or
+    the nm x nm matrix R_1, would not fit in memory. A depth below 0, a
+    bool or a non-integer depth raises ValueError.
     """
     depth = _index(depth, 0, "depth")
     ok, witness = commutes(omega1, omega2)
@@ -372,7 +396,9 @@ def build_r(omega1, omega2, depth):
         raise NotCommuting(
             f"product functionals differ on {witness.label()}", witness
         )
-    preflight((omega1.n * omega2.n) ** depth, f"the depth-{depth} span")
+    nm = omega1.n * omega2.n
+    preflight(nm**depth, f"the depth-{depth} span")
+    preflight(nm**2, f"the {nm} x {nm} matrix R_1")
     return RMatrixOperator(omega1, omega2, depth)
 
 
@@ -394,25 +420,33 @@ def relation_residual(rmat, max_len):
 # verifiers
 
 
-def _grow_all(X, c1, c2):
+def _grow_all(X, c1, c2, out=None):
     """A batch X (p, q, k) under every generator at once, as a batch
-    (p n, q m, N, k). Row g of c1 (N, n) and of c2 (N, m) is s_a e_1 and
-    s_b e_1 for the split s_a (x) s_b of generator g: slice g sends entry
-    (i, j) to every (i n + a', j m + b') times c1[g, a'] and c2[g, b'], the
-    new digits least significant, multiplied in the order of
-    ``act_dense``, (X c1) c2. An O_1 leg has the column [1] and keeps its
-    size."""
+    (p n, q m, N, k), written into ``out`` when given. Row g of c1 (N, n)
+    and of c2 (N, m) is s_a e_1 and s_b e_1 for the split s_a (x) s_b of
+    generator g: slice g sends entry (i, j) to every (i n + a', j m + b')
+    times c1[g, a'] and c2[g, b'], the new digits least significant,
+    multiplied in the order of ``act_dense``, (X c1) c2. An O_1 leg has the
+    column [1] and keeps its size."""
     p, q, k = X.shape
     (N, n), m = c1.shape, c2.shape[1]
     # a C-ordered output: numpy's own broadcast layout writes it far slower
-    out = np.empty((p, n, q, m, N, k), dtype=complex)
-    np.multiply(X[:, None, :, None, None] * c1.T[:, None, None, :, None], c2.T[:, :, None], out=out)
-    return out.reshape(p * n, q * m, N, k)
+    if out is None:
+        out = np.empty((p * n, q * m, N, k), dtype=complex)
+    np.multiply(X[:, None, :, None, None] * c1.T[:, None, None, :, None], c2.T[:, :, None],
+                out=out.reshape(p, n, q, m, N, k))
+    return out
 
 
-def _square_sums(X, axis):
-    """Sums of |x|^2 of X over ``axis``."""
-    return (X.real**2 + X.imag**2).sum(axis=axis)
+def _square_sums(X, axis, work=None):
+    """Sums of |x|^2 of X over ``axis``; the squares are formed in
+    ``work``, a C-ordered float array of 2 X.size entries, when given."""
+    if work is None:
+        return (X.real**2 + X.imag**2).sum(axis=axis)
+    re, im = work.reshape(2, *X.shape)
+    np.square(X.real, out=re)
+    np.square(X.imag, out=im)
+    return np.add(re, im, out=re).sum(axis=axis)
 
 
 def verify_intertwining(rmat, tol=BUILD_TOL):
@@ -422,20 +456,25 @@ def verify_intertwining(rmat, tol=BUILD_TOL):
     length at most depth - 1, compares the image of the coproduct action
     followed by the operator with the operator followed by the
     opposite-coproduct action; the one-letter generators keep both paths
-    inside the operator's depth-d domain. R is applied once to the span V
-    (``_word_images``). The N letters, imaged for the coproduct and its
-    opposite (``_letter_images``), give each generator one twist column
-    per leg. V grows by all N generators at once (``_grow_all``), with one
-    digit per leg, and R is applied once to that batch: two applications in
-    all. The grown V lies in the (n^d, m^d) corner of the block (n^{d+1},
-    m^{d+1}) of R V grown by the opposite coproduct, and so does the grown
-    corner (n^{d-1}, m^{d-1}) of R V; only that corner difference is formed.
+    inside the operator's depth-d domain. The N letters, imaged for the
+    coproduct and its opposite (``_letter_images``, once per form), give
+    each generator one twist column per leg, and the coproduct's columns
+    also grow the span V (``_word_images``). R is applied once to V. V
+    grows by all N generators at once (``_grow_all``), with one digit per
+    leg, and R is applied once to that batch: two applications in all. The
+    grown V lies in the (n^d, m^d) corner of the block (n^{d+1}, m^{d+1})
+    of R V grown by the opposite coproduct, and so does the grown corner
+    (n^{d-1}, m^{d-1}) of R V; only that corner difference is formed.
     Outside it the grown R V is R V outside its corner times both twist
     columns, so its squared column norm is that of R V outside the corner
     times the columns' squared norms, summed once for all generators. The
     residual is the worst column norm over the whole grown block, from the
-    sum of both parts. Raises OutOfDomain for a depth-0 operator, which has
-    no such span.
+    sum of both parts. The grown batches and the kernel's steps share one
+    work block of three grown sizes, allocated once per call: part 0 holds
+    V grown, then R V grown by the opposite coproduct; parts 1 and 2 are
+    the kernel's halves (``_apply_digits``), and the half that R's result
+    leaves free holds the squares of the difference. Raises OutOfDomain for
+    a depth-0 operator, which has no such span.
     """
     n1, n2 = rmat.shape
     N = n1 * n2
@@ -446,17 +485,22 @@ def verify_intertwining(rmat, tol=BUILD_TOL):
     # grows the block by one letter
     preflight(_word_count(N, span_depth) * N ** (rmat.depth + 1), "the intertwining check")
     reps = (rmat.rep1, rmat.rep2)
-    V = next(_word_images(reps, "delta", span_depth, rmat.dims))
+    (c1, c2), (c1_op, c2_op) = (_letter_images(reps, form) for form in ("delta", "delta_op"))
+    V = next(_word_images(reps, "delta", span_depth, rmat.dims, columns=(c1, c2)))
     moved = rmat.apply_dense(V)
     p, q = n1**span_depth, n2**span_depth
-    (c1, c2), (c1_op, c2_op) = (_letter_images(reps, form) for form in ("delta", "delta_op"))
-    diff = rmat.apply_dense(_grow_all(V[:p, :q], c1, c2))
-    diff -= _grow_all(moved[:p, :q], c1_op, c2_op)
+    # one block for the grown batch and the kernel's two halves: fresh
+    # arrays per step would be mapped and faulted in again on every call
+    block = np.empty((3, *rmat.dims, N, V.shape[-1]), dtype=complex)
+    diff = rmat.apply_dense(_grow_all(V[:p, :q], c1, c2, out=block[0]), work=block[1:])
+    diff -= _grow_all(moved[:p, :q], c1_op, c2_op, out=block[0])
+    free = block[2] if np.may_share_memory(diff, block[1]) else block[1]
     # off the (n^d, m^d) corner the grown R V is R V off its (p, q) corner
     # times both twist columns: products of sums of squares, no cancellation
     outside = _square_sums(moved[p:], (0, 1)) + _square_sums(moved[:p, q:], (0, 1))
     scale = _square_sums(c1_op, 1) * _square_sums(c2_op, 1)
-    worst = np.sqrt(np.max(_square_sums(diff, (0, 1)) + outside * scale[:, None], axis=1))
+    sums = _square_sums(diff, (0, 1), work=free.view(float))
+    worst = np.sqrt(np.max(sums + outside * scale[:, None], axis=1))
     report = VerificationReport(scenario="intertwining")
     for i, res in enumerate(worst.tolist(), 1):
         word = CuntzMonomial.generator(N, i)
@@ -531,7 +575,9 @@ def verify_ybe(omega1, omega2, omega3, depth, tol=BUILD_TOL, rs=None):
     the ones the operators hold, one per state
     (``GPRepresentation.for_state``); so a given ``rs`` must be R(omega1,
     omega2), R(omega1, omega3) and R(omega2, omega3) of these states, else
-    ValueError names the pair.
+    ValueError names the pair. SpanTooLarge is raised before anything is
+    built when a chunk's three stacks, or the abc x abc sides, would not fit
+    in memory.
 
     The chunk size is a trade: on uniform (2, 3, 2) at depth 3 a triple
     block has 1728 entries, so a chunk holds 2 words and the check makes
@@ -556,15 +602,16 @@ def verify_ybe(omega1, omega2, omega3, depth, tol=BUILD_TOL, rs=None):
     dims = tuple(s.n**depth for s in states)
     a, b, c = (s.n for s in states)
     N = a * b * c
+    block = int(np.prod(dims))
+    step = max(1, _YBE_CHUNK_ENTRIES // block)  # words per chunk
+    preflight(3 * step * block, "the triple exchange check")
+    preflight(N * N, f"the {N} x {N} sides of the triple exchange check")
     # each R_1 on its two legs of a digit triple, the identity on the third
     r12 = rs[0].r1.reshape(a, b, 1, a, b, 1) * np.eye(c).reshape(1, 1, c, 1, 1, c)
     r13 = rs[1].r1.reshape(a, 1, c, a, 1, c) * np.eye(b).reshape(1, b, 1, 1, b, 1)
     r23 = np.eye(a).reshape(a, 1, 1, a, 1, 1) * rs[2].r1.reshape(1, b, c, 1, b, c)
     r12, r13, r23 = (r.reshape(N, N) for r in (r12, r13, r23))
     sides = (r12 @ r13 @ r23, r23 @ r13 @ r12)
-    block = int(np.prod(dims))
-    step = max(1, _YBE_CHUNK_ENTRIES // block)  # words per chunk
-    preflight(3 * step * block, "the triple exchange check")
     report = VerificationReport(scenario="ybe")
     exact = all(r.is_permutation for r in rs)
     # CuntzMonomial(N, word, ()).label(); O_1 words collapse to the unit

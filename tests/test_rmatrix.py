@@ -399,8 +399,8 @@ def test_intertwining_sees_mass_that_leaves_the_span_block():
     original = rmat.apply_dense
     calls = []
 
-    def bumped(X):
-        Y = original(X)
+    def bumped(X, work=None):
+        Y = original(X, work)
         if not calls:
             Y = Y.copy()
             Y[2, 0] += 5e-14
@@ -432,9 +432,9 @@ def test_intertwining_applies_the_span_first_and_the_grown_batch_once(monkeypatc
     applied, word_splits = [], []
     real_apply = RMatrixOperator.apply_dense
 
-    def apply_dense(self, X):
+    def apply_dense(self, X, work=None):
         applied.append(np.array(X))
-        return real_apply(self, X)
+        return real_apply(self, X, work)
 
     # the per-term split, which phi and the coproducts read
     monkeypatch.setattr(coproduct, "_split", lambda *args: word_splits.append(args))
@@ -608,9 +608,9 @@ def test_ybe_splits_three_times_per_word_and_applies_two_kernels_per_chunk(monke
         rows.append((form, block, len(words)))
         return real_split_words(form, block, words)
 
-    def apply_digits(M, X, radices, depth):
+    def apply_digits(M, X, radices, depth, work=None):
         kernels.append((M.shape, X.shape, radices, depth))
-        return real_kernel(M, X, radices, depth)
+        return real_kernel(M, X, radices, depth, work)
 
     def letter_images(reps, form):
         letters.append(form)
@@ -883,15 +883,15 @@ def test_the_dense_verifiers_take_every_stack_from_word_images(monkeypatch):
     calls, stacks, kernels = [], [], []
     real_word_images, real_kernel = rmatrix._word_images, rmatrix._apply_digits
 
-    def word_images(reps, form, depth, dims, step=None):
+    def word_images(reps, form, depth, dims, step=None, columns=None):
         calls.append(form)
-        for X in real_word_images(reps, form, depth, dims, step):
+        for X in real_word_images(reps, form, depth, dims, step, columns):
             stacks.append(X)
             yield X
 
-    def apply_digits(M, X, radices, depth):
+    def apply_digits(M, X, radices, depth, work=None):
         kernels.append(X)
-        return real_kernel(M, X, radices, depth)
+        return real_kernel(M, X, radices, depth, work)
 
     def streamed(X):
         return any(X is S for S in stacks)
