@@ -397,8 +397,10 @@ def build_r(omega1, omega2, depth):
             f"product functionals differ on {witness.label()}", witness
         )
     nm = omega1.n * omega2.n
-    preflight(nm**depth, f"the depth-{depth} span")
-    preflight(nm**2, f"the {nm} x {nm} matrix R_1")
+    if depth < 2:  # below depth 2, R_1's nm^2 entries outnumber the span's
+        preflight(nm**2, f"the {nm} x {nm} matrix R_1")
+    else:
+        preflight(nm**depth, f"the depth-{depth} span")
     return RMatrixOperator(omega1, omega2, depth)
 
 
@@ -604,8 +606,10 @@ def verify_ybe(omega1, omega2, omega3, depth, tol=BUILD_TOL, rs=None):
     N = a * b * c
     block = int(np.prod(dims))
     step = max(1, _YBE_CHUNK_ENTRIES // block)  # words per chunk
-    preflight(3 * step * block, "the triple exchange check")
-    preflight(N * N, f"the {N} x {N} sides of the triple exchange check")
+    if N * N > 3 * step * block:  # the sides outnumber a chunk's stacks
+        preflight(N * N, f"the {N} x {N} sides of the triple exchange check")
+    else:
+        preflight(3 * step * block, "the triple exchange check")
     # each R_1 on its two legs of a digit triple, the identity on the third
     r12 = rs[0].r1.reshape(a, b, 1, a, b, 1) * np.eye(c).reshape(1, 1, c, 1, 1, c)
     r13 = rs[1].r1.reshape(a, 1, c, a, 1, c) * np.eye(b).reshape(1, b, 1, 1, b, 1)

@@ -21,6 +21,7 @@ composites.
 
 from __future__ import annotations
 
+import math
 import operator
 
 import numpy as np
@@ -40,9 +41,9 @@ class UnitVector:
         z = np.asarray(components, dtype=complex).reshape(-1).copy()
         if z.size < 1:
             raise ValueError("a unit vector needs at least one component")
-        # a pairwise sum of |z_i|^2: a BLAS norm rounds to 1 + 6e-12 for the
-        # uniform vector of C^5000000, past the bound
-        nrm = float(np.sqrt(np.sum(z.real**2 + z.imag**2)))
+        # a pairwise sum of the squared components: a BLAS norm rounds to
+        # 1 + 6e-12 for the uniform vector of C^5000000, past the bound
+        nrm = math.sqrt(np.add.reduce(np.square(z.view(float))))
         if not holds(abs(nrm - 1.0), EQ_TOL):  # a NaN norm fails too
             raise ValueError(f"not a unit vector: norm = {nrm!r}")
         # O_1 is the scalars, and its one state is the scalar 1: a phase is refused

@@ -1,0 +1,81 @@
+"""The summariser of ``tools/bench_pairs.py`` on canned result lines; no
+benchmark run is started."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+METRICS = [
+    {"name": "verdict_ref", "unit": "ref", "better": "lower", "bound": 0.25},
+    {"name": "max_depth", "unit": "depth", "better": "higher", "bound": 0.2},
+]
+
+
+def _line(verdict, depth):
+    """A result line as ``perfbench/run.py --trace 0`` prints it."""
+    return json.dumps({"correct": True, "attempted": 6, "failed": 0, "metrics": {
+        "verdict_ref": {"value": verdict, "unit": "ref"},
+        "max_depth": {"value": depth, "unit": "depth"},
+    }})
+
+
+def _runs(base, head):
+    runs = []
+    for i, (b, h) in enumerate(zip(base, head)):
+        for side, (verdict, depth) in (("base", b), ("head", h)):
+            stdout = f"ladder: depth 9 ran past the ladder's time\n{_line(verdict, depth)}\n"
+            runs.append({"pair": i, "side": side, "seed": 7 + i,
+                         "result": bench_pairs.parse_result(stdout)})
+    return runs
+
+
+def test_the_result_is_the_last_line():
+    assert bench_pairs.parse_result(_line(1.5, 8) + "\n\n")["metrics"]["max_depth"]["value"] == 8
+    with pytest.raises(ValueError):
+        bench_pairs.parse_result("\n")
+
+
+def test_summary_counts_wins_per_pair_and_compares_medians_with_the_base_iqr():
+    base = [(2.0, 8), (1.9, 8), (2.1, 8), (2.2, 8), (1.8, 8)]
+    head = [(1.7, 8), (1.75, 9), (2.15, 8), (1.6, 8), (1.65, 7)]
+    summary = bench_pairs.summarise(_runs(base, head), METRICS)
+    verdict = summary["verdict_ref"]
+    assert verdict["base"] == [2.0, 1.9, 2.1, 2.2, 1.8]
+    assert verdict["head"] == [1.7, 1.75, 2.15, 1.6, 1.65]
+    assert verdict["base_quartiles"] == pytest.approx([1.9, 2.0, 2.1])
+    assert verdict["head_quartiles"] == pytest.approx([1.65, 1.7, 1.75])
+    # pair 2 is the one the head loses
+    assert (verdict["head_wins"], verdict["pairs"]) == (4, 5)
+    assert verdict["change"] == pytest.approx(-0.15)
+    assert verdict["within_bound"] and verdict["separated"]
+    depth = summary["max_depth"]
+    # higher is better: one win, one loss, three ties
+    assert depth["head_wins"] == 1
+    assert depth["change"] == 0.0 and depth["within_bound"] and not depth["separated"]
+    line = bench_pairs.claim_line("pair-verdict", "verdict_ref", verdict)
+    assert line == ("pair-verdict verdict_ref: 2 [1.9, 2.1] -> 1.7 [1.65, 1.75], -15.0%, "
+                    "head better in 4 of 5, base IQR 0.2")
+
+
+def test_a_worse_median_past_its_bound_and_an_unpaired_run():
+    base = [(1.0, 8), (1.0, 8), (1.0, 8)]
+    head = [(1.3, 6), (1.2, 6), (1.4, 6)]
+    runs = _runs(base, head)
+    runs.append({"pair": 3, "side": "base", "seed": 10,
+                 "result": bench_pairs.parse_result(_line(0.1, 8))})
+    summary = bench_pairs.summarise(runs, METRICS)
+    # the lone run of pair 3 is left out
+    assert summary["verdict_ref"]["pairs"] == 3
+    assert summary["verdict_ref"]["change"] == pytest.approx(0.3)
+    assert not summary["verdict_ref"]["within_bound"]
+    assert summary["verdict_ref"]["head_wins"] == 0
+    # max_depth 8 -> 6 is 25% worse, past its 0.2 bound
+    assert summary["max_depth"]["change"] == pytest.approx(-0.25)
+    assert not summary["max_depth"]["within_bound"]

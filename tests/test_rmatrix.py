@@ -450,6 +450,49 @@ def test_intertwining_applies_the_span_first_and_the_grown_batch_once(monkeypatc
     assert not word_splits
 
 
+def test_intertwining_grows_and_applies_in_one_block(monkeypatch):
+    rmat = build_r(U2, U3, 3)
+    kernels, letters = [], []
+    real_kernel, real_letter_images = rmatrix._apply_digits, rmatrix._letter_images
+
+    def apply_digits(M, X, radices, depth, work=None):
+        kernels.append((X, work))
+        return real_kernel(M, X, radices, depth, work)
+
+    def letter_images(reps, form):
+        letters.append(form)
+        return real_letter_images(reps, form)
+
+    monkeypatch.setattr(rmatrix, "_apply_digits", apply_digits)
+    monkeypatch.setattr(rmatrix, "_letter_images", letter_images)
+    assert verify_intertwining(rmat).passed
+    # each form's letters are imaged once; the span grows from Delta's
+    assert letters == ["delta", "delta_op"]
+    # R V allocates; the grown batch and the kernel's halves are one array
+    (V, none), (grown, work) = kernels
+    assert none is None
+    block = grown.base
+    assert block is not None and work.base is block
+    assert block.shape == (3, *grown.shape) and block.flags.c_contiguous
+    assert np.shares_memory(grown, block[0]) and np.shares_memory(work, block[1:])
+
+
+@pytest.mark.parametrize("depth", [3, 4])
+def test_intertwining_peak_memory_is_at_most_four_grown_spans(depth):
+    import tracemalloc
+
+    rmat = build_r(U2, U3, depth)
+    N = 6
+    grown = (N ** depth) * N * rmatrix._word_count(N, depth - 1) * 16  # bytes
+    tracemalloc.start()
+    try:
+        assert verify_intertwining(rmat).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grown <= peak <= 4 * grown
+
+
 def test_intertwining_depth_arithmetic_is_enforced():
     rmat = build_r(W2, W3, 0)
     with pytest.raises(OutOfDomain):
@@ -732,6 +775,24 @@ def test_digit_kernel_is_the_kron_power_on_the_interleaved_digits(radices, depth
     want = (full @ interleaved)[order]
     assert got.shape == X.shape
     assert np.max(np.abs(got.reshape(len(order), -1) - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("radices", [(2, 3), (2, 3, 2)])
+@pytest.mark.parametrize("depth", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("real", [False, True])
+def test_digit_kernel_with_work_equals_the_allocating_kernel(radices, depth, real):
+    rng = np.random.default_rng(37)
+    P = int(np.prod(radices))
+    M = rng.normal(size=(P, P)) + 1j * rng.normal(size=(P, P))
+    shape = tuple(r**depth for r in radices) + (2, 3)
+    X = rng.normal(size=shape) if real else rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    before = X.copy()
+    work = np.empty((2, *shape), dtype=complex)
+    got = rmatrix._apply_digits(M, X, radices, depth, work)
+    assert np.array_equal(got, rmatrix._apply_digits(M, X, radices, depth))
+    assert got.shape == X.shape
+    assert np.array_equal(X, before)
+    assert np.shares_memory(got, work)
 
 
 def _per_word_images(reps, op, words, dims):
@@ -1331,6 +1392,40 @@ def test_oversized_spans_fail_fast_with_the_estimate():
     # the intertwining span of depth 8 holds 335923 vectors of 6^8 entries
     with pytest.raises(SpanTooLarge):
         verify_intertwining(build_r(W2, W3, 8))
+
+
+def test_r1_and_the_triple_sides_are_preflighted_under_a_1024_mb_cap(run_capped):
+    # R_1 of two C^100 states has 10^8 entries (1.49 GiB), past the cap
+    # though the depth-1 span has 10^4; the sides of a triple of C^30
+    # states are 27000 x 27000 (11 GiB), though each pair's R_1 is 900 x 900.
+    # Each refusal comes before any array of that size: the traced peak of
+    # each call stays under 128 MiB
+    out = run_capped("""
+        import tracemalloc
+        from cuntzr import GPState, build_r, verify_ybe
+        from cuntzr.cli import main
+        from cuntzr.errors import SpanTooLarge
+        U = GPState.uniform
+        tracemalloc.start()
+        for call in (lambda: build_r(U(100), U(100), 1), lambda: build_r(U(100), U(100), 0),
+                     lambda: verify_ybe(U(30), U(30), U(30), 0)):
+            tracemalloc.reset_peak()
+            try:
+                call()
+            except SpanTooLarge as exc:
+                print(exc, tracemalloc.get_traced_memory()[1] < 2**27)
+        print(main(["build-r", "--omega1", '{"uniform": 100}', "--omega2", '{"uniform": 100}',
+                    "--depth", "1"]))
+    """, 1024)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert [(line.split(" needs")[0], line.split()[-1]) for line in lines[:3]] == [
+        ("the 10000 x 10000 matrix R_1", "True"), ("the 10000 x 10000 matrix R_1", "True"),
+        ("the 27000 x 27000 sides of the triple exchange check", "True"),
+    ]
+    assert lines[3:] == ["2"]
+    assert out.stderr.startswith("error: the 10000 x 10000 matrix R_1 needs about")
+    assert "MiB of dense arrays" in out.stderr
 
 
 def test_intertwining_estimate_counts_the_grown_block(monkeypatch):

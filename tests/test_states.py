@@ -438,6 +438,15 @@ def test_twist_rejects_non_unitary():
 # vectors and JSON forms
 
 
+def test_unit_vector_norm_is_a_pairwise_sum():
+    # a BLAS norm of the uniform vector of C^5000000 reads 1 + 6.1e-12,
+    # past EQ_TOL; a pairwise sum of squares reads within 1.1e-16 of 1
+    n = 5_000_000
+    assert UnitVector.uniform(n).n == n
+    with pytest.raises(ValueError, match="not a unit vector"):
+        UnitVector(np.full(n, (1 + 1e-9) / np.sqrt(n)))
+
+
 def test_unit_vector_rejects_non_unit():
     # a NaN norm compares false against the bound, so it must fail the check
     for components in ([1.0, 1.0], [float("nan"), 0.0]):

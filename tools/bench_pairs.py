@@ -124,7 +124,8 @@ def _checkout(rev, into):
         tar.extractall(into, filter="data")
     tar_path.unlink()
     caches = list(Path(into).rglob("__pycache__"))
-    assert not caches, f"{rev} holds bytecode caches: {caches}"
+    if caches:
+        raise RuntimeError(f"{rev} holds bytecode caches: {caches}")
 
 
 def run_once(rev, workload, seed, seconds, scratch):
