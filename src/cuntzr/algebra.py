@@ -41,41 +41,29 @@ def holds(residual, tol, exact=False):
     return residual == 0.0 if exact else residual <= tol
 
 
-def _index(n, lower=1, name="algebra index"):
-    """``n`` as an int >= ``lower`` (any int if None), read through
-    ``operator.index``: a bool, 2.5 or "2" is refused, not truncated or
-    parsed; numpy integers are accepted and returned as int. ``name`` is
-    the argument's name in the ValueError."""
+def _index(n, lower=1, name="algebra index", upper=None):
+    """``n`` as an int >= ``lower`` (any int if None), and <= ``upper`` when
+    given, read through ``operator.index``: a bool, 2.5 or "2" is refused,
+    not truncated or parsed; numpy integers are accepted and returned as
+    int. ``name`` is the argument's name in the ValueError."""
     if n.__class__ is bool:
         raise ValueError(f"{name} {n!r} is not an integer")
     try:
         i = operator.index(n)
     except TypeError:
         raise ValueError(f"{name} {n!r} is not an integer") from None
-    if lower is not None and i < lower:
+    if upper is not None:
+        if not lower <= i <= upper:
+            raise ValueError(f"{name} {i} outside {lower}..{upper}")
+    elif lower is not None and i < lower:
         raise ValueError(f"{name} must be >= {lower}, got {i}")
     return i
 
 
-def _letter(n, l):
-    """Letter ``l`` of O_n as an int in 1..n, read through ``operator.index``:
-    a bool, 2.5 or "2" is refused, not converted, truncated or parsed; numpy
-    integers are accepted."""
-    if l.__class__ is bool:
-        raise ValueError(f"letter {l!r} is not an integer")
-    try:
-        i = operator.index(l)
-    except TypeError:
-        raise ValueError(f"letter {l!r} is not an integer") from None
-    if not 1 <= i <= n:
-        raise ValueError(f"letter {i} outside 1..{n}")
-    return i
-
-
 def _check_word(n, letters):
-    if n < 1:
-        raise ValueError(f"algebra index must be >= 1, got {n}")
-    word = tuple(_letter(n, l) for l in letters)
+    """The letters as a word of O_n, each read as an int in 1..n by
+    ``_index``; ``n`` is already read. O_1 words collapse to the unit."""
+    word = tuple(_index(l, 1, "letter", n) for l in letters)
     return () if n == 1 else word  # the single generator of O_1 is the unit, words collapse
 
 
@@ -116,17 +104,6 @@ class CuntzMonomial:
         us = ",".join(str(l) for l in self.u)
         vs = ",".join(str(l) for l in self.v)
         return f"n={self.n};u={us};v={vs}"
-
-    @classmethod
-    def parse_label(cls, text):
-        try:
-            fields = dict(part.split("=", 1) for part in text.strip().split(";"))
-            n = int(fields["n"])
-            u = tuple(int(t) for t in fields["u"].split(",") if t)
-            v = tuple(int(t) for t in fields["v"].split(",") if t)
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"bad monomial label {text!r}") from exc
-        return cls(n, u, v)
 
     def __str__(self):
         if not self.u and not self.v:
@@ -380,13 +357,3 @@ def as_element(x, n=None):
         raise MismatchedAlgebra(f"expected O_{n}, got O_{x.n}")
     return x
 
-
-def iter_monomials(n, max_total_len):
-    """Word pairs ordered by total length, creation-heavy first, then lex."""
-    for t in range(max_total_len + 1):
-        if n == 1 and t > 0:
-            break  # everything collapses to the unit
-        for a in range(t, -1, -1):
-            for u in itertools.product(range(1, n + 1), repeat=a):
-                for v in itertools.product(range(1, n + 1), repeat=t - a):
-                    yield CuntzMonomial(n, u, v)

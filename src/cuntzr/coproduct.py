@@ -90,6 +90,7 @@ from .algebra import (
     EQ_TOL,
     CuntzMonomial,
     _check_word,
+    _index,
     as_element,
     canonical_equal,
     canonical_residual,
@@ -295,9 +296,10 @@ class TensorElement:
     the arity, and an element of the direct sum has one leg. Within a
     block, terms map the tuple of the legs' word-pair keys to a
     coefficient. Each key is checked once, here: all blocks have one
-    arity, a key has one word pair per leg, every letter lies in 1..n of
-    its leg, and O_1 words collapse to the unit, summing the terms that
-    meet. Exact zero coefficients are dropped; a NaN coefficient is kept.
+    arity, every algebra index is an integer >= 1 (``algebra._index``), a
+    key has one word pair per leg, every letter lies in 1..n of its leg,
+    and O_1 words collapse to the unit, summing the terms that meet.
+    Exact zero coefficients are dropped; a NaN coefficient is kept.
     Instances are treated as immutable.
     """
 
@@ -309,8 +311,8 @@ class TensorElement:
             if _validate and len({len(indices) for indices in blocks}) > 1:
                 raise ValueError(f"blocks of mixed arity: {list(blocks)}")
             for indices, terms in blocks.items():
-                indices = tuple(indices)
                 if _validate:
+                    indices = tuple(map(_index, indices))
                     terms = _checked_terms(indices, terms)
                 kept = {}
                 for keys, c in terms.items():
@@ -318,7 +320,7 @@ class TensorElement:
                     if c != 0:  # NaN is kept
                         kept[keys] = c
                 if kept:
-                    out[indices] = kept
+                    out[tuple(indices)] = kept
         self._blocks = out
 
     @classmethod

@@ -31,6 +31,7 @@ import resource
 
 import numpy as np
 
+from .algebra import _index
 from .coproduct import TensorElement
 from .errors import OutOfDomain, SpanTooLarge
 from .states import GPState, UnitVector
@@ -58,10 +59,13 @@ def _available_memory():
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def preflight(entries, what):
-    """Raise SpanTooLarge, before allocating, when batches of ``entries``
-    entries would not fit under the address-space limit when one is set,
-    or else in the available memory."""
+def preflight(*requests):
+    """Raise SpanTooLarge, before allocating, when batches of the largest
+    of the ``(entries, what)`` requests would not fit under the
+    address-space limit when one is set, or else in the available memory;
+    the refusal names its ``what``, the first request's on a tie. One call
+    reads the limit once, whatever the number of requests."""
+    entries, what = max(requests, key=lambda request: int(request[0]))
     nbytes = _WORK_COPIES * _ENTRY_BYTES * int(entries)
     limit, _ = resource.getrlimit(resource.RLIMIT_AS)
     if limit == resource.RLIM_INFINITY:
@@ -147,7 +151,7 @@ class GPRepresentation:
     __slots__ = ("n", "U", "is_standard")
 
     def __init__(self, n, U=None):
-        self.n = int(n)
+        self.n = _index(n)
         if U is None:
             self.U = np.eye(self.n, dtype=complex)
             self.is_standard = True
@@ -257,7 +261,7 @@ def _cyclic_image(reps, t):
     SpanTooLarge is raised before the grown array is made."""
     terms = _terms(reps, t)
     longest = [max((len(keys[k][0]) for keys in terms), default=0) for k in range(len(reps))]
-    preflight(math.prod(rep.n**c for rep, c in zip(reps, longest)), "the legwise action")
+    preflight((math.prod(rep.n**c for rep, c in zip(reps, longest)), "the legwise action"))
     return from_dense(act_dense(reps, t, np.ones((1,) * len(reps))))
 
 

@@ -397,10 +397,7 @@ def build_r(omega1, omega2, depth):
             f"product functionals differ on {witness.label()}", witness
         )
     nm = omega1.n * omega2.n
-    if depth < 2:  # below depth 2, R_1's nm^2 entries outnumber the span's
-        preflight(nm**2, f"the {nm} x {nm} matrix R_1")
-    else:
-        preflight(nm**depth, f"the depth-{depth} span")
+    preflight((nm**depth, f"the depth-{depth} span"), (nm**2, f"the {nm} x {nm} matrix R_1"))
     return RMatrixOperator(omega1, omega2, depth)
 
 
@@ -409,7 +406,7 @@ def relation_residual(rmat, max_len):
     creation words w of length <= ``max_len`` (at most the depth)."""
     N = rmat.omega1.n * rmat.omega2.n
     max_len = min(_index(max_len, 0, "max_len"), rmat.depth)
-    preflight(_word_count(N, max_len) * rmat.rank, "the defining-relation check")
+    preflight((_word_count(N, max_len) * rmat.rank, "the defining-relation check"))
     reps = (rmat.rep1, rmat.rep2)
     V, W = (
         next(_word_images(reps, form, max_len, rmat.dims))
@@ -422,19 +419,17 @@ def relation_residual(rmat, max_len):
 # verifiers
 
 
-def _grow_all(X, c1, c2, out=None):
+def _grow_all(X, c1, c2, out):
     """A batch X (p, q, k) under every generator at once, as a batch
-    (p n, q m, N, k), written into ``out`` when given. Row g of c1 (N, n)
-    and of c2 (N, m) is s_a e_1 and s_b e_1 for the split s_a (x) s_b of
-    generator g: slice g sends entry (i, j) to every (i n + a', j m + b')
-    times c1[g, a'] and c2[g, b'], the new digits least significant,
-    multiplied in the order of ``act_dense``, (X c1) c2. An O_1 leg has the
-    column [1] and keeps its size."""
+    (p n, q m, N, k), written into ``out``, a C-ordered complex array of
+    that size: numpy's own broadcast layout writes it far slower. Row g of
+    c1 (N, n) and of c2 (N, m) is s_a e_1 and s_b e_1 for the split
+    s_a (x) s_b of generator g: slice g sends entry (i, j) to every
+    (i n + a', j m + b') times c1[g, a'] and c2[g, b'], the new digits least
+    significant, multiplied in the order of ``act_dense``, (X c1) c2. An O_1
+    leg has the column [1] and keeps its size."""
     p, q, k = X.shape
     (N, n), m = c1.shape, c2.shape[1]
-    # a C-ordered output: numpy's own broadcast layout writes it far slower
-    if out is None:
-        out = np.empty((p * n, q * m, N, k), dtype=complex)
     np.multiply(X[:, None, :, None, None] * c1.T[:, None, None, :, None], c2.T[:, :, None],
                 out=out.reshape(p, n, q, m, N, k))
     return out
@@ -485,7 +480,7 @@ def verify_intertwining(rmat, tol=BUILD_TOL):
     span_depth = rmat.depth - 1
     # the opposite side acts on R V over the whole depth-d block, so it
     # grows the block by one letter
-    preflight(_word_count(N, span_depth) * N ** (rmat.depth + 1), "the intertwining check")
+    preflight((_word_count(N, span_depth) * N ** (rmat.depth + 1), "the intertwining check"))
     reps = (rmat.rep1, rmat.rep2)
     (c1, c2), (c1_op, c2_op) = (_letter_images(reps, form) for form in ("delta", "delta_op"))
     V = next(_word_images(reps, "delta", span_depth, rmat.dims, columns=(c1, c2)))
@@ -606,10 +601,10 @@ def verify_ybe(omega1, omega2, omega3, depth, tol=BUILD_TOL, rs=None):
     N = a * b * c
     block = int(np.prod(dims))
     step = max(1, _YBE_CHUNK_ENTRIES // block)  # words per chunk
-    if N * N > 3 * step * block:  # the sides outnumber a chunk's stacks
-        preflight(N * N, f"the {N} x {N} sides of the triple exchange check")
-    else:
-        preflight(3 * step * block, "the triple exchange check")
+    preflight(
+        (3 * step * block, "the triple exchange check"),
+        (N * N, f"the {N} x {N} sides of the triple exchange check"),
+    )
     # each R_1 on its two legs of a digit triple, the identity on the third
     r12 = rs[0].r1.reshape(a, b, 1, a, b, 1) * np.eye(c).reshape(1, 1, c, 1, 1, c)
     r13 = rs[1].r1.reshape(a, 1, c, a, 1, c) * np.eye(b).reshape(1, b, 1, 1, b, 1)

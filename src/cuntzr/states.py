@@ -26,7 +26,7 @@ import operator
 
 import numpy as np
 
-from .algebra import EQ_TOL, AlgebraElement, CuntzMonomial, as_element, holds
+from .algebra import EQ_TOL, AlgebraElement, CuntzMonomial, _index, as_element, holds
 from .coproduct import split_words
 from .errors import MismatchedAlgebra, NotUnitary
 
@@ -57,6 +57,7 @@ class UnitVector:
     @classmethod
     def basis(cls, n, k=1):
         """The k-th standard basis vector e_k of C^n, for 1 <= k <= n."""
+        n, k = _index(n, None, "dimension"), _index(k, None, "basis index")
         if not 1 <= k <= n:
             raise ValueError(f"basis vector e_{k} of C^{n} needs 1 <= k <= n")
         z = np.zeros(n, dtype=complex)
@@ -69,6 +70,7 @@ class UnitVector:
 
     @classmethod
     def uniform(cls, n):
+        n = _index(n, None, "dimension")
         if n < 1:
             raise ValueError(f"the uniform vector of C^{n} needs n >= 1")
         return cls(np.full(n, 1.0 / np.sqrt(n), dtype=complex))

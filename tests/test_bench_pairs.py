@@ -18,9 +18,9 @@ METRICS = [
 ]
 
 
-def _line(verdict, depth):
+def _line(verdict, depth, correct=True, attempted=6, failed=0):
     """A result line as ``perfbench/run.py --trace 0`` prints it."""
-    return json.dumps({"correct": True, "attempted": 6, "failed": 0, "metrics": {
+    return json.dumps({"correct": correct, "attempted": attempted, "failed": failed, "metrics": {
         "verdict_ref": {"value": verdict, "unit": "ref"},
         "max_depth": {"value": depth, "unit": "depth"},
     }})
@@ -79,3 +79,22 @@ def test_a_worse_median_past_its_bound_and_an_unpaired_run():
     # max_depth 8 -> 6 is 25% worse, past its 0.2 bound
     assert summary["max_depth"]["change"] == pytest.approx(-0.25)
     assert not summary["max_depth"]["within_bound"]
+
+
+def test_outcomes_total_the_failed_operations_and_correctness_per_side():
+    lines = {
+        ("base", 0): _line(2.0, 8), ("head", 0): _line(1.9, 8, attempted=7, failed=1),
+        ("base", 1): _line(2.1, 8), ("head", 1): _line(1.8, 8, correct=False),
+    }
+    runs = [{"pair": i, "side": side, "seed": 7 + i,
+             "result": bench_pairs.parse_result(f"ladder: done\n{line}\n")}
+            for (side, i), line in lines.items()]
+    sides = bench_pairs.outcomes(runs)
+    assert sides["base"] == {"runs": 2, "attempted": 12, "failed": 0, "all_correct": True,
+                             "failed_share": 0.0}
+    assert sides["head"] == {"runs": 2, "attempted": 13, "failed": 1, "all_correct": False,
+                             "failed_share": pytest.approx(1 / 13)}
+    assert bench_pairs.outcome_line("ybe-triples", "base", sides["base"]) == (
+        "ybe-triples base: 0 of 12 operations failed (0.00%) over 2 runs, every run correct")
+    assert bench_pairs.outcome_line("ybe-triples", "head", sides["head"]) == (
+        "ybe-triples head: 1 of 13 operations failed (7.69%) over 2 runs, NOT every run correct")

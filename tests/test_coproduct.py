@@ -3,10 +3,12 @@ import itertools
 import json
 import math
 import operator
+import re
 
 import coproduct_oracle as oracle
 import numpy as np
 import pytest
+from monomial_oracle import parse_label
 
 from cuntzr import cli, coproduct, states
 from cuntzr.algebra import AlgebraElement, CuntzMonomial
@@ -161,6 +163,18 @@ def test_tensor_element_rejects_letters_outside_the_leg():
             TensorElement({(2, 3): {(key([1]), key([letter])): 1.0}})
         with pytest.raises(ValueError, match="outside 1..3"):
             TensorElement({(3,): {(key([], [2, letter]),): 1.0}})
+
+
+def test_tensor_element_reads_its_block_indices_as_integers():
+    # 2.5 would stand for a leg of letters 1..2 and True for O_1, whose
+    # words collapse: both were kept as block indices
+    for indices, bad in (((2.5, 3), 2.5), ((True, 2), True), ((2, "3"), "3")):
+        with pytest.raises(ValueError, match=re.escape(f"algebra index {bad!r} is not an integer")):
+            TensorElement({indices: {(key([1]), key([], [2])): 1.0}})
+    with pytest.raises(ValueError, match="algebra index must be >= 1, got 0"):
+        TensorElement({(0, 2): {(UNIT, key([1])): 1.0}})
+    t = TensorElement({(np.int64(2), 3): {(key([1]), key([], [2])): 1.0}})
+    assert list(t.blocks) == [(2, 3)] and type(next(iter(t.blocks))[0]) is int
 
 
 def test_tensor_element_rejects_a_key_with_the_wrong_number_of_legs():
@@ -959,7 +973,7 @@ def test_a_shifted_table_fails_coassociativity_and_the_ybe_check(altered_tables)
     # the unit word is untouched; each failing record names its word of O_12
     assert report.checks[0].name == "ybe:n=12;u=;v=" and report.checks[0].passed
     for check in failed:
-        word = CuntzMonomial.parse_label(check.name.removeprefix("ybe:"))
+        word = parse_label(check.name.removeprefix("ybe:"))
         assert word.n == 12 and len(word.u) == 1
         assert check.residual > 1e-3
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -353,16 +355,62 @@ def test_preflight_without_an_address_space_limit_uses_available_memory(monkeypa
     unlimited = (resource.RLIM_INFINITY, resource.RLIM_INFINITY)
     monkeypatch.setattr(resource, "getrlimit", lambda which: unlimited)
     with pytest.raises(SpanTooLarge) as err:
-        representations.preflight(entries, "a 2 GiB request")
+        representations.preflight((entries, "a 2 GiB request"))
     assert err.value.limit == gib
-    representations.preflight(entries // 4, "a 512 MiB request")
+    representations.preflight((entries // 4, "a 512 MiB request"))
     # a set RLIMIT_AS stays the bound, above or below the available memory
     monkeypatch.setattr(resource, "getrlimit", lambda which: (3 * gib, 3 * gib))
-    representations.preflight(entries, "a 2 GiB request")
+    representations.preflight((entries, "a 2 GiB request"))
     monkeypatch.setattr(resource, "getrlimit", lambda which: (gib // 2, gib // 2))
     with pytest.raises(SpanTooLarge) as err:
-        representations.preflight(entries // 2, "a 1 GiB request")
+        representations.preflight((entries // 2, "a 1 GiB request"))
     assert err.value.limit == gib // 2
+
+
+def test_preflight_checks_the_largest_request_with_one_memory_read(monkeypatch):
+    import builtins
+    import resource
+
+    from cuntzr import representations
+
+    # a 1 MiB limit: 6 copies of 16 bytes make 10922 entries fit, 10923 not
+    mib = 2**20
+    fits, over = mib // 96, mib // 96 + 1
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (mib, mib))
+    representations.preflight((fits, "a"), (1, "b"), (fits, "c"))
+    # the largest request decides, wherever it stands among the others
+    for requests in (((over, "big"), (1, "small")), ((1, "small"), (over, "big"))):
+        with pytest.raises(SpanTooLarge, match="^big needs") as err:
+            representations.preflight(*requests)
+        assert err.value.nbytes == 96 * over and err.value.limit == mib
+    # of equal requests the first is named
+    with pytest.raises(SpanTooLarge, match="^first needs"):
+        representations.preflight((over, "first"), (over, "second"))
+    with pytest.raises(SpanTooLarge, match="^second needs"):
+        representations.preflight((fits, "first"), (over, "second"), (over, "third"))
+    # without a limit, one call reads /proc/meminfo once, for any number of requests
+    reads = []
+
+    def counting_open(path, *args, **kwargs):
+        reads.append(path)
+        return builtins.open(path, *args, **kwargs)
+
+    unlimited = (resource.RLIM_INFINITY, resource.RLIM_INFINITY)
+    monkeypatch.setattr(resource, "getrlimit", lambda which: unlimited)
+    monkeypatch.setattr(representations, "open", counting_open, raising=False)
+    representations.preflight((1, "a"), (2, "b"), (3, "c"))
+    assert reads == ["/proc/meminfo"]
+
+
+def test_a_representation_reads_its_algebra_index_as_an_integer():
+    # int(n) built O_2 from 2.7, O_3 from "3" and O_1 from True
+    for bad in (2.7, "3", True, np.float64(2.0)):
+        with pytest.raises(ValueError, match=re.escape(f"algebra index {bad!r} is not an integer")):
+            GPRepresentation(bad)
+    with pytest.raises(ValueError, match="algebra index must be >= 1, got 0"):
+        GPRepresentation(0)
+    rep = GPRepresentation(np.int64(3))
+    assert type(rep.n) is int and rep.n == 3 and rep.is_standard
 
 
 def test_available_memory_falls_back_to_the_physical_memory(monkeypatch):

@@ -1185,7 +1185,8 @@ def test_the_generator_step_is_the_symbolic_action_of_the_generator():
         coproducts = (lambda g: phi(n, m, g), lambda g: phi(m, n, g).flip())
         for form, coproduct_of in zip(("delta", "delta_op"), coproducts):
             c1, c2 = rmatrix._letter_images(reps, form)
-            grown = rmatrix._grow_all(batch, c1, c2)
+            out = np.empty((n**3, m**3, n * m, 5), dtype=complex)
+            grown = rmatrix._grow_all(batch, c1, c2, out)
             assert grown.shape == (n**3, m**3, n * m, 5)
             for i in range(n * m):
                 want = act_dense(reps, coproduct_of(CuntzMonomial.generator(n * m, i + 1)), batch)

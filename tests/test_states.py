@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from monomial_oracle import iter_monomials
 from substitution_oracle import substitute_generators
 
 from cuntzr import algebra, coproduct
-from cuntzr.algebra import AlgebraElement, CuntzMonomial, iter_monomials
+from cuntzr.algebra import AlgebraElement, CuntzMonomial
 from cuntzr.coproduct import phi
 from cuntzr.errors import MismatchedAlgebra, NotUnitary
 from cuntzr.states import (
@@ -462,6 +463,19 @@ def test_basis_vector_index_is_checked():
             UnitVector.basis(n, k)
     with pytest.raises(ValueError, match="n >= 1"):
         UnitVector.uniform(0)
+
+
+def test_basis_and_uniform_read_their_integers_through_the_index_rule():
+    # basis(2, True) returned e_1, basis(2, 1.0) raised IndexError and
+    # uniform(2.5) or uniform(True) numpy's TypeError
+    for n, k in ((2, True), (2, 1.0), (2, "1"), (2.0, 1), (True, 1)):
+        with pytest.raises(ValueError, match="is not an integer"):
+            UnitVector.basis(n, k)
+    for n in (2.5, True, "2"):
+        with pytest.raises(ValueError, match="is not an integer"):
+            UnitVector.uniform(n)
+    assert UnitVector.basis(np.int64(3), np.int32(2)) == UnitVector([0, 1, 0])
+    assert UnitVector.uniform(np.int64(4)) == UnitVector.uniform(4)
 
 
 def test_scalar_state_is_trivial():

@@ -12,8 +12,10 @@ the head first on odd ones. The result line each run prints is kept whole.
 and per end-to-end metric of ``BENCHMARK.json`` the medians and quartiles
 of both sides, the head's wins over its pair, the relative change of the
 medians against the metric's bound, and whether the medians lie further
-apart than the base's interquartile range; plus the machine facts at the
-start and end of each series. A second workload is added to the same file.
+apart than the base's interquartile range; per side, the totals of
+attempted and failed operations and whether every run was correct; plus
+the machine facts at the start and end of each series. A second workload
+is added to the same file.
 """
 
 from __future__ import annotations
@@ -82,6 +84,30 @@ def summarise(runs, metrics):
             "separated": abs(hq[1] - bq[1]) > bq[2] - bq[0],
         }
     return summary
+
+
+def outcomes(runs):
+    """Per side, over all its runs: the totals of attempted and failed
+    operations, the failed share, and whether every run was correct."""
+    out = {}
+    for run in runs:
+        result = run["result"]
+        side = out.setdefault(run["side"], {"runs": 0, "attempted": 0, "failed": 0,
+                                            "all_correct": True})
+        side["runs"] += 1
+        side["attempted"] += result["attempted"]
+        side["failed"] += result["failed"]
+        side["all_correct"] = side["all_correct"] and bool(result["correct"])
+    for side in out.values():
+        side["failed_share"] = side["failed"] / side["attempted"] if side["attempted"] else 0.0
+    return out
+
+
+def outcome_line(workload, side, entry):
+    """One line of a side's failed operations and correctness."""
+    return (f"{workload} {side}: {entry['failed']} of {entry['attempted']} operations failed "
+            f"({100 * entry['failed_share']:.2f}%) over {entry['runs']} runs, "
+            f"{'every run' if entry['all_correct'] else 'NOT every run'} correct")
 
 
 def claim_line(workload, name, entry):
@@ -167,6 +193,7 @@ def main(argv=None):
                       + " ".join(f"{k}={v['value']}" for k, v in result["metrics"].items()),
                       file=sys.stderr)
     summary = summarise(runs, bench["end_to_end"])
+    sides = outcomes(runs)
 
     out = Path(f"BENCH_{revs['head']}.json")
     doc = json.loads(out.read_text()) if out.exists() else {"workloads": {}}
@@ -177,10 +204,14 @@ def main(argv=None):
         "machine": {"start": start, "end": machine_facts()},
         "runs": runs,
         "summary": summary,
+        "outcomes": sides,
     }
     out.write_text(json.dumps(doc, indent=1) + "\n")
     for name, entry in summary.items():
         print(claim_line(args.workload, name, entry))
+    for side in ("base", "head"):
+        if side in sides:
+            print(outcome_line(args.workload, side, sides[side]))
     return 0
 
 
