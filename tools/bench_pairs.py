@@ -209,9 +209,8 @@ def main(argv=None):
     out.write_text(json.dumps(doc, indent=1) + "\n")
     for name, entry in summary.items():
         print(claim_line(args.workload, name, entry))
-    for side in ("base", "head"):
-        if side in sides:
-            print(outcome_line(args.workload, side, sides[side]))
+    for side, entry in sorted(sides.items()):  # base, then head
+        print(outcome_line(args.workload, side, entry))
     return 0
 
 
