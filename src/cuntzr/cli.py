@@ -31,8 +31,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import __version__
-from .algebra import BUILD_TOL, EQ_TOL, AlgebraElement, CuntzMonomial, holds
-from .coproduct import coassoc_residual, disagreeing_letters
+from .algebra import BUILD_TOL, EQ_TOL, AlgebraElement, CuntzMonomial, _index, holds
+from .coproduct import _divisor_pairs, coassoc_residual, disagreeing_letters
 from .errors import CuntzrError, NotCommuting, SpecError
 from .rmatrix import (
     VerificationReport,
@@ -197,46 +197,42 @@ def _coassoc_splits(n, samples):
     d_3(n) blocks, the ordered divisor triples of n, and those keys are
     written as the terms of the two double coproducts; no Delta is
     computed. So the count is 2 d_3(n) keys a monomial, an upper bound on
-    the work done. d_3(n) is the product of (e + 1)(e + 2)/2 over the
-    prime factorization n = prod p^e.
+    the work done. d_3(n) is counted on the divisor pairs the tables are
+    built from: f_r's table has a block (a, b, c) for each divisor pair
+    (a, l) of n and (b, c) of l. No digit table is read.
     """
-    d3 = 1
-    p, rest = 2, n
-    while rest > 1:
-        if p * p > rest:
-            p = rest  # what is left is prime
-        e = 0
-        while rest % p == 0:
-            rest //= p
-            e += 1
-        d3 *= (e + 1) * (e + 2) // 2
-        p += 1
+    d3 = sum(len(_divisor_pairs(l)) for _, l in _divisor_pairs(n))
     return (n + 1 + samples) * 2 * d3
 
 
 def _validate(spec):
+    """Check the rules of a spec, gathering every broken one into one
+    ``SpecError``. Each integer field is read by ``algebra._index`` and
+    written back as an int; a ``tol`` that is not a float (a bool or a
+    string) is refused as one out of range."""
     if spec.kind not in _RUNNERS:
         raise SpecError([f"unknown scenario kind {spec.kind!r}"])
     errors = []
-    if not (0.0 < spec.tol <= 1e-3):
+    # no int lies in (0, 1e-3], so a real tol in range is a float
+    if not (isinstance(spec.tol, (float, np.floating)) and 0.0 < spec.tol <= 1e-3):
         errors.append(f"tol must lie in (0, 1e-3], got {spec.tol!r}")
-    if spec.depth < 0:
-        errors.append(f"depth must be >= 0, got {spec.depth}")
-    if spec.max_len < 0:
-        errors.append(f"max-len must be >= 0, got {spec.max_len}")
-    if spec.samples < 0:
-        errors.append(f"samples must be >= 0, got {spec.samples}")
-    if spec.seed < 0:
-        errors.append(f"seed must be >= 0, got {spec.seed}")
+    lowers = {"depth": 0, "max_len": 0, "samples": 0, "seed": 0}
+    if spec.kind == "coassoc":
+        lowers["n"] = 1
+    read = set()
+    for name, lower in lowers.items():
+        try:
+            setattr(spec, name, _index(getattr(spec, name), lower, name.replace("_", "-")))
+            read.add(name)
+        except ValueError as exc:
+            errors.append("coassoc needs --n >= 1" if name == "n" else str(exc))
     if spec.kind in ("state-product", "build-r", "verify"):
         if spec.omega1 is None or spec.omega2 is None:
             errors.append(f"{spec.kind} needs --omega1 and --omega2")
-    if spec.kind == "coassoc" and (spec.n is None or spec.n < 1):
-        errors.append("coassoc needs --n >= 1")
-    elif spec.kind == "coassoc" and spec.samples >= 0:
+    if {"n", "samples"} <= read:
         # each monomial that falls back takes at least 2 block keys
-        # (d_3(1) = 1), and n is factored only when that floor stays under
-        # the cap
+        # (d_3(1) = 1), and the divisor pairs of n are scanned only when
+        # that floor stays under the cap
         floor = 2 * (spec.n + 1 + spec.samples)
         exact = floor <= MAX_COASSOC_SPLITS
         writes = _coassoc_splits(spec.n, spec.samples) if exact else floor
@@ -246,7 +242,7 @@ def _validate(spec):
                 f"{'' if exact else 'at least '}{writes} term writes, "
                 f"above the cap of {MAX_COASSOC_SPLITS}"
             )
-    if spec.kind == "state-product" and spec.samples < 1:
+    if spec.kind == "state-product" and not ("samples" in read and spec.samples >= 1):
         errors.append("state-product needs --samples >= 1")
     if errors:
         raise SpecError(errors)

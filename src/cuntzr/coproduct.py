@@ -455,12 +455,13 @@ def phi(m, l, x):
     by letter, so every input term yields exactly one tensor term. This is
     the block (m, l) of the coproduct: each term is split through Delta's
     whole table and keeps that block's leg keys. m and l must be positive
-    integers (``operator.index``) with m*l the index of ``x``.
+    integers, read by ``algebra._index`` (a bool is refused), with m*l the
+    index of ``x``.
     """
     x = as_element(x)
     try:
-        m, l = operator.index(m), operator.index(l)
-    except TypeError:
+        m, l = _index(m, None, "factor"), _index(l, None, "factor")
+    except ValueError:
         raise BadFactorization(f"factors {m!r} and {l!r} of O_{x.n} are not integers") from None
     if not (m >= 1 and l >= 1 and m * l == x.n):
         raise BadFactorization(f"element of O_{x.n} does not factor as {m}*{l}")

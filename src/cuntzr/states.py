@@ -271,14 +271,6 @@ def twist_state(z, matrix):
     return GPState(UnitVector(U.conj().T @ z.z))
 
 
-def _json_int(obj, key):
-    """The integer under ``key``; a float, bool or string is an error."""
-    value = obj[key]
-    if type(value) is not int:
-        raise ValueError(f'state JSON: "{key}" must be an integer, got {value!r}')
-    return value
-
-
 def _json_number(value):
     """A JSON number (int or float, not bool) as a float; anything else is an error."""
     if type(value) not in (int, float):
@@ -291,19 +283,18 @@ def state_from_json(obj):
 
     Accepts exactly one of three forms, with no other key: the explicit
     {"n": n, "z": [[re, im], ...]} and the shortcuts {"standard": n} (first
-    basis vector) and {"uniform": n}. n must be a JSON integer and each
-    re, im a JSON number.
+    basis vector) and {"uniform": n}. n is read by ``algebra._index``, so a
+    float, bool or string is refused, and each re, im must be a JSON number.
     """
     if not isinstance(obj, dict):
         raise ValueError("state JSON must be an object")
-    if "standard" in obj:
-        form, state = {"standard"}, GPState.standard(_json_int(obj, "standard"))
-    elif "uniform" in obj:
-        form, state = {"uniform"}, GPState.uniform(_json_int(obj, "uniform"))
+    if "standard" in obj or "uniform" in obj:
+        key = "standard" if "standard" in obj else "uniform"
+        form, state = {key}, getattr(GPState, key)(_index(obj[key], None, f'state JSON "{key}"'))
     else:
         if "n" not in obj or "z" not in obj:
             raise ValueError('state JSON needs "n" and "z" (or a shortcut key)')
-        n = _json_int(obj, "n")
+        n = _index(obj["n"], None, 'state JSON "n"')
         comps = []
         for entry in obj["z"]:
             re, im = entry

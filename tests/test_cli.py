@@ -6,6 +6,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from coassoc_count_oracle import coassoc_splits as oracle_splits
 
 from cuntzr import coproduct
 from cuntzr.cli import (
@@ -555,6 +556,37 @@ def test_library_spec_rejects_what_the_cli_rejects():
         ScenarioSpec(kind="verify", omega1={"standard": 0}, omega2={"standard": 2})
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (dict(kind="coassoc", n=2.5), "coassoc needs --n >= 1"),
+        (dict(kind="coassoc", n=3, samples=2.5), "samples 2.5 is not an integer"),
+        (
+            dict(kind="state-product", omega1={"uniform": 2}, omega2={"uniform": 3}, max_len=2.5,
+                 samples=3),
+            "max-len 2.5 is not an integer",
+        ),
+        (dict(kind="coassoc", n=4, seed=1.5), "seed 1.5 is not an integer"),
+        (dict(kind="coassoc", n=4, depth=True), "depth True is not an integer"),
+        (dict(kind="coassoc", n=4, tol="1e-4"), "tol must lie in (0, 1e-3], got '1e-4'"),
+    ],
+)
+def test_library_spec_reads_its_integers_and_tol_by_the_one_rule(spec, message):
+    # n=2.5 and samples=2.5 raised a raw TypeError, max_len=2.5 and seed=1.5
+    # ran, and a string tol raised TypeError from the range comparison
+    with pytest.raises(SpecError) as exc:
+        run_scenario(ScenarioSpec(**spec))
+    assert exc.value.errors == [message]
+
+
+def test_library_spec_integers_are_reported_as_ints():
+    report, _, _ = run_scenario(ScenarioSpec(kind="coassoc", n=np.int64(4), samples=np.int32(2)))
+    assert type(report["scenario"]["n"]) is int and report["scenario"]["n"] == 4
+    assert type(report["scenario"]["samples"]) is int and report["scenario"]["samples"] == 2
+    plain, _, _ = run_scenario(ScenarioSpec(kind="coassoc", n=4, samples=2))
+    assert stable_json(report) == stable_json(plain)
+
+
 def test_only_the_subcommand_kinds_run():
     # no subcommand produces the kinds intertwine, symmetry or ybe; `verify`
     # runs all three checks
@@ -654,6 +686,17 @@ def test_oversized_coassoc_fails_fast(altered_tables, capsys):
     with pytest.raises(SpecError) as exc:
         _validate(ScenarioSpec(kind="coassoc", n=10**30))
     assert f"needs at least {2 * (10**30 + 1)} term writes" in exc.value.errors[0]
+
+
+def test_coassoc_split_count_equals_the_prime_factorization_count(altered_tables):
+    # d_3(n) from the tables' divisor pairs against the trial-division count
+    # the cap used before; neither reads a digit table
+    def table(n):
+        raise AssertionError("the split count read a digit table")
+
+    altered_tables.digits(table)
+    for n in [*range(1, 3001), 30000, 666649, 720720]:
+        assert _coassoc_splits(n, 5) == oracle_splits(n, 5), n
 
 
 def test_the_parser_is_built_once_and_parses_alike_after_an_error(tmp_path, capsys):

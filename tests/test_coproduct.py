@@ -714,10 +714,11 @@ def test_phi_refuses_a_pair_that_is_not_a_positive_factorization():
 def test_phi_refuses_factors_that_are_not_integers():
     # a float factor used to raise TypeError from range on a fresh table
     # cache, and once the table of O_6 was built to give a block keyed
-    # (2.0, 3) or (2, 3.0); integers of any integer type are read as ints
+    # (2.0, 3) or (2, 3.0), and a bool read as 1 built (True, 6) as (1, 6);
+    # integers of any integer type are read as ints
     s4 = gen(6, 4)
     phi(2, 3, s4)  # the table of O_6 built
-    for m, l in ((2.0, 3), (2, 3.0), (2.5, 2.4), ("2", 3)):
+    for m, l in ((2.0, 3), (2, 3.0), (2.5, 2.4), ("2", 3), (True, 6), (2, True)):
         with pytest.raises(BadFactorization, match="not integers"):
             phi(m, l, s4)
     for m, l in ((np.int64(2), 3), (2, np.uint8(3))):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from monomial_oracle import iter_monomials
@@ -498,6 +500,18 @@ def test_state_json_shortcuts():
         state_from_json({"z": [[1, 0]]})
     with pytest.raises(ValueError):
         state_from_json({"n": 2, "z": [[1, 0]]})
+
+
+def test_state_json_reads_its_integers_through_the_index_rule():
+    for obj, name in (
+        ({"standard": 2.9}, '"standard" 2.9'),
+        ({"standard": "2"}, """"standard" '2'"""),
+        ({"uniform": True}, '"uniform" True'),
+        ({"n": 2.5, "z": [[1, 0], [0, 0]]}, '"n" 2.5'),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"state JSON {name} is not an integer")):
+            state_from_json(obj)
+    assert state_from_json({"uniform": np.int64(3)}) == GPState.uniform(3)
 
 
 def test_iter_monomials_scan_finds_creation_witness_first():
