@@ -208,8 +208,9 @@ def _coassoc_splits(n, samples):
 def _validate(spec):
     """Check the rules of a spec, gathering every broken one into one
     ``SpecError``. Each integer field is read by ``algebra._index`` and
-    written back as an int; a ``tol`` that is not a float (a bool or a
-    string) is refused as one out of range."""
+    written back as an int, ``n`` on every kind that is given one; a
+    ``tol`` that is not a float (a bool or a string) is refused as one out
+    of range."""
     if spec.kind not in _RUNNERS:
         raise SpecError([f"unknown scenario kind {spec.kind!r}"])
     errors = []
@@ -217,7 +218,7 @@ def _validate(spec):
     if not (isinstance(spec.tol, (float, np.floating)) and 0.0 < spec.tol <= 1e-3):
         errors.append(f"tol must lie in (0, 1e-3], got {spec.tol!r}")
     lowers = {"depth": 0, "max_len": 0, "samples": 0, "seed": 0}
-    if spec.kind == "coassoc":
+    if spec.kind == "coassoc" or spec.n is not None:
         lowers["n"] = 1
     read = set()
     for name, lower in lowers.items():
@@ -225,11 +226,12 @@ def _validate(spec):
             setattr(spec, name, _index(getattr(spec, name), lower, name.replace("_", "-")))
             read.add(name)
         except ValueError as exc:
-            errors.append("coassoc needs --n >= 1" if name == "n" else str(exc))
+            coassoc_n = (name, spec.kind) == ("n", "coassoc")
+            errors.append("coassoc needs --n >= 1" if coassoc_n else str(exc))
     if spec.kind in ("state-product", "build-r", "verify"):
         if spec.omega1 is None or spec.omega2 is None:
             errors.append(f"{spec.kind} needs --omega1 and --omega2")
-    if {"n", "samples"} <= read:
+    if spec.kind == "coassoc" and {"n", "samples"} <= read:
         # each monomial that falls back takes at least 2 block keys
         # (d_3(1) = 1), and the divisor pairs of n are scanned only when
         # that floor stays under the cap
@@ -350,15 +352,11 @@ def _run_verify(spec):
 
 def _pair_gap(rmat, targets):
     """Largest norm of R(e_a (x) e_b) - e_a' (x) e_b' over 1-based basis pairs
-    {(a, b): (a', b')}; R acts once, on the identity batch of the block."""
-    p, q = rmat.dims
-    images = rmat.apply_dense(np.eye(p * q).reshape(p, q, p * q))
-    worst = 0.0
-    for (a, b), (a2, b2) in targets.items():
-        image = images[:, :, (a - 1) * q + b - 1].copy()
-        image[a2 - 1, b2 - 1] -= 1.0
-        worst = max(worst, float(np.linalg.norm(image)))
-    return worst
+    {(a, b): (a', b')}; R acts once, on the batch of the source pairs."""
+    X, W = np.zeros((2, *rmat.dims, len(targets)))
+    for k, ((a, b), (a2, b2)) in enumerate(targets.items()):
+        X[a - 1, b - 1, k] = W[a2 - 1, b2 - 1, k] = 1.0
+    return _worst_column(rmat.apply_dense(X) - W)
 
 
 def _run_all(spec):

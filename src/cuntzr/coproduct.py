@@ -109,8 +109,12 @@ def divisor_pairs(n):
 
 @functools.lru_cache(maxsize=None)
 def _divisor_pairs(n):
-    """The divisor pairs of n as a tuple, scanned once per n."""
-    return tuple((m, n // m) for m in range(1, n + 1) if n % m == 0)
+    """The divisor pairs (m, n // m) of n as a tuple by increasing m, found
+    once per n: the divisors m up to isqrt(n), then their cofactors n // m
+    in reverse."""
+    small = [m for m in range(1, math.isqrt(max(n, 0)) + 1) if n % m == 0]
+    large = [n // m for m in reversed(small) if m * m != n]
+    return tuple((m, n // m) for m in small + large)
 
 
 def _digit_table(n):

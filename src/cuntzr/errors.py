@@ -36,12 +36,6 @@ class NotCommuting(CuntzrError):
 class OutOfDomain(CuntzrError):
     """A vector does not lie in a finite span within tolerance."""
 
-    def __init__(self, residual, message=None):
-        super().__init__(
-            message or f"projection residual {residual:.3e} exceeds tolerance"
-        )
-        self.residual = residual
-
 
 class SpanTooLarge(CuntzrError, MemoryError):
     """The dense arrays of a request would not fit in memory.

@@ -88,7 +88,7 @@ def to_dense(vec, dims):
         keys = np.array(list(vec), dtype=np.int64).reshape(len(vec), len(dims)) - 1
         if (keys < 0).any() or (keys >= np.array(dims)).any():
             bad = next(k for k in vec if not all(1 <= i <= d for i, d in zip(k, dims)))
-            raise OutOfDomain(abs(vec[bad]), f"basis index {bad} outside {tuple(dims)}")
+            raise OutOfDomain(f"basis index {bad} outside {tuple(dims)}")
         out[tuple(keys.T)] = list(vec.values())
     return out
 

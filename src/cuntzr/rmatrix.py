@@ -80,7 +80,6 @@ from .representations import (
     act_dense,
     creation_words,
     from_dense,
-    pad_to,
     pair_to_list,
     preflight,
     to_dense,
@@ -262,10 +261,7 @@ class RMatrixOperator:
         ``work`` holds the steps, as in ``_apply_digits``."""
         X = np.asarray(X)
         if X.shape[:2] != self.dims:
-            raise OutOfDomain(
-                float(np.linalg.norm(X)),
-                f"array of shape {X.shape} outside the {self.dims} block",
-            )
+            raise OutOfDomain(f"array of shape {X.shape} outside the {self.dims} block")
         return _apply_digits(self.r1, X, self.shape, self.depth, work)
 
     def apply(self, vec):
@@ -312,15 +308,6 @@ def _column_norms(diff):
 def _worst_column(diff):
     """Largest norm of a column of a difference batch (p, q, k)."""
     return float(np.max(_column_norms(diff))) if diff.size else 0.0
-
-
-def _worst_gap(A, B):
-    """Largest column norm of A - B, both batches (p, q, k) zero-padded to
-    their common leading shape."""
-    lead = np.maximum(A.shape[:-1], B.shape[:-1])
-    diff = pad_to(A, lead)
-    diff[tuple(map(slice, B.shape))] -= B
-    return _worst_column(diff)
 
 
 def _letter_images(reps, form):
@@ -476,7 +463,7 @@ def verify_intertwining(rmat, tol=BUILD_TOL):
     n1, n2 = rmat.shape
     N = n1 * n2
     if rmat.depth < 1:
-        raise OutOfDomain(1.0, f"intertwining needs operator depth >= 1, got {rmat.depth}")
+        raise OutOfDomain(f"intertwining needs operator depth >= 1, got {rmat.depth}")
     span_depth = rmat.depth - 1
     # the opposite side acts on R V over the whole depth-d block, so it
     # grows the block by one letter
@@ -512,19 +499,21 @@ def verify_symmetry(omega1, omega2, depth, tol=BUILD_TOL, r12=None):
     R and the flip F both act digit pair by digit pair, so the identity
     R_12 F R_21 F = I at depth d is the d-th tensor power of the one on
     R_1, and it is checked there: the residual is the worst column norm of
-    R_1(omega1, omega2) F R_1(omega2, omega1) F - I. Both operators are
-    still built at the requested depth, so its preflight applies. For equal
-    states the reversed-pair partner is the operator itself. A given ``r12``
-    must be R(omega1, omega2) of these states, else ValueError. A failing
-    record names the digit pair of its worst column as witness,
-    ``digit-pair=i,j`` (1-based: digit i of leg 1, digit j of leg 2).
+    R_1(omega1, omega2) F R_1(omega2, omega1) F - I. Only R_1 is read, so a
+    missing operator is built at depth 0, whose preflight covers R_1 alone,
+    and the check runs at any depth; a bad depth still raises ValueError.
+    For equal states the reversed-pair partner is the operator itself. A
+    given ``r12`` must be R(omega1, omega2) of these states, else
+    ValueError. A failing record names the digit pair of its worst column
+    as witness, ``digit-pair=i,j`` (1-based: digit i of leg 1, digit j of
+    leg 2).
     """
-    depth = _index(depth, 0, "depth")
+    _index(depth, 0, "depth")
     if r12 is None:
-        r12 = build_r(omega1, omega2, depth)
+        r12 = build_r(omega1, omega2, 0)
     elif not (r12.omega1 == omega1 and r12.omega2 == omega2):
         raise ValueError("r12 is not the operator of (omega1, omega2)")
-    r21 = r12 if omega1 == omega2 else build_r(omega2, omega1, depth)
+    r21 = r12 if omega1 == omega2 else build_r(omega2, omega1, 0)
     n, m = r12.shape
     # F_{m,n} R_1(omega2, omega1) F_{n,m}, the flips as one gather
     f = radix_perm(m, n)
@@ -643,7 +632,8 @@ def counterexample_demo(tol=BUILD_TOL):
     relation-defined operator must fix it too (the unit branch gives the
     same vector). The opposite coproduct, however, sends the cyclic vector
     to an orthogonal one, so no unitary can satisfy the conjugation
-    identity, and the construction rejects the pair with a witness.
+    identity, and the construction rejects the pair with a witness. Each
+    gap is the norm of one algebra difference acting on the cyclic vector.
     """
     report = VerificationReport(scenario="counterexample")
     omega = GPState.standard(2)
@@ -652,15 +642,14 @@ def counterexample_demo(tol=BUILD_TOL):
     omega_bar = twist_state(omega.z, flip)
     reps = (GPRepresentation.standard(2), GPRepresentation.for_state(omega_bar))
     v = np.ones((1, 1, 1), dtype=complex)  # the cyclic pair vector, batch of one
-    x = CuntzMonomial.generator(4, 2)
+    x, unit = CuntzMonomial.generator(4, 2), CuntzMonomial.unit(4)
 
-    fixed = act_dense(reps, delta(x), v)
-    res_fixed = _worst_gap(fixed, v)
+    res_fixed = _worst_column(act_dense(reps, delta(x) - delta(unit), v))
     report.add("coproduct-action-fixes-cyclic-vector", holds(res_fixed, tol, True), res_fixed)
 
-    # the unit branch of the defining relation forces Rv = v
-    rv = act_dense(reps, delta_op(CuntzMonomial.unit(4)), v)
-    res_rv = _worst_gap(rv, v)
+    # the unit branch of the defining relation, R Delta(1) = Delta^op(1) R,
+    # forces Rv = v
+    res_rv = _worst_column(act_dense(reps, delta_op(unit) - delta(unit), v))
     report.add("relation-unit-branch-fixes-cyclic-vector", holds(res_rv, tol, True), res_rv)
 
     opposite = act_dense(reps, delta_op(x), v)
@@ -672,10 +661,9 @@ def counterexample_demo(tol=BUILD_TOL):
         witness=json.dumps(pair_to_list(opposite[:, :, 0])),
     )
 
-    # with Rv = v and R* v = v, the conjugated action returns v, which the
-    # opposite action contradicts
-    lhs = rv  # R (coproduct action) R* v = R v = v
-    violation = _worst_gap(lhs, opposite)
+    # with Rv = v and R* v = v, the conjugated action R Delta(x) R* returns
+    # v = Delta^op(1) v, which the opposite action contradicts
+    violation = _worst_column(act_dense(reps, delta_op(unit) - delta_op(x), v))
     report.add("conjugation-identity-violated", violation > tol, violation)
 
     try:

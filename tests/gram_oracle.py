@@ -195,7 +195,7 @@ class GramR:
     def apply(self, vec, tol=TOL):
         y, residual = self.basis.coordinates_of(vec)
         if residual > tol * max(1.0, vec_norm(vec)):
-            raise OutOfDomain(residual)
+            raise OutOfDomain(f"projection residual {residual:.3e} exceeds tolerance")
         return self.basis.from_coordinates(self.matrix @ y)
 
     def dense_matrix(self):

@@ -14,10 +14,12 @@ rounding (exactly on permutation pairs, whose products are exact).
 
 from __future__ import annotations
 
+import numpy as np
+
 from cuntzr.algebra import CuntzMonomial, holds
 from cuntzr.coproduct import phi
 from cuntzr.representations import act_dense, pad_to
-from cuntzr.rmatrix import BUILD_TOL, _word_images, _worst_gap
+from cuntzr.rmatrix import BUILD_TOL, _word_images, _worst_column
 
 
 def intertwining_records(rmat, tol=BUILD_TOL):
@@ -34,6 +36,9 @@ def intertwining_records(rmat, tol=BUILD_TOL):
         word = CuntzMonomial.generator(N, i)
         lhs = rmat.apply_dense(pad_to(act_dense(reps, phi(n1, n2, word), V), rmat.dims))
         rhs = act_dense(reps, phi(n2, n1, word).flip(), moved)
-        worst = _worst_gap(lhs, rhs)
+        # both sides zero-padded to their common block
+        diff = pad_to(lhs, np.maximum(lhs.shape[:-1], rhs.shape[:-1]))
+        diff[tuple(map(slice, rhs.shape))] -= rhs
+        worst = _worst_column(diff)
         records.append((f"intertwine:{word.label()}", holds(worst, tol, rmat.is_permutation), worst))
     return records

@@ -569,6 +569,11 @@ def test_library_spec_rejects_what_the_cli_rejects():
         (dict(kind="coassoc", n=4, seed=1.5), "seed 1.5 is not an integer"),
         (dict(kind="coassoc", n=4, depth=True), "depth True is not an integer"),
         (dict(kind="coassoc", n=4, tol="1e-4"), "tol must lie in (0, 1e-3], got '1e-4'"),
+        # n is read on every kind given one: these counterexample specs ran
+        # and reported n as 2.5, true and 0
+        (dict(kind="counterexample", n=2.5), "n 2.5 is not an integer"),
+        (dict(kind="counterexample", n=True), "n True is not an integer"),
+        (dict(kind="counterexample", n=0), "n must be >= 1, got 0"),
     ],
 )
 def test_library_spec_reads_its_integers_and_tol_by_the_one_rule(spec, message):
@@ -585,6 +590,8 @@ def test_library_spec_integers_are_reported_as_ints():
     assert type(report["scenario"]["samples"]) is int and report["scenario"]["samples"] == 2
     plain, _, _ = run_scenario(ScenarioSpec(kind="coassoc", n=4, samples=2))
     assert stable_json(report) == stable_json(plain)
+    report, _, _ = run_scenario(ScenarioSpec(kind="counterexample", n=np.int64(3)))
+    assert type(report["scenario"]["n"]) is int and report["scenario"]["n"] == 3
 
 
 def test_only_the_subcommand_kinds_run():

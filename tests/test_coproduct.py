@@ -102,6 +102,13 @@ def test_divisor_pairs_increasing():
     assert divisor_pairs(12) == [(1, 12), (2, 6), (3, 4), (4, 3), (6, 2), (12, 1)]
 
 
+def test_divisor_pairs_equal_the_full_scan():
+    # the scan of every m in 1..n is the oracle; the pairs are found up to isqrt(n)
+    for n in [*range(1, 3001), 30000, 666649, 720720, 1995840]:
+        scan = tuple((m, n // m) for m in range(1, n + 1) if n % m == 0)
+        assert coproduct._divisor_pairs(n) == scan
+
+
 def test_delta_generator_of_o4():
     # oracle: enumerate the ordered divisor pairs (1,4), (2,2), (4,1) and
     # split the index 1 = l*(i-1) + j in each

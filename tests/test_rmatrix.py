@@ -1246,6 +1246,42 @@ def test_symmetry_at_depth_8_under_a_2048_mb_address_space_cap(run_capped):
     assert float(elapsed) < 1.0
 
 
+def test_symmetry_reads_r1_alone_at_depths_10_and_64_under_a_1024_mb_cap(run_capped):
+    # the depth-10 span of (2,3) alone needs about 5.5 GiB of dense arrays;
+    # the identity is one on R_1, so the residual is depth 1's
+    out = run_capped("""
+        import time
+        from cuntzr import GPState, verify_symmetry
+        u2, u3 = GPState.uniform(2), GPState.uniform(3)
+        shallow = verify_symmetry(u2, u3, 1).max_residual
+        for depth in (10, 64):
+            start = time.perf_counter()
+            report = verify_symmetry(u2, u3, depth)
+            elapsed = time.perf_counter() - start
+            print(report.passed, report.max_residual == shallow, elapsed)
+    """, 1024)
+    assert out.returncode == 0, out.stderr
+    for line in out.stdout.splitlines():
+        passed, same, elapsed = line.split()
+        assert passed == same == "True"
+        assert float(elapsed) < 1.0
+    assert len(out.stdout.splitlines()) == 2
+
+
+def test_out_of_domain_carries_its_message_only():
+    rmat = build_r(W2, W3, 2)
+    cases = [
+        (lambda: rmat.apply_dense(np.zeros((2, 3))), "array of shape (2, 3) outside the (4, 9) block"),
+        (lambda: verify_intertwining(build_r(W2, W3, 0)),
+         "intertwining needs operator depth >= 1, got 0"),
+        (lambda: to_dense({(1, 7): 1.0}, (2, 3)), "basis index (1, 7) outside (2, 3)"),
+    ]
+    for call, message in cases:
+        with pytest.raises(OutOfDomain, match=f"^{re.escape(message)}$") as err:
+            call()
+        assert not hasattr(err.value, "residual")
+
+
 # ---------------------------------------------------------------------------
 # measured residuals
 
@@ -1372,12 +1408,13 @@ def test_ybe_builds_each_distinct_pair_once(monkeypatch):
 def test_symmetry_reuses_the_operator(monkeypatch):
     calls = _counting_build_r(monkeypatch)
     assert verify_symmetry(W2, W2, 2).passed
-    assert len(calls) == 1
+    assert calls == [(W2, W2, 0)]  # only R_1 is read
     calls.clear()
     code = cli.main(["verify", "--omega1", '{"uniform": 2}',
                      "--omega2", '{"uniform": 3}', "--depth", "1"])
     assert code == 0
-    assert [(c[0].n, c[1].n) for c in calls] == [(2, 3), (3, 2)]
+    # the reversed pair is built at depth 0
+    assert [(c[0].n, c[1].n, c[2]) for c in calls] == [(2, 3, 1), (3, 2, 0)]
 
 
 # ---------------------------------------------------------------------------
