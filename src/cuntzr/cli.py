@@ -31,9 +31,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import __version__
-from .algebra import BUILD_TOL, EQ_TOL, AlgebraElement, CuntzMonomial, _index, holds
+from .algebra import BUILD_TOL, EQ_TOL, CuntzMonomial, _index, holds
 from .coproduct import _divisor_pairs, coassoc_residual, disagreeing_letters
 from .errors import CuntzrError, NotCommuting, SpecError
+from .representations import preflight
 from .rmatrix import (
     VerificationReport,
     _worst_column,
@@ -48,9 +49,10 @@ from .rmatrix import (
 )
 from .states import (
     GPState,
+    _letter_values,
+    _word_value,
     boxtimes,
     commutes,
-    gp_eval,
     interleaving_gap,
     star,
     star_gap,
@@ -248,20 +250,26 @@ def _validate(spec):
         errors.append("state-product needs --samples >= 1")
     if errors:
         raise SpecError(errors)
+    if spec.kind in ("coassoc", "state-product"):
+        # the draw's worst case: two lengths and two words of max_len letters a sample
+        preflight((
+            spec.samples * (2 + 2 * spec.max_len),
+            f"the draw of --samples {spec.samples} --max-len {spec.max_len}",
+        ))
 
 
 # ---------------------------------------------------------------------------
 # scenario runners (pure: spec in, VerificationReport out)
 
 
-def _random_monomials(rng, n, max_len, count):
-    """``count`` monomials of O_n whose two words have lengths in
+def _random_keys(rng, n, max_len, count):
+    """``count`` word pairs (u, v) of O_n whose two words have lengths in
     0..max_len: every length is drawn in one call and every letter in
-    another, and each monomial takes its words' letters in turn."""
+    another, and each pair takes its words' letters in turn."""
     lengths = rng.integers(0, max_len + 1, size=(count, 2)).tolist()
     letters = iter(rng.integers(1, n + 1, size=sum(map(sum, lengths))).tolist())
     return [
-        CuntzMonomial(n, tuple(itertools.islice(letters, a)), tuple(itertools.islice(letters, b)))
+        (tuple(itertools.islice(letters, a)), tuple(itertools.islice(letters, b)))
         for a, b in lengths
     ]
 
@@ -279,8 +287,8 @@ def _run_coassoc(spec):
     ]
     if spec.samples:
         rng = np.random.default_rng(spec.seed)
-        monos = _random_monomials(rng, n, spec.max_len, spec.samples)
-        groups.append(("coassoc-random-monomials", monos))
+        keys = _random_keys(rng, n, spec.max_len, spec.samples)
+        groups.append(("coassoc-random-monomials", [CuntzMonomial(n, *key) for key in keys]))
     for name, monos in groups:
         # the worst canonical residual between the two double coproducts
         worst = max((coassoc_residual(mono) for mono in monos), default=0.0)
@@ -291,13 +299,12 @@ def _run_coassoc(spec):
 def _run_state_product(spec):
     omega1, omega2 = spec.omega1, spec.omega2
     rng = np.random.default_rng(spec.seed)
-    N = omega1.n * omega2.n
-    boxed = boxtimes(omega1.z, omega2.z)
+    # both functionals are read on the drawn word pairs; no element is built
+    boxed = _letter_values(boxtimes(omega1.z, omega2.z).z.tolist())
     prod = star(omega1, omega2)
     worst = 0.0
-    for mono in _random_monomials(rng, N, spec.max_len, spec.samples):
-        x = AlgebraElement.monomial(mono)
-        worst = max(worst, abs(prod(x) - gp_eval(boxed, x)))
+    for key in _random_keys(rng, prod.n, spec.max_len, spec.samples):
+        worst = max(worst, abs(prod.word_value(key) - _word_value(boxed, key, 1 + 0j)))
     report = VerificationReport(scenario=spec.kind)
     report.add("product-matches-interleaved-state", holds(worst, spec.tol), worst)
     ok, witness = commutes(omega1, omega2, tol=spec.tol)

@@ -562,8 +562,13 @@ def coassoc_residual(x):
     residual is 0.0, with no split made. A term with a disagreeing letter,
     a NaN coefficient or two tables with different blocks build both double
     coproducts and return their canonical residual, NaN for a NaN
-    coefficient; so every residual is the canonical one.
+    coefficient; so every residual is the canonical one. A monomial is one
+    term with coefficient 1, so its letters decide it before it is wrapped.
     """
+    if isinstance(x, CuntzMonomial) and (
+        (bad := disagreeing_letters(x.n)) is not None and bad.isdisjoint(x.u + x.v)
+    ):
+        return 0.0
     x = _one_leg(x)
     for (n,), terms in x.blocks.items():
         bad = disagreeing_letters(n)

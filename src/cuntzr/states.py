@@ -94,14 +94,23 @@ def boxtimes(z, y):
     return UnitVector(_interleave(z.z, y.z))
 
 
-def _word_value(zz, key, val):
+def _letter_values(zz):
+    """The per-letter value lists of the components ``zz`` of z, indexed
+    by the letter l from 1: conj(z_l) for a creation letter and z_l for an
+    annihilation letter."""
+    return [0j, *(c.conjugate() for c in zz)], [0j, *zz]
+
+
+def _word_value(values, key, val):
     """``val`` times rho_z(s_u s_v*) for the word pair key = (u, v), with the
-    letters multiplied in one by one from the components ``zz`` of z."""
+    letters multiplied in one by one from the value lists ``values`` of z
+    (``_letter_values``)."""
+    conj, plain = values
     u, v = key
     for l in u:
-        val *= zz[l - 1].conjugate()
+        val *= conj[l]
     for l in v:
-        val *= zz[l - 1]
+        val *= plain[l]
     return val
 
 
@@ -110,10 +119,10 @@ def gp_eval(z, x):
     x = as_element(x)
     if x.n != z.n:
         raise MismatchedAlgebra(f"state on O_{z.n}, element of O_{x.n}")
-    zz = z.z.tolist()
+    values = _letter_values(z.z.tolist())
     total = 0j
     for key, c in x.items():
-        total += _word_value(zz, key, complex(c))
+        total += _word_value(values, key, complex(c))
     return total
 
 
@@ -166,15 +175,17 @@ class StarComposite:
     letterwise too, so construction reads the block (n, m) of Delta's digit
     columns once (``coproduct.split_words``) and lifts each factor's vector
     through its digit column to one component per letter of O_{n*m}; an
-    O_1 leg, whose words collapse to the unit, lifts to 1. Evaluation takes
-    each term's value in the left factor's lifted vector and, unless it is
-    zero, in the right factor's, as ``gp_eval`` does. A factor must be a
-    :class:`GPState` or a composite, whose vector is the letterwise product
-    of its two lifted ones, so composites nest; anything else is a
-    ``TypeError``.
+    O_1 leg, whose words collapse to the unit, lifts to 1; the per-letter
+    value lists of both lifted vectors (``_letter_values``) are kept.
+    Evaluation takes each term's value in the left factor's lists and,
+    unless it is zero, in the right factor's, as ``gp_eval`` does;
+    ``word_value`` takes it on one word pair, with no element built. A
+    factor must be a :class:`GPState` or a composite, whose vector is the
+    letterwise product of its two lifted ones, so composites nest; anything
+    else is a ``TypeError``.
     """
 
-    __slots__ = ("left", "right", "n", "_left_letters", "_right_letters")
+    __slots__ = ("left", "right", "n", "_left_letters", "_right_letters", "_values")
 
     def __init__(self, left, right):
         vectors = _letter_vector(left), _letter_vector(right)
@@ -188,10 +199,11 @@ class StarComposite:
             [zz[d - 1] for d in col[:, 0].tolist()] if col.shape[1] else [1 + 0j] * self.n
             for zz, col in zip(vectors, cols)
         )
+        self._values = _letter_values(self._left_letters), _letter_values(self._right_letters)
 
     def __call__(self, x):
         x = as_element(x, self.n)
-        left, right = self._left_letters, self._right_letters
+        left, right = self._values
         total = 0j
         for key, c in x.items():
             a = _word_value(left, key, 1 + 0j)
@@ -199,6 +211,12 @@ class StarComposite:
                 continue
             total += c * a * _word_value(right, key, 1 + 0j)
         return total
+
+    def word_value(self, key):
+        """The value on the word pair key = (u, v) of O_{n*m}: equal to the
+        call on its monomial, but for the sign of a zero part."""
+        left, right = self._values
+        return _word_value(left, key, 1 + 0j) * _word_value(right, key, 1 + 0j)
 
     def __repr__(self):
         return f"StarComposite({self.left!r}, {self.right!r})"

@@ -98,3 +98,39 @@ def test_outcomes_total_the_failed_operations_and_correctness_per_side():
         "ybe-triples base: 0 of 12 operations failed (0.00%) over 2 runs, every run correct")
     assert bench_pairs.outcome_line("ybe-triples", "head", sides["head"]) == (
         "ybe-triples head: 1 of 13 operations failed (7.69%) over 2 runs, NOT every run correct")
+
+
+def test_summary_reprints_the_claim_and_outcome_lines_of_a_file_and_starts_no_run(
+    tmp_path, capsys, monkeypatch
+):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the summary started a run")
+
+    monkeypatch.setattr(bench_pairs, "run_once", no_run)
+    base = [(2.0, 8), (1.9, 8), (2.1, 8)]
+    head = [(1.7, 8), (1.75, 9), (2.15, 8)]
+    runs = _runs(base, head)
+    entry = {"runs": runs, "summary": bench_pairs.summarise(runs, METRICS),
+             "outcomes": bench_pairs.outcomes(runs)}
+    # a file written before the outcomes were kept totals them from its runs
+    older = {"runs": runs, "summary": entry["summary"]}
+    path = tmp_path / "BENCH_canned.json"
+    path.write_text(json.dumps({"base": "b", "head": "h",
+                                "workloads": {"ybe-triples": entry, "pair-verdict": older}}))
+    assert bench_pairs.main(["--summary", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "ybe-triples verdict_ref: 2 [1.95, 2.05] -> 1.75 [1.725, 1.95], -12.5%, "
+        "head better in 2 of 3, base IQR 0.1",
+        "ybe-triples max_depth: 8 [8, 8] -> 8 [8, 8.5], +0.0%, head better in 1 of 3, base IQR 0",
+        "ybe-triples base: 0 of 18 operations failed (0.00%) over 3 runs, every run correct",
+        "ybe-triples head: 0 of 18 operations failed (0.00%) over 3 runs, every run correct",
+        "pair-verdict verdict_ref: 2 [1.95, 2.05] -> 1.75 [1.725, 1.95], -12.5%, "
+        "head better in 2 of 3, base IQR 0.1",
+        "pair-verdict max_depth: 8 [8, 8] -> 8 [8, 8.5], +0.0%, head better in 1 of 3, base IQR 0",
+        "pair-verdict base: 0 of 18 operations failed (0.00%) over 3 runs, every run correct",
+        "pair-verdict head: 0 of 18 operations failed (0.00%) over 3 runs, every run correct",
+    ]
+    # a run still needs every one of its options
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--base", "HEAD"])
+    assert "a run needs --head, --workload, --pairs, --seed" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 import time
@@ -9,17 +10,20 @@ import pytest
 from coassoc_count_oracle import coassoc_splits as oracle_splits
 
 from cuntzr import coproduct
+from cuntzr.algebra import AlgebraElement, CuntzMonomial
 from cuntzr.cli import (
     MAX_COASSOC_SPLITS,
     ScenarioSpec,
     _coassoc_splits,
+    _random_keys,
+    _run_state_product,
     main,
     run_scenario,
     stable_json,
 )
 from cuntzr.errors import SpecError
 from cuntzr.rmatrix import RMatrixOperator, build_r, radix_perm, verify_intertwining, verify_ybe
-from cuntzr.states import GPState
+from cuntzr.states import GPState, boxtimes, gp_eval, star
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -720,3 +724,132 @@ def test_the_parser_is_built_once_and_parses_alike_after_an_error(tmp_path, caps
     assert run(["counterexample", "--out", str(second)]) == 0
     assert capsys.readouterr().out == out
     assert first.read_bytes() == second.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the draws of word pairs, and the product-state record read on them
+
+
+def _random_monomials(rng, n, max_len, count):
+    """The draw as one validated monomial a sample: every length in one
+    call, every letter in another, each monomial taking its words' letters
+    in turn."""
+    lengths = rng.integers(0, max_len + 1, size=(count, 2)).tolist()
+    letters = iter(rng.integers(1, n + 1, size=sum(map(sum, lengths))).tolist())
+    return [
+        CuntzMonomial(n, tuple(itertools.islice(letters, a)), tuple(itertools.islice(letters, b)))
+        for a, b in lengths
+    ]
+
+
+def test_drawn_keys_wrapped_as_monomials_are_the_monomial_draw():
+    for seed in (0, 7, 11, 2024):
+        for n, max_len, count in ((1, 3, 20), (6, 0, 10), (12, 2, 25), (60, 5, 40)):
+            keys_rng, monos_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            keys = _random_keys(keys_rng, n, max_len, count)
+            assert [CuntzMonomial(n, *key) for key in keys] == _random_monomials(
+                monos_rng, n, max_len, count
+            )
+            # both leave the generator in the same state
+            assert keys_rng.integers(1 << 62) == monos_rng.integers(1 << 62)
+
+
+def _per_monomial_worst(spec):
+    """The product-state record's residual from one element a sample: the
+    product functional and the interleaved state, each called on it."""
+    rng = np.random.default_rng(spec.seed)
+    boxed = boxtimes(spec.omega1.z, spec.omega2.z)
+    prod = star(spec.omega1, spec.omega2)
+    worst = 0.0
+    for mono in _random_monomials(rng, prod.n, spec.max_len, spec.samples):
+        x = AlgebraElement.monomial(mono)
+        worst = max(worst, abs(prod(x) - gp_eval(boxed, x)))
+    return worst
+
+
+def _random_state(rng, n):
+    z = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return GPState(z / np.linalg.norm(z) if n > 1 else [1.0])
+
+
+def test_state_product_records_equal_the_per_monomial_loop(monkeypatch):
+    from cuntzr import algebra
+
+    rng = np.random.default_rng(37)
+    x2 = _random_state(rng, 2)
+    pairs = [
+        (GPState.standard(2), GPState.standard(3)),
+        (GPState.uniform(2), GPState.uniform(3)),
+        (_random_state(rng, 2), _random_state(rng, 3)),
+        (_random_state(rng, 3), _random_state(rng, 2)),
+        (x2, GPState(np.kron(x2.z.z, x2.z.z))),
+        (GPState.standard(1), _random_state(rng, 3)),
+        (_random_state(rng, 2), GPState.standard(1)),
+        (GPState.standard(1), GPState.standard(1)),
+    ]
+    built = []
+    real_post_init = algebra.CuntzMonomial.__post_init__
+    for omega1, omega2 in pairs:
+        for max_len in (0, 3, 5):
+            spec = ScenarioSpec(kind="state-product", omega1=omega1, omega2=omega2,
+                                max_len=max_len, samples=150, seed=int(rng.integers(100)))
+            want = _per_monomial_worst(spec)
+            monkeypatch.setattr(algebra.CuntzMonomial, "__post_init__",
+                                lambda self: built.append(self) or real_post_init(self))
+            (record,) = (c for c in _run_state_product(spec).checks
+                         if c.name == "product-matches-interleaved-state")
+            monkeypatch.setattr(algebra.CuntzMonomial, "__post_init__", real_post_init)
+            assert record.residual.hex() == want.hex()
+            assert record.passed
+            # at most the commutes witness is built, no monomial a sample
+            assert len(built) <= 1
+            built.clear()
+            # each drawn pair reads the value of the call on its monomial
+            prod = star(omega1, omega2)
+            for key in _random_keys(np.random.default_rng(spec.seed), prod.n, max_len, 40):
+                assert prod.word_value(key) == prod(CuntzMonomial(prod.n, *key))
+
+
+def test_oversized_draws_are_refused_before_they_start(run_capped):
+    # samples * (2 + 2 max_len) entries, the draw's worst case, past the
+    # cap: exit 2 with the preflight's message, where numpy's MemoryError
+    # came after the allocation was tried
+    for argv in (
+        ["state-product", "--omega1", '{"uniform": 2}', "--omega2", '{"uniform": 3}',
+         "--samples", "100000000"],
+        ["verify-coassoc", "--n", "2", "--max-len", "100000000", "--samples", "1"],
+    ):
+        proc = run_capped(f"""
+            import time
+            from cuntzr.cli import main
+            start = time.perf_counter()
+            code = main({argv!r})
+            print(code, time.perf_counter() - start)
+        """, 1024)
+        code, seconds = proc.stdout.split()
+        assert code == "2" and float(seconds) < 1.0, proc.stderr
+        assert re.fullmatch(
+            r"error: the draw of --samples \d+ --max-len \d+ needs about [\d.]+ MiB of dense "
+            r"arrays, more than the 1024\.0 MiB memory limit\n", proc.stderr
+        ), proc.stderr
+
+
+def test_the_draw_preflight_comes_after_every_rule_and_only_for_draws(monkeypatch):
+    from cuntzr import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "preflight", lambda *requests: calls.append(requests))
+    cli._validate(ScenarioSpec("coassoc", n=12, max_len=2, samples=25))
+    cli._validate(ScenarioSpec("state-product", GPState.uniform(2), GPState.uniform(3),
+                               max_len=3, samples=100))
+    assert [entries for ((entries, _),) in calls] == [25 * 6, 100 * 8]
+    assert calls[0][0][1] == "the draw of --samples 25 --max-len 2"
+    calls.clear()
+    cli._validate(ScenarioSpec("all"))
+    cli._validate(ScenarioSpec("verify", GPState.uniform(2), GPState.uniform(3)))
+    # a broken rule is reported as before, with no preflight read
+    with pytest.raises(SpecError, match="tol must lie"):
+        cli._validate(ScenarioSpec("coassoc", n=2, max_len=10**8, samples=1, tol=1.0))
+    with pytest.raises(SpecError, match="needs --omega1 and --omega2"):
+        cli._validate(ScenarioSpec("state-product", samples=10**8))
+    assert not calls

@@ -498,6 +498,40 @@ def test_tables_with_different_blocks_take_the_fallback(altered_tables):
         altered_tables.replace(12, form, real[form])
 
 
+def test_a_monomial_is_decided_by_its_letters_before_it_is_wrapped(monkeypatch):
+    # on the real tables a monomial reads 0.0 with nothing wrapped; said to
+    # hold a disagreeing letter, or with the tables' blocks said to differ,
+    # it is wrapped and takes the canonical residual of the two sides
+    rng = np.random.default_rng(43)
+    monos = [
+        CuntzMonomial(n, tuple(rng.integers(1, n + 1, size=a).tolist()),
+                      tuple(rng.integers(1, n + 1, size=b).tolist()))
+        for n in (1, 6, 12, 60, 360) for a, b in ((1, 0), (0, 2), (3, 4))
+    ]
+    wrapped, canonical = [], []
+    one_leg, residual = coproduct._one_leg, coproduct.canonical_residual
+    monkeypatch.setattr(coproduct, "_one_leg", lambda x: wrapped.append(x) or one_leg(x))
+    monkeypatch.setattr(coproduct, "canonical_residual",
+                        lambda *sides: canonical.append(sides) or residual(*sides))
+    for mono in monos:
+        assert _bits(coassoc_residual(mono)) == _bits(0.0)
+    assert not wrapped and not canonical
+    for mono in monos:
+        letters = mono.u + mono.v
+        for bad, falls_back in (
+            (frozenset(letters[-1:]), bool(letters)),  # the words of O_1 collapse
+            (None, True),
+            (frozenset(set(range(1, mono.n + 2)) - set(letters)), False),
+        ):
+            monkeypatch.setattr(coproduct, "disagreeing_letters", lambda n: bad)
+            want = residual(f_r(mono), f_l(mono))
+            wrapped.clear()
+            got = coassoc_residual(mono)
+            assert _bits(got) == _bits(want) == _bits(0.0)
+            assert (wrapped == [mono], len(canonical) == 1) == (falls_back, falls_back)
+            canonical.clear()
+
+
 def test_coassoc_residual_is_the_residual_of_the_two_double_coproducts():
     rng = np.random.default_rng(5)
     for n in (1, 4, 6, 12):

@@ -159,6 +159,78 @@ def test_star_values_equal_gp_eval_on_the_per_term_elements(monkeypatch):
     assert [(v.real, v.imag) for v in got] == [(v.real, v.imag) for v in want]
 
 
+def _conjugating_word_value(zz, key, val):
+    """``val`` times the state of the components ``zz`` on the word pair
+    key, each creation letter's component conjugated as it is read."""
+    u, v = key
+    for l in u:
+        val *= zz[l - 1].conjugate()
+    for l in v:
+        val *= zz[l - 1]
+    return val
+
+
+def test_star_and_gp_eval_equal_the_conjugating_letter_loop():
+    # the per-letter value lists give every value bit for bit: on elements
+    # of several complex terms, on composites with zero components, an O_1
+    # leg and nesting on either side, and on the states themselves
+    rng = np.random.default_rng(19)
+    omega, psi, chi = (GPState(random_unit(rng, n)) for n in (2, 3, 2))
+    composites = [
+        star(omega, psi),
+        star(GPState.standard(2), GPState.uniform(3)),
+        star(GPState.standard(1), psi),
+        star(star(omega, psi), chi),
+        star(chi, star(psi, omega)),
+    ]
+    for prod in composites:
+        for _ in range(15):
+            terms = {}
+            for _ in range(5):
+                terms[random_monomial(rng, prod.n, max_len=4).key] = complex(*rng.normal(size=2))
+            x = AlgebraElement(prod.n, terms)
+            want = 0j
+            for key, c in x.items():
+                a = _conjugating_word_value(prod._left_letters, key, 1 + 0j)
+                if a != 0:
+                    want += c * a * _conjugating_word_value(prod._right_letters, key, 1 + 0j)
+            got = prod(x)
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+    for z in (omega.z, psi.z, boxtimes(omega.z, psi.z), UnitVector.basis(3, 2)):
+        for _ in range(15):
+            terms = {}
+            for _ in range(5):
+                terms[random_monomial(rng, z.n, max_len=4).key] = complex(*rng.normal(size=2))
+            x = AlgebraElement(z.n, terms)
+            want = 0j
+            for key, c in x.items():
+                want += _conjugating_word_value(z.z.tolist(), key, complex(c))
+            got = gp_eval(z, x)
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+def test_state_product_records_fail_with_transposed_split_columns(monkeypatch):
+    from cuntzr import states
+    from cuntzr.cli import ScenarioSpec, _run_state_product
+
+    # each letter w of O_{nm} split in the transposed radix: left digit
+    # (w-1) % n + 1, right digit (w-1) // n + 1, both still in range
+    def transposed(form, block, words):
+        n, _ = block
+        words = np.asarray(words) - 1
+        return words % n + 1, words // n + 1
+
+    rng = np.random.default_rng(17)
+    spec = ScenarioSpec(kind="state-product", omega1=GPState(random_unit(rng, 2)),
+                        omega2=GPState(random_unit(rng, 3)), max_len=3, samples=100)
+    record = _run_state_product(spec).checks[0]
+    assert record.passed
+    monkeypatch.setattr(states, "split_words", transposed)
+    record = _run_state_product(spec).checks[0]
+    assert record.name == "product-matches-interleaved-state"
+    assert not record.passed and record.residual > 0.01
+
+
 def test_star_sets_up_its_factor_values_once(monkeypatch):
     from cuntzr import states
 

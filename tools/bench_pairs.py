@@ -16,6 +16,12 @@ apart than the base's interquartile range; per side, the totals of
 attempted and failed operations and whether every run was correct; plus
 the machine facts at the start and end of each series. A second workload
 is added to the same file.
+
+    python3 tools/bench_pairs.py --summary BENCH_<head>.json
+
+reprints the claim and outcome lines of an existing file, each workload in
+the file's order, and starts no run. A file written before the outcomes
+were kept has them totalled from its runs.
 """
 
 from __future__ import annotations
@@ -119,6 +125,14 @@ def claim_line(workload, name, entry):
             f"base IQR {b[2] - b[0]:.3g}")
 
 
+def report_lines(workload, entry):
+    """The claim line of each metric of a workload's entry in a
+    ``BENCH_*.json``, then the outcome line of each side, base first."""
+    lines = [claim_line(workload, name, metric) for name, metric in entry["summary"].items()]
+    sides = entry.get("outcomes") or outcomes(entry["runs"])
+    return lines + [outcome_line(workload, side, sides[side]) for side in sorted(sides)]
+
+
 def machine_facts():
     """Cores, versions, BLAS thread variables, available memory and load."""
     import numpy
@@ -169,12 +183,22 @@ def run_once(rev, workload, seed, seconds, scratch):
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--base", required=True)
-    p.add_argument("--head", required=True)
-    p.add_argument("--workload", required=True)
-    p.add_argument("--pairs", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--summary", metavar="FILE",
+                   help="reprint the claim and outcome lines of a BENCH_*.json; no run")
+    p.add_argument("--base")
+    p.add_argument("--head")
+    p.add_argument("--workload")
+    p.add_argument("--pairs", type=int)
+    p.add_argument("--seed", type=int)
     args = p.parse_args(argv)
+    if args.summary:
+        for workload, entry in json.loads(Path(args.summary).read_text())["workloads"].items():
+            print("\n".join(report_lines(workload, entry)))
+        return 0
+    missing = [f"--{name}" for name in ("base", "head", "workload", "pairs", "seed")
+               if getattr(args, name) is None]
+    if missing:
+        p.error(f"a run needs {', '.join(missing)}")
 
     bench = json.loads(Path("BENCHMARK.json").read_text())
     revs = {side: subprocess.run(["git", "rev-parse", "--short", getattr(args, side)],
@@ -207,10 +231,7 @@ def main(argv=None):
         "outcomes": sides,
     }
     out.write_text(json.dumps(doc, indent=1) + "\n")
-    for name, entry in summary.items():
-        print(claim_line(args.workload, name, entry))
-    for side, entry in sorted(sides.items()):  # base, then head
-        print(outcome_line(args.workload, side, entry))
+    print("\n".join(report_lines(args.workload, doc["workloads"][args.workload])))
     return 0
 
 
