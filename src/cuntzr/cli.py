@@ -38,10 +38,10 @@ from .representations import preflight
 from .rmatrix import (
     VerificationReport,
     _worst_column,
+    _worst_word,
     build_r,
     counterexample_demo,
     radix_perm,
-    relation_residual,
     swap_index_pair,
     verify_intertwining,
     verify_symmetry,
@@ -326,10 +326,11 @@ def _run_build_r(spec):
         gap = star_gap(omega1, omega2, exc.witness)
         report.add("well-defined-gram-equality", False, gap, witness=exc.witness.label())
         return report, None
-    unitary = rmat.unitarity_residual
-    relation = relation_residual(rmat, 1)
-    report.add("unitary", holds(unitary, spec.tol, rmat.is_permutation), unitary)
-    report.add("defining-relation", holds(relation, spec.tol, rmat.is_permutation), relation)
+    # a failure names its worst column of R_1, or its worst word
+    for name, (residual, witness) in (("unitary", rmat._unitarity()),
+                                      ("defining-relation", _worst_word(rmat, 1))):
+        passed = holds(residual, spec.tol, rmat.is_permutation)
+        report.add(name, passed, residual, None if passed else witness)
     return report, rmat
 
 

@@ -59,14 +59,17 @@ def _available_memory():
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def preflight(*requests):
-    """Raise SpanTooLarge, before allocating, when batches of the largest
-    of the ``(entries, what)`` requests would not fit under the
-    address-space limit when one is set, or else in the available memory;
-    the refusal names its ``what``, the first request's on a tie. One call
-    reads the limit once, whatever the number of requests."""
+def preflight(*requests, held=0):
+    """Raise SpanTooLarge, before allocating, when six working copies of
+    the largest of the ``(entries, what)`` requests, with ``held`` entries
+    held once beside them, would not fit under the address-space limit
+    when one is set, or else in the available memory; the refusal names
+    its ``what``, the first request's on a tie. A streamed check passes
+    one chunk's arrays as a request and holds what stays for the whole
+    call (leg images, the operator). One call reads the limit once,
+    whatever the number of requests."""
     entries, what = max(requests, key=lambda request: int(request[0]))
-    nbytes = _WORK_COPIES * _ENTRY_BYTES * int(entries)
+    nbytes = _ENTRY_BYTES * (_WORK_COPIES * int(entries) + int(held))
     limit, _ = resource.getrlimit(resource.RLIMIT_AS)
     if limit == resource.RLIM_INFINITY:
         limit = _available_memory()

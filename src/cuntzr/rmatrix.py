@@ -51,23 +51,26 @@ coproduct form (``coproduct.split_words``: the table that ``delta``,
 ``phi`` and the double coproducts read), which gives each letter one twist
 column per leg. The leg images of each word length are then those of the
 length before, grown by one letter, and the block is their tensor
-product. Every verifier takes its stacks of all creation words up to a
-depth from this one path, ``_word_images``, whole or, in the exchange
-check, in chunks of words of bounded size. The verifiers apply
-R to whole batches of vectors at once, the exchange check each of its two
-sides once per chunk, and measure residuals on the unpruned dense
-differences. The generators of the conjugation
-identity act the same way: a one-letter word splits to one digit per leg
-(none on an O_1 leg), so a generator grows each leg of a batch by one
-least significant digit and multiplies in that letter's twist column
-there. All N generators grow a batch at once, along a new generator axis,
-so R is applied once to the grown span. A fixed counterexample scenario
-shows how the construction degenerates for a noncommuting pair.
+product. Every dense verifier takes its stacks of all creation words up
+to a depth from this one path, ``_word_images``, in chunks of words of
+bounded size (``_chunk_words``: one rule and one entry count for all
+three), applies R, or each side of the exchange identity, once per chunk,
+and keeps a running worst residual; one preflight per call counts a
+chunk's arrays with the leg images and operators held for the whole call.
+Residuals are measured on the unpruned dense differences. The generators
+of the conjugation identity act the same way: a one-letter word splits to
+one digit per leg (none on an O_1 leg), so a generator grows each leg of a
+batch by one least significant digit and multiplies in that letter's
+twist column there. All N generators grow a chunk at once, along a new
+generator axis, so R is applied once to the grown chunk. A fixed
+counterexample scenario shows how the construction degenerates for a
+noncommuting pair.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,6 +175,13 @@ def swap_index_pair(n, m, a, b, length):
     return a2 + 1, b2 + 1
 
 
+def _digit_pair(column, m):
+    """The witness of a column of a matrix on digit pairs of C^n (x) C^m,
+    ``digit-pair=i,j`` (1-based: digit i of leg 1, digit j of leg 2)."""
+    i, j = divmod(column, m)
+    return f"digit-pair={i + 1},{j + 1}"
+
+
 def _into(out, Y):
     """Y copied into the C-ordered ``out`` of its size, in Y's shape."""
     out = out.reshape(Y.shape)
@@ -189,7 +199,7 @@ def _apply_digits(M, X, radices, depth, work=None):
     products, one de-interleave. Each step allocates its result, unless
     ``work``, a C-ordered complex array of 2 X.size entries, is given:
     then the steps alternate between its two halves, X is not written, and
-    the result is a view of one half.
+    the result is a view of half (depth + 1) % 2.
     """
     k, d = len(radices), depth
     halves = None if work is None else work.reshape(2, -1)
@@ -253,8 +263,14 @@ class RMatrixOperator:
     @property
     def unitarity_residual(self):
         """Worst entry of R_1^H R_1 - I."""
-        dev = self.r1.conj().T @ self.r1 - np.eye(len(self.r1))
-        return float(np.max(np.abs(dev)))
+        return self._unitarity()[0]
+
+    def _unitarity(self):
+        """Worst entry of R_1^H R_1 - I and the witness of its column
+        (``_digit_pair``); the first on a tie, and the first NaN if any."""
+        dev = np.abs(self.r1.conj().T @ self.r1 - np.eye(len(self.r1)))
+        worst = int(np.argmax(dev))
+        return float(dev.flat[worst]), _digit_pair(worst % len(dev), self.omega2.n)
 
     def apply_dense(self, X, work=None):
         """R applied to an array of shape (n^d, m^d, *batch); a given
@@ -300,6 +316,23 @@ def _word_count(letters, depth):
     return sum(letters**t for t in range(depth + 1))
 
 
+_CHUNK_ENTRIES = 2**12  # entries per stack of word images a streamed check holds
+
+
+def _chunk_words(size, total):
+    """Words per chunk of a streamed check, of ``total`` words whose images
+    have ``size`` entries each: as many as fill ``_CHUNK_ENTRIES``, at least
+    one and at most all."""
+    return min(total, max(1, _CHUNK_ENTRIES // size))
+
+
+def _leg_entries(reps, depth):
+    """Entries of the leg images ``_word_images`` keeps for one form up to
+    ``depth``: N^t words of each length t, with n_i^t entries on leg i."""
+    N = math.prod(rep.n for rep in reps)
+    return sum(N**t * sum(rep.n**t for rep in reps) for t in range(depth + 1))
+
+
 def _column_norms(diff):
     """Norm of each column of a difference batch (..., k)."""
     return np.linalg.norm(diff.reshape(-1, diff.shape[-1]), axis=0)
@@ -308,6 +341,17 @@ def _column_norms(diff):
 def _worst_column(diff):
     """Largest norm of a column of a difference batch (p, q, k)."""
     return float(np.max(_column_norms(diff))) if diff.size else 0.0
+
+
+def _row_sums(sq, words):
+    """Sums of a chunk's squares sq (..., k) over the leading axes, one per
+    column, added row by row. numpy adds a batch of two or more columns so,
+    but a lone column pairwise: a lone word of a span of more ``words`` is
+    accumulated row by row instead, so that it sums as in the whole span."""
+    sq = sq.reshape(-1, sq.shape[-1])
+    if sq.shape[1] == 1 < words and len(sq):
+        return np.add.accumulate(sq[:, 0])[-1:]
+    return np.add.reduce(sq, axis=0)
 
 
 def _letter_images(reps, form):
@@ -339,9 +383,12 @@ def _word_images(reps, form, depth, dims, step=None, columns=None):
     letter: on each leg the word (w_1, ..., w_t) maps e_1 to the image of
     (w_2, ..., w_t) (x) the column of w_1, the first letter least
     significant, multiplied in the order of a per-word product from e_1
-    (``tests/test_rmatrix.py`` keeps that product as the oracle). A
-    chunk's part of a length is the tensor product of row slices of those
-    leg images, one ``einsum`` in place.
+    (``tests/test_rmatrix.py`` keeps that product as the oracle). The leg
+    images of every length are kept while the chunks are drawn,
+    ``_leg_entries(reps, depth)`` entries in all, which a streamed check
+    counts once in its preflight; a chunk's part of a length is the tensor
+    product of row slices of those leg images, one ``einsum`` in place,
+    and each chunk is a fresh array.
     """
     if columns is None:
         columns = _letter_images(reps, form)
@@ -388,18 +435,47 @@ def build_r(omega1, omega2, depth):
     return RMatrixOperator(omega1, omega2, depth)
 
 
-def relation_residual(rmat, max_len):
-    """Worst ||R lambda2(Delta s_w) - lambda2(Delta^op s_w)|| over the
-    creation words w of length <= ``max_len`` (at most the depth)."""
+def _worst_word(rmat, max_len):
+    """The defining relation's worst residual over the creation words w of
+    length <= ``max_len`` (at most the depth), and the label of its word,
+    ``CuntzMonomial(nm, w, ()).label()``: the first by length then lex on
+    a tie, and the first NaN if any.
+
+    The words come from ``_word_images`` in chunks of ``_chunk_words``
+    words, for the coproduct and its opposite side by side, and R is
+    applied once per chunk. A lone word is summed as in a wider chunk
+    (``_row_sums``), so the residual is the one of the whole span to the
+    bit. One preflight counts a chunk's stacks at six working copies and,
+    held once, both forms' leg images and R_1.
+    """
     N = rmat.omega1.n * rmat.omega2.n
     max_len = min(_index(max_len, 0, "max_len"), rmat.depth)
-    preflight((_word_count(N, max_len) * rmat.rank, "the defining-relation check"))
+    total = _word_count(N, max_len)
+    step = _chunk_words(rmat.rank, total)
     reps = (rmat.rep1, rmat.rep2)
-    V, W = (
-        next(_word_images(reps, form, max_len, rmat.dims))
-        for form in ("delta", "delta_op")
-    )
-    return _worst_column(rmat.apply_dense(V) - W)
+    preflight((step * rmat.rank, "the defining-relation check"),
+              held=2 * _leg_entries(reps, max_len) + N * N)
+    stacks = zip(*(_word_images(reps, form, max_len, rmat.dims, step)
+                   for form in ("delta", "delta_op")))
+    maxima, firsts = [], []
+    for first, (V, W) in zip(range(0, total, step), stacks):
+        diff = rmat.apply_dense(V) - W
+        sums = _row_sums((diff.conj() * diff).real, total)  # squared as np.linalg.norm does
+        k = int(np.argmax(sums))
+        maxima.append(sums[k])
+        firsts.append(first + k)
+    j = int(np.argmax(maxima))
+    # the words of each length in lex order, shortest first
+    length = next(t for t in range(max_len + 1) if firsts[j] < _word_count(N, t))
+    word = np.unravel_index(firsts[j] - _word_count(N, length - 1), (N,) * length)
+    return float(np.sqrt(maxima[j])), CuntzMonomial(N, tuple(int(l) + 1 for l in word), ()).label()
+
+
+def relation_residual(rmat, max_len):
+    """Worst ||R lambda2(Delta s_w) - lambda2(Delta^op s_w)|| over the
+    creation words w of length <= ``max_len`` (at most the depth), streamed
+    in chunks (``_worst_word``)."""
+    return _worst_word(rmat, max_len)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -443,52 +519,81 @@ def verify_intertwining(rmat, tol=BUILD_TOL):
     inside the operator's depth-d domain. The N letters, imaged for the
     coproduct and its opposite (``_letter_images``, once per form), give
     each generator one twist column per leg, and the coproduct's columns
-    also grow the span V (``_word_images``). R is applied once to V. V
-    grows by all N generators at once (``_grow_all``), with one digit per
-    leg, and R is applied once to that batch: two applications in all. The
-    grown V lies in the (n^d, m^d) corner of the block (n^{d+1}, m^{d+1})
-    of R V grown by the opposite coproduct, and so does the grown corner
+    also grow the span V, which comes from ``_word_images`` in chunks of
+    ``_chunk_words`` words. Per chunk, R is applied to V, and V grows by
+    all N generators at once (``_grow_all``), with one digit per leg, and R
+    is applied once to that batch: two applications a chunk. The grown V
+    lies in the (n^d, m^d) corner of the block (n^{d+1}, m^{d+1}) of R V
+    grown by the opposite coproduct, and so does the grown corner
     (n^{d-1}, m^{d-1}) of R V; only that corner difference is formed.
     Outside it the grown R V is R V outside its corner times both twist
     columns, so its squared column norm is that of R V outside the corner
     times the columns' squared norms, summed once for all generators. The
     residual is the worst column norm over the whole grown block, from the
-    sum of both parts. The grown batches and the kernel's steps share one
-    work block of three grown sizes, allocated once per call: part 0 holds
-    V grown, then R V grown by the opposite coproduct; parts 1 and 2 are
-    the kernel's halves (``_apply_digits``), and the half that R's result
-    leaves free holds the squares of the difference. Raises OutOfDomain for
-    a depth-0 operator, which has no such span.
+    sum of both parts, kept as a running maximum per generator over the
+    chunks; a lone word is summed as in a wider chunk (``_row_sums``), so
+    every residual is the one of the whole span to the bit.
+
+    Every chunk works in one block, allocated once per call for a full
+    chunk and reused: three grown sizes, then two chunk sizes. Part 0
+    holds V grown, then R V grown by the opposite coproduct; parts 1 and 2
+    are the kernel's halves (``_apply_digits``) for the grown batch, and
+    the half that R's result leaves free holds the squares of the
+    difference; the two chunk sizes are the kernel's halves for R V, which
+    stays there. One preflight per call counts the grown chunk at six
+    working copies and, held once, the span's leg images and R_1. Raises
+    OutOfDomain for a depth-0 operator, which has no such span.
     """
     n1, n2 = rmat.shape
     N = n1 * n2
     if rmat.depth < 1:
         raise OutOfDomain(f"intertwining needs operator depth >= 1, got {rmat.depth}")
     span_depth = rmat.depth - 1
-    # the opposite side acts on R V over the whole depth-d block, so it
-    # grows the block by one letter
-    preflight((_word_count(N, span_depth) * N ** (rmat.depth + 1), "the intertwining check"))
     reps = (rmat.rep1, rmat.rep2)
+    size = rmat.rank  # entries of a vector of the depth-d block
+    total = _word_count(N, span_depth)
+    step = _chunk_words(size, total)
+    # the opposite side acts on R V over the whole depth-d block, so a
+    # generator grows each vector by one letter
+    preflight((step * size * N, "the intertwining check"),
+              held=_leg_entries(reps, span_depth) + N * N)
     (c1, c2), (c1_op, c2_op) = (_letter_images(reps, form) for form in ("delta", "delta_op"))
-    V = next(_word_images(reps, "delta", span_depth, rmat.dims, columns=(c1, c2)))
-    moved = rmat.apply_dense(V)
     p, q = n1**span_depth, n2**span_depth
-    # one block for the grown batch and the kernel's two halves: fresh
-    # arrays per step would be mapped and faulted in again on every call
-    block = np.empty((3, *rmat.dims, N, V.shape[-1]), dtype=complex)
-    diff = rmat.apply_dense(_grow_all(V[:p, :q], c1, c2, out=block[0]), work=block[1:])
-    diff -= _grow_all(moved[:p, :q], c1_op, c2_op, out=block[0])
-    free = block[2] if np.may_share_memory(diff, block[1]) else block[1]
-    # off the (n^d, m^d) corner the grown R V is R V off its (p, q) corner
-    # times both twist columns: products of sums of squares, no cancellation
-    outside = _square_sums(moved[p:], (0, 1)) + _square_sums(moved[:p, q:], (0, 1))
     scale = _square_sums(c1_op, 1) * _square_sums(c2_op, 1)
-    sums = _square_sums(diff, (0, 1), work=free.view(float))
-    worst = np.sqrt(np.max(sums + outside * scale[:, None], axis=1))
+    # one block for every chunk: fresh arrays per step would be mapped and
+    # faulted in again on every call
+    block = np.empty((3 * N + 2) * size * step, dtype=complex)
+
+    def views(k):
+        """The block's parts for a chunk of k words: the grown batch, the
+        kernel's halves for it, the half its result leaves free (as
+        floats), and the halves for R V."""
+        grown = size * N * k
+        parts = block[:3 * grown].reshape(3, grown)
+        return (parts[0].reshape(*rmat.dims, N, k), parts[1:], parts[1 + rmat.depth % 2].view(float),
+                block[3 * grown:(3 * N + 2) * size * k])
+
+    full = views(step)
+    worst = np.zeros(N)  # running maximum of the squared column norms
+    for V in _word_images(reps, "delta", span_depth, rmat.dims, step, columns=(c1, c2)):
+        k = V.shape[-1]
+        out, halves, free, moved_work = full if k == step else views(k)
+        moved = rmat.apply_dense(V, work=moved_work)
+        diff = rmat.apply_dense(_grow_all(V[:p, :q], c1, c2, out=out), work=halves)
+        diff -= _grow_all(moved[:p, :q], c1_op, c2_op, out=out)
+        # off the (n^d, m^d) corner the grown R V is R V off its (p, q)
+        # corner times both twist columns: products of sums of squares
+        sq = moved.real**2 + moved.imag**2
+        outside = _row_sums(sq[p:], total) + _row_sums(sq[:p, q:], total)
+        sums = _square_sums(diff, (0, 1), work=free)
+        np.maximum(worst, np.max(sums + outside * scale[:, None], axis=1), out=worst)
     report = VerificationReport(scenario="intertwining")
-    for i, res in enumerate(worst.tolist(), 1):
-        word = CuntzMonomial.generator(N, i)
-        report.add(f"intertwine:{word.label()}", holds(res, tol, rmat.is_permutation), res)
+    exact = rmat.is_permutation
+    # CuntzMonomial.generator(N, i).label(); the O_1 generator collapses to the unit
+    report.checks = [
+        CheckRecord(f"intertwine:n={N};u={i if N > 1 else ''};v=", holds(res, tol, exact), res)
+        for i, res in enumerate(np.sqrt(worst).tolist(), 1)
+    ]
     return report
 
 
@@ -522,14 +627,10 @@ def verify_symmetry(omega1, omega2, depth, tol=BUILD_TOL, r12=None):
     worst = float(np.max(norms))
     passed = holds(worst, tol, r12.is_permutation and r21.is_permutation)
     # a failure names its worst column, the digit pair (i, j) of R_1
-    i, j = divmod(int(np.argmax(norms)), m)
-    witness = None if passed else f"digit-pair={i + 1},{j + 1}"
+    witness = None if passed else _digit_pair(int(np.argmax(norms)), m)
     report = VerificationReport(scenario="inversion-symmetry")
     report.add("inversion-symmetry", passed, worst, witness)
     return report
-
-
-_YBE_CHUNK_ENTRIES = 2**12  # entries per stacked array of word images in the YBE check
 
 
 def verify_ybe(omega1, omega2, omega3, depth, tol=BUILD_TOL, rs=None):
@@ -552,9 +653,9 @@ def verify_ybe(omega1, omega2, omega3, depth, tol=BUILD_TOL, rs=None):
     flipped phi_{b,a} and phi_{c,b}. So all three images are gathers of the
     same digit columns; the check that the tables are the paper's maps is
     the mixed-radix split of the tests. The three forms' images come from
-    ``_word_images``, three streams zipped chunk by chunk, at most
-    ``_YBE_CHUNK_ENTRIES`` entries a stack, and each side is applied once
-    per chunk (``_apply_digits``). Every word still gets its own record,
+    ``_word_images``, three streams zipped chunk by chunk of
+    ``_chunk_words`` words, and each side is applied once per chunk
+    (``_apply_digits``). Every word still gets its own record,
     named as ``CuntzMonomial(N, word, ()).label()``, whose residual is the
     largest column norm of the four differences; a chunk's records are made
     in one pass. Each distinct state pair is built once, and the twists are
@@ -563,7 +664,8 @@ def verify_ybe(omega1, omega2, omega3, depth, tol=BUILD_TOL, rs=None):
     omega2), R(omega1, omega3) and R(omega2, omega3) of these states, else
     ValueError names the pair. SpanTooLarge is raised before anything is
     built when a chunk's three stacks, or the abc x abc sides, would not fit
-    in memory.
+    in memory beside what is held once: the three forms' leg images and
+    the three R_1.
 
     The chunk size is a trade: on uniform (2, 3, 2) at depth 3 a triple
     block has 1728 entries, so a chunk holds 2 words and the check makes
@@ -589,10 +691,11 @@ def verify_ybe(omega1, omega2, omega3, depth, tol=BUILD_TOL, rs=None):
     a, b, c = (s.n for s in states)
     N = a * b * c
     block = int(np.prod(dims))
-    step = max(1, _YBE_CHUNK_ENTRIES // block)  # words per chunk
+    step = _chunk_words(block, _word_count(N, depth))
     preflight(
         (3 * step * block, "the triple exchange check"),
         (N * N, f"the {N} x {N} sides of the triple exchange check"),
+        held=3 * _leg_entries(reps, depth) + sum(r.r1.size for r in rs),
     )
     # each R_1 on its two legs of a digit triple, the identity on the third
     r12 = rs[0].r1.reshape(a, b, 1, a, b, 1) * np.eye(c).reshape(1, 1, c, 1, 1, c)

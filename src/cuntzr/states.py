@@ -115,11 +115,16 @@ def _word_value(values, key, val):
 
 
 def gp_eval(z, x):
-    """Evaluate the state of ``z`` on an element or monomial of O_n."""
+    """Evaluate the state of ``z`` on an element or monomial of O_n. Only
+    the letters the element uses are read, each component once as a Python
+    ``complex``, into value maps that ``_word_value`` reads as it reads
+    the full lists of ``_letter_values``."""
     x = as_element(x)
     if x.n != z.n:
         raise MismatchedAlgebra(f"state on O_{z.n}, element of O_{x.n}")
-    values = _letter_values(z.z.tolist())
+    letters = {l for u, v in x.terms for l in (*u, *v)}
+    plain = {l: complex(z.z[l - 1]) for l in letters}
+    values = {l: c.conjugate() for l, c in plain.items()}, plain
     total = 0j
     for key, c in x.items():
         total += _word_value(values, key, complex(c))

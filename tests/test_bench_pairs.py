@@ -134,3 +134,59 @@ def test_summary_reprints_the_claim_and_outcome_lines_of_a_file_and_starts_no_ru
     with pytest.raises(SystemExit):
         bench_pairs.main(["--base", "HEAD"])
     assert "a run needs --head, --workload, --pairs, --seed" in capsys.readouterr().err
+
+
+def test_a_control_gives_the_a_a_gap_beside_the_a_b_change(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the summary started a run")
+
+    monkeypatch.setattr(bench_pairs, "run_once", no_run)
+    base = [(2.0, 8), (1.9, 8), (2.1, 8), (2.2, 8), (1.8, 8)]
+    head = [(1.7, 8), (1.75, 8), (2.15, 8), (1.6, 8), (1.65, 8)]
+    control = [(2.1, 8), (2.0, 8), (2.15, 8), (2.3, 8), (1.9, 8)]
+    runs = _runs(base, head)
+    for i, (verdict, depth) in enumerate(control):
+        runs.append({"pair": i, "side": "control", "seed": 7 + i,
+                     "result": bench_pairs.parse_result(_line(verdict, depth))})
+    summary = bench_pairs.summarise(runs, METRICS)
+    verdict = summary["verdict_ref"]
+    # the control runs stay beside the pairs: the A/B figures are those
+    # without them
+    assert (verdict["head_wins"], verdict["pairs"]) == (4, 5)
+    assert verdict["change"] == pytest.approx(-0.15)
+    assert verdict["control"] == [2.1, 2.0, 2.15, 2.3, 1.9]
+    assert verdict["control_quartiles"] == pytest.approx([2.0, 2.1, 2.15])
+    assert verdict["control_change"] == pytest.approx(0.05)
+    assert verdict["beyond_control"]
+    assert summary["max_depth"]["control_change"] == 0.0
+    assert not summary["max_depth"]["beyond_control"]
+    line = bench_pairs.claim_line("pair-verdict", "verdict_ref", verdict)
+    assert line == ("pair-verdict verdict_ref: 2 [1.9, 2.1] -> 1.7 [1.65, 1.75], -15.0%, "
+                    "A/A +5.0%, head better in 4 of 5, base IQR 0.2")
+    # a gap of the base against itself larger than the A/B change
+    summary = bench_pairs.summarise(_runs(base, base) + [
+        {"pair": i, "side": "control", "seed": 7 + i,
+         "result": bench_pairs.parse_result(_line(v + 0.3, d))} for i, (v, d) in enumerate(base)
+    ], METRICS)
+    assert summary["verdict_ref"]["change"] == 0.0
+    assert summary["verdict_ref"]["control_change"] == pytest.approx(0.15)
+    assert not summary["verdict_ref"]["beyond_control"]
+    # --summary prints the same lines from a file, the control's outcome
+    # line between the base's and the head's
+    entry = {"runs": runs, "summary": bench_pairs.summarise(runs, METRICS),
+             "outcomes": bench_pairs.outcomes(runs)}
+    path = tmp_path / "BENCH_canned.json"
+    path.write_text(json.dumps({"base": "b", "head": "h", "workloads": {"pair-verdict": entry}}))
+    assert bench_pairs.main(["--summary", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == line
+    assert out[1].startswith("pair-verdict max_depth: 8 [8, 8] -> 8 [8, 8], +0.0%, A/A +0.0%, ")
+    assert [o.split(":")[0] for o in out[2:]] == [
+        "pair-verdict base", "pair-verdict control", "pair-verdict head"]
+
+
+def test_the_run_order_alternates_the_pairs_and_the_control():
+    assert [bench_pairs.run_order(i, False) for i in range(3)] == [
+        ("base", "head"), ("head", "base"), ("base", "head")]
+    assert [bench_pairs.run_order(i, True) for i in range(2)] == [
+        ("base", "head", "control"), ("control", "head", "base")]

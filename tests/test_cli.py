@@ -179,6 +179,40 @@ def test_build_r_noncommuting_is_a_failed_check_not_a_crash(tmp_path, capsys):
     assert check["witness"] == "n=4;u=2;v="
 
 
+@pytest.mark.parametrize("pair", [("standard", "standard"), ("uniform", "uniform")])
+def test_build_r_failures_name_the_worst_column_and_word(monkeypatch, capsys, pair):
+    # R_1[0, 1] moved by 1e-6: the unitary record names the column of the
+    # largest entry of R_1^H R_1 - I as a digit pair, and the defining
+    # relation the word of the worst column over the words up to length 1
+    from cuntzr import cli, rmatrix
+
+    built = []
+
+    def bumped(omega1, omega2, depth):
+        rmat = build_r(omega1, omega2, depth)
+        rmat.r1[0, 1] += 1e-6
+        built.append(rmat)
+        return rmat
+
+    monkeypatch.setattr(cli, "build_r", bumped)
+    code = run(["build-r", "--omega1", f'{{"{pair[0]}": 2}}', "--omega2", f'{{"{pair[1]}": 3}}',
+                "--depth", "2"])
+    assert code == 1
+    rmat = built[0]
+    dev = np.abs(rmat.r1.conj().T @ rmat.r1 - np.eye(6))
+    i, j = divmod(int(np.argmax(dev)) % 6, 3)
+    reps = (rmat.rep1, rmat.rep2)
+    V, W = (next(rmatrix._word_images(reps, form, 1, rmat.dims)) for form in ("delta", "delta_op"))
+    norms = np.linalg.norm((rmat.apply_dense(V) - W).reshape(-1, 7), axis=0)
+    word = [(), *((g,) for g in range(1, 7))][int(np.argmax(norms))]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [
+        f"FAIL unitary residual={dev.max():.3e} witness=digit-pair={i + 1},{j + 1}",
+        f"FAIL defining-relation residual={norms.max():.3e} "
+        f"witness={CuntzMonomial(6, word, ()).label()}",
+    ]
+
+
 def test_verify_with_three_states(capsys):
     code = run(
         [

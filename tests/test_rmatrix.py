@@ -451,9 +451,12 @@ def test_intertwining_applies_the_span_first_and_the_grown_batch_once(monkeypatc
 
 
 def test_intertwining_grows_and_applies_in_one_block(monkeypatch):
+    # depth 3 of (2, 3): 43 span words of 6^3 = 216 entries, 18 to a chunk
     rmat = build_r(U2, U3, 3)
-    kernels, letters = [], []
+    assert rmatrix._chunk_words(216, 43) == 18
+    kernels, letters, stacks = [], [], []
     real_kernel, real_letter_images = rmatrix._apply_digits, rmatrix._letter_images
+    real_word_images = rmatrix._word_images
 
     def apply_digits(M, X, radices, depth, work=None):
         kernels.append((X, work))
@@ -463,34 +466,56 @@ def test_intertwining_grows_and_applies_in_one_block(monkeypatch):
         letters.append(form)
         return real_letter_images(reps, form)
 
+    def word_images(*args, **kwargs):
+        for X in real_word_images(*args, **kwargs):
+            stacks.append(X)
+            yield X
+
     monkeypatch.setattr(rmatrix, "_apply_digits", apply_digits)
     monkeypatch.setattr(rmatrix, "_letter_images", letter_images)
+    monkeypatch.setattr(rmatrix, "_word_images", word_images)
     assert verify_intertwining(rmat).passed
     # each form's letters are imaged once; the span grows from Delta's
     assert letters == ["delta", "delta_op"]
-    # R V allocates; the grown batch and the kernel's halves are one array
-    (V, none), (grown, work) = kernels
-    assert none is None
-    block = grown.base
-    assert block is not None and work.base is block
-    assert block.shape == (3, *grown.shape) and block.flags.c_contiguous
-    assert np.shares_memory(grown, block[0]) and np.shares_memory(work, block[1:])
+    assert [X.shape[-1] for X in stacks] == [18, 18, 7]
+    # per chunk R V, then R on the grown batch: every step of both goes
+    # through one block, allocated once for a full chunk
+    assert len(kernels) == 2 * len(stacks)
+    block = kernels[0][1].base
+    assert block is not None and block.ndim == 1 and block.flags.c_contiguous
+    assert block.size == (3 * 6 + 2) * 216 * 18
+    for chunk, ((V, moved_work), (grown, work)) in zip(stacks, zip(kernels[::2], kernels[1::2])):
+        k = chunk.shape[-1]
+        assert V is chunk and not np.shares_memory(V, block)
+        assert grown.shape == (8, 27, 6, k) and grown.base is block
+        assert moved_work.base is block and work.base is block
+        assert moved_work.size == 2 * V.size and work.size == 2 * grown.size
+        assert not np.shares_memory(moved_work, work) and not np.shares_memory(grown, work)
+        assert not np.shares_memory(moved_work, grown)
 
 
 @pytest.mark.parametrize("depth", [3, 4])
 def test_intertwining_peak_memory_is_at_most_four_grown_spans(depth):
+    # the check holds one chunk's work block, the span's leg images and
+    # small arrays; the whole grown span (the lower bound before the check
+    # was streamed) is about half the peak at depth 3 and 17 times the
+    # peak at depth 4
     import tracemalloc
 
     rmat = build_r(U2, U3, depth)
-    N = 6
-    grown = (N ** depth) * N * rmatrix._word_count(N, depth - 1) * 16  # bytes
+    N, words = 6, rmatrix._word_count(6, depth - 1)
+    step = rmatrix._chunk_words(N**depth, words)
+    block = (3 * N + 2) * N**depth * step * 16  # bytes
+    legs = rmatrix._leg_entries((rmat.rep1, rmat.rep2), depth - 1) * 16
+    grown = (N ** depth) * N * words * 16
     tracemalloc.start()
     try:
         assert verify_intertwining(rmat).passed
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert grown <= peak <= 4 * grown
+    assert block <= peak <= 2 * (block + legs)
+    assert peak <= 4 * grown
 
 
 def test_intertwining_depth_arithmetic_is_enforced():
@@ -598,7 +623,8 @@ def _ybe_chunks(states, depth):
     """Word count and words per chunk of verify_ybe on a triple."""
     N = states[0].n * states[1].n * states[2].n
     block = int(np.prod([s.n**depth for s in states]))
-    return rmatrix._word_count(N, depth), max(1, rmatrix._YBE_CHUNK_ENTRIES // block)
+    words = rmatrix._word_count(N, depth)
+    return words, rmatrix._chunk_words(block, words)
 
 
 def test_chunked_ybe_matches_the_per_word_oracle():
@@ -689,7 +715,7 @@ def test_ybe_splits_three_times_per_word_and_applies_two_kernels_per_chunk(monke
     assert len(kernels) == 2 * chunks
     assert [X[-1] for _, X, _, _ in kernels] == [n for n in (28, 28, 28, 28, 28, 17) for _ in "lr"]
     assert {(M, radices, depth) for M, _, radices, depth in kernels} == {((12, 12), (2, 3, 2), 2)}
-    assert max(int(np.prod(shape)) for _, shape, _, _ in kernels) <= rmatrix._YBE_CHUNK_ENTRIES
+    assert max(int(np.prod(shape)) for _, shape, _, _ in kernels) <= rmatrix._CHUNK_ENTRIES
 
 
 def _assert_ybe_matches_the_oracle(states, depth):
@@ -1377,6 +1403,37 @@ def test_relation_residual_measures_the_defining_relation():
     assert relation_residual(bad, 0) > 0.1
 
 
+def _streamed_residuals(rmat):
+    """Every residual of the two streamed checks on an operator: the
+    intertwining records, then the defining relation on the unit word
+    alone and on the whole span."""
+    records = [c.residual for c in verify_intertwining(rmat).checks]
+    return records + [relation_residual(rmat, k) for k in (0, rmat.depth)]
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_streamed_checks_equal_a_one_chunk_run_bit_for_bit(monkeypatch, depth):
+    # the default rule streams 18 words a chunk at depth 3 of (2, 3) and 3
+    # at depth 4, where 259 and 1555 words leave one word alone in the last
+    # chunk; (x, x (x) x) at depth 4 takes one word a chunk, and summed
+    # pairwise its defining relation with a moved R_1 entry would differ
+    # in the last bits. A one-chunk run there would hold over 1 GiB, so its
+    # reference streams 16 words, and only the moved entry is compared
+    x = np.array([0.6, 0.8j])
+    X, XX = GPState(x), GPState(np.kron(x, x))
+    for pair in ((W2, W3), (U2, U3), (X, X), (X, XX)):
+        rmat = build_r(*pair, depth)
+        wide = 16 * rmat.rank if rmat.rank == 8**4 else 2**40
+        # then a moved R_1 entry is measured alike
+        for bump in (0.0, 1e-6)[rmat.rank == 8**4:]:
+            rmat.r1[0, 1] += bump
+            got = _streamed_residuals(rmat)
+            monkeypatch.setattr(rmatrix, "_CHUNK_ENTRIES", wide)
+            assert got == _streamed_residuals(rmat), (pair, depth, bump)
+            monkeypatch.undo()
+        assert max(got) >= 1e-7
+
+
 # ---------------------------------------------------------------------------
 # operator reuse
 
@@ -1421,15 +1478,33 @@ def test_symmetry_reuses_the_operator(monkeypatch):
 # memory preflight
 
 
-def test_oversized_spans_fail_fast_with_the_estimate():
+def _address_space_limit(monkeypatch, nbytes):
+    import resource
+
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (nbytes, nbytes))
+
+
+def test_oversized_spans_fail_fast_with_the_estimate(monkeypatch):
     with pytest.raises(SpanTooLarge) as err:
         build_r(W2, W3, 16)  # 6^16 pairs: hundreds of terabytes of arrays
     assert isinstance(err.value, MemoryError)
     assert err.value.nbytes > err.value.limit
     assert "MiB" in str(err.value)
-    # the intertwining span of depth 8 holds 335923 vectors of 6^8 entries
-    with pytest.raises(SpanTooLarge):
-        verify_intertwining(build_r(W2, W3, 8))
+    # at depth 8 a chunk is one span vector grown to 6^9 entries, but the
+    # leg images of the 335923 span words up to length 7 fill 10.2 GiB:
+    # sum of 6^t (2^t + 3^t) entries, held once, beside R_1
+    _address_space_limit(monkeypatch, 2048 * 2**20)
+    rmat = build_r(W2, W3, 8)
+    legs = sum(6**t * (2**t + 3**t) for t in range(8))
+    with pytest.raises(SpanTooLarge, match="^the intertwining check needs") as err:
+        verify_intertwining(rmat)
+    assert err.value.nbytes == 16 * (6 * 6**9 + legs + 36)
+    assert 16 * legs > 10 * 2**30 > err.value.limit
+    # the defining relation streams both forms' images, one word at a time
+    legs = sum(6**t * (2**t + 3**t) for t in range(9))
+    with pytest.raises(SpanTooLarge, match="^the defining-relation check needs") as err:
+        relation_residual(rmat, 8)
+    assert err.value.nbytes == 16 * (6 * 6**8 + 2 * legs + 36)
 
 
 def test_r1_and_the_triple_sides_are_preflighted_under_a_1024_mb_cap(run_capped):
@@ -1469,36 +1544,87 @@ def test_r1_and_the_triple_sides_are_preflighted_under_a_1024_mb_cap(run_capped)
 def test_intertwining_estimate_counts_the_grown_block(monkeypatch):
     # at depth 2 of (2, 3) the 7 span vectors have 36 entries each under R,
     # and 6^3 = 216 once a generator's opposite coproduct has grown them;
-    # a limit of 100 entries per vector (6 working copies of 16 bytes) must
+    # all 7 fit one chunk, and the leg images (1 + 1 entries of the unit,
+    # 6 * (2 + 3) of the letters) and R_1 (36) are held once beside it.
+    # A limit of 100 entries per vector (6 working copies of 16 bytes) must
     # stop the check before anything is allocated
-    import resource
-
     rmat = build_r(W2, W3, 2)
-    limit = 6 * 16 * 7 * 100
-    monkeypatch.setattr(resource, "getrlimit", lambda which: (limit, limit))
+    assert rmatrix._leg_entries((rmat.rep1, rmat.rep2), 1) == 2 + 30
+    _address_space_limit(monkeypatch, 6 * 16 * 7 * 100)
     with pytest.raises(SpanTooLarge) as err:
         verify_intertwining(rmat)
-    assert err.value.nbytes == 6 * 16 * 7 * 216
+    assert err.value.nbytes == 16 * (6 * 7 * 216 + 32 + 36)
 
 
 def test_intertwining_at_depth_4_under_a_2048_mb_address_space_cap(run_capped):
     # the depth-4 check of (2,3) grows 259 span vectors to 6^5 entries for
-    # each of the 6 generators; depth 5 would need 6642 MiB
+    # each of the 6 generators, 3 vectors a chunk; the whole grown span
+    # would have needed 6642 MiB. Depth 8 is refused on the leg images of
+    # its span before anything large is made: the traced peak of the
+    # refused call stays under 128 MiB
     out = run_capped("""
+        import tracemalloc
         from cuntzr import GPState, SpanTooLarge, build_r, verify_intertwining
         U2, U3 = GPState.uniform(2), GPState.uniform(3)
         report = verify_intertwining(build_r(U2, U3, 4))
         print(report.passed, len(report.checks), report.max_residual)
+        tracemalloc.start()
         try:
-            verify_intertwining(build_r(U2, U3, 5))
+            verify_intertwining(build_r(U2, U3, 8))
         except SpanTooLarge:
-            print("refused")
+            print("refused", tracemalloc.get_traced_memory()[1] < 2**27)
     """, 2048)
     assert out.returncode == 0, out.stderr
     verdict, refused = out.stdout.splitlines()
     passed, count, residual = verdict.split()
-    assert (passed, count, refused) == ("True", "6", "refused")
+    assert (passed, count, refused) == ("True", "6", "refused True")
     assert float(residual) <= 1e-15
+
+
+def test_depth_5_checks_pass_under_a_2048_mb_address_space_cap(run_capped):
+    # 1555 span words of 6^5 = 7776 entries: one word a chunk. The
+    # intertwining check and the defining relation each pass within 15 s
+    # (one BLAS thread), and an R_1 entry moved by 1e-6 fails the former
+    out = run_capped("""
+        import time
+        from cuntzr import GPState, build_r, verify_intertwining
+        from cuntzr.rmatrix import relation_residual
+        rmat = build_r(GPState.uniform(2), GPState.uniform(3), 5)
+        for check in (lambda: verify_intertwining(rmat), lambda: relation_residual(rmat, 5)):
+            start = time.perf_counter()
+            result = check()
+            print(getattr(result, "max_residual", result), time.perf_counter() - start < 15)
+        rmat.r1[0, 1] += 1e-6
+        report = verify_intertwining(rmat)
+        print(report.passed, report.max_residual)
+    """, 2048)
+    assert out.returncode == 0, out.stderr
+    intertwining, relation, bumped = (line.split() for line in out.stdout.splitlines())
+    assert float(intertwining[0]) <= 1e-15 and float(relation[0]) <= 1e-14
+    assert intertwining[1] == relation[1] == "True"
+    assert bumped[0] == "False" and float(bumped[1]) >= 1e-7
+
+
+def test_ybe_at_depth_6_is_refused_before_any_large_array(run_capped):
+    # a chunk of (2, 3, 2) at depth 6 is one word of 2^6 3^6 2^6 entries,
+    # but each of the three forms keeps leg images of sum 12^t (2 2^t + 3^t)
+    # entries, 2^31 of them at t = 6: numpy ran out of memory after 9 s
+    # before these were counted
+    out = run_capped("""
+        import tracemalloc
+        from cuntzr import GPState, SpanTooLarge, verify_ybe
+        U2, U3 = GPState.uniform(2), GPState.uniform(3)
+        tracemalloc.start()
+        try:
+            verify_ybe(U2, U3, U2, 6)
+        except SpanTooLarge as exc:
+            print(exc.nbytes, tracemalloc.get_traced_memory()[1] < 2**27)
+    """, 2048)
+    assert out.returncode == 0, out.stderr
+    nbytes, small = out.stdout.split()
+    legs = sum(12**t * (2 * 2**t + 3**t) for t in range(7))
+    assert int(nbytes) == 16 * (6 * 3 * 2**6 * 3**6 * 2**6 + 3 * legs + 36 + 16 + 36)
+    assert small == "True"
 
 
 def test_oversized_build_exits_2(capsys):

@@ -209,6 +209,29 @@ def test_star_and_gp_eval_equal_the_conjugating_letter_loop():
             assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 
+def test_gp_eval_reading_its_letters_equals_the_full_value_lists():
+    # the value of each term from the per-letter lists of the whole vector
+    # (``_letter_values``), the evaluation before it read only the letters
+    # an element uses; bit for bit on seeded elements of O_n, n <= 12, for
+    # standard, uniform and random states, the unit word included
+    from cuntzr.states import _letter_values, _word_value
+
+    rng = np.random.default_rng(36)
+    for n in range(1, 13):
+        for z in (UnitVector.standard(n), UnitVector.uniform(n), random_unit(rng, n)):
+            values = _letter_values(z.z.tolist())
+            for _ in range(10):
+                terms = {random_monomial(rng, n, max_len=4).key: complex(*rng.normal(size=2))
+                         for _ in range(rng.integers(1, 6))}
+                terms[(), ()] = complex(*rng.normal(size=2))
+                x = AlgebraElement(n, terms)
+                want = 0j
+                for key, c in x.items():
+                    want += _word_value(values, key, complex(c))
+                got = gp_eval(z, x)
+                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
 def test_state_product_records_fail_with_transposed_split_columns(monkeypatch):
     from cuntzr import states
     from cuntzr.cli import ScenarioSpec, _run_state_product

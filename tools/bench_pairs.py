@@ -1,21 +1,25 @@
 """Paired benchmark runs of two revisions, summarised into BENCH_<head>.json.
 
-    python3 tools/bench_pairs.py --base REV --head REV --workload W --pairs K --seed S
+    python3 tools/bench_pairs.py --base REV --head REV --workload W --pairs K --seed S [--control]
 
 Run from the root of a git checkout. Each run of ``perfbench/run.py
 --trace 0`` starts in a fresh ``git archive`` checkout of its revision, which
 must hold no ``__pycache__``, so no run sees bytecode or outputs of another.
 Pair i runs both revisions on seed S + i, the base first on even pairs and
-the head first on odd ones. The result line each run prints is kept whole.
+the head first on odd ones. With ``--control`` each pair also runs the base
+a second time, as the side ``control``: last on even pairs and first on odd
+ones. The result line each run prints is kept whole.
 
 ``BENCH_<head>.json`` (``head`` as a short commit id) holds, per workload, every run
 and per end-to-end metric of ``BENCHMARK.json`` the medians and quartiles
 of both sides, the head's wins over its pair, the relative change of the
 medians against the metric's bound, and whether the medians lie further
-apart than the base's interquartile range; per side, the totals of
-attempted and failed operations and whether every run was correct; plus
-the machine facts at the start and end of each series. A second workload
-is added to the same file.
+apart than the base's interquartile range; with a control, the A/A gap
+(the relative change of the control's median against the base's) and
+whether the A/B change is larger; per side, the totals of attempted and
+failed operations and whether every run was correct; plus the machine
+facts at the start and end of each series. A second workload is added to
+the same file.
 
     python3 tools/bench_pairs.py --summary BENCH_<head>.json
 
@@ -54,17 +58,24 @@ def _quartiles(values):
     return q1, q2, q3
 
 
+def _change(old, new):
+    """Relative change of the median ``new`` against ``old``."""
+    return (new - old) / old if old else 0.0
+
+
 def summarise(runs, metrics):
     """Per metric of ``metrics`` (the ``end_to_end`` list of
     ``BENCHMARK.json``), from ``runs`` (dicts with ``pair``, ``side`` and
     ``result``): both sides' values in pair order, their quartiles, the
     head's wins over its own pair, the relative change of the medians, its
     bound, and whether the medians lie further apart than the base's
-    interquartile range."""
+    interquartile range. Where pairs hold a ``control`` run, also the
+    control's values and quartiles, the A/A gap of its median against the
+    base's over those pairs, and whether the A/B change is larger."""
     by_pair = {}
     for run in runs:
         by_pair.setdefault(run["pair"], {})[run["side"]] = run["result"]
-    pairs = [by_pair[i] for i in sorted(by_pair) if len(by_pair[i]) == 2]
+    pairs = [by_pair[i] for i in sorted(by_pair) if {"base", "head"} <= by_pair[i].keys()]
     summary = {}
     for spec in metrics:
         name, lower = spec["name"], spec["better"] == "lower"
@@ -74,9 +85,9 @@ def summarise(runs, metrics):
         head = [p["head"]["metrics"][name]["value"] for p in pairs]
         bq, hq = _quartiles(base), _quartiles(head)
         wins = sum((h < b) if lower else (h > b) for b, h in zip(base, head))
-        change = (hq[1] - bq[1]) / bq[1] if bq[1] else 0.0
+        change = _change(bq[1], hq[1])
         worse = change if lower else -change
-        summary[name] = {
+        summary[name] = entry = {
             "better": spec["better"],
             "base": base,
             "head": head,
@@ -89,6 +100,14 @@ def summarise(runs, metrics):
             "within_bound": worse <= spec["bound"],
             "separated": abs(hq[1] - bq[1]) > bq[2] - bq[0],
         }
+        controlled = [p for p in pairs if "control" in p]
+        if controlled:
+            control = [p["control"]["metrics"][name]["value"] for p in controlled]
+            cq = _quartiles(control)
+            gap = _change(_quartiles([p["base"]["metrics"][name]["value"] for p in controlled])[1],
+                          cq[1])
+            entry.update(control=control, control_quartiles=list(cq), control_change=gap,
+                         beyond_control=abs(change) > abs(gap))
     return summary
 
 
@@ -117,10 +136,12 @@ def outcome_line(workload, side, entry):
 
 
 def claim_line(workload, name, entry):
-    """One line of a metric's series, as a change record quotes it."""
+    """One line of a metric's series, as a change record quotes it; with a
+    control, the A/A gap beside the A/B change."""
     b, h = entry["base_quartiles"], entry["head_quartiles"]
+    control = f", A/A {100 * entry['control_change']:+.1f}%" if "control_change" in entry else ""
     return (f"{workload} {name}: {b[1]:.4g} [{b[0]:.4g}, {b[2]:.4g}] -> "
-            f"{h[1]:.4g} [{h[0]:.4g}, {h[2]:.4g}], {100 * entry['change']:+.1f}%, "
+            f"{h[1]:.4g} [{h[0]:.4g}, {h[2]:.4g}], {100 * entry['change']:+.1f}%{control}, "
             f"head better in {entry['head_wins']} of {entry['pairs']}, "
             f"base IQR {b[2] - b[0]:.3g}")
 
@@ -168,6 +189,13 @@ def _checkout(rev, into):
         raise RuntimeError(f"{rev} holds bytecode caches: {caches}")
 
 
+def run_order(pair, control):
+    """The sides of a pair in the order they run: the base first on even
+    pairs and the head first on odd ones, a control last and first."""
+    order = ("base", "head", "control") if control else ("base", "head")
+    return order if pair % 2 == 0 else order[::-1]
+
+
 def run_once(rev, workload, seed, seconds, scratch):
     """One benchmark run of ``rev`` in a fresh checkout; its result object."""
     with tempfile.TemporaryDirectory(dir=scratch) as into:
@@ -190,6 +218,8 @@ def main(argv=None):
     p.add_argument("--workload")
     p.add_argument("--pairs", type=int)
     p.add_argument("--seed", type=int)
+    p.add_argument("--control", action="store_true",
+                   help="also run the base against itself in each pair (A/A)")
     args = p.parse_args(argv)
     if args.summary:
         for workload, entry in json.loads(Path(args.summary).read_text())["workloads"].items():
@@ -208,10 +238,10 @@ def main(argv=None):
     runs = []
     with tempfile.TemporaryDirectory() as scratch:
         for i in range(args.pairs):
-            order = ("base", "head") if i % 2 == 0 else ("head", "base")
-            for side in order:
+            for side in run_order(i, args.control):
                 seed = args.seed + i
-                result = run_once(revs[side], args.workload, seed, bench["run_seconds"], scratch)
+                rev = revs["base" if side == "control" else side]
+                result = run_once(rev, args.workload, seed, bench["run_seconds"], scratch)
                 runs.append({"pair": i, "side": side, "seed": seed, "result": result})
                 print(f"pair {i} {side} seed {seed}: "
                       + " ".join(f"{k}={v['value']}" for k, v in result["metrics"].items()),
