@@ -37,7 +37,9 @@ from .errors import CuntzrError, NotCommuting, SpecError
 from .representations import preflight
 from .rmatrix import (
     VerificationReport,
+    _digit_pair,
     _worst_column,
+    _worst_column_at,
     _worst_word,
     build_r,
     counterexample_demo,
@@ -360,11 +362,13 @@ def _run_verify(spec):
 
 def _pair_gap(rmat, targets):
     """Largest norm of R(e_a (x) e_b) - e_a' (x) e_b' over 1-based basis pairs
-    {(a, b): (a', b')}; R acts once, on the batch of the source pairs."""
+    {(a, b): (a', b')}, and the witness of its source pair,
+    ``basis-pair=a,b``; R acts once, on the batch of the source pairs."""
     X, W = np.zeros((2, *rmat.dims, len(targets)))
     for k, ((a, b), (a2, b2)) in enumerate(targets.items()):
         X[a - 1, b - 1, k] = W[a2 - 1, b2 - 1, k] = 1.0
-    return _worst_column(rmat.apply_dense(X) - W)
+    worst, column = _worst_column_at(rmat.apply_dense(X) - W)
+    return worst, "basis-pair={},{}".format(*list(targets)[column])
 
 
 def _run_all(spec):
@@ -391,7 +395,7 @@ def _run_all(spec):
     sub_report, rmat = _run_build_r(sub)
     merge("build-r-standard-2-3", sub_report)
     if rmat is not None:
-        moved = _pair_gap(rmat, {(1, 3): (1, 2)})
+        moved = _pair_gap(rmat, {(1, 3): (1, 2)})[0]
         passed = holds(moved, spec.tol, True)
         report.add("build-r-standard-2-3/maps-pair-1-3-to-1-2", passed, moved)
         # R = R_1^{(x)d} is the identity exactly when R_1 is (R_1 fixes e_1 (x) e_1)
@@ -410,16 +414,19 @@ def _run_all(spec):
     # exactly when R_1 is the swap F_1 = P_{n,n}, since the flip is F_1 on every digit pair
     for label, omega in (("standard-2", GPState.standard(2)), ("uniform-2", GPState.uniform(2))):
         rmat = build_r(omega, omega, 2)
-        worst = _worst_column(rmat.r1 - np.eye(omega.n**2)[:, radix_perm(omega.n, omega.n)])
+        swap = np.eye(omega.n**2)[:, radix_perm(omega.n, omega.n)]
+        worst, column = _worst_column_at(rmat.r1 - swap)
         passed = holds(worst, spec.tol, rmat.is_permutation)
-        report.add(f"equal-states-{label}/operator-is-leg-swap", passed, worst)
+        witness = None if passed else _digit_pair(column, omega.n)
+        report.add(f"equal-states-{label}/operator-is-leg-swap", passed, worst, witness)
         _fold(report, f"equal-states-{label}/intertwine", verify_intertwining(rmat, tol=spec.tol))
 
     # the built operator moves every basis pair as the digit closed form says
     rmat = build_r(GPState.standard(2), GPState.standard(3), 2)
     pairs = [(a, b) for a in range(1, 5) for b in range(1, 10)]
-    worst = _pair_gap(rmat, {p: swap_index_pair(2, 3, *p, 2) for p in pairs})
-    report.add("closed-form-2-3/matches-built-operator", holds(worst, spec.tol, True), worst)
+    worst, witness = _pair_gap(rmat, {p: swap_index_pair(2, 3, *p, 2) for p in pairs})
+    passed = holds(worst, spec.tol, True)
+    report.add("closed-form-2-3/matches-built-operator", passed, worst, None if passed else witness)
 
     merge("counterexample", counterexample_demo(tol=spec.tol))
     return report

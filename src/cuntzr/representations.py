@@ -24,6 +24,7 @@ leaves out exact zeros and nothing else.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -45,13 +46,20 @@ _ENTRY_BYTES = np.dtype(complex).itemsize
 _WORK_COPIES = 6
 
 
+@functools.cache
+def _meminfo():
+    """A descriptor of /proc/meminfo, opened once per process and held
+    (close-on-exec, as ``os.open`` makes it); a failed open is retried."""
+    return os.open("/proc/meminfo", os.O_RDONLY)
+
+
 def _available_memory():
     """Bytes of memory available to new allocations: MemAvailable of
     /proc/meminfo, or the physical memory where that cannot be read."""
     try:
-        # one unbuffered read: MemAvailable is the file's third line
-        with open("/proc/meminfo", "rb", buffering=0) as fh:
-            data = fh.read(8192)
+        # one read from the start of the held descriptor: MemAvailable is
+        # the file's third line
+        data = os.pread(_meminfo(), 8192, 0)
         start = data.index(b"MemAvailable:") + len(b"MemAvailable:")
         return int(data[start:].split(None, 1)[0]) * 1024  # reported in kB
     except (OSError, ValueError, IndexError):

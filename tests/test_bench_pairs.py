@@ -61,7 +61,7 @@ def test_summary_counts_wins_per_pair_and_compares_medians_with_the_base_iqr():
     assert depth["change"] == 0.0 and depth["within_bound"] and not depth["separated"]
     line = bench_pairs.claim_line("pair-verdict", "verdict_ref", verdict)
     assert line == ("pair-verdict verdict_ref: 2 [1.9, 2.1] -> 1.7 [1.65, 1.75], -15.0%, "
-                    "head better in 4 of 5, base IQR 0.2")
+                    "head better in 4 of 5, base IQR 0.2, claim not met")
 
 
 def test_a_worse_median_past_its_bound_and_an_unpaired_run():
@@ -120,13 +120,13 @@ def test_summary_reprints_the_claim_and_outcome_lines_of_a_file_and_starts_no_ru
     assert bench_pairs.main(["--summary", str(path)]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "ybe-triples verdict_ref: 2 [1.95, 2.05] -> 1.75 [1.725, 1.95], -12.5%, "
-        "head better in 2 of 3, base IQR 0.1",
-        "ybe-triples max_depth: 8 [8, 8] -> 8 [8, 8.5], +0.0%, head better in 1 of 3, base IQR 0",
+        "head better in 2 of 3, base IQR 0.1, claim not met",
+        "ybe-triples max_depth: 8 [8, 8] -> 8 [8, 8.5], +0.0%, head better in 1 of 3, base IQR 0, claim not met",
         "ybe-triples base: 0 of 18 operations failed (0.00%) over 3 runs, every run correct",
         "ybe-triples head: 0 of 18 operations failed (0.00%) over 3 runs, every run correct",
         "pair-verdict verdict_ref: 2 [1.95, 2.05] -> 1.75 [1.725, 1.95], -12.5%, "
-        "head better in 2 of 3, base IQR 0.1",
-        "pair-verdict max_depth: 8 [8, 8] -> 8 [8, 8.5], +0.0%, head better in 1 of 3, base IQR 0",
+        "head better in 2 of 3, base IQR 0.1, claim not met",
+        "pair-verdict max_depth: 8 [8, 8] -> 8 [8, 8.5], +0.0%, head better in 1 of 3, base IQR 0, claim not met",
         "pair-verdict base: 0 of 18 operations failed (0.00%) over 3 runs, every run correct",
         "pair-verdict head: 0 of 18 operations failed (0.00%) over 3 runs, every run correct",
     ]
@@ -162,7 +162,7 @@ def test_a_control_gives_the_a_a_gap_beside_the_a_b_change(tmp_path, capsys, mon
     assert not summary["max_depth"]["beyond_control"]
     line = bench_pairs.claim_line("pair-verdict", "verdict_ref", verdict)
     assert line == ("pair-verdict verdict_ref: 2 [1.9, 2.1] -> 1.7 [1.65, 1.75], -15.0%, "
-                    "A/A +5.0%, head better in 4 of 5, base IQR 0.2")
+                    "A/A +5.0%, head better in 4 of 5, base IQR 0.2, claim not met")
     # a gap of the base against itself larger than the A/B change
     summary = bench_pairs.summarise(_runs(base, base) + [
         {"pair": i, "side": "control", "seed": 7 + i,
@@ -190,3 +190,47 @@ def test_the_run_order_alternates_the_pairs_and_the_control():
         ("base", "head"), ("head", "base"), ("base", "head")]
     assert [bench_pairs.run_order(i, True) for i in range(2)] == [
         ("base", "head", "control"), ("control", "head", "base")]
+
+
+def _claim(base, head, control=None):
+    runs = _runs([(v, 8) for v in base], [(v, 8) for v in head])
+    for i, verdict in enumerate(control or ()):
+        runs.append({"pair": i, "side": "control", "seed": 7 + i,
+                     "result": bench_pairs.parse_result(_line(verdict, 8))})
+    return bench_pairs.summarise(runs, METRICS)["verdict_ref"]
+
+
+def test_a_claim_is_met_on_9_of_10_pairs_past_the_base_iqr_and_the_a_a_gap(tmp_path, capsys):
+    base = [2.0, 1.9, 2.1, 2.2, 1.8, 2.0, 1.95, 2.05, 2.1, 1.9]
+    head = [v - 0.3 for v in base]
+    assert _claim(base, head)["claim_met"]
+    # 9 wins and a tie meet it; 8 wins and two ties do not
+    entry = _claim(base, head[:9] + [base[9]])
+    assert (entry["head_wins"], entry["claim_met"]) == (9, True)
+    entry = _claim(base, head[:8] + base[8:])
+    assert (entry["head_wins"], entry["claim_met"]) == (8, False)
+    # 9 of 9 pairs are too few
+    assert not _claim(base[:9], head[:9])["claim_met"]
+    # every pair won, but the medians within the base's IQR
+    entry = _claim(base, [v - 0.01 for v in base])
+    assert entry["head_wins"] == 10 and not entry["separated"] and not entry["claim_met"]
+    # a worse median never meets a claim, whatever its distance
+    assert not _claim(base, [v + 0.3 for v in base])["claim_met"]
+    # a control: a small A/A gap leaves the claim met, one past the change does not
+    assert _claim(base, head, control=[v + 0.02 for v in base])["claim_met"]
+    entry = _claim(base, head, control=[v + 0.4 for v in base])
+    assert not entry["beyond_control"] and not entry["claim_met"]
+    line = bench_pairs.claim_line("ybe-triples", "verdict_ref", _claim(base, head))
+    assert line.endswith(", head better in 10 of 10, base IQR 0.175, claim met")
+    # --summary derives it for a file written before it was kept
+    runs = _runs([(v, 8) for v in base], [(v, 8) for v in head])
+    summary = bench_pairs.summarise(runs, METRICS)
+    for metric in summary.values():
+        del metric["claim_met"]
+    path = tmp_path / "BENCH_older.json"
+    path.write_text(json.dumps({"base": "b", "head": "h", "workloads": {
+        "ybe-triples": {"runs": runs, "summary": summary}}}))
+    assert bench_pairs.main(["--summary", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == line
+    assert out[1].endswith(", claim not met")

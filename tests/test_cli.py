@@ -213,6 +213,46 @@ def test_build_r_failures_name_the_worst_column_and_word(monkeypatch, capsys, pa
     ]
 
 
+def test_all_names_the_worst_column_of_the_leg_swap_and_the_worst_basis_pair(monkeypatch, capsys):
+    # R_1[0, 1] moved by 1e-6 in every operator: operator-is-leg-swap names
+    # the digit pair of its worst column of R_1 - F_1, and the closed form
+    # its worst source basis pair; every FAIL line of the battery names one
+    from cuntzr.rmatrix import swap_index_pair
+
+    built = RMatrixOperator.__init__
+
+    def bumped(self, *args):
+        built(self, *args)
+        self.r1[0, 1] += 1e-6
+
+    monkeypatch.setattr(RMatrixOperator, "__init__", bumped)
+    assert run(["all"]) == 1
+    fails = {line.split()[1]: line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("FAIL ") and line != "FAIL overall"}
+    assert all(" witness=" in line for line in fails.values())
+    for label, omega in (("standard-2", GPState.standard(2)), ("uniform-2", GPState.uniform(2))):
+        rmat = RMatrixOperator(omega, omega, 2)
+        norms = np.linalg.norm(rmat.r1 - np.eye(4)[:, [0, 2, 1, 3]], axis=0)
+        i, j = divmod(int(np.argmax(norms)), 2)
+        assert fails[f"equal-states-{label}/operator-is-leg-swap"] == (
+            f"FAIL equal-states-{label}/operator-is-leg-swap residual={norms.max():.3e} "
+            f"witness=digit-pair={i + 1},{j + 1}")
+    # each source pair on its own, through the dict adapter
+    rmat = RMatrixOperator(GPState.standard(2), GPState.standard(3), 2)
+    gaps = {}
+    for a, b in itertools.product(range(1, 5), range(1, 10)):
+        image = rmat.apply({(a, b): 1.0})
+        image[swap_index_pair(2, 3, a, b, 2)] = image.get(swap_index_pair(2, 3, a, b, 2), 0) - 1
+        gaps[a, b] = float(np.linalg.norm(list(image.values())))
+    line = fails["closed-form-2-3/matches-built-operator"]
+    a, b = map(int, line.split("witness=basis-pair=")[1].split(","))
+    worst = max(gaps.values())
+    assert line.startswith(f"FAIL closed-form-2-3/matches-built-operator residual={worst:.3e} ")
+    assert gaps[a, b] == pytest.approx(worst, rel=1e-12)
+    # the first pair on a tie
+    assert all(gap < worst * (1 - 1e-12) for pair, gap in gaps.items() if pair < (a, b))
+
+
 def test_verify_with_three_states(capsys):
     code = run(
         [

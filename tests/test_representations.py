@@ -368,7 +368,7 @@ def test_preflight_without_an_address_space_limit_uses_available_memory(monkeypa
 
 
 def test_preflight_checks_the_largest_request_with_one_memory_read(monkeypatch):
-    import builtins
+    import os
     import resource
 
     from cuntzr import representations
@@ -390,16 +390,17 @@ def test_preflight_checks_the_largest_request_with_one_memory_read(monkeypatch):
         representations.preflight((fits, "first"), (over, "second"), (over, "third"))
     # without a limit, one call reads /proc/meminfo once, for any number of requests
     reads = []
+    pread = os.pread
 
-    def counting_open(path, *args, **kwargs):
-        reads.append(path)
-        return builtins.open(path, *args, **kwargs)
+    def counting_pread(fd, *args):
+        reads.append(fd)
+        return pread(fd, *args)
 
     unlimited = (resource.RLIM_INFINITY, resource.RLIM_INFINITY)
     monkeypatch.setattr(resource, "getrlimit", lambda which: unlimited)
-    monkeypatch.setattr(representations, "open", counting_open, raising=False)
+    monkeypatch.setattr(os, "pread", counting_pread)
     representations.preflight((1, "a"), (2, "b"), (3, "c"))
-    assert reads == ["/proc/meminfo"]
+    assert reads == [representations._meminfo()]
 
 
 def test_a_representation_reads_its_algebra_index_as_an_integer():
@@ -413,7 +414,7 @@ def test_a_representation_reads_its_algebra_index_as_an_integer():
     assert type(rep.n) is int and rep.n == 3 and rep.is_standard
 
 
-def test_available_memory_falls_back_to_the_physical_memory(monkeypatch):
+def test_available_memory_falls_back_to_the_physical_memory(monkeypatch, tmp_path):
     import os
 
     from cuntzr import representations
@@ -421,11 +422,61 @@ def test_available_memory_falls_back_to_the_physical_memory(monkeypatch):
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     assert 0 < representations._available_memory() <= physical
 
-    def unreadable(*args, **kwargs):
+    # a held descriptor that cannot be read: one open for writing only
+    unreadable = os.open(tmp_path / "meminfo", os.O_WRONLY | os.O_CREAT)
+    monkeypatch.setattr(representations, "_meminfo", lambda: unreadable)
+    try:
+        assert representations._available_memory() == physical
+    finally:
+        os.close(unreadable)
+
+    # and a file that cannot be opened
+    def unopenable():
         raise OSError("no meminfo")
 
-    monkeypatch.setattr(representations, "open", unreadable, raising=False)
+    monkeypatch.setattr(representations, "_meminfo", unopenable)
     assert representations._available_memory() == physical
+
+
+def test_preflight_opens_meminfo_once_and_reads_it_once_a_call(monkeypatch):
+    import functools
+    import os
+    import resource
+
+    from cuntzr import representations
+
+    opens, reads = [], []
+    real_open, real_pread = os.open, os.pread
+
+    def counting_open(path, *args):
+        opens.append(path)
+        return real_open(path, *args)
+
+    def counting_pread(fd, *args):
+        reads.append(fd)
+        return real_pread(fd, *args)
+
+    # a fresh cache, as in a new process
+    monkeypatch.setattr(representations, "_meminfo",
+                        functools.cache(representations._meminfo.__wrapped__))
+    monkeypatch.setattr(os, "open", counting_open)
+    monkeypatch.setattr(os, "pread", counting_pread)
+    unlimited = (resource.RLIM_INFINITY, resource.RLIM_INFINITY)
+    monkeypatch.setattr(resource, "getrlimit", lambda which: unlimited)
+    representations.preflight((1, "a"))
+    representations.preflight((2, "b"), (3, "c"))
+    fd = representations._meminfo()
+    try:
+        assert opens == ["/proc/meminfo"]
+        assert reads == [fd, fd]
+        # the descriptor is not passed to programs this one starts
+        assert not os.get_inheritable(fd)
+        # under a finite address-space limit the file is not read at all
+        monkeypatch.setattr(resource, "getrlimit", lambda which: (2**40, 2**40))
+        representations.preflight((1, "a"), (2, "b"))
+        assert opens == ["/proc/meminfo"] and reads == [fd, fd]
+    finally:
+        os.close(fd)
 
 
 # ---------------------------------------------------------------------------

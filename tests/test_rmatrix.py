@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import intertwining_oracle
 import ybe_oracle
 from cuntzr import cli, coproduct, rmatrix
-from cuntzr.algebra import CuntzMonomial
+from cuntzr.algebra import CuntzMonomial, holds
 from cuntzr.coproduct import delta, phi
 from cuntzr.errors import NotCommuting, OutOfDomain, SpanTooLarge
 from cuntzr.representations import (
@@ -304,6 +304,17 @@ def test_radix_permutation_identities_on_integer_arrays():
         # as a matrix P_{m,n} is the leg flip C^n (x) C^m -> C^m (x) C^n
         assert np.array_equal(np.eye(n * m)[:, radix_perm(m, n)], _leg_flip(n, m))
     assert _identity_failures(radix_perm) == (0, 0, 0)
+
+
+def test_the_radix_permutation_is_shared_read_only_and_let_go():
+    sigma = radix_perm(2, 3)
+    assert radix_perm(2, 3) is sigma
+    with pytest.raises(ValueError, match="read-only"):
+        sigma[0] = 1
+    # a bounded cache: later pairs push out an early one
+    for n in range(1, 10):
+        radix_perm(n, 1000)
+    assert radix_perm(2, 3) is not sigma and np.array_equal(radix_perm(2, 3), sigma)
 
 
 def test_a_transposed_radix_permutation_fails_the_identities():
@@ -746,6 +757,77 @@ def test_ybe_on_a_kron_triple_matches_the_per_word_oracle():
     y = np.array([0.6, 0.48j, 0.64])
     Y, YY = GPState(y), GPState(np.kron(y, y))
     _assert_ybe_matches_the_oracle((Y, YY, Y), 1)
+
+
+def _per_chunk_ybe_records(states, depth, rs, tol=BUILD_TOL):
+    """verify_ybe's records as its per-chunk path made them before the
+    residuals were folded as arrays: each R_1 placed by broadcasting against
+    the identity on the third leg, four np.linalg.norm column norms a chunk,
+    and one holds and one name from creation_words per word."""
+    reps = (rs[0].rep1, rs[0].rep2, rs[1].rep2)
+    a, b, c = (s.n for s in states)
+    N = a * b * c
+    dims = (a**depth, b**depth, c**depth)
+    words = rmatrix._word_count(N, depth)
+    step = rmatrix._chunk_words(int(np.prod(dims)), words)
+    r12 = rs[0].r1.reshape(a, b, 1, a, b, 1) * np.eye(c).reshape(1, 1, c, 1, 1, c)
+    r13 = rs[1].r1.reshape(a, 1, c, a, 1, c) * np.eye(b).reshape(1, b, 1, 1, b, 1)
+    r23 = np.eye(a).reshape(a, 1, 1, a, 1, 1) * rs[2].r1.reshape(1, b, c, 1, b, c)
+    r12, r13, r23 = (r.reshape(N, N) for r in (r12, r13, r23))
+    sides = (r12 @ r13 @ r23, r23 @ r13 @ r12)
+    exact = all(r.is_permutation for r in rs)
+    names = [f"ybe:n={N};u={','.join(map(str, w)) if N > 1 else ''};v="
+             for w in creation_words(N, depth)]
+
+    def norms(diff):
+        return np.linalg.norm(diff.reshape(-1, diff.shape[-1]), axis=0)
+
+    records = []
+    stacks = zip(*(rmatrix._word_images(reps, form, depth, dims, step)
+                   for form in ("f_r", "f_l_op", "f_r_op")))
+    for first, (t0, oracle_l, oracle_r) in zip(range(0, words, step), stacks):
+        lhs, rhs = (rmatrix._apply_digits(M, t0, (a, b, c), depth) for M in sides)
+        worst = np.max([norms(lhs - rhs), norms(lhs - oracle_l), norms(rhs - oracle_r),
+                        norms(oracle_l - oracle_r)], axis=0)
+        records += [(name, holds(res, tol, exact), res)
+                    for name, res in zip(names[first:first + step], worst.tolist())]
+    return records
+
+
+def _moved(rs):
+    rs[1].r1[0, 1] += 1e-6
+
+
+def _nan(rs):
+    rs[0].r1[1, 1] = np.nan
+
+
+_y = np.array([0.6, 0.48j, 0.64])
+
+
+@pytest.mark.parametrize("states, depth, change", [
+    ((W2, W3, W2), 2, None),
+    ((U3, U2, U2), 2, None),
+    ((GPState(_y), GPState(np.kron(_y, _y)), GPState(_y)), 1, None),
+    ((S1, U2, U3), 2, None),
+    ((U2, S1, U2), 2, None),
+    ((S1, S1, S1), 2, None),
+    ((U2, U3, U2), 3, None),
+    ((W2, W3, W2), 2, _moved),
+    ((U2, U3, U2), 2, _moved),
+    ((W2, W3, W2), 2, _nan),
+    ((U2, U3, U2), 2, _nan),
+], ids=["standard-2-3-2", "uniform-3-2-2", "kron-y-yy-y", "S1-U2-U3", "U2-S1-U2", "S1-S1-S1",
+        "uniform-2-3-2-d3", "standard-moved", "uniform-moved", "standard-nan", "uniform-nan"])
+def test_ybe_records_equal_the_per_chunk_norms_bit_for_bit(states, depth, change):
+    rs = _triple_operators(states, depth)
+    if change is not None:
+        change(rs)
+    want = _per_chunk_ybe_records(states, depth, rs)
+    got = [(c.name, c.passed, c.residual.hex()) for c in verify_ybe(*states, depth, rs=rs).checks]
+    assert got == [(name, ok, res.hex()) for name, ok, res in want]
+    if change is not None:
+        assert not all(ok for _, ok, _ in want)
 
 
 def test_ybe_refuses_operators_of_another_triple():

@@ -16,7 +16,8 @@ of both sides, the head's wins over its pair, the relative change of the
 medians against the metric's bound, and whether the medians lie further
 apart than the base's interquartile range; with a control, the A/A gap
 (the relative change of the control's median against the base's) and
-whether the A/B change is larger; per side, the totals of attempted and
+whether the A/B change is larger; whether a claimed gain is met (the head
+better in at least 9 of 10 pairs, and its median past both gaps); per side, the totals of attempted and
 failed operations and whether every run was correct; plus the machine
 facts at the start and end of each series. A second workload is added to
 the same file.
@@ -24,8 +25,9 @@ the same file.
     python3 tools/bench_pairs.py --summary BENCH_<head>.json
 
 reprints the claim and outcome lines of an existing file, each workload in
-the file's order, and starts no run. A file written before the outcomes
-were kept has them totalled from its runs.
+the file's order, and starts no run. A file written before the outcomes,
+or whether a claim is met, were kept has them derived from its runs and
+summary.
 """
 
 from __future__ import annotations
@@ -108,7 +110,20 @@ def summarise(runs, metrics):
                           cq[1])
             entry.update(control=control, control_quartiles=list(cq), control_change=gap,
                          beyond_control=abs(change) > abs(gap))
+        entry["claim_met"] = claim_met(entry)
     return summary
+
+
+def claim_met(entry):
+    """Whether a metric's series bears out a claimed gain: the head better
+    in at least 9 of every 10 pairs, over at least ten (ties count for
+    neither side), its median better and further from the base's than the
+    base's interquartile range, and, when a control ran, the change beyond
+    the A/A gap. Derived from the entry's own fields, so it holds for files
+    written before it was kept."""
+    better = entry["change"] < 0 if entry["better"] == "lower" else entry["change"] > 0
+    return (entry["pairs"] >= 10 and 10 * entry["head_wins"] >= 9 * entry["pairs"] and better
+            and entry["separated"] and entry.get("beyond_control", True))
 
 
 def outcomes(runs):
@@ -137,13 +152,15 @@ def outcome_line(workload, side, entry):
 
 def claim_line(workload, name, entry):
     """One line of a metric's series, as a change record quotes it; with a
-    control, the A/A gap beside the A/B change."""
+    control, the A/A gap beside the A/B change; last, whether a claimed
+    gain would be met (``claim_met``)."""
     b, h = entry["base_quartiles"], entry["head_quartiles"]
     control = f", A/A {100 * entry['control_change']:+.1f}%" if "control_change" in entry else ""
+    met = entry.get("claim_met", claim_met(entry))
     return (f"{workload} {name}: {b[1]:.4g} [{b[0]:.4g}, {b[2]:.4g}] -> "
             f"{h[1]:.4g} [{h[0]:.4g}, {h[2]:.4g}], {100 * entry['change']:+.1f}%{control}, "
             f"head better in {entry['head_wins']} of {entry['pairs']}, "
-            f"base IQR {b[2] - b[0]:.3g}")
+            f"base IQR {b[2] - b[0]:.3g}, claim {'met' if met else 'not met'}")
 
 
 def report_lines(workload, entry):
