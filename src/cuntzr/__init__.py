@@ -11,13 +11,11 @@ construction satisfies.
 from .algebra import (
     AlgebraElement,
     CuntzMonomial,
+    TensorElement,
     canonical_equal,
     canonical_residual,
-    level_expand,
-    mono_product,
 )
 from .coproduct import (
-    TensorElement,
     TensorElement3,
     canonical_equal3,
     check_coassoc,
@@ -104,8 +102,6 @@ __all__ = [
     "gp_eval",
     "lambda2",
     "lambda3",
-    "level_expand",
-    "mono_product",
     "phi",
     "star",
     "state_from_json",

@@ -10,12 +10,20 @@ a single word pair s_u s_v* (u, v tuples of 1-based letters), so finite
 complex combinations of word pairs form a *-algebra closed under all
 operations implemented here.
 
+One type, ``TensorElement``, holds the elements of the direct sum of all
+O_n and of its tensor powers, stored blockwise and keyed by the tuple of
+algebra indices of the legs. An element of one O_n is a one-leg element
+with the single block (n,); ``AlgebraElement`` only builds such elements,
+and the zero element has no block and so no index. The maps defined on the
+direct sum read a monomial or a one-leg element through one coercion,
+``one_leg_blocks``.
+
 Equality modulo the relations is decidable on this span: within a degree
 class d = |u| - |v|, every term can be rewritten with sum_i s_i s_i* = I
 until all annihilation words share one length, and word pairs of a common
 shape (|u|, |v|) are linearly independent. ``canonical_residual`` performs
-exactly that expansion, on one leg or legwise on tensor elements, and
-returns the largest coefficient left over.
+exactly that expansion, legwise inside each block, and returns the largest
+coefficient left over.
 """
 
 from __future__ import annotations
@@ -134,132 +142,192 @@ def mono_key_product(a_key, b_key):
     return None
 
 
-class AlgebraElement:
-    """Finite complex combination of word pairs in one O_n.
+def _checked_terms(indices, terms):
+    """Terms of one block with every leg key checked against its algebra
+    index; keys that meet once O_1 words collapse are summed."""
+    out = {}
+    for keys, c in terms.items():
+        if len(keys) != len(indices):
+            raise ValueError(f"{len(keys)}-leg key {keys!r} in block {indices}")
+        keys = tuple((_check_word(n, u), _check_word(n, v)) for n, (u, v) in zip(indices, keys))
+        if keys in out:
+            out[keys] += c
+        else:
+            out[keys] = c
+    return out
 
-    Terms are stored as a map (u, v) -> coefficient; keys are normalized
-    word tuples and exact zero coefficients are dropped; a NaN coefficient
-    is kept. Instances are treated as immutable.
+
+class TensorElement:
+    """Finite combination of tensor monomials, grouped by the legs' algebra indices.
+
+    A block key is the tuple of algebra indices of the legs; its length is
+    the arity, and an element of the direct sum has one leg. Within a
+    block, terms map the tuple of the legs' word-pair keys to a
+    coefficient. Each key is checked once, here: all blocks have one
+    arity, every algebra index is an integer >= 1 (``_index``), a key has
+    one word pair per leg, every letter lies in 1..n of its leg, and O_1
+    words collapse to the unit, summing the terms that meet. Exact zero
+    coefficients are dropped; a NaN coefficient is kept. Instances are
+    treated as immutable.
     """
 
-    __slots__ = ("n", "_terms")
+    __slots__ = ("_blocks",)
 
-    def __init__(self, n, terms=None, _validate=True):
-        self.n = _index(n)
-        acc = {}
-        if terms:
-            for (u, v), c in terms.items():
+    def __init__(self, blocks=None, _validate=True):
+        out = {}
+        if blocks:
+            if _validate and len({len(indices) for indices in blocks}) > 1:
+                raise ValueError(f"blocks of mixed arity: {list(blocks)}")
+            for indices, terms in blocks.items():
                 if _validate:
-                    u = _check_word(self.n, u)
-                    v = _check_word(self.n, v)
-                c = complex(c)
-                key = (u, v)
-                if key in acc:
-                    acc[key] += c
-                else:
-                    acc[key] = c
-        self._terms = {k: c for k, c in acc.items() if c != 0}  # NaN is kept
+                    indices = tuple(map(_index, indices))
+                    terms = _checked_terms(indices, terms)
+                kept = {}
+                for keys, c in terms.items():
+                    c = complex(c)
+                    if c != 0:  # NaN is kept
+                        kept[keys] = c
+                if kept:
+                    out[tuple(indices)] = kept
+        self._blocks = out
+
+    @classmethod
+    def _from_pruned(cls, blocks):
+        """Wrap nonempty blocks of nonzero complex coefficients."""
+        t = cls.__new__(cls)
+        t._blocks = blocks
+        return t
+
+    @property
+    def blocks(self):
+        """Block map (n_1, ..., n_k) -> {(key_1, ..., key_k): coeff}; read-only."""
+        return self._blocks
+
+    def block(self, *indices):
+        return self._blocks.get(indices, {})
+
+    @property
+    def arity(self):
+        """Number of legs; None for the zero element, which has no blocks."""
+        return len(next(iter(self._blocks))) if self._blocks else None
+
+    @property
+    def is_zero(self):
+        return not self._blocks
+
+    def term_count(self):
+        return sum(len(t) for t in self._blocks.values())
+
+    def __add__(self, other):
+        """Termwise sum; arities must agree, and the zero element (None) adds to any."""
+        if None not in (self.arity, other.arity) and self.arity != other.arity:
+            raise ValueError(f"cannot add a {self.arity}-leg and a {other.arity}-leg element")
+        out = {p: dict(t) for p, t in self._blocks.items()}
+        for p, terms in other._blocks.items():
+            dst = out.setdefault(p, {})
+            for key, c in terms.items():
+                dst[key] = dst.get(key, 0j) + c
+        return TensorElement(out, _validate=False)
+
+    def __sub__(self, other):
+        return self + (-1.0) * other
+
+    def __rmul__(self, scalar):
+        c = complex(scalar)
+        return TensorElement(
+            {p: {k: c * v for k, v in t.items()} for p, t in self._blocks.items()},
+            _validate=False,
+        )
+
+    def __mul__(self, other):
+        """Legwise product; distinct blocks are distinct summands and annihilate."""
+        if not isinstance(other, TensorElement):
+            return self.__rmul__(other)
+        out = {}
+        for indices, terms in self._blocks.items():
+            if indices not in other._blocks:
+                continue
+            dst = out.setdefault(indices, {})
+            for a_keys, c1 in terms.items():
+                for b_keys, c2 in other._blocks[indices].items():
+                    keys = tuple(map(mono_key_product, a_keys, b_keys))
+                    if None not in keys:
+                        dst[keys] = dst.get(keys, 0j) + c1 * c2
+        return TensorElement(out, _validate=False)
+
+    def flip(self):
+        """Reverse the legs: block (m, l) with term a (x) b becomes (l, m), b (x) a."""
+        return TensorElement._from_pruned(
+            {p[::-1]: {k[::-1]: c for k, c in t.items()} for p, t in self._blocks.items()}
+        )
+
+    def adjoint(self):
+        return TensorElement._from_pruned(
+            {
+                p: {tuple((v, u) for u, v in k): c.conjugate() for k, c in t.items()}
+                for p, t in self._blocks.items()
+            }
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, TensorElement):
+            return NotImplemented
+        return self._blocks == other._blocks
+
+    def __repr__(self):
+        return f"TensorElement(blocks={sorted(self._blocks)})"
+
+
+class AlgebraElement:
+    """Constructors of the elements of one O_n, the one-leg elements of the
+    direct sum. Each returns a :class:`TensorElement` with the one block
+    (n,), or the zero element, which has no block and so no index; no
+    instance of this class is made."""
+
+    def __new__(cls, n, terms=None):
+        """sum c s_u s_v* over the terms {(u, v): c}, checked as
+        ``TensorElement`` checks a block; ``n`` is checked even with no
+        terms."""
+        return TensorElement({(n,): {(key,): c for key, c in (terms or {}).items()}})
+
+    @staticmethod
+    def monomial(mono, coeff=1.0):
+        """The one-term element coeff * mono, built without the term loop."""
+        c = complex(coeff)  # NaN is kept; the words are read past ``key``, on a hot path
+        return TensorElement._from_pruned({(mono.n,): {((mono.u, mono.v),): c}} if c != 0 else {})
+
+    @classmethod
+    def unit(cls, n):
+        return cls(n, {((), ()): 1.0})
 
     @classmethod
     def zero(cls, n):
         return cls(n)
 
-    @classmethod
-    def unit(cls, n):
-        return cls(n, {((), ()): 1.0}, _validate=False)
 
-    @classmethod
-    def monomial(cls, mono, coeff=1.0):
-        """The one-term element coeff * mono, built without the term loop."""
-        x = cls.__new__(cls)
-        x.n = mono.n
-        c = complex(coeff)
-        x._terms = {mono.key: c} if c != 0 else {}  # NaN is kept
-        return x
+def one_leg_blocks(x, n=None):
+    """The blocks {(n,): {((u, v),): c}} of a monomial or one-leg element.
 
-    @property
-    def terms(self):
-        """Term map; treat as read-only."""
-        return self._terms
-
-    def items(self):
-        return self._terms.items()
-
-    def monomials(self):
-        for (u, v), c in self._terms.items():
-            yield CuntzMonomial(self.n, u, v), c
-
-    @property
-    def is_zero(self):
-        return not self._terms
-
-    def _require_same(self, other):
-        if self.n != other.n:
-            raise MismatchedAlgebra(f"O_{self.n} vs O_{other.n}")
-
-    def __add__(self, other):
-        self._require_same(other)
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            out[key] = out.get(key, 0j) + c
-        return AlgebraElement(self.n, out, _validate=False)
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
-    def __neg__(self):
-        return (-1.0) * self
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            self._require_same(other)
-            out = {}
-            for key1, c1 in self._terms.items():
-                for key2, c2 in other._terms.items():
-                    key = mono_key_product(key1, key2)
-                    if key is not None:
-                        out[key] = out.get(key, 0j) + c1 * c2
-            return AlgebraElement(self.n, out, _validate=False)
-        c = complex(other)
-        return AlgebraElement(
-            self.n, {k: c * v for k, v in self._terms.items()}, _validate=False
-        )
-
-    def __rmul__(self, scalar):
-        return self * scalar
-
-    def adjoint(self):
-        return AlgebraElement(
-            self.n,
-            {(v, u): c.conjugate() for (u, v), c in self._terms.items()},
-            _validate=False,
-        )
-
-    def __eq__(self, other):
-        """Exact term-level equality; use canonical_equal for equality
-        modulo the Cuntz relations."""
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self.n == other.n and self._terms == other._terms
-
-    def __repr__(self):
-        if not self._terms:
-            return f"AlgebraElement(O_{self.n}, 0)"
-        bits = " + ".join(
-            f"({c:.4g})*{CuntzMonomial(self.n, u, v)}"
-            for (u, v), c in sorted(self._terms.items())
-        )
-        return f"AlgebraElement(O_{self.n}, {bits})"
-
-
-def mono_product(a, b):
-    """Normal form of (s_{a.u} s_{a.v}*)(s_{b.u} s_{b.v}*); at most one term."""
-    if a.n != b.n:
-        raise MismatchedAlgebra(f"O_{a.n} vs O_{b.n}")
-    key = mono_key_product(a.key, b.key)
-    if key is None:
-        return AlgebraElement.zero(a.n)
-    return AlgebraElement(a.n, {key: 1.0}, _validate=False)
+    The one coercion of the maps defined on the direct sum: a monomial is
+    its one term, a one-leg element its own blocks (read-only). With
+    ``n``, ``x`` must lie in O_n, and the zero element, which has no index,
+    lies in every O_n. Anything else is a TypeError, another index a
+    MismatchedAlgebra.
+    """
+    if isinstance(x, TensorElement):
+        blocks = x._blocks
+        if len(blocks) == 1 and (n,) in blocks:  # the common case: arity is not read
+            return blocks
+        if x.arity not in (None, 1):
+            raise TypeError(f"expected a one-leg element, got a {x.arity}-leg tensor element")
+    elif isinstance(x, CuntzMonomial):
+        blocks = {(x.n,): {(x.key,): 1 + 0j}}
+    else:
+        raise TypeError(f"expected a monomial or one-leg element, got {type(x).__name__}")
+    if n is not None and blocks.keys() - {(n,)}:
+        others = ", ".join(f"O_{m}" for (m,) in blocks)
+        raise MismatchedAlgebra(f"expected O_{n}, got {others}")
+    return blocks
 
 
 def expanded_keys(n, key, target_len):
@@ -275,33 +343,13 @@ def expanded_keys(n, key, target_len):
         yield (u + w, v + w)
 
 
-def level_expand(x, target_len):
-    """Rewrite x so every annihilation word has length exactly ``target_len``.
-
-    Each term s_u s_v* with |v| < target_len becomes the sum over all words
-    w of length target_len - |v| of s_{u w} s_{v w}*, by inserting
-    sum_i s_i s_i* = I. The value in O_n is unchanged and each term keeps
-    its degree |u| - |v|.
-    """
-    out = {}
-    for key, c in x.items():
-        for ekey in expanded_keys(x.n, key, target_len):
-            out[ekey] = out.get(ekey, 0j) + c
-    return AlgebraElement(x.n, out, _validate=False)
-
-
-def _leg_blocks(x):
-    """Blockwise terms {leg indices: {leg keys: coeff}}; an element is one leg."""
-    if isinstance(x, AlgebraElement):
-        return {(x.n,): {(key,): c for key, c in x.items()}}
-    return x.blocks
-
-
 def canonical_residual(x, y):
     """Worst coefficient of x - y left after the per-leg level expansion.
 
-    Takes two algebra elements (one leg) or two tensor elements of any
-    arity (anything with blockwise ``blocks``). Inside each block the terms
+    Takes two tensor elements of one arity; the zero element, which has
+    none, compares with any, and two arities that differ are a TypeError.
+    An element of one O_n is a one-leg element, and elements of different
+    summands are different elements. Inside each block the terms
     of the difference are grouped by their tuple of leg degrees, and every
     leg is expanded to the longest annihilation word of its group. The
     expanded tensor monomials are linearly independent, so the residual is
@@ -310,11 +358,9 @@ def canonical_residual(x, y):
     equal is skipped, and a NaN anywhere in the difference makes the
     residual NaN, so no tolerance accepts it.
     """
-    if isinstance(x, AlgebraElement) != isinstance(y, AlgebraElement):
-        raise TypeError("cannot compare an algebra element with a tensor element")
-    if isinstance(x, AlgebraElement) and x.n != y.n:
-        raise MismatchedAlgebra(f"O_{x.n} vs O_{y.n}")
-    bx, by = _leg_blocks(x), _leg_blocks(y)
+    if None not in (x.arity, y.arity) and x.arity != y.arity:
+        raise TypeError(f"cannot compare a {x.arity}-leg and a {y.arity}-leg element")
+    bx, by = x.blocks, y.blocks
     worst = 0.0
     for indices in bx.keys() | by.keys():
         tx, ty = bx.get(indices, {}), by.get(indices, {})
@@ -345,15 +391,3 @@ def canonical_residual(x, y):
 def canonical_equal(x, y, tol=EQ_TOL):
     """Equality modulo the Cuntz relations: canonical_residual(x, y) <= tol."""
     return holds(canonical_residual(x, y), tol)
-
-
-def as_element(x, n=None):
-    """Coerce a monomial or element to an AlgebraElement, checking the index."""
-    if isinstance(x, CuntzMonomial):
-        x = AlgebraElement.monomial(x)
-    if not isinstance(x, AlgebraElement):
-        raise TypeError(f"expected an algebra element, got {type(x).__name__}")
-    if n is not None and x.n != n:
-        raise MismatchedAlgebra(f"expected O_{n}, got O_{x.n}")
-    return x
-

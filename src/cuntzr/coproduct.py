@@ -8,14 +8,14 @@ on the direct sum; the opposite comultiplication is the same map followed
 by the leg flip.
 
 Elements of the direct sum and of its tensor powers are one type,
-``TensorElement``, stored blockwise and keyed by the tuple of algebra
-indices of the legs: an element of the direct sum is a one-leg tensor
-element (``TensorElement.from_element``), and the coproduct (two legs) and
-the double coproducts (three legs) have more legs. The public constructor
-checks each key once, against the algebra index of its leg; everything
-built from checked keys is wrapped without a second pass. So a pair (or
-triple) of representations or states can project onto the single block it
-sees.
+``algebra.TensorElement``, stored blockwise and keyed by the tuple of
+algebra indices of the legs: an element of the direct sum is a one-leg
+element, which every map here reads through ``algebra.one_leg_blocks``,
+and the coproduct (two legs) and the double coproducts (three legs) have
+more legs. Their blocks are built from checked keys and wrapped without a
+second pass. So a pair (or triple) of representations or states can
+project onto the single block it sees. This module holds the tables and
+the coproducts only.
 
 Every coproduct here is letterwise: a word pair of O_n maps letter by
 letter to one word pair per leg of each output block, and which digit each
@@ -89,15 +89,14 @@ import numpy as np
 from .algebra import (
     EQ_TOL,
     CuntzMonomial,
-    _check_word,
+    TensorElement,
     _index,
-    as_element,
     canonical_equal,
     canonical_residual,
     holds,
-    mono_key_product,
+    one_leg_blocks,
 )
-from .errors import BadFactorization
+from .errors import BadFactorization, MismatchedAlgebra
 
 _UNIT = ((), ())
 
@@ -278,170 +277,15 @@ def split_words(form, block, words):
     return tuple(words[:, :0] if c == 0 else table.columns[c][words] for c in legs)
 
 
-def _checked_terms(indices, terms):
-    """Terms of one block with every leg key checked against its algebra
-    index; keys that meet once O_1 words collapse are summed."""
-    out = {}
-    for keys, c in terms.items():
-        if len(keys) != len(indices):
-            raise ValueError(f"{len(keys)}-leg key {keys!r} in block {indices}")
-        keys = tuple((_check_word(n, u), _check_word(n, v)) for n, (u, v) in zip(indices, keys))
-        if keys in out:
-            out[keys] += c
-        else:
-            out[keys] = c
-    return out
-
-
-class TensorElement:
-    """Finite combination of tensor monomials, grouped by the legs' algebra indices.
-
-    A block key is the tuple of algebra indices of the legs; its length is
-    the arity, and an element of the direct sum has one leg. Within a
-    block, terms map the tuple of the legs' word-pair keys to a
-    coefficient. Each key is checked once, here: all blocks have one
-    arity, every algebra index is an integer >= 1 (``algebra._index``), a
-    key has one word pair per leg, every letter lies in 1..n of its leg,
-    and O_1 words collapse to the unit, summing the terms that meet.
-    Exact zero coefficients are dropped; a NaN coefficient is kept.
-    Instances are treated as immutable.
-    """
-
-    __slots__ = ("_blocks",)
-
-    def __init__(self, blocks=None, _validate=True):
-        out = {}
-        if blocks:
-            if _validate and len({len(indices) for indices in blocks}) > 1:
-                raise ValueError(f"blocks of mixed arity: {list(blocks)}")
-            for indices, terms in blocks.items():
-                if _validate:
-                    indices = tuple(map(_index, indices))
-                    terms = _checked_terms(indices, terms)
-                kept = {}
-                for keys, c in terms.items():
-                    c = complex(c)
-                    if c != 0:  # NaN is kept
-                        kept[keys] = c
-                if kept:
-                    out[tuple(indices)] = kept
-        self._blocks = out
-
-    @classmethod
-    def from_element(cls, x):
-        """The one-leg element {(n,): {(key,): c}} of a monomial or element of O_n."""
-        if isinstance(x, CuntzMonomial):  # its one term, as AlgebraElement.monomial has it
-            return cls._from_pruned({(x.n,): {(x.key,): 1 + 0j}})
-        x = as_element(x)
-        if x.is_zero:
-            return cls()
-        return cls._from_pruned({(x.n,): {(key,): c for key, c in x.items()}})
-
-    @classmethod
-    def _from_pruned(cls, blocks):
-        """Wrap nonempty blocks of nonzero complex coefficients."""
-        t = cls.__new__(cls)
-        t._blocks = blocks
-        return t
-
-    @property
-    def blocks(self):
-        """Block map (n_1, ..., n_k) -> {(key_1, ..., key_k): coeff}; read-only."""
-        return self._blocks
-
-    def block(self, *indices):
-        return self._blocks.get(indices, {})
-
-    @property
-    def arity(self):
-        """Number of legs; None for the zero element, which has no blocks."""
-        return len(next(iter(self._blocks))) if self._blocks else None
-
-    @property
-    def is_zero(self):
-        return not self._blocks
-
-    def term_count(self):
-        return sum(len(t) for t in self._blocks.values())
-
-    def __add__(self, other):
-        """Termwise sum; arities must agree, and the zero element (None) adds to any."""
-        if None not in (self.arity, other.arity) and self.arity != other.arity:
-            raise ValueError(f"cannot add a {self.arity}-leg and a {other.arity}-leg element")
-        out = {p: dict(t) for p, t in self._blocks.items()}
-        for p, terms in other._blocks.items():
-            dst = out.setdefault(p, {})
-            for key, c in terms.items():
-                dst[key] = dst.get(key, 0j) + c
-        return TensorElement(out, _validate=False)
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
-    def __rmul__(self, scalar):
-        c = complex(scalar)
-        return TensorElement(
-            {p: {k: c * v for k, v in t.items()} for p, t in self._blocks.items()},
-            _validate=False,
-        )
-
-    def __mul__(self, other):
-        """Legwise product; distinct blocks are distinct summands and annihilate."""
-        if not isinstance(other, TensorElement):
-            return self.__rmul__(other)
-        out = {}
-        for indices, terms in self._blocks.items():
-            if indices not in other._blocks:
-                continue
-            dst = out.setdefault(indices, {})
-            for a_keys, c1 in terms.items():
-                for b_keys, c2 in other._blocks[indices].items():
-                    keys = tuple(map(mono_key_product, a_keys, b_keys))
-                    if None not in keys:
-                        dst[keys] = dst.get(keys, 0j) + c1 * c2
-        return TensorElement(out, _validate=False)
-
-    def flip(self):
-        """Reverse the legs: block (m, l) with term a (x) b becomes (l, m), b (x) a."""
-        return TensorElement._from_pruned(
-            {p[::-1]: {k[::-1]: c for k, c in t.items()} for p, t in self._blocks.items()}
-        )
-
-    def adjoint(self):
-        return TensorElement._from_pruned(
-            {
-                p: {tuple((v, u) for u, v in k): c.conjugate() for k, c in t.items()}
-                for p, t in self._blocks.items()
-            }
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self._blocks == other._blocks
-
-    def __repr__(self):
-        return f"TensorElement(blocks={sorted(self._blocks)})"
-
-
 TensorElement3 = TensorElement  # the three-leg name callers already use
 
 
-def _one_leg(x):
-    """A monomial, algebra element or one-leg tensor element as a one-leg tensor."""
-    if not isinstance(x, TensorElement):
-        return TensorElement.from_element(x)
-    if x.arity not in (None, 1):
-        raise TypeError(f"cannot take the coproduct of a {x.arity}-leg tensor element")
-    return x
-
-
-def _coproduct(t, form):
-    """``form`` of a one-leg tensor element: each term of O_n is split once
-    through the table of O_n and written, with its coefficient unchanged,
-    into every block of the table."""
+def _coproduct(legs, form):
+    """``form`` of the one-leg blocks ``legs`` (``one_leg_blocks``): each
+    term of O_n is split once through the table of O_n and written, with
+    its coefficient unchanged, into every block of the table."""
     blocks = {}
-    for (n,), terms in t.blocks.items():
+    for (n,), terms in legs.items():
         table = _table(n, form)
         outs = [{} for _ in table.blocks]
         blocks.update(zip(table.blocks, outs))
@@ -460,55 +304,60 @@ def phi(m, l, x):
     the block (m, l) of the coproduct: each term is split through Delta's
     whole table and keeps that block's leg keys. m and l must be positive
     integers, read by ``algebra._index`` (a bool is refused), with m*l the
-    index of ``x``.
+    index of ``x``; the zero element, which has no index, maps to zero.
     """
-    x = as_element(x)
     try:
         m, l = _index(m, None, "factor"), _index(l, None, "factor")
     except ValueError:
-        raise BadFactorization(f"factors {m!r} and {l!r} of O_{x.n} are not integers") from None
-    if not (m >= 1 and l >= 1 and m * l == x.n):
-        raise BadFactorization(f"element of O_{x.n} does not factor as {m}*{l}")
-    table = _table(x.n, "delta")
+        raise BadFactorization(f"factors {m!r} and {l!r} are not integers") from None
+    if not (m >= 1 and l >= 1):
+        raise BadFactorization(f"{m}*{l} is not a factorization into positive integers")
+    try:
+        terms = one_leg_blocks(x, m * l).get((m * l,), {})
+    except MismatchedAlgebra as exc:
+        raise BadFactorization(f"{exc}: the element does not factor as {m}*{l}") from None
+    table = _table(m * l, "delta")
     k = 2 * table.blocks.index((m, l))  # its two leg keys among those of every block
     return TensorElement(
-        {(m, l): {_leg_keys(table, key)[k:k + 2]: c for key, c in x.items()}}, _validate=False
+        {(m, l): {_leg_keys(table, key)[k:k + 2]: c for (key,), c in terms.items()}},
+        _validate=False,
     )
 
 
 def delta(x):
     """Comultiplication: one block phi_{m,l}(x_n) per ordered divisor pair.
 
-    Accepts a CuntzMonomial, an AlgebraElement or a one-leg TensorElement,
-    which is an element of the direct sum. A single monomial of O_n
-    produces exactly one pure tensor term per ordered divisor pair of n.
+    Accepts a CuntzMonomial or a one-leg TensorElement, an element of the
+    direct sum (``AlgebraElement`` builds those of one O_n). A single
+    monomial of O_n produces exactly one pure tensor term per ordered
+    divisor pair of n.
     """
-    return _coproduct(_one_leg(x), "delta")
+    return _coproduct(one_leg_blocks(x), "delta")
 
 
 def delta_op(x):
     """Opposite comultiplication: the coproduct followed by the leg flip."""
-    return _coproduct(_one_leg(x), "delta_op")
+    return _coproduct(one_leg_blocks(x), "delta_op")
 
 
 def f_r(x):
     """Right-expanded double coproduct (id (x) delta) o delta."""
-    return _coproduct(_one_leg(x), "f_r")
+    return _coproduct(one_leg_blocks(x), "f_r")
 
 
 def f_l(x):
     """Left-expanded double coproduct (delta (x) id) o delta."""
-    return _coproduct(_one_leg(x), "f_l")
+    return _coproduct(one_leg_blocks(x), "f_l")
 
 
 def f_r_op(x):
     """(id (x) delta_op) o delta_op; right expansion of the opposite coproduct."""
-    return _coproduct(_one_leg(x), "f_r_op")
+    return _coproduct(one_leg_blocks(x), "f_r_op")
 
 
 def f_l_op(x):
     """(delta_op (x) id) o delta_op; left expansion of the opposite coproduct."""
-    return _coproduct(_one_leg(x), "f_l_op")
+    return _coproduct(one_leg_blocks(x), "f_l_op")
 
 
 canonical_equal3 = canonical_equal  # the three-leg name callers already use
@@ -569,14 +418,14 @@ def coassoc_residual(x):
         (bad := disagreeing_letters(x.n)) is not None and bad.isdisjoint(x.u + x.v)
     ):
         return 0.0
-    x = _one_leg(x)
-    for (n,), terms in x.blocks.items():
+    legs = one_leg_blocks(x)
+    for (n,), terms in legs.items():
         bad = disagreeing_letters(n)
         # a NaN coefficient, like a disagreeing letter, takes the canonical residual
         if bad is None or any(map(cmath.isnan, terms.values())) or (
             bad and any(not bad.isdisjoint(u + v) for ((u, v),) in terms)
         ):
-            return canonical_residual(_coproduct(x, "f_r"), _coproduct(x, "f_l"))
+            return canonical_residual(_coproduct(legs, "f_r"), _coproduct(legs, "f_l"))
     return 0.0
 
 

@@ -32,8 +32,7 @@ import resource
 
 import numpy as np
 
-from .algebra import _index
-from .coproduct import TensorElement
+from .algebra import TensorElement, _index
 from .errors import OutOfDomain, SpanTooLarge
 from .states import GPState, UnitVector
 

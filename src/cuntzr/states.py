@@ -26,9 +26,9 @@ import operator
 
 import numpy as np
 
-from .algebra import EQ_TOL, AlgebraElement, CuntzMonomial, _index, as_element, holds
+from .algebra import EQ_TOL, CuntzMonomial, _index, holds, one_leg_blocks
 from .coproduct import split_words
-from .errors import MismatchedAlgebra, NotUnitary
+from .errors import NotUnitary
 
 
 class UnitVector:
@@ -115,19 +115,18 @@ def _word_value(values, key, val):
 
 
 def gp_eval(z, x):
-    """Evaluate the state of ``z`` on an element or monomial of O_n. Only
-    the letters the element uses are read, each component once as a Python
+    """Evaluate the state of ``z`` on a monomial or one-leg element of O_n
+    (``algebra.one_leg_blocks``); the zero element reads 0. Only the
+    letters the element uses are read, each component once as a Python
     ``complex``, into value maps that ``_word_value`` reads as it reads
     the full lists of ``_letter_values``."""
-    x = as_element(x)
-    if x.n != z.n:
-        raise MismatchedAlgebra(f"state on O_{z.n}, element of O_{x.n}")
-    letters = {l for u, v in x.terms for l in (*u, *v)}
+    terms = one_leg_blocks(x, z.n).get((z.n,), {})
+    letters = {l for ((u, v),) in terms for l in (*u, *v)}
     plain = {l: complex(z.z[l - 1]) for l in letters}
     values = {l: c.conjugate() for l, c in plain.items()}, plain
     total = 0j
-    for key, c in x.items():
-        total += _word_value(values, key, complex(c))
+    for (key,), c in terms.items():
+        total += _word_value(values, key, c)
     return total
 
 
@@ -207,14 +206,14 @@ class StarComposite:
         self._values = _letter_values(self._left_letters), _letter_values(self._right_letters)
 
     def __call__(self, x):
-        x = as_element(x, self.n)
         left, right = self._values
         total = 0j
-        for key, c in x.items():
-            a = _word_value(left, key, 1 + 0j)
-            if a == 0:
-                continue
-            total += c * a * _word_value(right, key, 1 + 0j)
+        for terms in one_leg_blocks(x, self.n).values():  # at most the block (n,)
+            for (key,), c in terms.items():
+                a = _word_value(left, key, 1 + 0j)
+                if a == 0:
+                    continue
+                total += c * a * _word_value(right, key, 1 + 0j)
         return total
 
     def word_value(self, key):
@@ -254,8 +253,7 @@ def interleaving_gap(omega, psi):
 
 def star_gap(omega, psi, mono):
     """|(omega * psi)(x) - (psi * omega)(x)| on the monomial x."""
-    x = AlgebraElement.monomial(mono)
-    return abs(star(omega, psi)(x) - star(psi, omega)(x))
+    return abs(star(omega, psi)(mono) - star(psi, omega)(mono))
 
 
 def commutes(omega, psi, tol=EQ_TOL):

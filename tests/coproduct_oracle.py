@@ -4,8 +4,8 @@
   delta and the double coproducts. The digits of a letter come from
   enumerating the defining formula w = l*(i-1) + j, not from division.
   ``expand_leg`` applies a comap to one leg of every term: it wraps the leg
-  in a one-term AlgebraElement, calls the comap on it and merges the
-  TensorElements it returns.
+  in a one-term element of its algebra, calls the comap on it and merges
+  the TensorElements it returns.
 * The mixed-radix split is the k-fold coproduct in closed form. For an
   ordered factorization n = a_1 * ... * a_k, letter w of O_n goes to its
   digits (d_1, ..., d_k) with w - 1 = sum_t (d_t - 1) * a_{t+1} * ... * a_k,
@@ -18,19 +18,15 @@ of the tests.
 
 from __future__ import annotations
 
-from cuntzr.algebra import AlgebraElement, CuntzMonomial
-from cuntzr.coproduct import TensorElement
+from cuntzr.algebra import AlgebraElement, CuntzMonomial, TensorElement
 
 
 def components(x):
-    """Component map {n: AlgebraElement} of a monomial, an element, or an
-    element of the direct sum stored as a one-leg tensor element."""
+    """Component map {n: one-leg element of O_n} of a monomial or an
+    element of the direct sum; the zero element has none."""
     if isinstance(x, CuntzMonomial):
         x = AlgebraElement.monomial(x)
-    if isinstance(x, AlgebraElement):
-        return {x.n: x}
-    return {n: AlgebraElement(n, {k: c for (k,), c in terms.items()})
-            for (n,), terms in x.blocks.items()}
+    return {n: TensorElement({(n,): terms}) for (n,), terms in x.blocks.items()}
 
 
 def factorizations(n, k):
@@ -60,7 +56,7 @@ def phi(m, l, x):
     """phi_{m,l} of an element of O_{m*l}, one term at a time."""
     digits = {l * (i - 1) + j: (i, j) for i in range(1, m + 1) for j in range(1, l + 1)}
     terms = {}
-    for (u, v), c in x.items():
+    for ((u, v),), c in x.block(m * l).items():
         left = _leg_key(m, [digits[w][0] for w in u], [digits[w][0] for w in v])
         right = _leg_key(l, [digits[w][1] for w in u], [digits[w][1] for w in v])
         terms[(left, right)] = c
@@ -86,7 +82,7 @@ def expand_leg(t, leg, comap):
     for indices, terms in t.blocks.items():
         head, tail = indices[:i], indices[i + 1:]
         for keys, c in terms.items():
-            inner = comap(AlgebraElement(indices[i], {keys[i]: 1.0}, _validate=False))
+            inner = comap(AlgebraElement(indices[i], {keys[i]: 1.0}))
             pre, post = keys[:i], keys[i + 1:]
             for mid, inner_terms in inner.blocks.items():
                 dst = blocks.setdefault(head + mid + tail, {})
@@ -135,7 +131,7 @@ def radix_coproduct(x, arity, opposite=False):
     for n, comp in components(x).items():
         for radices in factorizations(n, arity):
             terms = {}
-            for (u, v), c in comp.items():
+            for ((u, v),), c in comp.block(n).items():
                 du = [radix_digits(radices, w) for w in u]
                 dv = [radix_digits(radices, w) for w in v]
                 keys = tuple(

@@ -17,18 +17,19 @@ from cuntzr.algebra import AlgebraElement
 
 
 def substitute_generators(x, matrix):
-    """Apply the *-endomorphism s_j -> sum_i matrix[i-1, j-1] s_i termwise.
+    """Apply the *-endomorphism s_j -> sum_i matrix[i-1, j-1] s_i termwise
+    to a one-leg element of O_n, n the size of the square ``matrix``.
 
     Expands every letter of every word; intended for short words (the cost
     is n^(|u|+|v|) per term).
     """
-    n = x.n
     U = np.asarray(matrix, dtype=complex)
-    if U.shape != (n, n):
-        raise ValueError(f"matrix shape {U.shape} does not match O_{n}")
+    n = U.shape[0]
+    if U.shape != (n, n) or not x.blocks.keys() <= {(n,)}:
+        raise ValueError(f"matrix shape {U.shape} does not match {sorted(x.blocks)}")
     out = {}
     letters = range(1, n + 1)
-    for (u, v), c in x.items():
+    for ((u, v),), c in x.block(n).items():
         for iu in itertools.product(letters, repeat=len(u)):
             cu = c
             for a, b in zip(iu, u):
@@ -43,4 +44,4 @@ def substitute_generators(x, matrix):
                     continue
                 key = (iu, iv)
                 out[key] = out.get(key, 0j) + cv
-    return AlgebraElement(n, out, _validate=False)
+    return AlgebraElement(n, out)

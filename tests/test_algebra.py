@@ -6,19 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from monomial_oracle import iter_monomials, parse_label
+from monomial_oracle import iter_monomials, level_expand, mono_product, parse_label, word_terms
 from substitution_oracle import substitute_generators
 
 from cuntzr.algebra import (
     AlgebraElement,
     CuntzMonomial,
+    TensorElement,
     canonical_equal,
     canonical_residual,
     holds,
-    level_expand,
-    mono_product,
 )
-from cuntzr.coproduct import TensorElement
 from cuntzr.errors import BadLevel, MismatchedAlgebra
 from cuntzr.states import UnitVector, gp_eval
 
@@ -37,7 +35,7 @@ def elem(n, terms):
 
 def test_mono_product_concatenates_without_contraction():
     out = mono_product(mono(2, (1,), ()), mono(2, (), (1,)))
-    assert out.terms == {((1,), (1,)): 1 + 0j}
+    assert word_terms(out, 2) == {((1,), (1,)): 1 + 0j}
 
 
 def test_mono_product_orthogonal_letters_vanish():
@@ -47,7 +45,7 @@ def test_mono_product_orthogonal_letters_vanish():
 
 def test_mono_product_cancels_matching_middle():
     out = mono_product(mono(3, (1,), (2,)), mono(3, (2,), (3,)))
-    assert out.terms == {((1,), (3,)): 1 + 0j}
+    assert word_terms(out, 3) == {((1,), (3,)): 1 + 0j}
 
 
 def test_mono_product_mismatched_algebra():
@@ -61,7 +59,7 @@ def test_mono_product_mismatched_algebra():
 
 def test_adjoint_swaps_words():
     x = elem(2, {((1,), (2,)): 1.0})
-    assert x.adjoint().terms == {((2,), (1,)): 1 + 0j}
+    assert word_terms(x.adjoint(), 2) == {((2,), (1,)): 1 + 0j}
 
 
 def test_adjoint_fixes_unit():
@@ -71,7 +69,7 @@ def test_adjoint_fixes_unit():
 
 def test_adjoint_conjugates_coefficient():
     x = elem(2, {((1,), ()): 2 + 1j})
-    assert x.adjoint().terms == {((), (1,)): 2 - 1j}
+    assert word_terms(x.adjoint(), 2) == {((), (1,)): 2 - 1j}
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +81,7 @@ def test_product_is_bilinear():
     s2 = elem(2, {((2,), ()): 1.0})
     s1ad = elem(2, {((), (1,)): 1.0})
     out = (s1 + s2) * s1ad
-    assert out.terms == {((1,), (1,)): 1 + 0j, ((2,), (1,)): 1 + 0j}
+    assert word_terms(out, 2) == {((1,), (1,)): 1 + 0j, ((2,), (1,)): 1 + 0j}
 
 
 def test_additive_inverse_cancels():
@@ -104,8 +102,8 @@ def test_unit_law_against_termwise_oracle():
             terms[(u, v)] = complex(rng.normal(), rng.normal())
         x = elem(2, terms)
         expected = AlgebraElement.zero(2)
-        for m, c in x.monomials():
-            expected = expected + c * mono_product(CuntzMonomial.unit(2), m)
+        for ((u, v),), c in x.block(2).items():
+            expected = expected + c * mono_product(CuntzMonomial.unit(2), mono(2, u, v))
         assert (one * x) == expected
         assert canonical_equal(one * x, x)
 
@@ -116,17 +114,17 @@ def test_unit_law_against_termwise_oracle():
 
 def test_level_expand_unit_is_the_defining_relation():
     out = level_expand(AlgebraElement.unit(2), 1)
-    assert out.terms == {((1,), (1,)): 1 + 0j, ((2,), (2,)): 1 + 0j}
+    assert word_terms(out, 2) == {((1,), (1,)): 1 + 0j, ((2,), (2,)): 1 + 0j}
 
 
 def test_level_expand_creation_word():
     out = level_expand(elem(2, {((1,), ()): 1.0}), 1)
-    assert out.terms == {((1, 1), (1,)): 1 + 0j, ((1, 2), (2,)): 1 + 0j}
+    assert word_terms(out, 2) == {((1, 1), (1,)): 1 + 0j, ((1, 2), (2,)): 1 + 0j}
 
 
 def test_level_expand_projection():
     out = level_expand(elem(2, {((1,), (1,)): 1.0}), 2)
-    assert out.terms == {
+    assert word_terms(out, 2) == {
         ((1, 1), (1, 1)): 1 + 0j,
         ((1, 2), (1, 2)): 1 + 0j,
     }
@@ -151,7 +149,7 @@ def test_level_expand_preserves_state_values():
         x = elem(3, terms)
         expanded = level_expand(x, 2)
         assert abs(gp_eval(z, x) - gp_eval(z, expanded)) < 1e-12
-        assert all(len(v) == 2 for (_, v) in expanded.terms)
+        assert all(len(v) == 2 for (_, v) in word_terms(expanded, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +195,24 @@ def test_canonical_residual_rejects_mixed_kinds():
     x = AlgebraElement.unit(2)
     with pytest.raises(TypeError):
         canonical_residual(x, delta(x))
-    with pytest.raises(MismatchedAlgebra):
-        canonical_residual(x, AlgebraElement.unit(3))
+    # elements of O_2 and O_3 are different elements of the direct sum
+    assert canonical_residual(x, AlgebraElement.unit(3)) == 1.0
+
+
+def test_canonical_residual_refuses_elements_of_different_arity():
+    # one arity rule, the one of the sum: two arities that differ are a
+    # TypeError, in either order, and the zero element compares with any
+    from cuntzr.coproduct import delta, f_r
+
+    s = CuntzMonomial.generator(4, 1)
+    three = f_r(s)
+    for other in (AlgebraElement.monomial(s), delta(s)):
+        for pair in ((other, three), (three, other)):
+            with pytest.raises(TypeError, match="-leg and a"):
+                canonical_residual(*pair)
+    zero = AlgebraElement.zero(4)
+    assert canonical_residual(zero, three) == canonical_residual(three, zero) == 1.0
+    assert canonical_residual(zero, TensorElement()) == 0.0
 
 
 # hypothesis strategies: Gaussian-integer coefficients keep arithmetic exact
@@ -289,7 +303,7 @@ def test_o1_words_collapse_to_unit():
 def test_o1_arithmetic_is_scalar():
     x = elem(1, {((1,), ()): 2.0})
     y = elem(1, {((), (1, 1)): 3.0})
-    assert (x * y).terms == {((), ()): 6 + 0j}
+    assert word_terms(x * y, 1) == {((), ()): 6 + 0j}
 
 
 def test_o1_level_expand_is_trivial():
@@ -302,10 +316,10 @@ def test_o1_level_expand_is_trivial():
 
 
 def one_leg(*parts):
-    """The direct sum of the given algebra elements as a one-leg tensor element."""
+    """The direct sum of the given elements of single algebras."""
     out = TensorElement()
     for x in parts:
-        out = out + TensorElement.from_element(x)
+        out = out + x
     return out
 
 
@@ -319,11 +333,47 @@ def test_direct_sum_componentwise_product():
 
 
 def test_direct_sum_add_and_adjoint():
-    x = TensorElement.from_element(elem(2, {((1,), ()): 1j}))
-    y = TensorElement.from_element(elem(4, {((2,), ()): 1.0}))
+    x = elem(2, {((1,), ()): 1j})
+    y = elem(4, {((2,), ()): 1.0})
     s = (x + y).adjoint()
     assert s.block(2) == {(((), (1,)),): -1j}
     assert s.block(4) == {(((), (2,)),): 1 + 0j}
+
+
+def test_the_one_leg_coercion_refuses_other_arities_and_indices():
+    # every map defined on one O_n, or on the direct sum, reads its input
+    # through one_leg_blocks: a two-leg element, or no element at all, is a
+    # TypeError; an element with a part outside O_n is a MismatchedAlgebra,
+    # which phi reports as BadFactorization
+    from cuntzr import coproduct
+    from cuntzr.errors import BadFactorization
+    from cuntzr.states import GPState, star
+
+    s = CuntzMonomial.generator(6, 1)
+    z = UnitVector.uniform(6)
+    prod = star(GPState.uniform(2), GPState.uniform(3))
+    forms = ("delta", "delta_op", "f_r", "f_l", "f_r_op", "f_l_op")
+    coproducts = [getattr(coproduct, form) for form in forms]
+    maps = [lambda x: gp_eval(z, x), prod, lambda x: coproduct.phi(2, 3, x),
+            coproduct.coassoc_residual, *coproducts]
+    for x in (coproduct.delta(s), coproduct.f_r(s), 1.0, s.key):
+        for f in maps:
+            with pytest.raises(TypeError):
+                f(x)
+    other = CuntzMonomial.generator(4, 1)
+    one_leg = AlgebraElement.monomial(other)
+    for x in (other, one_leg, AlgebraElement.monomial(s) + one_leg):
+        with pytest.raises(MismatchedAlgebra):
+            gp_eval(z, x)
+        with pytest.raises(MismatchedAlgebra):
+            prod(x)
+        with pytest.raises(BadFactorization):
+            coproduct.phi(2, 3, x)
+    # the zero element of the direct sum has no index, so it lies in every O_n
+    zero = AlgebraElement.zero(3)
+    assert gp_eval(UnitVector.standard(2), zero) == 0
+    assert prod(zero) == 0 and coproduct.phi(2, 3, zero).is_zero
+    assert all(f(zero).is_zero for f in coproducts) and coproduct.coassoc_residual(zero) == 0.0
 
 
 def test_direct_sum_rejects_bad_key():
@@ -345,7 +395,7 @@ def test_direct_sum_rejects_bad_key():
             TensorElement({(2, 3): {(((1,), ()), ((), word)): 1.0}})
     letters = np.array([2, 3], dtype=np.int64)
     assert CuntzMonomial(3, letters, (np.int32(1),)) == mono(3, (2, 3), (1,))
-    assert AlgebraElement(3, {(tuple(letters), ()): 1.0}).terms == {((2, 3), ()): 1 + 0j}
+    assert word_terms(AlgebraElement(3, {(tuple(letters), ()): 1.0}), 3) == {((2, 3), ()): 1 + 0j}
     assert TensorElement({(3,): {((tuple(letters), ()),): 1.0}}).block(3) == {
         (((2, 3), ()),): 1 + 0j
     }
@@ -367,9 +417,10 @@ def test_the_algebra_index_is_an_integer():
     # numpy integers are integers, stored as int
     m = CuntzMonomial(np.int64(3), (2,))
     x = AlgebraElement(np.int32(3), {((2,), ()): 1.0})
-    assert type(m.n) is int and type(x.n) is int
+    ((n,),) = x.blocks
+    assert type(m.n) is int and type(n) is int
     assert m == mono(3, (2,)) and m.label() == "n=3;u=2;v="
-    assert x.n == 3 and AlgebraElement.monomial(m).n == 3
+    assert n == 3 and AlgebraElement.monomial(m).blocks.keys() == {(3,)}
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +455,7 @@ def test_substitute_generators_matches_manual_expansion():
     U = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)  # flip
     x = elem(2, {((1,), (2,)): 2.0})
     out = substitute_generators(x, U)
-    assert out.terms == {((2,), (1,)): 2 + 0j}
+    assert word_terms(out, 2) == {((2,), (1,)): 2 + 0j}
 
 
 def test_substitute_generators_is_multiplicative():
@@ -419,11 +470,11 @@ def test_substitute_generators_is_multiplicative():
 
 def test_elements_and_substitution_drop_exact_zeros_only():
     x = elem(2, {((1,), ()): 5e-324, ((2,), ()): 0.0, ((), (1,)): -0.0})
-    assert x.terms == {((1,), ()): 5e-324 + 0j}
+    assert word_terms(x, 2) == {((1,), ()): 5e-324 + 0j}
     # a 1e-14 entry of the matrix gives a 1e-14 term; exact zeros give none
     U = np.array([[1.0, 0.0], [1e-14, 1.0]], dtype=complex)
     out = substitute_generators(elem(2, {((1,), ()): 1.0}), U)
-    assert out.terms == {((1,), ()): 1 + 0j, ((2,), ()): 1e-14 + 0j}
+    assert word_terms(out, 2) == {((1,), ()): 1 + 0j, ((2,), ()): 1e-14 + 0j}
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,19 @@ otherwise break it silently.
 Vectors in the package are dense arrays. The dict forms that remain are
 adapters kept only because the benchmark still calls them:
 ``RMatrixOperator.apply`` on pair-indexed dicts, ``lambda2`` and ``lambda3``
-(also its tracer targets), and the 3-leg aliases ``TensorElement3`` and
-``canonical_equal3``. They go once the benchmark moves to ``apply_dense``,
-``act_dense``, ``TensorElement`` and ``canonical_equal``."""
+(also its tracer targets), the 3-leg aliases ``TensorElement3`` and
+``canonical_equal3``, and the name ``AlgebraElement``, whose ``monomial``
+builds the one-leg element the benchmark's star job evaluates. They go once
+the benchmark moves to ``apply_dense``, ``act_dense``, ``TensorElement``,
+``canonical_equal`` and monomials.
+
+The tracer's targets (``perfbench/spans.py``) are read, not run: a target
+that stops resolving is skipped by the tracer, and its layer's per-layer
+metrics read zero with no error."""
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -15,6 +25,22 @@ import cuntzr
 import cuntzr.cli
 import cuntzr.coproduct
 import cuntzr.representations
+
+_SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+# the tracer targets that resolve, as (module, attribute path)
+RESOLVING = {
+    ("coproduct", "delta"), ("coproduct", "delta_op"), ("coproduct", "f_r"),
+    ("coproduct", "f_l"), ("coproduct", "f_r_op"), ("coproduct", "f_l_op"),
+    ("coproduct", "canonical_equal3"), ("coproduct", "check_coassoc"),
+    ("states", "commutes"), ("states", "StarComposite.__call__"), ("states", "gp_eval"),
+    ("states", "boxtimes"),
+    ("representations", "lambda2"), ("representations", "lambda3"),
+    ("rmatrix", "build_r"), ("rmatrix", "RMatrixOperator.apply"),
+    ("rmatrix", "verify_intertwining"), ("rmatrix", "verify_symmetry"),
+    ("rmatrix", "verify_ybe"),
+    ("cli", "main"), ("cli", "run_scenario"), ("cli", "stable_json"),
+}
 
 
 def test_every_exported_name_resolves_once():
@@ -109,7 +135,9 @@ def test_star_evaluates_monomial_elements():
     mono = cuntzr.CuntzMonomial(6, (1, 4), (1,))
     assert (mono.u, mono.v) == ((1, 4), (1,))
     prod = cuntzr.star(cuntzr.GPState(z), cuntzr.GPState(y))
-    value = prod(cuntzr.AlgebraElement.monomial(mono))
+    x = cuntzr.AlgebraElement.monomial(mono)
+    assert isinstance(x, cuntzr.TensorElement) and x.arity == 1
+    value = prod(x)
     # the state of z (x) y = (0.6, 0, 0, 0.8i, 0, 0): conj(0.6 * 0.8i) * 0.6
     assert abs(complex(value) - (-0.288j)) <= 1e-15
 
@@ -136,3 +164,20 @@ def test_traced_names_exist():
         (cuntzr.cli, "stable_json"),
     ):
         assert callable(getattr(owner, attr)), attr
+
+
+def test_the_tracer_targets_resolve():
+    # the tracer looks each target up as sys.modules["cuntzr.<module>"] and
+    # then the attribute path, as here
+    spec = importlib.util.spec_from_file_location("perfbench_spans", _SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    resolved = set()
+    for modname, path, _ in spans.TARGETS:
+        owner = sys.modules.get(f"cuntzr.{modname}")
+        for attr in path.split("."):
+            owner = getattr(owner, attr, None)
+        if callable(owner):
+            resolved.add((modname, path))
+    assert len(RESOLVING) == 22
+    assert RESOLVING <= resolved, sorted(RESOLVING - resolved)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cuntzr import representations
-from cuntzr.algebra import EQ_TOL, AlgebraElement, CuntzMonomial, as_element
-from cuntzr.coproduct import TensorElement, delta, delta_op, f_r
+from cuntzr.algebra import EQ_TOL, AlgebraElement, CuntzMonomial, TensorElement, one_leg_blocks
+from cuntzr.coproduct import delta, delta_op, f_r
 from cuntzr.representations import (
     GPRepresentation,
     act_dense,
@@ -39,8 +39,8 @@ def act_legs(reps, t, vec):
 
 
 def act(rep, x, vec):
-    """act_dense of an element of O_n on a dict vector {k: amplitude}."""
-    t = TensorElement.from_element(as_element(x, rep.n))
+    """act_dense of a monomial or element of O_n on a dict vector {k: amplitude}."""
+    t = TensorElement(one_leg_blocks(x, rep.n))
     return {k: a for (k,), a in act_legs((rep,), t, {(k,): a for k, a in vec.items()}).items()}
 
 

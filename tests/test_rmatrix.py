@@ -617,6 +617,27 @@ def test_ybe_uniform_triple():
     assert report.passed and report.max_residual <= 1e-9
 
 
+def test_ybe_reads_the_difference_of_its_two_oracles(monkeypatch):
+    # the two expansions of the triple moved apart on one entry of every
+    # chunk, +1e-3 in f_l_op's and -1e-3 in f_r_op's: each side is 1e-3
+    # from its own oracle, and only oracle_l - oracle_r reads 2e-3
+    real = rmatrix._word_images
+    shift = {"f_l_op": 1e-3, "f_r_op": -1e-3}
+
+    def shifted(reps, form, *args, **kwargs):
+        for chunk in real(reps, form, *args, **kwargs):
+            if form in shift:
+                chunk = chunk.copy()
+                chunk[(0,) * chunk.ndim] += shift[form]
+            yield chunk
+
+    monkeypatch.setattr(rmatrix, "_word_images", shifted)
+    report = verify_ybe(U2, U3, U2, 1)
+    assert report.checks[0].residual == pytest.approx(2e-3, rel=0, abs=1e-12)
+    assert not report.checks[0].passed
+    assert all(c.passed and c.residual <= 1e-12 for c in report.checks[1:])
+
+
 # ---------------------------------------------------------------------------
 # the chunked YBE check against the per-word oracle
 

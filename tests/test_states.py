@@ -6,7 +6,7 @@ from monomial_oracle import iter_monomials
 from substitution_oracle import substitute_generators
 
 from cuntzr import algebra, coproduct
-from cuntzr.algebra import AlgebraElement, CuntzMonomial
+from cuntzr.algebra import AlgebraElement, CuntzMonomial, TensorElement
 from cuntzr.coproduct import phi
 from cuntzr.errors import MismatchedAlgebra, NotUnitary
 from cuntzr.states import (
@@ -146,17 +146,27 @@ def test_star_values_equal_gp_eval_on_the_per_term_elements(monkeypatch):
             if a != 0:
                 total += c * a * gp_eval(psi.z, AlgebraElement(psi.n, {key2: 1.0}))
         want.append(total)
+    # every element is built through one of the two constructors of the type
     built = []
-    real_init = algebra.AlgebraElement.__init__
+    real_init, real_wrap = TensorElement.__init__, TensorElement._from_pruned.__func__
 
     def init(self, *args, **kwargs):
         built.append(args)
         real_init(self, *args, **kwargs)
 
-    monkeypatch.setattr(algebra.AlgebraElement, "__init__", init)
+    def wrap(cls, blocks):
+        built.append(blocks)
+        return real_wrap(cls, blocks)
+
+    monkeypatch.setattr(TensorElement, "__init__", init)
+    monkeypatch.setattr(TensorElement, "_from_pruned", classmethod(wrap))
     got = [star(omega, psi)(x) for omega, psi, x in cases]
-    assert not built  # no per-term algebra elements
+    assert not built  # no per-term elements
     assert [(v.real, v.imag) for v in got] == [(v.real, v.imag) for v in want]
+    # the count sees a construction through either path
+    AlgebraElement.monomial(CuntzMonomial.unit(2))
+    AlgebraElement.unit(2)
+    assert len(built) == 2
 
 
 def _conjugating_word_value(zz, key, val):
@@ -190,7 +200,7 @@ def test_star_and_gp_eval_equal_the_conjugating_letter_loop():
                 terms[random_monomial(rng, prod.n, max_len=4).key] = complex(*rng.normal(size=2))
             x = AlgebraElement(prod.n, terms)
             want = 0j
-            for key, c in x.items():
+            for (key,), c in x.block(prod.n).items():
                 a = _conjugating_word_value(prod._left_letters, key, 1 + 0j)
                 if a != 0:
                     want += c * a * _conjugating_word_value(prod._right_letters, key, 1 + 0j)
@@ -203,7 +213,7 @@ def test_star_and_gp_eval_equal_the_conjugating_letter_loop():
                 terms[random_monomial(rng, z.n, max_len=4).key] = complex(*rng.normal(size=2))
             x = AlgebraElement(z.n, terms)
             want = 0j
-            for key, c in x.items():
+            for (key,), c in x.block(z.n).items():
                 want += _conjugating_word_value(z.z.tolist(), key, complex(c))
             got = gp_eval(z, x)
             assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
@@ -226,7 +236,7 @@ def test_gp_eval_reading_its_letters_equals_the_full_value_lists():
                 terms[(), ()] = complex(*rng.normal(size=2))
                 x = AlgebraElement(n, terms)
                 want = 0j
-                for key, c in x.items():
+                for (key,), c in x.block(n).items():
                     want += _word_value(values, key, complex(c))
                 got = gp_eval(z, x)
                 assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
@@ -369,10 +379,11 @@ def test_a_monomial_element_has_the_terms_of_the_general_constructor():
     mono = CuntzMonomial(4, (1, 3), (2,))
     for coeff in (1.0, 0, 0.0, -0.0, 0j, float("nan"), complex(0.5, -2.0), 3, np.complex128(1j)):
         got = AlgebraElement.monomial(mono, coeff)
-        want = AlgebraElement(4, {mono.key: coeff}, _validate=False)
-        assert got.n == want.n == 4
-        assert repr(got.terms) == repr(want.terms)
-    assert AlgebraElement.monomial(mono).terms == {mono.key: 1 + 0j}
+        want = AlgebraElement(4, {mono.key: coeff})
+        # a nonzero coefficient carries the index; the zero element has none
+        assert got.blocks.keys() == want.blocks.keys() == ({(4,)} if coeff != 0 else set())
+        assert repr(got.blocks) == repr(want.blocks)
+    assert AlgebraElement.monomial(mono).blocks == {(4,): {(mono.key,): 1 + 0j}}
     assert AlgebraElement.monomial(mono, 0).is_zero
 
 
