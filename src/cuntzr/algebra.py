@@ -219,7 +219,11 @@ class TensorElement:
         return sum(len(t) for t in self._blocks.values())
 
     def __add__(self, other):
-        """Termwise sum; arities must agree, and the zero element (None) adds to any."""
+        """Termwise sum; arities must agree, and the zero element (None)
+        adds to any. Anything but an element is left to Python, which
+        raises TypeError."""
+        if not isinstance(other, TensorElement):
+            return NotImplemented
         if None not in (self.arity, other.arity) and self.arity != other.arity:
             raise ValueError(f"cannot add a {self.arity}-leg and a {other.arity}-leg element")
         out = {p: dict(t) for p, t in self._blocks.items()}
@@ -230,7 +234,7 @@ class TensorElement:
         return TensorElement(out, _validate=False)
 
     def __sub__(self, other):
-        return self + (-1.0) * other
+        return self + (-1.0) * other if isinstance(other, TensorElement) else NotImplemented
 
     def __rmul__(self, scalar):
         c = complex(scalar)
@@ -349,15 +353,19 @@ def canonical_residual(x, y):
     Takes two tensor elements of one arity; the zero element, which has
     none, compares with any, and two arities that differ are a TypeError.
     An element of one O_n is a one-leg element, and elements of different
-    summands are different elements. Inside each block the terms
-    of the difference are grouped by their tuple of leg degrees, and every
-    leg is expanded to the longest annihilation word of its group. The
-    expanded tensor monomials are linearly independent, so the residual is
-    zero exactly when x = y modulo the relations. The difference is summed
-    without dropping small coefficients, a block whose two term maps are
-    equal is skipped, and a NaN anywhere in the difference makes the
-    residual NaN, so no tolerance accepts it.
+    summands are different elements; a monomial is read as its one-leg
+    element (``one_leg_blocks``), and anything else is a TypeError. Inside
+    each block the terms of the difference are grouped by their tuple of
+    leg degrees, and every leg is expanded to the longest annihilation
+    word of its group. The expanded tensor monomials are linearly
+    independent, so the residual is zero exactly when x = y modulo the
+    relations. The difference is summed without dropping small
+    coefficients, a block whose two term maps are equal is skipped, and a
+    NaN anywhere in the difference makes the residual NaN, so no tolerance
+    accepts it.
     """
+    x, y = (z if isinstance(z, TensorElement) else TensorElement._from_pruned(one_leg_blocks(z))
+            for z in (x, y))
     if None not in (x.arity, y.arity) and x.arity != y.arity:
         raise TypeError(f"cannot compare a {x.arity}-leg and a {y.arity}-leg element")
     bx, by = x.blocks, y.blocks

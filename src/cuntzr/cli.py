@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import __version__
-from .algebra import BUILD_TOL, EQ_TOL, CuntzMonomial, _index, holds
+from .algebra import BUILD_TOL, EQ_TOL, CuntzMonomial, _index
 from .coproduct import _divisor_pairs, coassoc_residual, disagreeing_letters
 from .errors import CuntzrError, NotCommuting, SpecError
 from .representations import preflight
@@ -294,7 +294,7 @@ def _run_coassoc(spec):
     for name, monos in groups:
         # the worst canonical residual between the two double coproducts
         worst = max((coassoc_residual(mono) for mono in monos), default=0.0)
-        report.add(name, holds(worst, spec.tol), worst)
+        report.check(name, worst, spec.tol)
     return report
 
 
@@ -308,7 +308,7 @@ def _run_state_product(spec):
     for key in _random_keys(rng, prod.n, spec.max_len, spec.samples):
         worst = max(worst, abs(prod.word_value(key) - _word_value(boxed, key, 1 + 0j)))
     report = VerificationReport(scenario=spec.kind)
-    report.add("product-matches-interleaved-state", holds(worst, spec.tol), worst)
+    report.check("product-matches-interleaved-state", worst, spec.tol)
     ok, witness = commutes(omega1, omega2, tol=spec.tol)
     report.add(
         "commutes",
@@ -331,8 +331,7 @@ def _run_build_r(spec):
     # a failure names its worst column of R_1, or its worst word
     for name, (residual, witness) in (("unitary", rmat._unitarity()),
                                       ("defining-relation", _worst_word(rmat, 1))):
-        passed = holds(residual, spec.tol, rmat.is_permutation)
-        report.add(name, passed, residual, None if passed else witness)
+        report.check(name, residual, spec.tol, rmat.is_permutation, witness)
     return report, rmat
 
 
@@ -396,8 +395,7 @@ def _run_all(spec):
     merge("build-r-standard-2-3", sub_report)
     if rmat is not None:
         moved = _pair_gap(rmat, {(1, 3): (1, 2)})[0]
-        passed = holds(moved, spec.tol, True)
-        report.add("build-r-standard-2-3/maps-pair-1-3-to-1-2", passed, moved)
+        report.check("build-r-standard-2-3/maps-pair-1-3-to-1-2", moved, spec.tol, True)
         # R = R_1^{(x)d} is the identity exactly when R_1 is (R_1 fixes e_1 (x) e_1)
         deviation = _worst_column(rmat.r1 - np.eye(len(rmat.r1)))
         report.add("build-r-standard-2-3/not-identity", deviation > 0.0, deviation)
@@ -416,17 +414,15 @@ def _run_all(spec):
         rmat = build_r(omega, omega, 2)
         swap = np.eye(omega.n**2)[:, radix_perm(omega.n, omega.n)]
         worst, column = _worst_column_at(rmat.r1 - swap)
-        passed = holds(worst, spec.tol, rmat.is_permutation)
-        witness = None if passed else _digit_pair(column, omega.n)
-        report.add(f"equal-states-{label}/operator-is-leg-swap", passed, worst, witness)
+        report.check(f"equal-states-{label}/operator-is-leg-swap", worst, spec.tol,
+                     rmat.is_permutation, _digit_pair(column, omega.n))
         _fold(report, f"equal-states-{label}/intertwine", verify_intertwining(rmat, tol=spec.tol))
 
     # the built operator moves every basis pair as the digit closed form says
     rmat = build_r(GPState.standard(2), GPState.standard(3), 2)
     pairs = [(a, b) for a in range(1, 5) for b in range(1, 10)]
     worst, witness = _pair_gap(rmat, {p: swap_index_pair(2, 3, *p, 2) for p in pairs})
-    passed = holds(worst, spec.tol, True)
-    report.add("closed-form-2-3/matches-built-operator", passed, worst, None if passed else witness)
+    report.check("closed-form-2-3/matches-built-operator", worst, spec.tol, True, witness)
 
     merge("counterexample", counterexample_demo(tol=spec.tol))
     return report

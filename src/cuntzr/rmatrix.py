@@ -129,6 +129,27 @@ class VerificationReport:
     def add(self, name, passed, residual, witness=None):
         self.checks.append(CheckRecord(name, bool(passed), float(residual), witness))
 
+    def check(self, name, residual, tol, exact=False, witness=None):
+        """Add the record of an identity check by the one pass rule,
+        ``algebra.holds``; the witness is kept only when the record fails."""
+        passed = holds(residual, tol, exact)
+        self.add(name, passed, residual, None if passed else witness)
+
+    def check_each(self, names, residuals, tol, exact=False):
+        """Add one record per name, by ``check``'s rule applied to the
+        array ``residuals`` at once; no witness."""
+        passed = holds(residuals, tol, exact)
+        self.checks += map(CheckRecord, names, passed.tolist(), residuals.tolist())
+
+
+def _word_labels(N, depth):
+    """``CuntzMonomial(N, w, ()).label()`` of every creation word w of O_N
+    of length <= ``depth``, by length then lex; O_1 words collapse to the
+    unit, as in ``label``."""
+    letters = [str(g) for g in range(1, N + 1)]
+    return (f"n={N};u={','.join(w) if N > 1 else ''};v="
+            for t in range(depth + 1) for w in itertools.product(letters, repeat=t))
+
 
 # ---------------------------------------------------------------------------
 # the factored operator
@@ -339,17 +360,12 @@ def _leg_entries(reps, depth):
     return sum(N**t * sum(rep.n**t for rep in reps) for t in range(depth + 1))
 
 
-def _square_columns(diff):
-    """Sum of |x|^2 of each column of a difference batch (..., k), formed
-    and summed as np.linalg.norm does before its root."""
-    diff = diff.reshape(-1, diff.shape[-1])
-    return np.add.reduce((diff.conj() * diff).real, axis=0)
-
-
 def _worst_column_at(diff):
     """Largest norm of a column of a nonempty difference batch (..., k) and
-    the index of its column: the first on a tie, and the first NaN if any."""
-    norms = np.sqrt(_square_columns(diff))
+    the index of its column: the first on a tie, and the first NaN if any.
+    The squares are formed as np.linalg.norm forms them and summed by
+    ``_row_sums``, the batch being the whole span."""
+    norms = np.sqrt(_row_sums((diff.conj() * diff).real, diff.shape[-1]))
     k = int(np.argmax(norms))
     return float(norms[k]), k
 
@@ -361,9 +377,10 @@ def _worst_column(diff):
 
 def _row_sums(sq, words):
     """Sums of a chunk's squares sq (..., k) over the leading axes, one per
-    column, added row by row. numpy adds a batch of two or more columns so,
-    but a lone column pairwise: a lone word of a span of more ``words`` is
-    accumulated row by row instead, so that it sums as in the whole span."""
+    column, added row by row: the one column reducer of the checks. numpy
+    adds a batch of two or more columns so, but a lone column pairwise: a
+    lone word of a span of more ``words`` is accumulated row by row
+    instead, so that it sums as in the whole span."""
     sq = sq.reshape(-1, sq.shape[-1])
     if sq.shape[1] == 1 < words and len(sq):
         return np.add.accumulate(sq[:, 0])[-1:]
@@ -459,10 +476,12 @@ def _worst_word(rmat, max_len):
 
     The words come from ``_word_images`` in chunks of ``_chunk_words``
     words, for the coproduct and its opposite side by side, and R is
-    applied once per chunk. A lone word is summed as in a wider chunk
-    (``_row_sums``), so the residual is the one of the whole span to the
-    bit. One preflight counts a chunk's stacks at six working copies and,
-    held once, both forms' leg images and R_1.
+    applied once per chunk. Each word's squared difference norm goes into
+    one array for the call, summed by ``_row_sums``, so a lone word sums as
+    in a wider chunk and the residual is the one of the whole span to the
+    bit; one argmax picks the word, and only its label is made
+    (``_word_labels``). One preflight counts a chunk's stacks at six
+    working copies and, held once, both forms' leg images and R_1.
     """
     N = rmat.omega1.n * rmat.omega2.n
     max_len = min(_index(max_len, 0, "max_len"), rmat.depth)
@@ -473,18 +492,12 @@ def _worst_word(rmat, max_len):
               held=2 * _leg_entries(reps, max_len) + N * N)
     stacks = zip(*(_word_images(reps, form, max_len, rmat.dims, step)
                    for form in ("delta", "delta_op")))
-    maxima, firsts = [], []
+    sums = np.empty(total)  # the squared difference norm of each word
     for first, (V, W) in zip(range(0, total, step), stacks):
         diff = rmat.apply_dense(V) - W
-        sums = _row_sums((diff.conj() * diff).real, total)  # squared as np.linalg.norm does
-        k = int(np.argmax(sums))
-        maxima.append(sums[k])
-        firsts.append(first + k)
-    j = int(np.argmax(maxima))
-    # the words of each length in lex order, shortest first
-    length = next(t for t in range(max_len + 1) if firsts[j] < _word_count(N, t))
-    word = np.unravel_index(firsts[j] - _word_count(N, length - 1), (N,) * length)
-    return float(np.sqrt(maxima[j])), CuntzMonomial(N, tuple(int(l) + 1 for l in word), ()).label()
+        sums[first:first + diff.shape[-1]] = _row_sums((diff.conj() * diff).real, total)
+    j = int(np.argmax(sums))
+    return float(np.sqrt(sums[j])), next(itertools.islice(_word_labels(N, max_len), j, None))
 
 
 def relation_residual(rmat, max_len):
@@ -515,11 +528,9 @@ def _grow_all(X, c1, c2, out):
 
 
 def _square_sums(X, axis, work=None):
-    """Sums of |x|^2 of X over ``axis``; the squares are formed in
+    """Sums of re^2 + im^2 of X over ``axis``; the squares are formed in
     ``work``, a C-ordered float array of 2 X.size entries, when given."""
-    if work is None:
-        return (X.real**2 + X.imag**2).sum(axis=axis)
-    re, im = work.reshape(2, *X.shape)
+    re, im = (np.empty(2 * X.size) if work is None else work).reshape(2, *X.shape)
     np.square(X.real, out=re)
     np.square(X.imag, out=im)
     return np.add(re, im, out=re).sum(axis=axis)
@@ -604,12 +615,9 @@ def verify_intertwining(rmat, tol=BUILD_TOL):
         sums = _square_sums(diff, (0, 1), work=free)
         np.maximum(worst, np.max(sums + outside * scale[:, None], axis=1), out=worst)
     report = VerificationReport(scenario="intertwining")
-    exact = rmat.is_permutation
-    # CuntzMonomial.generator(N, i).label(); the O_1 generator collapses to the unit
-    report.checks = [
-        CheckRecord(f"intertwine:n={N};u={i if N > 1 else ''};v=", holds(res, tol, exact), res)
-        for i, res in enumerate(np.sqrt(worst).tolist(), 1)
-    ]
+    # the generators are the words of length 1, after the unit
+    names = ("intertwine:" + label for label in itertools.islice(_word_labels(N, 1), 1, None))
+    report.check_each(names, np.sqrt(worst), tol, rmat.is_permutation)
     return report
 
 
@@ -640,11 +648,10 @@ def verify_symmetry(omega1, omega2, depth, tol=BUILD_TOL, r12=None):
     f = radix_perm(m, n)
     chain = r12.r1 @ r21.r1[np.ix_(f, f)]
     worst, column = _worst_column_at(chain - np.eye(n * m))
-    passed = holds(worst, tol, r12.is_permutation and r21.is_permutation)
-    # a failure names its worst column, the digit pair (i, j) of R_1
-    witness = None if passed else _digit_pair(column, m)
     report = VerificationReport(scenario="inversion-symmetry")
-    report.add("inversion-symmetry", passed, worst, witness)
+    # a failure names its worst column, the digit pair (i, j) of R_1
+    report.check("inversion-symmetry", worst, tol, r12.is_permutation and r21.is_permutation,
+                 _digit_pair(column, m))
     return report
 
 
@@ -683,14 +690,18 @@ def verify_ybe(omega1, omega2, omega3, depth, tol=BUILD_TOL, rs=None):
     ``_word_images``, three streams zipped chunk by chunk of
     ``_chunk_words`` words, and each side is applied once per chunk
     (``_apply_digits``). Every word still gets its own record,
-    named as ``CuntzMonomial(N, word, ()).label()``, whose residual is the
-    largest column norm of the four differences: each chunk keeps the
-    largest of their squared column sums (``_square_columns``, as
-    np.linalg.norm forms them) in one array for all words, and one root of
-    it after the last chunk gives every residual, which a single comparison
-    turns into the pass flags (``algebra.holds``'s rule; NaN fails); the
-    names are made per length from the letters' strings. Each distinct state pair is built once, and the twists are
-    the ones the operators hold, one per state
+    named as ``CuntzMonomial(N, word, ()).label()`` (``_word_labels``),
+    whose residual is the largest column norm of the four differences:
+    each chunk keeps the largest of their squared column sums in one array
+    for all words, and one root of it after the last chunk gives every
+    residual, which ``VerificationReport.check_each`` turns into the pass
+    flags at once. The squares are formed as np.linalg.norm forms them and
+    summed row by row (``_row_sums``), so every residual is the one of a
+    run in a single chunk to the bit, one-word chunks included, from
+    depth 2 on. At depth 1 a one-word chunk is one row of the matrix
+    product, which BLAS rounds differently; the chunk rule makes such
+    chunks there only when abc > 2048. Each distinct state pair is built
+    once, and the twists are the ones the operators hold, one per state
     (``GPRepresentation.for_state``); so a given ``rs`` must be R(omega1,
     omega2), R(omega1, omega3) and R(omega2, omega3) of these states, else
     ValueError names the pair. SpanTooLarge is raised before anything is
@@ -731,25 +742,20 @@ def verify_ybe(omega1, omega2, omega3, depth, tol=BUILD_TOL, rs=None):
     )
     r12, r13, r23 = (_on_legs(r.r1, legs, radices) for r, legs in zip(rs, pairs))
     sides = (r12 @ r13 @ r23, r23 @ r13 @ r12)
-    worst = np.empty(total)  # the largest squared column norm of each word
+    worst = np.zeros(total)  # the largest squared column norm of each word
     forms = ("f_r", "f_l_op", "f_r_op")
     stacks = zip(*(_word_images(reps, form, depth, dims, step) for form in forms))
     for first, (t0, oracle_l, oracle_r) in zip(range(0, total, step), stacks):
         lhs, rhs = (_apply_digits(M, t0, radices, depth) for M in sides)
         out = worst[first:first + t0.shape[-1]]
-        np.maximum(_square_columns(lhs - rhs), _square_columns(lhs - oracle_l), out=out)
-        np.maximum(out, _square_columns(rhs - oracle_r), out=out)
-        np.maximum(out, _square_columns(oracle_l - oracle_r), out=out)
+        for a, b in ((lhs, rhs), (lhs, oracle_l), (rhs, oracle_r), (oracle_l, oracle_r)):
+            diff = a - b
+            np.maximum(out, _row_sums((diff.conj() * diff).real, total), out=out)
+    report = VerificationReport(scenario="ybe")
     # sqrt is monotone and correctly rounded: the root of the largest sum
     # is the largest column norm, as np.linalg.norm takes it
-    worst = np.sqrt(worst)
-    passed = worst == 0.0 if all(r.is_permutation for r in rs) else worst <= tol
-    # CuntzMonomial(N, word, ()).label(); O_1 words collapse to the unit
-    letters = [str(g) for g in range(1, N + 1)]
-    names = [f"ybe:n={N};u={','.join(w) if N > 1 else ''};v="
-             for t in range(depth + 1) for w in itertools.product(letters, repeat=t)]
-    report = VerificationReport(scenario="ybe")
-    report.checks = list(map(CheckRecord, names, passed.tolist(), worst.tolist()))
+    report.check_each(("ybe:" + label for label in _word_labels(N, depth)), np.sqrt(worst),
+                      tol, all(r.is_permutation for r in rs))
     return report
 
 
@@ -774,12 +780,12 @@ def counterexample_demo(tol=BUILD_TOL):
     x, unit = CuntzMonomial.generator(4, 2), CuntzMonomial.unit(4)
 
     res_fixed = _worst_column(act_dense(reps, delta(x) - delta(unit), v))
-    report.add("coproduct-action-fixes-cyclic-vector", holds(res_fixed, tol, True), res_fixed)
+    report.check("coproduct-action-fixes-cyclic-vector", res_fixed, tol, True)
 
     # the unit branch of the defining relation, R Delta(1) = Delta^op(1) R,
     # forces Rv = v
     res_rv = _worst_column(act_dense(reps, delta_op(unit) - delta(unit), v))
-    report.add("relation-unit-branch-fixes-cyclic-vector", holds(res_rv, tol, True), res_rv)
+    report.check("relation-unit-branch-fixes-cyclic-vector", res_rv, tol, True)
 
     opposite = act_dense(reps, delta_op(x), v)
     overlap = abs(opposite[0, 0, 0])  # <v, opposite>, v = e_1 (x) e_1

@@ -215,6 +215,27 @@ def test_canonical_residual_refuses_elements_of_different_arity():
     assert canonical_residual(zero, TensorElement()) == 0.0
 
 
+def test_a_monomial_operand_is_its_one_leg_element_and_anything_else_a_type_error():
+    # canonical_residual reads a monomial through one_leg_blocks, as every
+    # map on the direct sum does; the sum and difference take elements only
+    from cuntzr.coproduct import f_r
+
+    m = CuntzMonomial.generator(4, 1)
+    e = AlgebraElement.monomial(m)
+    assert canonical_residual(m, m) == 0.0
+    assert canonical_residual(e, m) == canonical_residual(m, e) == 0.0
+    assert canonical_residual(m, AlgebraElement.monomial(m, 3.0)) == 2.0
+    assert canonical_residual(m, CuntzMonomial.generator(3, 1)) == 1.0
+    with pytest.raises(TypeError, match="cannot compare a 1-leg and a 3-leg element"):
+        canonical_residual(m, f_r(m))
+    for other in (1.0, m.key):
+        with pytest.raises(TypeError, match="expected a monomial or one-leg element"):
+            canonical_residual(e, other)
+    for op in (lambda: e + m, lambda: e + 1, lambda: e - m):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op()
+
+
 # hypothesis strategies: Gaussian-integer coefficients keep arithmetic exact
 
 coeffs = st.builds(complex, st.integers(-3, 3), st.integers(-3, 3))

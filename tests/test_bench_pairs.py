@@ -61,7 +61,7 @@ def test_summary_counts_wins_per_pair_and_compares_medians_with_the_base_iqr():
     assert depth["change"] == 0.0 and depth["within_bound"] and not depth["separated"]
     line = bench_pairs.claim_line("pair-verdict", "verdict_ref", verdict)
     assert line == ("pair-verdict verdict_ref: 2 [1.9, 2.1] -> 1.7 [1.65, 1.75], -15.0%, "
-                    "head better in 4 of 5, base IQR 0.2, claim not met")
+                    "head better in 4 of 5, base IQR 0.2, within bound, claim not met")
 
 
 def test_a_worse_median_past_its_bound_and_an_unpaired_run():
@@ -79,6 +79,10 @@ def test_a_worse_median_past_its_bound_and_an_unpaired_run():
     # max_depth 8 -> 6 is 25% worse, past its 0.2 bound
     assert summary["max_depth"]["change"] == pytest.approx(-0.25)
     assert not summary["max_depth"]["within_bound"]
+    # the claim line gives that verdict before whether a claim is met
+    for name in ("verdict_ref", "max_depth"):
+        line = bench_pairs.claim_line("pair-verdict", name, summary[name])
+        assert line.endswith(", PAST BOUND, claim not met"), line
 
 
 def test_outcomes_total_the_failed_operations_and_correctness_per_side():
@@ -120,13 +124,13 @@ def test_summary_reprints_the_claim_and_outcome_lines_of_a_file_and_starts_no_ru
     assert bench_pairs.main(["--summary", str(path)]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "ybe-triples verdict_ref: 2 [1.95, 2.05] -> 1.75 [1.725, 1.95], -12.5%, "
-        "head better in 2 of 3, base IQR 0.1, claim not met",
-        "ybe-triples max_depth: 8 [8, 8] -> 8 [8, 8.5], +0.0%, head better in 1 of 3, base IQR 0, claim not met",
+        "head better in 2 of 3, base IQR 0.1, within bound, claim not met",
+        "ybe-triples max_depth: 8 [8, 8] -> 8 [8, 8.5], +0.0%, head better in 1 of 3, base IQR 0, within bound, claim not met",
         "ybe-triples base: 0 of 18 operations failed (0.00%) over 3 runs, every run correct",
         "ybe-triples head: 0 of 18 operations failed (0.00%) over 3 runs, every run correct",
         "pair-verdict verdict_ref: 2 [1.95, 2.05] -> 1.75 [1.725, 1.95], -12.5%, "
-        "head better in 2 of 3, base IQR 0.1, claim not met",
-        "pair-verdict max_depth: 8 [8, 8] -> 8 [8, 8.5], +0.0%, head better in 1 of 3, base IQR 0, claim not met",
+        "head better in 2 of 3, base IQR 0.1, within bound, claim not met",
+        "pair-verdict max_depth: 8 [8, 8] -> 8 [8, 8.5], +0.0%, head better in 1 of 3, base IQR 0, within bound, claim not met",
         "pair-verdict base: 0 of 18 operations failed (0.00%) over 3 runs, every run correct",
         "pair-verdict head: 0 of 18 operations failed (0.00%) over 3 runs, every run correct",
     ]
@@ -162,7 +166,7 @@ def test_a_control_gives_the_a_a_gap_beside_the_a_b_change(tmp_path, capsys, mon
     assert not summary["max_depth"]["beyond_control"]
     line = bench_pairs.claim_line("pair-verdict", "verdict_ref", verdict)
     assert line == ("pair-verdict verdict_ref: 2 [1.9, 2.1] -> 1.7 [1.65, 1.75], -15.0%, "
-                    "A/A +5.0%, head better in 4 of 5, base IQR 0.2, claim not met")
+                    "A/A +5.0%, head better in 4 of 5, base IQR 0.2, within bound, claim not met")
     # a gap of the base against itself larger than the A/B change
     summary = bench_pairs.summarise(_runs(base, base) + [
         {"pair": i, "side": "control", "seed": 7 + i,
@@ -221,7 +225,7 @@ def test_a_claim_is_met_on_9_of_10_pairs_past_the_base_iqr_and_the_a_a_gap(tmp_p
     entry = _claim(base, head, control=[v + 0.4 for v in base])
     assert not entry["beyond_control"] and not entry["claim_met"]
     line = bench_pairs.claim_line("ybe-triples", "verdict_ref", _claim(base, head))
-    assert line.endswith(", head better in 10 of 10, base IQR 0.175, claim met")
+    assert line.endswith(", head better in 10 of 10, base IQR 0.175, within bound, claim met")
     # --summary derives it for a file written before it was kept
     runs = _runs([(v, 8) for v in base], [(v, 8) for v in head])
     summary = bench_pairs.summarise(runs, METRICS)

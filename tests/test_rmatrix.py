@@ -24,6 +24,7 @@ from cuntzr.representations import (
 from cuntzr.rmatrix import (
     BUILD_TOL,
     RMatrixOperator,
+    VerificationReport,
     build_r,
     counterexample_demo,
     radix_perm,
@@ -1535,6 +1536,60 @@ def test_streamed_checks_equal_a_one_chunk_run_bit_for_bit(monkeypatch, depth):
             assert got == _streamed_residuals(rmat), (pair, depth, bump)
             monkeypatch.undo()
         assert max(got) >= 1e-7
+
+
+def test_ybe_streamed_one_word_a_chunk_equals_a_one_chunk_run_bit_for_bit(monkeypatch):
+    # (x, x (x) x, x) at depth 2 has a triple block of 256 entries, so 256
+    # entries a chunk stream its 273 words one at a time and 2**40 take
+    # them in one chunk; a lone word summed pairwise, not row by row,
+    # changed 12 of the 273 residuals in the last bits. Depth 1 is left
+    # out: there a one-word chunk is one row of the matrix product, which
+    # BLAS rounds differently
+    x = np.array([0.6, 0.8j])
+    states = (GPState(x), GPState(np.kron(x, x)), GPState(x))
+    rs = _triple_operators(states, 2)
+    for bump in (0.0, 1e-6):  # then a moved R_1 entry is measured alike
+        rs[0].r1[0, 1] += bump
+        runs = []
+        for entries in (256, 2**40):
+            monkeypatch.setattr(rmatrix, "_CHUNK_ENTRIES", entries)
+            report = verify_ybe(*states, 2, rs=rs)
+            runs.append([(c.name, c.passed, c.residual.hex()) for c in report.checks])
+        assert len(runs[0]) == 273 and runs[0] == runs[1], bump
+        assert report.max_residual > 0.0
+
+
+def test_word_labels_name_every_creation_word_by_length_then_lex():
+    # O_1 words collapse to the unit, as in label()
+    for N, depth in ((1, 0), (1, 3), (2, 1), (3, 3), (12, 2)):
+        assert list(rmatrix._word_labels(N, depth)) == [
+            CuntzMonomial(N, w, ()).label() for w in creation_words(N, depth)
+        ]
+
+
+def test_check_keeps_a_witness_only_on_failure_and_fails_nan_on_both_paths():
+    nan = float("nan")
+    report = VerificationReport("rule")
+    for name, residual, exact in (
+        ("within", 1e-9, False), ("past", 2e-9, False), ("nan", nan, False),
+        ("zero", 0.0, True), ("subnormal", 5e-324, True), ("exact-nan", nan, True),
+    ):
+        report.check(name, residual, 1e-9, exact, witness=f"w-{name}")
+    assert [(c.name, c.passed, c.witness) for c in report.checks] == [
+        ("within", True, None), ("past", False, "w-past"), ("nan", False, "w-nan"),
+        ("zero", True, None), ("subnormal", False, "w-subnormal"),
+        ("exact-nan", False, "w-exact-nan"),
+    ]
+    # the per-word records: the same rule on an array at once, NaN failing
+    residuals = np.array([0.0, 1e-9, nan, 5e-324])
+    assert holds(residuals, 1e-9).tolist() == [True, True, False, True]
+    assert holds(residuals, 1e-9, True).tolist() == [True, False, False, False]
+    report = VerificationReport("words")
+    report.check_each(iter("abcd"), residuals, 1e-9, exact=True)
+    assert [(c.name, c.passed, c.witness) for c in report.checks] == [
+        ("a", True, None), ("b", False, None), ("c", False, None), ("d", False, None),
+    ]
+    assert [type(c.residual) for c in report.checks] == [float] * 4
 
 
 # ---------------------------------------------------------------------------

@@ -152,15 +152,18 @@ def outcome_line(workload, side, entry):
 
 def claim_line(workload, name, entry):
     """One line of a metric's series, as a change record quotes it; with a
-    control, the A/A gap beside the A/B change; last, whether a claimed
-    gain would be met (``claim_met``)."""
+    control, the A/A gap beside the A/B change; then whether the head's
+    median is within the metric's bound (``within_bound``, the verdict a
+    change that claims no gain is judged on); last, whether a claimed gain
+    would be met (``claim_met``)."""
     b, h = entry["base_quartiles"], entry["head_quartiles"]
     control = f", A/A {100 * entry['control_change']:+.1f}%" if "control_change" in entry else ""
     met = entry.get("claim_met", claim_met(entry))
+    bound = "within bound" if entry["within_bound"] else "PAST BOUND"
     return (f"{workload} {name}: {b[1]:.4g} [{b[0]:.4g}, {b[2]:.4g}] -> "
             f"{h[1]:.4g} [{h[0]:.4g}, {h[2]:.4g}], {100 * entry['change']:+.1f}%{control}, "
             f"head better in {entry['head_wins']} of {entry['pairs']}, "
-            f"base IQR {b[2] - b[0]:.3g}, claim {'met' if met else 'not met'}")
+            f"base IQR {b[2] - b[0]:.3g}, {bound}, claim {'met' if met else 'not met'}")
 
 
 def report_lines(workload, entry):
