@@ -394,8 +394,8 @@ def _run_all(spec):
     sub_report, rmat = _run_build_r(sub)
     merge("build-r-standard-2-3", sub_report)
     if rmat is not None:
-        moved = _pair_gap(rmat, {(1, 3): (1, 2)})[0]
-        report.check("build-r-standard-2-3/maps-pair-1-3-to-1-2", moved, spec.tol, True)
+        moved, witness = _pair_gap(rmat, {(1, 3): (1, 2)})
+        report.check("build-r-standard-2-3/maps-pair-1-3-to-1-2", moved, spec.tol, True, witness)
         # R = R_1^{(x)d} is the identity exactly when R_1 is (R_1 fixes e_1 (x) e_1)
         deviation = _worst_column(rmat.r1 - np.eye(len(rmat.r1)))
         report.add("build-r-standard-2-3/not-identity", deviation > 0.0, deviation)

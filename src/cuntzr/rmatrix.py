@@ -51,12 +51,15 @@ coproduct form (``coproduct.split_words``: the table that ``delta``,
 ``phi`` and the double coproducts read), which gives each letter one twist
 column per leg. The leg images of each word length are then those of the
 length before, grown by one letter, and the block is their tensor
-product. Every dense verifier takes its stacks of all creation words up
-to a depth from this one path, ``_word_images``, in chunks of words of
+product. Every dense verifier draws its stacks of all creation words up
+to a depth from one stream, ``_word_stream``: the images of
+``_word_images``, zipped over the forms it needs, in chunks of words of
 bounded size (``_chunk_words``: one rule and one entry count for all
-three), applies R, or each side of the exchange identity, once per chunk,
-and keeps a running worst residual; one preflight per call counts a
-chunk's arrays with the leg images and operators held for the whole call.
+three), after the one preflight of the call, which the stream makes from
+the check's copies of a chunk and what it holds for the whole call (leg
+images, operators). Each applies R, or each side of the exchange
+identity, once per chunk; the defining relation and the exchange identity
+keep each word's worst residual by one per-word fold, ``_word_norms``.
 Residuals are measured on the unpruned dense differences. The generators
 of the conjugation identity act the same way: a one-letter word splits to
 one digit per leg (none on an O_1 leg), so a generator grows each leg of a
@@ -349,7 +352,13 @@ _CHUNK_ENTRIES = 2**12  # entries per stack of word images a streamed check hold
 def _chunk_words(size, total):
     """Words per chunk of a streamed check, of ``total`` words whose images
     have ``size`` entries each: as many as fill ``_CHUNK_ENTRIES``, at least
-    one and at most all."""
+    one and at most all.
+
+    The size is a trade: on uniform (2, 3, 2) at depth 3 a triple block of
+    the exchange check has 1728 entries, so a chunk holds 2 words and the
+    check makes two applications per 2 words; 2^16 entries make it faster
+    there, but hold sixteen times the image entries per chunk, which the
+    small blocks of depths 1-2 pay for in peak memory."""
     return min(total, max(1, _CHUNK_ENTRIES // size))
 
 
@@ -418,10 +427,10 @@ def _word_images(reps, form, depth, dims, step=None, columns=None):
     significant, multiplied in the order of a per-word product from e_1
     (``tests/test_rmatrix.py`` keeps that product as the oracle). The leg
     images of every length are kept while the chunks are drawn,
-    ``_leg_entries(reps, depth)`` entries in all, which a streamed check
-    counts once in its preflight; a chunk's part of a length is the tensor
-    product of row slices of those leg images, one ``einsum`` in place,
-    and each chunk is a fresh array.
+    ``_leg_entries(reps, depth)`` entries in all, which ``_word_stream``
+    counts once in the check's preflight; a chunk's part of a length is
+    the tensor product of row slices of those leg images, one ``einsum``
+    in place, and each chunk is a fresh array.
     """
     if columns is None:
         columns = _letter_images(reps, form)
@@ -449,6 +458,39 @@ def _word_images(reps, form, depth, dims, step=None, columns=None):
         yield out
 
 
+def _word_stream(reps, forms, depth, dims, what, copies=1, held=0, also=(), columns=None):
+    """The one streamed sweep of the dense checks over the creation words up
+    to ``depth``: their number, the words of a chunk (``_chunk_words``) and
+    the chunks, each ``(first word, stacks)`` with one stack of
+    ``_word_images`` per coproduct form of ``forms``, zero-padded to
+    ``dims``; ``columns`` are the letter images of a lone form, when the
+    caller has them. The check's one preflight is made here, on the call,
+    before anything is drawn: ``copies`` stacks of a chunk, named ``what``,
+    beside the requests ``also``, with ``held`` entries and every form's
+    leg images held once."""
+    total = _word_count(math.prod(rep.n for rep in reps), depth)
+    step = _chunk_words(math.prod(dims), total)
+    preflight((copies * step * math.prod(dims), what), *also,
+              held=held + len(forms) * _leg_entries(reps, depth))
+    stacks = zip(*(_word_images(reps, form, depth, dims, step, columns) for form in forms))
+    return total, step, zip(range(0, total, step), stacks)
+
+
+def _word_norms(total, chunks, diffs):
+    """The largest column norm of each of the ``total`` words over the
+    differences ``diffs(*stacks)`` of its chunk: the squares formed as
+    np.linalg.norm forms them and summed by ``_row_sums``, so a lone word
+    sums as in the whole span, the largest sum kept per word, and one root
+    after the last chunk; sqrt is monotone and correctly rounded, so it is
+    the largest norm, and a NaN stays."""
+    worst = np.zeros(total)
+    for first, stacks in chunks:
+        for diff in diffs(*stacks):
+            out = worst[first:first + diff.shape[-1]]
+            np.maximum(out, _row_sums((diff.conj() * diff).real, total), out=out)
+    return np.sqrt(worst)
+
+
 def build_r(omega1, omega2, depth):
     """Construct the swap-implementing unitary for a commuting state pair.
 
@@ -474,30 +516,19 @@ def _worst_word(rmat, max_len):
     ``CuntzMonomial(nm, w, ()).label()``: the first by length then lex on
     a tie, and the first NaN if any.
 
-    The words come from ``_word_images`` in chunks of ``_chunk_words``
-    words, for the coproduct and its opposite side by side, and R is
-    applied once per chunk. Each word's squared difference norm goes into
-    one array for the call, summed by ``_row_sums``, so a lone word sums as
-    in a wider chunk and the residual is the one of the whole span to the
-    bit; one argmax picks the word, and only its label is made
-    (``_word_labels``). One preflight counts a chunk's stacks at six
-    working copies and, held once, both forms' leg images and R_1.
+    The coproduct's and its opposite's images come side by side from the
+    one stream (``_word_stream``), R is applied once per chunk, and each
+    word's difference norm is folded by ``_word_norms``, so the residual is
+    the one of the whole span to the bit; one argmax picks the word, and
+    only its label is made (``_word_labels``).
     """
     N = rmat.omega1.n * rmat.omega2.n
     max_len = min(_index(max_len, 0, "max_len"), rmat.depth)
-    total = _word_count(N, max_len)
-    step = _chunk_words(rmat.rank, total)
-    reps = (rmat.rep1, rmat.rep2)
-    preflight((step * rmat.rank, "the defining-relation check"),
-              held=2 * _leg_entries(reps, max_len) + N * N)
-    stacks = zip(*(_word_images(reps, form, max_len, rmat.dims, step)
-                   for form in ("delta", "delta_op")))
-    sums = np.empty(total)  # the squared difference norm of each word
-    for first, (V, W) in zip(range(0, total, step), stacks):
-        diff = rmat.apply_dense(V) - W
-        sums[first:first + diff.shape[-1]] = _row_sums((diff.conj() * diff).real, total)
-    j = int(np.argmax(sums))
-    return float(np.sqrt(sums[j])), next(itertools.islice(_word_labels(N, max_len), j, None))
+    total, _, chunks = _word_stream((rmat.rep1, rmat.rep2), ("delta", "delta_op"), max_len,
+                                    rmat.dims, "the defining-relation check", held=N * N)
+    norms = _word_norms(total, chunks, lambda V, W: (rmat.apply_dense(V) - W,))
+    j = int(np.argmax(norms))
+    return float(norms[j]), next(itertools.islice(_word_labels(N, max_len), j, None))
 
 
 def relation_residual(rmat, max_len):
@@ -546,10 +577,10 @@ def verify_intertwining(rmat, tol=BUILD_TOL):
     inside the operator's depth-d domain. The N letters, imaged for the
     coproduct and its opposite (``_letter_images``, once per form), give
     each generator one twist column per leg, and the coproduct's columns
-    also grow the span V, which comes from ``_word_images`` in chunks of
-    ``_chunk_words`` words. Per chunk, R is applied to V, and V grows by
-    all N generators at once (``_grow_all``), with one digit per leg, and R
-    is applied once to that batch: two applications a chunk. The grown V
+    also grow the span V, which comes in chunks from ``_word_stream``. Per
+    chunk, R is applied to V, and V grows by all N generators at once
+    (``_grow_all``), with one digit per leg, and R is applied once to that
+    batch: two applications a chunk. The grown V
     lies in the (n^d, m^d) corner of the block (n^{d+1}, m^{d+1}) of R V
     grown by the opposite coproduct, and so does the grown corner
     (n^{d-1}, m^{d-1}) of R V; only that corner difference is formed.
@@ -567,9 +598,8 @@ def verify_intertwining(rmat, tol=BUILD_TOL):
     are the kernel's halves (``_apply_digits``) for the grown batch, and
     the half that R's result leaves free holds the squares of the
     difference; the two chunk sizes are the kernel's halves for R V, which
-    stays there. One preflight per call counts the grown chunk at six
-    working copies and, held once, the span's leg images and R_1. Raises
-    OutOfDomain for a depth-0 operator, which has no such span.
+    stays there. Raises OutOfDomain for a depth-0 operator, which has no
+    such span.
     """
     n1, n2 = rmat.shape
     N = n1 * n2
@@ -578,13 +608,12 @@ def verify_intertwining(rmat, tol=BUILD_TOL):
     span_depth = rmat.depth - 1
     reps = (rmat.rep1, rmat.rep2)
     size = rmat.rank  # entries of a vector of the depth-d block
-    total = _word_count(N, span_depth)
-    step = _chunk_words(size, total)
+    (c1, c2), (c1_op, c2_op) = (_letter_images(reps, form) for form in ("delta", "delta_op"))
     # the opposite side acts on R V over the whole depth-d block, so a
     # generator grows each vector by one letter
-    preflight((step * size * N, "the intertwining check"),
-              held=_leg_entries(reps, span_depth) + N * N)
-    (c1, c2), (c1_op, c2_op) = (_letter_images(reps, form) for form in ("delta", "delta_op"))
+    total, step, chunks = _word_stream(reps, ("delta",), span_depth, rmat.dims,
+                                       "the intertwining check", copies=N, held=N * N,
+                                       columns=(c1, c2))
     p, q = n1**span_depth, n2**span_depth
     scale = _square_sums(c1_op, 1) * _square_sums(c2_op, 1)
     # one block for every chunk: fresh arrays per step would be mapped and
@@ -602,7 +631,7 @@ def verify_intertwining(rmat, tol=BUILD_TOL):
 
     full = views(step)
     worst = np.zeros(N)  # running maximum of the squared column norms
-    for V in _word_images(reps, "delta", span_depth, rmat.dims, step, columns=(c1, c2)):
+    for _, (V,) in chunks:
         k = V.shape[-1]
         out, halves, free, moved_work = full if k == step else views(k)
         moved = rmat.apply_dense(V, work=moved_work)
@@ -686,34 +715,24 @@ def verify_ybe(omega1, omega2, omega3, depth, tol=BUILD_TOL, rs=None):
     which split a leg of the flipped phi_{c,ab}(x) and phi_{bc,a}(x) by the
     flipped phi_{b,a} and phi_{c,b}. So all three images are gathers of the
     same digit columns; the check that the tables are the paper's maps is
-    the mixed-radix split of the tests. The three forms' images come from
-    ``_word_images``, three streams zipped chunk by chunk of
-    ``_chunk_words`` words, and each side is applied once per chunk
-    (``_apply_digits``). Every word still gets its own record,
-    named as ``CuntzMonomial(N, word, ()).label()`` (``_word_labels``),
-    whose residual is the largest column norm of the four differences:
-    each chunk keeps the largest of their squared column sums in one array
-    for all words, and one root of it after the last chunk gives every
-    residual, which ``VerificationReport.check_each`` turns into the pass
-    flags at once. The squares are formed as np.linalg.norm forms them and
-    summed row by row (``_row_sums``), so every residual is the one of a
-    run in a single chunk to the bit, one-word chunks included, from
-    depth 2 on. At depth 1 a one-word chunk is one row of the matrix
-    product, which BLAS rounds differently; the chunk rule makes such
-    chunks there only when abc > 2048. Each distinct state pair is built
-    once, and the twists are the ones the operators hold, one per state
+    the mixed-radix split of the tests. The three forms' images come
+    chunk by chunk from ``_word_stream``, and each side is applied once per
+    chunk (``_apply_digits``). Every word still gets its own record, named
+    as ``CuntzMonomial(N, word, ()).label()`` (``_word_labels``), whose
+    residual is the largest column norm of the four differences, folded
+    per word by ``_word_norms``; ``VerificationReport.check_each`` turns
+    them into the pass flags at once. Every residual is the one of a run in
+    a single chunk to the bit, one-word chunks included, from depth 2 on.
+    At depth 1 a one-word chunk is one row of the matrix product, which
+    BLAS rounds differently; the chunk rule makes such chunks there only
+    when abc > 2048. Each distinct state pair is built once, and the
+    twists are the ones the operators hold, one per state
     (``GPRepresentation.for_state``); so a given ``rs`` must be R(omega1,
     omega2), R(omega1, omega3) and R(omega2, omega3) of these states, else
     ValueError names the pair. SpanTooLarge is raised before anything is
     built when a chunk's three stacks, or the abc x abc sides, would not fit
     in memory beside what is held once: the three forms' leg images and
     the three R_1.
-
-    The chunk size is a trade: on uniform (2, 3, 2) at depth 3 a triple
-    block has 1728 entries, so a chunk holds 2 words and the check makes
-    two applications per 2 words; 2^16 entries make it faster there, but
-    hold sixteen times the image entries per chunk, which the small blocks
-    of depths 1-2 pay for in peak memory.
     """
     depth = _index(depth, 0, "depth")
     states = (omega1, omega2, omega3)
@@ -732,30 +751,22 @@ def verify_ybe(omega1, omega2, omega3, depth, tol=BUILD_TOL, rs=None):
     dims = tuple(s.n**depth for s in states)
     radices = tuple(s.n for s in states)
     N = math.prod(radices)
-    block = math.prod(dims)
-    total = _word_count(N, depth)
-    step = _chunk_words(block, total)
-    preflight(
-        (3 * step * block, "the triple exchange check"),
-        (N * N, f"the {N} x {N} sides of the triple exchange check"),
-        held=3 * _leg_entries(reps, depth) + sum(r.r1.size for r in rs),
+    total, _, chunks = _word_stream(
+        reps, ("f_r", "f_l_op", "f_r_op"), depth, dims, "the triple exchange check", copies=3,
+        held=sum(r.r1.size for r in rs),
+        also=((N * N, f"the {N} x {N} sides of the triple exchange check"),),
     )
     r12, r13, r23 = (_on_legs(r.r1, legs, radices) for r, legs in zip(rs, pairs))
     sides = (r12 @ r13 @ r23, r23 @ r13 @ r12)
-    worst = np.zeros(total)  # the largest squared column norm of each word
-    forms = ("f_r", "f_l_op", "f_r_op")
-    stacks = zip(*(_word_images(reps, form, depth, dims, step) for form in forms))
-    for first, (t0, oracle_l, oracle_r) in zip(range(0, total, step), stacks):
+
+    def diffs(t0, oracle_l, oracle_r):
         lhs, rhs = (_apply_digits(M, t0, radices, depth) for M in sides)
-        out = worst[first:first + t0.shape[-1]]
-        for a, b in ((lhs, rhs), (lhs, oracle_l), (rhs, oracle_r), (oracle_l, oracle_r)):
-            diff = a - b
-            np.maximum(out, _row_sums((diff.conj() * diff).real, total), out=out)
+        return (a - b for a, b in
+                ((lhs, rhs), (lhs, oracle_l), (rhs, oracle_r), (oracle_l, oracle_r)))
+
     report = VerificationReport(scenario="ybe")
-    # sqrt is monotone and correctly rounded: the root of the largest sum
-    # is the largest column norm, as np.linalg.norm takes it
-    report.check_each(("ybe:" + label for label in _word_labels(N, depth)), np.sqrt(worst),
-                      tol, all(r.is_permutation for r in rs))
+    report.check_each(("ybe:" + label for label in _word_labels(N, depth)),
+                      _word_norms(total, chunks, diffs), tol, all(r.is_permutation for r in rs))
     return report
 
 

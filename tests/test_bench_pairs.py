@@ -100,8 +100,9 @@ def test_outcomes_total_the_failed_operations_and_correctness_per_side():
                              "failed_share": pytest.approx(1 / 13)}
     assert bench_pairs.outcome_line("ybe-triples", "base", sides["base"]) == (
         "ybe-triples base: 0 of 12 operations failed (0.00%) over 2 runs, every run correct")
-    assert bench_pairs.outcome_line("ybe-triples", "head", sides["head"]) == (
-        "ybe-triples head: 1 of 13 operations failed (7.69%) over 2 runs, NOT every run correct")
+    assert bench_pairs.outcome_line("ybe-triples", "head", sides["head"], sides["base"]) == (
+        "ybe-triples head: 1 of 13 operations failed (7.69%) over 2 runs, NOT every run correct, "
+        "FAILED SHARE ABOVE BASE")
 
 
 def test_summary_reprints_the_claim_and_outcome_lines_of_a_file_and_starts_no_run(
@@ -127,12 +128,14 @@ def test_summary_reprints_the_claim_and_outcome_lines_of_a_file_and_starts_no_ru
         "head better in 2 of 3, base IQR 0.1, within bound, claim not met",
         "ybe-triples max_depth: 8 [8, 8] -> 8 [8, 8.5], +0.0%, head better in 1 of 3, base IQR 0, within bound, claim not met",
         "ybe-triples base: 0 of 18 operations failed (0.00%) over 3 runs, every run correct",
-        "ybe-triples head: 0 of 18 operations failed (0.00%) over 3 runs, every run correct",
+        "ybe-triples head: 0 of 18 operations failed (0.00%) over 3 runs, every run correct, "
+        "failed share not above base",
         "pair-verdict verdict_ref: 2 [1.95, 2.05] -> 1.75 [1.725, 1.95], -12.5%, "
         "head better in 2 of 3, base IQR 0.1, within bound, claim not met",
         "pair-verdict max_depth: 8 [8, 8] -> 8 [8, 8.5], +0.0%, head better in 1 of 3, base IQR 0, within bound, claim not met",
         "pair-verdict base: 0 of 18 operations failed (0.00%) over 3 runs, every run correct",
-        "pair-verdict head: 0 of 18 operations failed (0.00%) over 3 runs, every run correct",
+        "pair-verdict head: 0 of 18 operations failed (0.00%) over 3 runs, every run correct, "
+        "failed share not above base",
     ]
     # a run still needs every one of its options
     with pytest.raises(SystemExit):
@@ -187,6 +190,8 @@ def test_a_control_gives_the_a_a_gap_beside_the_a_b_change(tmp_path, capsys, mon
     assert out[1].startswith("pair-verdict max_depth: 8 [8, 8] -> 8 [8, 8], +0.0%, A/A +0.0%, ")
     assert [o.split(":")[0] for o in out[2:]] == [
         "pair-verdict base", "pair-verdict control", "pair-verdict head"]
+    assert out[2].endswith(", every run correct")
+    assert all(o.endswith(", failed share not above base") for o in out[3:])
 
 
 def test_the_run_order_alternates_the_pairs_and_the_control():

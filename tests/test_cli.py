@@ -252,6 +252,19 @@ def test_all_names_the_worst_column_of_the_leg_swap_and_the_worst_basis_pair(mon
     # the first pair on a tie
     assert all(gap < worst * (1 - 1e-12) for pair, gap in gaps.items() if pair < (a, b))
 
+    # R_1[0, 2] moved instead, the column the source pair (1, 3) reads: the
+    # record of that one pair names it too
+    def bumped_at_0_2(self, *args):
+        built(self, *args)
+        self.r1[0, 2] += 1e-6
+
+    monkeypatch.setattr(RMatrixOperator, "__init__", bumped_at_0_2)
+    assert run(["all"]) == 1
+    fails = {line.split()[1]: line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("FAIL ") and line != "FAIL overall"}
+    assert all(" witness=" in line for line in fails.values())
+    assert fails["build-r-standard-2-3/maps-pair-1-3-to-1-2"].endswith(" witness=basis-pair=1,3")
+
 
 def test_verify_with_three_states(capsys):
     code = run(

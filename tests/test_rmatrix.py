@@ -1653,6 +1653,10 @@ def test_oversized_spans_fail_fast_with_the_estimate(monkeypatch):
     # sum of 6^t (2^t + 3^t) entries, held once, beside R_1
     _address_space_limit(monkeypatch, 2048 * 2**20)
     rmat = build_r(W2, W3, 8)
+    # a refused check has drawn no chunk and built no side
+    drawn = []
+    for name in ("_word_images", "_on_legs"):
+        monkeypatch.setattr(rmatrix, name, lambda *args, name=name, **kwargs: drawn.append(name))
     legs = sum(6**t * (2**t + 3**t) for t in range(8))
     with pytest.raises(SpanTooLarge, match="^the intertwining check needs") as err:
         verify_intertwining(rmat)
@@ -1663,6 +1667,19 @@ def test_oversized_spans_fail_fast_with_the_estimate(monkeypatch):
     with pytest.raises(SpanTooLarge, match="^the defining-relation check needs") as err:
         relation_residual(rmat, 8)
     assert err.value.nbytes == 16 * (6 * 6**8 + 2 * legs + 36)
+    # the 27000 x 27000 sides of a triple of C^30 states, beside three
+    # one-entry leg images per form and the three 900 x 900 R_1
+    U30 = GPState.uniform(30)
+    sides = "^the 27000 x 27000 sides of the triple exchange check needs"
+    with pytest.raises(SpanTooLarge, match=sides) as err:
+        verify_ybe(U30, U30, U30, 0)
+    assert err.value.nbytes == 16 * (6 * 27000**2 + 3 * 3 + 3 * 900**2)
+    # (2, 3, 2) at depth 6, on the leg images of its three forms
+    legs = sum(12**t * (2 * 2**t + 3**t) for t in range(7))
+    with pytest.raises(SpanTooLarge, match="^the triple exchange check needs") as err:
+        verify_ybe(U2, U3, U2, 6)
+    assert err.value.nbytes == 16 * (6 * 3 * 2**6 * 3**6 * 2**6 + 3 * legs + 36 + 16 + 36)
+    assert drawn == []
 
 
 def test_r1_and_the_triple_sides_are_preflighted_under_a_1024_mb_cap(run_capped):

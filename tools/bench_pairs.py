@@ -143,11 +143,16 @@ def outcomes(runs):
     return out
 
 
-def outcome_line(workload, side, entry):
-    """One line of a side's failed operations and correctness."""
+def outcome_line(workload, side, entry, base=None):
+    """One line of a side's failed operations and correctness; given the
+    base's entry, it ends with whether the side's failed share is above the
+    base's, which rejects a change."""
+    above = "" if base is None else (
+        ", FAILED SHARE ABOVE BASE" if entry["failed_share"] > base["failed_share"]
+        else ", failed share not above base")
     return (f"{workload} {side}: {entry['failed']} of {entry['attempted']} operations failed "
             f"({100 * entry['failed_share']:.2f}%) over {entry['runs']} runs, "
-            f"{'every run' if entry['all_correct'] else 'NOT every run'} correct")
+            f"{'every run' if entry['all_correct'] else 'NOT every run'} correct{above}")
 
 
 def claim_line(workload, name, entry):
@@ -168,10 +173,13 @@ def claim_line(workload, name, entry):
 
 def report_lines(workload, entry):
     """The claim line of each metric of a workload's entry in a
-    ``BENCH_*.json``, then the outcome line of each side, base first."""
+    ``BENCH_*.json``, then the outcome line of each side, base first, the
+    others against the base."""
     lines = [claim_line(workload, name, metric) for name, metric in entry["summary"].items()]
     sides = entry.get("outcomes") or outcomes(entry["runs"])
-    return lines + [outcome_line(workload, side, sides[side]) for side in sorted(sides)]
+    return lines + [outcome_line(workload, side, sides[side],
+                                 None if side == "base" else sides["base"])
+                    for side in sorted(sides)]
 
 
 def machine_facts():
